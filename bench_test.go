@@ -28,7 +28,6 @@ import (
 	"vcselnoc/internal/core"
 	"vcselnoc/internal/dse"
 	"vcselnoc/internal/fvm"
-	"vcselnoc/internal/mg"
 	"vcselnoc/internal/mrr"
 	"vcselnoc/internal/oni"
 	"vcselnoc/internal/ornoc"
@@ -56,21 +55,11 @@ func benchResolution() thermal.Resolution {
 }
 
 // benchMGKnobs reads the cmd/perfab sweep axes from the environment:
-// VCSELNOC_MG_ORDERING and VCSELNOC_MG_PRECISION tune the mg-cg V-cycle,
-// VCSELNOC_MG_COARSE forces a coarse-solve tier (sparse|band|iterative)
-// with VCSELNOC_MG_COARSE_BUDGET capping the direct factorisation, and
+// VCSELNOC_MG_PRECISION selects the mg-cg V-cycle precision and
 // VCSELNOC_WORKERS caps solver goroutines. Empty variables leave the
-// defaults (red-black ordering, auto precision, auto coarse ladder,
-// GOMAXPROCS workers).
+// defaults (auto precision, GOMAXPROCS workers).
 func benchMGKnobs(opts fvm.SolveOptions) fvm.SolveOptions {
-	opts.MGOrdering = os.Getenv("VCSELNOC_MG_ORDERING")
 	opts.MGPrecision = os.Getenv("VCSELNOC_MG_PRECISION")
-	opts.MGCoarseSolver = os.Getenv("VCSELNOC_MG_COARSE")
-	if v := os.Getenv("VCSELNOC_MG_COARSE_BUDGET"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n != 0 {
-			opts.MGCoarseBudget = n
-		}
-	}
 	if w := os.Getenv("VCSELNOC_WORKERS"); w != "" {
 		if n, err := strconv.Atoi(w); err == nil && n > 0 {
 			opts.Workers = n
@@ -640,7 +629,7 @@ func BenchmarkSolverBackends(b *testing.B) {
 		b.Run(backend, func(b *testing.B) {
 			opts := benchMGKnobs(fvm.SolveOptions{Tolerance: 1e-8, Solver: backend})
 			var iters int
-			before := mg.ReadPhaseStats()
+			before := m.System().PhaseStats()
 			for i := 0; i < b.N; i++ {
 				sol, err := m.System().SolveSteady(power, opts)
 				if err != nil {
@@ -655,7 +644,7 @@ func BenchmarkSolverBackends(b *testing.B) {
 			// machine-dependent, so benchguard reports them without
 			// gating.
 			if backend == sparse.BackendMGCG && b.Elapsed() > 0 {
-				ph := mg.ReadPhaseStats().Sub(before)
+				ph := m.System().PhaseStats().Sub(before)
 				total := b.Elapsed().Seconds()
 				b.ReportMetric(ph.Smooth.Seconds()/total, "smoothfrac")
 				b.ReportMetric(ph.Restrict.Seconds()/total, "restrictfrac")

@@ -1,34 +1,30 @@
 // Command perfab is the A/B performance harness for the mg-cg hot loop:
-// it runs named benchmarks across a configuration sweep (smoother
-// ordering × V-cycle precision × worker count × coarse-solve tier),
-// optionally captures CPU and heap profiles per configuration, and emits
-// one benchmark artifact per configuration plus a markdown delta report. The artifacts are the
-// same JSON format cmd/benchguard consumes, so any pair can be diffed
-// later with `benchguard -compare old.json new.json`; the first
-// configuration of the sweep (by default lex × float64 × 1 worker, the
-// pre-optimisation behaviour) is the in-report baseline every other
-// configuration is compared against.
+// it runs named benchmarks across a configuration sweep (V-cycle
+// precision × worker count), optionally captures CPU and heap profiles
+// per configuration, and emits one benchmark artifact per configuration
+// plus a markdown delta report. The artifacts are the same JSON format
+// cmd/benchguard consumes, so any pair can be diffed later with
+// `benchguard -compare old.json new.json`; the first configuration of
+// the sweep (by default float64 × 1 worker) is the in-report baseline
+// every other configuration is compared against. Configurations are
+// named <precision>-w<workers>.
 //
 // Usage:
 //
 //	go run ./cmd/perfab -res preview -bench 'BenchmarkSolverBackends/mg-cg' \
-//	    -orderings lex,redblack -precisions float64,float32 -workers 1,4 \
-//	    -profiles -out perfab_out
+//	    -precisions float64,float32 -workers 1,4 -profiles -out perfab_out
 //
 // Each configuration runs `go test -run '^$' -bench ...` in a child
-// process with the sweep axes passed through the VCSELNOC_MG_ORDERING,
-// VCSELNOC_MG_PRECISION, VCSELNOC_MG_COARSE and VCSELNOC_WORKERS
-// environment variables the root-package benchmarks honour, and
-// VCSELNOC_BENCH_RES selecting the mesh tier. The -coarse axis defaults
-// to the empty auto ladder only, so existing configuration names (and
-// any compare gates keyed on them) are untouched unless a sweep opts
-// in, e.g. -coarse ,sparse,band,iterative. When the sweep includes
-// BenchmarkCoarseSolve the report additionally splits the one-off
-// factorisation cost from the recurring per-cycle coarse solve. With -profiles the child also writes <config>.cpu.pprof and
+// process with the sweep axes passed through the VCSELNOC_MG_PRECISION
+// and VCSELNOC_WORKERS environment variables the root-package benchmarks
+// honour, and VCSELNOC_BENCH_RES selecting the mesh tier. When the sweep
+// includes BenchmarkCoarseSolve the report additionally splits the
+// one-off factorisation cost from the recurring per-cycle coarse solve.
+// With -profiles the child also writes <config>.cpu.pprof and
 // <config>.mem.pprof next to the artifacts, along with the test binary
 // (<config>.test) needed to symbolise them:
 //
-//	go tool pprof perfab_out/redblack-float32-w4.test perfab_out/redblack-float32-w4.cpu.pprof
+//	go tool pprof perfab_out/float32-w4.test perfab_out/float32-w4.cpu.pprof
 package main
 
 import (
@@ -47,19 +43,11 @@ import (
 
 // config is one point of the sweep.
 type config struct {
-	ordering  string
 	precision string
 	workers   string
-	coarse    string // coarse-solve tier; "" = auto ladder
 }
 
-func (c config) name() string {
-	n := fmt.Sprintf("%s-%s-w%s", c.ordering, c.precision, c.workers)
-	if c.coarse != "" {
-		n += "-" + c.coarse
-	}
-	return n
-}
+func (c config) name() string { return fmt.Sprintf("%s-w%s", c.precision, c.workers) }
 
 func main() {
 	pkg := flag.String("pkg", ".", "package holding the benchmarks")
@@ -67,29 +55,22 @@ func main() {
 	res := flag.String("res", "preview", "mesh resolution tier (VCSELNOC_BENCH_RES)")
 	benchtime := flag.String("benchtime", "1x", "go test -benchtime per configuration")
 	count := flag.Int("count", 1, "go test -count per configuration")
-	orderings := flag.String("orderings", "lex,redblack", "comma-separated smoother orderings to sweep")
 	precisions := flag.String("precisions", "float64,float32", "comma-separated V-cycle precisions to sweep")
 	workers := flag.String("workers", "1,4", "comma-separated worker counts to sweep")
-	coarse := flag.String("coarse", "", "comma-separated coarse-solve tiers to sweep (empty entry = auto ladder; e.g. ',sparse,band,iterative')")
 	outDir := flag.String("out", "perfab_out", "directory for artifacts, profiles and the report")
 	profiles := flag.Bool("profiles", false, "capture CPU and heap profiles per configuration")
 	flag.Parse()
 	log.SetFlags(0)
 	log.SetPrefix("perfab: ")
 
-	coarseTiers := splitListKeepEmpty(*coarse)
 	var configs []config
-	for _, o := range splitList(*orderings) {
-		for _, p := range splitList(*precisions) {
-			for _, w := range splitList(*workers) {
-				for _, ct := range coarseTiers {
-					configs = append(configs, config{ordering: o, precision: p, workers: w, coarse: ct})
-				}
-			}
+	for _, p := range splitList(*precisions) {
+		for _, w := range splitList(*workers) {
+			configs = append(configs, config{precision: p, workers: w})
 		}
 	}
 	if len(configs) == 0 {
-		log.Fatal("empty sweep: need at least one ordering, precision and worker count")
+		log.Fatal("empty sweep: need at least one precision and worker count")
 	}
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		log.Fatal(err)
@@ -136,21 +117,6 @@ func splitList(s string) []string {
 	return out
 }
 
-// splitListKeepEmpty is splitList for axes where the empty string is a
-// meaningful value (the auto coarse ladder): ",sparse" yields ["", "sparse"].
-// An empty flag yields the single auto entry.
-func splitListKeepEmpty(s string) []string {
-	if s == "" {
-		return []string{""}
-	}
-	parts := strings.Split(s, ",")
-	out := make([]string, len(parts))
-	for i, v := range parts {
-		out[i] = strings.TrimSpace(v)
-	}
-	return out
-}
-
 // runConfig runs one benchmark child process and parses its output.
 func runConfig(c config, pkg, bench, res, benchtime string, count int, absOut string, profiles bool) (*benchfmt.Artifact, error) {
 	args := []string{"test", "-run", "^$", "-bench", bench,
@@ -167,9 +133,7 @@ func runConfig(c config, pkg, bench, res, benchtime string, count int, absOut st
 	cmd := exec.Command("go", args...)
 	cmd.Env = append(os.Environ(),
 		"VCSELNOC_BENCH_RES="+res,
-		"VCSELNOC_MG_ORDERING="+c.ordering,
 		"VCSELNOC_MG_PRECISION="+c.precision,
-		"VCSELNOC_MG_COARSE="+c.coarse,
 		"VCSELNOC_WORKERS="+c.workers,
 	)
 	out, err := cmd.CombinedOutput()

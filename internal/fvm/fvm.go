@@ -440,25 +440,10 @@ type SolveOptions struct {
 	// mg-cg red-black line smoother and for fanning out batched solves; 0
 	// means GOMAXPROCS.
 	Workers int
-	// MGOrdering selects the mg-cg line-relaxation order ("redblack",
-	// "lex"); empty means red-black. Ignored by other backends.
-	MGOrdering string
 	// MGPrecision selects the mg-cg V-cycle arithmetic ("float32",
 	// "float64"); empty auto-selects per mg.Options.Precision. Ignored by
 	// other backends.
 	MGPrecision string
-	// MGCoarseSolver forces an mg-cg coarse-solve tier ("sparse", "band",
-	// "iterative"); empty tries sparse Cholesky, then banded, then the
-	// measured iterative fallback. Ignored by other backends.
-	MGCoarseSolver string
-	// MGCoarseBudget caps the mg-cg direct coarse factorisation in stored
-	// entries; 0 means the mg default, negative disables the direct tiers.
-	// Ignored by other backends.
-	MGCoarseBudget int
-	// MGCoarseRebalance opts into appending aggressively merged coarse
-	// levels until the direct factorisation fits MGCoarseBudget. Ignored
-	// by other backends.
-	MGCoarseRebalance bool
 }
 
 // newSolver builds the sparse backend described by the options.
@@ -468,20 +453,17 @@ func (o SolveOptions) newSolver() (sparse.Solver, error) {
 		tol = 1e-8
 	}
 	return sparse.Config{
-		Backend:           o.Solver,
-		Tolerance:         tol,
-		MaxIterations:     o.MaxIterations,
-		Workers:           o.Workers,
-		MGOrdering:        o.MGOrdering,
-		MGPrecision:       o.MGPrecision,
-		MGCoarseSolver:    o.MGCoarseSolver,
-		MGCoarseBudget:    o.MGCoarseBudget,
-		MGCoarseRebalance: o.MGCoarseRebalance,
+		Backend:       o.Solver,
+		Tolerance:     tol,
+		MaxIterations: o.MaxIterations,
+		Workers:       o.Workers,
+		MGPrecision:   o.MGPrecision,
 	}.New()
 }
 
-// hierarchy lazily builds the system's shared multigrid hierarchy (default
-// coarsening options, matching the solvers newSolver constructs).
+// hierarchy lazily builds the system's shared multigrid hierarchy. The
+// hierarchy, its coarsening and its coarse factor depend on the matrix
+// alone, so every solver newSolver constructs can share it.
 func (s *System) hierarchy() (*mg.Hierarchy, error) {
 	s.mgOnce.Do(func() {
 		s.mgHier, s.mgErr = mg.BuildHierarchy(s.matrix, s.hint, mg.Options{})
@@ -852,14 +834,9 @@ type TransientOptions struct {
 	// Workers caps the goroutines used for matrix-vector products; 0 means
 	// GOMAXPROCS.
 	Workers int
-	// MGOrdering, MGPrecision and the MGCoarse* knobs tune the mg-cg
-	// backend exactly as the fields of the same name on SolveOptions;
-	// ignored by other backends.
-	MGOrdering        string
-	MGPrecision       string
-	MGCoarseSolver    string
-	MGCoarseBudget    int
-	MGCoarseRebalance bool
+	// MGPrecision selects the mg-cg V-cycle arithmetic exactly as the
+	// field of the same name on SolveOptions; ignored by other backends.
+	MGPrecision string
 	// Snapshot, if non-nil, is called after every step with the step index
 	// (1-based), the simulated time and a fresh copy of the current field,
 	// which the callback may retain.

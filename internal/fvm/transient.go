@@ -77,7 +77,9 @@ func (s *System) capacityVolumes() ([]float64, error) {
 }
 
 // transientOperator returns (building and caching on first use) the
-// transient operator for one time step size.
+// transient operator for one time step size. A dt so small that C/dt
+// overflows (a subnormal dt such as 5e-324) is refused: the operator
+// would have no finite entries to solve.
 func (s *System) transientOperator(dt float64) (*transientOp, error) {
 	if dt <= 0 || math.IsNaN(dt) || math.IsInf(dt, 0) {
 		return nil, fmt.Errorf("fvm: time step %g must be > 0", dt)
@@ -96,6 +98,9 @@ func (s *System) transientOperator(dt float64) (*transientOp, error) {
 	cp := make([]float64, len(capVol))
 	for i, cv := range capVol {
 		cp[i] = cv / dt
+		if math.IsInf(cp[i], 0) {
+			return nil, fmt.Errorf("fvm: time step %g too small: C/dt overflows at cell %d", dt, i)
+		}
 	}
 	op := &transientOp{dt: dt, cap: cp, matrix: sparse.AddDiagonal(s.matrix, cp), use: s.transientUse}
 	if s.transientOps == nil {
@@ -297,14 +302,10 @@ func (s *System) NewTransientStepper(power []float64, opts TransientOptions) (*T
 		tol = 1e-8
 	}
 	solver, err := sparse.Config{
-		Backend:           opts.Solver,
-		Tolerance:         tol,
-		Workers:           opts.Workers,
-		MGOrdering:        opts.MGOrdering,
-		MGPrecision:       opts.MGPrecision,
-		MGCoarseSolver:    opts.MGCoarseSolver,
-		MGCoarseBudget:    opts.MGCoarseBudget,
-		MGCoarseRebalance: opts.MGCoarseRebalance,
+		Backend:     opts.Solver,
+		Tolerance:   tol,
+		Workers:     opts.Workers,
+		MGPrecision: opts.MGPrecision,
 	}.New()
 	if err != nil {
 		return nil, err

@@ -313,3 +313,26 @@ func TestTransientMGShiftedHierarchy(t *testing.T) {
 		t.Errorf("second stepper rebuilt the shifted hierarchy (%d builds)", got)
 	}
 }
+
+// TestTransientRejectsOverflowingTimeStep: a subnormal dt passes the
+// dt > 0 check but makes C/dt overflow to +Inf. The stepper must refuse
+// it up front, under every backend, instead of iterating on an operator
+// with infinite entries — and must not cache the refused operator.
+func TestTransientRejectsOverflowingTimeStep(t *testing.T) {
+	p := systemProblem(t, 12, 10, 4)
+	sys, err := NewSystem(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, solver := range []string{"jacobi-cg", "mg-cg"} {
+		_, err := sys.NewTransientStepper(p.Power, TransientOptions{
+			TimeStep: 5e-324, InitialUniform: 25, Solver: solver,
+		})
+		if err == nil || !strings.Contains(err.Error(), "overflows") {
+			t.Errorf("%s: NewTransientStepper(dt = 5e-324) error = %v, want a C/dt overflow refusal", solver, err)
+		}
+	}
+	if len(sys.transientOps) != 0 {
+		t.Errorf("refused time step left %d cached operators", len(sys.transientOps))
+	}
+}

@@ -1,16 +1,17 @@
 package mg
 
 import (
+	"math"
+	"strings"
 	"sync"
 	"testing"
 
 	"vcselnoc/internal/sparse"
 )
 
-// TestCoarseSolverAgreement checks the three tiers of the coarse-solve
-// ladder against each other on a graded floorplan mesh: the sparse
-// Cholesky, the banded Cholesky and the tightly converged iterative
-// reference must agree on the coarsest-level solution.
+// TestCoarseSolverAgreement checks the coarse solve on a graded
+// floorplan mesh: the sparse Cholesky factor and a tightly converged
+// iterative reference must agree on the coarsest-level solution.
 func TestCoarseSolverAgreement(t *testing.T) {
 	h, _, _ := testHierarchy(t)
 	lv := h.levels[len(h.levels)-1]
@@ -23,21 +24,10 @@ func TestCoarseSolverAgreement(t *testing.T) {
 	xs := append([]float64(nil), b...)
 	sp.SolveInPlace(xs)
 
-	bd, err := sparse.NewBandCholesky(lv.a, defaultCoarseBudget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xb := append([]float64(nil), b...)
-	bd.SolveInPlace(xb)
-
 	ref := make([]float64, lv.n())
 	ssor := &sparse.SSORCG{Tolerance: 1e-13, MaxIterations: 100 * lv.n()}
 	if _, err := ssor.Solve(lv.a, b, ref); err != nil {
 		t.Fatal(err)
-	}
-
-	if rd := relDiff(xs, xb); rd > 1e-9 {
-		t.Fatalf("sparse and band coarse solutions differ: rel diff %g", rd)
 	}
 	if rd := relDiff(xs, ref); rd > 1e-8 {
 		t.Fatalf("sparse and iterative coarse solutions differ: rel diff %g", rd)
@@ -87,13 +77,13 @@ func TestCoarseOrderingRoundTrip(t *testing.T) {
 // ordering: on a realistically sized coarse level (large lateral plane,
 // short z) nested dissection must produce strictly less fill than the
 // natural z-major ordering. (On tiny lateral planes the natural band
-// ordering can win — that is fine; the direct tiers fit either way.)
+// ordering can win — that is fine; the factor fits either way.)
 func TestCoarseNDOrderingReducesFill(t *testing.T) {
 	xl := uniformLines(48, 2)
 	yl := uniformLines(40, 2)
 	zl := uniformLines(9, 3)
 	a, hint := buildHeatSystem(t, xl, yl, zl)
-	h, err := BuildHierarchy(a, hint, Options{Levels: 2})
+	h, err := BuildHierarchy(a, hint, Options{levels: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,39 +108,35 @@ func TestCoarseNDOrderingReducesFill(t *testing.T) {
 }
 
 // TestCoarseFactorSharedOnce hammers the factorisation latch: many
-// goroutines racing coarseDirect on one hierarchy must all observe the
+// goroutines racing coarseFactor on one hierarchy must all observe the
 // same single factorisation (run under -race in CI).
 func TestCoarseFactorSharedOnce(t *testing.T) {
 	h, _, _ := testHierarchy(t)
-	opts := Options{}.withDefaults()
 	const goroutines = 16
-	factors := make([]coarseFactor, goroutines)
+	factors := make([]*sparse.SparseCholesky, goroutines)
+	errs := make([]error, goroutines)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			factors[g] = h.coarseDirect(opts)
+			factors[g], errs[g] = h.coarseFactor()
 		}(g)
 	}
 	wg.Wait()
-	if factors[0] == nil {
-		t.Fatal("coarse factorisation unexpectedly unavailable")
+	if errs[0] != nil || factors[0] == nil {
+		t.Fatalf("coarse factorisation unexpectedly unavailable: %v", errs[0])
 	}
 	for g := 1; g < goroutines; g++ {
-		if factors[g] != factors[0] {
+		if factors[g] != factors[0] || errs[g] != nil {
 			t.Fatalf("goroutine %d saw a different factorisation", g)
 		}
-	}
-	if mode := h.CoarseMode(); mode != "sparse-chol" {
-		t.Fatalf("latched coarse mode %q, want sparse-chol", mode)
 	}
 }
 
 // TestCoarseSolversShareFactorisation runs concurrent full solves
-// against one shared hierarchy and checks they all land on the same
-// latched tier with identical solutions (the -race hammer for the
-// solver-facing path).
+// against one shared hierarchy and checks they all land on identical
+// solutions (the -race hammer for the solver-facing path).
 func TestCoarseSolversShareFactorisation(t *testing.T) {
 	h, a, hint := testHierarchy(t)
 	b := randRHS(a.N(), 47)
@@ -176,9 +162,6 @@ func TestCoarseSolversShareFactorisation(t *testing.T) {
 			t.Fatalf("goroutine %d: %v", g, errs[g])
 		}
 	}
-	if mode := h.CoarseMode(); mode != "sparse-chol" {
-		t.Fatalf("latched coarse mode %q, want sparse-chol", mode)
-	}
 	for g := 1; g < goroutines; g++ {
 		if rd := relDiff(sols[g], sols[0]); rd > 1e-7 {
 			t.Fatalf("goroutine %d solution differs: rel diff %g", g, rd)
@@ -186,85 +169,51 @@ func TestCoarseSolversShareFactorisation(t *testing.T) {
 	}
 }
 
-// TestCoarseSolverForced pins the CoarseSolver knob: each forced tier
-// must latch its own mode and still converge to the same solution.
-func TestCoarseSolverForced(t *testing.T) {
-	_, a, hint := testHierarchy(t)
-	b := randRHS(a.N(), 53)
-	var ref []float64
-	for _, tc := range []struct {
-		force string
-		mode  string
-	}{
-		{CoarseSolverSparse, "sparse-chol"},
-		{CoarseSolverBand, "band-chol"},
-		{CoarseSolverIterative, "zline"},
-	} {
-		s := New(Options{CoarseSolver: tc.force})
-		s.SetGridHint(hint)
-		x := make([]float64, a.N())
-		res, err := s.Solve(a, b, x)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.force, err)
-		}
-		if !res.Converged {
-			t.Fatalf("%s: solve did not converge", tc.force)
-		}
-		if mode := s.hier.CoarseMode(); mode != tc.mode {
-			t.Fatalf("%s: latched coarse mode %q, want %q", tc.force, mode, tc.mode)
-		}
-		if ref == nil {
-			ref = x
-		} else if rd := relDiff(x, ref); rd > 1e-7 {
-			t.Fatalf("%s: solution differs from sparse tier: rel diff %g", tc.force, rd)
-		}
-	}
-}
-
-// TestCoarseBudgetKnob pins the CoarseDirectBudget plumbing: a negative
-// budget disables the direct tiers, a tiny one refuses both
-// factorisations, and the default accepts.
+// TestCoarseBudgetKnob pins the budget test hook: the default budget
+// leaves the graded test hierarchy as the size-adaptive coarsening built
+// it, while a 10-entry budget makes BuildHierarchy rebalance all the way
+// down to a single lateral cell — and that level still factors and
+// preconditions, because the budget only decides how far to coarsen.
 func TestCoarseBudgetKnob(t *testing.T) {
 	h, a, hint := testHierarchy(t)
-	if f := h.coarseDirect(Options{CoarseDirectBudget: -1}.withDefaults()); f != nil {
-		t.Fatal("negative budget should disable the direct tiers")
-	}
-	if mode := h.CoarseMode(); mode != "" {
-		t.Fatalf("mode latched to %q before any solve", mode)
-	}
-	h2, err := BuildHierarchy(a, hint, Options{})
+	unlimited, err := BuildHierarchy(a, hint, Options{budget: math.MaxInt})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f := h2.coarseDirect(Options{CoarseDirectBudget: 10}.withDefaults()); f != nil {
-		t.Fatal("a 10-entry budget should refuse both factorisations")
+	if h.Depth() != unlimited.Depth() {
+		t.Fatalf("default budget rebalanced the test hierarchy (depth %d vs %d)", h.Depth(), unlimited.Depth())
 	}
-	h3, err := BuildHierarchy(a, hint, Options{})
+	tiny, err := BuildHierarchy(a, hint, Options{budget: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f := h3.coarseDirect(Options{}.withDefaults()); f == nil {
-		t.Fatal("default budget should factor the test hierarchy")
+	lv := tiny.levels[len(tiny.levels)-1]
+	if tiny.Depth() <= h.Depth() || lv.nx*lv.ny != 1 {
+		t.Fatalf("10-entry budget: depth %d (default %d), coarsest lateral plane %d×%d, want one cell",
+			tiny.Depth(), h.Depth(), lv.nx, lv.ny)
+	}
+	s := New(Options{})
+	s.SetHierarchy(tiny)
+	x := make([]float64, a.N())
+	res, err := s.Solve(a, randRHS(a.N(), 57), x)
+	if err != nil || !res.Converged {
+		t.Fatalf("solve on the fully rebalanced hierarchy: %+v, %v", res, err)
 	}
 }
 
-// TestCoarseRebalance pins the opt-in extra-coarsening knob: with a
-// budget too small for the regular coarsest level, rebalancing must
-// append aggressively merged levels until the factorisation fits, and
-// the solve must still converge quickly to the right answer.
+// TestCoarseRebalance pins the automatic rebalance: with a budget too
+// small for the regular coarsest level, BuildHierarchy must append
+// aggressively merged levels until the factorisation fits, and the solve
+// must still converge quickly to the right answer.
 func TestCoarseRebalance(t *testing.T) {
-	_, a, hint := testHierarchy(t)
-	base, err := BuildHierarchy(a, hint, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	base, a, hint := testHierarchy(t)
 	lv := base.levels[len(base.levels)-1]
 	fill, err := sparse.SparseCholeskyCount(lv.a, coarseNDOrder(lv), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	budget := fill / 2 // too small for the regular coarsest level
-	opts := Options{CoarseDirectBudget: budget, CoarseRebalance: true}
+	opts := Options{budget: budget}
 	reb, err := BuildHierarchy(a, hint, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -272,16 +221,13 @@ func TestCoarseRebalance(t *testing.T) {
 	if reb.Depth() <= base.Depth() {
 		t.Fatalf("rebalance did not deepen the hierarchy (depth %d vs %d)", reb.Depth(), base.Depth())
 	}
-	if f := reb.coarseDirect(opts.withDefaults()); f == nil {
-		t.Fatal("rebalanced coarsest level still over budget")
-	}
-	if mode := reb.CoarseMode(); mode != "sparse-chol" {
-		t.Fatalf("latched coarse mode %q, want sparse-chol", mode)
+	rlv := reb.levels[len(reb.levels)-1]
+	if _, err := sparse.SparseCholeskyCount(rlv.a, coarseNDOrder(rlv), budget); err != nil {
+		t.Fatalf("rebalanced coarsest level still over budget: %v", err)
 	}
 	// The rebalanced hierarchy must still precondition well.
 	b := randRHS(a.N(), 59)
 	s := New(opts)
-	s.SetGridHint(hint)
 	s.SetHierarchy(reb)
 	x := make([]float64, a.N())
 	res, err := s.Solve(a, b, x)
@@ -303,5 +249,82 @@ func TestCoarseRebalance(t *testing.T) {
 	}
 	if res.Iterations > 2*resRef.Iterations+2 {
 		t.Fatalf("rebalanced solve needs %d iterations vs %d baseline — coarse level too weak", res.Iterations, resRef.Iterations)
+	}
+}
+
+// TestRebalancedDeterminism is the paper-shaped determinism check: with
+// the budget below the graded mesh's coarsest-level fill, BuildHierarchy
+// must rebalance (as the paper tier does), and for each V-cycle precision
+// two independently built hierarchies solved with 1, 2 and 4 workers must
+// give bit-identical solutions. Nothing in the cycle may depend on
+// timing, worker count or which solver built a shared factor first.
+func TestRebalancedDeterminism(t *testing.T) {
+	base, a, hint := testHierarchy(t)
+	lv := base.levels[len(base.levels)-1]
+	fill, err := sparse.SparseCholeskyCount(lv.a, coarseNDOrder(lv), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{budget: fill / 2}
+	b := randRHS(a.N(), 67)
+	for _, prec := range []string{PrecisionFloat64, PrecisionFloat32} {
+		var ref []float64
+		for build := 0; build < 2; build++ {
+			h, err := BuildHierarchy(a, hint, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h.Depth() <= base.Depth() {
+				t.Fatalf("budget %d did not force a rebalance", opts.budget)
+			}
+			for _, workers := range []int{1, 2, 4} {
+				s := New(Options{Precision: prec, Workers: workers})
+				s.SetHierarchy(h)
+				x := make([]float64, a.N())
+				if _, err := s.Solve(a, b, x); err != nil {
+					t.Fatal(err)
+				}
+				if ref == nil {
+					ref = x
+					continue
+				}
+				for i := range x {
+					if x[i] != ref[i] {
+						t.Fatalf("%s, hierarchy %d, %d workers: cell %d differs (%g vs %g)",
+							prec, build, workers, i, x[i], ref[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCoarseFactorErrorReachesCaller: with one coarse tier there is no
+// fallback, so a coarsest operator that cannot be factored must fail
+// Preconditioner and Solve with the factorisation's error instead of
+// producing a silently broken V-cycle.
+func TestCoarseFactorErrorReachesCaller(t *testing.T) {
+	a, hint := buildHeatSystem(t, uniformLines(8, 1), uniformLines(8, 1), uniformLines(4, 0.1))
+	h, err := BuildHierarchy(a, hint, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Make the coarsest operator indefinite after the line smoothers were
+	// built, so only the (lazy) factorisation sees it.
+	lv := h.levels[len(h.levels)-1]
+	cols, vals := lv.a.Row(0)
+	for p, c := range cols {
+		if c == 0 {
+			vals[p] = -vals[p]
+		}
+	}
+	s := New(Options{})
+	s.SetHierarchy(h)
+	if _, err := s.Preconditioner(a); err == nil || !strings.Contains(err.Error(), "pivot") {
+		t.Fatalf("Preconditioner error = %v, want the factorisation's pivot error", err)
+	}
+	x := make([]float64, a.N())
+	if _, err := s.Solve(a, randRHS(a.N(), 71), x); err == nil {
+		t.Fatal("Solve on an unfactorable coarsest level should error")
 	}
 }

@@ -14,12 +14,20 @@
 // re-discretisation; transfer operators are tensor-product linear
 // interpolation between cell centres (prolongation) and its transpose
 // (full-weighting restriction). Levels are smoothed with symmetric z-line
-// relaxation by default — exact tridiagonal (Thomas) solves along each
-// vertical cell column, the robust partner of lateral semicoarsening on
-// stacks whose µm-thin layers couple far more strongly in z than in the
-// plane — with the ssor-cg backend's point-SSOR sweep available as an
-// alternative. The coarsest level is solved nearly exactly with SSOR-CG
-// so the V-cycle stays a fixed SPD operator, as the outer CG requires.
+// relaxation — exact tridiagonal (Thomas) solves along each vertical cell
+// column, the robust partner of lateral semicoarsening on stacks whose
+// µm-thin layers couple far more strongly in z than in the plane —
+// relaxed colour class by colour class on the worker pool.
+//
+// The V-cycle is written once, generic over float32 and float64. The
+// float64 cycle reads the hierarchy's own arrays; the float32 cycle reads
+// rounded copies of them, built once per hierarchy, and halves the memory
+// traffic of the bandwidth-bound stencil sweeps inside a float64 outer
+// CG. The coarsest level is always solved exactly by a sparse Cholesky
+// factor under a nested-dissection ordering, built once per hierarchy:
+// BuildHierarchy appends aggressively merged levels until that factor
+// fits defaultCoarseBudget, so the V-cycle stays a fixed SPD operator, as
+// the outer CG requires, at every mesh size.
 //
 // The backend registers itself with the sparse solver registry under
 // sparse.BackendMGCG; it needs the mesh geometry behind the matrix, which
@@ -31,10 +39,8 @@ package mg
 import (
 	"fmt"
 	"math"
-	"os"
 	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,18 +52,10 @@ import (
 func init() {
 	sparse.RegisterBackend(sparse.BackendMGCG, func(c sparse.Config) (sparse.Solver, error) {
 		return New(Options{
-			Tolerance:          c.Tolerance,
-			MaxIterations:      c.MaxIterations,
-			Workers:            c.Workers,
-			Omega:              c.Omega,
-			Levels:             c.MGLevels,
-			Smooth:             c.MGSmooth,
-			CoarseTol:          c.MGCoarseTol,
-			Ordering:           c.MGOrdering,
-			Precision:          c.MGPrecision,
-			CoarseSolver:       c.MGCoarseSolver,
-			CoarseDirectBudget: c.MGCoarseBudget,
-			CoarseRebalance:    c.MGCoarseRebalance,
+			Tolerance:     c.Tolerance,
+			MaxIterations: c.MaxIterations,
+			Workers:       c.Workers,
+			Precision:     c.MGPrecision,
 		}), nil
 	})
 }
@@ -69,114 +67,39 @@ type Options struct {
 	Tolerance float64
 	// MaxIterations bounds the outer CG iterations; 0 means 10·n.
 	MaxIterations int
-	// Workers caps the goroutines used by matrix-vector products, by the
-	// red-black line smoother's per-colour relaxations and by the coarse
-	// solve; 0 means GOMAXPROCS.
+	// Workers caps the goroutines used by matrix-vector products and by
+	// the red-black line smoother's per-colour relaxations; 0 means
+	// GOMAXPROCS.
 	Workers int
-	// Levels caps the hierarchy depth including the finest level; 0
-	// coarsens until the lateral grid is a few cells wide. Levels = 1
-	// degenerates into a (costly) near-exact solve of the fine system per
-	// V-cycle — useful for debugging only.
-	Levels int
-	// Smooth is the number of pre- and post-smoothing sweeps per V-cycle
-	// side; 0 means 1.
-	Smooth int
-	// Smoother selects the relaxation scheme: SmootherZLine (default)
-	// solves each vertical cell column exactly per sweep — the robust
-	// partner of lateral semicoarsening on strongly z-coupled stacks —
-	// while SmootherSSOR is the point sweep the ssor-cg backend uses.
-	Smoother string
-	// Omega is the SSOR smoother relaxation factor in (0, 2); 0 means 1.0
-	// (symmetric Gauss–Seidel), the robust choice for smoothing. Ignored
-	// by the z-line smoother.
-	Omega float64
-	// CoarseTol is the relative tolerance of the coarsest-level SSOR-CG
-	// solve; 0 means 1e-12, effectively exact.
-	CoarseTol float64
-	// Cycle is the cycle index γ: 1 is a V-cycle (default), 2 a W-cycle —
-	// each level visits the next coarser one twice, which stops
-	// convergence from degrading with hierarchy depth at modest extra
-	// cost (semicoarsening shrinks levels 4×, so γ=2 still geometrically
-	// decreases work per level).
-	Cycle int
-	// Ordering selects the order line relaxations visit the lateral
-	// lines. OrderingRedBlack (default) partitions the lines into
-	// structurally independent colour classes (computed from the actual
-	// level operator, so the widened Galerkin stencils of coarse levels
-	// get the extra colours they need) and relaxes each class on the
-	// worker pool; OrderingLex is the serial lexicographic reference.
-	// Both run a forward plus a backward pass per sweep, so either way
-	// the smoother stays symmetric and the V-cycle SPD. Ignored by the
-	// SSOR smoother.
-	Ordering string
 	// Precision selects the V-cycle arithmetic. PrecisionFloat32 applies
-	// the whole preconditioner — level operators, transfers and Thomas
-	// line solves — in single precision, halving memory traffic on the
-	// bandwidth-bound stencil ops while the outer CG stays float64;
-	// PrecisionFloat64 forces double precision. Empty auto-selects
-	// float32 when the outer tolerance is 1e-9 or looser (a float32
-	// preconditioner perturbs search directions at the ~1e-7 level,
-	// irrelevant at practical tolerances but worth avoiding when callers
-	// push the outer CG towards float64 roundoff) and the fine level is
-	// at most autoFloat32MaxCells unknowns — past that, accumulated
-	// single-precision rounding weakens the preconditioner enough to
-	// cost an extra outer iteration, which is dearest exactly on the
-	// largest systems. The coarsest-level solve runs in float64 — it
-	// anchors the cycle — except when the sparse-Cholesky tier is
-	// latched, whose float32 factor mirror is accurate enough to solve
-	// in-cycle without the conversion round trip. The SSOR smoother has
-	// no float32 path and forces float64.
+	// the whole preconditioner — level operators, transfers, Thomas line
+	// solves and the coarse triangular solve — in single precision,
+	// halving memory traffic on the bandwidth-bound stencil ops while the
+	// outer CG stays float64; PrecisionFloat64 forces double precision.
+	// Empty auto-selects float32 when the outer tolerance is 1e-9 or
+	// looser (a float32 preconditioner perturbs search directions at the
+	// ~1e-7 level, irrelevant at practical tolerances but worth avoiding
+	// when callers push the outer CG towards float64 roundoff) and the
+	// fine level is at most autoFloat32MaxCells unknowns — past that,
+	// accumulated single-precision rounding weakens the preconditioner
+	// enough to cost an extra outer iteration, which is dearest exactly on
+	// the largest systems.
 	Precision string
-	// CoarseSolver forces one tier of the coarsest-level solve ladder:
-	// CoarseSolverSparse (fill-reducing sparse Cholesky),
-	// CoarseSolverBand (dense-band Cholesky) or CoarseSolverIterative
-	// (measured zline-vs-SSOR PCG trial). Empty walks the ladder in that
-	// order, falling through when a direct tier exceeds the budget, and
-	// honours the VCSELNOC_MG_COARSE environment override (how perfab
-	// sweeps the axis across child processes).
-	CoarseSolver string
-	// CoarseDirectBudget caps the stored entries (float64 values) of the
-	// direct coarsest-level factorisation — packed band entries for the
-	// banded tier, factor nonzeros for the sparse tier. 0 means the
-	// VCSELNOC_MG_COARSE_BUDGET environment override when set, else
-	// defaultCoarseBudget; negative disables the direct tiers. The first
-	// solver to factor a shared Hierarchy latches its budget for
-	// everyone.
-	CoarseDirectBudget int
-	// CoarseRebalance opts into appending extra aggressively rebalanced
-	// coarsening levels (plain pairwise lateral merges, ignoring the
-	// size-adaptive pair cap) until the coarsest level's predicted
-	// factorisation fits CoarseDirectBudget. Off by default: the
-	// aggressive merge trades coarse-grid quality for size, which is only
-	// worth it when the budget would otherwise force an iterative coarse
-	// solve. Honours the VCSELNOC_MG_COARSE_REBALANCE environment
-	// override ("1"/"true").
-	CoarseRebalance bool
+
+	// Test hooks. levels caps the hierarchy depth including the finest
+	// level (0 = coarsen until the lateral grid is a few cells wide), lex
+	// relaxes lines in serial lexicographic order instead of colour by
+	// colour (the reference ordering), and budget replaces
+	// defaultCoarseBudget (0 = default).
+	levels int
+	lex    bool
+	budget int
 }
-
-// Smoother names accepted by Options.Smoother.
-const (
-	SmootherZLine = "zline"
-	SmootherSSOR  = "ssor"
-)
-
-// Ordering names accepted by Options.Ordering.
-const (
-	OrderingRedBlack = "redblack"
-	OrderingLex      = "lex"
-)
 
 // Precision names accepted by Options.Precision.
 const (
 	PrecisionFloat64 = "float64"
 	PrecisionFloat32 = "float32"
-)
-
-// Coarse-solver tier names accepted by Options.CoarseSolver.
-const (
-	CoarseSolverSparse    = "sparse"
-	CoarseSolverBand      = "band"
-	CoarseSolverIterative = "iterative"
 )
 
 // autoFloat32Tol is the loosest outer tolerance at which an empty
@@ -193,12 +116,8 @@ const (
 
 // effectivePrecision resolves the Precision knob for a fine-level system
 // of n unknowns: an explicit value wins; empty auto-selects float32 at
-// practical tolerances on small-to-mid systems. The SSOR smoother only
-// exists in float64.
+// practical tolerances on small-to-mid systems.
 func (o Options) effectivePrecision(n int) string {
-	if o.Smoother == SmootherSSOR {
-		return PrecisionFloat64
-	}
 	if o.Precision != "" {
 		return o.Precision
 	}
@@ -220,59 +139,10 @@ func (o Options) effectiveWorkers() int {
 	return o.Workers
 }
 
-func (o Options) withDefaults() Options {
-	if o.Smooth <= 0 {
-		o.Smooth = 1
-	}
-	if o.Smoother == "" {
-		o.Smoother = SmootherZLine
-	}
-	if o.Ordering == "" {
-		o.Ordering = OrderingRedBlack
-	}
-	if o.Cycle <= 0 {
-		o.Cycle = 1
-	}
-	if o.Omega == 0 {
-		o.Omega = 1.0
-	}
-	if o.CoarseTol <= 0 {
-		o.CoarseTol = 1e-12
-	}
-	if o.Levels <= 0 {
-		o.Levels = 64 // effectively unlimited; coarsening stops geometrically
-	}
-	if o.CoarseSolver == "" {
-		o.CoarseSolver = os.Getenv("VCSELNOC_MG_COARSE")
-	}
-	if o.CoarseDirectBudget == 0 {
-		if v, err := strconv.Atoi(os.Getenv("VCSELNOC_MG_COARSE_BUDGET")); err == nil && v != 0 {
-			o.CoarseDirectBudget = v
-		}
-	}
-	if !o.CoarseRebalance {
-		switch os.Getenv("VCSELNOC_MG_COARSE_REBALANCE") {
-		case "1", "true":
-			o.CoarseRebalance = true
-		}
-	}
-	return o
-}
-
-// effectiveCoarseBudget resolves CoarseDirectBudget (already env-resolved
-// by withDefaults) to a concrete entry cap: ≤ 0 after defaulting means
-// the direct tiers are disabled.
-func (o Options) effectiveCoarseBudget() int {
-	if o.CoarseDirectBudget == 0 {
-		return defaultCoarseBudget
-	}
-	return o.CoarseDirectBudget
-}
-
 // minCoarsenCells is the per-axis cell count below which an axis is no
 // longer coarsened, and lateralTargetCells stops the hierarchy once the
-// x-y plane is small enough that the near-exact coarse solve (lateral ×
-// the fixed z stack) is cheap.
+// x-y plane is small enough that the exact coarse solve (lateral × the
+// fixed z stack) is cheap.
 const (
 	minCoarsenCells    = 4
 	lateralTargetCells = 20
@@ -288,9 +158,6 @@ type axisInterp struct {
 	// whi == 0 where a single source suffices (domain ends, identity).
 	lo, hi   []int32
 	wlo, whi []float64
-	// wlo32/whi32 mirror the weights in single precision for the float32
-	// V-cycle transfer ops.
-	wlo32, whi32 []float32
 	// rev lists the fine contributors of each coarse cell (the transpose
 	// structure, used by restriction and the Galerkin product).
 	rev  [][]int32
@@ -362,15 +229,13 @@ func newAxisInterp(fineLines, coarseLines []float64) *axisInterp {
 	cc := centersOf(coarseLines)
 	nf, nc := len(cf), len(cc)
 	a := &axisInterp{
-		nc:    nc,
-		lo:    make([]int32, nf),
-		hi:    make([]int32, nf),
-		wlo:   make([]float64, nf),
-		whi:   make([]float64, nf),
-		wlo32: make([]float32, nf),
-		whi32: make([]float32, nf),
-		rev:   make([][]int32, nc),
-		revW:  make([][]float64, nc),
+		nc:   nc,
+		lo:   make([]int32, nf),
+		hi:   make([]int32, nf),
+		wlo:  make([]float64, nf),
+		whi:  make([]float64, nf),
+		rev:  make([][]int32, nc),
+		revW: make([][]float64, nc),
 	}
 	for i, x := range cf {
 		j := sort.SearchFloat64s(cc, x) // first coarse centre ≥ x
@@ -396,7 +261,6 @@ func newAxisInterp(fineLines, coarseLines []float64) *axisInterp {
 		}
 		a.lo[i], a.hi[i] = int32(lo), int32(hi)
 		a.wlo[i], a.whi[i] = wlo, whi
-		a.wlo32[i], a.whi32[i] = float32(wlo), float32(whi)
 		a.rev[lo] = append(a.rev[lo], int32(i))
 		a.revW[lo] = append(a.revW[lo], wlo)
 		if whi != 0 {
@@ -411,7 +275,6 @@ func newAxisInterp(fineLines, coarseLines []float64) *axisInterp {
 // to the next coarser rung (nil on the coarsest).
 type level struct {
 	a          *sparse.CSR
-	diag       []float64
 	nx, ny, nz int
 	ix, iy, iz *axisInterp
 	ls         *lineSmoother
@@ -545,20 +408,20 @@ func colorLines(adj [][]int32, stride int) [][]int32 {
 	return classes
 }
 
-// coarseNDOrder builds the fill-reducing cell ordering the sparse
-// Cholesky tier factors a level under: nested dissection on the level's
-// lateral line-coupling graph — the same graph the red-black smoother
-// colours — with each lateral line's nz cells kept consecutive. Because
-// z is never coarsened, the level's cell graph is the lateral line graph
-// with every vertex blown up into a densely chained z-line; dissecting
-// the lateral plane and numbering each separator's lines last confines
-// fill to the separator blocks (O(m·log m) line-blocks on an m-line
-// plane instead of the O(m^1.5) a band ordering stores), while the
-// z-contiguous numbering keeps the per-line blocks dense and
-// cache-friendly. The separator thickness adapts to the widest lateral
-// reach of the level's stencil (1 for the 9-point Galerkin stencils), so
-// a separator genuinely separates and correctness never depends on it —
-// a too-thin separator would only cost extra fill.
+// coarseNDOrder builds the fill-reducing cell ordering the coarsest
+// level is factored under: nested dissection on the level's lateral
+// line-coupling graph — the same graph the red-black smoother colours —
+// with each lateral line's nz cells kept consecutive. Because z is never
+// coarsened, the level's cell graph is the lateral line graph with every
+// vertex blown up into a densely chained z-line; dissecting the lateral
+// plane and numbering each separator's lines last confines fill to the
+// separator blocks (O(m·log m) line-blocks on an m-line plane instead of
+// the O(m^1.5) a band ordering stores), while the z-contiguous numbering
+// keeps the per-line blocks dense and cache-friendly. The separator
+// thickness adapts to the widest lateral reach of the level's stencil (1
+// for the 9-point Galerkin stencils), so a separator genuinely separates
+// and correctness never depends on it — a too-thin separator would only
+// cost extra fill.
 func coarseNDOrder(lv *level) []int32 {
 	nx, ny, nz := lv.nx, lv.ny, lv.nz
 	stride := nx * ny
@@ -627,26 +490,87 @@ func coarseNDOrder(lv *level) []int32 {
 // factor densely anyway and the recursion overhead stops paying.
 const ndLeafLines = 8
 
+// cycleArrays holds every value array one V-cycle precision reads: per
+// level the operator values, the line smoother's coefficients and the
+// transfer weights, plus the coarse factor's values. Sparsity, line
+// colouring and interpolation stencils stay on the levels and the factor,
+// shared by both precisions. The float64 instance aliases the hierarchy's
+// own arrays; the float32 instance holds rounded copies (rounded from the
+// float64 factorisations, not refactorised, so the float32 cycle applies
+// the same operator to within rounding).
+type cycleArrays[F sparse.Float] struct {
+	levels     []levelArrays[F]
+	factor     *sparse.SparseCholesky
+	factorVals []F
+}
+
+// levelArrays are the values of one level in the precision of F.
+type levelArrays[F sparse.Float] struct {
+	a                 []F // operator values, in the order of a.Values()
+	sub, cp, inv, off []F // lineSmoother subL, cpL, invL, offVal
+	// xlo/xhi, ylo/yhi and zlo/zhi are the axes' interpolation weights
+	// (nil on the coarsest level).
+	xlo, xhi, ylo, yhi, zlo, zhi []F
+}
+
+// asF returns v in the precision of F: v itself when F is float64 — the
+// float64 cycle reads the hierarchy's own arrays — else a rounded copy.
+func asF[F sparse.Float](v []float64) []F {
+	if same, ok := any(v).([]F); ok {
+		return same
+	}
+	out := make([]F, len(v))
+	for i, x := range v {
+		out[i] = F(x)
+	}
+	return out
+}
+
+func newCycleArrays[F sparse.Float](h *Hierarchy, factor *sparse.SparseCholesky) *cycleArrays[F] {
+	ca := &cycleArrays[F]{
+		levels:     make([]levelArrays[F], len(h.levels)),
+		factor:     factor,
+		factorVals: asF[F](factor.Values()),
+	}
+	for l, lv := range h.levels {
+		la := &ca.levels[l]
+		la.a = asF[F](lv.a.Values())
+		la.sub, la.cp, la.inv, la.off = asF[F](lv.ls.subL), asF[F](lv.ls.cpL), asF[F](lv.ls.invL), asF[F](lv.ls.offVal)
+		if lv.ix != nil {
+			withTransfer(la, lv)
+		}
+	}
+	return ca
+}
+
+// withTransfer sets la's interpolation weights from lv's axes.
+func withTransfer[F sparse.Float](la *levelArrays[F], lv *level) *levelArrays[F] {
+	la.xlo, la.xhi = asF[F](lv.ix.wlo), asF[F](lv.ix.whi)
+	la.ylo, la.yhi = asF[F](lv.iy.wlo), asF[F](lv.iy.whi)
+	la.zlo, la.zhi = asF[F](lv.iz.wlo), asF[F](lv.iz.whi)
+	return la
+}
+
 // solveLine relaxes lateral line l exactly: forward elimination builds the
 // line right-hand side on the fly (off-line couplings at their current x
 // values) into scratch d (length nz), back substitution writes straight
 // into x.
-func (ls *lineSmoother) solveLine(x, b, d []float64, l int) {
+func solveLine[F sparse.Float](ls *lineSmoother, c *levelArrays[F], x, b, d []F, l int) {
 	stride, nz := ls.stride, ls.nz
 	base := l * nz
-	prev := 0.0
+	var prev F
 	for k := 0; k < nz; k++ {
 		j := base + k
 		s := b[k*stride+l]
 		for p := ls.offPtr[j]; p < ls.offPtr[j+1]; p++ {
-			s -= ls.offVal[p] * x[ls.offCol[p]]
+			s -= c.off[p] * x[ls.offCol[p]]
 		}
-		prev = (s - ls.subL[j]*prev) * ls.invL[j]
+		prev = (s - c.sub[j]*prev) * c.inv[j]
 		d[k] = prev
 	}
 	x[(nz-1)*stride+l] = d[nz-1]
 	for k := nz - 2; k >= 0; k-- {
-		x[k*stride+l] = d[k] - ls.cpL[base+k]*x[(k+1)*stride+l]
+		x[k*stride+l] = d[k] - c.cp[base+k]*x[(k+1)*stride+l]
 	}
 }
 
@@ -654,13 +578,13 @@ func (ls *lineSmoother) solveLine(x, b, d []float64, l int) {
 // ascending (or, reversed, descending) lexicographic order — the
 // reference ordering. A forward followed by a backward pass is symmetric
 // block Gauss–Seidel, keeping the V-cycle an SPD preconditioner.
-func (ls *lineSmoother) sweepLex(x, b, d []float64, reverse bool) {
+func sweepLex[F sparse.Float](ls *lineSmoother, c *levelArrays[F], x, b, d []F, reverse bool) {
 	for li := 0; li < ls.stride; li++ {
 		l := li
 		if reverse {
 			l = ls.stride - 1 - li
 		}
-		ls.solveLine(x, b, d, l)
+		solveLine(ls, c, x, b, d, l)
 	}
 }
 
@@ -676,14 +600,14 @@ const lineChunk = 32
 // scratch per worker. Because same-colour lines share no coupling and
 // each line writes only its own cells, the parallel result is
 // bit-identical to relaxing the class serially.
-func (ls *lineSmoother) sweepColored(x, b []float64, bufs [][]float64, workers int, reverse bool) {
+func sweepColored[F sparse.Float](ls *lineSmoother, c *levelArrays[F], x, b []F, bufs [][]F, workers int, reverse bool) {
 	nc := len(ls.colors)
 	for ci := 0; ci < nc; ci++ {
-		c := ci
+		col := ci
 		if reverse {
-			c = nc - 1 - ci
+			col = nc - 1 - ci
 		}
-		lines := ls.colors[c]
+		lines := ls.colors[col]
 		chunks := (len(lines) + lineChunk - 1) / lineChunk
 		w := workers
 		if w > chunks {
@@ -697,98 +621,7 @@ func (ls *lineSmoother) sweepColored(x, b []float64, bufs [][]float64, workers i
 				hi = len(lines)
 			}
 			for _, l := range lines[lo:hi] {
-				ls.solveLine(x, b, d, int(l))
-			}
-			return nil
-		})
-	}
-}
-
-// lineSmoother32 is the single-precision mirror of a lineSmoother: the
-// layout, colouring and line order are shared, only the coefficient
-// arrays are stored again in float32 (rounded from the float64
-// factorisation, not refactorised, so the f32 sweep applies the same
-// operator to within rounding).
-type lineSmoother32 struct {
-	ls                      *lineSmoother
-	subL, cpL, invL, offVal []float32
-}
-
-func newLineSmoother32(ls *lineSmoother) *lineSmoother32 {
-	s := &lineSmoother32{
-		ls:     ls,
-		subL:   make([]float32, len(ls.subL)),
-		cpL:    make([]float32, len(ls.cpL)),
-		invL:   make([]float32, len(ls.invL)),
-		offVal: make([]float32, len(ls.offVal)),
-	}
-	for i, v := range ls.subL {
-		s.subL[i] = float32(v)
-	}
-	for i, v := range ls.cpL {
-		s.cpL[i] = float32(v)
-	}
-	for i, v := range ls.invL {
-		s.invL[i] = float32(v)
-	}
-	for i, v := range ls.offVal {
-		s.offVal[i] = float32(v)
-	}
-	return s
-}
-
-func (s *lineSmoother32) solveLine(x, b, d []float32, l int) {
-	ls := s.ls
-	stride, nz := ls.stride, ls.nz
-	base := l * nz
-	prev := float32(0)
-	for k := 0; k < nz; k++ {
-		j := base + k
-		sum := b[k*stride+l]
-		for p := ls.offPtr[j]; p < ls.offPtr[j+1]; p++ {
-			sum -= s.offVal[p] * x[ls.offCol[p]]
-		}
-		prev = (sum - s.subL[j]*prev) * s.invL[j]
-		d[k] = prev
-	}
-	x[(nz-1)*stride+l] = d[nz-1]
-	for k := nz - 2; k >= 0; k-- {
-		x[k*stride+l] = d[k] - s.cpL[base+k]*x[(k+1)*stride+l]
-	}
-}
-
-func (s *lineSmoother32) sweepLex(x, b, d []float32, reverse bool) {
-	for li := 0; li < s.ls.stride; li++ {
-		l := li
-		if reverse {
-			l = s.ls.stride - 1 - li
-		}
-		s.solveLine(x, b, d, l)
-	}
-}
-
-func (s *lineSmoother32) sweepColored(x, b []float32, bufs [][]float32, workers int, reverse bool) {
-	nc := len(s.ls.colors)
-	for ci := 0; ci < nc; ci++ {
-		c := ci
-		if reverse {
-			c = nc - 1 - ci
-		}
-		lines := s.ls.colors[c]
-		chunks := (len(lines) + lineChunk - 1) / lineChunk
-		w := workers
-		if w > chunks {
-			w = chunks
-		}
-		parallel.ForEach(w, chunks, func(worker, chunk int) error { //nolint:errcheck // fn never fails
-			d := bufs[worker]
-			lo := chunk * lineChunk
-			hi := lo + lineChunk
-			if hi > len(lines) {
-				hi = len(lines)
-			}
-			for _, l := range lines[lo:hi] {
-				s.solveLine(x, b, d, int(l))
+				solveLine(ls, c, x, b, d, int(l))
 			}
 			return nil
 		})
@@ -800,121 +633,48 @@ func (lv *level) n() int { return lv.nx * lv.ny * lv.nz }
 // coarseN returns the cell count of the next coarser level.
 func (lv *level) coarseN() int { return lv.ix.nc * lv.iy.nc * lv.iz.nc }
 
-// level32 is the single-precision mirror of one level: the operator
-// values and Thomas/off-line coefficients in float32 (structure shared
-// with the float64 level). Transfers reuse the float64 level's geometry
-// via the axisInterp wlo32/whi32 weights.
-type level32 struct {
-	a  *sparse.CSR32
-	ls *lineSmoother32
-}
-
 // Hierarchy is an immutable semicoarsened multigrid hierarchy for one
 // matrix. Building one costs a few matrix passes (Galerkin products); it
 // is safe for concurrent use by many Solvers, so batched multi-RHS solves
 // share a single instance.
 type Hierarchy struct {
 	levels []*level
-	// f32 holds the lazily built single-precision level mirrors, shared by
-	// every solver running the float32 V-cycle on this hierarchy.
+	// factor is the lazily built sparse Cholesky factor of the coarsest
+	// level (factorErr the failure that refused it), shared race-free by
+	// every solver of this hierarchy.
+	factorOnce sync.Once
+	factor     *sparse.SparseCholesky
+	factorErr  error
+	// f32 holds the float32 copies of the cycle's arrays, built on the
+	// first float32 preconditioner and shared by every later one.
 	f32Once sync.Once
-	f32     []*level32
-	// coarseMode latches, across every solver sharing this hierarchy, the
-	// coarsest-solve tier actually in use: coarseAuto (not yet decided),
-	// coarseSparseChol or coarseBandChol when a direct factorisation was
-	// built, coarseZLine or coarseSSOR when the first iterative solve's
-	// measured trial picked a preconditioner.
-	coarseMode atomic.Int32
-	// chol holds the lazily built direct factorisation of the coarsest
-	// level (nil when the budget or a numerical failure rules the direct
-	// tiers out), shared race-free by every solver of this hierarchy. The
-	// first solver to reach the latch factors with its own options;
-	// cholSparse additionally keeps the concrete sparse factor for the
-	// float32 mirror below.
-	cholOnce   sync.Once
-	chol       coarseFactor
-	cholSparse *sparse.SparseCholesky
-	// chol32 mirrors the sparse factor in float32 for the float32
-	// V-cycle, which then solves the coarsest level in-cycle instead of
-	// staging through float64.
-	chol32Once sync.Once
-	chol32     *sparse.SparseCholesky32
+	f32     *cycleArrays[float32]
 	// phaseNanos accumulates per-phase V-cycle wall time for this
 	// hierarchy alone, so concurrently solving specs don't blend their
-	// phase fractions (the package-global aggregate is kept alongside
-	// for process-wide benchmark deltas).
+	// phase fractions.
 	phaseNanos [numPhases]atomic.Int64
 }
 
-// coarseFactor is a direct coarsest-level factorisation tier: both the
-// sparse and the banded Cholesky solve in place and are immutable after
-// construction.
-type coarseFactor interface {
-	SolveInPlace(b []float64)
-}
-
-// defaultCoarseBudget is the default Options.CoarseDirectBudget: 8·10⁶
-// stored float64 entries (64 MB). Graded meshes stall the lateral
-// semicoarsening with large coarsest levels whose near-exact iterative
-// solve costs hundreds of iterations per V-cycle and dominates the whole
-// mg-cg solve; within this budget a direct factorisation reduces the
-// coarse solve to two triangular sweeps. The fill-reducing sparse tier
-// keeps paper-scale coarse levels within it where the dense band blew
-// past it.
+// defaultCoarseBudget caps the stored entries (float64 values) of the
+// coarsest level's Cholesky factor: 8·10⁶ entries (64 MB). Graded meshes
+// stall the lateral semicoarsening with large coarsest levels; within
+// this budget the fill-reducing factorisation reduces the coarse solve to
+// two triangular sweeps, and past it BuildHierarchy coarsens further.
 const defaultCoarseBudget = 8 << 20
 
-// coarseDirect builds (once) and returns the direct factorisation of the
-// coarsest level — the ladder's sparse-Cholesky tier first, the banded
-// tier as fallback — or nil when the budget, a forced iterative tier or
-// a numerical failure rules the direct tiers out. The first caller's
-// options decide the budget and tier for every solver sharing the
-// hierarchy. Safe for concurrent use.
-func (h *Hierarchy) coarseDirect(opts Options) coarseFactor {
-	h.cholOnce.Do(func() {
-		budget := opts.effectiveCoarseBudget()
-		if budget <= 0 || opts.CoarseSolver == CoarseSolverIterative {
-			return
-		}
+// coarseFactor builds (once) and returns the sparse Cholesky factor of
+// the coarsest level under its nested-dissection ordering. The factor
+// depends on the hierarchy alone, never on the solver that first asks.
+// Safe for concurrent use.
+func (h *Hierarchy) coarseFactor() (*sparse.SparseCholesky, error) {
+	h.factorOnce.Do(func() {
 		lv := h.levels[len(h.levels)-1]
-		if opts.CoarseSolver == "" || opts.CoarseSolver == CoarseSolverSparse {
-			if sc, err := sparse.NewSparseCholesky(lv.a, coarseNDOrder(lv), budget); err == nil {
-				h.chol, h.cholSparse = sc, sc
-				h.latchCoarseMode(coarseSparseChol)
-				return
-			}
-		}
-		if opts.CoarseSolver == "" || opts.CoarseSolver == CoarseSolverBand {
-			if bc, err := sparse.NewBandCholesky(lv.a, budget); err == nil {
-				h.chol = bc
-				h.latchCoarseMode(coarseBandChol)
-			}
+		h.factor, h.factorErr = sparse.NewSparseCholesky(lv.a, coarseNDOrder(lv), 0)
+		if h.factorErr != nil {
+			h.factorErr = fmt.Errorf("mg: coarsest level (%d cells): %w", lv.n(), h.factorErr)
 		}
 	})
-	return h.chol
-}
-
-// coarseDirect32 builds (once) and returns the float32 mirror of the
-// sparse coarse factor, or nil when the latched direct tier is not the
-// sparse one (the banded factor stays float64-staged). Safe for
-// concurrent use.
-func (h *Hierarchy) coarseDirect32(opts Options) *sparse.SparseCholesky32 {
-	if h.coarseDirect(opts) == nil || h.cholSparse == nil {
-		return nil
-	}
-	h.chol32Once.Do(func() { h.chol32 = h.cholSparse.Mirror32() })
-	return h.chol32
-}
-
-// float32Levels builds (once) and returns the single-precision mirrors of
-// every level. Safe for concurrent use.
-func (h *Hierarchy) float32Levels() []*level32 {
-	h.f32Once.Do(func() {
-		h.f32 = make([]*level32, len(h.levels))
-		for i, lv := range h.levels {
-			h.f32[i] = &level32{a: sparse.NewCSR32(lv.a), ls: newLineSmoother32(lv.ls)}
-		}
-	})
-	return h.f32
+	return h.factor, h.factorErr
 }
 
 // Fine returns the matrix the hierarchy was built for.
@@ -930,7 +690,6 @@ func (h *Hierarchy) LevelSize(l int) int { return h.levels[l].n() }
 // coarse operators. The hint must describe the structured grid a was
 // assembled on (cell counts multiplying to a.N()).
 func BuildHierarchy(a *sparse.CSR, hint sparse.GridHint, opts Options) (*Hierarchy, error) {
-	opts = opts.withDefaults()
 	if hint.Empty() {
 		return nil, fmt.Errorf("mg: no grid geometry — pass the mesh behind the matrix with SetGridHint (fvm.System does this automatically)")
 	}
@@ -938,19 +697,20 @@ func BuildHierarchy(a *sparse.CSR, hint sparse.GridHint, opts Options) (*Hierarc
 	if nx < 1 || ny < 1 || nz < 1 || nx*ny*nz != a.N() {
 		return nil, fmt.Errorf("mg: grid hint %d×%d×%d does not match matrix size %d", nx, ny, nz, a.N())
 	}
+	maxLevels := opts.levels
+	if maxLevels <= 0 {
+		maxLevels = 64 // effectively unlimited; coarsening stops geometrically
+	}
 	h := &Hierarchy{}
 	xl, yl, zl := hint.X, hint.Y, hint.Z
 	cur := a
 	for {
-		// The z-line factorisation inside newLevel is cheap (one matrix
-		// pass) and always built, so solvers sharing this hierarchy may
-		// pick either smoother.
 		lv, err := newLevel(cur, xl, yl, zl, len(h.levels))
 		if err != nil {
 			return nil, err
 		}
 		h.levels = append(h.levels, lv)
-		if len(h.levels) >= opts.Levels || lv.nx*lv.ny <= lateralTargetCells {
+		if len(h.levels) >= maxLevels || lv.nx*lv.ny <= lateralTargetCells {
 			break
 		}
 		coarsenX := lv.nx >= minCoarsenCells
@@ -977,20 +737,21 @@ func BuildHierarchy(a *sparse.CSR, hint sparse.GridHint, opts Options) (*Hierarc
 		}
 		xl, yl = cxl, cyl
 	}
-	if opts.CoarseRebalance {
-		if err := h.rebalanceCoarse(opts, xl, yl, zl); err != nil {
-			return nil, err
-		}
+	budget := opts.budget
+	if budget == 0 {
+		budget = defaultCoarseBudget
+	}
+	if err := h.rebalanceCoarse(budget, maxLevels, xl, yl, zl); err != nil {
+		return nil, err
 	}
 	return h, nil
 }
 
 // newLevel assembles one hierarchy level for operator a on the given
-// axis line sets: diagonal validation plus the always-built z-line
-// factorisation.
+// axis line sets: diagonal validation plus the z-line factorisation.
 func newLevel(a *sparse.CSR, xl, yl, zl []float64, depth int) (*level, error) {
-	lv := &level{a: a, diag: a.Diag(), nx: len(xl) - 1, ny: len(yl) - 1, nz: len(zl) - 1}
-	for i, d := range lv.diag {
+	lv := &level{a: a, nx: len(xl) - 1, ny: len(yl) - 1, nz: len(zl) - 1}
+	for i, d := range a.Diag() {
 		if d <= 0 {
 			return nil, fmt.Errorf("mg: non-positive diagonal %g at row %d of level %d (matrix not SPD?)", d, i, depth)
 		}
@@ -1016,19 +777,19 @@ func (h *Hierarchy) coarsenTo(lv *level, xl, yl, zl, cxl, cyl []float64) (*spars
 	return coarse, nil
 }
 
-// rebalanceCoarse implements the opt-in CoarseRebalance knob: while the
-// coarsest level's predicted sparse-Cholesky fill exceeds the
-// factorisation budget, append one more coarsening level built with
-// plain pairwise lateral merges — ignoring the size-adaptive pair cap
-// that (rightly) stalls the regular coarsening on graded meshes. The
-// aggressive merge degrades coarse-grid quality, but below an already
-// stalled level the extra rung only has to make the direct coarse solve
+// rebalanceCoarse appends coarsening levels while the coarsest level's
+// predicted sparse-Cholesky fill exceeds the factorisation budget, each
+// built with plain pairwise lateral merges — ignoring the size-adaptive
+// pair cap that (rightly) stalls the regular coarsening on graded meshes.
+// The aggressive merge degrades coarse-grid quality, but below an already
+// stalled level the extra rung only has to make the exact coarse solve
 // affordable, not carry smoothing; the levels above keep their
 // size-adaptive grids. The symbolic analysis alone decides fit, so each
-// probe costs one structure pass, never a factorisation.
-func (h *Hierarchy) rebalanceCoarse(opts Options, xl, yl, zl []float64) error {
-	budget := opts.effectiveCoarseBudget()
-	for budget > 0 && len(h.levels) < opts.Levels {
+// probe costs one structure pass, never a factorisation. Only the paper
+// tier's coarsest level overruns the budget; the smaller tiers pass the
+// first probe unchanged.
+func (h *Hierarchy) rebalanceCoarse(budget, maxLevels int, xl, yl, zl []float64) error {
+	for len(h.levels) < maxLevels {
 		lv := h.levels[len(h.levels)-1]
 		if _, err := sparse.SparseCholeskyCount(lv.a, coarseNDOrder(lv), budget); err == nil {
 			break // the factorisation fits — stop shrinking
@@ -1082,12 +843,13 @@ func aggressiveCoarsenLines(lines []float64) []float64 {
 // restriction (mass lumping of Pᵀ·diag(shift)·P, exact on constants
 // because interpolation weights sum to one), each level's operator
 // becomes its steady Galerkin operator plus its lumped shift, and the
-// per-level diagonal caches and z-line Thomas factorisations are
-// recomputed — one cheap matrix pass per level instead of the RAP
-// products that dominate BuildHierarchy. A positive shift only adds
-// diagonal dominance, so the resulting V-cycle stays an SPD
-// preconditioner and typically converges at least as fast as the steady
-// one.
+// per-level z-line Thomas factorisations are recomputed — one cheap
+// matrix pass per level instead of the RAP products that dominate
+// BuildHierarchy. A positive shift only adds diagonal dominance, so the
+// resulting V-cycle stays an SPD preconditioner and typically converges
+// at least as fast as the steady one. The shift must be finite: an
+// infinite entry (C/dt of a subnormal dt) would leave no finite operator
+// to solve.
 //
 // fine, when non-nil, becomes the new hierarchy's finest operator and
 // must equal Fine() plus diag(shift) (callers that already hold the
@@ -1099,8 +861,8 @@ func (h *Hierarchy) Shifted(fine *sparse.CSR, shift []float64) (*Hierarchy, erro
 		return nil, fmt.Errorf("mg: shift has %d entries, want %d", len(shift), n)
 	}
 	for i, v := range shift {
-		if v < 0 || v != v {
-			return nil, fmt.Errorf("mg: invalid shift %g at cell %d (want ≥ 0)", v, i)
+		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("mg: invalid shift %g at cell %d (want finite ≥ 0)", v, i)
 		}
 	}
 	if fine != nil && fine.N() != n {
@@ -1114,7 +876,7 @@ func (h *Hierarchy) Shifted(fine *sparse.CSR, shift []float64) (*Hierarchy, erro
 			a = sparse.AddDiagonal(lv.a, cur)
 		}
 		nlv := &level{
-			a: a, diag: a.Diag(),
+			a:  a,
 			nx: lv.nx, ny: lv.ny, nz: lv.nz,
 			ix: lv.ix, iy: lv.iy, iz: lv.iz,
 		}
@@ -1126,7 +888,7 @@ func (h *Hierarchy) Shifted(fine *sparse.CSR, shift []float64) (*Hierarchy, erro
 		out.levels[l] = nlv
 		if l < len(h.levels)-1 {
 			next := make([]float64, lv.coarseN())
-			lv.restrict(next, cur)
+			restrict(lv, withTransfer(&levelArrays[float64]{}, lv), next, cur)
 			cur = next
 		}
 	}
@@ -1236,20 +998,19 @@ func sortInt32(s []int32) {
 	}
 }
 
-// restrict computes bc = Pᵀ·r (full weighting).
-func (lv *level) restrict(bc, r []float64) {
-	for i := range bc {
-		bc[i] = 0
-	}
+// restrict computes bc = Pᵀ·r (full weighting) with the transfer weights
+// of w.
+func restrict[F sparse.Float](lv *level, w *levelArrays[F], bc, r []F) {
+	clear(bc)
 	ix, iy, iz := lv.ix, lv.iy, lv.iz
 	nxc, nyc := ix.nc, iy.nc
 	idx := 0
 	for fk := 0; fk < lv.nz; fk++ {
 		zl, zh := int(iz.lo[fk]), int(iz.hi[fk])
-		zwl, zwh := iz.wlo[fk], iz.whi[fk]
+		zwl, zwh := w.zlo[fk], w.zhi[fk]
 		for fj := 0; fj < lv.ny; fj++ {
 			yl, yh := int(iy.lo[fj]), int(iy.hi[fj])
-			ywl, ywh := iy.wlo[fj], iy.whi[fj]
+			ywl, ywh := w.ylo[fj], w.yhi[fj]
 			for fi := 0; fi < lv.nx; fi++ {
 				v := r[idx]
 				idx++
@@ -1257,7 +1018,7 @@ func (lv *level) restrict(bc, r []float64) {
 					continue
 				}
 				xl, xh := int(ix.lo[fi]), int(ix.hi[fi])
-				xwl, xwh := ix.wlo[fi], ix.whi[fi]
+				xwl, xwh := w.xlo[fi], w.xhi[fi]
 				accumulate(bc, nxc, nyc, v,
 					zl, zh, zwl, zwh, yl, yh, ywl, ywh, xl, xh, xwl, xwh)
 			}
@@ -1265,11 +1026,11 @@ func (lv *level) restrict(bc, r []float64) {
 	}
 }
 
-func accumulate(dst []float64, nxc, nyc int, v float64,
-	zl, zh int, zwl, zwh float64, yl, yh int, ywl, ywh float64, xl, xh int, xwl, xwh float64) {
-	add := func(zk int, wz float64) {
+func accumulate[F sparse.Float](dst []F, nxc, nyc int, v F,
+	zl, zh int, zwl, zwh F, yl, yh int, ywl, ywh F, xl, xh int, xwl, xwh F) {
+	add := func(zk int, wz F) {
 		base := zk * nyc
-		addY := func(yj int, wy float64) {
+		addY := func(yj int, wy F) {
 			row := (base + yj) * nxc
 			dst[row+xl] += v * wz * wy * xwl
 			if xwh != 0 {
@@ -1288,21 +1049,21 @@ func accumulate(dst []float64, nxc, nyc int, v float64,
 }
 
 // prolongAdd computes x += P·xc (linear interpolation of the coarse
-// correction).
-func (lv *level) prolongAdd(x, xc []float64) {
+// correction) with the transfer weights of w.
+func prolongAdd[F sparse.Float](lv *level, w *levelArrays[F], x, xc []F) {
 	ix, iy, iz := lv.ix, lv.iy, lv.iz
 	nxc, nyc := ix.nc, iy.nc
 	idx := 0
 	for fk := 0; fk < lv.nz; fk++ {
 		zl, zh := int(iz.lo[fk]), int(iz.hi[fk])
-		zwl, zwh := iz.wlo[fk], iz.whi[fk]
+		zwl, zwh := w.zlo[fk], w.zhi[fk]
 		for fj := 0; fj < lv.ny; fj++ {
 			yl, yh := int(iy.lo[fj]), int(iy.hi[fj])
-			ywl, ywh := iy.wlo[fj], iy.whi[fj]
+			ywl, ywh := w.ylo[fj], w.yhi[fj]
 			rowLL := (zl*nyc + yl) * nxc
 			for fi := 0; fi < lv.nx; fi++ {
 				xl, xh := int(ix.lo[fi]), int(ix.hi[fi])
-				xwl, xwh := ix.wlo[fi], ix.whi[fi]
+				xwl, xwh := w.xlo[fi], w.xhi[fi]
 				sum := zwl * ywl * lerp(xc[rowLL+xl], xc[rowLL+xh], xwl, xwh)
 				if ywh != 0 {
 					row := (zl*nyc + yh) * nxc
@@ -1323,175 +1084,39 @@ func (lv *level) prolongAdd(x, xc []float64) {
 	}
 }
 
-func lerp(vlo, vhi, wlo, whi float64) float64 {
+func lerp[F sparse.Float](vlo, vhi, wlo, whi F) F {
 	if whi == 0 {
 		return vlo * wlo
 	}
 	return vlo*wlo + vhi*whi
 }
 
-// restrict32 computes bc = Pᵀ·r in single precision, mirroring restrict.
-func (lv *level) restrict32(bc, r []float32) {
-	for i := range bc {
-		bc[i] = 0
-	}
-	ix, iy, iz := lv.ix, lv.iy, lv.iz
-	nxc, nyc := ix.nc, iy.nc
-	idx := 0
-	for fk := 0; fk < lv.nz; fk++ {
-		zl, zh := int(iz.lo[fk]), int(iz.hi[fk])
-		zwl, zwh := iz.wlo32[fk], iz.whi32[fk]
-		for fj := 0; fj < lv.ny; fj++ {
-			yl, yh := int(iy.lo[fj]), int(iy.hi[fj])
-			ywl, ywh := iy.wlo32[fj], iy.whi32[fj]
-			for fi := 0; fi < lv.nx; fi++ {
-				v := r[idx]
-				idx++
-				if v == 0 {
-					continue
-				}
-				xl, xh := int(ix.lo[fi]), int(ix.hi[fi])
-				xwl, xwh := ix.wlo32[fi], ix.whi32[fi]
-				accumulate32(bc, nxc, nyc, v,
-					zl, zh, zwl, zwh, yl, yh, ywl, ywh, xl, xh, xwl, xwh)
-			}
-		}
-	}
+// workspace holds the per-level scratch of one preconditioner in the
+// precision of F. Not shared.
+type workspace[F sparse.Float] struct {
+	arr     *cycleArrays[F]
+	workers int   // resolved Options.Workers (≥ 1)
+	lex     bool  // serial lexicographic sweeps (test hook)
+	r       [][]F // residual per level
+	xc, bc  [][]F // correction problem per coarser level
+	lineBuf [][]F // Thomas scratch per worker (length nz, z never coarsens)
+	coarseY []F   // permuted scratch of the coarse triangular solve
 }
 
-func accumulate32(dst []float32, nxc, nyc int, v float32,
-	zl, zh int, zwl, zwh float32, yl, yh int, ywl, ywh float32, xl, xh int, xwl, xwh float32) {
-	add := func(zk int, wz float32) {
-		base := zk * nyc
-		addY := func(yj int, wy float32) {
-			row := (base + yj) * nxc
-			dst[row+xl] += v * wz * wy * xwl
-			if xwh != 0 {
-				dst[row+xh] += v * wz * wy * xwh
-			}
-		}
-		addY(yl, ywl)
-		if ywh != 0 {
-			addY(yh, ywh)
-		}
-	}
-	add(zl, zwl)
-	if zwh != 0 {
-		add(zh, zwh)
-	}
-}
-
-// prolongAdd32 computes x += P·xc in single precision, mirroring
-// prolongAdd.
-func (lv *level) prolongAdd32(x, xc []float32) {
-	ix, iy, iz := lv.ix, lv.iy, lv.iz
-	nxc, nyc := ix.nc, iy.nc
-	idx := 0
-	for fk := 0; fk < lv.nz; fk++ {
-		zl, zh := int(iz.lo[fk]), int(iz.hi[fk])
-		zwl, zwh := iz.wlo32[fk], iz.whi32[fk]
-		for fj := 0; fj < lv.ny; fj++ {
-			yl, yh := int(iy.lo[fj]), int(iy.hi[fj])
-			ywl, ywh := iy.wlo32[fj], iy.whi32[fj]
-			rowLL := (zl*nyc + yl) * nxc
-			for fi := 0; fi < lv.nx; fi++ {
-				xl, xh := int(ix.lo[fi]), int(ix.hi[fi])
-				xwl, xwh := ix.wlo32[fi], ix.whi32[fi]
-				sum := zwl * ywl * lerp32(xc[rowLL+xl], xc[rowLL+xh], xwl, xwh)
-				if ywh != 0 {
-					row := (zl*nyc + yh) * nxc
-					sum += zwl * ywh * lerp32(xc[row+xl], xc[row+xh], xwl, xwh)
-				}
-				if zwh != 0 {
-					row := (zh*nyc + yl) * nxc
-					sum += zwh * ywl * lerp32(xc[row+xl], xc[row+xh], xwl, xwh)
-					if ywh != 0 {
-						row = (zh*nyc + yh) * nxc
-						sum += zwh * ywh * lerp32(xc[row+xl], xc[row+xh], xwl, xwh)
-					}
-				}
-				x[idx] += sum
-				idx++
-			}
-		}
-	}
-}
-
-func lerp32(vlo, vhi, wlo, whi float32) float32 {
-	if whi == 0 {
-		return vlo * wlo
-	}
-	return vlo*wlo + vhi*whi
-}
-
-// workspace holds the per-level scratch of one Solver. Not shared.
-type workspace struct {
-	forHier *Hierarchy
-	workers int         // resolved Options.Workers (≥ 1)
-	prec    string      // resolved Options.Precision
-	r, z    [][]float64 // per level
-	xc, bc  [][]float64 // correction problem per coarser level
-	lineBuf [][]float64 // Thomas scratch per worker (length nz, z never coarsens)
-	coarse  *sparse.SSORCG
-	// coarseWS backs the zline-preconditioned CG that competes with
-	// SSOR-CG for the iterative coarse solve under the z-line smoother
-	// (nil when the direct factorisation exists or the SSOR smoother is
-	// selected).
-	coarseWS *sparse.Workspace
-	// Float32 V-cycle scratch, allocated only when prec is float32.
-	l32              []*level32
-	x32, b32         []float32   // fine-level iterate and RHS
-	r32              [][]float32 // per level
-	xc32, bc32       [][]float32 // correction problem per coarser level
-	lineBuf32        [][]float32 // Thomas scratch per worker
-	coarseB, coarseX []float64   // float64 staging of the coarsest solve
-}
-
-func newWorkspace(h *Hierarchy, opts Options) *workspace {
-	ws := &workspace{
-		forHier: h,
-		workers: opts.effectiveWorkers(),
-		prec:    opts.effectivePrecision(h.levels[0].n()),
-	}
+func newWorkspace[F sparse.Float](h *Hierarchy, arr *cycleArrays[F], opts Options) *workspace[F] {
+	ws := &workspace[F]{arr: arr, workers: opts.effectiveWorkers(), lex: opts.lex}
 	for l, lv := range h.levels {
-		ws.r = append(ws.r, make([]float64, lv.n()))
-		ws.z = append(ws.z, make([]float64, lv.n()))
+		ws.r = append(ws.r, make([]F, lv.n()))
 		if l < len(h.levels)-1 {
-			ws.xc = append(ws.xc, make([]float64, lv.coarseN()))
-			ws.bc = append(ws.bc, make([]float64, lv.coarseN()))
+			ws.xc = append(ws.xc, make([]F, lv.coarseN()))
+			ws.bc = append(ws.bc, make([]F, lv.coarseN()))
 		}
 	}
 	nz := h.levels[0].nz
 	for w := 0; w < ws.workers; w++ {
-		ws.lineBuf = append(ws.lineBuf, make([]float64, nz))
+		ws.lineBuf = append(ws.lineBuf, make([]F, nz))
 	}
-	coarseN := h.levels[len(h.levels)-1].n()
-	ws.coarse = &sparse.SSORCG{
-		Tolerance:     opts.CoarseTol,
-		MaxIterations: 20 * coarseN,
-		Workers:       opts.Workers,
-	}
-	if h.coarseDirect(opts) == nil && opts.Smoother == SmootherZLine {
-		ws.coarseWS = sparse.NewWorkspace(coarseN)
-	}
-	if ws.prec == PrecisionFloat32 {
-		ws.l32 = h.float32Levels()
-		n0 := h.levels[0].n()
-		ws.x32 = make([]float32, n0)
-		ws.b32 = make([]float32, n0)
-		for l, lv := range h.levels {
-			ws.r32 = append(ws.r32, make([]float32, lv.n()))
-			if l < len(h.levels)-1 {
-				ws.xc32 = append(ws.xc32, make([]float32, lv.coarseN()))
-				ws.bc32 = append(ws.bc32, make([]float32, lv.coarseN()))
-			}
-		}
-		for w := 0; w < ws.workers; w++ {
-			ws.lineBuf32 = append(ws.lineBuf32, make([]float32, nz))
-		}
-		ws.coarseB = make([]float64, coarseN)
-		ws.coarseX = make([]float64, coarseN)
-	}
+	ws.coarseY = make([]F, h.levels[len(h.levels)-1].n())
 	return ws
 }
 
@@ -1500,11 +1125,14 @@ func newWorkspace(h *Hierarchy, opts Options) *workspace {
 // concurrent use; hierarchies, in contrast, are immutable and may be
 // shared across instances with SetHierarchy.
 type Solver struct {
-	opts  Options
-	hint  sparse.GridHint
-	hier  *Hierarchy
-	ws    *workspace
-	outer *sparse.Workspace
+	opts Options
+	hint sparse.GridHint
+	hier *Hierarchy
+	// precond is the V-cycle application prepared for precondFor, with
+	// its own workspace.
+	precond    func(z, r []float64)
+	precondFor *Hierarchy
+	outer      *sparse.Workspace
 }
 
 // New builds an mg-cg solver. Geometry arrives later via SetGridHint or
@@ -1544,38 +1172,47 @@ func (s *Solver) ensureHierarchy(a *sparse.CSR) (*Hierarchy, error) {
 
 // Preconditioner implements sparse.Preconditioned: it prepares the V-cycle
 // for a and returns its application z = M⁻¹·r. Block solves share it
-// across right-hand sides.
+// across right-hand sides. A coarsest level that cannot be factored (not
+// SPD) is an error here, before any iteration runs.
 func (s *Solver) Preconditioner(a *sparse.CSR) (func(z, r []float64), error) {
 	h, err := s.ensureHierarchy(a)
 	if err != nil {
 		return nil, err
 	}
-	opts := s.opts.withDefaults()
-	if s.ws == nil || s.ws.forHier != h {
-		s.ws = newWorkspace(h, opts)
+	factor, err := h.coarseFactor()
+	if err != nil {
+		return nil, err
 	}
-	ws := s.ws
-	if ws.prec == PrecisionFloat32 {
+	if s.precondFor == h {
+		return s.precond, nil
+	}
+	s.precondFor = h
+	if s.opts.effectivePrecision(h.levels[0].n()) == PrecisionFloat32 {
 		// Mixed precision: the V-cycle runs entirely in float32 (halving
 		// the memory traffic of the bandwidth-bound stencil sweeps) while
 		// the outer CG sees a float64 operator as usual.
-		return func(z, r []float64) {
+		h.f32Once.Do(func() { h.f32 = newCycleArrays[float32](h, factor) })
+		ws := newWorkspace(h, h.f32, s.opts)
+		n := h.levels[0].n()
+		x, b := make([]float32, n), make([]float32, n)
+		s.precond = func(z, r []float64) {
 			for i, v := range r {
-				ws.b32[i] = float32(v)
-				ws.x32[i] = 0
+				b[i] = float32(v)
+				x[i] = 0
 			}
-			h.vcycle32(ws, opts, 0, ws.x32, ws.b32)
-			for i, v := range ws.x32 {
+			vcycle(h, ws, 0, x, b)
+			for i, v := range x {
 				z[i] = float64(v)
 			}
-		}, nil
-	}
-	return func(z, r []float64) {
-		for i := range z {
-			z[i] = 0
 		}
-		h.vcycle(ws, opts, 0, z, r)
-	}, nil
+		return s.precond, nil
+	}
+	ws := newWorkspace(h, newCycleArrays[float64](h, factor), s.opts)
+	s.precond = func(z, r []float64) {
+		clear(z)
+		vcycle(h, ws, 0, z, r)
+	}
+	return s.precond, nil
 }
 
 // Solve implements sparse.Solver: conjugate gradient with one V-cycle per
@@ -1591,7 +1228,7 @@ func (s *Solver) Solve(a *sparse.CSR, b, x []float64) (sparse.Result, error) {
 	return sparse.PCG(a, b, x, s.outer, precond, s.opts.Tolerance, s.opts.MaxIterations, s.opts.Workers)
 }
 
-// V-cycle phase indices for the process-wide time accounting below.
+// V-cycle phase indices for the per-hierarchy time accounting below.
 const (
 	phaseSmooth   = iota
 	phaseRestrict // includes the pre-restriction residual
@@ -1600,42 +1237,20 @@ const (
 	numPhases
 )
 
-var phaseNanos [numPhases]atomic.Int64
-
-// phaseAdd charges the elapsed time since start to the phase, in both
-// this hierarchy's local accounting and the process-wide aggregate.
+// phaseAdd charges the elapsed time since start to the phase.
 func (h *Hierarchy) phaseAdd(phase int, start time.Time) {
-	d := int64(time.Since(start))
-	h.phaseNanos[phase].Add(d)
-	phaseNanos[phase].Add(d)
+	h.phaseNanos[phase].Add(int64(time.Since(start)))
 }
 
-// PhaseStats is the cumulative process-wide wall time mg-cg V-cycles have
-// spent per phase since process start, summed over every solver and
-// hierarchy level. Benchmarks snapshot it before and after a timed region
-// and report the Sub difference as per-phase time fractions.
+// PhaseStats is the cumulative wall time mg-cg V-cycles have spent per
+// phase on one hierarchy, summed over every solver and level. Callers
+// snapshot it before and after a timed region and use the Sub
+// difference.
 type PhaseStats struct {
-	// Smooth is the line/SSOR relaxation time, Restrict the residual plus
+	// Smooth is the line relaxation time, Restrict the residual plus
 	// full-weighting restriction, Prolong the interpolation of coarse
-	// corrections, Coarse the near-exact coarsest-level solves.
+	// corrections, Coarse the exact coarsest-level solves.
 	Smooth, Restrict, Prolong, Coarse time.Duration
-	// CoarseMode names the latched coarsest-solve tier ("sparse-chol",
-	// "band-chol", "zline", "ssor"; "" while undecided) — the hierarchy's
-	// own latch for Hierarchy.PhaseStats, the most recently latched one
-	// process-wide for ReadPhaseStats.
-	CoarseMode string
-}
-
-// ReadPhaseStats returns the current cumulative phase times. Safe for
-// concurrent use.
-func ReadPhaseStats() PhaseStats {
-	return PhaseStats{
-		Smooth:     time.Duration(phaseNanos[phaseSmooth].Load()),
-		Restrict:   time.Duration(phaseNanos[phaseRestrict].Load()),
-		Prolong:    time.Duration(phaseNanos[phaseProlong].Load()),
-		Coarse:     time.Duration(phaseNanos[phaseCoarse].Load()),
-		CoarseMode: coarseModeNames[lastCoarseMode.Load()],
-	}
 }
 
 // PhaseStats returns the cumulative per-phase V-cycle wall time spent on
@@ -1643,72 +1258,27 @@ func ReadPhaseStats() PhaseStats {
 // running in the process. Safe for concurrent use.
 func (h *Hierarchy) PhaseStats() PhaseStats {
 	return PhaseStats{
-		Smooth:     time.Duration(h.phaseNanos[phaseSmooth].Load()),
-		Restrict:   time.Duration(h.phaseNanos[phaseRestrict].Load()),
-		Prolong:    time.Duration(h.phaseNanos[phaseProlong].Load()),
-		Coarse:     time.Duration(h.phaseNanos[phaseCoarse].Load()),
-		CoarseMode: h.CoarseMode(),
+		Smooth:   time.Duration(h.phaseNanos[phaseSmooth].Load()),
+		Restrict: time.Duration(h.phaseNanos[phaseRestrict].Load()),
+		Prolong:  time.Duration(h.phaseNanos[phaseProlong].Load()),
+		Coarse:   time.Duration(h.phaseNanos[phaseCoarse].Load()),
 	}
 }
 
 // Sub returns the per-phase difference p − q, for deltas across a timed
-// region. The latched coarse mode is not a counter: the receiver's wins
-// when set (it reflects the state at snapshot p).
+// region.
 func (p PhaseStats) Sub(q PhaseStats) PhaseStats {
-	mode := p.CoarseMode
-	if mode == "" {
-		mode = q.CoarseMode
-	}
 	return PhaseStats{
-		Smooth:     p.Smooth - q.Smooth,
-		Restrict:   p.Restrict - q.Restrict,
-		Prolong:    p.Prolong - q.Prolong,
-		Coarse:     p.Coarse - q.Coarse,
-		CoarseMode: mode,
+		Smooth:   p.Smooth - q.Smooth,
+		Restrict: p.Restrict - q.Restrict,
+		Prolong:  p.Prolong - q.Prolong,
+		Coarse:   p.Coarse - q.Coarse,
 	}
 }
 
 // Total returns the summed phase time.
 func (p PhaseStats) Total() time.Duration {
 	return p.Smooth + p.Restrict + p.Prolong + p.Coarse
-}
-
-// Coarse-solve tier choices (Hierarchy.coarseMode).
-const (
-	coarseAuto       int32 = iota // undecided — no solve has reached the coarse level yet
-	coarseZLine                   // CG preconditioned by the coarse level's line relaxation
-	coarseSSOR                    // plain SSOR-CG
-	coarseSparseChol              // direct fill-reducing sparse Cholesky
-	coarseBandChol                // direct dense-band Cholesky
-)
-
-// coarseModeNames maps the latched tier to its observable name, as
-// surfaced by Hierarchy.CoarseMode, PhaseStats.CoarseMode and the serve
-// layer's trace attributes.
-var coarseModeNames = [...]string{
-	coarseAuto:       "",
-	coarseZLine:      "zline",
-	coarseSSOR:       "ssor",
-	coarseSparseChol: "sparse-chol",
-	coarseBandChol:   "band-chol",
-}
-
-// lastCoarseMode records, process-wide, the most recently latched coarse
-// tier for ReadPhaseStats (whose phase times are process aggregates too).
-var lastCoarseMode atomic.Int32
-
-// latchCoarseMode publishes the tier the first coarse solve (or factor
-// build) settled on, hierarchy-wide and process-wide.
-func (h *Hierarchy) latchCoarseMode(mode int32) {
-	h.coarseMode.CompareAndSwap(coarseAuto, mode)
-	lastCoarseMode.Store(h.coarseMode.Load())
-}
-
-// CoarseMode returns the coarse-solve tier this hierarchy has latched
-// ("sparse-chol", "band-chol", "zline", "ssor"), or "" while no solve
-// has decided yet. Safe for concurrent use.
-func (h *Hierarchy) CoarseMode() string {
-	return coarseModeNames[h.coarseMode.Load()]
 }
 
 // CoarseOperator returns the coarsest-level matrix (read-only; shared
@@ -1719,225 +1289,53 @@ func (h *Hierarchy) CoarseOperator() *sparse.CSR {
 }
 
 // CoarseOrdering returns the fill-reducing nested-dissection ordering
-// the sparse-Cholesky tier uses for this hierarchy's coarsest level
-// (perm[k] = cell index at permuted position k).
+// the coarsest level is factored under (perm[k] = cell index at
+// permuted position k).
 func (h *Hierarchy) CoarseOrdering() []int32 {
 	return coarseNDOrder(h.levels[len(h.levels)-1])
 }
 
-// coarseTrialTol is the intermediate residual target of the first coarse
-// solve's preconditioner race. A fixed-iteration race would mis-rank the
-// candidates: CG under the line preconditioner converges superlinearly
-// once it has swept the clustered part of the spectrum, so its first few
-// iterations understate it. Racing to a six-order reduction samples
-// enough of the spectrum to rank honestly, and the loser's work is the
-// only waste — the winner's iterate warm-starts the rest of the solve.
-const coarseTrialTol = 1e-6
-
-// coarseSolve solves the coarsest-level system (near-)exactly, keeping
-// the V-cycle a fixed SPD operator, walking the coarse-solve ladder:
-// a direct sparse-Cholesky solve under the fill-reducing ordering where
-// that factorisation fits the budget, a banded Cholesky where only the
-// dense band does; otherwise CG at CoarseTol. Which
-// preconditioner that CG uses under the z-line smoother — the coarse
-// level's own symmetric line relaxation, or plain SSOR — depends on how
-// much vertical coupling survives the lateral coarsening: on mid-size
-// hierarchies the z stack still dominates and the line solve wins ~2x,
-// but on the deepest (paper-resolution) hierarchies Galerkin coarsening
-// has strengthened the lateral couplings enough that point-SSOR converges
-// faster per unit time. There is no cheap a-priori test, so the first
-// iterative coarse solve races both candidates to coarseTrialTol on the
-// real RHS, latches the faster one, and finishes warm-started from the
-// winner's iterate; every later solve goes straight to the latched
-// choice. On the
-// (unlikely) iteration-budget overrun of the iterative paths the best
-// iterate is still a valid, slightly weaker preconditioner, so errors are
-// deliberately dropped. x must arrive zeroed.
-func (h *Hierarchy) coarseSolve(ws *workspace, opts Options, b, x []float64) {
-	lv := h.levels[len(h.levels)-1]
-	if chol := h.coarseDirect(opts); chol != nil {
+// vcycle runs one V-cycle on level l in the precision of F, improving x
+// (which must arrive zeroed at preconditioner entry) towards A·x = b. The
+// coarsest level is solved exactly by the factor's triangular sweeps.
+// Each side smooths with one symmetric pass — a forward plus a backward
+// line Gauss–Seidel sweep, colour by colour on the worker pool (serial
+// lexicographic order under the test hook) — so pre- and post-smoothing
+// apply the identical symmetric operation and the V-cycle stays an SPD
+// preconditioner.
+func vcycle[F sparse.Float](h *Hierarchy, ws *workspace[F], l int, x, b []F) {
+	if l == len(h.levels)-1 {
+		start := time.Now()
 		copy(x, b)
-		chol.SolveInPlace(x)
-		return
-	}
-	if ws.coarseWS == nil {
-		h.latchCoarseMode(coarseSSOR)
-		ws.coarse.Solve(lv.a, b, x) //nolint:errcheck
-		return
-	}
-	ls := lv.ls
-	precond := func(z, r []float64) {
-		for i := range z {
-			z[i] = 0
-		}
-		ls.sweepColored(z, r, ws.lineBuf, ws.workers, false)
-		ls.sweepColored(z, r, ws.lineBuf, ws.workers, true)
-	}
-	mode := h.coarseMode.Load()
-	if mode == coarseAuto {
-		trialTol := math.Max(opts.CoarseTol, coarseTrialTol)
-		xz := make([]float64, len(x))
-		start := time.Now()
-		resZ, _ := sparse.PCG(lv.a, b, xz, ws.coarseWS, precond, trialTol, 20*lv.n(), opts.Workers)
-		tz := time.Since(start)
-		trial := &sparse.SSORCG{Tolerance: trialTol, MaxIterations: 20 * lv.n(), Workers: opts.Workers}
-		start = time.Now()
-		resS, _ := trial.Solve(lv.a, b, x)
-		ts := time.Since(start)
-		if resZ.Converged && (!resS.Converged || tz <= ts) {
-			mode = coarseZLine
-			copy(x, xz)
-		} else {
-			mode = coarseSSOR
-		}
-		// First decision wins hierarchy-wide (concurrent solvers may race
-		// the trial; any winner is a sound choice). This call proceeds on
-		// its own verdict either way, warm-started from the winner's
-		// iterate.
-		h.latchCoarseMode(mode)
-	}
-	if mode == coarseZLine {
-		sparse.PCG(lv.a, b, x, ws.coarseWS, precond, opts.CoarseTol, 20*lv.n(), opts.Workers) //nolint:errcheck
-		return
-	}
-	ws.coarse.Solve(lv.a, b, x) //nolint:errcheck
-}
-
-// vcycle runs one V-cycle on level l, improving x (which must arrive
-// zeroed at preconditioner entry) towards A·x = b.
-func (h *Hierarchy) vcycle(ws *workspace, opts Options, l int, x, b []float64) {
-	lv := h.levels[l]
-	if l == len(h.levels)-1 {
-		start := time.Now()
-		h.coarseSolve(ws, opts, b, x)
+		sparse.CholeskySolve(ws.arr.factor, ws.arr.factorVals, x, ws.coarseY)
 		h.phaseAdd(phaseCoarse, start)
 		return
 	}
-	r, z := ws.r[l], ws.z[l]
-	// smooth runs opts.Smooth symmetric relaxation passes on x. The z-line
-	// smoother operates on A·x = b directly (each pass is a forward plus a
-	// backward line Gauss–Seidel sweep — red-black colour order on the
-	// worker pool by default, serial lexicographic order with OrderingLex —
-	// either way symmetric); the SSOR smoother is applied in
-	// residual-correction form. Pre- and post-smoothing use the identical
-	// symmetric operation, keeping the V-cycle an SPD preconditioner.
-	smooth := func(first bool) {
-		start := time.Now()
-		defer h.phaseAdd(phaseSmooth, start)
-		for sweep := 0; sweep < opts.Smooth; sweep++ {
-			if opts.Smoother == SmootherZLine {
-				if opts.Ordering == OrderingLex {
-					lv.ls.sweepLex(x, b, ws.lineBuf[0], false)
-					lv.ls.sweepLex(x, b, ws.lineBuf[0], true)
-				} else {
-					lv.ls.sweepColored(x, b, ws.lineBuf, ws.workers, false)
-					lv.ls.sweepColored(x, b, ws.lineBuf, ws.workers, true)
-				}
-				continue
-			}
-			if first && sweep == 0 {
-				// x starts at zero, so the first residual is b itself.
-				lv.a.SSORApply(z, b, lv.diag, opts.Omega)
-				copy(x, z)
-				continue
-			}
-			lv.residual(r, b, x, opts.Workers)
-			lv.a.SSORApply(z, r, lv.diag, opts.Omega)
-			for i := range x {
-				x[i] += z[i]
-			}
-		}
-	}
-	smooth(true)
-	// Coarse-grid correction, visited γ times (V- or W-cycle).
-	xc, bc := ws.xc[l], ws.bc[l]
-	for visit := 0; visit < opts.Cycle; visit++ {
-		start := time.Now()
-		lv.residual(r, b, x, opts.Workers)
-		lv.restrict(bc, r)
-		h.phaseAdd(phaseRestrict, start)
-		for i := range xc {
-			xc[i] = 0
-		}
-		h.vcycle(ws, opts, l+1, xc, bc)
-		start = time.Now()
-		lv.prolongAdd(x, xc)
-		h.phaseAdd(phaseProlong, start)
-	}
-	smooth(false)
-}
-
-// vcycle32 is the single-precision V-cycle: smoothing, residuals and
-// transfers run in float32 on the mirrored levels. When the
-// sparse-Cholesky tier is latched its float32 factor mirror solves the
-// coarsest level in-cycle (the factor is exact, so the mirror's rounding
-// matches the rest of the float32 cycle); the banded and iterative tiers
-// stay float64, staged through ws.coarseB/coarseX, anchoring the cycle.
-// Only the z-line smoother has a float32 path — effectivePrecision
-// forces float64 for SSOR.
-func (h *Hierarchy) vcycle32(ws *workspace, opts Options, l int, x, b []float32) {
-	if l == len(h.levels)-1 {
-		if c32 := h.coarseDirect32(opts); c32 != nil {
-			start := time.Now()
-			copy(x, b)
-			c32.SolveInPlace(x)
-			h.phaseAdd(phaseCoarse, start)
-			return
-		}
-		start := time.Now()
-		for i, v := range b {
-			ws.coarseB[i] = float64(v)
-		}
-		for i := range ws.coarseX {
-			ws.coarseX[i] = 0
-		}
-		h.coarseSolve(ws, opts, ws.coarseB, ws.coarseX)
-		for i, v := range ws.coarseX {
-			x[i] = float32(v)
-		}
-		h.phaseAdd(phaseCoarse, start)
-		return
-	}
-	lv, lv32 := h.levels[l], ws.l32[l]
-	r := ws.r32[l]
+	lv, arr := h.levels[l], &ws.arr.levels[l]
 	smooth := func() {
 		start := time.Now()
 		defer h.phaseAdd(phaseSmooth, start)
-		for sweep := 0; sweep < opts.Smooth; sweep++ {
-			if opts.Ordering == OrderingLex {
-				lv32.ls.sweepLex(x, b, ws.lineBuf32[0], false)
-				lv32.ls.sweepLex(x, b, ws.lineBuf32[0], true)
-			} else {
-				lv32.ls.sweepColored(x, b, ws.lineBuf32, ws.workers, false)
-				lv32.ls.sweepColored(x, b, ws.lineBuf32, ws.workers, true)
-			}
+		if ws.lex {
+			sweepLex(lv.ls, arr, x, b, ws.lineBuf[0], false)
+			sweepLex(lv.ls, arr, x, b, ws.lineBuf[0], true)
+			return
 		}
+		sweepColored(lv.ls, arr, x, b, ws.lineBuf, ws.workers, false)
+		sweepColored(lv.ls, arr, x, b, ws.lineBuf, ws.workers, true)
 	}
 	smooth()
-	xc, bc := ws.xc32[l], ws.bc32[l]
-	for visit := 0; visit < opts.Cycle; visit++ {
-		start := time.Now()
-		lv32.a.MulVecN(r, x, opts.Workers)
-		for i := range r {
-			r[i] = b[i] - r[i]
-		}
-		lv.restrict32(bc, r)
-		h.phaseAdd(phaseRestrict, start)
-		for i := range xc {
-			xc[i] = 0
-		}
-		h.vcycle32(ws, opts, l+1, xc, bc)
-		start = time.Now()
-		lv.prolongAdd32(x, xc)
-		h.phaseAdd(phaseProlong, start)
-	}
-	smooth()
-}
-
-// residual computes r = b − A·x.
-func (lv *level) residual(r, b, x []float64, workers int) {
-	lv.a.MulVecN(r, x, workers)
+	r, xc, bc := ws.r[l], ws.xc[l], ws.bc[l]
+	start := time.Now()
+	sparse.MulVecValues(lv.a, arr.a, r, x, ws.workers)
 	for i := range r {
 		r[i] = b[i] - r[i]
 	}
+	restrict(lv, arr, bc, r)
+	h.phaseAdd(phaseRestrict, start)
+	clear(xc)
+	vcycle(h, ws, l+1, xc, bc)
+	start = time.Now()
+	prolongAdd(lv, arr, x, xc)
+	h.phaseAdd(phaseProlong, start)
+	smooth()
 }

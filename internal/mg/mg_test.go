@@ -171,7 +171,7 @@ func TestHierarchyInvariants(t *testing.T) {
 // entry on a small grid, with P materialised densely from the axis maps.
 func TestGalerkinMatchesExplicitTripleProduct(t *testing.T) {
 	a, hint := buildHeatSystem(t, uniformLines(6, 1), uniformLines(5, 1), uniformLines(3, 0.1))
-	h, err := BuildHierarchy(a, hint, Options{Levels: 2})
+	h, err := BuildHierarchy(a, hint, Options{levels: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,18 +248,19 @@ func TestGalerkinMatchesExplicitTripleProduct(t *testing.T) {
 // and CG its convergence guarantee.
 func TestTransferAdjoint(t *testing.T) {
 	a, hint := buildHeatSystem(t, uniformLines(11, 1), uniformLines(9, 1), uniformLines(4, 0.1))
-	h, err := BuildHierarchy(a, hint, Options{Levels: 2})
+	h, err := BuildHierarchy(a, hint, Options{levels: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	lv := h.levels[0]
+	w := withTransfer(&levelArrays[float64]{}, lv)
 	nf, nc := lv.n(), h.levels[1].n()
 	xc := randRHS(nc, 1)
 	r := randRHS(nf, 2)
 	px := make([]float64, nf)
-	lv.prolongAdd(px, xc)
+	prolongAdd(lv, w, px, xc)
 	ptr := make([]float64, nc)
-	lv.restrict(ptr, r)
+	restrict(lv, w, ptr, r)
 	lhs := sparse.Dot(px, r)
 	rhs := sparse.Dot(xc, ptr)
 	if math.Abs(lhs-rhs) > 1e-10*math.Max(math.Abs(lhs), 1) {
@@ -348,8 +349,9 @@ func TestSharedHierarchy(t *testing.T) {
 	}
 }
 
-// TestConfigKnobs: the registry factory must thread the MG knobs through,
-// and each knob must still converge to the right answer.
+// TestConfigKnobs: the registry factory must thread the mg-cg knobs
+// (precision, workers) through, and each must still converge to the
+// right answer.
 func TestConfigKnobs(t *testing.T) {
 	a, hint := buildHeatSystem(t, uniformLines(16, 1), uniformLines(16, 1), uniformLines(5, 0.1))
 	b := randRHS(a.N(), 11)
@@ -359,9 +361,8 @@ func TestConfigKnobs(t *testing.T) {
 	}
 	for _, cfg := range []sparse.Config{
 		{Backend: sparse.BackendMGCG},
-		{Backend: sparse.BackendMGCG, MGLevels: 2},
-		{Backend: sparse.BackendMGCG, MGSmooth: 2},
-		{Backend: sparse.BackendMGCG, Omega: 1.4, MGCoarseTol: 1e-10},
+		{Backend: sparse.BackendMGCG, MGPrecision: "float64"},
+		{Backend: sparse.BackendMGCG, MGPrecision: "float32", Workers: 3},
 	} {
 		solver, err := cfg.New()
 		if err != nil {

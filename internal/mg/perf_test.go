@@ -1,7 +1,7 @@
 package mg
 
 // Tests for the perf tier of the V-cycle: red-black line colouring,
-// concurrent sweeps, mixed precision and the direct coarse solve.
+// concurrent sweeps, mixed precision and the exact coarse solve.
 
 import (
 	"math"
@@ -90,10 +90,11 @@ func TestColoredSweepMatchesSerial(t *testing.T) {
 	n := a.N()
 	b := randRHS(n, 7)
 
+	arr := &levelArrays[float64]{sub: ls.subL, cp: ls.cpL, inv: ls.invL, off: ls.offVal}
 	sweep := func(x []float64, bufs [][]float64, workers int) {
-		ls.sweepColored(x, b, bufs, workers, false)
-		ls.sweepColored(x, b, bufs, workers, true)
-		ls.sweepColored(x, b, bufs, workers, false)
+		sweepColored(ls, arr, x, b, bufs, workers, false)
+		sweepColored(ls, arr, x, b, bufs, workers, true)
+		sweepColored(ls, arr, x, b, bufs, workers, false)
 	}
 	ref := make([]float64, n)
 	sweep(ref, [][]float64{make([]float64, ls.nz)}, 1)
@@ -158,7 +159,7 @@ func TestPreconditionerSPD(t *testing.T) {
 		{"float32", PrecisionFloat32, 1e-5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := Options{Ordering: OrderingRedBlack, Precision: tc.prec, Workers: 4}
+			opts := Options{Precision: tc.prec, Workers: 4}
 			z1 := applyPrecond(t, a, hint, opts, r1)
 			z2 := applyPrecond(t, a, hint, opts, r2)
 			d1 := sparse.Dot(z1, r2)
@@ -197,8 +198,8 @@ func solveWith(t *testing.T, a *sparse.CSR, hint sparse.GridHint, opts Options, 
 func TestOrderingIterationPin(t *testing.T) {
 	_, a, hint := testHierarchy(t)
 	b := randRHS(a.N(), 17)
-	lex, xl := solveWith(t, a, hint, Options{Ordering: OrderingLex, Precision: PrecisionFloat64, Tolerance: 1e-10}, b)
-	rb, xr := solveWith(t, a, hint, Options{Ordering: OrderingRedBlack, Precision: PrecisionFloat64, Tolerance: 1e-10, Workers: 4}, b)
+	lex, xl := solveWith(t, a, hint, Options{lex: true, Precision: PrecisionFloat64, Tolerance: 1e-10}, b)
+	rb, xr := solveWith(t, a, hint, Options{Precision: PrecisionFloat64, Tolerance: 1e-10, Workers: 4}, b)
 	if d := rb.Iterations - lex.Iterations; d < -1 || d > 1 {
 		t.Fatalf("red-black iterations %d vs lex %d: outside ±1", rb.Iterations, lex.Iterations)
 	}
@@ -225,8 +226,8 @@ func TestPrecisionIterationPin(t *testing.T) {
 }
 
 // TestPrecisionAuto pins the auto-selection rule: loose outer tolerances
-// on small-to-mid systems run the float32 cycle; tight tolerances, huge
-// systems, and the SSOR smoother (which has no float32 path) stay float64.
+// on small-to-mid systems run the float32 cycle; tight tolerances and
+// huge systems stay float64.
 func TestPrecisionAuto(t *testing.T) {
 	const small = 1 << 10
 	for _, tc := range []struct {
@@ -239,7 +240,6 @@ func TestPrecisionAuto(t *testing.T) {
 		{Options{Tolerance: 1e-11}, small, PrecisionFloat64},            // near roundoff
 		{Options{Precision: PrecisionFloat64}, small, PrecisionFloat64}, // explicit wins
 		{Options{Tolerance: 1e-11, Precision: PrecisionFloat32}, small, PrecisionFloat32},
-		{Options{Smoother: SmootherSSOR}, small, PrecisionFloat64},
 		{Options{Tolerance: 1e-8}, autoFloat32MaxCells, PrecisionFloat32},     // at the cap
 		{Options{Tolerance: 1e-8}, autoFloat32MaxCells + 1, PrecisionFloat64}, // past the cap
 		{Options{Tolerance: 1e-8, Precision: PrecisionFloat32}, autoFloat32MaxCells + 1, PrecisionFloat32},
@@ -250,15 +250,16 @@ func TestPrecisionAuto(t *testing.T) {
 	}
 }
 
-// TestCoarseWorkersPlumbed pins the fix for newWorkspace hard-coding the
-// coarse-level SSOR-CG solver to a single worker: Options.Workers must
-// reach it.
+// TestCoarseWorkersPlumbed pins the worker plumbing of the V-cycle
+// workspace: Options.Workers must reach the sweeps and size the per-worker
+// Thomas scratch.
 func TestCoarseWorkersPlumbed(t *testing.T) {
 	h, _, _ := testHierarchy(t)
-	ws := newWorkspace(h, Options{Workers: 3}.withDefaults())
-	if ws.coarse.Workers != 3 {
-		t.Fatalf("coarse solver Workers = %d, want 3", ws.coarse.Workers)
+	factor, err := h.coarseFactor()
+	if err != nil {
+		t.Fatal(err)
 	}
+	ws := newWorkspace(h, newCycleArrays[float64](h, factor), Options{Workers: 3})
 	if ws.workers != 3 {
 		t.Fatalf("workspace workers = %d, want 3", ws.workers)
 	}
@@ -267,14 +268,14 @@ func TestCoarseWorkersPlumbed(t *testing.T) {
 	}
 }
 
-// TestCoarseCholeskyMatchesIterative checks the direct coarse solve
-// against the iterative fallback on the coarsest-level operator.
+// TestCoarseCholeskyMatchesIterative checks the exact coarse solve
+// against an iterative reference on the coarsest-level operator.
 func TestCoarseCholeskyMatchesIterative(t *testing.T) {
 	h, _, _ := testHierarchy(t)
 	lv := h.levels[len(h.levels)-1]
-	chol := h.coarseDirect(Options{}.withDefaults())
-	if chol == nil {
-		t.Fatalf("coarsest level (n=%d) unexpectedly over the factorisation budget", lv.n())
+	chol, err := h.coarseFactor()
+	if err != nil {
+		t.Fatalf("coarsest level (n=%d) did not factor: %v", lv.n(), err)
 	}
 	b := randRHS(lv.n(), 23)
 	x := append([]float64(nil), b...)

@@ -144,6 +144,10 @@ func TestShiftedErrors(t *testing.T) {
 	if _, err := h.Shifted(nil, bad); err == nil {
 		t.Error("NaN shift should error")
 	}
+	bad[5] = math.Inf(1) // C/dt of a subnormal dt
+	if _, err := h.Shifted(nil, bad); err == nil {
+		t.Error("infinite shift should error")
+	}
 	if _, err := h.Shifted(sparse.NewCOO(3).ToCSR(), make([]float64, a.N())); err == nil {
 		t.Error("mismatched fine matrix should error")
 	}

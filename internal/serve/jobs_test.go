@@ -113,6 +113,23 @@ func TestTransientJobBadInputs(t *testing.T) {
 	}
 }
 
+// TestTransientJobSubnormalTimeStep: a time_step_s that passes the > 0
+// check but makes C/dt overflow (5e-324) must end as a failed job before
+// any solver step runs, instead of a job iterating forever on a
+// non-finite operator.
+func TestTransientJobSubnormalTimeStep(t *testing.T) {
+	skipShort(t)
+	s := jobServer(t, "")
+	w := postJSON(t, s, "/v1/transient", `{"chip": 25, "pvcsel": 4e-3, "pheater": 1.2e-3, "time_step_s": 5e-324, "steps": 3}`)
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d (%s)", w.Code, w.Body.String())
+	}
+	st := pollJob(t, s, decodeBody[JobStatus](t, w).ID)
+	if st.State != JobFailed || st.Step != 0 || !strings.Contains(st.Error, "overflows") {
+		t.Fatalf("job status %+v, want failed at step 0 with a C/dt overflow error", st)
+	}
+}
+
 // TestTransientJobLifecycle: a submitted job runs to completion in the
 // background and its result matches an in-process Model.SolveTransient
 // of the same operating point — including a bit-identical field

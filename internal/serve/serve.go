@@ -419,8 +419,7 @@ func (st *specState) basisFor(act activity.Scenario, slot string) (*thermal.Basi
 		st.logger.Info("basis built",
 			"spec", st.name, "slot", slot,
 			"duration_ms", float64(bs.Wall.Microseconds())/1000,
-			"mg_iters", bs.Iterations,
-			"coarse_mode", bs.Phases.CoarseMode)
+			"mg_iters", bs.Iterations)
 	}
 	if err != nil {
 		// Release the slot: failed builds are not cached by the
@@ -596,7 +595,6 @@ func (s *Server) handleGradient(w http.ResponseWriter, r *http.Request) {
 	// basis (zero/near-zero duration when it was already warm).
 	bs := basis.BuildStats()
 	sp.SetAttr("mg_iters", float64(bs.Iterations))
-	sp.SetStrAttr("coarse_mode", bs.Phases.CoarseMode)
 	if total := bs.Phases.Total(); total > 0 {
 		sp.SetAttr("build_smoothfrac", float64(bs.Phases.Smooth)/float64(total))
 		sp.SetAttr("build_coarsefrac", float64(bs.Phases.Coarse)/float64(total))
@@ -648,7 +646,6 @@ func (s *Server) handleGradient(w http.ResponseWriter, r *http.Request) {
 	s.publish(tr, http.StatusOK)
 	s.logger.Debug("query",
 		"trace_id", traceID, "spec", st.name, "cached", false, "shared", shared,
-		"coarse_mode", bs.Phases.CoarseMode,
 		"duration_ms", msSince(start))
 }
 

@@ -121,11 +121,6 @@ func TestTraceEndToEnd(t *testing.T) {
 	if sp := spans["basis"]; !hasAttr(sp, "mg_iters") {
 		t.Errorf("basis span has no mg_iters attribute (attrs %v)", sp.Attrs)
 	}
-	if mode := strAttr(spans["basis"], "coarse_mode"); mode == "" {
-		t.Errorf("basis span has no coarse_mode attribute (str attrs %v)", spans["basis"].StrAttrs)
-	} else if mode != "sparse-chol" && mode != "band-chol" && mode != "zline" && mode != "ssor" {
-		t.Errorf("coarse_mode = %q, not a known coarse tier", mode)
-	}
 
 	// The ?slow= filter with an absurd threshold drops everything.
 	sreq := httptest.NewRequest(http.MethodGet, "/debug/requests?slow=10m", nil)
@@ -151,15 +146,6 @@ func hasAttr(sp obs.SpanRec, key string) bool {
 		}
 	}
 	return false
-}
-
-func strAttr(sp obs.SpanRec, key string) string {
-	for _, a := range sp.StrAttrs {
-		if a.Key == key {
-			return a.Value
-		}
-	}
-	return ""
 }
 
 // TestTracingDisabled pins the -no-trace path: ids still mint and echo,

@@ -244,9 +244,7 @@ func TestConfigValidate(t *testing.T) {
 		{Tolerance: -1},
 		{MaxIterations: -3},
 		{Workers: -1},
-		{MGLevels: -1},
-		{MGSmooth: -2},
-		{MGCoarseTol: -1e-9},
+		{MGPrecision: "float16"},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -272,7 +270,7 @@ func TestConfigValidate(t *testing.T) {
 		{},
 		{Backend: BackendSSORCG, Omega: 1.5, Workers: 4},
 		{Backend: BackendJacobiCG, Tolerance: 1e-6, MaxIterations: 100},
-		{MGLevels: 3, MGSmooth: 2, MGCoarseTol: 1e-10},
+		{MGPrecision: "float32"},
 	}
 	for i, c := range good {
 		if err := c.Validate(); err != nil {

@@ -8,15 +8,15 @@ import (
 
 // SparseCholesky is a general sparse Cholesky factorisation
 // P·A·Pᵀ = L·Lᵀ of an SPD matrix under a fill-reducing permutation P.
-// Multigrid uses it as the first tier of the coarse-solve ladder: graded
-// paper-scale coarse levels have bandwidths far beyond the dense-band
-// cap, but under a nested-dissection (or RCM) ordering their Cholesky
-// factors stay sparse, so a symbolic analysis plus a compressed numeric
-// factorisation — O(flops) once, O(nnz(L)) per solve — turns the
-// dominant iterative coarse solve into two triangular sweeps. The factor
-// is stored column-compressed (diagonal entry first in each column,
-// rows ascending), is immutable after construction and is safe for
-// concurrent SolveInPlace calls with distinct vectors.
+// Multigrid solves its coarsest level with it: graded coarse levels have
+// bandwidths far beyond what a dense band could store, but under a
+// nested-dissection (or RCM) ordering their Cholesky factors stay
+// sparse, so a symbolic analysis plus a compressed numeric factorisation
+// — O(flops) once, O(nnz(L)) per solve — turns the coarse solve into two
+// triangular sweeps. The factor is stored column-compressed (diagonal
+// entry first in each column, rows ascending), is immutable after
+// construction and is safe for concurrent SolveInPlace calls with
+// distinct vectors.
 type SparseCholesky struct {
 	n     int
 	perm  []int32 // perm[k] = original index at permuted position k
@@ -249,24 +249,36 @@ func (c *SparseCholesky) Perm() []int32 {
 	return out
 }
 
+// Values returns the factor's stored values in the order CholeskySolve
+// reads them. The slice aliases the factor and must not be modified.
+func (c *SparseCholesky) Values() []float64 { return c.values }
+
 // SolveInPlace overwrites b with A⁻¹·b: permute, forward and backward
 // triangular sweeps on the column-compressed factor, permute back.
 func (c *SparseCholesky) SolveInPlace(b []float64) {
-	if len(b) != c.n {
+	yp := c.scratch.Get().(*[]float64)
+	CholeskySolve(c, c.values, b, *yp)
+	c.scratch.Put(yp)
+}
+
+// CholeskySolve is SolveInPlace in the precision of F: it overwrites b
+// with A⁻¹·b using vals as the factor values — Values() itself for
+// float64, a rounded copy of them for float32 — and y (length N) as the
+// permuted scratch. Safe for concurrent calls with distinct b and y.
+func CholeskySolve[F Float](c *SparseCholesky, vals, b, y []F) {
+	if len(b) != c.n || len(y) != c.n || len(vals) != len(c.values) {
 		panic("sparse: SparseCholesky solve dimension mismatch")
 	}
-	yp := c.scratch.Get().(*[]float64)
-	y := *yp
 	for k, o := range c.perm {
 		y[k] = b[o]
 	}
 	// Forward: L·y = P·b, columns left to right.
 	for j := 0; j < c.n; j++ {
 		lo, hi := c.colPtr[j], c.colPtr[j+1]
-		yj := y[j] / c.values[lo]
+		yj := y[j] / vals[lo]
 		y[j] = yj
 		for q := lo + 1; q < hi; q++ {
-			y[c.rowIdx[q]] -= c.values[q] * yj
+			y[c.rowIdx[q]] -= vals[q] * yj
 		}
 	}
 	// Backward: Lᵀ·x = y, columns right to left (column j of L is row j
@@ -275,74 +287,13 @@ func (c *SparseCholesky) SolveInPlace(b []float64) {
 		lo, hi := c.colPtr[j], c.colPtr[j+1]
 		s := y[j]
 		for q := lo + 1; q < hi; q++ {
-			s -= c.values[q] * y[c.rowIdx[q]]
+			s -= vals[q] * y[c.rowIdx[q]]
 		}
-		y[j] = s / c.values[lo]
+		y[j] = s / vals[lo]
 	}
 	for k, o := range c.perm {
 		b[o] = y[k]
 	}
-	c.scratch.Put(yp)
-}
-
-// SparseCholesky32 is the single-precision mirror of a SparseCholesky:
-// structure, ordering and solve order are shared, only the factor values
-// are stored again in float32 (rounded from the float64 factorisation,
-// not refactorised) — the same structure-sharing contract as the
-// multigrid level32 mirrors. It is immutable and safe for concurrent
-// SolveInPlace calls with distinct vectors.
-type SparseCholesky32 struct {
-	c       *SparseCholesky
-	values  []float32
-	scratch sync.Pool
-}
-
-// Mirror32 builds the single-precision mirror of the factor.
-func (c *SparseCholesky) Mirror32() *SparseCholesky32 {
-	m := &SparseCholesky32{c: c, values: make([]float32, len(c.values))}
-	for i, v := range c.values {
-		m.values[i] = float32(v)
-	}
-	n := c.n
-	m.scratch.New = func() any { s := make([]float32, n); return &s }
-	return m
-}
-
-// N returns the matrix dimension.
-func (m *SparseCholesky32) N() int { return m.c.n }
-
-// SolveInPlace overwrites b with A⁻¹·b in single precision, mirroring
-// SparseCholesky.SolveInPlace.
-func (m *SparseCholesky32) SolveInPlace(b []float32) {
-	c := m.c
-	if len(b) != c.n {
-		panic("sparse: SparseCholesky32 solve dimension mismatch")
-	}
-	yp := m.scratch.Get().(*[]float32)
-	y := *yp
-	for k, o := range c.perm {
-		y[k] = b[o]
-	}
-	for j := 0; j < c.n; j++ {
-		lo, hi := c.colPtr[j], c.colPtr[j+1]
-		yj := y[j] / m.values[lo]
-		y[j] = yj
-		for q := lo + 1; q < hi; q++ {
-			y[c.rowIdx[q]] -= m.values[q] * yj
-		}
-	}
-	for j := c.n - 1; j >= 0; j-- {
-		lo, hi := c.colPtr[j], c.colPtr[j+1]
-		s := y[j]
-		for q := lo + 1; q < hi; q++ {
-			s -= m.values[q] * y[c.rowIdx[q]]
-		}
-		y[j] = s / m.values[lo]
-	}
-	for k, o := range c.perm {
-		b[o] = y[k]
-	}
-	m.scratch.Put(yp)
 }
 
 // RCMOrder returns the reverse Cuthill–McKee ordering of a's structure

@@ -141,47 +141,20 @@ type Config struct {
 	// Workers caps the goroutines used by matrix-vector products; 0 means
 	// GOMAXPROCS, 1 forces serial execution.
 	Workers int
-	// Omega is the SSOR relaxation factor in (0, 2); 0 means 1.2 for the
-	// SSOR-CG backend and 1.0 for the multigrid smoother. Ignored by the
-	// Jacobi backend.
+	// Omega is the SSOR relaxation factor in (0, 2); 0 means 1.2. Used by
+	// the SSOR-CG backend only.
 	Omega float64
 
-	// MGLevels caps the multigrid hierarchy depth; 0 coarsens until the
-	// level is small. Ignored by non-multigrid backends.
-	MGLevels int
-	// MGSmooth is the number of pre- and post-smoothing sweeps per V-cycle
-	// side; 0 means 1. Ignored by non-multigrid backends.
-	MGSmooth int
-	// MGCoarseTol is the relative tolerance of the coarsest-level solve;
-	// 0 means 1e-12 (effectively exact, keeping the V-cycle a fixed SPD
-	// operator as CG requires). Ignored by non-multigrid backends.
-	MGCoarseTol float64
-	// MGOrdering selects the multigrid line-smoother sweep ordering:
-	// "redblack" (default) relaxes independently coloured lateral lines
-	// concurrently on the worker pool, "lex" is the serial lexicographic
-	// reference sweep. Ignored by non-multigrid backends.
-	MGOrdering string
-	// MGPrecision selects the V-cycle arithmetic: "float32" applies the
-	// preconditioner in single precision (half the memory traffic on the
-	// bandwidth-bound stencil ops; the outer CG stays float64), "float64"
-	// forces double precision, and "" auto-selects float32 when the outer
-	// tolerance permits it. Ignored by non-multigrid backends.
+	// MGPrecision selects the multigrid V-cycle arithmetic: "float32"
+	// applies the preconditioner — smoothing, transfers and the coarse
+	// triangular solve — in single precision (half the memory traffic on
+	// the bandwidth-bound stencil ops; the outer CG stays float64),
+	// "float64" forces double precision, and "" auto-selects float32 when
+	// the outer tolerance and system size permit it. The V-cycle itself
+	// has no other knob: it smooths with red-black z-line relaxation and
+	// solves the coarsest level with its sparse Cholesky factor. Ignored
+	// by non-multigrid backends.
 	MGPrecision string
-	// MGCoarseSolver forces one tier of the multigrid coarse-solve
-	// ladder: "sparse" (fill-reducing sparse Cholesky), "band" (dense-band
-	// Cholesky), "iterative" (measured zline-vs-SSOR PCG trial); empty
-	// walks the ladder in that order. Ignored by non-multigrid backends.
-	MGCoarseSolver string
-	// MGCoarseBudget caps the stored entries (float64 values) of the
-	// direct coarsest-level factorisation; 0 means the mg package default
-	// (or the VCSELNOC_MG_COARSE_BUDGET environment override), negative
-	// disables the direct tiers entirely. Ignored by non-multigrid
-	// backends.
-	MGCoarseBudget int
-	// MGCoarseRebalance opts into appending extra aggressively rebalanced
-	// coarsening levels until the coarsest level fits the factorisation
-	// budget. Ignored by non-multigrid backends.
-	MGCoarseRebalance bool
 }
 
 // Validate checks the configuration without building a solver: the backend
@@ -212,29 +185,10 @@ func (c Config) Validate() error {
 	if c.Workers < 0 {
 		return fmt.Errorf("sparse: negative worker count %d", c.Workers)
 	}
-	if c.MGLevels < 0 {
-		return fmt.Errorf("sparse: negative multigrid level cap %d", c.MGLevels)
-	}
-	if c.MGSmooth < 0 {
-		return fmt.Errorf("sparse: negative smoothing sweep count %d", c.MGSmooth)
-	}
-	if c.MGCoarseTol < 0 {
-		return fmt.Errorf("sparse: negative coarse-solve tolerance %g", c.MGCoarseTol)
-	}
-	switch c.MGOrdering {
-	case "", "lex", "redblack":
-	default:
-		return fmt.Errorf("sparse: unknown smoother ordering %q (have lex, redblack)", c.MGOrdering)
-	}
 	switch c.MGPrecision {
 	case "", "float32", "float64":
 	default:
 		return fmt.Errorf("sparse: unknown V-cycle precision %q (have float32, float64)", c.MGPrecision)
-	}
-	switch c.MGCoarseSolver {
-	case "", "sparse", "band", "iterative":
-	default:
-		return fmt.Errorf("sparse: unknown coarse solver %q (have sparse, band, iterative)", c.MGCoarseSolver)
 	}
 	return nil
 }
@@ -327,12 +281,21 @@ func mulVecWorkers(n, workers int) int {
 // GOMAXPROCS). Rows are split into contiguous ranges; small systems run
 // serially regardless.
 func (m *CSR) MulVecN(dst, x []float64, workers int) {
-	if len(dst) != m.n || len(x) != m.n {
+	MulVecValues(m, m.values, dst, x, workers)
+}
+
+// MulVecValues is MulVecN in the precision of F with vals — one value
+// per stored entry, in Values order — in place of m's own values: a
+// mixed-precision preconditioner applies a float32 copy of the operator
+// over the shared sparsity structure. Each row sums in the same order
+// whatever the worker count, so results are bit-identical across it.
+func MulVecValues[F Float](m *CSR, vals, dst, x []F, workers int) {
+	if len(dst) != m.n || len(x) != m.n || len(vals) != len(m.values) {
 		panic("sparse: MulVec dimension mismatch")
 	}
 	workers = mulVecWorkers(m.n, workers)
 	if workers == 1 {
-		m.mulRange(dst, x, 0, m.n)
+		mulRange(m, vals, dst, x, 0, m.n)
 		return
 	}
 	var wg sync.WaitGroup
@@ -349,7 +312,7 @@ func (m *CSR) MulVecN(dst, x []float64, workers int) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			m.mulRange(dst, x, lo, hi)
+			mulRange(m, vals, dst, x, lo, hi)
 		}(lo, hi)
 	}
 	wg.Wait()
@@ -472,13 +435,6 @@ func (s *SSORCG) Solve(a *CSR, b, x []float64) (Result, error) {
 		return Result{}, err
 	}
 	return pcg(a, b, x, s.Workspace, precond, s.Tolerance, s.MaxIterations, s.Workers)
-}
-
-// SSORApply computes z = M⁻¹·r for the SSOR preconditioner of m with the
-// given relaxation factor; diag must hold m's diagonal (see Diag). It is
-// the smoother primitive geometry-aware backends reuse per grid level.
-func (m *CSR) SSORApply(z, r, diag []float64, omega float64) {
-	m.ssorApply(z, r, diag, omega)
 }
 
 // diagAt returns the stored diagonal of row i (0 if absent).

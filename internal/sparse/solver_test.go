@@ -326,7 +326,7 @@ func TestMulVecNMatchesSerial(t *testing.T) {
 	m := buildLaplacian1D(9000) // above the parallel threshold
 	x := rhsFor(m.N(), 21)
 	want := make([]float64, m.N())
-	m.mulRange(want, x, 0, m.N())
+	mulRange(m, m.values, want, x, 0, m.N())
 	for _, workers := range []int{0, 1, 2, 3, 8, 64} {
 		got := make([]float64, m.N())
 		m.MulVecN(got, x, workers)
@@ -345,7 +345,7 @@ func TestMulVecNConcurrent(t *testing.T) {
 	m := buildLaplacian1D(8192)
 	x := rhsFor(m.N(), 33)
 	want := make([]float64, m.N())
-	m.mulRange(want, x, 0, m.N())
+	mulRange(m, m.values, want, x, 0, m.N())
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)
 	for g := 0; g < 8; g++ {

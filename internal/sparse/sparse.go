@@ -226,6 +226,11 @@ func (m *CSR) IsSymmetric(tol float64) bool {
 	return true
 }
 
+// Values returns the stored entries in row order, the layout Row slices
+// and MulVecValues index. The slice aliases the matrix storage and must
+// not be modified.
+func (m *CSR) Values() []float64 { return m.values }
+
 // MulVec computes dst = m · x. dst and x must have length N and must not
 // alias. For large systems the row loop is split across CPUs; use MulVecN
 // to control the worker count explicitly.
@@ -233,11 +238,17 @@ func (m *CSR) MulVec(dst, x []float64) {
 	m.MulVecN(dst, x, 0)
 }
 
-func (m *CSR) mulRange(dst, x []float64, lo, hi int) {
+// Float is the element type of the precision-generic kernels
+// (MulVecValues, CholeskySolve): float64 for the assembled operators,
+// float32 for mixed-precision preconditioners.
+type Float interface{ float32 | float64 }
+
+// mulRange computes rows lo..hi-1 of dst = m·x with vals as m's values.
+func mulRange[F Float](m *CSR, vals, dst, x []F, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		var sum float64
+		var sum F
 		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-			sum += m.values[p] * x[m.colIdx[p]]
+			sum += vals[p] * x[m.colIdx[p]]
 		}
 		dst[i] = sum
 	}

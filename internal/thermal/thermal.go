@@ -158,10 +158,10 @@ func PaperSpec() (Spec, error) {
 // Spec.Solver auto-selects mg-cg: at 10 µm (FastResolution) and finer,
 // the mg-cg iteration count is mesh-independent and dominates even for a
 // single cold solve. On the coarser preview/coarse tiers the per-solve
-// crossover has moved to mg-cg too (the red-black/float32 V-cycle with a
-// direct banded coarse solve beats jacobi-cg ~4x per warm solve, see the
-// README's Performance section), but its one-off setup — hierarchy,
-// Galerkin products, band Cholesky factorisation — still costs more than
+// crossover has moved to mg-cg too (the red-black/float32 V-cycle with an
+// exact sparse-Cholesky coarse solve beats jacobi-cg ~4x per warm solve,
+// see the README's Performance section), but its one-off setup —
+// hierarchy, Galerkin products, coarse factorisation — still costs more than
 // a whole jacobi-cg solve there, so the auto rule keeps jacobi-cg for the
 // one-shot small-mesh case. Callers doing repeated solves on a preview
 // mesh (servers, basis builds, sweeps) should set Solver: "mg-cg"
