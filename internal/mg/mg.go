@@ -656,7 +656,7 @@ type Hierarchy struct {
 }
 
 // defaultCoarseBudget caps the stored entries (float64 values) of the
-// coarsest level's Cholesky factor: 8·10⁶ entries (64 MB). Graded meshes
+// coarsest level's Cholesky factor: 8·2²⁰ entries (64 MiB). Graded meshes
 // stall the lateral semicoarsening with large coarsest levels; within
 // this budget the fill-reducing factorisation reduces the coarse solve to
 // two triangular sweeps, and past it BuildHierarchy coarsens further.

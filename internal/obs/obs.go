@@ -72,22 +72,13 @@ type Attr struct {
 	Value float64 `json:"value"`
 }
 
-// StrAttr is a string-valued span attribute (e.g. the latched coarse
-// solver mode). Kept separate from Attr so the numeric fast path stays
-// allocation-light and the JSON shape stays typed.
-type StrAttr struct {
-	Key   string `json:"key"`
-	Value string `json:"value"`
-}
-
 // SpanRec is one finished span inside a trace, offsets relative to the
 // trace start.
 type SpanRec struct {
-	Name       string    `json:"name"`
-	StartUS    int64     `json:"start_us"`
-	DurationUS int64     `json:"duration_us"`
-	Attrs      []Attr    `json:"attrs,omitempty"`
-	StrAttrs   []StrAttr `json:"str_attrs,omitempty"`
+	Name       string `json:"name"`
+	StartUS    int64  `json:"start_us"`
+	DurationUS int64  `json:"duration_us"`
+	Attrs      []Attr `json:"attrs,omitempty"`
 }
 
 // TraceRecord is the wire form of a finished trace as served by
@@ -182,16 +173,6 @@ func (s Span) SetAttr(key string, v float64) {
 	}
 	rec := &s.t.spans[s.idx]
 	rec.Attrs = append(rec.Attrs, Attr{Key: key, Value: v})
-}
-
-// SetStrAttr attaches a string attribute to the span. Empty values are
-// dropped so call sites can pass through possibly-unset modes directly.
-func (s Span) SetStrAttr(key, value string) {
-	if s.t == nil || value == "" {
-		return
-	}
-	rec := &s.t.spans[s.idx]
-	rec.StrAttrs = append(rec.StrAttrs, StrAttr{Key: key, Value: value})
 }
 
 // AddSpan records an already-measured interval (e.g. a wait measured by
