@@ -22,7 +22,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"vcselnoc/internal/activity"
 	"vcselnoc/internal/core"
@@ -830,58 +829,44 @@ func BenchmarkDBConversions(b *testing.B) {
 
 // BenchmarkServeGradientQueries measures the warm thermal-analysis
 // service's query throughput: concurrent /v1/gradient requests against a
-// prebuilt basis, with the micro-batcher on (concurrent requests within
-// the window evaluate as one worker-pool fan-out) and off (each request
-// evaluates inline). Every request uses a fresh operating point so the
-// LRU never short-circuits the evaluation; ns/op is the per-query cost
-// under concurrency — invert for queries/sec.
+// prebuilt basis, each evaluated inline on its request's goroutine. Every
+// request uses a fresh operating point so the LRU never short-circuits
+// the evaluation; ns/op is the per-query cost under concurrency — invert
+// for queries/sec.
 func BenchmarkServeGradientQueries(b *testing.B) {
 	spec, err := thermal.PaperSpec()
 	if err != nil {
 		b.Fatal(err)
 	}
 	spec.Res = benchResolution()
-	for _, mode := range []struct {
-		name   string
-		window time.Duration
-	}{
-		{"batched", serve.DefaultBatchWindow},
-		{"unbatched", -1},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			srv, err := serve.New(serve.Config{
-				Specs:       map[string]thermal.Spec{serve.DefaultSpec: spec},
-				BatchWindow: mode.window,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(srv.Close)
-			if err := srv.Warm(serve.DefaultSpec); err != nil {
-				b.Fatal(err)
-			}
-			var seq atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					// A fresh laser power per query defeats the LRU
-					// while staying on the same warm basis.
-					pv := 1e-3 + float64(seq.Add(1))*1e-9
-					body := fmt.Sprintf(`{"chip": 25, "pvcsel": %g, "pheater": 1e-3}`, pv)
-					req := httptest.NewRequest(http.MethodPost, "/v1/gradient", strings.NewReader(body))
-					w := httptest.NewRecorder()
-					srv.ServeHTTP(w, req)
-					if w.Code != http.StatusOK {
-						b.Fatalf("HTTP %d: %s", w.Code, w.Body.String())
-					}
-				}
-			})
-		})
+	srv, err := serve.New(serve.Config{Specs: map[string]thermal.Spec{serve.DefaultSpec: spec}})
+	if err != nil {
+		b.Fatal(err)
 	}
+	b.Cleanup(srv.Close)
+	if err := srv.Warm(serve.DefaultSpec); err != nil {
+		b.Fatal(err)
+	}
+	var seq atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			// A fresh laser power per query defeats the LRU while
+			// staying on the same warm basis.
+			pv := 1e-3 + float64(seq.Add(1))*1e-9
+			body := fmt.Sprintf(`{"chip": 25, "pvcsel": %g, "pheater": 1e-3}`, pv)
+			req := httptest.NewRequest(http.MethodPost, "/v1/gradient", strings.NewReader(body))
+			w := httptest.NewRecorder()
+			srv.ServeHTTP(w, req)
+			if w.Code != http.StatusOK {
+				b.Fatalf("HTTP %d: %s", w.Code, w.Body.String())
+			}
+		}
+	})
 }
 
 // BenchmarkServeTracing measures the request-tracing overhead on the hot
-// query path: identical unbatched /v1/gradient traffic with span
+// query path: identical /v1/gradient traffic with span
 // recording on (the default) and off (DisableTracing). The delta between
 // the modes is the per-request cost of trace-id minting, span
 // timestamping and ring publication — expected well under 2% of ns/op,
@@ -902,7 +887,6 @@ func BenchmarkServeTracing(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			srv, err := serve.New(serve.Config{
 				Specs:          map[string]thermal.Spec{serve.DefaultSpec: spec},
-				BatchWindow:    -1,
 				DisableTracing: mode.disable,
 			})
 			if err != nil {

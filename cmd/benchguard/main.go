@@ -246,8 +246,8 @@ func loadMode(inputs, baselinePath, outPath, resolution string, writeBaseline bo
 		}
 		problems := loadreport.Gate(rep, b, maxRatio, slackMs)
 		if len(problems) == 0 {
-			fmt.Printf("ok    %-8s p99 %8.2f ms (baseline %8.2f)  shed %.3f (baseline %.3f)  coalesced %d\n",
-				shape, rep.Latency.P99, b.Latency.P99, rep.ShedRate, b.ShedRate, rep.ServerCoalesced)
+			fmt.Printf("ok    %-8s p99 %8.2f ms (baseline %8.2f)  shed %.3f (baseline %.3f)  evaluations %d\n",
+				shape, rep.Latency.P99, b.Latency.P99, rep.ShedRate, b.ShedRate, rep.ServerSolves)
 			continue
 		}
 		failed = true

@@ -66,7 +66,7 @@ func TestLoadModeRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	uniform := loadreport.Report{Shape: "uniform", DurationS: 5, Sent: 100, OK: 100, Latency: loadreport.Latency{P99: 40, Count: 100}}
 	hotkey := loadreport.Report{Shape: "hotkey", DurationS: 5, Sent: 200, OK: 150, Shed: 50, ShedRate: 0.25,
-		ServerCoalesced: 30, Latency: loadreport.Latency{P99: 25, Count: 200}}
+		ServerSolves: 30, Latency: loadreport.Latency{P99: 25, Count: 200}}
 	inputs := writeReport(t, dir, uniform) + "," + writeReport(t, dir, hotkey)
 
 	basePath := filepath.Join(dir, "LOAD_baseline.json")
@@ -83,7 +83,7 @@ func TestLoadModeRoundTrip(t *testing.T) {
 	if base.Resolution != "preview" || len(base.Runs) != 2 {
 		t.Fatalf("baseline = %+v", base)
 	}
-	if base.Runs["hotkey"].ServerCoalesced != 30 {
+	if base.Runs["hotkey"].ServerSolves != 30 {
 		t.Fatalf("hotkey run lost counters: %+v", base.Runs["hotkey"])
 	}
 

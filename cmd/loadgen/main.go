@@ -1,8 +1,8 @@
 // Command loadgen drives a running vcseld with synthetic gradient-query
 // traffic and emits a loadreport.Report JSON artifact: latency
 // percentiles and histogram, client-observed outcome counts (200 / 429 /
-// 5xx), server-side counter deltas (admitted, shed, coalesced, solves,
-// cache hits) scraped from /healthz around the run, and the server's own
+// 5xx), server-side counter deltas (admitted, shed, evaluations, cache
+// hits) scraped from /healthz around the run, and the server's own
 // latency-histogram delta with the client-vs-server percentile skew —
 // how much network and queueing the client pays on top of server time.
 //
@@ -14,8 +14,8 @@
 //	hotkey   a -hot-fraction share of requests hit one shared operating
 //	         point that rotates every -hot-rotate, so each rotation
 //	         epoch opens with a cold concurrent burst on a never-seen
-//	         point — the shape that proves query-granularity
-//	         coalescing (the rest of the traffic is uniform).
+//	         point and is then answered from the query LRU (the rest of
+//	         the traffic is uniform).
 //
 // The -expect flag turns the binary into its own CI assertion: a
 // comma-separated list of invariants checked after the run, exiting
@@ -25,13 +25,12 @@
 //	noshed    no 429 responses were observed
 //	shed      at least one 429 was observed (the offered rate exceeded
 //	          the admit rate, and the server actually defended itself)
-//	coalesce  the server's coalesced-queries counter moved
 //
 // Usage (mirrors the CI load job):
 //
 //	loadgen -url http://127.0.0.1:8080 -shape hotkey -duration 5s \
 //	    -concurrency 8 -rate 400 -clients 4 \
-//	    -expect no5xx,shed,coalesce -out load_hotkey.json
+//	    -expect no5xx,shed -out load_hotkey.json
 package main
 
 import (
@@ -66,7 +65,7 @@ func main() {
 	clients := flag.Int("clients", 4, "distinct X-Client-ID identities")
 	spec := flag.String("spec", "", "spec name to query (empty = server default)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout")
-	expect := flag.String("expect", "", "comma-separated post-run assertions: no5xx, noshed, shed, coalesce")
+	expect := flag.String("expect", "", "comma-separated post-run assertions: no5xx, noshed, shed")
 	out := flag.String("out", "", "write the report JSON here (\"\" = stdout only)")
 	flag.Parse()
 
@@ -216,8 +215,7 @@ func (g *generator) one(worker, i int) {
 // to a shared point whose index rotates every -hot-rotate. The epoch is
 // derived from the wall clock (not run start), so rotation points stay
 // fresh across repeated runs against one daemon and each epoch's first
-// concurrent wave hits a never-seen (cold) point — the condition under
-// which query coalescing is observable.
+// concurrent wave hits a never-seen (cold) point.
 func (g *generator) body(worker, i int) []byte {
 	idx := worker*31 + i
 	if g.shape == "hotkey" && float64(idx%100)/100 < g.hotFraction {
@@ -252,8 +250,7 @@ func (g *generator) report(before, after serve.SpecInfo) loadreport.Report {
 		ErrOther:        g.errOther.Load(),
 		ServerAdmitted:  after.Admitted - before.Admitted,
 		ServerShed:      after.Shed - before.Shed,
-		ServerCoalesced: after.CoalescedQueries - before.CoalescedQueries,
-		ServerSolves:    after.BatchedQueries - before.BatchedQueries,
+		ServerSolves:    after.Evaluations - before.Evaluations,
 		ServerCacheHits: after.CacheHits - before.CacheHits,
 	}
 	rep.Latency, rep.Hist = loadreport.Summarize(g.samples)
@@ -313,10 +310,6 @@ func check(rep loadreport.Report, expect string) []string {
 		case "shed":
 			if rep.Shed == 0 {
 				problems = append(problems, "shed: offered load above the admit rate produced zero 429s")
-			}
-		case "coalesce":
-			if rep.ServerCoalesced == 0 {
-				problems = append(problems, "coalesce: server coalesced-queries counter never moved")
 			}
 		default:
 			problems = append(problems, fmt.Sprintf("unknown -expect token %q", tok))

@@ -52,12 +52,12 @@ func TestBodyHotkeyRotates(t *testing.T) {
 
 // TestCheckExpectTokens pins the CI assertion surface.
 func TestCheckExpectTokens(t *testing.T) {
-	clean := loadreport.Report{Shed: 0, Err5xx: 0, ServerCoalesced: 3}
-	if p := check(clean, "no5xx,noshed,coalesce"); len(p) != 0 {
+	clean := loadreport.Report{Shed: 0, Err5xx: 0}
+	if p := check(clean, "no5xx,noshed"); len(p) != 0 {
 		t.Fatalf("clean run: %v", p)
 	}
-	overloaded := loadreport.Report{Shed: 10, ServerCoalesced: 5}
-	if p := check(overloaded, "no5xx,shed,coalesce"); len(p) != 0 {
+	overloaded := loadreport.Report{Shed: 10}
+	if p := check(overloaded, "no5xx,shed"); len(p) != 0 {
 		t.Fatalf("overloaded run: %v", p)
 	}
 	if p := check(clean, "shed"); len(p) != 1 {

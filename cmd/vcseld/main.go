@@ -9,17 +9,18 @@
 // Usage:
 //
 //	vcseld [-addr :8080] [-res fast] [-solver mg-cg] [-workers 0]
-//	       [-batch-window 1ms] [-cache 4096] [-max-bases 8] [-warm]
+//	       [-cache 4096] [-max-bases 8] [-warm]
 //	       [-admit-rate 0] [-admit-burst 0] [-client-rate 0] [-client-burst 0]
 //	       [-job-dir /var/lib/vcseld/jobs] [-job-checkpoint-every 25]
 //	       [-job-ttl 0] [-coordinator http://ctl:9090] [-advertise host:port]
 //	       [-log-level info] [-log-format text] [-no-trace]
 //
+// A superposition query evaluates inline on its request's goroutine in
+// tens of microseconds and its answer is memoised in a -cache sized LRU.
 // With -admit-rate (spec-wide) or -client-rate (per X-Client-ID / remote
 // host) set, cheap superposition queries pass an O(1) atomic admission
-// check; shed queries get HTTP 429 with a Retry-After header. Identical
-// in-flight queries share one solve, and warm bases beyond -max-bases
-// are evicted least-recently-used instead of refused.
+// check; shed queries get HTTP 429 with a Retry-After header. Warm bases
+// beyond -max-bases are evicted least-recently-used instead of refused.
 //
 // Endpoints (all JSON unless noted):
 //
@@ -27,7 +28,7 @@
 //	GET  /metrics             Prometheus text-format metrics (latency histograms included)
 //	GET  /debug/requests      recent request traces with per-phase spans
 //	GET  /v1/specs            registered spec registry
-//	POST /v1/gradient         batched superposition gradient query
+//	POST /v1/gradient         superposition gradient query
 //	POST /v1/feasibility      same body, 1 °C constraint verdict
 //	POST /v1/heater/optimal   golden-section heater optimisation
 //	POST /v1/snr              worst-case SNR for a placement case
@@ -89,7 +90,6 @@ func main() {
 	res := flag.String("res", "fast", "mesh resolution: preview, coarse, fast or paper")
 	solver := flag.String("solver", "", "sparse backend: one of "+strings.Join(sparse.Backends(), ", ")+" (default auto-selects per resolution)")
 	workers := flag.Int("workers", 0, "parallel solver/sweep workers (0 = all CPUs)")
-	batchWindow := flag.Duration("batch-window", serve.DefaultBatchWindow, "micro-batch collection window (negative disables batching)")
 	cacheSize := flag.Int("cache", serve.DefaultCacheSize, "query LRU capacity")
 	maxBases := flag.Int("max-bases", serve.DefaultMaxBases, "warm bases to hold per spec (least-recently-used shape evicted beyond)")
 	admitRate := flag.Float64("admit-rate", 0, "spec-wide admission rate for cheap queries (queries/s; 0 = unlimited, shed gets HTTP 429 + Retry-After)")
@@ -128,7 +128,6 @@ func main() {
 
 	srv, err := serve.New(serve.Config{
 		Specs:              map[string]thermal.Spec{serve.DefaultSpec: spec},
-		BatchWindow:        *batchWindow,
 		CacheSize:          *cacheSize,
 		MaxBases:           *maxBases,
 		AdmitRate:          *admitRate,

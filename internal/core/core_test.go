@@ -151,7 +151,7 @@ func TestEvictBasisRebuildDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(r1.T, r2.T) {
+	if !reflect.DeepEqual(r1.Field(), r2.Field()) {
 		t.Fatal("rebuilt basis evaluates to a different temperature field")
 	}
 
@@ -168,7 +168,7 @@ func TestEvictBasisRebuildDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(r2.T, r3.T) {
+	if !reflect.DeepEqual(r2.Field(), r3.Field()) {
 		t.Fatal("rebuilt basis differs from a fresh model's basis")
 	}
 	if !reflect.DeepEqual(r2.ONIs, r3.ONIs) {

@@ -55,7 +55,6 @@ func newWorker(t *testing.T, dir string, warm bool) (*serve.Server, *httptest.Se
 	t.Helper()
 	s, err := serve.New(serve.Config{
 		Specs:              map[string]thermal.Spec{serve.DefaultSpec: previewSpec(t)},
-		BatchWindow:        -1,
 		JobDir:             dir,
 		JobCheckpointEvery: 2,
 	})

@@ -184,7 +184,7 @@ func (r *registry) seen(url string, specs []serve.SpecInfo, jobCounts map[string
 		w.admitted += info.Admitted
 		w.shed += info.Shed
 		w.warmBases += info.WarmBases
-		// Extract the placement signal, then strip the histogram pointers:
+		// Extract the placement signal, then strip the histogram pointer:
 		// stored SpecInfos feed struct-equality consensus comparisons, and
 		// two workers' snapshot pointers would never compare equal.
 		if info.QueryLatency != nil {
@@ -192,7 +192,7 @@ func (r *registry) seen(url string, specs []serve.SpecInfo, jobCounts map[string
 				w.p99s = p
 			}
 		}
-		info.QueryLatency, info.BatchSize = nil, nil
+		info.QueryLatency = nil
 	}
 	w.specs = specs
 	if prev != StateAlive {

@@ -50,17 +50,16 @@ type Report struct {
 	Err5xx   int64 `json:"err_5xx"`
 	ErrOther int64 `json:"err_other"`
 	// Server-side deltas scraped from /healthz around the run.
+	// ServerSolves counts basis evaluations; every admitted query is a
+	// cache hit or one of them.
 	ServerAdmitted  int64 `json:"server_admitted"`
 	ServerShed      int64 `json:"server_shed"`
-	ServerCoalesced int64 `json:"server_coalesced"`
 	ServerSolves    int64 `json:"server_solves"`
 	ServerCacheHits int64 `json:"server_cache_hits"`
-	// Derived rates: ShedRate = client-observed 429 fraction of sent;
-	// CoalesceRate = coalesced fraction of OK answers.
-	ShedRate     float64  `json:"shed_rate"`
-	CoalesceRate float64  `json:"coalesce_rate"`
-	Latency      Latency  `json:"latency"`
-	Hist         []Bucket `json:"hist,omitempty"`
+	// ShedRate is the client-observed 429 fraction of sent.
+	ShedRate float64  `json:"shed_rate"`
+	Latency  Latency  `json:"latency"`
+	Hist     []Bucket `json:"hist,omitempty"`
 	// Server is the server's own view of the run, deltaed from the
 	// worker's /healthz latency histogram around it (absent against
 	// daemons that predate the histograms).
@@ -86,9 +85,6 @@ func (r *Report) Derive() {
 	if r.Sent > 0 {
 		r.ShedRate = float64(r.Shed) / float64(r.Sent)
 		r.SentQPS = float64(r.Sent) / r.DurationS
-	}
-	if r.OK > 0 {
-		r.CoalesceRate = float64(r.ServerCoalesced) / float64(r.OK)
 	}
 }
 

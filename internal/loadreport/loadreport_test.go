@@ -48,9 +48,9 @@ func TestSummarizeSmall(t *testing.T) {
 }
 
 func TestDerive(t *testing.T) {
-	r := Report{DurationS: 2, Sent: 100, OK: 80, Shed: 20, ServerCoalesced: 8}
+	r := Report{DurationS: 2, Sent: 100, OK: 80, Shed: 20}
 	r.Derive()
-	if r.ShedRate != 0.2 || r.CoalesceRate != 0.1 || r.SentQPS != 50 {
+	if r.ShedRate != 0.2 || r.SentQPS != 50 {
 		t.Fatalf("derived = %+v", r)
 	}
 }

@@ -99,7 +99,7 @@ func TestBitIdentityPin(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := fingerprint(iters, r.T); got != tc.want {
+			if got := fingerprint(iters, r.Field()); got != tc.want {
 				t.Errorf("%s unit field fingerprint %s, want %s", tc.name, got, tc.want)
 			}
 		}

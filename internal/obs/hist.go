@@ -16,9 +16,6 @@ var LatencyBuckets = []float64{
 	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// BatchSizeBuckets are the default micro-batch size bucket bounds.
-var BatchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64}
-
 // Histogram is a fixed-bucket histogram safe for concurrent Observe.
 // Counters are plain atomics; there is no lock anywhere on the observe
 // path. The last implicit bucket is +Inf.

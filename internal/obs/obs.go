@@ -175,22 +175,6 @@ func (s Span) SetAttr(key string, v float64) {
 	rec.Attrs = append(rec.Attrs, Attr{Key: key, Value: v})
 }
 
-// AddSpan records an already-measured interval (e.g. a wait measured by
-// the micro-batcher). The returned handle only serves SetAttr.
-func (t *Trace) AddSpan(name string, start time.Time, d time.Duration) Span {
-	if t == nil || t.n >= maxSpans {
-		return Span{}
-	}
-	idx := t.n
-	t.spans[idx] = SpanRec{
-		Name:       name,
-		StartUS:    start.Sub(t.start).Microseconds(),
-		DurationUS: d.Microseconds(),
-	}
-	t.n++
-	return Span{t: t, idx: idx, start: start}
-}
-
 // Finish seals the trace into its wire record. The span slice is copied
 // so the Trace can be dropped immediately.
 func (t *Trace) Finish(status int) TraceRecord {

@@ -93,11 +93,6 @@ func admitServer(t *testing.T, cfg Config) *Server {
 		t.Fatal(err)
 	}
 	spec.Res = thermal.PreviewResolution()
-	// Explicit worker count: the batcher's early-flush threshold tracks
-	// it, and on a single-CPU runner the default (GOMAXPROCS) would make
-	// every 1-job batch flush instantly — defeating the coalescing
-	// window the tests rely on.
-	spec.Workers = 4
 	cfg.Specs = map[string]thermal.Spec{DefaultSpec: spec}
 	s, err := New(cfg)
 	if err != nil {
@@ -123,7 +118,7 @@ func postAs(s *Server, client, body string) *httptest.ResponseRecorder {
 // burst 2 admits two instantaneous queries and sheds the third with the
 // JSON envelope, a positive Retry-After header and retry_after_ms.
 func TestAdmissionShed(t *testing.T) {
-	s := admitServer(t, Config{BatchWindow: -1, AdmitRate: 1, AdmitBurst: 2})
+	s := admitServer(t, Config{AdmitRate: 1, AdmitBurst: 2})
 	const q = `{"chip": 25, "pvcsel": 2e-3, "pheater": 0.6e-3}`
 	for i := 0; i < 2; i++ {
 		if w := postAs(s, "c1", q); w.Code != http.StatusOK {
@@ -160,7 +155,7 @@ func TestAdmissionShed(t *testing.T) {
 // TestAdmissionPerClient: one greedy client exhausting its own bucket
 // must not shed its neighbours.
 func TestAdmissionPerClient(t *testing.T) {
-	s := admitServer(t, Config{BatchWindow: -1, ClientRate: 0.5, ClientBurst: 1})
+	s := admitServer(t, Config{ClientRate: 0.5, ClientBurst: 1})
 	const q = `{"chip": 25, "pvcsel": 2e-3, "pheater": 0.6e-3}`
 	if w := postAs(s, "greedy", q); w.Code != http.StatusOK {
 		t.Fatalf("greedy first query: %d", w.Code)
@@ -216,14 +211,13 @@ func TestAdmissionClientOverflow(t *testing.T) {
 	}
 }
 
-// TestAdmissionHammer mixes admitted, shed, coalesced and cached queries
+// TestAdmissionHammer mixes admitted, shed, evaluated and cached queries
 // on one hot spec from many goroutines — the -race test of the admission
 // hot path. Every response must be 200 or a well-formed 429, and the
 // admission ledger must balance exactly.
 func TestAdmissionHammer(t *testing.T) {
 	s := admitServer(t, Config{
-		BatchWindow: DefaultBatchWindow,
-		AdmitRate:   200, AdmitBurst: 16,
+		AdmitRate: 200, AdmitBurst: 16,
 		ClientRate: 100, ClientBurst: 8,
 	})
 	bodies := []string{
@@ -267,12 +261,9 @@ func TestAdmissionHammer(t *testing.T) {
 	if admitted+shed != workers*rounds {
 		t.Fatalf("admission ledger %d admitted + %d shed != %d requests", admitted, shed, workers*rounds)
 	}
-	// Every admitted query was answered by a solve, a coalesced share of
-	// one, or a cache hit.
-	_, queries := st.batch.Stats()
+	// Every admitted query was answered by a cache hit or an evaluation.
 	hits, _ := st.cache.Stats()
-	if queries+st.flights.Coalesced()+hits < admitted {
-		t.Fatalf("solves %d + coalesced %d + hits %d < admitted %d",
-			queries, st.flights.Coalesced(), hits, admitted)
+	if evals := st.evals.Load(); hits+evals != admitted {
+		t.Fatalf("cache hits %d + evaluations %d != admitted %d", hits, evals, admitted)
 	}
 }

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
-
-	"vcselnoc/internal/thermal"
 )
 
 // TestLRUEviction: capacity bounds the cache and evicts least recently
@@ -105,103 +102,5 @@ func TestCacheKeyCanonicalisation(t *testing.T) {
 			t.Fatalf("scenarios %d and %d collide on %q", i, j, k)
 		}
 		seen[k] = i
-	}
-}
-
-// TestBatcherWindowCollects: submissions inside one window share a
-// flush.
-func TestBatcherWindowCollects(t *testing.T) {
-	skipShort(t)
-	spec, err := thermal.PaperSpec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.Res = thermal.PreviewResolution()
-	model, err := thermal.NewModel(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	basis, err := model.BuildBasis(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Explicit pool of 4: the early-flush threshold stays below the job
-	// count even on single-CPU machines (workers 0 would resolve the
-	// threshold to GOMAXPROCS).
-	b := newBatcher(20*time.Millisecond, 4)
-	const n = 6
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := b.Submit(basis, thermal.Powers{Chip: 25, VCSEL: float64(i+1) * 1e-3})
-			if err == nil && res.MeanONITemp() <= 25 {
-				err = fmt.Errorf("implausible temp %g", res.MeanONITemp())
-			}
-			errs[i] = err
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("job %d: %v", i, err)
-		}
-	}
-	batches, queries := b.Stats()
-	if queries != n {
-		t.Fatalf("queries = %d, want %d", queries, n)
-	}
-	if batches >= n {
-		t.Fatalf("no batching happened: %d batches for %d queries", batches, n)
-	}
-
-	// Unbatched mode answers inline, one "batch" per query.
-	ub := newBatcher(0, 0)
-	if _, err := ub.Submit(basis, thermal.Powers{Chip: 25}); err != nil {
-		t.Fatal(err)
-	}
-	if batches, queries := ub.Stats(); batches != 1 || queries != 1 {
-		t.Fatalf("unbatched stats = %d/%d", batches, queries)
-	}
-}
-
-// TestBatcherIsolatesErrors: one invalid job must not poison its
-// batchmates.
-func TestBatcherIsolatesErrors(t *testing.T) {
-	skipShort(t)
-	spec, err := thermal.PaperSpec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.Res = thermal.PreviewResolution()
-	model, err := thermal.NewModel(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	basis, err := model.BuildBasis(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := newBatcher(20*time.Millisecond, 0)
-	var wg sync.WaitGroup
-	var goodErr, badErr error
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		_, goodErr = b.Submit(basis, thermal.Powers{Chip: 25, VCSEL: 2e-3})
-	}()
-	go func() {
-		defer wg.Done()
-		_, badErr = b.Submit(basis, thermal.Powers{Chip: -1}) // invalid
-	}()
-	wg.Wait()
-	if goodErr != nil {
-		t.Fatalf("good job failed alongside bad batchmate: %v", goodErr)
-	}
-	if badErr == nil {
-		t.Fatal("invalid powers accepted")
 	}
 }

@@ -484,13 +484,8 @@ func (jm *jobManager) run(j *transientJob, cp *fvm.TransientCheckpoint) {
 			return
 		}
 	}
-	res, err := run.Result()
-	if err != nil {
-		jm.fail(j, err)
-		return
-	}
 	result := &TransientJobResult{
-		QueryResponse:    summarise(res),
+		QueryResponse:    summarise(run.Result()),
 		FieldFingerprint: run.FieldFingerprint(),
 		TimeS:            run.Time(),
 	}

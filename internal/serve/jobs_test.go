@@ -27,7 +27,6 @@ func jobServer(t *testing.T, dir string) *Server {
 	spec.Res = thermal.PreviewResolution()
 	s, err := New(Config{
 		Specs:              map[string]thermal.Spec{DefaultSpec: spec},
-		BatchWindow:        -1,
 		JobDir:             dir,
 		JobCheckpointEvery: 2,
 	})
@@ -184,11 +183,7 @@ func TestTransientJobLifecycle(t *testing.T) {
 	if got := run.FieldFingerprint(); got != st.Result.FieldFingerprint {
 		t.Errorf("job field fingerprint %s != in-process %s", st.Result.FieldFingerprint, got)
 	}
-	res, err := run.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := summarise(res); !reflect.DeepEqual(st.Result.QueryResponse, want) {
+	if want := summarise(run.Result()); !reflect.DeepEqual(st.Result.QueryResponse, want) {
 		t.Errorf("job summary %+v != in-process %+v", st.Result.QueryResponse, want)
 	}
 
@@ -464,7 +459,6 @@ func TestJobTTLGC(t *testing.T) {
 	spec.Res = thermal.PreviewResolution()
 	s, err := New(Config{
 		Specs:              map[string]thermal.Spec{DefaultSpec: spec},
-		BatchWindow:        -1,
 		JobDir:             dir,
 		JobCheckpointEvery: 2,
 		JobTTL:             50 * time.Millisecond,
@@ -590,7 +584,7 @@ func TestTransientJobBadResume(t *testing.T) {
 }
 
 // TestMetricsEndpoint: the Prometheus text endpoint must expose the
-// cache, basis, batch and job-state series.
+// cache, basis, evaluation and job-state series.
 func TestMetricsEndpoint(t *testing.T) {
 	skipShort(t)
 	s := jobServer(t, "")
@@ -616,7 +610,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"vcseld_uptime_seconds",
 		`vcseld_cache_misses_total{spec="default"} 1`,
 		`vcseld_basis_builds_total{spec="default"} 1`,
-		`vcseld_batches_total{spec="default"}`,
+		`vcseld_evaluations_total{spec="default"} 1`,
 		`vcseld_jobs{state="done"} 1`,
 		`vcseld_jobs{state="failed"} 0`,
 		"vcseld_job_steps_total 3",

@@ -2,7 +2,7 @@ package serve
 
 // Prometheus text-format metrics (exposition format 0.0.4), stdlib only:
 // the handler renders the same warm-state statistics /healthz reports —
-// query-cache hits/misses, basis builds, micro-batch counters — plus the
+// query-cache hits/misses, basis builds, evaluations — plus the
 // transient-job state gauge and step counter, in a form scrapers ingest
 // directly.
 
@@ -44,12 +44,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"vcseld_cache_misses_total", "Query LRU misses.", func(i SpecInfo) float64 { return float64(i.CacheMisses) }, true},
 		{"vcseld_cache_entries", "Query LRU occupancy.", func(i SpecInfo) float64 { return float64(i.CacheLen) }, false},
 		{"vcseld_basis_builds_total", "Superposition basis builds executed.", func(i SpecInfo) float64 { return float64(i.BasisBuilds) }, true},
-		{"vcseld_batches_total", "Micro-batch flushes.", func(i SpecInfo) float64 { return float64(i.Batches) }, true},
-		{"vcseld_batched_queries_total", "Queries carried by micro-batches (divide by vcseld_batches_total for the mean batch size).", func(i SpecInfo) float64 { return float64(i.BatchedQueries) }, true},
+		{"vcseld_evaluations_total", "Superposition basis evaluations (query cache misses and map slices).", func(i SpecInfo) float64 { return float64(i.Evaluations) }, true},
 		{"vcseld_model_cells", "Mesh cells of the warm model (0 until the first query builds it).", func(i SpecInfo) float64 { return float64(i.Cells) }, false},
 		{"vcseld_admitted_total", "Hot-path queries admitted by admission control.", func(i SpecInfo) float64 { return float64(i.Admitted) }, true},
 		{"vcseld_shed_total", "Hot-path queries shed with HTTP 429.", func(i SpecInfo) float64 { return float64(i.Shed) }, true},
-		{"vcseld_coalesced_queries_total", "Queries that shared an identical in-flight query's solve.", func(i SpecInfo) float64 { return float64(i.CoalescedQueries) }, true},
 		{"vcseld_admission_clients", "Per-client admission buckets currently tracked.", func(i SpecInfo) float64 { return float64(i.Clients) }, false},
 		{"vcseld_warm_bases", "Warm superposition bases held (bounded LRU).", func(i SpecInfo) float64 { return float64(i.WarmBases) }, false},
 		{"vcseld_basis_evictions_total", "Least-recently-used basis evictions.", func(i SpecInfo) float64 { return float64(i.BasisEvictions) }, true},
@@ -81,11 +79,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		st.latSweep.WritePrometheus(&b, "vcseld_query_duration_seconds",
 			fmt.Sprintf("spec=%q,class=%q", name, "sweep"))
 	}
-	histogram("vcseld_batch_size", "Queries per micro-batch flush.")
-	for _, name := range names {
-		s.specs[name].batchSize.WritePrometheus(&b, "vcseld_batch_size", fmt.Sprintf("spec=%q", name))
-	}
-
 	gauge("vcseld_jobs", "Transient jobs by lifecycle state.")
 	states := s.jobs.stateCounts()
 	for _, state := range []string{JobQueued, JobRunning, JobDone, JobFailed} {

@@ -200,10 +200,10 @@ func labelsWithoutLe(s promSample) string {
 
 func TestMetricsPrometheusConformance(t *testing.T) {
 	skipShort(t)
-	s := testServer(t, -1)
+	s := testServer(t)
 	t.Cleanup(s.Close)
-	// Populate the latency and batch-size histograms with a real query so
-	// the conformance check sees non-empty bucket series.
+	// Populate the latency histogram with a real query so the
+	// conformance check sees non-empty bucket series.
 	if w := postJSON(t, s, "/v1/gradient", `{"chip": 25, "pvcsel": 2e-3}`); w.Code != http.StatusOK {
 		t.Fatalf("seed query failed: %d (%s)", w.Code, w.Body.String())
 	}
@@ -316,7 +316,7 @@ func TestMetricsPrometheusConformance(t *testing.T) {
 
 	// The series the ops runbook and the fleet scraper key on.
 	for _, want := range []string{
-		"vcseld_query_duration_seconds", "vcseld_batch_size", "vcseld_jobs",
+		"vcseld_query_duration_seconds", "vcseld_evaluations_total", "vcseld_jobs",
 	} {
 		if typ[want] == "" {
 			t.Errorf("family %s missing from /metrics", want)

@@ -7,11 +7,12 @@
 //
 // The server answers JSON queries for intra-ONI gradients and
 // feasibility, heater optimisation, worst-case SNR scenarios,
-// thermal-map slices and paginated sweep grids. Cheap superposition
-// queries are micro-batched (concurrent requests within ~1 ms evaluate
-// as one worker-pool fan-out) and memoised in a bounded LRU keyed on the
-// canonicalised scenario; basis builds are deduplicated single-flight so
-// a cold spec never builds twice however many clients hit it at once.
+// thermal-map slices and paginated sweep grids. A superposition query
+// costs tens of microseconds (the basis is projected onto the report's
+// functionals when it is built), so each request evaluates inline on its
+// own goroutine; answers are memoised in a bounded LRU keyed on the
+// canonicalised scenario, and basis builds are deduplicated single-flight
+// so a cold spec never builds twice however many clients hit it at once.
 //
 // The same package holds the scatter/gather ShardClient that partitions
 // design-space sweep grids across a fleet of these servers (see
@@ -44,11 +45,6 @@ import (
 // DefaultSpec is the registry name a scenario with an empty Spec field
 // addresses.
 const DefaultSpec = "default"
-
-// DefaultBatchWindow is the micro-batch collection window: long enough
-// to gather a concurrent burst, short enough to be invisible next to a
-// basis evaluation.
-const DefaultBatchWindow = time.Millisecond
 
 // DefaultCacheSize bounds the per-spec query LRU.
 const DefaultCacheSize = 4096
@@ -88,9 +84,6 @@ type Config struct {
 	// SNR is the technology configuration for SNR queries; the zero
 	// value selects snr.DefaultConfig.
 	SNR snr.Config
-	// BatchWindow is the micro-batch collection window; 0 selects
-	// DefaultBatchWindow, negative disables batching.
-	BatchWindow time.Duration
 	// CacheSize bounds each spec's query LRU; 0 selects
 	// DefaultCacheSize, negative disables caching (capacity 1).
 	CacheSize int
@@ -157,8 +150,7 @@ type Server struct {
 	// sweepSem bounds concurrent sweep evaluations server-wide: each
 	// sweep fans out across a full worker pool, so without a bound N
 	// concurrent sweep requests oversubscribe the CPU N-fold. Cheap
-	// point queries go through the micro-batcher instead and are not
-	// gated here.
+	// point queries evaluate inline and are gated by admission instead.
 	sweepSem chan struct{}
 	// jobs owns the async transient jobs (see jobs.go).
 	jobs *jobManager
@@ -188,11 +180,10 @@ type specState struct {
 
 	snrCfg snr.Config
 	cache  *lruCache
-	batch  *batcher
-	// adm gates the cheap-query hot path (nil = admission disabled);
-	// flights deduplicates identical in-flight queries.
-	adm     *admission
-	flights *flightGroup
+	// adm gates the cheap-query hot path (nil = admission disabled).
+	adm *admission
+	// evals counts basis evaluations (gradient misses and maps).
+	evals atomic.Int64
 
 	// basisMu guards the LRU over warm bases: basisOrder (front = most
 	// recently used) and basisIdx bound how many distinct activity
@@ -205,13 +196,11 @@ type specState struct {
 	maxBases       int
 	basisEvictions atomic.Int64
 
-	// latQuery/latSweep/batchSize are the always-on server-side
-	// histograms behind /metrics and the /healthz snapshots: request
-	// latency by endpoint class, and flushed micro-batch sizes.
-	latQuery  *obs.Histogram
-	latSweep  *obs.Histogram
-	batchSize *obs.Histogram
-	logger    *slog.Logger
+	// latQuery/latSweep are the always-on server-side request latency
+	// histograms by endpoint class behind /metrics and /healthz.
+	latQuery *obs.Histogram
+	latSweep *obs.Histogram
+	logger   *slog.Logger
 }
 
 // basisSlot is one warm activity shape in the basis LRU; the resolved
@@ -245,9 +234,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.SNR == (snr.Config{}) {
 		cfg.SNR = snr.DefaultConfig()
-	}
-	if cfg.BatchWindow == 0 {
-		cfg.BatchWindow = DefaultBatchWindow
 	}
 	if cfg.CacheSize == 0 {
 		cfg.CacheSize = DefaultCacheSize
@@ -283,18 +269,14 @@ func New(cfg Config) (*Server, error) {
 			spec:       spec,
 			snrCfg:     cfg.SNR,
 			cache:      newLRUCache(cfg.CacheSize),
-			batch:      newBatcher(cfg.BatchWindow, spec.Workers),
 			adm:        newAdmission(cfg),
-			flights:    newFlightGroup(),
 			basisOrder: list.New(),
 			basisIdx:   make(map[string]*list.Element),
 			maxBases:   cfg.MaxBases,
 			latQuery:   obs.NewHistogram(obs.LatencyBuckets),
 			latSweep:   obs.NewHistogram(obs.LatencyBuckets),
-			batchSize:  obs.NewHistogram(obs.BatchSizeBuckets),
 			logger:     cfg.Logger,
 		}
-		st.batch.sizeHist = st.batchSize
 		s.specs[name] = st
 	}
 	s.jobs = newJobManager(s, cfg)
@@ -548,9 +530,8 @@ func (st *specState) resolveBasis(sc Scenario) (*thermal.Basis, error) {
 
 // handleGradient answers the cheap superposition query — the serving hot
 // path, in admission order: one O(1) atomic admission check (429 +
-// Retry-After on shed, before any solver work), then the LRU, then
-// query-granularity single-flight around a micro-batched basis
-// evaluation so identical in-flight scenarios share one solve.
+// Retry-After on shed, before any solver work), then the LRU, then an
+// inline basis evaluation.
 func (s *Server) handleGradient(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	traceID := r.Header.Get(obs.TraceHeader)
@@ -615,38 +596,30 @@ func (s *Server) handleGradient(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The scenario was fully validated above, so an evaluation error
-	// here is the server's fault, not the client's. Identical scenarios
-	// racing this one wait for — and share — this evaluation; only the
-	// leader's goroutine runs the closure, so the leader's trace gets the
-	// batch_wait/solve split and followers record one coalesce_wait.
-	flightStart := time.Now()
-	resp, shared, err := st.flights.do(key, func() (QueryResponse, error) {
-		subStart := time.Now()
-		res, wait, eval, err := st.batch.SubmitTimed(basis, sc.powers())
-		if err != nil {
-			return QueryResponse{}, err
-		}
-		tr.AddSpan("batch_wait", subStart, wait)
-		solve := tr.AddSpan("solve", subStart.Add(wait), eval)
-		solve.SetAttr("mg_iters", float64(bs.Iterations))
-		resp := summarise(res)
-		st.cache.Add(key, resp)
-		return resp, nil
-	})
+	// here is the server's fault, not the client's.
+	sp = tr.StartSpan("solve")
+	res, err := st.evaluate(basis, sc.powers())
+	sp.SetAttr("mg_iters", float64(bs.Iterations))
+	sp.End()
 	if err != nil {
 		fail(err)
 		return
 	}
-	if shared {
-		tr.AddSpan("coalesce_wait", flightStart, time.Since(flightStart))
-	}
+	resp := summarise(res)
+	st.cache.Add(key, resp)
 	resp.TraceID = traceID
 	writeJSON(w, resp)
 	st.latQuery.Observe(time.Since(start).Seconds())
 	s.publish(tr, http.StatusOK)
 	s.logger.Debug("query",
-		"trace_id", traceID, "spec", st.name, "cached", false, "shared", shared,
+		"trace_id", traceID, "spec", st.name, "cached", false,
 		"duration_ms", msSince(start))
+}
+
+// evaluate runs one basis evaluation and counts it.
+func (st *specState) evaluate(basis *thermal.Basis, p thermal.Powers) (*thermal.Result, error) {
+	st.evals.Add(1)
+	return basis.Evaluate(p)
 }
 
 // msSince renders an elapsed time in fractional milliseconds for logs.
@@ -780,7 +753,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	if layer == "" {
 		layer = stack.LayerOptical
 	}
-	res, err := st.batch.Submit(basis, req.powers())
+	res, err := st.evaluate(basis, req.powers())
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -969,12 +942,10 @@ func (s *Server) specInfos() []SpecInfo {
 		hits, misses := st.cache.Stats()
 		info.CacheHits, info.CacheMisses = hits, misses
 		info.CacheLen = st.cache.Len()
-		info.Batches, info.BatchedQueries = st.batch.Stats()
+		info.Evaluations = st.evals.Load()
 		info.Admitted, info.Shed, info.Clients = st.adm.stats()
-		info.CoalescedQueries = st.flights.Coalesced()
 		info.BasisEvictions = st.basisEvictions.Load()
 		info.QueryLatency = st.latQuery.Snapshot()
-		info.BatchSize = st.batchSize.Snapshot()
 		st.basisMu.Lock()
 		info.WarmBases = st.basisOrder.Len()
 		st.basisMu.Unlock()

@@ -9,14 +9,13 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"vcselnoc/internal/thermal"
 )
 
 // testServer builds a preview-resolution server (cold: no model built
-// yet) with the given batch window.
-func testServer(t *testing.T, window time.Duration) *Server {
+// yet).
+func testServer(t *testing.T) *Server {
 	t.Helper()
 	spec, err := thermal.PaperSpec()
 	if err != nil {
@@ -24,9 +23,8 @@ func testServer(t *testing.T, window time.Duration) *Server {
 	}
 	spec.Res = thermal.PreviewResolution()
 	s, err := New(Config{
-		Specs:       map[string]thermal.Spec{DefaultSpec: spec},
-		BatchWindow: window,
-		CacheSize:   64,
+		Specs:     map[string]thermal.Spec{DefaultSpec: spec},
+		CacheSize: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +66,7 @@ func decodeBody[T any](t *testing.T, w *httptest.ResponseRecorder) T {
 // empty body.
 func TestBadInputs(t *testing.T) {
 	skipShort(t)
-	s := testServer(t, -1)
+	s := testServer(t)
 	cases := []struct {
 		name, path, body string
 		wantStatus       int
@@ -116,9 +114,8 @@ func TestBasisEvictionLRU(t *testing.T) {
 	}
 	spec.Res = thermal.PreviewResolution()
 	s, err := New(Config{
-		Specs:       map[string]thermal.Spec{DefaultSpec: spec},
-		BatchWindow: -1,
-		MaxBases:    2,
+		Specs:    map[string]thermal.Spec{DefaultSpec: spec},
+		MaxBases: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +186,7 @@ func TestBasisEvictionLRU(t *testing.T) {
 // TestMethodNotAllowed: the mux's method patterns must reject a GET on a
 // POST endpoint.
 func TestMethodNotAllowed(t *testing.T) {
-	s := testServer(t, -1)
+	s := testServer(t)
 	req := httptest.NewRequest(http.MethodGet, "/v1/gradient", nil)
 	w := httptest.NewRecorder()
 	s.ServeHTTP(w, req)
@@ -203,7 +200,7 @@ func TestMethodNotAllowed(t *testing.T) {
 // different operating point misses again.
 func TestGradientCacheHitMiss(t *testing.T) {
 	skipShort(t)
-	s := testServer(t, -1)
+	s := testServer(t)
 	const q = `{"chip": 25, "pvcsel": 2e-3, "pheater": 0.6e-3}`
 
 	w := postJSON(t, s, "/v1/gradient", q)
@@ -248,7 +245,7 @@ func TestGradientCacheHitMiss(t *testing.T) {
 // TestSingleFlightBasisBuild: N concurrent queries against a cold spec
 // must trigger exactly one model build and one basis build.
 func TestSingleFlightBasisBuild(t *testing.T) {
-	s := testServer(t, DefaultBatchWindow)
+	s := testServer(t)
 	const n = 16
 	var wg sync.WaitGroup
 	errs := make([]error, n)
@@ -289,7 +286,7 @@ func TestSingleFlightBasisBuild(t *testing.T) {
 // TestConcurrentMixedQueries hammers a warm server from many goroutines
 // across endpoint kinds — the -race test of the serving hot path.
 func TestConcurrentMixedQueries(t *testing.T) {
-	s := testServer(t, DefaultBatchWindow)
+	s := testServer(t)
 	if err := s.Warm(DefaultSpec); err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +338,7 @@ func TestConcurrentMixedQueries(t *testing.T) {
 // warm-up.
 func TestHealthAndSpecs(t *testing.T) {
 	skipShort(t)
-	s := testServer(t, -1)
+	s := testServer(t)
 
 	req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
 	w := httptest.NewRecorder()
@@ -372,7 +369,7 @@ func TestHealthAndSpecs(t *testing.T) {
 // TestMapEndpoint sanity-checks a layer slice.
 func TestMapEndpoint(t *testing.T) {
 	skipShort(t)
-	s := testServer(t, -1)
+	s := testServer(t)
 	w := postJSON(t, s, "/v1/map", `{"chip": 25, "pvcsel": 2e-3}`)
 	if w.Code != http.StatusOK {
 		t.Fatalf("map: %d (%s)", w.Code, w.Body.String())
@@ -389,7 +386,7 @@ func TestMapEndpoint(t *testing.T) {
 // TestSNREndpoint runs the full chain once.
 func TestSNREndpoint(t *testing.T) {
 	skipShort(t)
-	s := testServer(t, -1)
+	s := testServer(t)
 	w := postJSON(t, s, "/v1/snr", `{"chip": 24, "pvcsel": 3.6e-3, "pheater": 1.08e-3, "case": 1}`)
 	if w.Code != http.StatusOK {
 		t.Fatalf("snr: %d (%s)", w.Code, w.Body.String())
@@ -404,7 +401,7 @@ func TestSNREndpoint(t *testing.T) {
 // rows of the full grid.
 func TestSweepPagination(t *testing.T) {
 	skipShort(t)
-	s := testServer(t, -1)
+	s := testServer(t)
 	full := postJSON(t, s, "/v1/sweep/gradient",
 		`{"chip": 25, "lasers": [1e-3, 2e-3, 3e-3], "heaters": [0, 1e-3]}`)
 	if full.Code != http.StatusOK {

@@ -27,9 +27,8 @@ func TestTraceEndToEnd(t *testing.T) {
 	spec.Res = thermal.PreviewResolution()
 	spec.Solver = sparse.BackendMGCG
 	s, err := New(Config{
-		Specs:       map[string]thermal.Spec{DefaultSpec: spec},
-		BatchWindow: -1,
-		CacheSize:   64,
+		Specs:     map[string]thermal.Spec{DefaultSpec: spec},
+		CacheSize: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -115,6 +114,11 @@ func TestTraceEndToEnd(t *testing.T) {
 			t.Errorf("trace is missing the %q span (have %v)", want, spanNames(rec.Spans))
 		}
 	}
+	for _, gone := range []string{"batch_wait", "coalesce_wait"} {
+		if _, ok := spans[gone]; ok {
+			t.Errorf("trace has a %q span; queries evaluate inline", gone)
+		}
+	}
 	if sp := spans["solve"]; sp.DurationUS <= 0 {
 		t.Errorf("solve span duration = %d µs, want > 0", sp.DurationUS)
 	}
@@ -159,7 +163,6 @@ func TestTracingDisabled(t *testing.T) {
 	spec.Res = thermal.PreviewResolution()
 	s, err := New(Config{
 		Specs:          map[string]thermal.Spec{DefaultSpec: spec},
-		BatchWindow:    -1,
 		DisableTracing: true,
 	})
 	if err != nil {

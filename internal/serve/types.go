@@ -110,7 +110,7 @@ type QueryResponse struct {
 	// Cached marks answers served from the query LRU.
 	Cached bool `json:"cached"`
 	// TraceID echoes the request's X-Trace-ID (set per request, never
-	// cached or shared between coalesced callers' envelopes).
+	// cached).
 	TraceID string `json:"trace_id,omitempty"`
 }
 
@@ -328,30 +328,24 @@ type SpecInfo struct {
 	CacheHits   int64 `json:"cache_hits"`
 	CacheMisses int64 `json:"cache_misses"`
 	CacheLen    int   `json:"cache_len"`
-	// Batches and BatchedQueries count micro-batch flushes and the
-	// queries they carried. BatchedQueries is also the spec's solve
-	// count: every evaluation that actually ran went through the
-	// batcher, so admitted − cache hits − coalesced ≈ BatchedQueries.
-	Batches        int64 `json:"batches"`
-	BatchedQueries int64 `json:"batched_queries"`
+	// Evaluations counts the basis evaluations the spec ran (gradient
+	// and feasibility cache misses, map slices): every admitted query is
+	// a cache hit or an evaluation.
+	Evaluations int64 `json:"evaluations"`
 	// Admitted and Shed count hot-path queries through admission control
 	// (both zero when admission is disabled); Clients is the tracked
 	// per-client bucket count.
 	Admitted int64 `json:"admitted"`
 	Shed     int64 `json:"shed"`
 	Clients  int   `json:"clients"`
-	// CoalescedQueries counts queries that shared another identical
-	// in-flight query's solve (query-granularity single-flight).
-	CoalescedQueries int64 `json:"coalesced_queries"`
 	// WarmBases and BasisEvictions describe the bounded basis LRU.
 	WarmBases      int   `json:"warm_bases"`
 	BasisEvictions int64 `json:"basis_evictions"`
-	// QueryLatency and BatchSize mirror the server's /metrics histograms
-	// in compact form so fleet placement can score workers by observed
-	// tail latency. Pointer fields keep SpecInfo comparable (and are
-	// stripped before mesh-fingerprint consensus comparisons).
+	// QueryLatency mirrors the server's /metrics latency histogram in
+	// compact form so fleet placement can score workers by observed tail
+	// latency. The pointer keeps SpecInfo comparable (and is stripped
+	// before mesh-fingerprint consensus comparisons).
 	QueryLatency *obs.HistSnapshot `json:"query_latency,omitempty"`
-	BatchSize    *obs.HistSnapshot `json:"batch_size,omitempty"`
 }
 
 // Health is the /healthz body.

@@ -55,21 +55,22 @@ func (r *Result) LayerSlice(layerName string) (*LayerMap, error) {
 	for j := 0; j < g.NY(); j++ {
 		m.Y[j] = g.CellCenter(0, j, 0).Y
 	}
+	t := r.Field()
 	m.T = make([][]float64, g.NY())
 	for j := 0; j < g.NY(); j++ {
 		m.T[j] = make([]float64, g.NX())
 		for i := 0; i < g.NX(); i++ {
 			var sum float64
 			for _, k := range ks {
-				sum += r.T[g.Index(i, j, k)]
+				sum += t[g.Index(i, j, k)]
 			}
-			t := sum / float64(len(ks))
-			m.T[j][i] = t
-			if t < m.Min {
-				m.Min = t
+			v := sum / float64(len(ks))
+			m.T[j][i] = v
+			if v < m.Min {
+				m.Min = v
 			}
-			if t > m.Max {
-				m.Max = t
+			if v > m.Max {
+				m.Max = v
 			}
 		}
 	}

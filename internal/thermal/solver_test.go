@@ -45,23 +45,13 @@ func TestBuildBasisParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs := []struct {
-		name             string
-		serial, parallel []float64
-	}{
-		{"chip", serial.chip, parallel.chip},
-		{"vcsel", serial.vcsel, parallel.vcsel},
-		{"driver", serial.driver, parallel.driver},
-		{"heater", serial.heater, parallel.heater},
+	if len(serial.unit) != len(parallel.unit) {
+		t.Fatalf("length %d vs %d", len(serial.unit), len(parallel.unit))
 	}
-	for _, pr := range pairs {
-		if len(pr.serial) != len(pr.parallel) {
-			t.Fatalf("%s: length %d vs %d", pr.name, len(pr.serial), len(pr.parallel))
-		}
-		for i := range pr.serial {
-			if math.Abs(pr.serial[i]-pr.parallel[i]) > 1e-9 {
-				t.Fatalf("%s basis differs at cell %d: serial %g vs parallel %g",
-					pr.name, i, pr.serial[i], pr.parallel[i])
+	for g, name := range []string{"chip", "vcsel", "driver", "heater"} {
+		for i := range serial.unit {
+			if s, p := serial.unit[i][g], parallel.unit[i][g]; math.Abs(s-p) > 1e-9 {
+				t.Fatalf("%s basis differs at cell %d: serial %g vs parallel %g", name, i, s, p)
 			}
 		}
 	}
@@ -86,7 +76,7 @@ func TestSolverBackendsAgreeOnModel(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", backend, err)
 		}
-		fields[backend] = res.T
+		fields[backend] = res.Field()
 		ambient = spec.Ambient
 	}
 	ref := fields["jacobi-cg"]

@@ -10,6 +10,14 @@
 // heaters) from which any (P_chip, P_VCSEL, P_driver, P_heater) operating
 // point is evaluated by linear combination, making the paper's parameter
 // sweeps (Figs. 9 and 10) cheap.
+//
+// Every number a report carries except the junction peak is a linear
+// functional of the temperature field — a volume-weighted mean over an
+// ONI site, a device or the BEOL layer. A Model builds those functionals
+// once; a Basis projects its four unit fields onto them when it is built,
+// so an evaluation combines one 4-vector per functional, scans only the
+// BEOL cells for the peak, and builds the full field only when a caller
+// asks for it (Result.Field).
 package thermal
 
 import (
@@ -252,26 +260,26 @@ type weightedCell struct {
 	weight float64
 }
 
-// deviceProbe locates one optical device for temperature reporting. The
-// cells/weights stencil (volume-weighted mean, weights summing to 1) is
-// precomputed so per-step transient observers can read device
-// temperatures without re-walking the mesh.
-type deviceProbe struct {
-	name    string
-	box     geom.Box
-	isVCSEL bool
-
+// stencil is one report functional: the volume-weighted mean over the
+// cells a box overlaps, with weights summing to 1.
+type stencil struct {
 	cells   []int32
 	weights []float64
 }
 
-// meanTemp evaluates the probe's volume-weighted mean over a field.
-func (p *deviceProbe) meanTemp(t []float64) float64 {
-	var s float64
-	for i, c := range p.cells {
-		s += t[c] * p.weights[i]
+// mean evaluates the stencil over a field.
+func (s *stencil) mean(t []float64) float64 {
+	var sum float64
+	for i, c := range s.cells {
+		sum += t[c] * s.weights[i]
 	}
-	return s
+	return sum
+}
+
+// deviceProbe locates one optical device for temperature reporting.
+type deviceProbe struct {
+	name string
+	stencil
 }
 
 // Model is an assembled thermal model: mesh, conductivity, power-group
@@ -301,7 +309,14 @@ type Model struct {
 	beolSpan    stack.Span
 	opticalSpan stack.Span
 
-	probes [][]deviceProbe // per ONI
+	// stencils are the report's functionals in the order assemble reads
+	// their values: per ONI its site mean over the optical layer, then
+	// its device probes; the BEOL (junction) mean last. probes keeps each
+	// ONI's probes (VCSELs first) for device names and the transient
+	// observer; beolMean's cells are also the ChipMax scan.
+	stencils []stencil
+	probes   [][]deviceProbe
+	beolMean stencil
 
 	topH float64
 }
@@ -344,7 +359,9 @@ func NewModel(spec Spec) (*Model, error) {
 	if err := m.buildStencils(); err != nil {
 		return nil, err
 	}
-	m.buildProbes()
+	if err := m.buildFunctionals(); err != nil {
+		return nil, err
+	}
 
 	// Effective top-side coefficient: the sink's bulk resistance referred
 	// to the die footprint (the lid spreads heat into the larger sink
@@ -546,22 +563,50 @@ func (m *Model) buildStencils() error {
 	return nil
 }
 
-func (m *Model) buildProbes() {
-	for _, layout := range m.onis {
-		var probes []deviceProbe
+// buildFunctionals builds m.stencils, m.probes and m.beolMean.
+func (m *Model) buildFunctionals() error {
+	add := func(what string, box geom.Box) (stencil, error) {
+		s, err := m.boxStencil(box)
+		if err != nil {
+			return stencil{}, fmt.Errorf("thermal: %s: %w", what, err)
+		}
+		m.stencils = append(m.stencils, s)
+		return s, nil
+	}
+	optical := func(r geom.Rect) geom.Box { return r.Extrude(m.opticalSpan.Z0, m.opticalSpan.Z1) }
+	m.probes = make([][]deviceProbe, len(m.onis))
+	for i, layout := range m.onis {
+		if _, err := add(fmt.Sprintf("ONI %d", i), optical(layout.Site)); err != nil {
+			return err
+		}
+		probe := func(name string, r geom.Rect) error {
+			s, err := add("probe "+name, optical(r))
+			if err != nil {
+				return err
+			}
+			m.probes[i] = append(m.probes[i], deviceProbe{name: name, stencil: s})
+			return nil
+		}
 		for _, v := range layout.VCSELs {
-			probes = append(probes, m.newProbe(v.Name, v.Rect.Extrude(m.opticalSpan.Z0, m.opticalSpan.Z1), true))
+			if err := probe(v.Name, v.Rect); err != nil {
+				return err
+			}
 		}
 		for _, r := range layout.MRs {
-			probes = append(probes, m.newProbe(r.Name, r.Rect.Extrude(m.opticalSpan.Z0, m.opticalSpan.Z1), false))
+			if err := probe(r.Name, r.Rect); err != nil {
+				return err
+			}
 		}
-		m.probes = append(m.probes, probes)
 	}
+	var err error
+	m.beolMean, err = add("BEOL", m.spec.Floorplan.Die.Extrude(m.beolSpan.Z0, m.beolSpan.Z1))
+	return err
 }
 
-// newProbe builds a device probe with its volume-weight stencil.
-func (m *Model) newProbe(name string, box geom.Box, isVCSEL bool) deviceProbe {
-	p := deviceProbe{name: name, box: box, isVCSEL: isVCSEL}
+// boxStencil weights every cell a box overlaps by its overlap volume —
+// the cells and weights fvm.Solution.StatsOver averages over.
+func (m *Model) boxStencil(box geom.Box) (stencil, error) {
+	var s stencil
 	g := m.grid
 	i0, i1, j0, j1, k0, k1 := g.CellsOverlapping(box)
 	var total float64
@@ -570,17 +615,20 @@ func (m *Model) newProbe(name string, box geom.Box, isVCSEL bool) deviceProbe {
 			for i := i0; i < i1; i++ {
 				ov := g.CellBox(i, j, k).OverlapVolume(box)
 				if ov > 0 {
-					p.cells = append(p.cells, int32(g.Index(i, j, k)))
-					p.weights = append(p.weights, ov)
+					s.cells = append(s.cells, int32(g.Index(i, j, k)))
+					s.weights = append(s.weights, ov)
 					total += ov
 				}
 			}
 		}
 	}
-	for i := range p.weights {
-		p.weights[i] /= total
+	if total == 0 {
+		return stencil{}, fmt.Errorf("box %v overlaps no cells", box)
 	}
-	return p
+	for i := range s.weights {
+		s.weights[i] /= total
+	}
+	return s, nil
 }
 
 // chipStencil distributes 1 W of chip power into BEOL cells according to
@@ -692,7 +740,7 @@ func (m *Model) Solve(p Powers) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return m.report(sol.T, p)
+	return m.report(sol.T, p), nil
 }
 
 // ONIReport summarises one ONI's thermal state.
@@ -732,61 +780,74 @@ func mean(xs []float64) float64 {
 // Result is a solved operating point.
 type Result struct {
 	Powers Powers
-	// T is the raw cell temperature field (°C).
-	T []float64
 	// ONIs holds one report per ONI, ordered as the floorplan's sites.
 	ONIs []ONIReport
 	// ChipMax and ChipAvg summarise the BEOL (junction) layer.
 	ChipMax, ChipAvg float64
 
 	model *Model
+	// t is the field of a direct or transient solve; a basis result
+	// leaves it nil and rebuilds the field from basis on demand.
+	t     []float64
+	basis *Basis
 }
 
-// report computes ONI statistics from a temperature field.
-func (m *Model) report(t []float64, p Powers) (*Result, error) {
-	res := &Result{Powers: p, T: t, model: m}
-	sol := &fvm.Solution{Grid: m.grid, T: t}
-	for i, layout := range m.onis {
-		rep := ONIReport{Index: i, Site: layout.Site}
-		box := layout.Site.Extrude(m.opticalSpan.Z0, m.opticalSpan.Z1)
-		st, err := sol.StatsOver(box)
-		if err != nil {
-			return nil, fmt.Errorf("thermal: ONI %d stats: %w", i, err)
-		}
-		rep.AvgTemp = st.Mean
+// Field returns the cell temperature field (°C). A direct or transient
+// solve returns the field it solved; a basis evaluation builds a fresh
+// field by superposition on every call, so a query that only reads the
+// report never pays NumCells of memory. Callers must not modify the
+// returned slice.
+func (r *Result) Field() []float64 {
+	if r.basis != nil {
+		return r.basis.field(r.Powers)
+	}
+	return r.t
+}
 
+// report applies the model's functionals to a temperature field.
+func (m *Model) report(t []float64, p Powers) *Result {
+	vals := make([]float64, len(m.stencils))
+	for k, s := range m.stencils {
+		vals[k] = s.mean(t)
+	}
+	chipMax := math.Inf(-1)
+	for _, c := range m.beolMean.cells {
+		if t[c] > chipMax {
+			chipMax = t[c]
+		}
+	}
+	res := m.assemble(p, vals, chipMax)
+	res.t = t
+	return res
+}
+
+// assemble builds a Result from the values of m.stencils, in order, and
+// the BEOL peak. Each ONI's device temperatures are sub-slices of vals.
+func (m *Model) assemble(p Powers, vals []float64, chipMax float64) *Result {
+	res := &Result{Powers: p, ChipMax: chipMax, ChipAvg: vals[len(vals)-1], model: m}
+	res.ONIs = make([]ONIReport, len(m.onis))
+	k := 0
+	for i, layout := range m.onis {
+		n, nV := len(m.probes[i]), len(layout.VCSELs)
+		devs := vals[k+1 : k+1+n : k+1+n]
+		rep := ONIReport{Index: i, Site: layout.Site, AvgTemp: vals[k],
+			VCSELTemps: devs[:nV:nV], MRTemps: devs[nV:]}
+		k += 1 + n
 		minT, maxT := math.Inf(1), math.Inf(-1)
-		for _, probe := range m.probes[i] {
-			ds, err := sol.StatsOver(probe.box)
-			if err != nil {
-				return nil, fmt.Errorf("thermal: probe %s: %w", probe.name, err)
+		for j, v := range devs {
+			if v > maxT {
+				maxT = v
+				rep.HottestDevice = m.probes[i][j].name
 			}
-			if probe.isVCSEL {
-				rep.VCSELTemps = append(rep.VCSELTemps, ds.Mean)
-			} else {
-				rep.MRTemps = append(rep.MRTemps, ds.Mean)
-			}
-			if ds.Mean > maxT {
-				maxT = ds.Mean
-				rep.HottestDevice = probe.name
-			}
-			if ds.Mean < minT {
-				minT = ds.Mean
-				rep.ColdestDevice = probe.name
+			if v < minT {
+				minT = v
+				rep.ColdestDevice = m.probes[i][j].name
 			}
 		}
 		rep.Gradient = maxT - minT
-		res.ONIs = append(res.ONIs, rep)
+		res.ONIs[i] = rep
 	}
-	// Chip layer stats.
-	beolBox := m.spec.Floorplan.Die.Extrude(m.beolSpan.Z0, m.beolSpan.Z1)
-	st, err := sol.StatsOver(beolBox)
-	if err != nil {
-		return nil, err
-	}
-	res.ChipMax = st.Max
-	res.ChipAvg = st.Mean
-	return res, nil
+	return res
 }
 
 // MeanONITemp averages the per-ONI average temperatures.
@@ -840,9 +901,46 @@ func (r *Result) ONITempRange() (min, max float64) {
 type Basis struct {
 	model    *Model
 	activity activity.Scenario
-	// unit responses: temperature rise fields for 1 W in each group.
-	chip, vcsel, driver, heater []float64
-	stats                       BasisBuildStats
+	// unit[c] holds cell c's temperature rise for 1 W of chip, VCSEL,
+	// driver and heater power, in that order.
+	unit [][4]float64
+	// proj[k] is the unit rises seen through the model's k-th stencil.
+	proj  [][4]float64
+	stats BasisBuildStats
+}
+
+// scales are the weights of one operating point's superposition: the
+// ambient plus each group's total power.
+type scales struct {
+	ambient, chip, vcsel, driver, heater float64
+}
+
+func (b *Basis) scales(p Powers) scales {
+	m := b.model
+	return scales{
+		ambient: m.spec.Ambient,
+		chip:    p.Chip,
+		vcsel:   p.VCSEL * float64(m.vcselCount),
+		driver:  p.Driver * float64(m.vcselCount),
+		heater:  p.Heater * float64(m.heaterCount),
+	}
+}
+
+// at superposes four unit values. Field, the ChipMax scan and the
+// projected functionals all go through it, so a cell of the built field
+// and the peak Evaluate reports round identically.
+func (s scales) at(u [4]float64) float64 {
+	return s.ambient + s.chip*u[0] + s.vcsel*u[1] + s.driver*u[2] + s.heater*u[3]
+}
+
+// field builds the full temperature field of one operating point.
+func (b *Basis) field(p Powers) []float64 {
+	s := b.scales(p)
+	t := make([]float64, len(b.unit))
+	for i, u := range b.unit {
+		t[i] = s.at(u)
+	}
+	return t
 }
 
 // BasisBuildStats describes what the four unit solves behind a basis
@@ -876,12 +974,11 @@ func (m *Model) BuildBasis(act activity.Scenario) (*Basis, error) {
 	groups := []struct {
 		name   string
 		powers Powers
-		dst    *[]float64
 	}{
-		{"chip", Powers{Chip: 1, Activity: act}, &b.chip},
-		{"vcsel", Powers{VCSEL: 1 / float64(m.vcselCount)}, &b.vcsel},
-		{"driver", Powers{Driver: 1 / float64(m.vcselCount)}, &b.driver},
-		{"heater", Powers{Heater: 1 / float64(m.heaterCount)}, &b.heater},
+		{"chip", Powers{Chip: 1, Activity: act}},
+		{"vcsel", Powers{VCSEL: 1 / float64(m.vcselCount)}},
+		{"driver", Powers{Driver: 1 / float64(m.vcselCount)}},
+		{"heater", Powers{Heater: 1 / float64(m.heaterCount)}},
 	}
 	batch := make([][]float64, len(groups))
 	for i, g := range groups {
@@ -904,40 +1001,50 @@ func (m *Model) BuildBasis(act activity.Scenario) (*Basis, error) {
 			b.stats.Iterations = sol.Stats.Iterations
 		}
 	}
-	for i, g := range groups {
-		// Store the rise relative to ambient.
-		rise := make([]float64, len(sols[i].T))
-		for j, t := range sols[i].T {
-			rise[j] = t - m.spec.Ambient
+	// Store the rise relative to ambient, then project it onto the
+	// report's functionals once.
+	b.unit = make([][4]float64, m.grid.NumCells())
+	for g, sol := range sols {
+		for c, t := range sol.T {
+			b.unit[c][g] = t - m.spec.Ambient
 		}
-		*g.dst = rise
+	}
+	b.proj = make([][4]float64, len(m.stencils))
+	for k, s := range m.stencils {
+		for i, c := range s.cells {
+			for g := range b.proj[k] {
+				b.proj[k][g] += b.unit[c][g] * s.weights[i]
+			}
+		}
 	}
 	return b, nil
 }
 
-// Evaluate combines the basis fields for the given powers. The activity
-// shape must match the one the basis was built with; Evaluate enforces the
-// Chip/VCSEL/Driver/Heater scaling only. Evaluate only reads the basis and
-// model, so it is safe to call concurrently from many goroutines — the
-// property the parallel design-space sweeps rely on.
+// Evaluate combines the basis for the given powers: one 4-vector per
+// report functional plus a scan of the BEOL cells for ChipMax; the field
+// itself is built only if the caller asks for Result.Field. The activity
+// shape must match the one the basis was built with; Evaluate enforces
+// the Chip/VCSEL/Driver/Heater scaling only. Evaluate only reads the
+// basis and model, so it is safe to call concurrently from many
+// goroutines — the property the parallel design-space sweeps rely on.
 func (b *Basis) Evaluate(p Powers) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	m := b.model
-	n := len(b.chip)
-	t := make([]float64, n)
-	vTot := p.VCSEL * float64(m.vcselCount)
-	dTot := p.Driver * float64(m.vcselCount)
-	hTot := p.Heater * float64(m.heaterCount)
-	for i := 0; i < n; i++ {
-		t[i] = m.spec.Ambient +
-			p.Chip*b.chip[i] +
-			vTot*b.vcsel[i] +
-			dTot*b.driver[i] +
-			hTot*b.heater[i]
+	s := b.scales(p)
+	vals := make([]float64, len(b.proj))
+	for k, u := range b.proj {
+		vals[k] = s.at(u)
+	}
+	chipMax := math.Inf(-1)
+	for _, c := range b.model.beolMean.cells {
+		if t := s.at(b.unit[c]); t > chipMax {
+			chipMax = t
+		}
 	}
 	pp := p
 	pp.Activity = b.activity
-	return m.report(t, pp)
+	res := b.model.assemble(pp, vals, chipMax)
+	res.basis = b
+	return res, nil
 }

@@ -439,7 +439,7 @@ func TestSystemTransientErrors(t *testing.T) {
 	if _, err := m.SolveTransient(Powers{Chip: 10}, TransientSpec{TimeStep: 0, Steps: 1}); err == nil {
 		t.Error("zero dt should error")
 	}
-	bad := &Result{T: []float64{1, 2, 3}}
+	bad := &Result{t: []float64{1, 2, 3}}
 	if _, err := m.SolveTransient(Powers{Chip: 10}, TransientSpec{TimeStep: 1, Steps: 1, Initial: bad}); err == nil {
 		t.Error("mismatched initial field should error")
 	}

@@ -30,13 +30,13 @@ type TransientSpec struct {
 	// nil the field starts uniform at the ambient temperature. Ignored
 	// when Resume is set — the checkpoint carries the field.
 	Initial *Result
-	// Snapshot, if non-nil, receives a full report after each step.
-	// Building a report costs per-ONI statistics; pass nil and use the
-	// returned final result when only the end state matters.
+	// Snapshot, if non-nil, receives a full report after each step: the
+	// model's report functionals applied to a copy of the field, which
+	// the report keeps as its Field.
 	Snapshot func(step int, time float64, r *Result)
-	// Observer, if non-nil, receives cheap per-step statistics (peak
-	// temperature, per-ONI device gradients) computed from precomputed
-	// probe stencils — orders of magnitude cheaper than Snapshot.
+	// Observer, if non-nil, receives per-step monitoring statistics (peak
+	// temperature, per-ONI device gradients) read straight off the
+	// stepper's field through the device probe stencils, with no copy.
 	Observer func(o TransientObservation)
 	// Checkpoint, if non-nil, receives a serialisable checkpoint every
 	// CheckpointEvery steps and at the final step; a sink error aborts
@@ -96,11 +96,12 @@ func (m *Model) NewTransientRun(p Powers, ts TransientSpec) (*TransientRun, erro
 		Workers:        m.spec.Workers,
 	}
 	if ts.Initial != nil && ts.Resume == nil {
-		if len(ts.Initial.T) != m.grid.NumCells() {
+		field := ts.Initial.Field()
+		if len(field) != m.grid.NumCells() {
 			return nil, fmt.Errorf("thermal: initial field has %d cells, want %d",
-				len(ts.Initial.T), m.grid.NumCells())
+				len(field), m.grid.NumCells())
 		}
-		opts.Initial = ts.Initial.T
+		opts.Initial = field
 	}
 	st, err := m.sys.NewTransientStepper(power, opts)
 	if err != nil {
@@ -137,10 +138,8 @@ func (r *TransientRun) Step() error {
 	}
 	if r.spec.Snapshot != nil {
 		// Field() hands the callback its own copy, so the report may keep
-		// it as its T.
-		if rep, err := r.model.report(r.st.Field(), r.powers); err == nil {
-			r.spec.Snapshot(step, tm, rep)
-		}
+		// it as its field.
+		r.spec.Snapshot(step, tm, r.model.report(r.st.Field(), r.powers))
 	}
 	if r.spec.Checkpoint != nil {
 		every := r.spec.CheckpointEvery
@@ -190,7 +189,7 @@ func (r *TransientRun) Observation() TransientObservation {
 	for i, probes := range r.model.probes {
 		var min, max float64
 		for pi := range probes {
-			mean := probes[pi].meanTemp(t)
+			mean := probes[pi].mean(t)
 			if pi == 0 || mean < min {
 				min = mean
 			}
@@ -207,7 +206,7 @@ func (r *TransientRun) Observation() TransientObservation {
 }
 
 // Result builds the full report of the run's current state.
-func (r *TransientRun) Result() (*Result, error) {
+func (r *TransientRun) Result() *Result {
 	return r.model.report(r.st.Field(), r.powers)
 }
 
@@ -232,5 +231,5 @@ func (m *Model) SolveTransient(p Powers, ts TransientSpec) (*Result, error) {
 			return nil, err
 		}
 	}
-	return run.Result()
+	return run.Result(), nil
 }

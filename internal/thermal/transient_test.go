@@ -66,11 +66,8 @@ func TestTransientRunResumeDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := resumed.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.T, want.T) {
+	got := resumed.Result()
+	if !reflect.DeepEqual(got.Field(), want.Field()) {
 		t.Error("resumed field is not bit-identical to the uninterrupted run")
 	}
 	if !reflect.DeepEqual(got.ONIs, want.ONIs) {

@@ -336,12 +336,13 @@ func ActivityByName(name string, seed int64) (ActivityScenario, error) {
 // the scatter/gather client behind `dse -shards`.
 type (
 	// Server is the warm HTTP service: long-lived models and bases,
-	// micro-batched superposition queries, an LRU over canonicalised
+	// superposition queries evaluated inline against bases projected
+	// onto the report's functionals, an LRU over canonicalised
 	// scenarios, and single-flight basis builds. It implements
 	// http.Handler.
 	Server = serve.Server
 	// ServeConfig registers the specs a Server owns warm state for and
-	// tunes its batching/caching.
+	// tunes its caching, admission and job handling.
 	ServeConfig = serve.Config
 	// ServeScenario is the wire form of one operating point.
 	ServeScenario = serve.Scenario
