@@ -704,7 +704,8 @@ func BenchmarkCoarseSolve(b *testing.B) {
 // BenchmarkBuildBasis contrasts the seed's basis-construction path (a
 // fresh operator assembly inside every one of the four unit solves)
 // against the refactored one (a single cached assembly, the four RHS
-// batched across the worker pool with reused solver workspaces).
+// batched across the worker pool with reused solver workspaces), and
+// times a non-uniform rebuild, which solves only its chip field.
 func BenchmarkBuildBasis(b *testing.B) {
 	m := benchMethodology(b).Model()
 	units := []thermal.Powers{
@@ -732,6 +733,23 @@ func BenchmarkBuildBasis(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	})
+	// A warm model holds the VCSEL, driver and heater fields of its
+	// uniform block, so a diagonal basis is one chip-field solve.
+	b.Run("activity", func(b *testing.B) {
+		if _, err := m.BuildBasis(nil); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		var iters int
+		for i := 0; i < b.N; i++ {
+			basis, err := m.BuildBasis(activity.Diagonal{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			iters = basis.BuildStats().Iterations
+		}
+		b.ReportMetric(float64(iters), "iters/solve")
 	})
 	batch := make([][]float64, len(units))
 	for i, p := range units {

@@ -1276,6 +1276,17 @@ func (p PhaseStats) Sub(q PhaseStats) PhaseStats {
 	}
 }
 
+// Add returns the per-phase sum p + q, for totals over several timed
+// regions.
+func (p PhaseStats) Add(q PhaseStats) PhaseStats {
+	return PhaseStats{
+		Smooth:   p.Smooth + q.Smooth,
+		Restrict: p.Restrict + q.Restrict,
+		Prolong:  p.Prolong + q.Prolong,
+		Coarse:   p.Coarse + q.Coarse,
+	}
+}
+
 // Total returns the summed phase time.
 func (p PhaseStats) Total() time.Duration {
 	return p.Smooth + p.Restrict + p.Prolong + p.Coarse

@@ -50,13 +50,16 @@ const DefaultSpec = "default"
 const DefaultCacheSize = 4096
 
 // DefaultMaxBases bounds the warm bases a spec holds at once. Each basis
-// costs a multi-solve build and ~4 fields × NumCells × 8 bytes, and the
-// random activity's seed is client-controlled — without a bound, looping
-// seeds is a trivial memory exhaustion attack on the daemon. Beyond the
-// bound the least-recently-used basis is evicted (and deterministically
-// rebuilt if asked for again) rather than the request shed, so memory
-// stays bounded without a hard 429 cliff for many-spec registries; the
-// admission rate caps how fast a seed-looping client can force rebuilds.
+// costs a build (the four-column uniform block, or one chip-field solve
+// for any other activity) and ~4 fields × NumCells × 8 bytes; the
+// model's device-field memo adds at most 3 × NumCells × 8 bytes per spec,
+// not per basis. The random activity's seed is client-controlled —
+// without a bound, looping seeds is a trivial memory exhaustion attack on
+// the daemon. Beyond the bound the least-recently-used basis is evicted
+// (and deterministically rebuilt if asked for again) rather than the
+// request shed, so memory stays bounded without a hard 429 cliff for
+// many-spec registries; the admission rate caps how fast a seed-looping
+// client can force rebuilds.
 const DefaultMaxBases = 8
 
 // maxBodyBytes bounds request bodies; sweep axes are the largest
@@ -363,7 +366,7 @@ func (s *Server) Warm(name string) error {
 
 // basisFor builds (or returns) the basis for one activity shape,
 // maintaining the bounded LRU over warm bases: seeds arrive from the
-// network, and every new shape is a multi-solve build plus
+// network, and every new shape is a chip-field solve plus
 // NumCells-sized fields — so beyond maxBases the least-recently-used
 // shape's basis is evicted from the methodology cache. An in-flight
 // evaluation holding the evicted basis finishes safely (the pointer
@@ -401,6 +404,7 @@ func (st *specState) basisFor(act activity.Scenario, slot string) (*thermal.Basi
 		st.logger.Info("basis built",
 			"spec", st.name, "slot", slot,
 			"duration_ms", float64(bs.Wall.Microseconds())/1000,
+			"columns", bs.Columns,
 			"mg_iters", bs.Iterations)
 	}
 	if err != nil {
@@ -573,8 +577,10 @@ func (s *Server) handleGradient(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The basis span carries the mg cost of the build that produced this
-	// basis (zero/near-zero duration when it was already warm).
+	// basis (zero/near-zero duration when it was already warm): how many
+	// unit fields it solved and their iteration count.
 	bs := basis.BuildStats()
+	sp.SetAttr("columns", float64(bs.Columns))
 	sp.SetAttr("mg_iters", float64(bs.Iterations))
 	if total := bs.Phases.Total(); total > 0 {
 		sp.SetAttr("build_smoothfrac", float64(bs.Phases.Smooth)/float64(total))

@@ -122,8 +122,10 @@ func TestTraceEndToEnd(t *testing.T) {
 	if sp := spans["solve"]; sp.DurationUS <= 0 {
 		t.Errorf("solve span duration = %d µs, want > 0", sp.DurationUS)
 	}
-	if sp := spans["basis"]; !hasAttr(sp, "mg_iters") {
-		t.Errorf("basis span has no mg_iters attribute (attrs %v)", sp.Attrs)
+	for _, attr := range []string{"columns", "mg_iters"} {
+		if sp := spans["basis"]; !hasAttr(sp, attr) {
+			t.Errorf("basis span has no %s attribute (attrs %v)", attr, sp.Attrs)
+		}
 	}
 
 	// The ?slow= filter with an absurd threshold drops everything.

@@ -6,10 +6,13 @@
 //
 // Because the steady heat equation with fixed-film convection boundaries
 // is linear in the injected powers, the package also offers a
-// superposition Basis: four unit-power solves (chip, VCSELs, drivers,
+// superposition Basis: four unit-power fields (chip, VCSELs, drivers,
 // heaters) from which any (P_chip, P_VCSEL, P_driver, P_heater) operating
 // point is evaluated by linear combination, making the paper's parameter
-// sweeps (Figs. 9 and 10) cheap.
+// sweeps (Figs. 9 and 10) cheap. Only the chip field depends on the chip
+// activity: a Model solves the VCSEL, driver and heater fields once, in
+// its uniform basis's four-column block, and every other activity's basis
+// reuses them and solves its chip field alone.
 //
 // Every number a report carries except the junction peak is a linear
 // functional of the temperature field — a volume-weighted mean over an
@@ -21,8 +24,10 @@
 package thermal
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"vcselnoc/internal/activity"
@@ -284,8 +289,9 @@ type deviceProbe struct {
 
 // Model is an assembled thermal model: mesh, conductivity, power-group
 // stencils AND the discretised finite-volume operator are built once;
-// individual solves only change the RHS. A Model is immutable after
-// NewModel and safe for concurrent solves.
+// individual solves only change the RHS. Apart from its device-field
+// memo, a Model is immutable after NewModel; it is safe for concurrent
+// solves and basis builds.
 type Model struct {
 	spec    Spec
 	grid    *mesh.Grid
@@ -319,6 +325,24 @@ type Model struct {
 	beolMean stencil
 
 	topH float64
+
+	// devices memoises the VCSEL, driver and heater unit rises per cell
+	// (3·NumCells float64) from the first uniform block that succeeds;
+	// nil until then. Every uniform block yields the same bits, so which
+	// one fills it does not matter. flight is the uniform block running
+	// while devices is nil, which concurrent builds join instead of
+	// solving their own. memoMu guards both.
+	memoMu  sync.Mutex
+	devices [][3]float64
+	flight  *uniformFlight
+}
+
+// uniformFlight is one uniform block run on behalf of the device-field
+// memo; done closes once b and err are final.
+type uniformFlight struct {
+	done chan struct{}
+	b    *Basis
+	err  error
 }
 
 // NewModel builds the mesh, material field and power stencils.
@@ -897,7 +921,9 @@ func (r *Result) ONITempRange() (min, max float64) {
 }
 
 // Basis is a set of unit-power solutions enabling O(1) evaluation of any
-// operating point with a fixed activity shape.
+// operating point with a fixed activity shape. Only its chip field is
+// the activity's own: the VCSEL, driver and heater fields are the
+// model's, bit-identical in every basis it builds.
 type Basis struct {
 	model    *Model
 	activity activity.Scenario
@@ -943,16 +969,22 @@ func (b *Basis) field(p Powers) []float64 {
 	return t
 }
 
-// BasisBuildStats describes what the four unit solves behind a basis
-// cost, for attachment to request traces and structured logs.
+// BasisBuildStats describes the unit solves one BuildBasis call ran, for
+// attachment to request traces and structured logs.
 type BasisBuildStats struct {
-	// Iterations is the largest outer iteration count across the four
-	// unit solves (under mg-cg's block solve they advance together, so
-	// this is the shared count).
+	// Columns is the number of unit fields the call solved: 4 for the
+	// uniform block, 1 for an activity basis (its chip field), 5 when an
+	// activity basis first had to run the uniform block, and 0 for a
+	// uniform basis taken from another call's block in flight.
+	Columns int
+	// Iterations is the largest outer iteration count across those
+	// solves (the block's columns advance together under mg-cg, so for
+	// the block this is the shared count).
 	Iterations int
-	// Wall is the end-to-end build time including operator assembly.
+	// Wall is the time spent in those solves, including any hierarchy
+	// set-up they triggered.
 	Wall time.Duration
-	// Phases is the V-cycle phase time the build spent on this model's
+	// Phases is the V-cycle phase time the solves spent on this model's
 	// hierarchy (zero for non-mg backends).
 	Phases mg.PhaseStats
 }
@@ -960,17 +992,129 @@ type BasisBuildStats struct {
 // BuildStats returns how much the basis cost to build.
 func (b *Basis) BuildStats() BasisBuildStats { return b.stats }
 
-// BuildBasis performs the four unit solves for the given activity shape.
-// The solves share the model's cached operator. Under the mg-cg backend
-// they run as one block-Krylov solve: all four right-hand sides advance
-// through a shared block CG whose matrix passes feed every column and
-// whose per-column multigrid V-cycles share one cached hierarchy; other
-// backends fan the solves across the spec's worker pool.
+// errFlightAborted is what builds waiting on a uniform block get when the
+// block's goroutine panicked instead of returning.
+var errFlightAborted = errors.New("thermal: uniform basis block aborted")
+
+// BuildBasis returns the superposition basis for an activity shape (nil
+// means uniform).
+//
+// The uniform basis runs the model's four unit solves — chip, VCSELs,
+// drivers, heaters — as one block on every call. Under mg-cg that is one
+// block-Krylov solve whose matrix passes feed every column and whose
+// per-column V-cycles share the cached hierarchy; other backends fan the
+// solves across the spec's worker pool. The first block that succeeds
+// fills the model's device-field memo.
+//
+// The VCSEL, driver and heater fields do not depend on chip activity, so
+// any other activity's basis copies them from the memo and solves only
+// its chip field, with one steady solve on the same hierarchy, solver,
+// tolerance and workers. On a fresh model it runs the uniform block
+// first, so an activity basis has the same bits whatever was built
+// before it. The memo is single-flight: while a fresh model's uniform
+// block runs, concurrent builds wait for it instead of solving their
+// own, and a uniform build that waited returns that block's basis. A
+// failed block leaves the memo empty for the next build to retry.
 func (m *Model) BuildBasis(act activity.Scenario) (*Basis, error) {
 	if act == nil {
 		act = activity.Uniform{}
 	}
-	b := &Basis{model: m, activity: act}
+	if _, ok := act.(activity.Uniform); ok {
+		return m.uniformBasis()
+	}
+	return m.activityBasis(act)
+}
+
+// uniformBasis runs the uniform block, or on a fresh model joins the one
+// in flight.
+func (m *Model) uniformBasis() (*Basis, error) {
+	b, ran, err := m.fillMemo()
+	switch {
+	case err != nil:
+		return nil, err
+	case b == nil:
+		return m.solveBlock(activity.Uniform{})
+	case !ran:
+		joined := *b
+		joined.stats = BasisBuildStats{} // another call ran the solves
+		return &joined, nil
+	}
+	return b, nil
+}
+
+// activityBasis copies the memoised device fields and solves the chip
+// field alone.
+func (m *Model) activityBasis(act activity.Scenario) (*Basis, error) {
+	chip, err := m.powerVector(Powers{Chip: 1, Activity: act})
+	if err != nil {
+		return nil, fmt.Errorf("thermal: chip basis: %w", err)
+	}
+	uniform, ran, err := m.fillMemo()
+	if err != nil {
+		return nil, err
+	}
+	var stats BasisBuildStats
+	if ran {
+		stats = uniform.stats
+	}
+	m.memoMu.Lock()
+	devices := m.devices
+	m.memoMu.Unlock()
+
+	start, before := time.Now(), m.sys.PhaseStats()
+	sol, err := m.sys.SolveSteady(chip, m.solveOptions())
+	if err != nil {
+		return nil, fmt.Errorf("thermal: chip basis solve: %w", err)
+	}
+	stats.Columns++
+	stats.Wall += time.Since(start)
+	stats.Phases = stats.Phases.Add(m.sys.PhaseStats().Sub(before))
+	stats.Iterations = max(stats.Iterations, sol.Stats.Iterations)
+	unit := make([][4]float64, len(sol.T))
+	for c, t := range sol.T {
+		d := devices[c]
+		unit[c] = [4]float64{t - m.spec.Ambient, d[0], d[1], d[2]}
+	}
+	return m.newBasis(act, unit, stats), nil
+}
+
+// fillMemo makes sure the device-field memo is filled. While it is empty
+// it runs the uniform block (ran) or waits for the one in flight, and
+// returns that block's basis; once it is filled it returns nil.
+func (m *Model) fillMemo() (b *Basis, ran bool, err error) {
+	m.memoMu.Lock()
+	f := m.flight
+	switch {
+	case m.devices != nil:
+		m.memoMu.Unlock()
+		return nil, false, nil
+	case f != nil:
+		m.memoMu.Unlock()
+		<-f.done
+		return f.b, false, f.err
+	}
+	f = &uniformFlight{done: make(chan struct{}), err: errFlightAborted}
+	m.flight = f
+	m.memoMu.Unlock()
+	defer func() {
+		var devices [][3]float64
+		if f.err == nil {
+			devices = make([][3]float64, len(f.b.unit))
+			for c, u := range f.b.unit {
+				devices[c] = [3]float64(u[1:])
+			}
+		}
+		m.memoMu.Lock()
+		m.devices, m.flight = devices, nil
+		m.memoMu.Unlock()
+		close(f.done)
+	}()
+	f.b, f.err = m.solveBlock(activity.Uniform{})
+	return f.b, true, f.err
+}
+
+// solveBlock solves an activity's four unit fields as one block.
+func (m *Model) solveBlock(act activity.Scenario) (*Basis, error) {
 	groups := []struct {
 		name   string
 		powers Powers
@@ -988,36 +1132,38 @@ func (m *Model) BuildBasis(act activity.Scenario) (*Basis, error) {
 		}
 		batch[i] = power
 	}
-	buildStart := time.Now()
-	phasesBefore := m.sys.PhaseStats()
+	start, before := time.Now(), m.sys.PhaseStats()
 	sols, err := m.sys.SolveSteadyBlock(batch, m.solveOptions())
 	if err != nil {
 		return nil, fmt.Errorf("thermal: basis solves: %w", err)
 	}
-	b.stats.Wall = time.Since(buildStart)
-	b.stats.Phases = m.sys.PhaseStats().Sub(phasesBefore)
+	stats := BasisBuildStats{Columns: len(sols), Wall: time.Since(start), Phases: m.sys.PhaseStats().Sub(before)}
 	for _, sol := range sols {
-		if sol.Stats.Iterations > b.stats.Iterations {
-			b.stats.Iterations = sol.Stats.Iterations
-		}
+		stats.Iterations = max(stats.Iterations, sol.Stats.Iterations)
 	}
-	// Store the rise relative to ambient, then project it onto the
-	// report's functionals once.
-	b.unit = make([][4]float64, m.grid.NumCells())
+	// Store the rise relative to ambient.
+	unit := make([][4]float64, m.grid.NumCells())
 	for g, sol := range sols {
 		for c, t := range sol.T {
-			b.unit[c][g] = t - m.spec.Ambient
+			unit[c][g] = t - m.spec.Ambient
 		}
 	}
+	return m.newBasis(act, unit, stats), nil
+}
+
+// newBasis wraps unit fields and projects them onto the report's
+// functionals once.
+func (m *Model) newBasis(act activity.Scenario, unit [][4]float64, stats BasisBuildStats) *Basis {
+	b := &Basis{model: m, activity: act, unit: unit, stats: stats}
 	b.proj = make([][4]float64, len(m.stencils))
 	for k, s := range m.stencils {
 		for i, c := range s.cells {
 			for g := range b.proj[k] {
-				b.proj[k][g] += b.unit[c][g] * s.weights[i]
+				b.proj[k][g] += unit[c][g] * s.weights[i]
 			}
 		}
 	}
-	return b, nil
+	return b
 }
 
 // Evaluate combines the basis for the given powers: one 4-vector per
