@@ -150,13 +150,23 @@ func testOrderIndependent(t *testing.T, uniform, diagAfter *Basis) {
 	}
 }
 
-// testConcurrentBuilds: uniform, diagonal and random bases built at once
-// on one fresh model match the serial build bit for bit, and the uniform
-// block runs once: the columns the builds report solving add up to one
-// block plus one chip field per activity basis. Run under -race this is
-// the data-race check for the device-field memo.
+// testConcurrentBuilds: a failed uniform block is not latched, and
+// uniform, diagonal and random bases then built at once on the model
+// match the serial build bit for bit, with the uniform block run once:
+// the columns the builds report solving add up to one block plus one chip
+// field per activity basis. Run under -race this is the data-race check
+// for the device-field memo.
 func testConcurrentBuilds(t *testing.T, acts []activity.Scenario, serial []*Basis) {
 	m := memoModel(t)
+	m.spec.Solver = "no-such-backend"
+	if _, err := m.BuildBasis(activity.Diagonal{}); err == nil {
+		t.Fatal("a build with an unknown solver succeeded")
+	}
+	if m.devices != nil || m.flight != nil {
+		t.Fatal("a failed uniform block left the memo filled or in flight")
+	}
+	m.spec.Solver = sparse.BackendMGCG
+
 	const perActivity = 2
 	bases := make([]*Basis, perActivity*len(acts))
 	errs := make([]error, len(bases))
