@@ -170,9 +170,10 @@ func (m *Methodology) BasisBuilds() int64 { return m.builds.Load() }
 
 // EvictBasis drops the cached basis for an activity shape so its memory
 // (~4 fields × NumCells × 8 bytes) can be reclaimed, and reports whether
-// an entry was present. The model's device-field memo (at most
-// 3 × NumCells × 8 bytes, shared by every activity's basis) stays, so a
-// non-uniform rebuild costs one chip-field solve. Safe against racing
+// an entry was present. The model's device-field memo stays, so a
+// non-uniform rebuild costs one chip-field solve; the memo is the model's
+// first uniform basis, so it costs nothing while that basis is the cached
+// one and one basis's fields once it is evicted. Safe against racing
 // BasisFor calls: an in-flight build on the evicted entry completes and
 // serves its waiters — the entry just stops being shared with later
 // calls, which rebuild. Because the solve pipeline is deterministic, a

@@ -51,9 +51,10 @@ const DefaultCacheSize = 4096
 
 // DefaultMaxBases bounds the warm bases a spec holds at once. Each basis
 // costs a build (the four-column uniform block, or one chip-field solve
-// for any other activity) and ~4 fields × NumCells × 8 bytes; the
-// model's device-field memo adds at most 3 × NumCells × 8 bytes per spec,
-// not per basis. The random activity's seed is client-controlled —
+// for any other activity) and ~4 fields × NumCells × 8 bytes. The
+// model's device-field memo is its first uniform basis: nothing extra
+// while that basis is warm, one basis's fields per spec, not per basis,
+// once it is evicted. The random activity's seed is client-controlled —
 // without a bound, looping seeds is a trivial memory exhaustion attack on
 // the daemon. Beyond the bound the least-recently-used basis is evicted
 // (and deterministically rebuilt if asked for again) rather than the

@@ -60,29 +60,113 @@ func maxAbsDiff(a, b []float64) float64 {
 	return worst
 }
 
-// TestDeviceFieldMemo builds one fresh model's uniform, diagonal and
-// random bases in that order, the reference the subtests compare other
-// build orders against.
+// TestDeviceFieldMemo compares the shared preview bases (previewBases: a
+// diagonal basis built first on a fresh model, then a random one) with
+// bases built on a second fresh model — whose first build fails — from
+// concurrent goroutines, with a diagonal basis built there after the
+// uniform block, and with four-column block solves.
 func TestDeviceFieldMemo(t *testing.T) {
 	acts := []activity.Scenario{nil, activity.Diagonal{}, activity.Random{Seed: 7}}
+	_, shared := previewBases(t)
+	serial := []*Basis{shared["uniform"], shared["diagonal"], shared["random"]}
+
 	m := memoModel(t)
-	serial := make([]*Basis, len(acts))
+	m.spec.Solver = "no-such-backend"
+	if _, err := m.BuildBasis(acts[1]); err == nil {
+		t.Fatal("a build with an unknown solver succeeded")
+	}
+	if m.uniform != nil || m.flight != nil {
+		t.Fatal("a failed uniform block left the memo filled or in flight")
+	}
+	m.spec.Solver = sparse.BackendMGCG
+	concurrent := make([]*Basis, len(acts))
+	errs := make([]error, len(acts))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
 	for i, act := range acts {
-		var err error
-		if serial[i], err = m.BuildBasis(act); err != nil {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			concurrent[i], errs[i] = m.BuildBasis(act)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
+	diagAfter, err := m.BuildBasis(acts[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("concurrent", func(t *testing.T) { testConcurrentBuilds(t, serial, concurrent) })
+	t.Run("order-independence", func(t *testing.T) { testOrderIndependent(t, serial, diagAfter) })
 	t.Run("block-equivalence", func(t *testing.T) { testMatchesBlockSolve(t, m, acts[1:], serial[1:]) })
-	t.Run("order-independence", func(t *testing.T) { testOrderIndependent(t, serial[0], serial[1]) })
-	t.Run("concurrent", func(t *testing.T) { testConcurrentBuilds(t, acts, serial) })
+}
+
+// testConcurrentBuilds: uniform, diagonal and random bases built at once
+// on a fresh model match the serial build bit for bit, with the uniform
+// block run once: the columns the builds report solving add up to one
+// block plus one chip field per activity basis, whichever build ran the
+// block. Run under -race this is the data-race check for the device-field
+// memo.
+func testConcurrentBuilds(t *testing.T, serial, concurrent []*Basis) {
+	columns := 0
+	for i, b := range concurrent {
+		if got, want := columnHashes(b), columnHashes(serial[i]); got != want {
+			t.Errorf("%s: field hashes %x, serial %x", b.activity.Name(), got, want)
+		}
+		columns += b.BuildStats().Columns
+	}
+	if chips := len(concurrent) - 1; columns != 4+chips {
+		t.Errorf("builds solved %d columns, want %d: one uniform block plus %d chip fields",
+			columns, 4+chips, chips)
+	}
+}
+
+// testOrderIndependent: a diagonal basis built first on a fresh model,
+// running the uniform block itself, is bit-identical to one built after
+// the uniform basis, and every activity basis's VCSEL, driver and heater
+// fields are the uniform basis's bits.
+func testOrderIndependent(t *testing.T, serial []*Basis, diagAfter *Basis) {
+	uniform, diagFirst, random := serial[0], serial[1], serial[2]
+	for _, c := range []struct {
+		name string
+		b    *Basis
+		want int
+	}{{"uniform", uniform, 4}, {"diagonal first", diagFirst, 5}, {"random", random, 1}, {"diagonal after", diagAfter, 1}} {
+		if got := c.b.BuildStats().Columns; got != c.want {
+			t.Errorf("%s: %d columns solved, want %d", c.name, got, c.want)
+		}
+	}
+	hf, ha, hr, hu := columnHashes(diagFirst), columnHashes(diagAfter), columnHashes(random), columnHashes(uniform)
+	for g, name := range groupNames {
+		if hf[g] != ha[g] {
+			t.Errorf("%s field: diagonal built first %016x, after the uniform basis %016x", name, hf[g], ha[g])
+		}
+		if g > 0 && (ha[g] != hu[g] || hr[g] != hu[g]) {
+			t.Errorf("%s field: diagonal %016x, random %016x, uniform %016x", name, ha[g], hr[g], hu[g])
+		}
+	}
+	if !reflect.DeepEqual(diagFirst.proj, diagAfter.proj) {
+		t.Error("projected functionals depend on build order")
+	}
 }
 
 // testMatchesBlockSolve: an activity basis — the uniform block's device
 // fields plus its own one-column chip solve — agrees with a four-column
 // block solve of that activity (the build every basis ran before the
 // memo) on every Result float to 1e-7 °C, with the heater off and on.
+// Each reference is a block solve, so -short checks the first activity
+// only.
 func testMatchesBlockSolve(t *testing.T, m *Model, acts []activity.Scenario, bases []*Basis) {
+	if testing.Short() {
+		acts = acts[:1]
+	}
 	points := []Powers{
 		{Chip: 25, VCSEL: 3e-3, Driver: 3e-3},
 		{Chip: 18, VCSEL: 4e-3, Driver: 4e-3, Heater: 1.2e-3},
@@ -116,85 +200,4 @@ func testMatchesBlockSolve(t *testing.T, m *Model, acts []activity.Scenario, bas
 		}
 	}
 	t.Logf("worst drift vs a four-column block solve: %.2g °C on the report, %.2g °C over all cells", worstReport, worstField)
-}
-
-// testOrderIndependent: a diagonal basis built first on a fresh model,
-// running the uniform block itself, is bit-identical to one built after
-// the uniform basis, and its VCSEL, driver and heater fields are the
-// uniform basis's bits.
-func testOrderIndependent(t *testing.T, uniform, diagAfter *Basis) {
-	diagFirst, err := memoModel(t).BuildBasis(activity.Diagonal{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		name string
-		b    *Basis
-		want int
-	}{{"diagonal first", diagFirst, 5}, {"uniform", uniform, 4}, {"diagonal after", diagAfter, 1}} {
-		if got := c.b.BuildStats().Columns; got != c.want {
-			t.Errorf("%s: %d columns solved, want %d", c.name, got, c.want)
-		}
-	}
-	hf, ha, hu := columnHashes(diagFirst), columnHashes(diagAfter), columnHashes(uniform)
-	for g, name := range groupNames {
-		if hf[g] != ha[g] {
-			t.Errorf("%s field: diagonal built first %016x, after the uniform basis %016x", name, hf[g], ha[g])
-		}
-		if g > 0 && ha[g] != hu[g] {
-			t.Errorf("%s field: diagonal %016x, uniform %016x", name, ha[g], hu[g])
-		}
-	}
-	if !reflect.DeepEqual(diagFirst.proj, diagAfter.proj) {
-		t.Error("projected functionals depend on build order")
-	}
-}
-
-// testConcurrentBuilds: a failed uniform block is not latched, and
-// uniform, diagonal and random bases then built at once on the model
-// match the serial build bit for bit, with the uniform block run once:
-// the columns the builds report solving add up to one block plus one chip
-// field per activity basis. Run under -race this is the data-race check
-// for the device-field memo.
-func testConcurrentBuilds(t *testing.T, acts []activity.Scenario, serial []*Basis) {
-	m := memoModel(t)
-	m.spec.Solver = "no-such-backend"
-	if _, err := m.BuildBasis(activity.Diagonal{}); err == nil {
-		t.Fatal("a build with an unknown solver succeeded")
-	}
-	if m.devices != nil || m.flight != nil {
-		t.Fatal("a failed uniform block left the memo filled or in flight")
-	}
-	m.spec.Solver = sparse.BackendMGCG
-
-	const perActivity = 2
-	bases := make([]*Basis, perActivity*len(acts))
-	errs := make([]error, len(bases))
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := range bases {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			bases[i], errs[i] = m.BuildBasis(acts[i%len(acts)])
-		}(i)
-	}
-	close(start)
-	wg.Wait()
-	columns := 0
-	for i, b := range bases {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
-		}
-		a := i % len(acts)
-		if got, want := columnHashes(b), columnHashes(serial[a]); got != want {
-			t.Errorf("build %d (%v): field hashes %x, serial %x", i, acts[a], got, want)
-		}
-		columns += b.BuildStats().Columns
-	}
-	if activityBuilds := perActivity * (len(acts) - 1); columns != 4+activityBuilds {
-		t.Errorf("builds solved %d columns, want %d: one uniform block plus %d chip fields",
-			columns, 4+activityBuilds, activityBuilds)
-	}
 }

@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"sync"
@@ -133,27 +134,42 @@ func compareReports(t *testing.T, m *Model, label string, got, want *Result) flo
 	return worst
 }
 
-// previewBases builds one preview model and its uniform, diagonal and
-// random bases.
+// preview holds what previewBases builds once per test binary.
+var preview struct {
+	once  sync.Once
+	m     *Model
+	bases map[string]*Basis
+	err   error
+}
+
+// previewBases returns a preview mg-cg model and its uniform, diagonal and
+// random bases, built once per test binary. The diagonal basis comes
+// first, on the fresh model, so it runs the uniform block itself; the
+// random basis follows. The uniform basis is that block, the model's
+// device-field memo. TestDeviceFieldMemo compares other build orders
+// against this one.
 func previewBases(t *testing.T) (*Model, map[string]*Basis) {
 	t.Helper()
 	spec := previewSpec(t)
 	spec.Solver = sparse.BackendMGCG
-	m, err := NewModel(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bases := map[string]*Basis{}
-	for name, act := range map[string]activity.Scenario{
-		"uniform":  nil,
-		"diagonal": activity.Diagonal{},
-		"random":   activity.Random{Seed: 7},
-	} {
-		if bases[name], err = m.BuildBasis(act); err != nil {
-			t.Fatal(err)
+	preview.once.Do(func() {
+		if preview.m, preview.err = NewModel(spec); preview.err != nil {
+			return
 		}
+		preview.bases = map[string]*Basis{}
+		for _, act := range []activity.Scenario{activity.Diagonal{}, activity.Random{Seed: 7}} {
+			if preview.bases[act.Name()], preview.err = preview.m.BuildBasis(act); preview.err != nil {
+				return
+			}
+		}
+		if preview.bases["uniform"] = preview.m.uniform; preview.bases["uniform"] == nil {
+			preview.err = errors.New("the diagonal basis left no uniform basis in the device-field memo")
+		}
+	})
+	if preview.err != nil {
+		t.Fatal(preview.err)
 	}
-	return m, bases
+	return preview.m, preview.bases
 }
 
 // TestReducedEvaluateMatchesFieldScan: Evaluate's projected functionals

@@ -326,14 +326,15 @@ type Model struct {
 
 	topH float64
 
-	// devices memoises the VCSEL, driver and heater unit rises per cell
-	// (3·NumCells float64) from the first uniform block that succeeds;
-	// nil until then. Every uniform block yields the same bits, so which
-	// one fills it does not matter. flight is the uniform block running
-	// while devices is nil, which concurrent builds join instead of
-	// solving their own. memoMu guards both.
+	// uniform is the device-field memo: the first uniform basis whose
+	// block succeeded, nil until then. Every other activity's basis copies
+	// its VCSEL, driver and heater fields. Every uniform block yields the
+	// same bits, so which one it is does not matter, and holding it costs
+	// nothing while that basis is cached elsewhere too. flight is the
+	// uniform block running while uniform is nil, which concurrent builds
+	// join instead of solving their own. memoMu guards both.
 	memoMu  sync.Mutex
-	devices [][3]float64
+	uniform *Basis
 	flight  *uniformFlight
 }
 
@@ -1003,8 +1004,8 @@ var errFlightAborted = errors.New("thermal: uniform basis block aborted")
 // drivers, heaters — as one block on every call. Under mg-cg that is one
 // block-Krylov solve whose matrix passes feed every column and whose
 // per-column V-cycles share the cached hierarchy; other backends fan the
-// solves across the spec's worker pool. The first block that succeeds
-// fills the model's device-field memo.
+// solves across the spec's worker pool. The first uniform basis whose
+// block succeeds becomes the model's device-field memo.
 //
 // The VCSEL, driver and heater fields do not depend on chip activity, so
 // any other activity's basis copies them from the memo and solves only
@@ -1028,18 +1029,18 @@ func (m *Model) BuildBasis(act activity.Scenario) (*Basis, error) {
 // uniformBasis runs the uniform block, or on a fresh model joins the one
 // in flight.
 func (m *Model) uniformBasis() (*Basis, error) {
-	b, ran, err := m.fillMemo()
+	memo, ran, joined, err := m.fillMemo()
 	switch {
 	case err != nil:
 		return nil, err
-	case b == nil:
-		return m.solveBlock(activity.Uniform{})
-	case !ran:
-		joined := *b
-		joined.stats = BasisBuildStats{} // another call ran the solves
-		return &joined, nil
+	case ran:
+		return memo, nil
+	case joined:
+		b := *memo
+		b.stats = BasisBuildStats{} // another call ran the solves
+		return &b, nil
 	}
-	return b, nil
+	return m.solveBlock(activity.Uniform{})
 }
 
 // activityBasis copies the memoised device fields and solves the chip
@@ -1049,18 +1050,14 @@ func (m *Model) activityBasis(act activity.Scenario) (*Basis, error) {
 	if err != nil {
 		return nil, fmt.Errorf("thermal: chip basis: %w", err)
 	}
-	uniform, ran, err := m.fillMemo()
+	memo, ran, _, err := m.fillMemo()
 	if err != nil {
 		return nil, err
 	}
 	var stats BasisBuildStats
 	if ran {
-		stats = uniform.stats
+		stats = memo.stats
 	}
-	m.memoMu.Lock()
-	devices := m.devices
-	m.memoMu.Unlock()
-
 	start, before := time.Now(), m.sys.PhaseStats()
 	sol, err := m.sys.SolveSteady(chip, m.solveOptions())
 	if err != nil {
@@ -1072,45 +1069,41 @@ func (m *Model) activityBasis(act activity.Scenario) (*Basis, error) {
 	stats.Iterations = max(stats.Iterations, sol.Stats.Iterations)
 	unit := make([][4]float64, len(sol.T))
 	for c, t := range sol.T {
-		d := devices[c]
-		unit[c] = [4]float64{t - m.spec.Ambient, d[0], d[1], d[2]}
+		u := memo.unit[c]
+		unit[c] = [4]float64{t - m.spec.Ambient, u[1], u[2], u[3]}
 	}
 	return m.newBasis(act, unit, stats), nil
 }
 
-// fillMemo makes sure the device-field memo is filled. While it is empty
-// it runs the uniform block (ran) or waits for the one in flight, and
-// returns that block's basis; once it is filled it returns nil.
-func (m *Model) fillMemo() (b *Basis, ran bool, err error) {
+// fillMemo returns the device-field memo. While the model has none it
+// runs the uniform block (ran) or waits for the one in flight (joined);
+// once it has one it returns it with neither set.
+func (m *Model) fillMemo() (memo *Basis, ran, joined bool, err error) {
 	m.memoMu.Lock()
-	f := m.flight
+	memo, f := m.uniform, m.flight
 	switch {
-	case m.devices != nil:
+	case memo != nil:
 		m.memoMu.Unlock()
-		return nil, false, nil
+		return memo, false, false, nil
 	case f != nil:
 		m.memoMu.Unlock()
 		<-f.done
-		return f.b, false, f.err
+		return f.b, false, true, f.err
 	}
 	f = &uniformFlight{done: make(chan struct{}), err: errFlightAborted}
 	m.flight = f
 	m.memoMu.Unlock()
 	defer func() {
-		var devices [][3]float64
-		if f.err == nil {
-			devices = make([][3]float64, len(f.b.unit))
-			for c, u := range f.b.unit {
-				devices[c] = [3]float64(u[1:])
-			}
-		}
 		m.memoMu.Lock()
-		m.devices, m.flight = devices, nil
+		if f.err == nil {
+			m.uniform = f.b
+		}
+		m.flight = nil
 		m.memoMu.Unlock()
 		close(f.done)
 	}()
 	f.b, f.err = m.solveBlock(activity.Uniform{})
-	return f.b, true, f.err
+	return f.b, true, false, f.err
 }
 
 // solveBlock solves an activity's four unit fields as one block.
