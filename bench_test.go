@@ -611,47 +611,42 @@ func BenchmarkBasisEvaluate(b *testing.B) {
 	}
 }
 
-// BenchmarkSolverBackends races every registered sparse backend on the
-// bench model's FVM system at the paper's operating point: same matrix,
-// same RHS, different preconditioner. SSOR-CG trades a triangular sweep
-// per iteration for a ~3x lower iteration count than Jacobi-CG; MG-CG's
-// V-cycle makes the count mesh-independent (compare the iters/solve
-// metric across VCSELNOC_BENCH_RES=preview|fast|paper runs: mg-cg stays
-// flat while the others grow with resolution).
+// BenchmarkSolverBackends times one mg-cg steady solve of the bench
+// model's FVM system at the paper's operating point. The V-cycle makes
+// the iteration count mesh-independent: compare the iters/solve metric
+// across VCSELNOC_BENCH_RES=preview|fast|paper runs. The mg-cg sub-bench
+// keeps the name CI's perfab sweep and the baseline file use.
 func BenchmarkSolverBackends(b *testing.B) {
 	m := benchMethodology(b).Model()
 	power, err := m.PowerVector(thermal.Powers{Chip: 25, VCSEL: 3.6e-3, Driver: 3.6e-3, Heater: 1.08e-3})
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, backend := range sparse.Backends() {
-		b.Run(backend, func(b *testing.B) {
-			opts := benchMGKnobs(fvm.SolveOptions{Tolerance: 1e-8, Solver: backend})
-			var iters int
-			before := m.System().PhaseStats()
-			for i := 0; i < b.N; i++ {
-				sol, err := m.System().SolveSteady(power, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				iters = sol.Stats.Iterations
+	b.Run(fvm.SolverName, func(b *testing.B) {
+		opts := benchMGKnobs(fvm.SolveOptions{Tolerance: 1e-8})
+		var iters int
+		before := m.System().PhaseStats()
+		for i := 0; i < b.N; i++ {
+			sol, err := m.System().SolveSteady(power, opts)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(iters), "iters/solve")
-			// For mg-cg, break the solve down into V-cycle phase time
-			// fractions (fraction of total benchmark wall-clock spent
-			// smoothing, restricting, prolongating and coarse-solving) —
-			// machine-dependent, so benchguard reports them without
-			// gating.
-			if backend == sparse.BackendMGCG && b.Elapsed() > 0 {
-				ph := m.System().PhaseStats().Sub(before)
-				total := b.Elapsed().Seconds()
-				b.ReportMetric(ph.Smooth.Seconds()/total, "smoothfrac")
-				b.ReportMetric(ph.Restrict.Seconds()/total, "restrictfrac")
-				b.ReportMetric(ph.Prolong.Seconds()/total, "prolongfrac")
-				b.ReportMetric(ph.Coarse.Seconds()/total, "coarsefrac")
-			}
-		})
-	}
+			iters = sol.Stats.Iterations
+		}
+		b.ReportMetric(float64(iters), "iters/solve")
+		// Break the solve down into V-cycle phase time fractions
+		// (fraction of total benchmark wall-clock spent smoothing,
+		// restricting, prolongating and coarse-solving) —
+		// machine-dependent, so benchguard reports them without gating.
+		if b.Elapsed() > 0 {
+			ph := m.System().PhaseStats().Sub(before)
+			total := b.Elapsed().Seconds()
+			b.ReportMetric(ph.Smooth.Seconds()/total, "smoothfrac")
+			b.ReportMetric(ph.Restrict.Seconds()/total, "restrictfrac")
+			b.ReportMetric(ph.Prolong.Seconds()/total, "prolongfrac")
+			b.ReportMetric(ph.Coarse.Seconds()/total, "coarsefrac")
+		}
+	})
 }
 
 // BenchmarkCoarseSolve isolates the coarsest-level direct solve the
@@ -702,10 +697,10 @@ func BenchmarkCoarseSolve(b *testing.B) {
 }
 
 // BenchmarkBuildBasis contrasts the seed's basis-construction path (a
-// fresh operator assembly inside every one of the four unit solves)
-// against the refactored one (a single cached assembly, the four RHS
-// batched across the worker pool with reused solver workspaces), and
-// times a non-uniform rebuild, which solves only its chip field.
+// fresh operator assembly, and so a fresh hierarchy, inside every one of
+// the four unit solves) against the cached one (one assembly and
+// hierarchy, the four RHS advancing as one block), and times a
+// non-uniform rebuild, which solves only its chip field.
 func BenchmarkBuildBasis(b *testing.B) {
 	m := benchMethodology(b).Model()
 	units := []thermal.Powers{
@@ -759,20 +754,11 @@ func BenchmarkBuildBasis(b *testing.B) {
 		}
 		batch[i] = power
 	}
-	b.Run("cached-batch-ssor", func(b *testing.B) {
-		opts := fvm.SolveOptions{Tolerance: 1e-8, Solver: "ssor-cg"}
-		for i := 0; i < b.N; i++ {
-			if _, err := m.System().SolveSteadyBatch(batch, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	// The headline path: the four unit right-hand sides advance as ONE
 	// block-Krylov solve whose per-column multigrid V-cycles share the
-	// system's cached hierarchy and run concurrently. At the bench (fast)
-	// resolution this beats cached-batch-ssor by ~3x wall-clock.
+	// system's cached hierarchy and run concurrently.
 	b.Run("cached-block-mg", func(b *testing.B) {
-		opts := fvm.SolveOptions{Tolerance: 1e-8, Solver: "mg-cg"}
+		opts := fvm.SolveOptions{Tolerance: 1e-8}
 		var iters int
 		for i := 0; i < b.N; i++ {
 			sols, err := m.System().SolveSteadyBlock(batch, opts)
@@ -785,43 +771,44 @@ func BenchmarkBuildBasis(b *testing.B) {
 	})
 }
 
-// BenchmarkTransientSteps times one implicit-Euler transient step per
-// iteration against the cached per-dt transient operator, for the cheap
-// Jacobi-CG backend and for mg-cg's shifted V-cycle (derived from the
-// system's steady hierarchy — only the Galerkin diagonals rebuilt for the
-// C/dt bump). The iters/step metric is the machine-independent signal:
-// mg-cg stays in the steady solves' low single digits at every
-// resolution while jacobi-cg grows with the mesh — the reason transient
-// runs no longer fall back off mg-cg at fast/paper resolutions.
+// BenchmarkTransientSteps times one warm implicit-Euler transient step
+// per iteration against the cached per-dt transient operator,
+// preconditioned by mg-cg's shifted V-cycle (derived from the system's
+// steady hierarchy — only the Galerkin diagonals rebuilt for the C/dt
+// bump). The iters/step metric is the machine-independent signal: it
+// stays in the steady solves' low single digits at every resolution.
 func BenchmarkTransientSteps(b *testing.B) {
 	m := benchMethodology(b).Model()
 	power, err := m.PowerVector(thermal.Powers{Chip: 25, VCSEL: 3.6e-3, Driver: 3.6e-3, Heater: 1.08e-3})
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, backend := range []string{"jacobi-cg", "mg-cg"} {
-		b.Run(backend, func(b *testing.B) {
-			// Stepper construction (including the one-off shifted-
-			// hierarchy derivation) stays outside the timer: the steady
-			// state being measured is the per-step cost of a long run.
-			st, err := m.System().NewTransientStepper(power, fvm.TransientOptions{
-				TimeStep: 1e-3, InitialUniform: 25, Tolerance: 1e-8, Solver: backend,
-			})
+	b.Run(fvm.SolverName, func(b *testing.B) {
+		// Set-up stays outside the timer: stepper construction (with the
+		// shifted-hierarchy derivation) and one untimed step, which
+		// builds the shifted hierarchy's coarse factor and the V-cycle
+		// workspace. The steady state measured is the per-step cost of
+		// a long run.
+		st, err := m.System().NewTransientStepper(power, fvm.TransientOptions{
+			TimeStep: 1e-3, InitialUniform: 25, Tolerance: 1e-8,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := st.Step(); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		var iters int
+		for i := 0; i < b.N; i++ {
+			stats, err := st.Step()
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.ResetTimer()
-			var iters int
-			for i := 0; i < b.N; i++ {
-				stats, err := st.Step()
-				if err != nil {
-					b.Fatal(err)
-				}
-				iters = stats.Iterations
-			}
-			b.ReportMetric(float64(iters), "iters/step")
-		})
-	}
+			iters = stats.Iterations
+		}
+		b.ReportMetric(float64(iters), "iters/step")
+	})
 }
 
 // BenchmarkVCSELOperate times the laser self-heating fixed point.

@@ -6,8 +6,7 @@
 // Usage:
 //
 //	dse [-res fast] [-chip 25] [-activity uniform] [-seed 1]
-//	    [-mode all|temps|grid|heater|feasible]
-//	    [-solver jacobi-cg|ssor-cg|mg-cg] [-workers 0]
+//	    [-mode all|temps|grid|heater|feasible] [-workers 0]
 //	    [-shards host1:8080,host2:8080] [-coordinator http://ctl:9090]
 //
 // With -shards, the temps and grid sweeps scatter their row windows
@@ -32,7 +31,6 @@ import (
 	"vcselnoc/internal/dse"
 	"vcselnoc/internal/serve"
 	"vcselnoc/internal/snr"
-	"vcselnoc/internal/sparse"
 	"vcselnoc/internal/thermal"
 )
 
@@ -49,7 +47,6 @@ func main() {
 	act := flag.String("activity", "uniform", "chip activity scenario")
 	seed := flag.Int64("seed", 1, "seed for the random activity")
 	mode := flag.String("mode", "all", "exploration: all, temps, grid, heater, feasible")
-	solver := flag.String("solver", "", "sparse backend: one of "+strings.Join(sparse.Backends(), ", ")+" (default auto-selects per resolution)")
 	workers := flag.Int("workers", 0, "parallel solver/sweep workers (0 = all CPUs)")
 	shards := flag.String("shards", "", "comma-separated vcseld workers to scatter sweeps across (e.g. host1:8080,host2:8080)")
 	coordinator := flag.String("coordinator", "", "vcselctl coordinator URL to route sweeps through (overrides -shards)")
@@ -65,7 +62,6 @@ func main() {
 	if spec.Res, err = thermal.ResolutionByName(*res); err != nil {
 		log.Fatal(err)
 	}
-	spec.Solver = *solver
 	spec.Workers = *workers
 	scenario, err := activity.ByName(*act, *seed)
 	if err != nil {
@@ -115,11 +111,9 @@ func main() {
 			log.Fatal(err)
 		}
 		// Refuse to merge rows from workers meshing at a different
-		// resolution, or solving with a different backend, than this
-		// run — locally retried chunks must be exchangeable with fleet
-		// rows.
+		// resolution than this run — locally retried chunks must be
+		// exchangeable with fleet rows.
 		client.ExpectRes = &spec.Res
-		client.ExpectSolver = spec.EffectiveSolver()
 		fmt.Printf("scattering sweeps across %d workers: %s\n", len(client.Workers), strings.Join(client.Workers, ", "))
 		grids = client
 	}

@@ -4,8 +4,8 @@
 // Usage:
 //
 //	repro [-res coarse|fast|paper] [-experiment all|fig8|fig9a|fig9b|fig10|fig12|xbar|table1|transient]
-//	      [-solver jacobi-cg|ssor-cg|mg-cg] [-workers 0]
-//	      [-steps 200] [-dt 1e-3] [-checkpoint warmup.ckpt] [-resume warmup.ckpt]
+//	      [-workers 0] [-steps 200] [-dt 1e-3]
+//	      [-checkpoint warmup.ckpt] [-resume warmup.ckpt]
 //
 // The fast (10 µm) resolution reproduces the paper's trends in a few
 // minutes; paper (5 µm) matches the published meshing strategy but takes
@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
 	"time"
 
 	"vcselnoc/internal/activity"
@@ -35,7 +34,6 @@ import (
 	"vcselnoc/internal/ornoc"
 	"vcselnoc/internal/photodiode"
 	"vcselnoc/internal/snr"
-	"vcselnoc/internal/sparse"
 	"vcselnoc/internal/thermal"
 	"vcselnoc/internal/vcsel"
 	"vcselnoc/internal/waveguide"
@@ -45,7 +43,6 @@ import (
 func main() {
 	res := flag.String("res", "fast", "mesh resolution: preview, coarse, fast or paper")
 	exp := flag.String("experiment", "all", "which experiment to run: all, table1, fig5b, fig8, fig9a, fig9b, fig10, fig12, xbar, transient (explicit only)")
-	solver := flag.String("solver", "", "sparse backend: one of "+strings.Join(sparse.Backends(), ", ")+" (default auto-selects per resolution)")
 	workers := flag.Int("workers", 0, "parallel solver/sweep workers (0 = all CPUs)")
 	steps := flag.Int("steps", 200, "transient experiment: implicit-Euler steps to integrate")
 	dt := flag.Float64("dt", 1e-3, "transient experiment: time step in seconds")
@@ -63,7 +60,6 @@ func main() {
 	if spec.Res, err = thermal.ResolutionByName(*res); err != nil {
 		log.Fatal(err)
 	}
-	spec.Solver = *solver
 	spec.Workers = *workers
 
 	all := *exp == "all"
@@ -132,8 +128,7 @@ func runTransient(spec thermal.Spec, steps int, dt float64, checkpointPath, resu
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("transient warm-up: %d cells, dt=%g s, %d steps, %s solver\n",
-		m.NumCells(), dt, steps, spec.EffectiveSolver())
+	fmt.Printf("transient warm-up: %d cells, dt=%g s, %d steps\n", m.NumCells(), dt, steps)
 	powers := thermal.Powers{Chip: 25, VCSEL: 3.6e-3, Driver: 3.6e-3, Heater: 1.08e-3}
 	ts := thermal.TransientSpec{
 		TimeStep: dt,

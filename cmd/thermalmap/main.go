@@ -6,8 +6,7 @@
 //
 //	thermalmap [-chip 25] [-pvcsel 3.6e-3] [-pheater 1.08e-3]
 //	           [-activity uniform] [-seed 1] [-res fast]
-//	           [-layer optical] [-csv out.csv] [-width 100]
-//	           [-solver jacobi-cg|ssor-cg|mg-cg] [-workers 0]
+//	           [-layer optical] [-csv out.csv] [-width 100] [-workers 0]
 package main
 
 import (
@@ -15,10 +14,8 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
 
 	"vcselnoc/internal/activity"
-	"vcselnoc/internal/sparse"
 	"vcselnoc/internal/thermal"
 )
 
@@ -32,7 +29,6 @@ func main() {
 	layer := flag.String("layer", "optical", "stack layer to render")
 	csvPath := flag.String("csv", "", "write the map as CSV to this path instead of ASCII")
 	width := flag.Int("width", 100, "ASCII map width in characters")
-	solver := flag.String("solver", "", "sparse backend: one of "+strings.Join(sparse.Backends(), ", ")+" (default auto-selects per resolution)")
 	workers := flag.Int("workers", 0, "parallel solver workers (0 = all CPUs)")
 	flag.Parse()
 
@@ -46,7 +42,6 @@ func main() {
 	if spec.Res, err = thermal.ResolutionByName(*res); err != nil {
 		log.Fatal(err)
 	}
-	spec.Solver = *solver
 	spec.Workers = *workers
 	scenario, err := activity.ByName(*act, *seed)
 	if err != nil {

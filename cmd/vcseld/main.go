@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	vcseld [-addr :8080] [-res fast] [-solver mg-cg] [-workers 0]
+//	vcseld [-addr :8080] [-res fast] [-workers 0]
 //	       [-cache 4096] [-max-bases 8] [-warm]
 //	       [-admit-rate 0] [-admit-burst 0] [-client-rate 0] [-client-burst 0]
 //	       [-job-dir /var/lib/vcseld/jobs] [-job-checkpoint-every 25]
@@ -58,14 +58,12 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"vcselnoc/internal/fleet"
 	"vcselnoc/internal/obs"
 	"vcselnoc/internal/serve"
-	"vcselnoc/internal/sparse"
 	"vcselnoc/internal/thermal"
 )
 
@@ -88,7 +86,6 @@ func advertiseURL(a net.Addr) string {
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	res := flag.String("res", "fast", "mesh resolution: preview, coarse, fast or paper")
-	solver := flag.String("solver", "", "sparse backend: one of "+strings.Join(sparse.Backends(), ", ")+" (default auto-selects per resolution)")
 	workers := flag.Int("workers", 0, "parallel solver/sweep workers (0 = all CPUs)")
 	cacheSize := flag.Int("cache", serve.DefaultCacheSize, "query LRU capacity")
 	maxBases := flag.Int("max-bases", serve.DefaultMaxBases, "warm bases to hold per spec (least-recently-used shape evicted beyond)")
@@ -123,7 +120,6 @@ func main() {
 	if spec.Res, err = thermal.ResolutionByName(*res); err != nil {
 		log.Fatal(err)
 	}
-	spec.Solver = *solver
 	spec.Workers = *workers
 
 	srv, err := serve.New(serve.Config{
@@ -144,7 +140,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if *warm {
-		logger.Info("warming", "spec", serve.DefaultSpec, "res", *res, "solver", spec.EffectiveSolver())
+		logger.Info("warming", "spec", serve.DefaultSpec, "res", *res)
 		start := time.Now()
 		if err := srv.Warm(serve.DefaultSpec); err != nil {
 			log.Fatal(err)
@@ -161,7 +157,7 @@ func main() {
 	// an open stream would hold the graceful drain for its full timeout.
 	defer context.AfterFunc(ctx, srv.Close)()
 	err = serve.ListenAndRun(ctx, *addr, srv, *shutdownTimeout, func(a net.Addr) {
-		logger.Info("listening", "addr", a.String(), "res", *res, "solver", spec.EffectiveSolver())
+		logger.Info("listening", "addr", a.String(), "res", *res)
 		if *coordinator != "" {
 			self := *advertise
 			if self == "" {

@@ -464,7 +464,6 @@ func (c *Coordinator) shardClient(sc serve.Scenario, spec serve.SpecInfo, traceI
 		Scenario:      sc,
 		HTTPClient:    c.chunkClient,
 		ExpectRes:     &res,
-		ExpectSolver:  spec.Solver,
 		ChunkAttempts: c.cfg.ChunkAttempts,
 		RetryBase:     c.cfg.RetryBase,
 		RetryMax:      c.cfg.RetryMax,

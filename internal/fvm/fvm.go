@@ -1,7 +1,9 @@
 // Package fvm discretises the heat-conduction equation on a structured
 // non-uniform grid with the Finite Volume Method and solves the resulting
-// linear system. It is the numerical core of the IcTherm-style thermal
-// simulator used by the paper's methodology.
+// linear system with mg-cg, CG preconditioned by a geometric-multigrid
+// V-cycle (internal/mg) on a hierarchy each System builds once. It is the
+// numerical core of the IcTherm-style thermal simulator used by the
+// paper's methodology.
 //
 // Steady state:   ∇·(k ∇T) + q = 0
 // Transient:      ρc ∂T/∂t = ∇·(k ∇T) + q   (implicit Euler)
@@ -16,14 +18,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"vcselnoc/internal/geom"
 	"vcselnoc/internal/mesh"
 	"vcselnoc/internal/mg"
-	"vcselnoc/internal/parallel"
 	"vcselnoc/internal/sparse"
 )
 
@@ -160,12 +160,11 @@ type System struct {
 	// hasFix records whether any boundary pins the temperature level.
 	hasFix bool
 
-	// hint carries the grid geometry to geometry-aware sparse backends
-	// (geometric multigrid needs the mesh behind the matrix).
+	// hint is the grid geometry the multigrid hierarchy is built from.
 	hint sparse.GridHint
 	// mgOnce/mgHier/mgErr lazily cache one multigrid hierarchy for the
-	// steady operator, shared by every mg-cg solve of this system —
-	// batched, blocked and repeated solves pay the Galerkin setup once.
+	// steady operator, shared by every steady solve of this system —
+	// blocked and repeated solves pay the Galerkin setup once.
 	mgOnce sync.Once
 	mgHier *mg.Hierarchy
 	mgErr  error
@@ -433,37 +432,34 @@ type SolveOptions struct {
 	MaxIterations int
 	// InitialGuess optionally warm-starts the solver (length = cells).
 	InitialGuess []float64
-	// Solver selects the sparse backend by name ("jacobi-cg", "ssor-cg",
-	// "mg-cg"); empty selects jacobi-cg.
-	Solver string
 	// Workers caps the goroutines used for matrix-vector products, the
-	// mg-cg red-black line smoother and for fanning out batched solves; 0
+	// red-black line smoother and a block solve's concurrent V-cycles; 0
 	// means GOMAXPROCS.
 	Workers int
-	// MGPrecision selects the mg-cg V-cycle arithmetic ("float32",
-	// "float64"); empty auto-selects per mg.Options.Precision. Ignored by
-	// other backends.
+	// MGPrecision selects the V-cycle arithmetic ("float32", "float64");
+	// empty auto-selects per mg.Options.Precision.
 	MGPrecision string
 }
 
-// newSolver builds the sparse backend described by the options.
-func (o SolveOptions) newSolver() (sparse.Solver, error) {
-	tol := o.Tolerance
+// SolverName names the one linear solver every solve runs: mg-cg, CG
+// preconditioned by one multigrid V-cycle (internal/mg). Transient
+// checkpoints, spec info and sweep responses record it, so a record
+// produced by another solver is refused.
+const SolverName = "mg-cg"
+
+// newSolver builds an mg-cg solver on hierarchy h; tol ≤ 0 means 1e-8.
+func newSolver(h *mg.Hierarchy, tol float64, maxIter, workers int, precision string) *mg.Solver {
 	if tol <= 0 {
 		tol = 1e-8
 	}
-	return sparse.Config{
-		Backend:       o.Solver,
-		Tolerance:     tol,
-		MaxIterations: o.MaxIterations,
-		Workers:       o.Workers,
-		MGPrecision:   o.MGPrecision,
-	}.New()
+	s := mg.New(mg.Options{Tolerance: tol, MaxIterations: maxIter, Workers: workers, Precision: precision})
+	s.SetHierarchy(h)
+	return s
 }
 
 // hierarchy lazily builds the system's shared multigrid hierarchy. The
 // hierarchy, its coarsening and its coarse factor depend on the matrix
-// alone, so every solver newSolver constructs can share it.
+// alone, so every steady solver shares it.
 func (s *System) hierarchy() (*mg.Hierarchy, error) {
 	s.mgOnce.Do(func() {
 		s.mgHier, s.mgErr = mg.BuildHierarchy(s.matrix, s.hint, mg.Options{})
@@ -481,8 +477,8 @@ func (s *System) Hierarchy() (*mg.Hierarchy, error) { return s.hierarchy() }
 
 // PhaseStats returns the cumulative V-cycle phase times of the system's
 // shared steady-state multigrid hierarchy, or the zero value when no
-// mg-cg solve has built one yet. Observability callers snapshot it
-// around a solve to attach per-phase fractions to request traces.
+// solve has built one yet. Observability callers snapshot it around a
+// solve to attach per-phase fractions to request traces.
 func (s *System) PhaseStats() mg.PhaseStats {
 	h := s.mgHierPub.Load()
 	if h == nil {
@@ -491,28 +487,16 @@ func (s *System) PhaseStats() mg.PhaseStats {
 	return h.PhaseStats()
 }
 
-// solverFor builds the backend described by the options and wires the
-// system's geometry into it: grid-aware solvers receive the mesh hint,
-// and mg-cg solvers of the steady operator additionally share the
-// system's cached hierarchy so parallel workers do not each redo the
-// Galerkin setup. Transient steppers pass shareHierarchy=false and wire
-// in the per-dt shifted hierarchy themselves (see transientOp).
-func (s *System) solverFor(opts SolveOptions, shareHierarchy bool) (sparse.Solver, error) {
-	solver, err := opts.newSolver()
+// steadySolver builds an mg-cg solver of the steady operator on the
+// system's shared hierarchy, so solvers never redo the Galerkin set-up.
+// Transient steppers solve on the per-dt shifted hierarchy instead (see
+// transientOp).
+func (s *System) steadySolver(opts SolveOptions) (*mg.Solver, error) {
+	h, err := s.hierarchy()
 	if err != nil {
 		return nil, err
 	}
-	if gs, ok := solver.(sparse.GridSolver); ok {
-		gs.SetGridHint(s.hint)
-	}
-	if ms, ok := solver.(*mg.Solver); ok && shareHierarchy {
-		h, err := s.hierarchy()
-		if err != nil {
-			return nil, err
-		}
-		ms.SetHierarchy(h)
-	}
-	return solver, nil
+	return newSolver(h, opts.Tolerance, opts.MaxIterations, opts.Workers, opts.MGPrecision), nil
 }
 
 // Solution is a computed temperature field.
@@ -530,7 +514,7 @@ type Solution struct {
 
 // SolveSteady solves the steady-state problem. It assembles the operator
 // per call; repeated solves over the same geometry should assemble once
-// with NewSystem and use System.SolveSteady / System.SolveSteadyBatch.
+// with NewSystem and use System.SolveSteady / System.SolveSteadyBlock.
 func SolveSteady(p *Problem, opts SolveOptions) (*Solution, error) {
 	sys, err := NewSystem(p)
 	if err != nil {
@@ -542,7 +526,7 @@ func SolveSteady(p *Problem, opts SolveOptions) (*Solution, error) {
 // SolveSteady solves the steady problem for one per-cell power vector
 // (watts per cell, length N) against the cached operator.
 func (s *System) SolveSteady(power []float64, opts SolveOptions) (*Solution, error) {
-	solver, err := s.solverFor(opts, true)
+	solver, err := s.steadySolver(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -550,8 +534,8 @@ func (s *System) SolveSteady(power []float64, opts SolveOptions) (*Solution, err
 }
 
 // solveSteadyWith runs one steady solve with a caller-supplied solver and
-// optional reusable RHS buffer (both enable allocation-free batching).
-func (s *System) solveSteadyWith(power []float64, opts SolveOptions, solver sparse.Solver, rhs []float64) (*Solution, error) {
+// optional reusable RHS buffer.
+func (s *System) solveSteadyWith(power []float64, opts SolveOptions, solver *mg.Solver, rhs []float64) (*Solution, error) {
 	if !s.hasFix {
 		return nil, fmt.Errorf("fvm: steady problem needs at least one convection or Dirichlet boundary (all faces adiabatic)")
 	}
@@ -584,78 +568,24 @@ func (s *System) solveSteadyWith(power []float64, opts SolveOptions, solver spar
 	}, nil
 }
 
-// SolveSteadyBatch solves the steady problem for many power vectors
-// against the one cached operator, fanning the independent right-hand
-// sides across opts.Workers goroutines (0 means GOMAXPROCS), each with its
-// own solver workspace and RHS buffer. Solutions are returned in input
-// order; the first error aborts the batch (remaining solves are skipped).
-func (s *System) SolveSteadyBatch(powers [][]float64, opts SolveOptions) ([]*Solution, error) {
-	if len(powers) == 0 {
-		return nil, fmt.Errorf("fvm: empty power batch")
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(powers) {
-		workers = len(powers)
-	}
-	solvers := make([]sparse.Solver, workers)
-	rhsBufs := make([][]float64, workers)
-	for w := range solvers {
-		solver, err := s.solverFor(opts, true)
-		if err != nil {
-			return nil, err
-		}
-		solvers[w] = solver
-		rhsBufs[w] = make([]float64, s.matrix.N())
-	}
-	sols := make([]*Solution, len(powers))
-	err := parallel.ForEach(workers, len(powers), func(w, i int) error {
-		sol, err := s.solveSteadyWith(powers[i], opts, solvers[w], rhsBufs[w])
-		if err != nil {
-			return fmt.Errorf("fvm: batch solve %d: %w", i, err)
-		}
-		sols[i] = sol
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return sols, nil
-}
-
 // SolveSteadyBlock solves many power vectors against the cached operator
 // as ONE block-Krylov solve: all right-hand sides advance through a shared
 // block conjugate gradient, so every matrix pass feeds every column
 // (sparse.MulVecBlockN) and the columns exchange search directions — the
-// batched basis build converges in fewer, cheaper iterations than
-// len(powers) independent solves. Every column gets its own multigrid
-// V-cycle preconditioner — all sharing the system's cached hierarchy — and
-// the applications run concurrently inside each block iteration.
-//
-// Block Krylov pays off when the preconditioner dominates the iteration
-// and the iteration count is small, which is the mg-cg profile; for the
-// cheap Jacobi/SSOR preconditioners the hundreds of interleaved block
-// iterations cost more than len(powers) embarrassingly parallel solves,
-// so every other backend transparently delegates to SolveSteadyBatch (as
-// does a block whose search directions lose rank mid-solve — numerically
-// dependent right-hand sides). The result contract is identical either
-// way: one Solution per power vector, in input order.
+// basis build converges in fewer, cheaper iterations than len(powers)
+// independent solves. Every column gets its own multigrid V-cycle
+// preconditioner — all sharing the system's cached hierarchy — and the
+// applications run concurrently inside each block iteration. A block
+// whose search directions lose rank mid-solve (numerically dependent
+// right-hand sides) is solved again column by column on the same
+// hierarchy. Either way the result is one Solution per power vector, in
+// input order.
 func (s *System) SolveSteadyBlock(powers [][]float64, opts SolveOptions) ([]*Solution, error) {
 	if len(powers) == 0 {
 		return nil, fmt.Errorf("fvm: empty power block")
 	}
 	if !s.hasFix {
 		return nil, fmt.Errorf("fvm: steady problem needs at least one convection or Dirichlet boundary (all faces adiabatic)")
-	}
-	probe, err := opts.newSolver()
-	if err != nil {
-		return nil, err
-	}
-	if _, isMG := probe.(*mg.Solver); !isMG {
-		// Cheap-preconditioner backend: the parallel batch is faster.
-		return s.SolveSteadyBatch(powers, opts)
 	}
 	n := s.matrix.N()
 	if opts.InitialGuess != nil && len(opts.InitialGuess) != n {
@@ -688,14 +618,15 @@ func (s *System) SolveSteadyBlock(powers [][]float64, opts SolveOptions) ([]*Sol
 	if opts.Workers == 1 {
 		numPreconds = 1
 	}
+	solvers := make([]*mg.Solver, numPreconds)
 	preconds := make([]func(z, r []float64), numPreconds)
 	for c := range preconds {
-		solver, err := s.solverFor(opts, true)
+		solver, err := s.steadySolver(opts)
 		if err != nil {
 			return nil, err
 		}
-		pc := solver.(sparse.Preconditioned) // probed above; same opts
-		preconds[c], err = pc.Preconditioner(s.matrix)
+		solvers[c] = solver
+		preconds[c], err = solver.Preconditioner(s.matrix)
 		if err != nil {
 			return nil, fmt.Errorf("fvm: block steady solve: %w", err)
 		}
@@ -709,7 +640,7 @@ func (s *System) SolveSteadyBlock(powers [][]float64, opts SolveOptions) ([]*Sol
 		if errors.Is(err, sparse.ErrBlockBreakdown) {
 			// Rank loss: the columns' Krylov spaces merged. Independent
 			// solves cannot break down this way.
-			return s.SolveSteadyBatch(powers, opts)
+			return s.solveColumns(powers, opts, solvers[0])
 		}
 		return nil, fmt.Errorf("fvm: block steady solve failed: %w", err)
 	}
@@ -719,6 +650,21 @@ func (s *System) SolveSteadyBlock(powers [][]float64, opts SolveOptions) ([]*Sol
 			Grid: s.grid, T: xs[c], Stats: stats[c],
 			boundaryG: s.boundaryG, boundaryGT: s.boundaryGT, totalPower: totals[c],
 		}
+	}
+	return sols, nil
+}
+
+// solveColumns solves the power vectors one after another with one
+// solver and one RHS buffer.
+func (s *System) solveColumns(powers [][]float64, opts SolveOptions, solver *mg.Solver) ([]*Solution, error) {
+	rhs := make([]float64, s.matrix.N())
+	sols := make([]*Solution, len(powers))
+	for c, power := range powers {
+		sol, err := s.solveSteadyWith(power, opts, solver, rhs)
+		if err != nil {
+			return nil, fmt.Errorf("fvm: column %d: %w", c, err)
+		}
+		sols[c] = sol
 	}
 	return sols, nil
 }
@@ -828,14 +774,11 @@ type TransientOptions struct {
 	InitialUniform float64
 	// Tolerance is the per-step solver tolerance (default 1e-8).
 	Tolerance float64
-	// Solver selects the sparse backend by name ("jacobi-cg", "ssor-cg",
-	// "mg-cg"); empty selects jacobi-cg.
-	Solver string
-	// Workers caps the goroutines used for matrix-vector products; 0 means
-	// GOMAXPROCS.
+	// Workers caps the goroutines used for matrix-vector products and the
+	// line smoother; 0 means GOMAXPROCS.
 	Workers int
-	// MGPrecision selects the mg-cg V-cycle arithmetic exactly as the
-	// field of the same name on SolveOptions; ignored by other backends.
+	// MGPrecision selects the V-cycle arithmetic exactly as the field of
+	// the same name on SolveOptions.
 	MGPrecision string
 	// Snapshot, if non-nil, is called after every step with the step index
 	// (1-based), the simulated time and a fresh copy of the current field,
@@ -858,8 +801,8 @@ func SolveTransient(p *Problem, opts TransientOptions) (*Solution, error) {
 // SolveTransient integrates the transient heat equation for one per-cell
 // power vector against the cached operator. It is a thin wrapper over
 // TransientStepper: the run reuses the system's per-dt transient operator
-// (and, under mg-cg, the shifted multigrid hierarchy derived from the
-// steady one), a single solver workspace, and warm-starts every step from
+// and the shifted multigrid hierarchy derived from the steady one, a
+// single solver workspace, and warm-starts every step from
 // the previous field. Interruptible, resumable runs use NewTransientStepper
 // directly.
 func (s *System) SolveTransient(power []float64, opts TransientOptions) (*Solution, error) {

@@ -3,6 +3,8 @@ package fvm
 import (
 	"math"
 	"testing"
+
+	"vcselnoc/internal/sparse"
 )
 
 // benchProblem builds a modest 3D conduction problem with convection top
@@ -25,53 +27,45 @@ func systemProblem(t testing.TB, nx, ny, nz int) *Problem {
 	}
 }
 
-// TestBackendsAgreeOnFVMSystem is the acceptance check for the solver
-// spine: every backend — including the geometry-aware mg-cg, which
-// receives the mesh through the System's grid hint — must agree on a
-// finite-volume temperature field to within 1e-6 relative of the
-// reference backend.
+// TestBackendsAgreeOnFVMSystem is the acceptance check for the solver:
+// mg-cg, which builds its hierarchy from the System's grid geometry,
+// must agree on a finite-volume temperature field to within 1e-6
+// relative of the Jacobi-preconditioned CG reference.
 func TestBackendsAgreeOnFVMSystem(t *testing.T) {
 	p := systemProblem(t, 20, 18, 6)
 	sys, err := NewSystem(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fields := map[string][]float64{}
-	backends := []string{"jacobi-cg", "ssor-cg", "mg-cg"}
-	for _, backend := range backends {
-		sol, err := sys.SolveSteady(p.Power, SolveOptions{Tolerance: 1e-10, Solver: backend})
-		if err != nil {
-			t.Fatalf("%s: %v", backend, err)
-		}
-		if !sol.Stats.Converged {
-			t.Fatalf("%s did not converge", backend)
-		}
-		fields[backend] = sol.T
+	sol, err := sys.SolveSteady(p.Power, SolveOptions{Tolerance: 1e-10})
+	if err != nil {
+		t.Fatal(err)
 	}
-	ref := fields["jacobi-cg"]
-	var maxT float64
+	if !sol.Stats.Converged {
+		t.Fatal("mg-cg did not converge")
+	}
+	rhs := make([]float64, sys.N())
+	for i, q := range p.Power {
+		rhs[i] = sys.rhsBoundary[i] + q
+	}
+	ref := make([]float64, sys.N())
+	if _, err := (&sparse.CG{Tolerance: 1e-10}).Solve(sys.Matrix(), rhs, ref); err != nil {
+		t.Fatal(err)
+	}
+	var maxT, maxD float64
 	for i := range ref {
-		if a := math.Abs(ref[i]); a > maxT {
-			maxT = a
-		}
+		maxT = math.Max(maxT, math.Abs(ref[i]))
+		maxD = math.Max(maxD, math.Abs(ref[i]-sol.T[i]))
 	}
-	for _, backend := range backends[1:] {
-		var maxD float64
-		for i, v := range fields[backend] {
-			if d := math.Abs(ref[i] - v); d > maxD {
-				maxD = d
-			}
-		}
-		if maxD/maxT > 1e-6 {
-			t.Errorf("%s disagrees with jacobi-cg on temperature field: rel diff %.2e > 1e-6", backend, maxD/maxT)
-		}
+	if maxD/maxT > 1e-6 {
+		t.Errorf("mg-cg disagrees with jacobi-cg on temperature field: rel diff %.2e > 1e-6", maxD/maxT)
 	}
 }
 
 // TestSolveSteadyBlockMatchesIndividual: the block-Krylov multi-RHS path
-// must land on the per-vector solutions for every backend that can join a
-// block solve. Run under -race this doubles as the data-race smoke of the
-// concurrent per-column preconditioner application.
+// must land on the per-vector solutions. Run under -race this doubles as
+// the data-race smoke of the concurrent per-column preconditioner
+// application.
 func TestSolveSteadyBlockMatchesIndividual(t *testing.T) {
 	p := systemProblem(t, 16, 14, 6)
 	sys, err := NewSystem(p)
@@ -86,40 +80,38 @@ func TestSolveSteadyBlockMatchesIndividual(t *testing.T) {
 		pw[(i*577+23)%n] = 0.1
 		powers[i] = pw
 	}
-	for _, backend := range []string{"jacobi-cg", "ssor-cg", "mg-cg"} {
-		opts := SolveOptions{Tolerance: 1e-10, Solver: backend}
-		want := make([]*Solution, len(powers))
-		for i, pw := range powers {
-			want[i], err = sys.SolveSteady(pw, opts)
-			if err != nil {
-				t.Fatalf("%s: %v", backend, err)
-			}
-		}
-		got, err := sys.SolveSteadyBlock(powers, opts)
+	opts := SolveOptions{Tolerance: 1e-10}
+	want := make([]*Solution, len(powers))
+	for i, pw := range powers {
+		want[i], err = sys.SolveSteady(pw, opts)
 		if err != nil {
-			t.Fatalf("%s block: %v", backend, err)
+			t.Fatal(err)
 		}
-		var maxT float64
-		for _, sol := range want {
-			for _, v := range sol.T {
-				if a := math.Abs(v); a > maxT {
-					maxT = a
-				}
+	}
+	got, err := sys.SolveSteadyBlock(powers, opts)
+	if err != nil {
+		t.Fatalf("block: %v", err)
+	}
+	var maxT float64
+	for _, sol := range want {
+		for _, v := range sol.T {
+			if a := math.Abs(v); a > maxT {
+				maxT = a
 			}
 		}
-		for i := range got {
-			if !got[i].Stats.Converged {
-				t.Fatalf("%s block column %d did not converge", backend, i)
+	}
+	for i := range got {
+		if !got[i].Stats.Converged {
+			t.Fatalf("block column %d did not converge", i)
+		}
+		for c := range got[i].T {
+			if math.Abs(got[i].T[c]-want[i].T[c])/maxT > 1e-8 {
+				t.Fatalf("solution %d cell %d: block %g vs individual %g",
+					i, c, got[i].T[c], want[i].T[c])
 			}
-			for c := range got[i].T {
-				if math.Abs(got[i].T[c]-want[i].T[c])/maxT > 1e-8 {
-					t.Fatalf("%s solution %d cell %d: block %g vs individual %g",
-						backend, i, c, got[i].T[c], want[i].T[c])
-				}
-			}
-			if math.Abs(got[i].EnergyBalanceError()) > 1e-6 {
-				t.Errorf("%s solution %d: energy balance error %g", backend, i, got[i].EnergyBalanceError())
-			}
+		}
+		if math.Abs(got[i].EnergyBalanceError()) > 1e-6 {
+			t.Errorf("solution %d: energy balance error %g", i, got[i].EnergyBalanceError())
 		}
 	}
 	// Error surface: bad lengths still rejected through the block path.
@@ -157,43 +149,42 @@ func TestSystemMatchesSolveSteady(t *testing.T) {
 	}
 }
 
-// TestSolveSteadyBatchMatchesIndividual: a batch over several power
-// vectors must equal per-vector solves, in order, for every worker count.
-func TestSolveSteadyBatchMatchesIndividual(t *testing.T) {
+// TestSolveSteadyBlockBreakdownMatchesIndividual: a block of dependent
+// columns (a, 2a, a) loses rank in block CG, and SolveSteadyBlock then
+// solves it column by column on the shared hierarchy. Each column must
+// be bit-identical to its own SolveSteady — which a block solve that
+// had not broken down would not be — whether the block shares one
+// V-cycle (Workers 1) or runs one per column.
+func TestSolveSteadyBlockBreakdownMatchesIndividual(t *testing.T) {
 	p := systemProblem(t, 14, 12, 5)
 	sys, err := NewSystem(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := sys.N()
-	powers := make([][]float64, 5)
-	for i := range powers {
-		pw := make([]float64, n)
-		pw[(i*97)%n] = 0.3 + 0.1*float64(i)
-		pw[(i*389+41)%n] = 0.05
-		powers[i] = pw
+	double := make([]float64, len(p.Power))
+	for i, q := range p.Power {
+		double[i] = 2 * q
 	}
-	want := make([]*Solution, len(powers))
-	for i, pw := range powers {
-		want[i], err = sys.SolveSteady(pw, SolveOptions{Tolerance: 1e-10})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, workers := range []int{0, 1, 2, 4, 9} {
-		got, err := sys.SolveSteadyBatch(powers, SolveOptions{Tolerance: 1e-10, Workers: workers})
+	powers := [][]float64{p.Power, double, p.Power}
+	for _, workers := range []int{0, 1} {
+		opts := SolveOptions{Tolerance: 1e-10, Workers: workers}
+		got, err := sys.SolveSteadyBlock(powers, opts)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		for i := range got {
-			for c := range got[i].T {
-				if math.Abs(got[i].T[c]-want[i].T[c]) > 1e-9 {
-					t.Fatalf("workers=%d solution %d cell %d: batch %g vs individual %g",
-						workers, i, c, got[i].T[c], want[i].T[c])
-				}
+		for i, pw := range powers {
+			want, err := sys.SolveSteady(pw, opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if math.Abs(got[i].EnergyBalanceError()) > 1e-6 {
-				t.Errorf("workers=%d solution %d: energy balance error %g", workers, i, got[i].EnergyBalanceError())
+			if got[i].Stats != want.Stats {
+				t.Errorf("workers=%d column %d: stats %+v, individual %+v", workers, i, got[i].Stats, want.Stats)
+			}
+			for c := range want.T {
+				if got[i].T[c] != want.T[c] {
+					t.Fatalf("workers=%d column %d cell %d: block %g vs individual %g",
+						workers, i, c, got[i].T[c], want.T[c])
+				}
 			}
 		}
 	}
@@ -223,36 +214,6 @@ func TestSystemTransientMatchesProblemLevel(t *testing.T) {
 	}
 }
 
-// TestSystemSolverSelection: transient and steady runs must accept both
-// backends and agree across them.
-func TestSystemSolverSelection(t *testing.T) {
-	p := systemProblem(t, 10, 8, 4)
-	sys, err := NewSystem(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var prev []float64
-	for _, backend := range []string{"jacobi-cg", "ssor-cg", "mg-cg"} {
-		sol, err := sys.SolveTransient(p.Power, TransientOptions{
-			TimeStep: 0.01, Steps: 3, InitialUniform: 25, Tolerance: 1e-11, Solver: backend,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", backend, err)
-		}
-		if prev != nil {
-			for i := range sol.T {
-				if math.Abs(sol.T[i]-prev[i]) > 1e-6 {
-					t.Fatalf("transient backends disagree at cell %d: %g vs %g", i, sol.T[i], prev[i])
-				}
-			}
-		}
-		prev = sol.T
-	}
-	if _, err := sys.SolveSteady(p.Power, SolveOptions{Solver: "nope"}); err == nil {
-		t.Error("unknown backend should error")
-	}
-}
-
 func TestSystemErrors(t *testing.T) {
 	p := systemProblem(t, 8, 8, 3)
 	sys, err := NewSystem(p)
@@ -261,12 +222,6 @@ func TestSystemErrors(t *testing.T) {
 	}
 	if _, err := sys.SolveSteady(make([]float64, 3), SolveOptions{}); err == nil {
 		t.Error("wrong power length should error")
-	}
-	if _, err := sys.SolveSteadyBatch(nil, SolveOptions{}); err == nil {
-		t.Error("empty batch should error")
-	}
-	if _, err := sys.SolveSteadyBatch([][]float64{make([]float64, 2)}, SolveOptions{}); err == nil {
-		t.Error("bad batch entry should error")
 	}
 	if _, err := sys.SolveSteady(p.Power, SolveOptions{InitialGuess: make([]float64, 2)}); err == nil {
 		t.Error("bad initial guess length should error")

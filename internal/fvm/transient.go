@@ -5,12 +5,11 @@ package fvm
 // cached transient operator (A + diag(C/dt), built once per distinct dt,
 // not per run), and can serialise its state into a TransientCheckpoint
 // whose fingerprints guard restores against a different mesh, operator,
-// power vector, time step or solver. Under mg-cg the stepper
-// preconditions every step with a shifted V-cycle derived from the
-// system's cached steady hierarchy — only the Galerkin diagonals are
-// rebuilt for the C/dt bump — so transient steps keep the steady solves'
-// mesh-independent iteration counts without any per-run (let alone
-// per-step) hierarchy rebuild.
+// power vector, time step or solver. The stepper preconditions every
+// step with a shifted V-cycle derived from the system's cached steady
+// hierarchy — only the Galerkin diagonals are rebuilt for the C/dt bump —
+// so transient steps keep the steady solves' mesh-independent iteration
+// counts without any per-run (let alone per-step) hierarchy rebuild.
 
 import (
 	"encoding/binary"
@@ -27,7 +26,7 @@ import (
 
 // transientOp is the cached operator of one time step size: the capacity
 // term C/dt, the diagonal-bumped matrix A + diag(C/dt) (structure shared
-// with the steady matrix), and — built lazily, only under mg-cg — the
+// with the steady matrix), and — built lazily by the first stepper — the
 // shifted multigrid hierarchy derived from the system's steady one.
 type transientOp struct {
 	dt     float64
@@ -42,11 +41,11 @@ type transientOp struct {
 }
 
 // maxTransientOps bounds the per-dt operator cache: each entry retains a
-// full value copy of the operator (plus, under mg-cg, a shifted
-// hierarchy), and dt can arrive from the network (vcseld transient
-// jobs), so an unbounded map is a memory-exhaustion vector. Eviction is
-// safe — live steppers hold their operator directly; only future reuse
-// of an evicted dt pays a rebuild.
+// full value copy of the operator (plus a shifted hierarchy), and dt can
+// arrive from the network (vcseld transient jobs), so an unbounded map
+// is a memory-exhaustion vector. Eviction is safe — live steppers hold
+// their operator directly; only future reuse of an evicted dt pays a
+// rebuild.
 const maxTransientOps = 8
 
 // capacityVolumes validates the heat-capacity field once per System and
@@ -206,8 +205,9 @@ type TransientCheckpoint struct {
 	// per-cell power vector. Both are %016x-formatted 64-bit hashes.
 	System string `json:"system_fingerprint"`
 	Power  string `json:"power_fingerprint"`
-	// Solver and Tolerance pin the backend and target that produced the
-	// trajectory — resuming under a different one would diverge.
+	// Solver (SolverName) and Tolerance pin the solver and target that
+	// produced the trajectory — resuming under a different one would
+	// diverge, so a checkpoint another solver stepped is refused.
 	Solver    string  `json:"solver"`
 	Tolerance float64 `json:"tolerance"`
 	// TimeStep is the implicit-Euler dt (s); Step the completed steps.
@@ -270,10 +270,8 @@ func DecodeTransientCheckpoint(r io.Reader) (*TransientCheckpoint, error) {
 type TransientStepper struct {
 	sys    *System
 	op     *transientOp
-	solver sparse.Solver
-
-	solverName string
-	tol        float64
+	solver *mg.Solver
+	tol    float64
 
 	power   []float64 // private copy: async runs must not see caller mutation
 	powerFP uint64
@@ -301,24 +299,9 @@ func (s *System) NewTransientStepper(power []float64, opts TransientOptions) (*T
 	if tol <= 0 {
 		tol = 1e-8
 	}
-	solver, err := sparse.Config{
-		Backend:     opts.Solver,
-		Tolerance:   tol,
-		Workers:     opts.Workers,
-		MGPrecision: opts.MGPrecision,
-	}.New()
+	h, err := op.shiftedHierarchy(s)
 	if err != nil {
 		return nil, err
-	}
-	if gs, ok := solver.(sparse.GridSolver); ok {
-		gs.SetGridHint(s.hint)
-	}
-	if ms, ok := solver.(*mg.Solver); ok {
-		h, err := op.shiftedHierarchy(s)
-		if err != nil {
-			return nil, err
-		}
-		ms.SetHierarchy(h)
 	}
 	t := make([]float64, n)
 	if opts.Initial != nil {
@@ -334,8 +317,7 @@ func (s *System) NewTransientStepper(power []float64, opts TransientOptions) (*T
 	pw := make([]float64, n)
 	copy(pw, power)
 	return &TransientStepper{
-		sys: s, op: op, solver: solver,
-		solverName: solver.Name(), tol: tol,
+		sys: s, op: op, solver: newSolver(h, tol, 0, opts.Workers, opts.MGPrecision), tol: tol,
 		power: pw, powerFP: HashFloat64s(pw),
 		rhs: make([]float64, n), t: t,
 	}, nil
@@ -366,9 +348,6 @@ func (st *TransientStepper) Time() float64 { return float64(st.step) * st.op.dt 
 
 // TimeStep returns the implicit-Euler dt (s).
 func (st *TransientStepper) TimeStep() float64 { return st.op.dt }
-
-// SolverName returns the effective sparse backend of the run.
-func (st *TransientStepper) SolverName() string { return st.solverName }
 
 // LastStats returns the solver statistics of the most recent step.
 func (st *TransientStepper) LastStats() sparse.Result { return st.last }
@@ -407,7 +386,7 @@ func (st *TransientStepper) Checkpoint() *TransientCheckpoint {
 		Version:   TransientCheckpointVersion,
 		System:    fmt.Sprintf("%016x", st.sys.Fingerprint()),
 		Power:     fmt.Sprintf("%016x", st.powerFP),
-		Solver:    st.solverName,
+		Solver:    SolverName,
 		Tolerance: st.tol,
 		TimeStep:  st.op.dt,
 		Step:      st.step,
@@ -433,8 +412,8 @@ func (st *TransientStepper) Restore(cp *TransientCheckpoint) error {
 	if want := fmt.Sprintf("%016x", st.powerFP); cp.Power != want {
 		return fmt.Errorf("fvm: checkpoint power fingerprint %s does not match this run's power vector (%s)", cp.Power, want)
 	}
-	if cp.Solver != st.solverName {
-		return fmt.Errorf("fvm: checkpoint was stepped by %q, this run uses %q", cp.Solver, st.solverName)
+	if cp.Solver != SolverName {
+		return fmt.Errorf("fvm: checkpoint was stepped by %q, this run uses %q", cp.Solver, SolverName)
 	}
 	if cp.Tolerance != st.tol {
 		return fmt.Errorf("fvm: checkpoint tolerance %g does not match this run's %g", cp.Tolerance, st.tol)

@@ -115,66 +115,63 @@ func TestTransientOperatorCachedPerDt(t *testing.T) {
 
 // TestTransientCheckpointRoundTripResume: a run interrupted at step k,
 // serialised, decoded and resumed — even on a freshly rebuilt System —
-// must be bit-identical to the uninterrupted run, for both the cheap and
-// the multigrid backend.
+// must be bit-identical to the uninterrupted run.
 func TestTransientCheckpointRoundTripResume(t *testing.T) {
-	for _, backend := range []string{"jacobi-cg", "mg-cg"} {
-		p := systemProblem(t, 14, 12, 5)
-		opts := TransientOptions{TimeStep: 0.05, Steps: 9, InitialUniform: 25, Tolerance: 1e-9, Solver: backend}
-		sys, err := NewSystem(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := sys.SolveTransient(p.Power, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", backend, err)
-		}
+	p := systemProblem(t, 14, 12, 5)
+	opts := TransientOptions{TimeStep: 0.05, Steps: 9, InitialUniform: 25, Tolerance: 1e-9}
+	sys, err := NewSystem(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sys.SolveTransient(p.Power, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-		st, err := sys.NewTransientStepper(p.Power, opts)
-		if err != nil {
+	st, err := sys.NewTransientStepper(p.Power, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := st.Step(); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 4; i++ {
-			if _, err := st.Step(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var buf bytes.Buffer
-		if err := st.Checkpoint().Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		cp, err := DecodeTransientCheckpoint(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cp.Step != 4 || cp.Solver != backend {
-			t.Fatalf("%s: checkpoint records step %d solver %q", backend, cp.Step, cp.Solver)
-		}
+	}
+	var buf bytes.Buffer
+	if err := st.Checkpoint().Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := DecodeTransientCheckpoint(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp.Step != 4 || cp.Solver != SolverName {
+		t.Fatalf("checkpoint records step %d solver %q", cp.Step, cp.Solver)
+	}
 
-		// Resume on a rebuilt system (fresh process simulation): assembly
-		// is deterministic, so the fingerprints must match.
-		sys2, err := NewSystem(p)
-		if err != nil {
+	// Resume on a rebuilt system (fresh process simulation): assembly
+	// is deterministic, so the fingerprints must match.
+	sys2, err := NewSystem(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sys2.Fingerprint() != sys.Fingerprint() {
+		t.Fatal("rebuilt system changed fingerprint — assembly not deterministic")
+	}
+	st2, err := sys2.NewTransientStepper(p.Power, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st2.Restore(cp); err != nil {
+		t.Fatal(err)
+	}
+	for st2.StepIndex() < opts.Steps {
+		if _, err := st2.Step(); err != nil {
 			t.Fatal(err)
 		}
-		if sys2.Fingerprint() != sys.Fingerprint() {
-			t.Fatal("rebuilt system changed fingerprint — assembly not deterministic")
-		}
-		st2, err := sys2.NewTransientStepper(p.Power, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := st2.Restore(cp); err != nil {
-			t.Fatal(err)
-		}
-		for st2.StepIndex() < opts.Steps {
-			if _, err := st2.Step(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if !reflect.DeepEqual(st2.Field(), want.T) {
-			t.Errorf("%s: resumed run is not bit-identical to the uninterrupted run", backend)
-		}
+	}
+	if !reflect.DeepEqual(st2.Field(), want.T) {
+		t.Error("resumed run is not bit-identical to the uninterrupted run")
 	}
 }
 
@@ -211,7 +208,7 @@ func TestTransientCheckpointRefusals(t *testing.T) {
 		{"version", func(cp *TransientCheckpoint) { cp.Version = 99 }, fresh()},
 		{"system fingerprint", func(cp *TransientCheckpoint) { cp.System = "deadbeefdeadbeef" }, fresh()},
 		{"power fingerprint", func(cp *TransientCheckpoint) { cp.Power = "deadbeefdeadbeef" }, fresh()},
-		{"solver", func(cp *TransientCheckpoint) { cp.Solver = "ssor-cg" }, fresh()},
+		{"solver", func(cp *TransientCheckpoint) { cp.Solver = "jacobi-cg" }, fresh()},
 		{"tolerance", func(cp *TransientCheckpoint) { cp.Tolerance = 1e-3 }, fresh()},
 		{"time step", func(cp *TransientCheckpoint) { cp.TimeStep = 0.1 }, fresh()},
 		{"field length", func(cp *TransientCheckpoint) { cp.T = cp.T[:3] }, fresh()},
@@ -267,7 +264,7 @@ func TestTransientMGShiftedHierarchy(t *testing.T) {
 			t.Fatal(err)
 		}
 		st, err := sys.NewTransientStepper(p.Power, TransientOptions{
-			TimeStep: 5, InitialUniform: 25, Tolerance: 1e-9, Solver: "mg-cg",
+			TimeStep: 5, InitialUniform: 25, Tolerance: 1e-9,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -301,7 +298,7 @@ func TestTransientMGShiftedHierarchy(t *testing.T) {
 		t.Errorf("shifted hierarchy built %d times, want exactly 1", got)
 	}
 	st2, err := sysL.NewTransientStepper(make([]float64, sysL.N()), TransientOptions{
-		TimeStep: 5, InitialUniform: 25, Solver: "mg-cg",
+		TimeStep: 5, InitialUniform: 25,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -316,7 +313,7 @@ func TestTransientMGShiftedHierarchy(t *testing.T) {
 
 // TestTransientRejectsOverflowingTimeStep: a subnormal dt passes the
 // dt > 0 check but makes C/dt overflow to +Inf. The stepper must refuse
-// it up front, under every backend, instead of iterating on an operator
+// it up front instead of iterating on an operator
 // with infinite entries — and must not cache the refused operator.
 func TestTransientRejectsOverflowingTimeStep(t *testing.T) {
 	p := systemProblem(t, 12, 10, 4)
@@ -324,13 +321,9 @@ func TestTransientRejectsOverflowingTimeStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, solver := range []string{"jacobi-cg", "mg-cg"} {
-		_, err := sys.NewTransientStepper(p.Power, TransientOptions{
-			TimeStep: 5e-324, InitialUniform: 25, Solver: solver,
-		})
-		if err == nil || !strings.Contains(err.Error(), "overflows") {
-			t.Errorf("%s: NewTransientStepper(dt = 5e-324) error = %v, want a C/dt overflow refusal", solver, err)
-		}
+	_, err = sys.NewTransientStepper(p.Power, TransientOptions{TimeStep: 5e-324, InitialUniform: 25})
+	if err == nil || !strings.Contains(err.Error(), "overflows") {
+		t.Errorf("NewTransientStepper(dt = 5e-324) error = %v, want a C/dt overflow refusal", err)
 	}
 	if len(sys.transientOps) != 0 {
 		t.Errorf("refused time step left %d cached operators", len(sys.transientOps))

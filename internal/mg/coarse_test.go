@@ -25,8 +25,8 @@ func TestCoarseSolverAgreement(t *testing.T) {
 	sp.SolveInPlace(xs)
 
 	ref := make([]float64, lv.n())
-	ssor := &sparse.SSORCG{Tolerance: 1e-13, MaxIterations: 100 * lv.n()}
-	if _, err := ssor.Solve(lv.a, b, ref); err != nil {
+	cg := &sparse.CG{Tolerance: 1e-13, MaxIterations: 100 * lv.n()}
+	if _, err := cg.Solve(lv.a, b, ref); err != nil {
 		t.Fatal(err)
 	}
 	if rd := relDiff(xs, ref); rd > 1e-8 {
@@ -138,7 +138,7 @@ func TestCoarseFactorSharedOnce(t *testing.T) {
 // against one shared hierarchy and checks they all land on identical
 // solutions (the -race hammer for the solver-facing path).
 func TestCoarseSolversShareFactorisation(t *testing.T) {
-	h, a, hint := testHierarchy(t)
+	h, a, _ := testHierarchy(t)
 	b := randRHS(a.N(), 47)
 	const goroutines = 8
 	sols := make([][]float64, goroutines)
@@ -149,7 +149,6 @@ func TestCoarseSolversShareFactorisation(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			s := New(Options{Workers: 2})
-			s.SetGridHint(hint)
 			s.SetHierarchy(h)
 			x := make([]float64, a.N())
 			_, errs[g] = s.Solve(a, b, x)
@@ -237,8 +236,7 @@ func TestCoarseRebalance(t *testing.T) {
 	if !res.Converged {
 		t.Fatal("rebalanced solve did not converge")
 	}
-	sRef := New(Options{})
-	sRef.SetGridHint(hint)
+	sRef := newSolver(t, a, hint, Options{})
 	xRef := make([]float64, a.N())
 	resRef, err := sRef.Solve(a, b, xRef)
 	if err != nil {

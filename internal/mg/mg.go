@@ -1,9 +1,9 @@
-// Package mg implements a geometric-multigrid preconditioned conjugate
-// gradient backend ("mg-cg") for the structured-grid SPD systems the FVM
-// thermal solver assembles. One V-cycle over a semicoarsened mesh
-// hierarchy per CG iteration makes the iteration count roughly independent
-// of mesh resolution, turning paper-resolution steady solves from
-// O(n·√κ) into near-O(n).
+// Package mg implements the geometric-multigrid preconditioned conjugate
+// gradient solver ("mg-cg") for the structured-grid SPD systems the FVM
+// thermal solver assembles; it is the only solver the thermal stack
+// runs. One V-cycle over a semicoarsened mesh hierarchy per CG iteration
+// makes the iteration count roughly independent of mesh resolution,
+// turning paper-resolution steady solves from O(n·√κ) into near-O(n).
 //
 // The hierarchy semicoarsens the lateral axes only — x and y grid lines
 // are thinned 2:1 while the thin, strongly non-uniform z stack (BCB,
@@ -29,11 +29,9 @@
 // fits defaultCoarseBudget, so the V-cycle stays a fixed SPD operator, as
 // the outer CG requires, at every mesh size.
 //
-// The backend registers itself with the sparse solver registry under
-// sparse.BackendMGCG; it needs the mesh geometry behind the matrix, which
-// callers supply through sparse.GridSolver.SetGridHint (fvm.System does
-// this automatically and additionally shares one cached Hierarchy across
-// batched and blocked solves).
+// A Hierarchy is built once per matrix from the mesh geometry behind it
+// and shared by every Solver of that matrix; fvm.System caches one for
+// its steady operator and derives a shifted one per transient time step.
 package mg
 
 import (
@@ -49,18 +47,7 @@ import (
 	"vcselnoc/internal/sparse"
 )
 
-func init() {
-	sparse.RegisterBackend(sparse.BackendMGCG, func(c sparse.Config) (sparse.Solver, error) {
-		return New(Options{
-			Tolerance:     c.Tolerance,
-			MaxIterations: c.MaxIterations,
-			Workers:       c.Workers,
-			Precision:     c.MGPrecision,
-		}), nil
-	})
-}
-
-// Options parameterises the mg-cg backend. The zero value is a good
+// Options parameterises the mg-cg solver. The zero value is a good
 // default for FVM conduction systems.
 type Options struct {
 	// Tolerance is the outer CG relative residual target; 0 means 1e-9.
@@ -69,7 +56,8 @@ type Options struct {
 	MaxIterations int
 	// Workers caps the goroutines used by matrix-vector products and by
 	// the red-black line smoother's per-colour relaxations; 0 means
-	// GOMAXPROCS.
+	// GOMAXPROCS. Levels under 4096 cells run both serially
+	// (sparse.MulVecWorkers).
 	Workers int
 	// Precision selects the V-cycle arithmetic. PrecisionFloat32 applies
 	// the whole preconditioner — level operators, transfers, Thomas line
@@ -599,7 +587,8 @@ const lineChunk = 32
 // relaxed on up to workers goroutines; bufs supplies one length-nz Thomas
 // scratch per worker. Because same-colour lines share no coupling and
 // each line writes only its own cells, the parallel result is
-// bit-identical to relaxing the class serially.
+// bit-identical to relaxing the class serially. One worker relaxes every
+// class in a plain loop, which allocates nothing.
 func sweepColored[F sparse.Float](ls *lineSmoother, c *levelArrays[F], x, b []F, bufs [][]F, workers int, reverse bool) {
 	nc := len(ls.colors)
 	for ci := 0; ci < nc; ci++ {
@@ -608,6 +597,12 @@ func sweepColored[F sparse.Float](ls *lineSmoother, c *levelArrays[F], x, b []F,
 			col = nc - 1 - ci
 		}
 		lines := ls.colors[col]
+		if workers <= 1 {
+			for _, l := range lines {
+				solveLine(ls, c, x, b, bufs[0], int(l))
+			}
+			continue
+		}
 		chunks := (len(lines) + lineChunk - 1) / lineChunk
 		w := workers
 		if w > chunks {
@@ -691,7 +686,7 @@ func (h *Hierarchy) LevelSize(l int) int { return h.levels[l].n() }
 // assembled on (cell counts multiplying to a.N()).
 func BuildHierarchy(a *sparse.CSR, hint sparse.GridHint, opts Options) (*Hierarchy, error) {
 	if hint.Empty() {
-		return nil, fmt.Errorf("mg: no grid geometry — pass the mesh behind the matrix with SetGridHint (fvm.System does this automatically)")
+		return nil, fmt.Errorf("mg: no grid geometry for the matrix")
 	}
 	nx, ny, nz := hint.NX(), hint.NY(), hint.NZ()
 	if nx < 1 || ny < 1 || nz < 1 || nx*ny*nz != a.N() {
@@ -1095,17 +1090,22 @@ func lerp[F sparse.Float](vlo, vhi, wlo, whi F) F {
 // precision of F. Not shared.
 type workspace[F sparse.Float] struct {
 	arr     *cycleArrays[F]
-	workers int   // resolved Options.Workers (≥ 1)
-	lex     bool  // serial lexicographic sweeps (test hook)
-	r       [][]F // residual per level
-	xc, bc  [][]F // correction problem per coarser level
-	lineBuf [][]F // Thomas scratch per worker (length nz, z never coarsens)
-	coarseY []F   // permuted scratch of the coarse triangular solve
+	workers int // resolved Options.Workers (≥ 1)
+	// sweepWorkers is each level's smoother goroutine count, fixed by the
+	// rule the level's residual product uses (sparse.MulVecWorkers), so
+	// small levels relax serially without touching the worker pool.
+	sweepWorkers []int
+	lex          bool  // serial lexicographic sweeps (test hook)
+	r            [][]F // residual per level
+	xc, bc       [][]F // correction problem per coarser level
+	lineBuf      [][]F // Thomas scratch per worker (length nz, z never coarsens)
+	coarseY      []F   // permuted scratch of the coarse triangular solve
 }
 
 func newWorkspace[F sparse.Float](h *Hierarchy, arr *cycleArrays[F], opts Options) *workspace[F] {
 	ws := &workspace[F]{arr: arr, workers: opts.effectiveWorkers(), lex: opts.lex}
 	for l, lv := range h.levels {
+		ws.sweepWorkers = append(ws.sweepWorkers, sparse.MulVecWorkers(lv.n(), ws.workers))
 		ws.r = append(ws.r, make([]F, lv.n()))
 		if l < len(h.levels)-1 {
 			ws.xc = append(ws.xc, make([]F, lv.coarseN()))
@@ -1120,13 +1120,12 @@ func newWorkspace[F sparse.Float](h *Hierarchy, arr *cycleArrays[F], opts Option
 	return ws
 }
 
-// Solver is the mg-cg backend: CG preconditioned by one multigrid V-cycle.
-// Like every Solver it owns reusable scratch and is NOT safe for
+// Solver is mg-cg: CG preconditioned by one multigrid V-cycle over a
+// prebuilt hierarchy. It owns reusable scratch and is NOT safe for
 // concurrent use; hierarchies, in contrast, are immutable and may be
-// shared across instances with SetHierarchy.
+// shared across instances.
 type Solver struct {
 	opts Options
-	hint sparse.GridHint
 	hier *Hierarchy
 	// precond is the V-cycle application prepared for precondFor, with
 	// its own workspace.
@@ -1135,49 +1134,36 @@ type Solver struct {
 	outer      *sparse.Workspace
 }
 
-// New builds an mg-cg solver. Geometry arrives later via SetGridHint or
-// SetHierarchy.
+// New builds an mg-cg solver; it solves once SetHierarchy has given it
+// the hierarchy of the matrix.
 func New(opts Options) *Solver { return &Solver{opts: opts} }
 
-// Name implements sparse.Solver.
-func (s *Solver) Name() string { return sparse.BackendMGCG }
+// SetHierarchy sets the prebuilt hierarchy the solver runs on, sharing
+// its (immutable) coarse operators with other solver instances.
+func (s *Solver) SetHierarchy(h *Hierarchy) { s.hier = h }
 
-// SetGridHint implements sparse.GridSolver: it supplies the structured
-// grid behind upcoming matrices. The hierarchy is (re)built lazily on the
-// next Solve of a new matrix.
-func (s *Solver) SetGridHint(h sparse.GridHint) { s.hint = h }
-
-// SetHierarchy injects a prebuilt hierarchy, sharing its (immutable)
-// coarse operators with other solver instances. Solves of matrices other
-// than h.Fine() fall back to building from the grid hint.
-func (s *Solver) SetHierarchy(h *Hierarchy) {
-	if h != nil {
-		s.hier = h
+// hierarchyFor returns the solver's hierarchy, which must have been
+// built for a.
+func (s *Solver) hierarchyFor(a *sparse.CSR) (*Hierarchy, error) {
+	if s.hier == nil || s.hier.Fine() != a {
+		return nil, fmt.Errorf("mg: no hierarchy built for this %d-row matrix (SetHierarchy)", a.N())
 	}
+	return s.hier, nil
 }
 
-// ensureHierarchy returns a hierarchy for a, building and caching one when
-// the current hierarchy belongs to a different matrix.
-func (s *Solver) ensureHierarchy(a *sparse.CSR) (*Hierarchy, error) {
-	if s.hier != nil && s.hier.Fine() == a {
-		return s.hier, nil
-	}
-	h, err := BuildHierarchy(a, s.hint, s.opts)
-	if err != nil {
-		return nil, err
-	}
-	s.hier = h
-	return h, nil
-}
-
-// Preconditioner implements sparse.Preconditioned: it prepares the V-cycle
-// for a and returns its application z = M⁻¹·r. Block solves share it
-// across right-hand sides. A coarsest level that cannot be factored (not
-// SPD) is an error here, before any iteration runs.
+// Preconditioner prepares the V-cycle for a and returns its application
+// z = M⁻¹·r; block solves apply it inside sparse.BlockCG. A coarsest
+// level that cannot be factored (not SPD) is an error here, before any
+// iteration runs.
 func (s *Solver) Preconditioner(a *sparse.CSR) (func(z, r []float64), error) {
-	h, err := s.ensureHierarchy(a)
+	h, err := s.hierarchyFor(a)
 	if err != nil {
 		return nil, err
+	}
+	switch s.opts.Precision {
+	case "", PrecisionFloat32, PrecisionFloat64:
+	default:
+		return nil, fmt.Errorf("mg: unknown V-cycle precision %q (have float32, float64)", s.opts.Precision)
 	}
 	factor, err := h.coarseFactor()
 	if err != nil {
@@ -1215,8 +1201,10 @@ func (s *Solver) Preconditioner(a *sparse.CSR) (func(z, r []float64), error) {
 	return s.precond, nil
 }
 
-// Solve implements sparse.Solver: conjugate gradient with one V-cycle per
-// iteration as the preconditioner.
+// Solve computes x ≈ a⁻¹·b by conjugate gradient with one V-cycle per
+// iteration as the preconditioner. The incoming x seeds the iteration
+// (warm start); on non-convergence the best iterate is left in x
+// alongside a non-nil error and the populated Result.
 func (s *Solver) Solve(a *sparse.CSR, b, x []float64) (sparse.Result, error) {
 	precond, err := s.Preconditioner(a)
 	if err != nil {
@@ -1331,8 +1319,8 @@ func vcycle[F sparse.Float](h *Hierarchy, ws *workspace[F], l int, x, b []F) {
 			sweepLex(lv.ls, arr, x, b, ws.lineBuf[0], true)
 			return
 		}
-		sweepColored(lv.ls, arr, x, b, ws.lineBuf, ws.workers, false)
-		sweepColored(lv.ls, arr, x, b, ws.lineBuf, ws.workers, true)
+		sweepColored(lv.ls, arr, x, b, ws.lineBuf, ws.sweepWorkers[l], false)
+		sweepColored(lv.ls, arr, x, b, ws.lineBuf, ws.sweepWorkers[l], true)
 	}
 	smooth()
 	r, xc, bc := ws.r[l], ws.xc[l], ws.bc[l]

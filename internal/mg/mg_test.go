@@ -3,6 +3,7 @@ package mg
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"vcselnoc/internal/sparse"
@@ -82,6 +83,18 @@ func buildHeatSystem(t testing.TB, xl, yl, zl []float64) (*sparse.CSR, sparse.Gr
 	return a.ToCSR(), sparse.GridHint{X: xl, Y: yl, Z: zl}
 }
 
+// newSolver builds an mg-cg solver on a fresh hierarchy of a.
+func newSolver(t testing.TB, a *sparse.CSR, hint sparse.GridHint, opts Options) *Solver {
+	t.Helper()
+	h, err := BuildHierarchy(a, hint, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(opts)
+	s.SetHierarchy(h)
+	return s
+}
+
 func randRHS(n int, seed int64) []float64 {
 	rng := rand.New(rand.NewSource(seed))
 	b := make([]float64, n)
@@ -105,30 +118,6 @@ func relDiff(x, y []float64) float64 {
 		return maxD
 	}
 	return maxD / maxY
-}
-
-// TestRegistered: linking this package must make mg-cg listable and
-// constructible through the sparse registry with the right name.
-func TestRegistered(t *testing.T) {
-	found := false
-	for _, b := range sparse.Backends() {
-		if b == sparse.BackendMGCG {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("mg-cg missing from sparse.Backends()")
-	}
-	for _, backend := range sparse.Backends() {
-		s, err := sparse.NewSolver(backend)
-		if err != nil {
-			t.Errorf("backend %s failed to construct: %v", backend, err)
-			continue
-		}
-		if s.Name() != backend {
-			t.Errorf("backend %s constructs solver named %s", backend, s.Name())
-		}
-	}
 }
 
 // TestHierarchyInvariants: semicoarsening must shrink the lateral grid
@@ -277,8 +266,7 @@ func TestMGCGMatchesJacobiCG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(Options{Tolerance: 1e-10})
-	s.SetGridHint(hint)
+	s := newSolver(t, a, hint, Options{Tolerance: 1e-10})
 	x := make([]float64, a.N())
 	res, err := s.Solve(a, b, x)
 	if err != nil {
@@ -300,8 +288,7 @@ func TestMGIterationsMeshIndependent(t *testing.T) {
 	var iters []int
 	for _, nxy := range sizes {
 		a, hint := buildHeatSystem(t, uniformLines(nxy, 1), uniformLines(nxy, 1), uniformLines(6, 0.1))
-		s := New(Options{Tolerance: 1e-9})
-		s.SetGridHint(hint)
+		s := newSolver(t, a, hint, Options{Tolerance: 1e-9})
 		x := make([]float64, a.N())
 		res, err := s.Solve(a, randRHS(a.N(), 9), x)
 		if err != nil {
@@ -328,15 +315,14 @@ func TestSharedHierarchy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := New(Options{})
-	fresh.SetGridHint(hint)
+	fresh := newSolver(t, a, hint, Options{})
 	want := make([]float64, a.N())
 	if _, err := fresh.Solve(a, b, want); err != nil {
 		t.Fatal(err)
 	}
 	for inst := 0; inst < 2; inst++ {
 		s := New(Options{})
-		s.SetHierarchy(h) // no grid hint at all: the hierarchy is enough
+		s.SetHierarchy(h)
 		got := make([]float64, a.N())
 		if _, err := s.Solve(a, b, got); err != nil {
 			t.Fatalf("instance %d: %v", inst, err)
@@ -349,9 +335,8 @@ func TestSharedHierarchy(t *testing.T) {
 	}
 }
 
-// TestConfigKnobs: the registry factory must thread the mg-cg knobs
-// (precision, workers) through, and each must still converge to the
-// right answer.
+// TestConfigKnobs: every setting of the mg-cg knobs (precision,
+// workers) must still converge to the right answer.
 func TestConfigKnobs(t *testing.T) {
 	a, hint := buildHeatSystem(t, uniformLines(16, 1), uniformLines(16, 1), uniformLines(5, 0.1))
 	b := randRHS(a.N(), 11)
@@ -359,20 +344,12 @@ func TestConfigKnobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cfg := range []sparse.Config{
-		{Backend: sparse.BackendMGCG},
-		{Backend: sparse.BackendMGCG, MGPrecision: "float64"},
-		{Backend: sparse.BackendMGCG, MGPrecision: "float32", Workers: 3},
+	for _, cfg := range []Options{
+		{},
+		{Precision: PrecisionFloat64},
+		{Precision: PrecisionFloat32, Workers: 3},
 	} {
-		solver, err := cfg.New()
-		if err != nil {
-			t.Fatalf("%+v: %v", cfg, err)
-		}
-		gs, ok := solver.(sparse.GridSolver)
-		if !ok {
-			t.Fatal("mg-cg must implement sparse.GridSolver")
-		}
-		gs.SetGridHint(hint)
+		solver := newSolver(t, a, hint, cfg)
 		x := make([]float64, a.N())
 		if _, err := solver.Solve(a, b, x); err != nil {
 			t.Fatalf("%+v: %v", cfg, err)
@@ -383,21 +360,31 @@ func TestConfigKnobs(t *testing.T) {
 	}
 }
 
-// TestErrors: solving without geometry, or with geometry that does not
-// match the matrix, must fail with a descriptive error.
+// TestErrors: solving without a hierarchy, on another matrix's
+// hierarchy, or building one from geometry that does not match the
+// matrix, must fail with a descriptive error, as must an unknown
+// precision.
 func TestErrors(t *testing.T) {
 	a, hint := buildHeatSystem(t, uniformLines(8, 1), uniformLines(8, 1), uniformLines(4, 0.1))
 	s := New(Options{})
 	x := make([]float64, a.N())
 	if _, err := s.Solve(a, randRHS(a.N(), 1), x); err == nil {
-		t.Error("solve without a grid hint should error")
+		t.Error("solve without a hierarchy should error")
 	}
-	s.SetGridHint(sparse.GridHint{X: hint.X, Y: hint.Y, Z: uniformLines(5, 0.1)})
+	other, otherHint := buildHeatSystem(t, uniformLines(8, 1), uniformLines(8, 1), uniformLines(4, 0.1))
+	s.SetHierarchy(newSolver(t, other, otherHint, Options{}).hier)
 	if _, err := s.Solve(a, randRHS(a.N(), 1), x); err == nil {
+		t.Error("solve on another matrix's hierarchy should error")
+	}
+	if _, err := BuildHierarchy(a, sparse.GridHint{X: hint.X, Y: hint.Y, Z: uniformLines(5, 0.1)}, Options{}); err == nil {
 		t.Error("mismatched grid hint should error")
 	}
 	if _, err := BuildHierarchy(a, sparse.GridHint{}, Options{}); err == nil {
 		t.Error("empty hint should error")
+	}
+	bad := newSolver(t, a, hint, Options{Precision: "float16"})
+	if _, err := bad.Solve(a, randRHS(a.N(), 1), x); err == nil || !strings.Contains(err.Error(), "float16") {
+		t.Errorf("unknown precision: %v", err)
 	}
 }
 
@@ -405,8 +392,7 @@ func TestErrors(t *testing.T) {
 func TestWarmStart(t *testing.T) {
 	a, hint := buildHeatSystem(t, uniformLines(12, 1), uniformLines(12, 1), uniformLines(5, 0.1))
 	b := randRHS(a.N(), 13)
-	s := New(Options{})
-	s.SetGridHint(hint)
+	s := newSolver(t, a, hint, Options{})
 	x := make([]float64, a.N())
 	cold, err := s.Solve(a, b, x)
 	if err != nil {

@@ -131,8 +131,7 @@ func TestColoredSweepMatchesSerial(t *testing.T) {
 // applyPrecond builds a fresh mg-cg preconditioner and applies it.
 func applyPrecond(t *testing.T, a *sparse.CSR, hint sparse.GridHint, opts Options, r []float64) []float64 {
 	t.Helper()
-	s := New(opts)
-	s.SetGridHint(hint)
+	s := newSolver(t, a, hint, opts)
 	precond, err := s.Preconditioner(a)
 	if err != nil {
 		t.Fatal(err)
@@ -178,8 +177,7 @@ func TestPreconditionerSPD(t *testing.T) {
 // solveWith runs one mg-cg solve from a zero start and returns the result.
 func solveWith(t *testing.T, a *sparse.CSR, hint sparse.GridHint, opts Options, b []float64) (sparse.Result, []float64) {
 	t.Helper()
-	s := New(opts)
-	s.SetGridHint(hint)
+	s := newSolver(t, a, hint, opts)
 	x := make([]float64, a.N())
 	res, err := s.Solve(a, b, x)
 	if err != nil {
@@ -281,8 +279,8 @@ func TestCoarseCholeskyMatchesIterative(t *testing.T) {
 	x := append([]float64(nil), b...)
 	chol.SolveInPlace(x)
 	ref := make([]float64, lv.n())
-	ssor := &sparse.SSORCG{Tolerance: 1e-13, MaxIterations: 100 * lv.n()}
-	if _, err := ssor.Solve(lv.a, b, ref); err != nil {
+	cg := &sparse.CG{Tolerance: 1e-13, MaxIterations: 100 * lv.n()}
+	if _, err := cg.Solve(lv.a, b, ref); err != nil {
 		t.Fatal(err)
 	}
 	if rd := relDiff(x, ref); rd > 1e-8 {

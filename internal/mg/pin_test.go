@@ -71,7 +71,6 @@ func TestBitIdentityPin(t *testing.T) {
 			t.Fatal(err)
 		}
 		spec.Res = thermal.PreviewResolution()
-		spec.Solver = sparse.BackendMGCG
 		// With a zero ambient, Evaluate at one watt of one group returns
 		// that group's unit field exactly (a scaled copy for the
 		// per-device groups).

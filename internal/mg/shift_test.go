@@ -111,8 +111,7 @@ func TestShiftedHierarchySolves(t *testing.T) {
 		t.Errorf("shifted mg-cg vs jacobi-cg rel diff %.2e > 1e-6", d)
 	}
 
-	rebuilt := New(Options{Tolerance: 1e-10})
-	rebuilt.SetGridHint(hint)
+	rebuilt := newSolver(t, fine, hint, Options{Tolerance: 1e-10})
 	x := make([]float64, a.N())
 	full, err := rebuilt.Solve(fine, b, x)
 	if err != nil {

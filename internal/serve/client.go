@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"vcselnoc/internal/dse"
+	"vcselnoc/internal/fvm"
 	"vcselnoc/internal/obs"
 	"vcselnoc/internal/parallel"
 	"vcselnoc/internal/thermal"
@@ -63,13 +64,11 @@ type ShardClient struct {
 	// Mismatches — and reachable workers whose /v1/specs is broken — are
 	// hard failures; connection-level failures pass preflight (their
 	// chunks fail over per chunk as usual).
+	// Preflight and every chunk also check the worker's solver against
+	// fvm.SolverName: rows another solver computed (an older build's
+	// jacobi-cg) differ from locally retried ones at the solve tolerance,
+	// breaking the bit-identical merge guarantee.
 	ExpectRes *thermal.Resolution
-	// ExpectSolver, when non-empty, must additionally match each
-	// reachable worker's effective sparse backend: a locally retried
-	// chunk computed with a different backend would differ from the
-	// fleet's rows at the solve tolerance, breaking the bit-identical
-	// merge guarantee.
-	ExpectSolver string
 	// ChunkAttempts bounds remote fetch attempts per chunk before the
 	// local fallback; 0 selects DefaultChunkAttempts. Transport and
 	// server-side (5xx) failures reroute the next attempt to the next
@@ -131,14 +130,14 @@ func (c *ShardClient) httpClient() *http.Client {
 }
 
 // preflight cross-checks each reachable worker's spec registration
-// against ExpectRes/ExpectSolver (once per client). A mismatched worker
-// must fail the sweep, not silently contribute rows from a different
-// discretisation or solver; only connection-level failures pass, since
-// the per-chunk retry already covers dead workers. Workers are probed
-// concurrently so one blackholed member costs a single timeout, not one
-// per worker.
+// against ExpectRes and fvm.SolverName (once per client). A mismatched
+// worker must fail the sweep, not silently contribute rows from a
+// different discretisation or solver; only connection-level failures
+// pass, since the per-chunk retry already covers dead workers. Workers
+// are probed concurrently so one blackholed member costs a single
+// timeout, not one per worker.
 func (c *ShardClient) preflight() error {
-	if c.ExpectRes == nil && c.ExpectSolver == "" {
+	if c.ExpectRes == nil {
 		return nil
 	}
 	c.preOnce.Do(func() {
@@ -172,10 +171,10 @@ func (c *ShardClient) preflight() error {
 						worker, name, info.ONICell, info.DieCell, info.MaxZCell,
 						want.ONICell, want.DieCell, want.MaxZCell)
 				}
-				if c.ExpectSolver != "" && info.Solver != c.ExpectSolver {
+				if info.Solver != fvm.SolverName {
 					return fmt.Errorf(
 						"serve: worker %s spec %q solves with %s, client expects %s — locally retried chunks would differ at the solve tolerance",
-						worker, name, info.Solver, c.ExpectSolver)
+						worker, name, info.Solver, fvm.SolverName)
 				}
 				return nil
 			}
@@ -195,24 +194,25 @@ func (c *ShardClient) fallbackExplorer() (*dse.Explorer, error) {
 }
 
 // errFingerprint marks a chunk whose worker solved on a different
-// discretisation or backend. Unlike transport failures it is a fleet
-// misconfiguration: retrying locally would mask it, so scatter
+// discretisation or with another solver. Unlike transport failures it is
+// a fleet misconfiguration: retrying locally would mask it, so scatter
 // propagates it instead.
 var errFingerprint = errors.New("serve: worker fingerprint mismatch")
 
 // checkFingerprint verifies a chunk response's discretisation — the full
 // resolution triple, not just the ONI cell — against the client's
-// expectations. Preflight can miss a worker that was down during the
-// probe and came back mid-sweep, so every chunk is checked.
+// expectations, and its solver against fvm.SolverName. Preflight can miss
+// a worker that was down during the probe and came back mid-sweep, so
+// every chunk is checked.
 func (c *ShardClient) checkFingerprint(worker string, res thermal.Resolution, solver string) error {
 	if c.ExpectRes != nil && res != *c.ExpectRes {
 		return fmt.Errorf("%w: worker %s solved on ONI/die/z cells %g/%g/%g m, client expects %g/%g/%g m — refusing to merge grids across discretisations",
 			errFingerprint, worker, res.ONICell, res.DieCell, res.MaxZCell,
 			c.ExpectRes.ONICell, c.ExpectRes.DieCell, c.ExpectRes.MaxZCell)
 	}
-	if c.ExpectSolver != "" && solver != c.ExpectSolver {
+	if solver != fvm.SolverName {
 		return fmt.Errorf("%w: worker %s solved with %s, client expects %s",
-			errFingerprint, worker, solver, c.ExpectSolver)
+			errFingerprint, worker, solver, fvm.SolverName)
 	}
 	return nil
 }

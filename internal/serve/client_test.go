@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -357,8 +359,9 @@ func TestShardClientSpecMismatch(t *testing.T) {
 }
 
 // TestShardPreflightResolutionMismatch: a reachable worker meshing at a
-// different resolution must fail the sweep outright — merging rows from
-// two discretisations would be silently wrong data.
+// different resolution, or solving with another solver, must fail the
+// sweep outright — merging rows from two discretisations would be
+// silently wrong data.
 func TestShardPreflightResolutionMismatch(t *testing.T) {
 	skipShort(t)
 	spec := previewSpec(t)
@@ -375,17 +378,24 @@ func TestShardPreflightResolutionMismatch(t *testing.T) {
 		t.Fatalf("resolution mismatch not rejected: %v", err)
 	}
 
-	// A solver mismatch is rejected the same way: locally retried
-	// chunks would differ from fleet rows at the solve tolerance.
-	solverClient, err := NewShardClient(w.URL, Scenario{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	patientClient(solverClient)
-	solverClient.ExpectSolver = "ssor-cg" // worker auto-selects jacobi-cg at preview
-	_, err = solverClient.SweepGradient(25, []float64{1e-3}, []float64{0})
-	if err == nil || !strings.Contains(err.Error(), "ssor-cg") {
-		t.Fatalf("solver mismatch not rejected: %v", err)
+	// A worker of an older build that solved with jacobi-cg is rejected
+	// too, at preflight and, without one, per chunk: its rows would
+	// differ from locally retried ones at the solve tolerance.
+	older := olderSolverWorker(t, w.URL)
+	for _, preflight := range []bool{true, false} {
+		solverClient, err := NewShardClient(older.URL, Scenario{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		patientClient(solverClient)
+		if preflight {
+			res := spec.Res
+			solverClient.ExpectRes = &res
+		}
+		_, err = solverClient.SweepGradient(25, []float64{1e-3}, []float64{0})
+		if err == nil || !strings.Contains(err.Error(), "jacobi-cg") {
+			t.Fatalf("preflight=%v: solver mismatch not rejected: %v", preflight, err)
+		}
 	}
 
 	// Matching expectations pass preflight and sweep normally.
@@ -396,10 +406,38 @@ func TestShardPreflightResolutionMismatch(t *testing.T) {
 	patientClient(match)
 	res := spec.Res
 	match.ExpectRes = &res
-	match.ExpectSolver = spec.EffectiveSolver()
 	if _, err := match.SweepGradient(25, []float64{1e-3}, []float64{0}); err != nil {
 		t.Fatalf("matching preflight rejected: %v", err)
 	}
+}
+
+// olderSolverWorker fronts a live worker and reports every answer as
+// solved by jacobi-cg, as a worker of a build that still had it would.
+func olderSolverWorker(t *testing.T, live string) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		req, err := http.NewRequest(r.Method, live+r.URL.Path, r.Body)
+		if err != nil {
+			http.Error(rw, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		req.Header = r.Header.Clone()
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			http.Error(rw, err.Error(), http.StatusBadGateway)
+			return
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			http.Error(rw, err.Error(), http.StatusBadGateway)
+			return
+		}
+		rw.WriteHeader(resp.StatusCode)
+		rw.Write(bytes.ReplaceAll(body, []byte(`"solver":"mg-cg"`), []byte(`"solver":"jacobi-cg"`))) //nolint:errcheck
+	}))
+	t.Cleanup(ts.Close)
+	return ts
 }
 
 // verify the error message includes the failed row range for operators.

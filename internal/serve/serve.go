@@ -36,6 +36,7 @@ import (
 	"vcselnoc/internal/activity"
 	"vcselnoc/internal/core"
 	"vcselnoc/internal/dse"
+	"vcselnoc/internal/fvm"
 	"vcselnoc/internal/obs"
 	"vcselnoc/internal/snr"
 	"vcselnoc/internal/stack"
@@ -846,7 +847,7 @@ func (s *Server) handleGradientSweep(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, GradientSweepResponse{
 		RowStart: lo, TotalRows: len(req.Lasers), Rows: rows,
 		ONICell: st.spec.Res.ONICell, DieCell: st.spec.Res.DieCell, MaxZCell: st.spec.Res.MaxZCell,
-		Solver:  st.spec.EffectiveSolver(),
+		Solver:  fvm.SolverName,
 		TraceID: traceID,
 	})
 	st.latSweep.Observe(time.Since(start).Seconds())
@@ -912,7 +913,7 @@ func (s *Server) handleAvgTempSweep(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, AvgTempSweepResponse{
 		RowStart: lo, TotalRows: len(req.Chips), Rows: rows,
 		ONICell: st.spec.Res.ONICell, DieCell: st.spec.Res.DieCell, MaxZCell: st.spec.Res.MaxZCell,
-		Solver:  st.spec.EffectiveSolver(),
+		Solver:  fvm.SolverName,
 		TraceID: traceID,
 	})
 	st.latSweep.Observe(time.Since(start).Seconds())
@@ -944,7 +945,7 @@ func (s *Server) specInfos() []SpecInfo {
 			ONICell:  st.spec.Res.ONICell,
 			DieCell:  st.spec.Res.DieCell,
 			MaxZCell: st.spec.Res.MaxZCell,
-			Solver:   st.spec.EffectiveSolver(),
+			Solver:   fvm.SolverName,
 		}
 		hits, misses := st.cache.Stats()
 		info.CacheHits, info.CacheMisses = hits, misses

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"vcselnoc/internal/fvm"
 	"vcselnoc/internal/thermal"
 )
 
@@ -361,8 +362,8 @@ func TestHealthAndSpecs(t *testing.T) {
 	if len(infos) != 1 || !infos[0].ModelReady || infos[0].Cells == 0 || infos[0].BasisBuilds != 1 {
 		t.Fatalf("specs after warm-up = %+v", infos)
 	}
-	if infos[0].Solver == "" {
-		t.Fatal("spec info missing effective solver")
+	if infos[0].Solver != fvm.SolverName {
+		t.Fatalf("spec info solver %q, want %q", infos[0].Solver, fvm.SolverName)
 	}
 }
 

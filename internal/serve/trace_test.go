@@ -12,20 +12,16 @@ import (
 	"testing"
 
 	"vcselnoc/internal/obs"
-	"vcselnoc/internal/sparse"
 	"vcselnoc/internal/thermal"
 )
 
 func TestTraceEndToEnd(t *testing.T) {
 	skipShort(t)
-	// Force the mg-cg backend (preview resolution auto-selects jacobi-cg)
-	// so the basis span carries the coarse-solve mode attribute.
 	spec, err := thermal.PaperSpec()
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec.Res = thermal.PreviewResolution()
-	spec.Solver = sparse.BackendMGCG
 	s, err := New(Config{
 		Specs:     map[string]thermal.Spec{DefaultSpec: spec},
 		CacheSize: 64,

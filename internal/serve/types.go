@@ -316,7 +316,7 @@ type SpecInfo struct {
 	ONICell  float64 `json:"oni_cell_m"`
 	DieCell  float64 `json:"die_cell_m"`
 	MaxZCell float64 `json:"max_z_cell_m"`
-	// Solver is the effective sparse backend.
+	// Solver is the linear solver (fvm.SolverName).
 	Solver string `json:"solver"`
 	// ModelReady and Cells report the lazily built mesh (Cells is 0 until
 	// the first query forces the build).

@@ -24,7 +24,7 @@ func (m *CSR) MulVecBlockN(dst, x []float64, s, workers int) {
 	if len(dst) != m.n*s || len(x) != m.n*s {
 		panic("sparse: MulVecBlockN dimension mismatch")
 	}
-	workers = mulVecWorkers(m.n, workers)
+	workers = MulVecWorkers(m.n, workers)
 	if workers == 1 {
 		m.mulRangeBlock(dst, x, s, 0, m.n)
 		return

@@ -40,8 +40,7 @@ func TestMulVecBlockNMatchesColumns(t *testing.T) {
 }
 
 // TestBlockCGMatchesCG: the block solve over several right-hand sides must
-// land on the same solutions as independent preconditioned CG runs, for
-// every backend preconditioner.
+// land on the same solutions as independent preconditioned CG runs.
 func TestBlockCGMatchesCG(t *testing.T) {
 	m := buildLaplacian3D(12, 10, 7)
 	n := m.N()
@@ -49,38 +48,28 @@ func TestBlockCGMatchesCG(t *testing.T) {
 	for c := range bs {
 		bs[c] = rhsFor(n, int64(7*c+1))
 	}
-	for _, backend := range Backends() {
-		solver, err := NewSolver(backend)
+	precond, err := (&CG{}).Preconditioner(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs := make([][]float64, len(bs))
+	for c := range xs {
+		xs[c] = make([]float64, n)
+	}
+	results, err := BlockCG(m, bs, xs, []func(z, r []float64){precond}, 1e-10, 0, 1)
+	if err != nil {
+		t.Fatalf("block: %v", err)
+	}
+	for c := range bs {
+		if !results[c].Converged {
+			t.Fatalf("column %d did not converge", c)
+		}
+		want, _, err := SolveCG(m, bs[c], CGOptions{Tolerance: 1e-12})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pre, ok := solver.(Preconditioned)
-		if !ok {
-			t.Fatalf("%s does not expose a standalone preconditioner", backend)
-		}
-		precond, err := pre.Preconditioner(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		xs := make([][]float64, len(bs))
-		for c := range xs {
-			xs[c] = make([]float64, n)
-		}
-		results, err := BlockCG(m, bs, xs, []func(z, r []float64){precond}, 1e-10, 0, 1)
-		if err != nil {
-			t.Fatalf("%s block: %v", backend, err)
-		}
-		for c := range bs {
-			if !results[c].Converged {
-				t.Fatalf("%s column %d did not converge", backend, c)
-			}
-			want, _, err := SolveCG(m, bs[c], CGOptions{Tolerance: 1e-12})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := relDiff(xs[c], want); d > 1e-7 {
-				t.Errorf("%s column %d: block vs CG rel diff %.2e", backend, c, d)
-			}
+		if d := relDiff(xs[c], want); d > 1e-7 {
+			t.Errorf("column %d: block vs CG rel diff %.2e", c, d)
 		}
 	}
 }
@@ -96,7 +85,7 @@ func TestBlockCGPerColumnPreconds(t *testing.T) {
 	for c := range bs {
 		bs[c] = rhsFor(n, int64(11*c+2))
 	}
-	shared, err := (&SSORCG{}).Preconditioner(m)
+	shared, err := (&CG{}).Preconditioner(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +99,7 @@ func TestBlockCGPerColumnPreconds(t *testing.T) {
 	}
 	preconds := make([]func(z, r []float64), len(bs))
 	for c := range preconds {
-		if preconds[c], err = (&SSORCG{}).Preconditioner(m); err != nil {
+		if preconds[c], err = (&CG{}).Preconditioner(m); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -179,7 +168,7 @@ func TestBlockCGZeroColumn(t *testing.T) {
 	n := m.N()
 	bs := [][]float64{rhsFor(n, 5), make([]float64, n)}
 	xs := [][]float64{make([]float64, n), rhsFor(n, 6)} // non-zero seed on the zero column
-	solver := &SSORCG{}
+	solver := &CG{}
 	precond, err := solver.Preconditioner(m)
 	if err != nil {
 		t.Fatal(err)
@@ -234,121 +223,8 @@ func TestBlockCGBestIterateOnNonConvergence(t *testing.T) {
 	}
 }
 
-// TestConfigValidate: Validate must reject unknown backends (naming the
-// valid set) and out-of-range parameters without constructing anything.
-func TestConfigValidate(t *testing.T) {
-	bad := []Config{
-		{Backend: "conjugate-gradient-deluxe"},
-		{Omega: 2.5},
-		{Omega: -0.1},
-		{Tolerance: -1},
-		{MaxIterations: -3},
-		{Workers: -1},
-		{MGPrecision: "float16"},
-	}
-	for i, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("config %d (%+v) should fail validation", i, c)
-		}
-	}
-	if err := (Config{Backend: "zzz"}).Validate(); err == nil || len(err.Error()) == 0 {
-		t.Error("unknown backend error should name the valid list")
-	} else {
-		for _, name := range Backends() {
-			found := false
-			for _, sub := range []string{name} {
-				if containsSub(err.Error(), sub) {
-					found = true
-				}
-			}
-			if !found {
-				t.Errorf("validation error %q does not list backend %s", err, name)
-			}
-		}
-	}
-	good := []Config{
-		{},
-		{Backend: BackendSSORCG, Omega: 1.5, Workers: 4},
-		{Backend: BackendJacobiCG, Tolerance: 1e-6, MaxIterations: 100},
-		{MGPrecision: "float32"},
-	}
-	for i, c := range good {
-		if err := c.Validate(); err != nil {
-			t.Errorf("config %d (%+v) rejected: %v", i, c, err)
-		}
-	}
-}
-
-func containsSub(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}
-
-// TestEveryBackendConstructs: every name reported by Backends() must build
-// through Config.New with default parameters — the guarantee the CLI flag
-// help and Spec validation rely on.
-func TestEveryBackendConstructs(t *testing.T) {
-	for _, backend := range Backends() {
-		s, err := Config{Backend: backend}.New()
-		if err != nil {
-			t.Errorf("backend %s failed to construct: %v", backend, err)
-			continue
-		}
-		if s.Name() != backend {
-			t.Errorf("backend %s constructs a solver named %s", backend, s.Name())
-		}
-	}
-}
-
-// TestRegisterBackend covers the registry: a registered backend becomes
-// listable and constructible; duplicates and built-in names panic.
-func TestRegisterBackend(t *testing.T) {
-	name := "test-identity"
-	// The test backend must be fully functional: later tests in this
-	// package iterate Backends() and exercise whatever they find.
-	RegisterBackend(name, func(c Config) (Solver, error) {
-		return &renamedCG{CG{Tolerance: c.Tolerance, MaxIterations: c.MaxIterations, Workers: c.Workers}}, nil
-	})
-	found := false
-	for _, b := range Backends() {
-		if b == name {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("registered backend %s missing from Backends()", name)
-	}
-	if _, err := NewSolver(name); err != nil {
-		t.Fatalf("registered backend failed to construct: %v", err)
-	}
-	if err := (Config{Backend: name}).Validate(); err != nil {
-		t.Fatalf("registered backend failed validation: %v", err)
-	}
-	mustPanic := func(fn func()) {
-		defer func() {
-			if recover() == nil {
-				t.Error("expected panic")
-			}
-		}()
-		fn()
-	}
-	mustPanic(func() { RegisterBackend(name, func(Config) (Solver, error) { return nil, nil }) })
-	mustPanic(func() { RegisterBackend(BackendJacobiCG, func(Config) (Solver, error) { return nil, nil }) })
-	mustPanic(func() { RegisterBackend("", nil) })
-}
-
-// renamedCG lets the registry test satisfy the Name() == backend contract
-// TestEveryBackendConstructs checks.
-type renamedCG struct{ CG }
-
-func (*renamedCG) Name() string { return "test-identity" }
-
 // TestPCGExportedMatchesSolve: the exported PCG engine with a Jacobi
-// preconditioner must reproduce the CG backend bit-for-bit.
+// preconditioner must reproduce CG.Solve bit-for-bit.
 func TestPCGExportedMatchesSolve(t *testing.T) {
 	m := buildLaplacian3D(10, 9, 5)
 	b := rhsFor(m.N(), 17)

@@ -10,7 +10,7 @@ import (
 // P·A·Pᵀ = L·Lᵀ of an SPD matrix under a fill-reducing permutation P.
 // Multigrid solves its coarsest level with it: graded coarse levels have
 // bandwidths far beyond what a dense band could store, but under a
-// nested-dissection (or RCM) ordering their Cholesky factors stay
+// nested-dissection ordering their Cholesky factors stay
 // sparse, so a symbolic analysis plus a compressed numeric factorisation
 // — O(flops) once, O(nnz(L)) per solve — turns the coarse solve into two
 // triangular sweeps. The factor is stored column-compressed (diagonal
@@ -38,8 +38,7 @@ var ErrFactorTooLarge = fmt.Errorf("sparse: sparse Cholesky fill cap exceeded")
 
 // NewSparseCholesky factors a, which must be structurally symmetric and
 // SPD, under the fill-reducing ordering perm (perm[k] = original index
-// at permuted position k); a nil perm falls back to the reverse
-// Cuthill–McKee ordering. maxEntries caps the stored entries of L
+// at permuted position k); a nil perm is the natural order. maxEntries caps the stored entries of L
 // (float64 values, diagonal included); the symbolic analysis aborts
 // with ErrFactorTooLarge as soon as the predicted fill exceeds it, so
 // over-budget matrices cost one cheap structure pass, not a
@@ -47,10 +46,7 @@ var ErrFactorTooLarge = fmt.Errorf("sparse: sparse Cholesky fill cap exceeded")
 // (matrix not SPD, or numerically singular) fails the numeric phase.
 func NewSparseCholesky(a *CSR, perm []int32, maxEntries int) (*SparseCholesky, error) {
 	n := a.N()
-	if perm == nil {
-		perm = RCMOrder(a)
-	}
-	iperm, err := invertPerm(n, perm)
+	perm, iperm, err := ordering(n, perm)
 	if err != nil {
 		return nil, err
 	}
@@ -112,15 +108,12 @@ func NewSparseCholesky(a *CSR, perm []int32, maxEntries int) (*SparseCholesky, e
 }
 
 // SparseCholeskyCount runs only the symbolic analysis and returns the
-// entry count of L under the given ordering (nil = RCM), or
+// entry count of L under the given ordering (nil = natural), or
 // ErrFactorTooLarge once the count passes maxEntries. Callers use it to
 // decide whether a factorisation fits a budget without paying for one.
 func SparseCholeskyCount(a *CSR, perm []int32, maxEntries int) (int, error) {
 	n := a.N()
-	if perm == nil {
-		perm = RCMOrder(a)
-	}
-	iperm, err := invertPerm(n, perm)
+	perm, iperm, err := ordering(n, perm)
 	if err != nil {
 		return 0, err
 	}
@@ -131,23 +124,29 @@ func SparseCholeskyCount(a *CSR, perm []int32, maxEntries int) (int, error) {
 	return colPtr[n], nil
 }
 
-// invertPerm validates that perm is a permutation of 0..n-1 and returns
-// its inverse.
-func invertPerm(n int, perm []int32) ([]int32, error) {
-	if len(perm) != n {
-		return nil, fmt.Errorf("sparse: ordering has %d entries, want %d", len(perm), n)
+// ordering resolves perm (nil is the natural order), validates that it
+// is a permutation of 0..n-1 and returns it with its inverse.
+func ordering(n int, perm []int32) (p, iperm []int32, err error) {
+	if perm == nil {
+		perm = make([]int32, n)
+		for i := range perm {
+			perm[i] = int32(i)
+		}
 	}
-	iperm := make([]int32, n)
+	if len(perm) != n {
+		return nil, nil, fmt.Errorf("sparse: ordering has %d entries, want %d", len(perm), n)
+	}
+	iperm = make([]int32, n)
 	for i := range iperm {
 		iperm[i] = -1
 	}
 	for k, o := range perm {
 		if o < 0 || int(o) >= n || iperm[o] != -1 {
-			return nil, fmt.Errorf("sparse: ordering is not a permutation (entry %d = %d)", k, o)
+			return nil, nil, fmt.Errorf("sparse: ordering is not a permutation (entry %d = %d)", k, o)
 		}
 		iperm[o] = int32(k)
 	}
-	return iperm, nil
+	return perm, iperm, nil
 }
 
 // cholSymbolic computes the elimination tree of the permuted matrix and
@@ -294,81 +293,4 @@ func CholeskySolve[F Float](c *SparseCholesky, vals, b, y []F) {
 	for k, o := range c.perm {
 		b[o] = y[k]
 	}
-}
-
-// RCMOrder returns the reverse Cuthill–McKee ordering of a's structure
-// (perm[k] = original index at permuted position k): breadth-first from
-// a pseudo-peripheral vertex, neighbours visited in ascending degree,
-// then reversed. RCM shrinks the factor's profile on arbitrary sparse
-// structures and is the fallback ordering when no geometry-aware nested
-// dissection is available.
-func RCMOrder(a *CSR) []int32 {
-	n := a.N()
-	degree := make([]int32, n)
-	for i := 0; i < n; i++ {
-		cols, _ := a.Row(i)
-		degree[i] = int32(len(cols))
-	}
-	visited := make([]bool, n)
-	order := make([]int32, 0, n)
-	queue := make([]int32, 0, n)
-	bfs := func(start int32) {
-		head := len(order)
-		order = append(order, start)
-		visited[start] = true
-		for head < len(order) {
-			v := order[head]
-			head++
-			cols, _ := a.Row(int(v))
-			queue = queue[:0]
-			for _, c := range cols {
-				if !visited[c] && c != v {
-					visited[c] = true
-					queue = append(queue, c)
-				}
-			}
-			// Ascending degree (insertion sort — stencil rows are short).
-			for i := 1; i < len(queue); i++ {
-				u := queue[i]
-				j := i - 1
-				for j >= 0 && degree[queue[j]] > degree[u] {
-					queue[j+1] = queue[j]
-					j--
-				}
-				queue[j+1] = u
-			}
-			order = append(order, queue...)
-		}
-	}
-	for comp := 0; comp < n; comp++ {
-		if visited[comp] {
-			continue
-		}
-		// Pseudo-peripheral start: min degree in the component, then the
-		// last vertex of one exploratory BFS (an approximate far end).
-		compStart := len(order)
-		bfs(int32(comp))
-		compVerts := order[compStart:]
-		start := compVerts[0]
-		best := degree[start]
-		for _, v := range compVerts {
-			if degree[v] < best {
-				best, start = degree[v], v
-			}
-		}
-		far := compVerts[len(compVerts)-1]
-		if degree[far] <= degree[start] || len(compVerts) > 2 {
-			start = far
-		}
-		for _, v := range compVerts {
-			visited[v] = false
-		}
-		order = order[:compStart]
-		bfs(start)
-	}
-	// Reverse.
-	for i, j := 0, n-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	return order
 }

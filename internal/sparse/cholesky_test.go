@@ -280,34 +280,3 @@ func TestSparseCholesky32Mirror(t *testing.T) {
 		t.Fatalf("float32 mirror deviates from float64 solve by %g, want ≤ 1e-5", rel)
 	}
 }
-
-func TestRCMOrderIsPermutation(t *testing.T) {
-	for _, a := range []*CSR{buildLaplacian1D(17), buildLaplacian2D(13, 8), randomSPD(rand.New(rand.NewSource(3)), 30)} {
-		perm := RCMOrder(a)
-		if _, err := invertPerm(a.N(), perm); err != nil {
-			t.Fatalf("RCM ordering invalid: %v", err)
-		}
-	}
-}
-
-// TestRCMOrderReducesFill sanity-checks that RCM is actually doing its
-// job on a grid: its factor should carry no more fill than the identity
-// ordering's.
-func TestRCMOrderReducesFill(t *testing.T) {
-	a := buildLaplacian2D(30, 4) // natural ordering has bandwidth 30
-	ident := make([]int32, a.N())
-	for i := range ident {
-		ident[i] = int32(i)
-	}
-	nIdent, err := SparseCholeskyCount(a, ident, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nRCM, err := SparseCholeskyCount(a, RCMOrder(a), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nRCM > nIdent {
-		t.Fatalf("RCM fill %d exceeds natural-ordering fill %d", nRCM, nIdent)
-	}
-}

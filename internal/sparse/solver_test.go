@@ -76,60 +76,9 @@ func relDiff(x, y []float64) float64 {
 	return maxD / maxY
 }
 
-// TestBackendsAgree: both production backends must land on the same
-// solution of an FVM-structured system to well below 1e-6 relative.
-func TestBackendsAgree(t *testing.T) {
-	m := buildLaplacian3D(12, 10, 8)
-	b := rhsFor(m.N(), 42)
-	sols := map[string][]float64{}
-	for _, backend := range Backends() {
-		s, err := NewSolver(backend)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := make([]float64, m.N())
-		res, err := s.Solve(m, b, x)
-		if err != nil {
-			t.Fatalf("%s: %v", backend, err)
-		}
-		if !res.Converged {
-			t.Fatalf("%s did not converge", backend)
-		}
-		sols[backend] = x
-	}
-	if d := relDiff(sols[BackendJacobiCG], sols[BackendSSORCG]); d > 1e-6 {
-		t.Errorf("backends disagree: relative difference %.2e > 1e-6", d)
-	}
-}
-
-// TestSSORReducesIterations: the SSOR preconditioner must cut the
-// iteration count of Jacobi-CG substantially on the 3D stencil — the
-// property the backend exists for.
-func TestSSORReducesIterations(t *testing.T) {
-	m := buildLaplacian3D(16, 16, 8)
-	b := rhsFor(m.N(), 7)
-	iters := map[string]int{}
-	for _, backend := range Backends() {
-		s, err := NewSolver(backend)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := make([]float64, m.N())
-		res, err := s.Solve(m, b, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		iters[backend] = res.Iterations
-	}
-	if iters[BackendSSORCG] >= iters[BackendJacobiCG] {
-		t.Errorf("SSOR-CG took %d iterations, Jacobi-CG %d — no preconditioning advantage",
-			iters[BackendSSORCG], iters[BackendJacobiCG])
-	}
-}
-
 // TestWorkspaceReuse: back-to-back solves on one solver instance (the
 // allocation-free hot path) must match fresh-instance solves, including
-// across matrices of different sizes and after a backend has cached a
+// across matrices of different sizes and after the solver has cached a
 // preconditioner for another matrix.
 func TestWorkspaceReuse(t *testing.T) {
 	systems := []*CSR{
@@ -137,126 +86,72 @@ func TestWorkspaceReuse(t *testing.T) {
 		buildLaplacian3D(6, 5, 4),
 		buildLaplacian3D(10, 9, 7),
 	}
-	for _, backend := range Backends() {
-		reused, err := NewSolver(backend)
-		if err != nil {
-			t.Fatal(err)
+	reused := &CG{}
+	for si, m := range systems {
+		b := rhsFor(m.N(), int64(100+si))
+		xr := make([]float64, m.N())
+		if _, err := reused.Solve(m, b, xr); err != nil {
+			t.Fatalf("reused solve %d: %v", si, err)
 		}
-		for si, m := range systems {
-			b := rhsFor(m.N(), int64(100+si))
-			xr := make([]float64, m.N())
-			if _, err := reused.Solve(m, b, xr); err != nil {
-				t.Fatalf("%s reused solve %d: %v", backend, si, err)
-			}
-			fresh, err := NewSolver(backend)
-			if err != nil {
-				t.Fatal(err)
-			}
-			xf := make([]float64, m.N())
-			if _, err := fresh.Solve(m, b, xf); err != nil {
-				t.Fatalf("%s fresh solve %d: %v", backend, si, err)
-			}
-			if d := relDiff(xr, xf); d > 1e-12 {
-				t.Errorf("%s solve %d: workspace reuse changed the solution (rel diff %.2e)", backend, si, d)
-			}
+		xf := make([]float64, m.N())
+		if _, err := (&CG{}).Solve(m, b, xf); err != nil {
+			t.Fatalf("fresh solve %d: %v", si, err)
 		}
-	}
-}
-
-// TestSharedWorkspaceAcrossBackends: a workspace shared between a Jacobi
-// and an SSOR solver must not leak one backend's preconditioner into the
-// other.
-func TestSharedWorkspaceAcrossBackends(t *testing.T) {
-	m := buildLaplacian3D(8, 8, 6)
-	b := rhsFor(m.N(), 3)
-	ws := NewWorkspace(m.N())
-	cg := &CG{Workspace: ws}
-	ssor := &SSORCG{Workspace: ws}
-
-	want := make([]float64, m.N())
-	if _, err := (&CG{}).Solve(m, b, want); err != nil {
-		t.Fatal(err)
-	}
-	// Interleave: CG, SSOR, CG again on the same matrix.
-	for pass := 0; pass < 2; pass++ {
-		x := make([]float64, m.N())
-		if _, err := cg.Solve(m, b, x); err != nil {
-			t.Fatal(err)
-		}
-		if d := relDiff(x, want); d > 1e-9 {
-			t.Fatalf("pass %d: shared-workspace CG diverged (rel diff %.2e)", pass, d)
-		}
-		x2 := make([]float64, m.N())
-		if _, err := ssor.Solve(m, b, x2); err != nil {
-			t.Fatal(err)
-		}
-		if d := relDiff(x2, want); d > 1e-6 {
-			t.Fatalf("pass %d: shared-workspace SSOR diverged (rel diff %.2e)", pass, d)
+		if d := relDiff(xr, xf); d > 1e-12 {
+			t.Errorf("solve %d: workspace reuse changed the solution (rel diff %.2e)", si, d)
 		}
 	}
 }
 
 // TestSolverWarmStart: seeding x with the solution must converge
-// (nearly) immediately for both backends.
+// (nearly) immediately.
 func TestSolverWarmStart(t *testing.T) {
 	m := buildLaplacian3D(10, 10, 6)
 	b := rhsFor(m.N(), 11)
-	for _, backend := range Backends() {
-		s, err := NewSolver(backend)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := make([]float64, m.N())
-		cold, err := s.Solve(m, b, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		warm, err := s.Solve(m, b, x) // x now holds the solution
-		if err != nil {
-			t.Fatal(err)
-		}
-		if warm.Iterations > cold.Iterations/2+2 {
-			t.Errorf("%s: warm start took %d iterations vs cold %d",
-				backend, warm.Iterations, cold.Iterations)
-		}
+	s := &CG{}
+	x := make([]float64, m.N())
+	cold, err := s.Solve(m, b, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := s.Solve(m, b, x) // x now holds the solution
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Iterations > cold.Iterations/2+2 {
+		t.Errorf("warm start took %d iterations vs cold %d", warm.Iterations, cold.Iterations)
 	}
 }
 
 // TestSolveBestIterateOnNonConvergence: with a tiny iteration budget the
-// solvers must return their best iterate and a populated result, not
+// solver must return its best iterate and a populated result, not
 // discard the work.
 func TestSolveBestIterateOnNonConvergence(t *testing.T) {
 	m := buildLaplacian3D(12, 12, 6)
 	b := rhsFor(m.N(), 5)
-	for _, backend := range Backends() {
-		s, err := Config{Backend: backend, MaxIterations: 3, Tolerance: 1e-14}.New()
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := make([]float64, m.N())
-		res, err := s.Solve(m, b, x)
-		if err == nil {
-			t.Fatalf("%s: expected non-convergence error", backend)
-		}
-		if res.Iterations != 3 {
-			t.Errorf("%s: iterations = %d, want 3", backend, res.Iterations)
-		}
-		var moved bool
-		for _, v := range x {
-			if v != 0 {
-				moved = true
-				break
-			}
-		}
-		if !moved {
-			t.Errorf("%s: best iterate not written back", backend)
-		}
-		if res.Residual <= 0 || res.Residual >= 1 {
-			t.Errorf("%s: residual %.2e should lie in (0, 1) after 3 iterations", backend, res.Residual)
+	x := make([]float64, m.N())
+	res, err := (&CG{MaxIterations: 3, Tolerance: 1e-14}).Solve(m, b, x)
+	if err == nil {
+		t.Fatal("expected non-convergence error")
+	}
+	if res.Iterations != 3 {
+		t.Errorf("iterations = %d, want 3", res.Iterations)
+	}
+	var moved bool
+	for _, v := range x {
+		if v != 0 {
+			moved = true
+			break
 		}
 	}
+	if !moved {
+		t.Error("best iterate not written back")
+	}
+	if res.Residual <= 0 || res.Residual >= 1 {
+		t.Errorf("residual %.2e should lie in (0, 1) after 3 iterations", res.Residual)
+	}
 	// The SolveCG wrapper must expose the same behaviour.
-	x, res, err := SolveCG(m, b, CGOptions{MaxIterations: 3, Tolerance: 1e-14})
+	x, res, err = SolveCG(m, b, CGOptions{MaxIterations: 3, Tolerance: 1e-14})
 	if err == nil {
 		t.Fatal("SolveCG: expected non-convergence error")
 	}
@@ -268,54 +163,36 @@ func TestSolveBestIterateOnNonConvergence(t *testing.T) {
 	}
 }
 
+// TestConfigErrors: malformed solves — a right-hand side or solution of
+// the wrong length, a matrix with a negative diagonal — must return an
+// error, not panic or iterate.
 func TestConfigErrors(t *testing.T) {
-	if _, err := NewSolver("multigrid"); err == nil {
-		t.Error("unknown backend should error")
-	}
-	if _, err := (Config{Backend: BackendSSORCG, Omega: 2.5}).New(); err == nil {
-		t.Error("omega outside (0,2) should error")
-	}
-	s := &SSORCG{Omega: -1}
 	m := buildLaplacian1D(4)
-	if _, err := s.Solve(m, make([]float64, 4), make([]float64, 4)); err == nil {
-		t.Error("negative omega should error at solve time")
+	s := &CG{}
+	if _, err := s.Solve(m, make([]float64, 3), make([]float64, 4)); err == nil {
+		t.Error("wrong rhs length should error")
 	}
-	for _, backend := range Backends() {
-		sv, err := NewSolver(backend)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sv.Solve(m, make([]float64, 3), make([]float64, 4)); err == nil {
-			t.Errorf("%s: wrong rhs length should error", backend)
-		}
-		if _, err := sv.Solve(m, make([]float64, 4), make([]float64, 3)); err == nil {
-			t.Errorf("%s: wrong solution length should error", backend)
-		}
-		bad := NewCOO(2)
-		bad.Add(0, 0, -1)
-		bad.Add(1, 1, 1)
-		if _, err := sv.Solve(bad.ToCSR(), []float64{1, 1}, make([]float64, 2)); err == nil {
-			t.Errorf("%s: negative diagonal should error", backend)
-		}
+	if _, err := s.Solve(m, make([]float64, 4), make([]float64, 3)); err == nil {
+		t.Error("wrong solution length should error")
+	}
+	bad := NewCOO(2)
+	bad.Add(0, 0, -1)
+	bad.Add(1, 1, 1)
+	if _, err := s.Solve(bad.ToCSR(), []float64{1, 1}, make([]float64, 2)); err == nil {
+		t.Error("negative diagonal should error")
 	}
 }
 
 func TestSolverZeroRHS(t *testing.T) {
 	m := buildLaplacian1D(10)
-	for _, backend := range Backends() {
-		s, err := NewSolver(backend)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := rhsFor(10, 9) // non-zero warm start must still yield x = 0
-		res, err := s.Solve(m, make([]float64, 10), x)
-		if err != nil || !res.Converged {
-			t.Fatalf("%s zero rhs: %v", backend, err)
-		}
-		for _, v := range x {
-			if v != 0 {
-				t.Fatalf("%s: zero rhs should give zero solution", backend)
-			}
+	x := rhsFor(10, 9) // non-zero warm start must still yield x = 0
+	res, err := (&CG{}).Solve(m, make([]float64, 10), x)
+	if err != nil || !res.Converged {
+		t.Fatalf("zero rhs: %v", err)
+	}
+	for _, v := range x {
+		if v != 0 {
+			t.Fatal("zero rhs should give zero solution")
 		}
 	}
 }

@@ -1,8 +1,9 @@
-// Package sparse implements the sparse linear algebra needed by the
-// finite-volume thermal solver: compressed sparse row (CSR) matrices, a
-// Jacobi-preconditioned conjugate gradient solver for symmetric positive
-// definite systems, and a Gauss–Seidel smoother usable as a standalone
-// iterative solver for small systems.
+// Package sparse implements the sparse linear algebra under the
+// finite-volume thermal solver: compressed sparse row (CSR) matrices and
+// their (block) products, the preconditioned conjugate gradient loops
+// (PCG, BlockCG) that mg-cg (internal/mg) runs its V-cycle inside, the
+// sparse Cholesky factor of its coarsest level, and a Jacobi-preconditioned
+// CG and Gauss–Seidel smoother kept as plain references for tests.
 package sparse
 
 import (
@@ -276,15 +277,13 @@ type CGOptions struct {
 	InitialGuess []float64
 }
 
-// CGResult reports how a solve went. It is an alias of the Result type
-// shared by all Solver backends.
+// CGResult reports how a solve went. It is an alias of Result.
 type CGResult = Result
 
 // SolveCG solves A·x = b for symmetric positive definite A using the
 // conjugate gradient method with Jacobi (diagonal) preconditioning. It is
-// a convenience wrapper over the CG Solver backend that allocates a fresh
-// solution vector per call; hot paths should hold a Solver and reuse its
-// workspace instead.
+// a convenience wrapper over CG that allocates a fresh solution vector
+// per call; repeated solves should hold a CG and reuse its workspace.
 //
 // On non-convergence the best iterate reached is returned alongside the
 // populated CGResult and a non-nil error, so callers can inspect partial

@@ -10,7 +10,6 @@ import (
 	"vcselnoc/internal/activity"
 	"vcselnoc/internal/fvm"
 	"vcselnoc/internal/geom"
-	"vcselnoc/internal/sparse"
 )
 
 // referenceReport is the report as a box scan of the full field:
@@ -142,7 +141,7 @@ var preview struct {
 	err   error
 }
 
-// previewBases returns a preview mg-cg model and its uniform, diagonal and
+// previewBases returns a preview model and its uniform, diagonal and
 // random bases, built once per test binary. The diagonal basis comes
 // first, on the fresh model, so it runs the uniform block itself; the
 // random basis follows. The uniform basis is that block, the model's
@@ -151,7 +150,6 @@ var preview struct {
 func previewBases(t *testing.T) (*Model, map[string]*Basis) {
 	t.Helper()
 	spec := previewSpec(t)
-	spec.Solver = sparse.BackendMGCG
 	preview.once.Do(func() {
 		if preview.m, preview.err = NewModel(spec); preview.err != nil {
 			return

@@ -1,40 +1,6 @@
 package thermal
 
-import (
-	"testing"
-
-	"vcselnoc/internal/sparse"
-)
-
-// TestEffectiveSolverPerResolution pins the auto-selection: mg-cg at the
-// fast/paper resolutions where its mesh-independent iteration count
-// dominates, jacobi-cg on the coarse/preview meshes, and an explicit
-// Solver name always winning.
-func TestEffectiveSolverPerResolution(t *testing.T) {
-	cases := []struct {
-		name string
-		res  Resolution
-		want string
-	}{
-		{"paper", PaperResolution(), sparse.BackendMGCG},
-		{"fast", FastResolution(), sparse.BackendMGCG},
-		{"coarse", CoarseResolution(), sparse.BackendJacobiCG},
-		{"preview", PreviewResolution(), sparse.BackendJacobiCG},
-		{"zero", Resolution{}, sparse.BackendJacobiCG},
-	}
-	for _, tc := range cases {
-		got := Spec{Res: tc.res}.EffectiveSolver()
-		if got != tc.want {
-			t.Errorf("%s: EffectiveSolver() = %q, want %q", tc.name, got, tc.want)
-		}
-	}
-	for _, explicit := range sparse.Backends() {
-		spec := Spec{Res: PaperResolution(), Solver: explicit}
-		if got := spec.EffectiveSolver(); got != explicit {
-			t.Errorf("explicit %q overridden to %q", explicit, got)
-		}
-	}
-}
+import "testing"
 
 // TestResolutionByName pins the shared -res flag vocabulary.
 func TestResolutionByName(t *testing.T) {
@@ -51,27 +17,5 @@ func TestResolutionByName(t *testing.T) {
 	}
 	if _, err := ResolutionByName("ultra"); err == nil {
 		t.Error("unknown resolution accepted")
-	}
-}
-
-// TestSolveOptionsUseEffectiveSolver checks the auto-selection actually
-// reaches the solve path, not just the accessor.
-func TestSolveOptionsUseEffectiveSolver(t *testing.T) {
-	spec, err := PaperSpec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.Res = PreviewResolution()
-	spec.Solver = ""
-	m, err := NewModel(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.solveOptions().Solver; got != sparse.BackendJacobiCG {
-		t.Fatalf("preview solveOptions solver = %q, want %q", got, sparse.BackendJacobiCG)
-	}
-	m.spec.Res = FastResolution() // selection is resolution-driven, no rebuild needed
-	if got := m.solveOptions().Solver; got != sparse.BackendMGCG {
-		t.Fatalf("fast solveOptions solver = %q, want %q", got, sparse.BackendMGCG)
 	}
 }

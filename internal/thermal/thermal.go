@@ -38,7 +38,6 @@ import (
 	"vcselnoc/internal/mg"
 	"vcselnoc/internal/oni"
 	"vcselnoc/internal/scc"
-	"vcselnoc/internal/sparse"
 	"vcselnoc/internal/stack"
 )
 
@@ -128,11 +127,8 @@ type Spec struct {
 	HeaterFootprintScale float64
 	// Res selects the mesh density.
 	Res Resolution
-	// SolverTol is the solver's relative tolerance (default 1e-8).
+	// SolverTol is the mg-cg solver's relative tolerance (default 1e-8).
 	SolverTol float64
-	// Solver selects the sparse backend by name ("jacobi-cg", "ssor-cg",
-	// "mg-cg"); empty auto-selects per resolution (see EffectiveSolver).
-	Solver string
 	// Workers caps the goroutines used by parallel solves (basis building,
 	// matrix-vector products); 0 means GOMAXPROCS.
 	Workers int
@@ -167,36 +163,6 @@ func PaperSpec() (Spec, error) {
 	}, nil
 }
 
-// autoSolverCell is the coarsest ONI cell size (m) at which an empty
-// Spec.Solver auto-selects mg-cg: at 10 µm (FastResolution) and finer,
-// the mg-cg iteration count is mesh-independent and dominates even for a
-// single cold solve. On the coarser preview/coarse tiers the per-solve
-// crossover has moved to mg-cg too (the red-black/float32 V-cycle with an
-// exact sparse-Cholesky coarse solve beats jacobi-cg ~4x per warm solve,
-// see the README's Performance section), but its one-off setup —
-// hierarchy, Galerkin products, coarse factorisation — still costs more than
-// a whole jacobi-cg solve there, so the auto rule keeps jacobi-cg for the
-// one-shot small-mesh case. Callers doing repeated solves on a preview
-// mesh (servers, basis builds, sweeps) should set Solver: "mg-cg"
-// explicitly; the hierarchy is cached on the fvm.System, so only the
-// first solve pays the setup.
-const autoSolverCell = 10e-6
-
-// EffectiveSolver resolves the sparse backend a solve of this spec uses:
-// an explicit Solver name wins; an empty Solver auto-selects mg-cg at
-// fast/paper resolutions (ONI cells ≤ 10 µm) and jacobi-cg on the coarser
-// preview/coarse meshes, where the V-cycle setup outweighs its per-solve
-// advantage for a single solve (see autoSolverCell for the tradeoff).
-func (s Spec) EffectiveSolver() string {
-	if s.Solver != "" {
-		return s.Solver
-	}
-	if s.Res.ONICell > 0 && s.Res.ONICell <= autoSolverCell {
-		return sparse.BackendMGCG
-	}
-	return sparse.BackendJacobiCG
-}
-
 // Validate reports spec errors.
 func (s Spec) Validate() error {
 	if s.Floorplan == nil {
@@ -222,9 +188,6 @@ func (s Spec) Validate() error {
 	}
 	if s.Workers < 0 {
 		return fmt.Errorf("thermal: negative worker count %d", s.Workers)
-	}
-	if _, err := sparse.NewSolver(s.Solver); err != nil {
-		return err
 	}
 	return nil
 }
@@ -720,11 +683,7 @@ func (m *Model) powerVector(p Powers) ([]float64, error) {
 
 // solveOptions maps the spec's solver knobs onto fvm options.
 func (m *Model) solveOptions() fvm.SolveOptions {
-	return fvm.SolveOptions{
-		Tolerance: m.spec.SolverTol,
-		Solver:    m.spec.EffectiveSolver(),
-		Workers:   m.spec.Workers,
-	}
+	return fvm.SolveOptions{Tolerance: m.spec.SolverTol, Workers: m.spec.Workers}
 }
 
 // System exposes the cached finite-volume operator (diagnostics and
@@ -979,14 +938,14 @@ type BasisBuildStats struct {
 	// uniform basis taken from another call's block in flight.
 	Columns int
 	// Iterations is the largest outer iteration count across those
-	// solves (the block's columns advance together under mg-cg, so for
-	// the block this is the shared count).
+	// solves (the block's columns advance together, so for the block
+	// this is the shared count).
 	Iterations int
 	// Wall is the time spent in those solves, including any hierarchy
 	// set-up they triggered.
 	Wall time.Duration
 	// Phases is the V-cycle phase time the solves spent on this model's
-	// hierarchy (zero for non-mg backends).
+	// hierarchy.
 	Phases mg.PhaseStats
 }
 
@@ -1001,11 +960,10 @@ var errFlightAborted = errors.New("thermal: uniform basis block aborted")
 // means uniform).
 //
 // The uniform basis runs the model's four unit solves — chip, VCSELs,
-// drivers, heaters — as one block on every call. Under mg-cg that is one
-// block-Krylov solve whose matrix passes feed every column and whose
-// per-column V-cycles share the cached hierarchy; other backends fan the
-// solves across the spec's worker pool. The first uniform basis whose
-// block succeeds becomes the model's device-field memo.
+// drivers, heaters — as one block on every call: one block-Krylov solve
+// whose matrix passes feed every column and whose per-column V-cycles
+// share the cached hierarchy. The first uniform basis whose block
+// succeeds becomes the model's device-field memo.
 //
 // The VCSEL, driver and heater fields do not depend on chip activity, so
 // any other activity's basis copies them from the memo and solves only

@@ -92,7 +92,6 @@ func (m *Model) NewTransientRun(p Powers, ts TransientSpec) (*TransientRun, erro
 		TimeStep:       ts.TimeStep,
 		InitialUniform: m.spec.Ambient,
 		Tolerance:      m.spec.SolverTol,
-		Solver:         m.spec.EffectiveSolver(),
 		Workers:        m.spec.Workers,
 	}
 	if ts.Initial != nil && ts.Resume == nil {

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"vcselnoc/internal/fvm"
-	"vcselnoc/internal/sparse"
 	"vcselnoc/internal/thermal"
 )
 
@@ -21,7 +20,6 @@ func solveIterations(t *testing.T, m *thermal.Model, precision string) int {
 	}
 	sol, err := m.System().SolveSteady(power, fvm.SolveOptions{
 		Tolerance:   1e-8,
-		Solver:      sparse.BackendMGCG,
 		MGPrecision: precision,
 	})
 	if err != nil {

@@ -83,15 +83,11 @@ func NewWithSpec(spec ThermalSpec, cfg SNRConfig) (*Methodology, error) {
 }
 
 // Options tunes the paper's operating point without spelling out a full
-// specification: mesh density, sparse solver backend and parallelism.
+// specification: mesh density, solver tolerance and parallelism.
 type Options struct {
 	// Res selects the mesh density; the zero value keeps the FastResolution
 	// default of PaperSpec.
 	Res Resolution
-	// Solver selects the sparse backend by name (SolverJacobiCG,
-	// SolverSSORCG, SolverMGCG); empty auto-selects per resolution:
-	// mg-cg at fast/paper, jacobi-cg at preview/coarse.
-	Solver string
 	// Workers caps the goroutines used by parallel solves and design-space
 	// sweeps; 0 means GOMAXPROCS.
 	Workers int
@@ -100,7 +96,7 @@ type Options struct {
 }
 
 // NewWithOptions builds the methodology at the paper's operating point
-// with solver and parallelism overrides.
+// with tolerance and parallelism overrides.
 func NewWithOptions(o Options) (*Methodology, error) {
 	spec, err := thermal.PaperSpec()
 	if err != nil {
@@ -109,7 +105,6 @@ func NewWithOptions(o Options) (*Methodology, error) {
 	if o.Res != (Resolution{}) {
 		spec.Res = o.Res
 	}
-	spec.Solver = o.Solver
 	spec.Workers = o.Workers
 	if o.SolverTol > 0 {
 		spec.SolverTol = o.SolverTol
@@ -376,26 +371,19 @@ type (
 	// FVMProblem is a raw finite-volume conduction problem.
 	FVMProblem = fvm.Problem
 	// FVMSystem is an assembled conduction operator, reusable across every
-	// solve that shares geometry and boundaries (steady, batch, transient).
+	// solve that shares geometry and boundaries (steady, block, transient).
 	FVMSystem = fvm.System
 	// FVMSolution is a solved temperature field.
 	FVMSolution = fvm.Solution
 	// FVMBoundary describes one domain face's condition.
 	FVMBoundary = fvm.Boundary
-	// FVMSolveOptions configures a steady solve (tolerance, backend,
-	// workers).
+	// FVMSolveOptions configures a steady solve (tolerance, workers,
+	// V-cycle precision).
 	FVMSolveOptions = fvm.SolveOptions
 	// FVMTransientOptions configures a raw transient run.
 	FVMTransientOptions = fvm.TransientOptions
-	// SparseSolver is a pluggable SPD linear solver backend.
-	SparseSolver = sparse.Solver
-	// SparseSolverConfig selects and parameterises a solver backend.
-	SparseSolverConfig = sparse.Config
 	// SparseResult reports how an iterative solve went.
 	SparseResult = sparse.Result
-	// SparseWorkspace is reusable solver scratch space for allocation-free
-	// repeated solves.
-	SparseWorkspace = sparse.Workspace
 	// SparseCSR is a compressed-sparse-row matrix.
 	SparseCSR = sparse.CSR
 	// MeshGrid is a structured non-uniform grid.
@@ -442,25 +430,8 @@ const (
 	Dirichlet  = fvm.Dirichlet
 )
 
-// Sparse solver backends. SolverMGCG is the geometric-multigrid
-// preconditioned CG: on the paper's graded chip meshes its iteration count
-// is independent of resolution, making it the backend of choice for
-// fine-mesh (fast/paper resolution) thermal solves and batched basis
-// builds; the simpler backends win on small preview/coarse meshes.
-const (
-	SolverJacobiCG = sparse.BackendJacobiCG
-	SolverSSORCG   = sparse.BackendSSORCG
-	SolverMGCG     = sparse.BackendMGCG
-)
-
-// SolverBackends lists the available sparse solver backends.
-func SolverBackends() []string { return sparse.Backends() }
-
-// NewSparseSolver builds a configured sparse solver backend.
-func NewSparseSolver(c SparseSolverConfig) (SparseSolver, error) { return c.New() }
-
 // NewFVMSystem assembles a problem's conduction operator once for reuse
-// across many solves (steady, batched multi-RHS, transient).
+// across many solves (steady, block multi-RHS, transient).
 func NewFVMSystem(p *FVMProblem) (*FVMSystem, error) { return fvm.NewSystem(p) }
 
 // SolveSteady solves a raw steady-state conduction problem.
