@@ -214,6 +214,44 @@ func TestSystemTransientMatchesProblemLevel(t *testing.T) {
 	}
 }
 
+// TestSystemSolverSelection: steady and transient runs must accept both
+// V-cycle precisions, the one solver setting a caller still selects,
+// agree across them, and reject an unknown one.
+func TestSystemSolverSelection(t *testing.T) {
+	p := systemProblem(t, 10, 8, 4)
+	sys, err := NewSystem(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prevSteady, prevTransient []float64
+	for _, precision := range []string{"float64", "float32"} {
+		steady, err := sys.SolveSteady(p.Power, SolveOptions{Tolerance: 1e-11, MGPrecision: precision})
+		if err != nil {
+			t.Fatalf("%s steady: %v", precision, err)
+		}
+		transient, err := sys.SolveTransient(p.Power, TransientOptions{
+			TimeStep: 0.01, Steps: 3, InitialUniform: 25, Tolerance: 1e-11, MGPrecision: precision,
+		})
+		if err != nil {
+			t.Fatalf("%s transient: %v", precision, err)
+		}
+		if prevSteady != nil {
+			for i := range steady.T {
+				if math.Abs(steady.T[i]-prevSteady[i]) > 1e-6 || math.Abs(transient.T[i]-prevTransient[i]) > 1e-6 {
+					t.Fatalf("precisions disagree at cell %d", i)
+				}
+			}
+		}
+		prevSteady, prevTransient = steady.T, transient.T
+	}
+	if _, err := sys.SolveSteady(p.Power, SolveOptions{MGPrecision: "nope"}); err == nil {
+		t.Error("unknown precision should error")
+	}
+	if _, err := sys.SolveTransient(p.Power, TransientOptions{TimeStep: 0.01, Steps: 1, MGPrecision: "nope"}); err == nil {
+		t.Error("unknown transient precision should error")
+	}
+}
+
 func TestSystemErrors(t *testing.T) {
 	p := systemProblem(t, 8, 8, 3)
 	sys, err := NewSystem(p)

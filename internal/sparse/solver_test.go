@@ -103,6 +103,41 @@ func TestWorkspaceReuse(t *testing.T) {
 	}
 }
 
+// TestSharedWorkspaceAcrossBackends: a workspace shared between CG and
+// the PCG engine mg-cg runs its V-cycle inside must not leak CG's cached
+// Jacobi diagonal into the other solve, or the other solve's vectors
+// into CG: interleaved solves reproduce fresh ones bit for bit.
+func TestSharedWorkspaceAcrossBackends(t *testing.T) {
+	m := buildLaplacian3D(8, 8, 6)
+	b := rhsFor(m.N(), 3)
+	identity := func(z, r []float64) { copy(z, r) }
+	want := make([]float64, m.N())
+	if _, err := (&CG{}).Solve(m, b, want); err != nil {
+		t.Fatal(err)
+	}
+	wantPlain := make([]float64, m.N())
+	if _, err := PCG(m, b, wantPlain, nil, identity, 0, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	ws := NewWorkspace(m.N())
+	cg := &CG{Workspace: ws}
+	for pass := 0; pass < 2; pass++ {
+		x := make([]float64, m.N())
+		if _, err := cg.Solve(m, b, x); err != nil {
+			t.Fatal(err)
+		}
+		x2 := make([]float64, m.N())
+		if _, err := PCG(m, b, x2, ws, identity, 0, 0, 1); err != nil {
+			t.Fatal(err)
+		}
+		for i := range x {
+			if x[i] != want[i] || x2[i] != wantPlain[i] {
+				t.Fatalf("pass %d: shared-workspace solves differ from fresh ones at %d", pass, i)
+			}
+		}
+	}
+}
+
 // TestSolverWarmStart: seeding x with the solution must converge
 // (nearly) immediately.
 func TestSolverWarmStart(t *testing.T) {
