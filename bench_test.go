@@ -729,10 +729,11 @@ func BenchmarkBuildBasis(b *testing.B) {
 			}
 		}
 	})
-	// A warm model holds the VCSEL, driver and heater fields of its
-	// uniform block, so a diagonal basis is one chip-field solve.
+	// A warm model caches its uniform basis, whose VCSEL, driver and
+	// heater fields every other basis copies, so a diagonal basis is one
+	// chip-field solve.
 	b.Run("activity", func(b *testing.B) {
-		if _, err := m.BuildBasis(nil); err != nil {
+		if _, err := m.Basis(nil); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()

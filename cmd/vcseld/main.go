@@ -9,7 +9,7 @@
 // Usage:
 //
 //	vcseld [-addr :8080] [-res fast] [-workers 0]
-//	       [-cache 4096] [-max-bases 8] [-warm]
+//	       [-cache 4096] [-warm]
 //	       [-admit-rate 0] [-admit-burst 0] [-client-rate 0] [-client-burst 0]
 //	       [-job-dir /var/lib/vcseld/jobs] [-job-checkpoint-every 25]
 //	       [-job-ttl 0] [-coordinator http://ctl:9090] [-advertise host:port]
@@ -19,8 +19,10 @@
 // tens of microseconds and its answer is memoised in a -cache sized LRU.
 // With -admit-rate (spec-wide) or -client-rate (per X-Client-ID / remote
 // host) set, cheap superposition queries pass an O(1) atomic admission
-// check; shed queries get HTTP 429 with a Retry-After header. Warm bases
-// beyond -max-bases are evicted least-recently-used instead of refused.
+// check; shed queries get HTTP 429 with a Retry-After header. Each spec's
+// model keeps at most thermal.MaxBases (8) bases warm: a new activity
+// shape beyond that evicts the least-recently-used one (never the
+// uniform basis) instead of being refused.
 //
 // Endpoints (all JSON unless noted):
 //
@@ -88,7 +90,6 @@ func main() {
 	res := flag.String("res", "fast", "mesh resolution: preview, coarse, fast or paper")
 	workers := flag.Int("workers", 0, "parallel solver/sweep workers (0 = all CPUs)")
 	cacheSize := flag.Int("cache", serve.DefaultCacheSize, "query LRU capacity")
-	maxBases := flag.Int("max-bases", serve.DefaultMaxBases, "warm bases to hold per spec (least-recently-used shape evicted beyond)")
 	admitRate := flag.Float64("admit-rate", 0, "spec-wide admission rate for cheap queries (queries/s; 0 = unlimited, shed gets HTTP 429 + Retry-After)")
 	admitBurst := flag.Int("admit-burst", 0, "spec-wide admission burst tolerance (0 = default)")
 	clientRate := flag.Float64("client-rate", 0, "per-client admission rate (queries/s per X-Client-ID or remote host; 0 = unlimited)")
@@ -125,7 +126,6 @@ func main() {
 	srv, err := serve.New(serve.Config{
 		Specs:              map[string]thermal.Spec{serve.DefaultSpec: spec},
 		CacheSize:          *cacheSize,
-		MaxBases:           *maxBases,
 		AdmitRate:          *admitRate,
 		AdmitBurst:         *admitBurst,
 		ClientRate:         *clientRate,

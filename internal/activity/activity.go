@@ -181,6 +181,18 @@ func (c Checkerboard) Weights(cols, rows int) ([]float64, error) {
 	return w, nil
 }
 
+// Key identifies a scenario for caching its basis or its answers (nil
+// means uniform). Name alone is not enough: parameterised scenarios
+// (Random's seed, Hotspot's tile) share a name, and a long-lived cache
+// must not answer a seed-2 query from a seed-1 basis, so the key appends
+// the scenario's field values.
+func Key(s Scenario) string {
+	if s == nil {
+		s = Uniform{}
+	}
+	return fmt.Sprintf("%s|%+v", s.Name(), s)
+}
+
 // ByName returns the scenario for a CLI-style name. Random uses the given
 // seed.
 func ByName(name string, seed int64) (Scenario, error) {

@@ -200,3 +200,24 @@ func TestAllWeightsNonNegative(t *testing.T) {
 		}
 	}
 }
+
+func TestKey(t *testing.T) {
+	if Key(nil) != Key(Uniform{}) {
+		t.Error("nil and uniform keys differ")
+	}
+	seeded, err := ByName("diagonal", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if Key(seeded) != Key(Diagonal{}) {
+		t.Error("a seed on a seedless scenario splits its key")
+	}
+	seen := map[string]Scenario{}
+	for _, s := range []Scenario{Uniform{}, Diagonal{}, Random{Seed: 1}, Random{Seed: 2}, Hotspot{Col: 1, Row: 1}, Hotspot{Col: 2, Row: 1}, Checkerboard{}} {
+		k := Key(s)
+		if prev, dup := seen[k]; dup {
+			t.Errorf("%+v and %+v share key %q", prev, s, k)
+		}
+		seen[k] = s
+	}
+}

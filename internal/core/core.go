@@ -13,8 +13,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"vcselnoc/internal/activity"
 	"vcselnoc/internal/dse"
@@ -48,38 +46,14 @@ func (p CommPattern) String() string {
 }
 
 // Methodology is a configured instance of the paper's design flow. It is
-// safe for concurrent use: basis builds are serialised per activity with
-// single-flight deduplication (concurrent requests for a cold activity
-// share one build), and everything else only reads immutable state.
+// safe for concurrent use: its thermal.Model builds and caches the bases
+// (one build per activity however many callers ask at once), and
+// everything else only reads immutable state.
 type Methodology struct {
 	spec   thermal.Spec
 	snrCfg snr.Config
 
 	model *thermal.Model
-
-	mu     sync.Mutex
-	bases  map[string]*basisEntry
-	builds atomic.Int64
-}
-
-// basisEntry is one activity's basis slot: the once gates the build so
-// concurrent BasisFor calls for the same activity share a single solve;
-// done publishes b/err to goroutines that only peek (ThermalAnalysis)
-// without joining the flight.
-type basisEntry struct {
-	once sync.Once
-	done atomic.Bool
-	b    *thermal.Basis
-	err  error
-}
-
-// ready returns the completed basis, or nil when the entry is still
-// building or its build failed.
-func (e *basisEntry) ready() *thermal.Basis {
-	if e == nil || !e.done.Load() || e.err != nil {
-		return nil
-	}
-	return e.b
 }
 
 // New builds the methodology at the paper's operating point (SCC case
@@ -101,12 +75,7 @@ func NewWithSpec(spec thermal.Spec, cfg snr.Config) (*Methodology, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Methodology{
-		spec:   spec,
-		snrCfg: cfg,
-		model:  model,
-		bases:  make(map[string]*basisEntry),
-	}, nil
+	return &Methodology{spec: spec, snrCfg: cfg, model: model}, nil
 }
 
 // Spec returns the system specification.
@@ -118,84 +87,10 @@ func (m *Methodology) SNRConfig() snr.Config { return m.snrCfg }
 // Model exposes the assembled thermal model.
 func (m *Methodology) Model() *thermal.Model { return m.model }
 
-// basisKey identifies a scenario for basis caching. Name() alone is not
-// enough for a long-lived Methodology: parameterised scenarios (Random's
-// seed, Hotspot's tile) share a Name, and a warm server must not answer a
-// seed-2 query from a seed-1 basis. The key therefore appends the
-// scenario's field values.
-func basisKey(act activity.Scenario) string {
-	if act == nil {
-		act = activity.Uniform{}
-	}
-	return fmt.Sprintf("%s|%+v", act.Name(), act)
-}
-
-// BasisFor returns (building and caching on first use) the superposition
-// basis for an activity shape. Concurrent calls for the same cold
-// activity are deduplicated: exactly one build runs, the rest wait for
-// and share its result. Failed builds are not cached, so a later call may
-// retry.
+// BasisFor returns the model's cached superposition basis for an
+// activity shape, building it on first use (see thermal.Model.Basis).
 func (m *Methodology) BasisFor(act activity.Scenario) (*thermal.Basis, error) {
-	if act == nil {
-		act = activity.Uniform{}
-	}
-	name := basisKey(act)
-	m.mu.Lock()
-	e, ok := m.bases[name]
-	if !ok {
-		e = &basisEntry{}
-		m.bases[name] = e
-	}
-	m.mu.Unlock()
-	e.once.Do(func() {
-		m.builds.Add(1)
-		e.b, e.err = m.model.BuildBasis(act)
-		e.done.Store(true)
-	})
-	if e.err != nil {
-		m.mu.Lock()
-		if m.bases[name] == e {
-			delete(m.bases, name)
-		}
-		m.mu.Unlock()
-		return nil, e.err
-	}
-	return e.b, nil
-}
-
-// BasisBuilds returns the number of basis builds actually executed — the
-// observable the single-flight tests and the service's stats endpoint
-// use: N concurrent cold queries must report exactly one build.
-func (m *Methodology) BasisBuilds() int64 { return m.builds.Load() }
-
-// EvictBasis drops the cached basis for an activity shape so its memory
-// (~4 fields × NumCells × 8 bytes) can be reclaimed, and reports whether
-// an entry was present. The model's device-field memo stays, so a
-// non-uniform rebuild costs one chip-field solve; the memo is the model's
-// first uniform basis, so it costs nothing while that basis is the cached
-// one and one basis's fields once it is evicted. Safe against racing
-// BasisFor calls: an in-flight build on the evicted entry completes and
-// serves its waiters — the entry just stops being shared with later
-// calls, which rebuild. Because the solve pipeline is deterministic, a
-// rebuilt basis is value-identical to the evicted one (pinned by the
-// serve eviction tests).
-func (m *Methodology) EvictBasis(act activity.Scenario) bool {
-	key := basisKey(act)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.bases[key]; !ok {
-		return false
-	}
-	delete(m.bases, key)
-	return true
-}
-
-// BasisCount reports the cached basis entries (completed or building) —
-// the bounded-memory invariant the serving layer's LRU maintains.
-func (m *Methodology) BasisCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.bases)
+	return m.model.Basis(act)
 }
 
 // Explorer returns a design-space explorer bound to the activity's basis.
@@ -214,13 +109,10 @@ func (m *Methodology) Explorer(act activity.Scenario) (*dse.Explorer, error) {
 }
 
 // ThermalAnalysis runs one steady-state simulation (step 1 of the flow).
-// When a basis exists for the powers' activity it is used; otherwise a
-// direct solve runs.
+// When the model has a basis built for the powers' activity it is used;
+// otherwise a direct solve runs.
 func (m *Methodology) ThermalAnalysis(p thermal.Powers) (*thermal.Result, error) {
-	m.mu.Lock()
-	e := m.bases[basisKey(p.Activity)]
-	m.mu.Unlock()
-	if b := e.ready(); b != nil {
+	if b := m.model.CachedBasis(p.Activity); b != nil {
 		return b.Evaluate(p)
 	}
 	return m.model.Solve(p)

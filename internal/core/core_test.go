@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -90,89 +89,6 @@ func TestBasisCaching(t *testing.T) {
 	}
 	if b1 != b2 {
 		t.Error("uniform basis not cached/shared")
-	}
-}
-
-// TestEvictBasisRebuildDeterminism pins the contract the serving layer's
-// bounded basis LRU relies on: evicting a basis frees its slot (the
-// count drops, ThermalAnalysis falls back cleanly), and a rebuilt basis
-// evaluates bit-identically — reflect.DeepEqual on the full temperature
-// field — to both its first build and a basis from a fresh model.
-func TestEvictBasisRebuildDeterminism(t *testing.T) {
-	spec, err := thermal.PaperSpec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.Res = thermal.PreviewResolution()
-	m, err := NewWithSpec(spec, snr.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	act := activity.Random{Seed: 7}
-	powers := thermal.Powers{Chip: 25, Activity: act, VCSEL: 2e-3, Driver: 2e-3, Heater: 0.6e-3}
-
-	b1, err := m.BasisFor(act)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := b1.Evaluate(powers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.BasisCount() != 1 {
-		t.Fatalf("basis count = %d, want 1", m.BasisCount())
-	}
-	if !m.EvictBasis(act) {
-		t.Fatal("EvictBasis found nothing to evict")
-	}
-	if m.EvictBasis(act) {
-		t.Fatal("double eviction reported an entry")
-	}
-	if m.BasisCount() != 0 {
-		t.Fatalf("basis count after eviction = %d, want 0", m.BasisCount())
-	}
-	// An evaluation holding the evicted basis pointer still works.
-	if _, err := b1.Evaluate(powers); err != nil {
-		t.Fatalf("evicted basis unusable by in-flight holder: %v", err)
-	}
-
-	// Rebuild: a new build (counter advances) with a bit-identical field.
-	b2, err := m.BasisFor(act)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b2 == b1 {
-		t.Fatal("rebuild returned the evicted pointer — eviction did not drop the cache entry")
-	}
-	if m.BasisBuilds() != 2 {
-		t.Fatalf("builds = %d, want 2", m.BasisBuilds())
-	}
-	r2, err := b2.Evaluate(powers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(r1.Field(), r2.Field()) {
-		t.Fatal("rebuilt basis evaluates to a different temperature field")
-	}
-
-	// And against a completely fresh model of the same spec.
-	m2, err := NewWithSpec(spec, snr.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b3, err := m2.BasisFor(act)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r3, err := b3.Evaluate(powers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(r2.Field(), r3.Field()) {
-		t.Fatal("rebuilt basis differs from a fresh model's basis")
-	}
-	if !reflect.DeepEqual(r2.ONIs, r3.ONIs) {
-		t.Fatal("rebuilt basis ONI reports differ from a fresh model's")
 	}
 }
 

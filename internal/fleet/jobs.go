@@ -308,7 +308,7 @@ func (c *Coordinator) placementTargets(exclude string) []string {
 
 // placeJob places a fresh submission on the least-loaded alive worker,
 // falling through the ranking on per-worker refusals (e.g. a full
-// MaxJobs table answers 429).
+// DefaultMaxJobs table answers 429).
 func (c *Coordinator) placeJob(req serve.TransientRequest, traceID string) (*trackedJob, serve.JobStatus, error) {
 	id := req.ID
 	if id == "" {

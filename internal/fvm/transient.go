@@ -349,9 +349,6 @@ func (st *TransientStepper) Time() float64 { return float64(st.step) * st.op.dt 
 // TimeStep returns the implicit-Euler dt (s).
 func (st *TransientStepper) TimeStep() float64 { return st.op.dt }
 
-// LastStats returns the solver statistics of the most recent step.
-func (st *TransientStepper) LastStats() sparse.Result { return st.last }
-
 // Field returns a copy of the current temperature field.
 func (st *TransientStepper) Field() []float64 {
 	out := make([]float64, len(st.t))

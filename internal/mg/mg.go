@@ -678,9 +678,6 @@ func (h *Hierarchy) Fine() *sparse.CSR { return h.levels[0].a }
 // Depth returns the number of levels including the finest.
 func (h *Hierarchy) Depth() int { return len(h.levels) }
 
-// LevelSize returns the unknown count of level l (0 = finest).
-func (h *Hierarchy) LevelSize(l int) int { return h.levels[l].n() }
-
 // BuildHierarchy semicoarsens the grid behind a and assembles the Galerkin
 // coarse operators. The hint must describe the structured grid a was
 // assembled on (cell counts multiplying to a.N()).

@@ -127,13 +127,7 @@ func newAdmission(cfg Config) *admission {
 	if cfg.AdmitRate <= 0 && cfg.ClientRate <= 0 {
 		return nil
 	}
-	a := &admission{
-		clientRate: cfg.ClientRate,
-		maxClients: cfg.MaxClients,
-	}
-	if a.maxClients <= 0 {
-		a.maxClients = DefaultMaxClients
-	}
+	a := &admission{clientRate: cfg.ClientRate, maxClients: DefaultMaxClients}
 	if a.clientRate > 0 {
 		burst := cfg.ClientBurst
 		if burst <= 0 {

@@ -192,10 +192,12 @@ func TestAdmissionIdleClientGC(t *testing.T) {
 	}
 }
 
-// TestAdmissionClientOverflow: clients beyond MaxClients still get
-// served (spec bucket permitting) instead of erroring.
+// TestAdmissionClientOverflow: clients beyond the tracked-bucket bound
+// (DefaultMaxClients, lowered here) still get served (spec bucket
+// permitting) instead of erroring.
 func TestAdmissionClientOverflow(t *testing.T) {
-	a := newAdmission(Config{ClientRate: 1, ClientBurst: 1, MaxClients: 2})
+	a := newAdmission(Config{ClientRate: 1, ClientBurst: 1})
+	a.maxClients = 2
 	now := time.Now().UnixNano()
 	for i := 0; i < 4; i++ {
 		ok, _ := a.admit(fmt.Sprintf("c%d", i), now)

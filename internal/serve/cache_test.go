@@ -70,21 +70,29 @@ func TestLRUConcurrent(t *testing.T) {
 // TestCacheKeyCanonicalisation: the driver default and float spellings
 // collapse; distinct scenarios stay distinct.
 func TestCacheKeyCanonicalisation(t *testing.T) {
+	key := func(sc Scenario) string {
+		t.Helper()
+		act, err := sc.activityScenario()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sc.cacheKey(act)
+	}
 	base := Scenario{Chip: 25, PVCSEL: 2e-3, PHeater: 6e-4}
 	explicit := base
 	d := 2e-3
 	explicit.PDriver = &d
-	if base.cacheKey() != explicit.cacheKey() {
+	if key(base) != key(explicit) {
 		t.Fatal("defaulted and explicit driver produce different keys")
 	}
 	uniform := base
 	uniform.Activity = "uniform"
-	if base.cacheKey() != uniform.cacheKey() {
+	if key(base) != key(uniform) {
 		t.Fatal("empty and explicit uniform activity produce different keys")
 	}
 	seeded := uniform
 	seeded.Seed = 7 // uniform ignores the seed
-	if uniform.cacheKey() != seeded.cacheKey() {
+	if key(uniform) != key(seeded) {
 		t.Fatal("stray seed on a non-random activity splits the key")
 	}
 	distinct := []Scenario{
@@ -97,7 +105,7 @@ func TestCacheKeyCanonicalisation(t *testing.T) {
 	}
 	seen := map[string]int{}
 	for i, sc := range distinct {
-		k := sc.cacheKey()
+		k := key(sc)
 		if j, dup := seen[k]; dup {
 			t.Fatalf("scenarios %d and %d collide on %q", i, j, k)
 		}

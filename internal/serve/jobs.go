@@ -41,12 +41,10 @@ var jobIDPattern = regexp.MustCompile(`^[a-z0-9][a-z0-9-]{0,63}$`)
 
 // jobManager owns the transient jobs of one Server.
 type jobManager struct {
-	srv      *Server
-	dir      string
-	every    int
-	maxJobs  int
-	maxSteps int
-	ttl      time.Duration
+	srv   *Server
+	dir   string
+	every int
+	ttl   time.Duration
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -163,19 +161,10 @@ func newJobManager(s *Server, cfg Config) *jobManager {
 	if every <= 0 {
 		every = DefaultJobCheckpointEvery
 	}
-	maxJobs := cfg.MaxJobs
-	if maxJobs <= 0 {
-		maxJobs = DefaultMaxJobs
-	}
-	maxSteps := cfg.MaxJobSteps
-	if maxSteps <= 0 {
-		maxSteps = DefaultMaxJobSteps
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &jobManager{
 		srv: s, dir: cfg.JobDir,
-		every: every, maxJobs: maxJobs, maxSteps: maxSteps,
-		ttl: cfg.JobTTL,
+		every: every, ttl: cfg.JobTTL,
 		ctx: ctx, cancel: cancel,
 		sem:  make(chan struct{}, jobConcurrency),
 		jobs: make(map[string]*transientJob),
@@ -262,8 +251,8 @@ func (jm *jobManager) validate(req TransientRequest) error {
 	if req.TimeStepS <= 0 {
 		return badRequest(fmt.Errorf("serve: time_step_s %g must be > 0", req.TimeStepS))
 	}
-	if req.Steps <= 0 || req.Steps > jm.maxSteps {
-		return badRequest(fmt.Errorf("serve: steps %d outside [1, %d]", req.Steps, jm.maxSteps))
+	if req.Steps <= 0 || req.Steps > DefaultMaxJobSteps {
+		return badRequest(fmt.Errorf("serve: steps %d outside [1, %d]", req.Steps, DefaultMaxJobSteps))
 	}
 	if req.CheckpointEvery < 0 {
 		return badRequest(fmt.Errorf("serve: negative checkpoint_every %d", req.CheckpointEvery))
@@ -324,18 +313,18 @@ func (jm *jobManager) submit(req TransientRequest, traceID string) (*transientJo
 			err:  fmt.Errorf("serve: job id %q already exists", j.id),
 		}
 	}
-	if len(jm.jobs) >= jm.maxJobs {
+	if len(jm.jobs) >= DefaultMaxJobs {
 		jm.mu.Unlock()
 		return nil, &statusError{
 			code: http.StatusTooManyRequests,
-			err:  fmt.Errorf("serve: %d transient jobs already retained (raise Config.MaxJobs)", jm.maxJobs),
+			err:  fmt.Errorf("serve: %d transient jobs already retained (set Config.JobTTL to collect finished ones)", DefaultMaxJobs),
 		}
 	}
 	jm.jobs[j.id] = j
 	jm.mu.Unlock()
 	if err := jm.persist(j, cp); err != nil {
 		// Unregister the never-started job: leaving it would hold a
-		// MaxJobs slot as a phantom "queued" entry forever.
+		// DefaultMaxJobs slot as a phantom "queued" entry forever.
 		jm.mu.Lock()
 		delete(jm.jobs, j.id)
 		jm.mu.Unlock()

@@ -274,7 +274,7 @@ func TestTransientJobStreamEndsOnClose(t *testing.T) {
 
 // TestTransientJobSubmitRollsBackOnPersistFailure: a submission whose
 // initial persist fails must not leave a phantom queued job holding a
-// MaxJobs slot.
+// DefaultMaxJobs slot.
 func TestTransientJobSubmitRollsBackOnPersistFailure(t *testing.T) {
 	skipShort(t)
 	dir := t.TempDir()

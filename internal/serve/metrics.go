@@ -49,7 +49,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"vcseld_admitted_total", "Hot-path queries admitted by admission control.", func(i SpecInfo) float64 { return float64(i.Admitted) }, true},
 		{"vcseld_shed_total", "Hot-path queries shed with HTTP 429.", func(i SpecInfo) float64 { return float64(i.Shed) }, true},
 		{"vcseld_admission_clients", "Per-client admission buckets currently tracked.", func(i SpecInfo) float64 { return float64(i.Clients) }, false},
-		{"vcseld_warm_bases", "Warm superposition bases held (bounded LRU).", func(i SpecInfo) float64 { return float64(i.WarmBases) }, false},
+		{"vcseld_warm_bases", "Superposition bases held in the model's bounded basis cache.", func(i SpecInfo) float64 { return float64(i.WarmBases) }, false},
 		{"vcseld_basis_evictions_total", "Least-recently-used basis evictions.", func(i SpecInfo) float64 { return float64(i.BasisEvictions) }, true},
 	}
 	infos := make(map[string]SpecInfo, len(names))

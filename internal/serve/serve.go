@@ -3,7 +3,7 @@
 // thermal.Model operators, superposition Basis fields, the shared
 // multigrid hierarchy behind them — alive across requests, so every
 // design query after the first costs a superposition evaluation instead
-// of an 11–167 s basis build.
+// of a basis build (~10 s at the fast tier, ~50 s at the paper tier).
 //
 // The server answers JSON queries for intra-ONI gradients and
 // feasibility, heater optimisation, worst-case SNR scenarios,
@@ -11,8 +11,9 @@
 // costs tens of microseconds (the basis is projected onto the report's
 // functionals when it is built), so each request evaluates inline on its
 // own goroutine; answers are memoised in a bounded LRU keyed on the
-// canonicalised scenario, and basis builds are deduplicated single-flight
-// so a cold spec never builds twice however many clients hit it at once.
+// canonicalised scenario. Each spec's thermal.Model caches its bases
+// (bounded, single-flight), so a cold spec never builds twice however
+// many clients hit it at once.
 //
 // The same package holds the scatter/gather ShardClient that partitions
 // design-space sweep grids across a fleet of these servers (see
@@ -20,7 +21,6 @@
 package serve
 
 import (
-	"container/list"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -50,20 +50,6 @@ const DefaultSpec = "default"
 // DefaultCacheSize bounds the per-spec query LRU.
 const DefaultCacheSize = 4096
 
-// DefaultMaxBases bounds the warm bases a spec holds at once. Each basis
-// costs a build (the four-column uniform block, or one chip-field solve
-// for any other activity) and ~4 fields × NumCells × 8 bytes. The
-// model's device-field memo is its first uniform basis: nothing extra
-// while that basis is warm, one basis's fields per spec, not per basis,
-// once it is evicted. The random activity's seed is client-controlled —
-// without a bound, looping seeds is a trivial memory exhaustion attack on
-// the daemon. Beyond the bound the least-recently-used basis is evicted
-// (and deterministically rebuilt if asked for again) rather than the
-// request shed, so memory stays bounded without a hard 429 cliff for
-// many-spec registries; the admission rate caps how fast a seed-looping
-// client can force rebuilds.
-const DefaultMaxBases = 8
-
 // maxBodyBytes bounds request bodies; sweep axes are the largest
 // legitimate payload and fit comfortably.
 const maxBodyBytes = 1 << 20
@@ -73,7 +59,8 @@ const maxBodyBytes = 1 << 20
 const DefaultJobCheckpointEvery = 25
 
 // DefaultMaxJobs bounds the transient jobs a server retains (active plus
-// completed); submissions beyond get HTTP 429.
+// completed); submissions beyond get HTTP 429 until JobTTL collects
+// finished ones.
 const DefaultMaxJobs = 64
 
 // DefaultMaxJobSteps bounds a single transient job's horizon: steps are
@@ -92,10 +79,6 @@ type Config struct {
 	// CacheSize bounds each spec's query LRU; 0 selects
 	// DefaultCacheSize, negative disables caching (capacity 1).
 	CacheSize int
-	// MaxBases bounds the warm bases (distinct activity name + seed
-	// shapes) each spec holds; 0 selects DefaultMaxBases. A request for a
-	// shape beyond the bound evicts the least-recently-used basis.
-	MaxBases int
 	// AdmitRate rate-limits the cheap-query hot path per spec
 	// (queries/second); 0 disables spec-wide admission. Shed queries get
 	// HTTP 429 with a Retry-After.
@@ -109,9 +92,6 @@ type Config struct {
 	// ClientBurst is the per-client burst tolerance; 0 selects
 	// DefaultAdmitBurst.
 	ClientBurst int
-	// MaxClients bounds tracked per-client buckets per spec; 0 selects
-	// DefaultMaxClients.
-	MaxClients int
 	// JobDir persists transient-job checkpoints and results so jobs
 	// survive — and resume from their last checkpoint on — daemon
 	// restarts; empty keeps jobs in memory only.
@@ -120,14 +100,10 @@ type Config struct {
 	// steps; 0 selects DefaultJobCheckpointEvery. Individual submissions
 	// may override it.
 	JobCheckpointEvery int
-	// MaxJobs bounds retained transient jobs; 0 selects DefaultMaxJobs.
-	MaxJobs int
-	// MaxJobSteps bounds one job's step count; 0 selects
-	// DefaultMaxJobSteps.
-	MaxJobSteps int
 	// JobTTL garbage-collects terminal (done/failed/cancelled) transient
 	// jobs this long after they finish, dropping both the in-memory record
-	// and the persisted job file; 0 retains them until MaxJobs pressure.
+	// and the persisted job file; 0 retains them until DefaultMaxJobs
+	// pressure.
 	// Running jobs are never collected.
 	JobTTL time.Duration
 	// DisableTracing turns off per-request span recording and the
@@ -135,16 +111,13 @@ type Config struct {
 	// echo and the /metrics histograms stay on — they are atomic-cheap
 	// and the fleet depends on them.
 	DisableTracing bool
-	// TraceBuffer bounds the recent-trace ring served by
-	// GET /debug/requests; 0 selects DefaultTraceBuffer.
-	TraceBuffer int
 	// Logger receives the server's structured logs (request completions
 	// at debug, basis builds / sweeps / job transitions at info); nil
 	// discards them.
 	Logger *slog.Logger
 }
 
-// DefaultTraceBuffer is the default /debug/requests ring capacity.
+// DefaultTraceBuffer is the /debug/requests ring capacity.
 const DefaultTraceBuffer = 256
 
 // Server owns the warm per-spec state and implements http.Handler.
@@ -171,8 +144,8 @@ type Server struct {
 	logger   *slog.Logger
 }
 
-// specState is one registered spec's warm state. The Methodology (model,
-// bases, single-flight) builds lazily on first use so registering many
+// specState is one registered spec's warm state. The Methodology (model
+// and its basis cache) builds lazily on first use so registering many
 // specs is free until they are queried.
 type specState struct {
 	name string
@@ -190,29 +163,11 @@ type specState struct {
 	// evals counts basis evaluations (gradient misses and maps).
 	evals atomic.Int64
 
-	// basisMu guards the LRU over warm bases: basisOrder (front = most
-	// recently used) and basisIdx bound how many distinct activity
-	// shapes this spec holds bases for — client-controlled seeds must
-	// not grow server memory without limit, so the least-recently-used
-	// shape is evicted (and rebuilt on demand) beyond maxBases.
-	basisMu        sync.Mutex
-	basisOrder     *list.List // element values are *basisSlot
-	basisIdx       map[string]*list.Element
-	maxBases       int
-	basisEvictions atomic.Int64
-
 	// latQuery/latSweep are the always-on server-side request latency
 	// histograms by endpoint class behind /metrics and /healthz.
 	latQuery *obs.Histogram
 	latSweep *obs.Histogram
 	logger   *slog.Logger
-}
-
-// basisSlot is one warm activity shape in the basis LRU; the resolved
-// scenario rides along so eviction can address the methodology's cache.
-type basisSlot struct {
-	key string
-	act activity.Scenario
 }
 
 // methodology builds (once) and returns the spec's warm methodology.
@@ -243,12 +198,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.CacheSize == 0 {
 		cfg.CacheSize = DefaultCacheSize
 	}
-	if cfg.MaxBases <= 0 {
-		cfg.MaxBases = DefaultMaxBases
-	}
-	if cfg.TraceBuffer <= 0 {
-		cfg.TraceBuffer = DefaultTraceBuffer
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = obs.Discard()
 	}
@@ -259,7 +208,7 @@ func New(cfg Config) (*Server, error) {
 		sweepSem:  make(chan struct{}, 2),
 		flushStop: make(chan struct{}),
 		tracing:   !cfg.DisableTracing,
-		recorder:  obs.NewRecorder(cfg.TraceBuffer),
+		recorder:  obs.NewRecorder(DefaultTraceBuffer),
 		logger:    cfg.Logger,
 	}
 	for name, spec := range cfg.Specs {
@@ -270,17 +219,14 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("serve: spec %q: %w", name, err)
 		}
 		st := &specState{
-			name:       name,
-			spec:       spec,
-			snrCfg:     cfg.SNR,
-			cache:      newLRUCache(cfg.CacheSize),
-			adm:        newAdmission(cfg),
-			basisOrder: list.New(),
-			basisIdx:   make(map[string]*list.Element),
-			maxBases:   cfg.MaxBases,
-			latQuery:   obs.NewHistogram(obs.LatencyBuckets),
-			latSweep:   obs.NewHistogram(obs.LatencyBuckets),
-			logger:     cfg.Logger,
+			name:     name,
+			spec:     spec,
+			snrCfg:   cfg.SNR,
+			cache:    newLRUCache(cfg.CacheSize),
+			adm:      newAdmission(cfg),
+			latQuery: obs.NewHistogram(obs.LatencyBuckets),
+			latSweep: obs.NewHistogram(obs.LatencyBuckets),
+			logger:   cfg.Logger,
 		}
 		s.specs[name] = st
 	}
@@ -362,65 +308,30 @@ func (s *Server) Warm(name string) error {
 	if err != nil {
 		return err
 	}
-	_, err = st.basisFor(nil, Scenario{}.basisSlotKey())
+	_, err = st.basisFor(nil)
 	return err
 }
 
-// basisFor builds (or returns) the basis for one activity shape,
-// maintaining the bounded LRU over warm bases: seeds arrive from the
-// network, and every new shape is a chip-field solve plus
-// NumCells-sized fields — so beyond maxBases the least-recently-used
-// shape's basis is evicted from the methodology cache. An in-flight
-// evaluation holding the evicted basis finishes safely (the pointer
-// stays alive until released); a later request for the evicted shape
-// rebuilds it deterministically.
-func (st *specState) basisFor(act activity.Scenario, slot string) (*thermal.Basis, error) {
+// basisFor returns the model's basis for one activity shape, building it
+// on first use (thermal.Model.Basis: bounded, single-flight), and logs
+// the builds it ran.
+func (st *specState) basisFor(act activity.Scenario) (*thermal.Basis, error) {
 	meth, err := st.methodology()
 	if err != nil {
 		return nil, err
 	}
-	st.basisMu.Lock()
-	var evicted []activity.Scenario
-	if el, known := st.basisIdx[slot]; known {
-		st.basisOrder.MoveToFront(el)
-	} else {
-		for st.basisOrder.Len() >= st.maxBases {
-			oldest := st.basisOrder.Back()
-			sl := oldest.Value.(*basisSlot)
-			st.basisOrder.Remove(oldest)
-			delete(st.basisIdx, sl.key)
-			evicted = append(evicted, sl.act)
-		}
-		st.basisIdx[slot] = st.basisOrder.PushFront(&basisSlot{key: slot, act: act})
-	}
-	st.basisMu.Unlock()
-	for _, old := range evicted {
-		if meth.EvictBasis(old) {
-			st.basisEvictions.Add(1)
-		}
-	}
-	buildsBefore := meth.BasisBuilds()
-	b, err := meth.BasisFor(act)
-	if err == nil && meth.BasisBuilds() > buildsBefore {
+	model := meth.Model()
+	buildsBefore := model.BasisCacheStats().Builds
+	b, err := model.Basis(act)
+	if err == nil && model.BasisCacheStats().Builds > buildsBefore {
 		bs := b.BuildStats()
 		st.logger.Info("basis built",
-			"spec", st.name, "slot", slot,
+			"spec", st.name, "activity", activity.Key(act),
 			"duration_ms", float64(bs.Wall.Microseconds())/1000,
 			"columns", bs.Columns,
 			"mg_iters", bs.Iterations)
 	}
-	if err != nil {
-		// Release the slot: failed builds are not cached by the
-		// methodology either, so a later request may retry.
-		st.basisMu.Lock()
-		if el, ok := st.basisIdx[slot]; ok {
-			st.basisOrder.Remove(el)
-			delete(st.basisIdx, slot)
-		}
-		st.basisMu.Unlock()
-		return nil, err
-	}
-	return b, nil
+	return b, err
 }
 
 // state resolves a registry name.
@@ -514,7 +425,7 @@ func (s *Server) resolve(sc Scenario) (*specState, *thermal.Basis, error) {
 	if err != nil {
 		return nil, nil, notFound(err)
 	}
-	basis, err := st.resolveBasis(sc)
+	_, basis, err := st.resolveBasis(sc)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -522,16 +433,17 @@ func (s *Server) resolve(sc Scenario) (*specState, *thermal.Basis, error) {
 }
 
 // resolveBasis validates the scenario against an already-resolved spec
-// and returns its basis.
-func (st *specState) resolveBasis(sc Scenario) (*thermal.Basis, error) {
+// and returns its activity and basis.
+func (st *specState) resolveBasis(sc Scenario) (activity.Scenario, *thermal.Basis, error) {
 	act, err := sc.activityScenario()
 	if err != nil {
-		return nil, badRequest(err)
+		return nil, nil, badRequest(err)
 	}
 	if err := sc.powers().Validate(); err != nil {
-		return nil, badRequest(err)
+		return nil, nil, badRequest(err)
 	}
-	return st.basisFor(act, sc.basisSlotKey())
+	basis, err := st.basisFor(act)
+	return act, basis, err
 }
 
 // handleGradient answers the cheap superposition query — the serving hot
@@ -572,7 +484,7 @@ func (s *Server) handleGradient(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sp = tr.StartSpan("basis")
-	basis, err := st.resolveBasis(sc)
+	act, basis, err := st.resolveBasis(sc)
 	sp.End()
 	if err != nil {
 		fail(err)
@@ -589,7 +501,7 @@ func (s *Server) handleGradient(w http.ResponseWriter, r *http.Request) {
 		sp.SetAttr("build_coarsefrac", float64(bs.Phases.Coarse)/float64(total))
 	}
 	sp = tr.StartSpan("cache")
-	key := sc.cacheKey()
+	key := sc.cacheKey(act)
 	cached, hit := st.cache.Get(key)
 	sp.End()
 	if hit {
@@ -717,7 +629,7 @@ func (s *Server) handleSNR(w http.ResponseWriter, r *http.Request) {
 	}
 	// Warm the basis so SNRAnalysis evaluates by superposition instead of
 	// falling back to a direct solve per request.
-	if _, err := st.basisFor(act, req.basisSlotKey()); err != nil {
+	if _, err := st.basisFor(act); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -952,17 +864,15 @@ func (s *Server) specInfos() []SpecInfo {
 		info.CacheLen = st.cache.Len()
 		info.Evaluations = st.evals.Load()
 		info.Admitted, info.Shed, info.Clients = st.adm.stats()
-		info.BasisEvictions = st.basisEvictions.Load()
 		info.QueryLatency = st.latQuery.Snapshot()
-		st.basisMu.Lock()
-		info.WarmBases = st.basisOrder.Len()
-		st.basisMu.Unlock()
 		// Peek without forcing a build: only report the model when some
 		// query has already paid for it.
 		if st.ready.Load() && st.err == nil {
+			model := st.meth.Model()
+			bs := model.BasisCacheStats()
 			info.ModelReady = true
-			info.Cells = st.meth.Model().NumCells()
-			info.BasisBuilds = st.meth.BasisBuilds()
+			info.Cells = model.NumCells()
+			info.WarmBases, info.BasisBuilds, info.BasisEvictions = bs.Warm, bs.Builds, bs.Evictions
 		}
 		infos = append(infos, info)
 	}

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"vcselnoc/internal/activity"
 	"vcselnoc/internal/fvm"
 	"vcselnoc/internal/thermal"
 )
@@ -102,86 +103,78 @@ func TestBadInputs(t *testing.T) {
 	}
 }
 
-// TestBasisEvictionLRU: a spec holds at most Config.MaxBases warm bases —
-// the guard against a client looping random seeds to exhaust daemon
-// memory. A request for a shape beyond the bound evicts the
-// least-recently-used basis and is served (no 429 cliff), and a request
-// for the evicted shape deterministically rebuilds it.
+// TestBasisEvictionLRU: a spec's model holds at most thermal.MaxBases
+// warm bases — the guard against a client looping random seeds to
+// exhaust daemon memory. A request for a shape beyond the bound evicts
+// the least-recently-used basis other than the uniform one and is served
+// (no 429 cliff), a request for the evicted shape deterministically
+// rebuilds it, and a uniform query after evictions builds nothing.
 func TestBasisEvictionLRU(t *testing.T) {
 	skipShort(t)
-	spec, err := thermal.PaperSpec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.Res = thermal.PreviewResolution()
-	s, err := New(Config{
-		Specs:    map[string]thermal.Spec{DefaultSpec: spec},
-		MaxBases: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := testServer(t)
 	t.Cleanup(s.Close)
-	const seed1 = `{"chip": 25, "pvcsel": 2e-3, "activity": "random", "seed": 1}`
-	var firstSeed1 QueryResponse
-	for i, body := range []string{
-		seed1,
-		seed1,                          // same shape: no new slot, no new build
-		`{"chip": 25, "pvcsel": 2e-3}`, // uniform: second slot
-	} {
+	seed := func(n int) string {
+		return fmt.Sprintf(`{"chip": 25, "pvcsel": 2e-3, "activity": "random", "seed": %d}`, n)
+	}
+	const uniform = `{"chip": 25, "pvcsel": 2e-3}`
+	query := func(body string) QueryResponse {
+		t.Helper()
 		w := postJSON(t, s, "/v1/gradient", body)
 		if w.Code != http.StatusOK {
-			t.Fatalf("query within bound rejected: %d (%s)", w.Code, w.Body.String())
+			t.Fatalf("%s: %d (%s)", body, w.Code, w.Body.String())
 		}
-		if i == 0 {
-			firstSeed1 = decodeBody[QueryResponse](t, w)
-		}
+		return decodeBody[QueryResponse](t, w)
 	}
 	st, err := s.state(DefaultSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	meth, err := st.methodology()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if builds := meth.BasisBuilds(); builds != 2 {
-		t.Fatalf("builds before eviction = %d, want 2", builds)
-	}
-
-	// A third shape evicts the least-recently-used basis (seed 1) and is
-	// served normally.
-	w := postJSON(t, s, "/v1/gradient", `{"chip": 25, "pvcsel": 2e-3, "activity": "random", "seed": 2}`)
-	if w.Code != http.StatusOK {
-		t.Fatalf("shape beyond bound = %d, want 200 with LRU eviction (%s)", w.Code, w.Body.String())
-	}
-	if got := st.basisEvictions.Load(); got != 1 {
-		t.Fatalf("evictions = %d, want 1", got)
-	}
-	if got := meth.BasisCount(); got != 2 {
-		t.Fatalf("methodology holds %d bases after eviction, want 2", got)
+	wantStats := func(when string, warm int, builds, evictions int64) {
+		t.Helper()
+		h := s.specInfos()[0]
+		if h.WarmBases != warm || h.BasisBuilds != builds || h.BasisEvictions != evictions {
+			t.Fatalf("%s: warm_bases %d, basis_builds %d, basis_evictions %d; want %d, %d, %d",
+				when, h.WarmBases, h.BasisBuilds, h.BasisEvictions, warm, builds, evictions)
+		}
 	}
 
-	// Asking for the evicted shape again rebuilds it (evicting uniform,
-	// now the LRU) and — the determinism pin — answers identically to the
-	// first build. The cache is cleared first so the answer is truly
-	// recomputed through the rebuilt basis.
+	// The first random shape on a cold model builds the uniform basis,
+	// whose device fields it copies, and then its own.
+	firstSeed1 := query(seed(1))
+	query(seed(1)) // same shape: no new build
+	query(uniform)
+	wantStats("seed 1 and uniform", 2, 2, 0)
+	for n := 2; n < thermal.MaxBases; n++ {
+		query(seed(n))
+	}
+	wantStats("at the bound", thermal.MaxBases, thermal.MaxBases, 0)
+
+	// One more shape evicts the least-recently-used basis (seed 1; every
+	// activity build has used the uniform basis since) and is served.
+	query(seed(thermal.MaxBases))
+	wantStats("beyond the bound", thermal.MaxBases, thermal.MaxBases+1, 1)
+	model := st.meth.Model()
+	if model.CachedBasis(activity.Random{Seed: 1}) != nil {
+		t.Fatal("seed 1, the least recently used, is still cached")
+	}
+
+	// Asking for the evicted shape again rebuilds it (evicting seed 2)
+	// and — the determinism pin — answers identically to the first
+	// build. The cache is cleared first so the answer is truly recomputed
+	// through the rebuilt basis.
 	st.cache = newLRUCache(64)
-	w = postJSON(t, s, "/v1/gradient", seed1)
-	if w.Code != http.StatusOK {
-		t.Fatalf("evicted shape rebuild = %d (%s)", w.Code, w.Body.String())
-	}
-	rebuilt := decodeBody[QueryResponse](t, w)
+	rebuilt := query(seed(1))
 	rebuilt.TraceID = firstSeed1.TraceID // per-request id, not part of the determinism pin
 	if rebuilt != firstSeed1 {
 		t.Fatalf("rebuilt basis answered differently:\nfirst   %+v\nrebuilt %+v", firstSeed1, rebuilt)
 	}
-	if builds := meth.BasisBuilds(); builds != 4 {
-		t.Fatalf("builds after rebuild = %d, want 4", builds)
-	}
-	if got := st.basisEvictions.Load(); got != 2 {
-		t.Fatalf("evictions after rebuild = %d, want 2", got)
-	}
+	wantStats("after the rebuild", thermal.MaxBases, thermal.MaxBases+2, 2)
+
+	// The uniform basis is never evicted, so a uniform query — however
+	// old its last use — builds nothing.
+	st.cache = newLRUCache(64)
+	query(uniform)
+	wantStats("after a uniform query", thermal.MaxBases, thermal.MaxBases+2, 2)
 }
 
 // TestMethodNotAllowed: the mux's method patterns must reject a GET on a
@@ -271,15 +264,7 @@ func TestSingleFlightBasisBuild(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st, err := s.state(DefaultSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	meth, err := st.methodology()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if builds := meth.BasisBuilds(); builds != 1 {
+	if builds := s.specInfos()[0].BasisBuilds; builds != 1 {
 		t.Fatalf("%d concurrent cold queries ran %d basis builds, want 1", n, builds)
 	}
 }

@@ -64,34 +64,20 @@ func (s Scenario) powers() thermal.Powers {
 	return thermal.Powers{Chip: s.Chip, VCSEL: s.PVCSEL, Driver: driver, Heater: s.PHeater}
 }
 
-// cacheKey canonicalises the scenario for the query LRU: the driver
-// default is applied first (so {pvcsel: 2 mW} and {pvcsel: 2 mW,
-// pdriver: 2 mW} share an entry), the empty activity collapses onto
-// "uniform", the seed is zeroed for activities that ignore it, and
-// floats are formatted shortest-round-trip so numerically identical
-// JSON spellings collide.
-func (s Scenario) cacheKey() string {
+// cacheKey canonicalises the scenario, whose activity resolved to act,
+// for the query LRU: the driver default is applied first (so {pvcsel:
+// 2 mW} and {pvcsel: 2 mW, pdriver: 2 mW} share an entry), the activity
+// is keyed as the model keys its basis (activity.Key: an empty name is
+// uniform, and a seed only counts for activities that use it), and
+// floats are formatted shortest-round-trip so numerically identical JSON
+// spellings collide.
+func (s Scenario) cacheKey(act activity.Scenario) string {
 	p := s.powers()
 	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 	return strings.Join([]string{
-		s.specName(), s.basisSlotKey(),
+		s.specName(), activity.Key(act),
 		f(p.Chip), f(p.VCSEL), f(p.Driver), f(p.Heater),
 	}, "|")
-}
-
-// basisSlotKey identifies the activity shape for the per-spec basis
-// bound and the cache key: the activity name normalised (empty means
-// uniform) plus the seed for the seed-sensitive random activity.
-func (s Scenario) basisSlotKey() string {
-	act := s.Activity
-	if act == "" {
-		act = "uniform"
-	}
-	seed := s.Seed
-	if act != "random" {
-		seed = 0
-	}
-	return act + "|" + strconv.FormatInt(seed, 10)
 }
 
 // QueryResponse is the answer to a gradient or feasibility query: the
@@ -230,8 +216,8 @@ type TransientRequest struct {
 	Scenario
 	// TimeStepS is the implicit-Euler step (s).
 	TimeStepS float64 `json:"time_step_s"`
-	// Steps is the number of steps to integrate (bounded by the server's
-	// MaxJobSteps).
+	// Steps is the number of steps to integrate (at most
+	// DefaultMaxJobSteps).
 	Steps int `json:"steps"`
 	// CheckpointEvery overrides the server's checkpoint cadence for this
 	// job (steps); 0 keeps the server default.
@@ -322,7 +308,8 @@ type SpecInfo struct {
 	// the first query forces the build).
 	ModelReady bool `json:"model_ready"`
 	Cells      int  `json:"cells,omitempty"`
-	// BasisBuilds counts the unit-solve basis builds this spec has run.
+	// BasisBuilds counts the basis builds this spec's model has run (an
+	// activity basis on a cold model builds the uniform basis too).
 	BasisBuilds int64 `json:"basis_builds"`
 	// CacheHits/CacheMisses/CacheLen describe the query LRU.
 	CacheHits   int64 `json:"cache_hits"`
@@ -338,7 +325,8 @@ type SpecInfo struct {
 	Admitted int64 `json:"admitted"`
 	Shed     int64 `json:"shed"`
 	Clients  int   `json:"clients"`
-	// WarmBases and BasisEvictions describe the bounded basis LRU.
+	// WarmBases and BasisEvictions describe the model's bounded basis
+	// cache (thermal.MaxBases).
 	WarmBases      int   `json:"warm_bases"`
 	BasisEvictions int64 `json:"basis_evictions"`
 	// QueryLatency mirrors the server's /metrics latency histogram in

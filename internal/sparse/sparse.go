@@ -3,7 +3,7 @@
 // their (block) products, the preconditioned conjugate gradient loops
 // (PCG, BlockCG) that mg-cg (internal/mg) runs its V-cycle inside, the
 // sparse Cholesky factor of its coarsest level, and a Jacobi-preconditioned
-// CG and Gauss–Seidel smoother kept as plain references for tests.
+// CG kept as the plain reference tests compare against.
 package sparse
 
 import (
@@ -277,77 +277,24 @@ type CGOptions struct {
 	InitialGuess []float64
 }
 
-// CGResult reports how a solve went. It is an alias of Result.
-type CGResult = Result
-
 // SolveCG solves A·x = b for symmetric positive definite A using the
 // conjugate gradient method with Jacobi (diagonal) preconditioning. It is
 // a convenience wrapper over CG that allocates a fresh solution vector
 // per call; repeated solves should hold a CG and reuse its workspace.
 //
 // On non-convergence the best iterate reached is returned alongside the
-// populated CGResult and a non-nil error, so callers can inspect partial
+// populated Result and a non-nil error, so callers can inspect partial
 // solutions (for example to relax the tolerance or warm-start a retry).
-func SolveCG(a *CSR, b []float64, opts CGOptions) ([]float64, CGResult, error) {
+func SolveCG(a *CSR, b []float64, opts CGOptions) ([]float64, Result, error) {
 	n := a.N()
 	x := make([]float64, n)
 	if opts.InitialGuess != nil {
 		if len(opts.InitialGuess) != n {
-			return nil, CGResult{}, fmt.Errorf("sparse: initial guess length %d != n %d", len(opts.InitialGuess), n)
+			return nil, Result{}, fmt.Errorf("sparse: initial guess length %d != n %d", len(opts.InitialGuess), n)
 		}
 		copy(x, opts.InitialGuess)
 	}
 	s := CG{Tolerance: opts.Tolerance, MaxIterations: opts.MaxIterations}
 	res, err := s.Solve(a, b, x)
 	return x, res, err
-}
-
-// GaussSeidelSweeps applies count symmetric Gauss–Seidel sweeps to the
-// system A·x = b in place and returns the relative residual afterwards.
-// Useful as a smoother and as a fallback solver for tiny systems.
-func GaussSeidelSweeps(a *CSR, x, b []float64, count int) (float64, error) {
-	n := a.N()
-	if len(x) != n || len(b) != n {
-		return 0, fmt.Errorf("sparse: dimension mismatch")
-	}
-	diag := a.Diag()
-	for i, d := range diag {
-		if d == 0 {
-			return 0, fmt.Errorf("sparse: zero diagonal at row %d", i)
-		}
-	}
-	for s := 0; s < count; s++ {
-		// Forward sweep.
-		for i := 0; i < n; i++ {
-			sum := b[i]
-			for p := a.rowPtr[i]; p < a.rowPtr[i+1]; p++ {
-				j := int(a.colIdx[p])
-				if j != i {
-					sum -= a.values[p] * x[j]
-				}
-			}
-			x[i] = sum / diag[i]
-		}
-		// Backward sweep.
-		for i := n - 1; i >= 0; i-- {
-			sum := b[i]
-			for p := a.rowPtr[i]; p < a.rowPtr[i+1]; p++ {
-				j := int(a.colIdx[p])
-				if j != i {
-					sum -= a.values[p] * x[j]
-				}
-			}
-			x[i] = sum / diag[i]
-		}
-	}
-	r := make([]float64, n)
-	a.MulVec(r, x)
-	for i := range r {
-		r[i] = b[i] - r[i]
-	}
-	bn := Norm2(b)
-	if bn == 0 {
-		bn = 1
-	}
-	return Norm2(r) / bn, nil
 }

@@ -200,45 +200,6 @@ func TestSolveCGMaxIterations(t *testing.T) {
 	}
 }
 
-func TestGaussSeidel(t *testing.T) {
-	n := 20
-	m := buildLaplacian1D(n)
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = 1
-	}
-	x := make([]float64, n)
-	res, err := GaussSeidelSweeps(m, x, b, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res > 1e-8 {
-		t.Errorf("GS residual = %g after 2000 sweeps", res)
-	}
-	// Cross-check against CG.
-	xc, _, err := SolveCG(m, b, CGOptions{Tolerance: 1e-12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range x {
-		if math.Abs(x[i]-xc[i]) > 1e-6 {
-			t.Fatalf("GS and CG disagree at %d: %g vs %g", i, x[i], xc[i])
-		}
-	}
-}
-
-func TestGaussSeidelErrors(t *testing.T) {
-	m := buildLaplacian1D(3)
-	if _, err := GaussSeidelSweeps(m, make([]float64, 2), make([]float64, 3), 1); err == nil {
-		t.Error("dimension mismatch should error")
-	}
-	z := NewCOO(2)
-	z.Add(0, 1, 1)
-	if _, err := GaussSeidelSweeps(z.ToCSR(), make([]float64, 2), make([]float64, 2), 1); err == nil {
-		t.Error("zero diagonal should error")
-	}
-}
-
 func TestIsSymmetric(t *testing.T) {
 	m := buildLaplacian1D(10)
 	if !m.IsSymmetric(1e-12) {

@@ -1,7 +1,7 @@
 package thermal
 
 import (
-	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"sync"
@@ -142,11 +142,11 @@ var preview struct {
 }
 
 // previewBases returns a preview model and its uniform, diagonal and
-// random bases, built once per test binary. The diagonal basis comes
-// first, on the fresh model, so it runs the uniform block itself; the
-// random basis follows. The uniform basis is that block, the model's
-// device-field memo. TestDeviceFieldMemo compares other build orders
-// against this one.
+// random bases, asked for once per test binary from the model's cache.
+// The diagonal basis comes first, on the fresh model, so its build builds
+// the cached uniform basis; the random basis follows, and asking for the
+// uniform basis last builds nothing. TestDeviceFieldMemo compares other
+// build orders against this one.
 func previewBases(t *testing.T) (*Model, map[string]*Basis) {
 	t.Helper()
 	spec := previewSpec(t)
@@ -155,13 +155,13 @@ func previewBases(t *testing.T) (*Model, map[string]*Basis) {
 			return
 		}
 		preview.bases = map[string]*Basis{}
-		for _, act := range []activity.Scenario{activity.Diagonal{}, activity.Random{Seed: 7}} {
-			if preview.bases[act.Name()], preview.err = preview.m.BuildBasis(act); preview.err != nil {
+		for _, act := range []activity.Scenario{activity.Diagonal{}, activity.Random{Seed: 7}, activity.Uniform{}} {
+			if preview.bases[act.Name()], preview.err = preview.m.Basis(act); preview.err != nil {
 				return
 			}
 		}
-		if preview.bases["uniform"] = preview.m.uniform; preview.bases["uniform"] == nil {
-			preview.err = errors.New("the diagonal basis left no uniform basis in the device-field memo")
+		if builds := preview.m.BasisCacheStats().Builds; builds != 3 {
+			preview.err = fmt.Errorf("three bases took %d builds, want 3", builds)
 		}
 	})
 	if preview.err != nil {

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"vcselnoc/internal/activity"
@@ -252,9 +253,11 @@ type deviceProbe struct {
 
 // Model is an assembled thermal model: mesh, conductivity, power-group
 // stencils AND the discretised finite-volume operator are built once;
-// individual solves only change the RHS. Apart from its device-field
-// memo, a Model is immutable after NewModel; it is safe for concurrent
-// solves and basis builds.
+// individual solves only change the RHS. It also owns the bases built
+// from that operator: a bounded cache, keyed by activity.Key, that
+// builds each basis once however many callers ask for it at the same
+// time. Apart from that cache, a Model is immutable after NewModel; it is
+// safe for concurrent solves and basis builds.
 type Model struct {
 	spec    Spec
 	grid    *mesh.Grid
@@ -289,25 +292,40 @@ type Model struct {
 
 	topH float64
 
-	// uniform is the device-field memo: the first uniform basis whose
-	// block succeeded, nil until then. Every other activity's basis copies
-	// its VCSEL, driver and heater fields. Every uniform block yields the
-	// same bits, so which one it is does not matter, and holding it costs
-	// nothing while that basis is cached elsewhere too. flight is the
-	// uniform block running while uniform is nil, which concurrent builds
-	// join instead of solving their own. memoMu guards both.
-	memoMu  sync.Mutex
-	uniform *Basis
-	flight  *uniformFlight
+	// bases caches built bases by activity.Key. basisMu guards the map
+	// and every entry's used stamp; clock orders the stamps. maxBases
+	// bounds the map: MaxBases, which only tests lower. warm mirrors
+	// len(bases) so that BasisCacheStats takes no lock.
+	basisMu                 sync.Mutex
+	bases                   map[string]*cacheEntry
+	clock                   uint64
+	maxBases                int
+	warm, builds, evictions atomic.Int64
 }
 
-// uniformFlight is one uniform block run on behalf of the device-field
-// memo; done closes once b and err are final.
-type uniformFlight struct {
+// MaxBases bounds the bases a Model caches. Each holds ~4 fields ×
+// NumCells × 8 bytes, and a served activity's seed comes from the
+// network, so beyond the bound the least-recently-used basis is dropped
+// (and rebuilt, bit-identically, if asked for again) instead of memory
+// growing with every seed.
+const MaxBases = 8
+
+// uniformKey is the uniform basis's cache key. The cache never evicts
+// that basis: every other basis copies its VCSEL, driver and heater
+// fields.
+var uniformKey = activity.Key(activity.Uniform{})
+
+// cacheEntry is one cached basis; done closes once b and err are final.
+type cacheEntry struct {
 	done chan struct{}
 	b    *Basis
 	err  error
+	used uint64
 }
+
+// errBuildAborted is what callers waiting on a basis build get when the
+// building goroutine panicked instead of returning.
+var errBuildAborted = errors.New("thermal: basis build aborted")
 
 // NewModel builds the mesh, material field and power stencils.
 func NewModel(spec Spec) (*Model, error) {
@@ -317,7 +335,7 @@ func NewModel(spec Spec) (*Model, error) {
 	if spec.SolverTol <= 0 {
 		spec.SolverTol = 1e-8
 	}
-	m := &Model{spec: spec}
+	m := &Model{spec: spec, bases: make(map[string]*cacheEntry), maxBases: MaxBases}
 
 	// Generate the ONIs.
 	for i, site := range spec.Floorplan.ONISites {
@@ -932,10 +950,8 @@ func (b *Basis) field(p Powers) []float64 {
 // BasisBuildStats describes the unit solves one BuildBasis call ran, for
 // attachment to request traces and structured logs.
 type BasisBuildStats struct {
-	// Columns is the number of unit fields the call solved: 4 for the
-	// uniform block, 1 for an activity basis (its chip field), 5 when an
-	// activity basis first had to run the uniform block, and 0 for a
-	// uniform basis taken from another call's block in flight.
+	// Columns is the number of unit fields the basis's own build solved:
+	// 4 for the uniform block, 1 for any other activity (its chip field).
 	Columns int
 	// Iterations is the largest outer iteration count across those
 	// solves (the block's columns advance together, so for the block
@@ -952,116 +968,150 @@ type BasisBuildStats struct {
 // BuildStats returns how much the basis cost to build.
 func (b *Basis) BuildStats() BasisBuildStats { return b.stats }
 
-// errFlightAborted is what builds waiting on a uniform block get when the
-// block's goroutine panicked instead of returning.
-var errFlightAborted = errors.New("thermal: uniform basis block aborted")
+// Basis returns the model's cached basis for an activity shape (nil means
+// uniform), building it with BuildBasis on first use. Concurrent calls
+// for one shape share a single build, and a failed build is not cached,
+// so a later call retries. Beyond MaxBases the least-recently-used basis
+// other than the uniform one leaves the cache; callers holding it, or
+// waiting for it while it builds, can still evaluate it, and asking for
+// it again rebuilds the same bits.
+func (m *Model) Basis(act activity.Scenario) (*Basis, error) {
+	key := activity.Key(act)
+	m.basisMu.Lock()
+	if e := m.lookup(key); e != nil {
+		m.basisMu.Unlock()
+		<-e.done
+		return e.b, e.err
+	}
+	e := &cacheEntry{done: make(chan struct{}), err: errBuildAborted}
+	m.insert(key, e)
+	m.basisMu.Unlock()
+	m.builds.Add(1)
+	defer func() {
+		if e.err != nil {
+			m.basisMu.Lock()
+			if m.bases[key] == e {
+				delete(m.bases, key)
+				m.warm.Add(-1)
+			}
+			m.basisMu.Unlock()
+		}
+		close(e.done)
+	}()
+	e.b, e.err = m.BuildBasis(act)
+	return e.b, e.err
+}
 
-// BuildBasis returns the superposition basis for an activity shape (nil
-// means uniform).
+// CachedBasis returns the cached basis for an activity shape, or nil
+// while there is none built (never asked for, evicted, building or
+// failed). It never builds and never waits.
+func (m *Model) CachedBasis(act activity.Scenario) *Basis {
+	key := activity.Key(act)
+	m.basisMu.Lock()
+	e := m.lookup(key)
+	m.basisMu.Unlock()
+	if e == nil {
+		return nil
+	}
+	select {
+	case <-e.done:
+		return e.b
+	default:
+		return nil
+	}
+}
+
+// lookup returns key's cache entry, if any, stamped as the most recently
+// used. The caller holds basisMu.
+func (m *Model) lookup(key string) *cacheEntry {
+	e := m.bases[key]
+	if e != nil {
+		m.clock++
+		e.used = m.clock
+	}
+	return e
+}
+
+// insert caches a new entry under key, first evicting the
+// least-recently-used basis other than the uniform one if the cache is
+// full. The caller holds basisMu.
+func (m *Model) insert(key string, e *cacheEntry) {
+	if len(m.bases) >= m.maxBases {
+		oldest := ""
+		for k, o := range m.bases {
+			if k != uniformKey && (oldest == "" || o.used < m.bases[oldest].used) {
+				oldest = k
+			}
+		}
+		if oldest != "" {
+			delete(m.bases, oldest)
+			m.warm.Add(-1)
+			m.evictions.Add(1)
+		}
+	}
+	m.clock++
+	e.used = m.clock
+	m.bases[key] = e
+	m.warm.Add(1)
+}
+
+// BasisCacheStats describes a model's basis cache.
+type BasisCacheStats struct {
+	// Warm is the number of bases cached, built or building.
+	Warm int
+	// Builds counts the builds Basis started; Evictions the bases it
+	// dropped to stay within MaxBases.
+	Builds, Evictions int64
+}
+
+// BasisCacheStats reports the basis cache's occupancy and counters
+// without taking a lock, so callers may read it around every Basis call.
+func (m *Model) BasisCacheStats() BasisCacheStats {
+	return BasisCacheStats{Warm: int(m.warm.Load()), Builds: m.builds.Load(), Evictions: m.evictions.Load()}
+}
+
+// BuildBasis builds the superposition basis for an activity shape (nil
+// means uniform) without caching it.
 //
 // The uniform basis runs the model's four unit solves — chip, VCSELs,
-// drivers, heaters — as one block on every call: one block-Krylov solve
-// whose matrix passes feed every column and whose per-column V-cycles
-// share the cached hierarchy. The first uniform basis whose block
-// succeeds becomes the model's device-field memo.
+// drivers, heaters — as one block: one block-Krylov solve whose matrix
+// passes feed every column and whose per-column V-cycles share the
+// cached hierarchy.
 //
 // The VCSEL, driver and heater fields do not depend on chip activity, so
-// any other activity's basis copies them from the memo and solves only
-// its chip field, with one steady solve on the same hierarchy, solver,
-// tolerance and workers. On a fresh model it runs the uniform block
-// first, so an activity basis has the same bits whatever was built
-// before it. The memo is single-flight: while a fresh model's uniform
-// block runs, concurrent builds wait for it instead of solving their
-// own, and a uniform build that waited returns that block's basis. A
-// failed block leaves the memo empty for the next build to retry.
+// any other activity's basis copies them from the cached uniform basis
+// (Basis(nil), built first on a fresh model) and solves only its chip
+// field, with one steady solve on the same hierarchy, solver, tolerance
+// and workers. Every activity basis therefore has the same device-field
+// bits, whatever was built before it.
 func (m *Model) BuildBasis(act activity.Scenario) (*Basis, error) {
 	if act == nil {
 		act = activity.Uniform{}
 	}
 	if _, ok := act.(activity.Uniform); ok {
-		return m.uniformBasis()
+		return m.solveBlock(act)
 	}
-	return m.activityBasis(act)
-}
-
-// uniformBasis runs the uniform block, or on a fresh model joins the one
-// in flight.
-func (m *Model) uniformBasis() (*Basis, error) {
-	memo, ran, joined, err := m.fillMemo()
-	switch {
-	case err != nil:
-		return nil, err
-	case ran:
-		return memo, nil
-	case joined:
-		b := *memo
-		b.stats = BasisBuildStats{} // another call ran the solves
-		return &b, nil
-	}
-	return m.solveBlock(activity.Uniform{})
-}
-
-// activityBasis copies the memoised device fields and solves the chip
-// field alone.
-func (m *Model) activityBasis(act activity.Scenario) (*Basis, error) {
 	chip, err := m.powerVector(Powers{Chip: 1, Activity: act})
 	if err != nil {
 		return nil, fmt.Errorf("thermal: chip basis: %w", err)
 	}
-	memo, ran, _, err := m.fillMemo()
+	uniform, err := m.Basis(nil)
 	if err != nil {
 		return nil, err
-	}
-	var stats BasisBuildStats
-	if ran {
-		stats = memo.stats
 	}
 	start, before := time.Now(), m.sys.PhaseStats()
 	sol, err := m.sys.SolveSteady(chip, m.solveOptions())
 	if err != nil {
 		return nil, fmt.Errorf("thermal: chip basis solve: %w", err)
 	}
-	stats.Columns++
-	stats.Wall += time.Since(start)
-	stats.Phases = stats.Phases.Add(m.sys.PhaseStats().Sub(before))
-	stats.Iterations = max(stats.Iterations, sol.Stats.Iterations)
+	stats := BasisBuildStats{Columns: 1, Iterations: sol.Stats.Iterations,
+		Wall: time.Since(start), Phases: m.sys.PhaseStats().Sub(before)}
 	unit := make([][4]float64, len(sol.T))
 	for c, t := range sol.T {
-		u := memo.unit[c]
+		u := uniform.unit[c]
 		unit[c] = [4]float64{t - m.spec.Ambient, u[1], u[2], u[3]}
 	}
 	return m.newBasis(act, unit, stats), nil
-}
-
-// fillMemo returns the device-field memo. While the model has none it
-// runs the uniform block (ran) or waits for the one in flight (joined);
-// once it has one it returns it with neither set.
-func (m *Model) fillMemo() (memo *Basis, ran, joined bool, err error) {
-	m.memoMu.Lock()
-	memo, f := m.uniform, m.flight
-	switch {
-	case memo != nil:
-		m.memoMu.Unlock()
-		return memo, false, false, nil
-	case f != nil:
-		m.memoMu.Unlock()
-		<-f.done
-		return f.b, false, true, f.err
-	}
-	f = &uniformFlight{done: make(chan struct{}), err: errFlightAborted}
-	m.flight = f
-	m.memoMu.Unlock()
-	defer func() {
-		m.memoMu.Lock()
-		if f.err == nil {
-			m.uniform = f.b
-		}
-		m.flight = nil
-		m.memoMu.Unlock()
-		close(f.done)
-	}()
-	f.b, f.err = m.solveBlock(activity.Uniform{})
-	return f.b, true, false, f.err
 }
 
 // solveBlock solves an activity's four unit fields as one block.
