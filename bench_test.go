@@ -845,12 +845,12 @@ func BenchmarkServeGradientQueries(b *testing.B) {
 		b.Fatal(err)
 	}
 	spec.Res = benchResolution()
-	srv, err := serve.New(serve.Config{Specs: map[string]thermal.Spec{serve.DefaultSpec: spec}})
+	srv, err := serve.New(serve.Config{Spec: spec})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(srv.Close)
-	if err := srv.Warm(serve.DefaultSpec); err != nil {
+	if err := srv.Warm(); err != nil {
 		b.Fatal(err)
 	}
 	var seq atomic.Int64
@@ -892,14 +892,14 @@ func BenchmarkServeTracing(b *testing.B) {
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			srv, err := serve.New(serve.Config{
-				Specs:          map[string]thermal.Spec{serve.DefaultSpec: spec},
+				Spec:           spec,
 				DisableTracing: mode.disable,
 			})
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.Cleanup(srv.Close)
-			if err := srv.Warm(serve.DefaultSpec); err != nil {
+			if err := srv.Warm(); err != nil {
 				b.Fatal(err)
 			}
 			var seq atomic.Int64

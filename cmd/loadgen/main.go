@@ -63,7 +63,6 @@ func main() {
 	hotRotate := flag.Duration("hot-rotate", 250*time.Millisecond, "hotkey shape: rotate the hot point this often (each rotation is a cold key)")
 	points := flag.Int("points", 64, "uniform operating-point pool size")
 	clients := flag.Int("clients", 4, "distinct X-Client-ID identities")
-	spec := flag.String("spec", "", "spec name to query (empty = server default)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout")
 	expect := flag.String("expect", "", "comma-separated post-run assertions: no5xx, noshed, shed")
 	out := flag.String("out", "", "write the report JSON here (\"\" = stdout only)")
@@ -77,7 +76,7 @@ func main() {
 	}
 
 	client := &http.Client{Timeout: *timeout}
-	before, err := scrapeSpec(client, *url, *spec)
+	before, err := scrape(client, *url)
 	if err != nil {
 		log.Fatalf("pre-run healthz scrape: %v", err)
 	}
@@ -86,7 +85,6 @@ func main() {
 		url:         strings.TrimRight(*url, "/") + "/v1/gradient",
 		client:      client,
 		shape:       *shape,
-		spec:        *spec,
 		points:      *points,
 		hotFraction: *hotFraction,
 		hotRotate:   *hotRotate,
@@ -96,7 +94,7 @@ func main() {
 	}
 	g.run(*duration, *concurrency, *rate)
 
-	after, err := scrapeSpec(client, *url, *spec)
+	after, err := scrape(client, *url)
 	if err != nil {
 		log.Fatalf("post-run healthz scrape: %v", err)
 	}
@@ -131,7 +129,6 @@ type generator struct {
 	url         string
 	client      *http.Client
 	shape       string
-	spec        string
 	points      int
 	hotFraction float64
 	hotRotate   time.Duration
@@ -224,7 +221,6 @@ func (g *generator) body(worker, i int) []byte {
 		idx %= g.points
 	}
 	sc := serve.Scenario{
-		Spec:    g.spec,
 		Chip:    20 + float64(idx%97)*0.05,
 		PVCSEL:  (1.0 + float64(idx%53)*0.05) * 1e-3,
 		PHeater: float64(idx%29) * 0.05e-3,
@@ -268,8 +264,8 @@ func (g *generator) report(before, after serve.SpecInfo) loadreport.Report {
 	return rep
 }
 
-// scrapeSpec fetches /healthz and returns the targeted spec's counters.
-func scrapeSpec(client *http.Client, baseURL, spec string) (serve.SpecInfo, error) {
+// scrape fetches /healthz and returns the server's spec counters.
+func scrape(client *http.Client, baseURL string) (serve.SpecInfo, error) {
 	resp, err := client.Get(strings.TrimRight(baseURL, "/") + "/healthz")
 	if err != nil {
 		return serve.SpecInfo{}, err
@@ -282,15 +278,10 @@ func scrapeSpec(client *http.Client, baseURL, spec string) (serve.SpecInfo, erro
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 		return serve.SpecInfo{}, err
 	}
-	if spec == "" {
-		spec = serve.DefaultSpec
+	if len(h.Specs) != 1 {
+		return serve.SpecInfo{}, fmt.Errorf("healthz: %d specs, want 1", len(h.Specs))
 	}
-	for _, si := range h.Specs {
-		if si.Name == spec {
-			return si, nil
-		}
-	}
-	return serve.SpecInfo{}, fmt.Errorf("healthz: spec %q not registered", spec)
+	return h.Specs[0], nil
 }
 
 // check evaluates the -expect assertions against the finished report.

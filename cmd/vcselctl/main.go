@@ -1,6 +1,6 @@
 // Command vcselctl is the fleet coordinator for a pool of vcseld
 // workers. It keeps a registry of workers fresh with periodic heartbeat
-// scrapes of each worker's /healthz and /metrics, places sweep chunks
+// scrapes of each worker's /healthz, places sweep chunks
 // and transient jobs on the least-loaded alive workers, and treats
 // failure as a first-class state: a worker that misses consecutive
 // heartbeats is first held out of new placements (suspect), then
@@ -26,7 +26,7 @@
 //	GET  /healthz             fleet liveness + per-worker state
 //	GET  /v1/fleet            same, plus tracked jobs and migration count
 //	POST /v1/fleet/register   worker self-registration
-//	GET  /v1/specs            union of alive workers' spec registries
+//	GET  /v1/specs            the spec alive workers agree on (503 if they disagree)
 //	POST /v1/sweep/gradient   sweep window, sub-scattered across the fleet
 //	POST /v1/sweep/avgtemp    same for the chip × laser grid
 //	POST /v1/transient        place a transient job (202 + id)

@@ -17,19 +17,20 @@
 //
 // A superposition query evaluates inline on its request's goroutine in
 // tens of microseconds and its answer is memoised in a -cache sized LRU.
-// With -admit-rate (spec-wide) or -client-rate (per X-Client-ID / remote
-// host) set, cheap superposition queries pass an O(1) atomic admission
-// check; shed queries get HTTP 429 with a Retry-After header. Each spec's
-// model keeps at most thermal.MaxBases (8) bases warm: a new activity
-// shape beyond that evicts the least-recently-used one (never the
-// uniform basis) instead of being refused.
+// With -admit-rate (server-wide) or -client-rate (per X-Client-ID /
+// remote host) set, cheap superposition queries pass an O(1) atomic
+// admission check; shed queries get HTTP 429 with a Retry-After header.
+// The daemon serves one spec, the paper's system at -res, and its model
+// keeps at most thermal.MaxBases (8) bases warm: a new activity shape
+// beyond that evicts the least-recently-used one (never the uniform
+// basis) instead of being refused.
 //
 // Endpoints (all JSON unless noted):
 //
-//	GET  /healthz             liveness + warm-state statistics
+//	GET  /healthz             liveness + warm-state statistics + job counts
 //	GET  /metrics             Prometheus text-format metrics (latency histograms included)
 //	GET  /debug/requests      recent request traces with per-phase spans
-//	GET  /v1/specs            registered spec registry
+//	GET  /v1/specs            the served spec's resolution and solver (one entry)
 //	POST /v1/gradient         superposition gradient query
 //	POST /v1/feasibility      same body, 1 °C constraint verdict
 //	POST /v1/heater/optimal   golden-section heater optimisation
@@ -90,8 +91,8 @@ func main() {
 	res := flag.String("res", "fast", "mesh resolution: preview, coarse, fast or paper")
 	workers := flag.Int("workers", 0, "parallel solver/sweep workers (0 = all CPUs)")
 	cacheSize := flag.Int("cache", serve.DefaultCacheSize, "query LRU capacity")
-	admitRate := flag.Float64("admit-rate", 0, "spec-wide admission rate for cheap queries (queries/s; 0 = unlimited, shed gets HTTP 429 + Retry-After)")
-	admitBurst := flag.Int("admit-burst", 0, "spec-wide admission burst tolerance (0 = default)")
+	admitRate := flag.Float64("admit-rate", 0, "server-wide admission rate for cheap queries (queries/s; 0 = unlimited, shed gets HTTP 429 + Retry-After)")
+	admitBurst := flag.Int("admit-burst", 0, "server-wide admission burst tolerance (0 = default)")
 	clientRate := flag.Float64("client-rate", 0, "per-client admission rate (queries/s per X-Client-ID or remote host; 0 = unlimited)")
 	clientBurst := flag.Int("client-burst", 0, "per-client admission burst tolerance (0 = default)")
 	warm := flag.Bool("warm", false, "build the model and uniform basis before accepting traffic")
@@ -124,7 +125,7 @@ func main() {
 	spec.Workers = *workers
 
 	srv, err := serve.New(serve.Config{
-		Specs:              map[string]thermal.Spec{serve.DefaultSpec: spec},
+		Spec:               spec,
 		CacheSize:          *cacheSize,
 		AdmitRate:          *admitRate,
 		AdmitBurst:         *admitBurst,
@@ -140,9 +141,9 @@ func main() {
 		log.Fatal(err)
 	}
 	if *warm {
-		logger.Info("warming", "spec", serve.DefaultSpec, "res", *res)
+		logger.Info("warming", "res", *res)
 		start := time.Now()
-		if err := srv.Warm(serve.DefaultSpec); err != nil {
+		if err := srv.Warm(); err != nil {
 			log.Fatal(err)
 		}
 		logger.Info("warm", "duration_s", time.Since(start).Seconds())

@@ -1,6 +1,6 @@
 // Package fleet is the coordinator side of the vcseld control plane: a
 // registry of workers kept fresh by heartbeat scrapes of their /healthz
-// and /metrics endpoints, load-aware placement of sweep chunks and
+// endpoints, load-aware placement of sweep chunks and
 // transient jobs over that registry, and failure treated as a
 // first-class state — missed heartbeats move a worker alive → suspect →
 // dead, sweep chunks reroute to survivors under backoff, and transient
@@ -224,28 +224,18 @@ func (c *Coordinator) scrapeAll() {
 	wg.Wait()
 }
 
-// scrape is one heartbeat: /healthz for the spec registry and warm-state
-// statistics, /metrics for the job-state gauge. Both must answer for the
-// worker to count as seen.
+// scrape is one heartbeat: /healthz carries the worker's spec, its
+// warm-state statistics and its job counts. An answer that does not list
+// exactly one spec counts as a miss: the worker is not a compatible
+// vcseld.
 func (c *Coordinator) scrape(url string) {
 	var h serve.Health
 	code, err := c.getJSONWith(c.scrapeClient, url+"/healthz", &h)
-	if err != nil || code != 200 || h.Status != "ok" {
+	if err != nil || code != 200 || h.Status != "ok" || len(h.Specs) != 1 {
 		c.reg.miss(url)
 		return
 	}
-	resp, err := c.scrapeClient.Get(url + "/metrics")
-	if err != nil {
-		c.reg.miss(url)
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != 200 {
-		c.reg.miss(url)
-		return
-	}
-	c.reg.seen(url, h.Specs, parseJobsGauge(string(body)))
+	c.reg.seen(url, h.Specs[0], h.Jobs)
 }
 
 // --- HTTP plumbing -----------------------------------------------------
@@ -281,11 +271,16 @@ func writeErr(w http.ResponseWriter, err error) {
 // checkpoints pass through the coordinator.
 const maxFleetBodyBytes = 64 << 20
 
+// decode strictly parses the request body into v, refusing unknown
+// fields and trailing data as a worker does.
 func decode(r *http.Request, v any) error {
 	dec := json.NewDecoder(io.LimitReader(r.Body, maxFleetBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return &httpError{code: 400, msg: fmt.Sprintf("fleet: bad request body: %v", err)}
+	}
+	if dec.More() {
+		return &httpError{code: 400, msg: "fleet: trailing data after JSON body"}
 	}
 	return nil
 }
@@ -439,15 +434,17 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}{url, c.reg.stateOf(url)})
 }
 
-// handleSpecs serves the fleet's spec registry from cached scrapes — the
-// preflight surface a ShardClient pointed at the coordinator checks.
+// handleSpecs serves the alive workers' consensus spec, from cached
+// scrapes, as a worker's one-entry list — the preflight surface a
+// ShardClient pointed at the coordinator checks. Workers that disagree,
+// or none scraped, answer 503.
 func (c *Coordinator) handleSpecs(w http.ResponseWriter, r *http.Request) {
-	specs := c.reg.allSpecs()
-	if len(specs) == 0 {
-		writeErr(w, &httpError{code: 503, msg: "fleet: no alive workers scraped yet"})
+	spec, err := c.reg.consensus()
+	if err != nil {
+		writeErr(w, &httpError{code: 503, msg: err.Error()})
 		return
 	}
-	writeJSON(w, specs)
+	writeJSON(w, []serve.SpecInfo{spec})
 }
 
 // shardClient builds the scatter client over the current placement
@@ -469,14 +466,6 @@ func (c *Coordinator) shardClient(sc serve.Scenario, spec serve.SpecInfo, traceI
 		RetryMax:      c.cfg.RetryMax,
 		TraceID:       traceID,
 	}, nil
-}
-
-// specNameOf mirrors the worker-side default spec resolution.
-func specNameOf(sc serve.Scenario) string {
-	if sc.Spec == "" {
-		return serve.DefaultSpec
-	}
-	return sc.Spec
 }
 
 // window validates a row window request against the axis length.
@@ -511,7 +500,7 @@ func (c *Coordinator) handleGradientSweep(w http.ResponseWriter, r *http.Request
 		writeErr(w, err)
 		return
 	}
-	spec, err := c.reg.consensusSpec(specNameOf(req.Scenario))
+	spec, err := c.reg.consensus()
 	if err != nil {
 		writeErr(w, &httpError{code: 503, msg: err.Error()})
 		return
@@ -553,7 +542,7 @@ func (c *Coordinator) handleAvgTempSweep(w http.ResponseWriter, r *http.Request)
 		writeErr(w, err)
 		return
 	}
-	spec, err := c.reg.consensusSpec(specNameOf(req.Scenario))
+	spec, err := c.reg.consensus()
 	if err != nil {
 		writeErr(w, &httpError{code: 503, msg: err.Error()})
 		return

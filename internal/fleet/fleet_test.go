@@ -54,7 +54,7 @@ func previewSpec(t *testing.T) thermal.Spec {
 func newWorker(t *testing.T, dir string, warm bool) (*serve.Server, *httptest.Server) {
 	t.Helper()
 	s, err := serve.New(serve.Config{
-		Specs:              map[string]thermal.Spec{serve.DefaultSpec: previewSpec(t)},
+		Spec:               previewSpec(t),
 		JobDir:             dir,
 		JobCheckpointEvery: 2,
 	})
@@ -62,7 +62,7 @@ func newWorker(t *testing.T, dir string, warm bool) (*serve.Server, *httptest.Se
 		t.Fatal(err)
 	}
 	if warm {
-		if err := s.Warm(serve.DefaultSpec); err != nil {
+		if err := s.Warm(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -70,6 +70,21 @@ func newWorker(t *testing.T, dir string, warm bool) (*serve.Server, *httptest.Se
 	t.Cleanup(func() { ts.Close(); s.Close() })
 	return s, ts
 }
+
+// stubWorker answers every request with a /healthz body listing specs
+// and one running job: enough to be heartbeat-scraped, not to take
+// placed work.
+func stubWorker(t *testing.T, specs ...serve.SpecInfo) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, serve.Health{Status: "ok", Specs: specs, Jobs: map[string]int{serve.JobRunning: 1}})
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// stubSpec is the spec stub workers list.
+var stubSpec = serve.SpecInfo{Name: "default", ONICell: 1e-5, DieCell: 2e-4, MaxZCell: 5e-5, Solver: "mg-cg"}
 
 // newCoordinator builds a coordinator with test-speed cadences.
 func newCoordinator(t *testing.T, cfg Config) *Coordinator {
@@ -203,7 +218,7 @@ func TestRegistryStateMachine(t *testing.T) {
 		t.Fatal("unscraped worker entered placement")
 	}
 
-	r.seen(url, nil, nil)
+	r.seen(url, serve.SpecInfo{}, nil)
 	if got := r.stateOf(url); got != StateAlive {
 		t.Fatalf("state after scrape = %q", got)
 	}
@@ -232,7 +247,7 @@ func TestRegistryStateMachine(t *testing.T) {
 	}
 
 	// Rejoin: one good scrape fully revives the worker.
-	r.seen(url, nil, nil)
+	r.seen(url, serve.SpecInfo{}, nil)
 	if got := r.stateOf(url); got != StateAlive {
 		t.Fatalf("state after rejoin = %q", got)
 	}
@@ -246,8 +261,8 @@ func TestPlacementOrdersByLoad(t *testing.T) {
 	r := newRegistry(2, 4)
 	a, _ := r.add("http://a:1", "")
 	b, _ := r.add("http://b:1", "")
-	r.seen(a, nil, nil)
-	r.seen(b, nil, nil)
+	r.seen(a, serve.SpecInfo{}, nil)
+	r.seen(b, serve.SpecInfo{}, nil)
 
 	// Equal scores tie-break by URL.
 	if got := r.placement(); !reflect.DeepEqual(got, []string{a, b}) {
@@ -259,12 +274,12 @@ func TestPlacementOrdersByLoad(t *testing.T) {
 	if got := r.placement(); !reflect.DeepEqual(got, []string{b, a}) {
 		t.Fatalf("placement with a in-flight = %v", got)
 	}
-	r.seen(b, nil, map[string]int{serve.JobQueued: 1, serve.JobRunning: 2})
+	r.seen(b, serve.SpecInfo{}, map[string]int{serve.JobQueued: 1, serve.JobRunning: 2})
 	if got := r.placement(); !reflect.DeepEqual(got, []string{a, b}) {
 		t.Fatalf("placement with b loaded = %v", got)
 	}
 	// Warm bases subtract from the score.
-	r.seen(b, []serve.SpecInfo{{Name: "x", WarmBases: 8}}, nil)
+	r.seen(b, serve.SpecInfo{WarmBases: 8}, nil)
 	r.addInflight(b, 1)
 	if got := r.placement(); !reflect.DeepEqual(got, []string{b, a}) {
 		t.Fatalf("placement with b warm = %v", got)
@@ -275,46 +290,69 @@ func TestConsensusSpec(t *testing.T) {
 	r := newRegistry(2, 4)
 	a, _ := r.add("http://a:1", "")
 	b, _ := r.add("http://b:1", "")
-	info := serve.SpecInfo{Name: "paper", ONICell: 1e-5, DieCell: 2e-4, MaxZCell: 5e-5, Solver: "mg-cg"}
-	r.seen(a, []serve.SpecInfo{info}, nil)
-	r.seen(b, []serve.SpecInfo{info}, nil)
-	got, err := r.consensusSpec("paper")
+	if _, err := r.consensus(); err == nil {
+		t.Fatal("unscraped workers produced a consensus")
+	}
+	r.seen(a, stubSpec, nil)
+	r.seen(b, stubSpec, nil)
+	got, err := r.consensus()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != info {
+	if got != stubSpec {
 		t.Fatalf("consensus = %+v", got)
 	}
-	if _, err := r.consensusSpec("nope"); err == nil {
-		t.Fatal("unknown spec produced a consensus")
-	}
-	diverged := info
+	diverged := stubSpec
 	diverged.ONICell = 2e-5
-	r.seen(b, []serve.SpecInfo{diverged}, nil)
-	if _, err := r.consensusSpec("paper"); err == nil {
+	r.seen(b, diverged, nil)
+	if _, err := r.consensus(); err == nil {
 		t.Fatal("diverged discretisations produced a consensus")
 	}
 	// A dead worker's divergence no longer vetoes the fleet.
 	for i := 0; i < 4; i++ {
 		r.miss(b)
 	}
-	if _, err := r.consensusSpec("paper"); err != nil {
-		t.Fatalf("dead worker still vetoes consensus: %v", err)
+	if got, err := r.consensus(); err != nil || got != stubSpec {
+		t.Fatalf("dead worker still vetoes consensus: %+v, %v", got, err)
 	}
 }
 
-func TestParseJobsGauge(t *testing.T) {
-	body := `# HELP vcseld_jobs Transient jobs by state.
-# TYPE vcseld_jobs gauge
-vcseld_jobs{state="queued"} 1
-vcseld_jobs{state="running"} 2
-vcseld_jobs{state="done"} 7
-vcseld_up 1
-`
-	got := parseJobsGauge(body)
-	want := map[string]int{"queued": 1, "running": 2, "done": 7}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("parseJobsGauge = %v, want %v", got, want)
+// TestHeartbeatNeedsOneSpec: a worker whose /healthz does not list
+// exactly one spec is not a compatible vcseld, so its scrape is a missed
+// heartbeat; a clean scrape takes the job counts from the same answer.
+func TestHeartbeatNeedsOneSpec(t *testing.T) {
+	one := stubWorker(t, stubSpec)
+	two := stubWorker(t, stubSpec, stubSpec)
+	none := stubWorker(t)
+	// An hour-long cadence leaves only the scrape New runs at once.
+	c := newCoordinator(t, Config{Workers: []string{one.URL, two.URL, none.URL}, HeartbeatEvery: time.Hour})
+	for _, w := range decodeBody[FleetStatus](t, ctlDo(t, c, "GET", "/v1/fleet", "")).Workers {
+		alive := w.State == StateAlive
+		if want := w.URL == one.URL; alive != want || (!alive && w.Misses != 1) || (alive && w.Jobs[serve.JobRunning] != 1) {
+			t.Errorf("worker %s after one scrape: %+v", w.URL, w)
+		}
+	}
+}
+
+// TestCoordinatorSpecs: /v1/specs serves the alive workers' consensus as
+// a one-entry list, and 503 when they disagree.
+func TestCoordinatorSpecs(t *testing.T) {
+	diverged := stubSpec
+	diverged.ONICell = 2e-5
+	a, b, d := stubWorker(t, stubSpec), stubWorker(t, stubSpec), stubWorker(t, diverged)
+
+	agree := newCoordinator(t, Config{Workers: []string{a.URL, b.URL}, HeartbeatEvery: time.Hour})
+	w := ctlDo(t, agree, "GET", "/v1/specs", "")
+	if w.Code != http.StatusOK {
+		t.Fatalf("agreeing fleet: HTTP %d (%s)", w.Code, w.Body.String())
+	}
+	if got := decodeBody[[]serve.SpecInfo](t, w); len(got) != 1 || got[0] != stubSpec {
+		t.Fatalf("agreeing fleet's specs = %+v", got)
+	}
+
+	disagree := newCoordinator(t, Config{Workers: []string{a.URL, d.URL}, HeartbeatEvery: time.Hour})
+	if w := ctlDo(t, disagree, "GET", "/v1/specs", ""); w.Code != http.StatusServiceUnavailable || !strings.Contains(w.Body.String(), "disagree") {
+		t.Fatalf("disagreeing fleet: HTTP %d (%s)", w.Code, w.Body.String())
 	}
 }
 
@@ -336,6 +374,16 @@ func TestCoordinatorEmptyFleet(t *testing.T) {
 	}
 	if w := ctlDo(t, c, "GET", "/v1/jobs?offset=-1", ""); w.Code != http.StatusBadRequest {
 		t.Fatalf("negative offset: HTTP %d", w.Code)
+	}
+	// Trailing data is a client error, as on a worker, before any
+	// placement is tried.
+	for path, body := range map[string]string{
+		"/v1/sweep/gradient": `{"lasers": [1e-3], "heaters": [0]} junk`,
+		"/v1/transient":      fmt.Sprintf(transientBody, 4) + ` {"steps": 5}`,
+	} {
+		if w := ctlDo(t, c, "POST", path, body); w.Code != http.StatusBadRequest {
+			t.Fatalf("%s with trailing data: HTTP %d (%s)", path, w.Code, w.Body.String())
+		}
 	}
 }
 

@@ -348,8 +348,8 @@ func (c *Coordinator) placeJob(req serve.TransientRequest, traceID string) (*tra
 			return j, st, nil
 		}
 		if err == nil && code >= 400 && code < 500 && code != 429 {
-			// Deterministic rejection (bad request, unknown spec): every
-			// worker would refuse it the same way — surface it.
+			// Deterministic rejection (bad request): every worker would
+			// refuse it the same way — surface it.
 			c.jobs.drop(id)
 			return nil, serve.JobStatus{}, &httpError{code: code, msg: st.Error}
 		}

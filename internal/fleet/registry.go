@@ -1,7 +1,7 @@
 package fleet
 
 // Worker registry: the coordinator's view of the fleet, fed by periodic
-// heartbeat scrapes of each worker's /healthz and /metrics endpoints.
+// heartbeat scrapes of each worker's /healthz endpoint.
 // Failure is a first-class state — a worker moves alive → suspect →
 // dead as consecutive scrapes miss, and back to alive the moment a
 // scrape succeeds (rejoin). Dead workers stay registered and keep being
@@ -10,10 +10,8 @@ package fleet
 // pool without re-registering.
 
 import (
-	"bufio"
 	"fmt"
 	"log/slog"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -38,14 +36,15 @@ type workerState struct {
 	misses   int
 	lastSeen time.Time
 
-	// Scraped from /healthz and /metrics.
-	specs     []serve.SpecInfo
+	// Scraped from /healthz. spec is the worker's one spec, its latency
+	// histogram dropped once p99s has been read from it.
+	spec      serve.SpecInfo
 	jobCounts map[string]int
 	admitted  int64
 	shed      int64
 	warmBases int
-	// p99s is the worst observed query p99 (seconds) across the worker's
-	// specs, read from the latency histogram /healthz mirrors.
+	// p99s is the worker's observed query p99 (seconds), read from the
+	// latency histogram /healthz mirrors.
 	p99s float64
 
 	// inflight counts the coordinator's own outstanding requests to this
@@ -93,8 +92,8 @@ type WorkerInfo struct {
 	WarmBases    int            `json:"warm_bases,omitempty"`
 	Admitted     int64          `json:"admitted,omitempty"`
 	Shed         int64          `json:"shed,omitempty"`
-	// P99S is the worst scraped query p99 across the worker's specs, in
-	// seconds (absent until latency histograms hold data).
+	// P99S is the worker's scraped query p99, in seconds (absent until
+	// its latency histogram holds data).
 	P99S  float64 `json:"p99_s,omitempty"`
 	Score float64 `json:"score"`
 }
@@ -166,7 +165,7 @@ func (r *registry) urls() []string {
 
 // seen records a successful scrape: the worker is alive (rejoining if it
 // was suspect or dead) and its load signals refresh.
-func (r *registry) seen(url string, specs []serve.SpecInfo, jobCounts map[string]int) {
+func (r *registry) seen(url string, spec serve.SpecInfo, jobCounts map[string]int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	w, ok := r.workers[url]
@@ -178,23 +177,10 @@ func (r *registry) seen(url string, specs []serve.SpecInfo, jobCounts map[string
 	w.misses = 0
 	w.lastSeen = time.Now()
 	w.jobCounts = jobCounts
-	w.admitted, w.shed, w.warmBases, w.p99s = 0, 0, 0, 0
-	for i := range specs {
-		info := &specs[i]
-		w.admitted += info.Admitted
-		w.shed += info.Shed
-		w.warmBases += info.WarmBases
-		// Extract the placement signal, then strip the histogram pointer:
-		// stored SpecInfos feed struct-equality consensus comparisons, and
-		// two workers' snapshot pointers would never compare equal.
-		if info.QueryLatency != nil {
-			if p := info.QueryLatency.Quantile(0.99); p > w.p99s {
-				w.p99s = p
-			}
-		}
-		info.QueryLatency = nil
-	}
-	w.specs = specs
+	w.admitted, w.shed, w.warmBases = spec.Admitted, spec.Shed, spec.WarmBases
+	w.p99s = spec.QueryLatency.Quantile(0.99)
+	spec.QueryLatency = nil
+	w.spec = spec
 	if prev != StateAlive {
 		r.logger.Info("worker alive", "url", url, "was", prev, "p99_s", w.p99s)
 	}
@@ -306,90 +292,33 @@ func (r *registry) snapshot() []WorkerInfo {
 	return out
 }
 
-// consensusSpec returns the named spec's info as agreed by every alive
-// worker that has been scraped. Disagreement on the discretisation or
-// solver is a hard error: placing chunks of one grid across mixed meshes
-// would merge incompatible rows.
-func (r *registry) consensusSpec(name string) (serve.SpecInfo, error) {
+// consensus returns the spec every alive worker serves. Disagreement on
+// the discretisation or solver is a hard error: placing chunks of one
+// grid across mixed meshes would merge incompatible rows. Alive workers
+// have all been scraped, so no alive worker means no consensus either.
+func (r *registry) consensus() (serve.SpecInfo, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var found *serve.SpecInfo
-	var foundOn string
+	var found *workerState
 	for _, w := range r.workers {
 		if w.state != StateAlive {
 			continue
 		}
-		for i := range w.specs {
-			info := &w.specs[i]
-			if info.Name != name {
-				continue
-			}
-			if found == nil {
-				found, foundOn = info, w.url
-				break
-			}
-			if info.ONICell != found.ONICell || info.DieCell != found.DieCell ||
-				info.MaxZCell != found.MaxZCell || info.Solver != found.Solver {
-				return serve.SpecInfo{}, fmt.Errorf(
-					"fleet: workers %s and %s disagree on spec %q (%g/%g/%g m %s vs %g/%g/%g m %s)",
-					foundOn, w.url, name,
-					found.ONICell, found.DieCell, found.MaxZCell, found.Solver,
-					info.ONICell, info.DieCell, info.MaxZCell, info.Solver)
-			}
-			break
+		if found == nil {
+			found = w
+			continue
+		}
+		a, b := found.spec, w.spec
+		if a.ONICell != b.ONICell || a.DieCell != b.DieCell || a.MaxZCell != b.MaxZCell || a.Solver != b.Solver {
+			return serve.SpecInfo{}, fmt.Errorf(
+				"fleet: workers %s and %s disagree on their spec (%g/%g/%g m %s vs %g/%g/%g m %s)",
+				found.url, w.url,
+				a.ONICell, a.DieCell, a.MaxZCell, a.Solver,
+				b.ONICell, b.DieCell, b.MaxZCell, b.Solver)
 		}
 	}
 	if found == nil {
-		return serve.SpecInfo{}, fmt.Errorf("fleet: no alive worker registers spec %q", name)
+		return serve.SpecInfo{}, fmt.Errorf("fleet: no alive worker scraped yet")
 	}
-	return *found, nil
-}
-
-// allSpecs returns the union of alive workers' spec registries (one
-// entry per name), for GET /v1/specs — what a ShardClient pointed at the
-// coordinator preflights against.
-func (r *registry) allSpecs() []serve.SpecInfo {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	seen := make(map[string]bool)
-	var out []serve.SpecInfo
-	for _, w := range r.workers {
-		if w.state != StateAlive {
-			continue
-		}
-		for _, info := range w.specs {
-			if !seen[info.Name] {
-				seen[info.Name] = true
-				out = append(out, info)
-			}
-		}
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Name < out[j-1].Name; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
-// parseJobsGauge extracts the vcseld_jobs{state=...} gauge from a
-// Prometheus text-format /metrics body.
-func parseJobsGauge(body string) map[string]int {
-	counts := make(map[string]int)
-	sc := bufio.NewScanner(strings.NewReader(body))
-	for sc.Scan() {
-		line := sc.Text()
-		rest, ok := strings.CutPrefix(line, `vcseld_jobs{state="`)
-		if !ok {
-			continue
-		}
-		state, val, ok := strings.Cut(rest, `"} `)
-		if !ok {
-			continue
-		}
-		if n, err := strconv.Atoi(strings.TrimSpace(val)); err == nil {
-			counts[state] = n
-		}
-	}
-	return counts
+	return found.spec, nil
 }

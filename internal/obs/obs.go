@@ -87,7 +87,6 @@ type TraceRecord struct {
 	TraceID    string    `json:"trace_id"`
 	SpanID     string    `json:"span_id,omitempty"`
 	Endpoint   string    `json:"endpoint"`
-	Spec       string    `json:"spec,omitempty"`
 	Start      time.Time `json:"start"`
 	DurationUS int64     `json:"duration_us"`
 	Status     int       `json:"status"`
@@ -106,19 +105,17 @@ type Trace struct {
 	traceID  string
 	spanID   string
 	endpoint string
-	spec     string
 	start    time.Time
 	n        int
 	spans    [maxSpans]SpanRec
 }
 
-// NewTrace starts a trace for one request. spec may be empty.
-func NewTrace(traceID, endpoint, spec string) *Trace {
+// NewTrace starts a trace for one request.
+func NewTrace(traceID, endpoint string) *Trace {
 	return &Trace{
 		traceID:  traceID,
 		spanID:   NewSpanID(),
 		endpoint: endpoint,
-		spec:     spec,
 		start:    time.Now(),
 	}
 }
@@ -129,13 +126,6 @@ func (t *Trace) TraceID() string {
 		return ""
 	}
 	return t.traceID
-}
-
-// SetSpec sets the spec label after creation (resolved mid-handler).
-func (t *Trace) SetSpec(spec string) {
-	if t != nil {
-		t.spec = spec
-	}
 }
 
 // Span is a lightweight handle to an open span. The zero Span (or any
@@ -185,7 +175,6 @@ func (t *Trace) Finish(status int) TraceRecord {
 		TraceID:    t.traceID,
 		SpanID:     t.spanID,
 		Endpoint:   t.endpoint,
-		Spec:       t.spec,
 		Start:      t.start,
 		DurationUS: time.Since(t.start).Microseconds(),
 		Status:     status,

@@ -42,14 +42,14 @@ func TestIDsAndEnsureRequest(t *testing.T) {
 }
 
 func TestTraceSpans(t *testing.T) {
-	tr := NewTrace("deadbeefdeadbeef", "/v1/gradient", "fast")
+	tr := NewTrace("deadbeefdeadbeef", "/v1/gradient")
 	s := tr.StartSpan("solve")
 	time.Sleep(2 * time.Millisecond)
 	s.SetAttr("mg_iters", 5)
 	s.End()
 	rec := tr.Finish(200)
 
-	if rec.TraceID != "deadbeefdeadbeef" || rec.Endpoint != "/v1/gradient" || rec.Spec != "fast" {
+	if rec.TraceID != "deadbeefdeadbeef" || rec.Endpoint != "/v1/gradient" {
 		t.Fatalf("bad record identity: %+v", rec)
 	}
 	if rec.Status != 200 || rec.DurationUS <= 0 {
@@ -76,7 +76,7 @@ func TestTraceSpans(t *testing.T) {
 	}
 
 	// Span overflow is dropped, not panicking.
-	tr2 := NewTrace(NewTraceID(), "/x", "")
+	tr2 := NewTrace(NewTraceID(), "/x")
 	for i := 0; i < maxSpans+4; i++ {
 		tr2.StartSpan("s").End()
 	}

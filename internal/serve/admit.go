@@ -30,10 +30,10 @@ import (
 // is flattened within one burst.
 const DefaultAdmitBurst = 16
 
-// DefaultMaxClients bounds the per-client buckets one spec tracks.
-// Clients beyond the bound are still admission-controlled by the spec
-// bucket; they just lose their individual rate share until the flusher
-// garbage-collects idle buckets.
+// DefaultMaxClients bounds the per-client buckets a server tracks.
+// Clients beyond the bound are still admission-controlled by the
+// server-wide bucket; they just lose their individual rate share until
+// the flusher garbage-collects idle buckets.
 const DefaultMaxClients = 4096
 
 // admitFlushInterval is the off-path accounting cadence: how often the
@@ -101,9 +101,9 @@ type clientBucket struct {
 	lastSeen atomic.Int64
 }
 
-// admission is one spec's admission controller.
+// admission is the server's admission controller.
 type admission struct {
-	spec       *gcra // nil = no spec-wide rate
+	server     *gcra // nil = no server-wide rate
 	clientRate float64
 	// clientEmission/clientLimit are the precomputed gcra parameters
 	// every client bucket shares.
@@ -141,14 +141,14 @@ func newAdmission(cfg Config) *admission {
 		if burst <= 0 {
 			burst = DefaultAdmitBurst
 		}
-		a.spec = newGCRA(cfg.AdmitRate, burst)
+		a.server = newGCRA(cfg.AdmitRate, burst)
 	}
 	return a
 }
 
 // admit runs the O(1) hot-path check for one request. Both levels are
 // consulted — the per-client bucket first (a greedy client must not
-// starve its neighbours), then the spec-wide bucket.
+// starve its neighbours), then the server-wide bucket.
 func (a *admission) admit(client string, now int64) (ok bool, retryAfter time.Duration) {
 	if a == nil {
 		return true, 0
@@ -163,8 +163,8 @@ func (a *admission) admit(client string, now int64) (ok bool, retryAfter time.Du
 			a.overflow.Add(1)
 		}
 	}
-	if a.spec != nil {
-		if ok, wait := a.spec.admit(now); !ok {
+	if a.server != nil {
+		if ok, wait := a.server.admit(now); !ok {
 			a.shed.Add(1)
 			return false, wait
 		}
@@ -175,7 +175,7 @@ func (a *admission) admit(client string, now int64) (ok bool, retryAfter time.Du
 
 // clientFor finds (or creates, bounded) the client's bucket. Returns nil
 // when the tracking table is full — those clients fall back to the
-// spec-wide bucket only.
+// server-wide bucket only.
 func (a *admission) clientFor(client string, now int64) *clientBucket {
 	if v, ok := a.clients.Load(client); ok {
 		b := v.(*clientBucket)
@@ -221,8 +221,8 @@ func (a *admission) stats() (admitted, shed int64, clients int) {
 }
 
 // flusher is the server's background accounting loop: every interval it
-// folds per-client admission state across all specs. It owns the only
-// iteration over the client tables — the request path never pays for it.
+// folds per-client admission state. It owns the only iteration over the
+// client table — the request path never pays for it.
 func (s *Server) flusher() {
 	defer s.flushWG.Done()
 	t := time.NewTicker(admitFlushInterval)
@@ -232,10 +232,7 @@ func (s *Server) flusher() {
 		case <-s.flushStop:
 			return
 		case <-t.C:
-			cutoff := time.Now().Add(-admitClientIdleAfter).UnixNano()
-			for _, st := range s.specs {
-				st.adm.gcIdle(cutoff)
-			}
+			s.st.adm.gcIdle(time.Now().Add(-admitClientIdleAfter).UnixNano())
 		}
 	}
 }
@@ -255,7 +252,7 @@ func clientID(r *http.Request) string {
 
 // shedError is the 429 a shed request gets: statusError semantics plus
 // the retry schedule for the envelope and Retry-After header.
-func shedError(spec string, retryAfter time.Duration) error {
+func shedError(retryAfter time.Duration) error {
 	if retryAfter <= 0 {
 		// Lost a photo-finish race with a conforming request: "retry
 		// immediately" still must carry a positive schedule.
@@ -264,6 +261,6 @@ func shedError(spec string, retryAfter time.Duration) error {
 	return &statusError{
 		code:       http.StatusTooManyRequests,
 		retryAfter: retryAfter,
-		err:        fmt.Errorf("serve: spec %q shed the query (admission rate exceeded); retry in %v", spec, retryAfter),
+		err:        fmt.Errorf("serve: query shed (admission rate exceeded); retry in %v", retryAfter),
 	}
 }

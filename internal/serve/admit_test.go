@@ -93,13 +93,13 @@ func admitServer(t *testing.T, cfg Config) *Server {
 		t.Fatal(err)
 	}
 	spec.Res = thermal.PreviewResolution()
-	cfg.Specs = map[string]thermal.Spec{DefaultSpec: spec}
+	cfg.Spec = spec
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
-	if err := s.Warm(DefaultSpec); err != nil {
+	if err := s.Warm(); err != nil {
 		t.Fatal(err)
 	}
 	return s
@@ -142,11 +142,7 @@ func TestAdmissionShed(t *testing.T) {
 		t.Fatalf("shed envelope = %+v, want error text and positive retry_after_ms", eb)
 	}
 	// The shed query is visible in the stats and never reached a solve.
-	st, err := s.state(DefaultSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	admitted, shed, _ := st.adm.stats()
+	admitted, shed, _ := s.st.adm.stats()
 	if admitted != 2 || shed != 1 {
 		t.Fatalf("admitted/shed = %d/%d, want 2/1", admitted, shed)
 	}
@@ -166,8 +162,7 @@ func TestAdmissionPerClient(t *testing.T) {
 	if w := postAs(s, "patient", q); w.Code != http.StatusOK {
 		t.Fatalf("other client shed by greedy neighbour: %d", w.Code)
 	}
-	st, _ := s.state(DefaultSpec)
-	if _, _, clients := st.adm.stats(); clients != 2 {
+	if _, _, clients := s.st.adm.stats(); clients != 2 {
 		t.Fatalf("tracked clients = %d, want 2", clients)
 	}
 }
@@ -255,10 +250,7 @@ func TestAdmissionHammer(t *testing.T) {
 	for err := range errc {
 		t.Error(err)
 	}
-	st, err := s.state(DefaultSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := s.st
 	admitted, shed, _ := st.adm.stats()
 	if admitted+shed != workers*rounds {
 		t.Fatalf("admission ledger %d admitted + %d shed != %d requests", admitted, shed, workers*rounds)

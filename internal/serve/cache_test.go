@@ -101,7 +101,6 @@ func TestCacheKeyCanonicalisation(t *testing.T) {
 		{Chip: 25, PVCSEL: 2e-3, PHeater: 1e-3},
 		{Chip: 25, PVCSEL: 2e-3, Activity: "diagonal"},
 		{Chip: 25, PVCSEL: 2e-3, Activity: "random", Seed: 7},
-		{Chip: 25, PVCSEL: 2e-3, Spec: "other"},
 	}
 	seen := map[string]int{}
 	for i, sc := range distinct {

@@ -45,8 +45,8 @@ import (
 type ShardClient struct {
 	// Workers are the base URLs of the vcseld fleet ("http://host:port").
 	Workers []string
-	// Scenario pins the spec/activity the sweeps run against; the power
-	// knobs of individual sweeps override its Chip/PVCSEL/PHeater.
+	// Scenario pins the activity the sweeps run against; the power knobs
+	// of individual sweeps override its Chip/PVCSEL/PHeater.
 	Scenario Scenario
 	// HTTPClient overrides the default client (DefaultShardTimeout).
 	HTTPClient *http.Client
@@ -57,12 +57,13 @@ type ShardClient struct {
 	// worker failed. Nil disables local retry: a failed chunk fails the
 	// sweep.
 	Fallback func() (*dse.Explorer, error)
-	// ExpectRes, when non-nil, is checked against each reachable
-	// worker's registered resolution before the first sweep: a fleet
+	// ExpectRes, when non-nil, is checked against the one spec each
+	// reachable worker lists at /v1/specs before the first sweep: a fleet
 	// member meshing the problem differently would otherwise merge
 	// rows from a different discretisation into the grid with no error.
-	// Mismatches — and reachable workers whose /v1/specs is broken — are
-	// hard failures; connection-level failures pass preflight (their
+	// Mismatches — and reachable workers whose /v1/specs is broken or
+	// does not list exactly one spec — are hard failures;
+	// connection-level failures pass preflight (their
 	// chunks fail over per chunk as usual).
 	// Preflight and every chunk also check the worker's solver against
 	// fvm.SolverName: rows another solver computed (an older build's
@@ -115,10 +116,10 @@ func NewShardClient(shards string, sc Scenario, fallback func() (*dse.Explorer, 
 }
 
 // DefaultShardTimeout bounds one chunk request. It is sized for a cold
-// worker: the first query against an un-warmed spec blocks on the
-// single-flighted basis build (11–167 s at fast/paper resolution), and
-// timing out sooner would silently fall every chunk back to local
-// computation.
+// worker: the first query against an un-warmed worker blocks on the
+// single-flighted model and basis build (~10 s at the fast tier, ~50 s
+// at the paper tier), and timing out sooner would silently fall every
+// chunk back to local computation.
 const DefaultShardTimeout = 5 * time.Minute
 
 // httpClient resolves the HTTP client.
@@ -129,7 +130,7 @@ func (c *ShardClient) httpClient() *http.Client {
 	return &http.Client{Timeout: DefaultShardTimeout}
 }
 
-// preflight cross-checks each reachable worker's spec registration
+// preflight cross-checks the one spec each reachable worker lists
 // against ExpectRes and fvm.SolverName (once per client). A mismatched
 // worker must fail the sweep, not silently contribute rows from a
 // different discretisation or solver; only connection-level failures
@@ -141,7 +142,6 @@ func (c *ShardClient) preflight() error {
 		return nil
 	}
 	c.preOnce.Do(func() {
-		name := c.Scenario.specName()
 		// The metadata GET is cheap — never triggers a model build — so
 		// it gets a short timeout of its own; the long chunk timeout
 		// would let one blackholed worker stall the whole sweep start.
@@ -160,25 +160,22 @@ func (c *ShardClient) preflight() error {
 			if err := json.NewDecoder(resp.Body).Decode(&infos); err != nil {
 				return fmt.Errorf("serve: worker %s /v1/specs is not decodable (%v) — not a compatible vcseld", worker, err)
 			}
-			for _, info := range infos {
-				if info.Name != name {
-					continue
-				}
-				if want := c.ExpectRes; want != nil &&
-					(info.ONICell != want.ONICell || info.DieCell != want.DieCell || info.MaxZCell != want.MaxZCell) {
-					return fmt.Errorf(
-						"serve: worker %s spec %q meshes at %g/%g/%g m, client expects %g/%g/%g m — refusing to merge grids across resolutions",
-						worker, name, info.ONICell, info.DieCell, info.MaxZCell,
-						want.ONICell, want.DieCell, want.MaxZCell)
-				}
-				if info.Solver != fvm.SolverName {
-					return fmt.Errorf(
-						"serve: worker %s spec %q solves with %s, client expects %s — locally retried chunks would differ at the solve tolerance",
-						worker, name, info.Solver, fvm.SolverName)
-				}
-				return nil
+			if len(infos) != 1 {
+				return fmt.Errorf("serve: worker %s lists %d specs at /v1/specs, want 1 — not a compatible vcseld", worker, len(infos))
 			}
-			return fmt.Errorf("serve: worker %s does not register spec %q", worker, name)
+			info, want := infos[0], c.ExpectRes
+			if info.ONICell != want.ONICell || info.DieCell != want.DieCell || info.MaxZCell != want.MaxZCell {
+				return fmt.Errorf(
+					"serve: worker %s meshes at %g/%g/%g m, client expects %g/%g/%g m — refusing to merge grids across resolutions",
+					worker, info.ONICell, info.DieCell, info.MaxZCell,
+					want.ONICell, want.DieCell, want.MaxZCell)
+			}
+			if info.Solver != fvm.SolverName {
+				return fmt.Errorf(
+					"serve: worker %s solves with %s, client expects %s — locally retried chunks would differ at the solve tolerance",
+					worker, info.Solver, fvm.SolverName)
+			}
+			return nil
 		})
 	})
 	return c.preErr

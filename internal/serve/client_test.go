@@ -16,6 +16,7 @@ import (
 	"vcselnoc/internal/core"
 	"vcselnoc/internal/dse"
 	"vcselnoc/internal/fleet/chaos"
+	"vcselnoc/internal/fvm"
 	"vcselnoc/internal/snr"
 	"vcselnoc/internal/thermal"
 )
@@ -51,11 +52,11 @@ func localExplorer(t *testing.T, spec thermal.Spec) *dse.Explorer {
 // otherwise blow.
 func startWorker(t *testing.T, spec thermal.Spec) *httptest.Server {
 	t.Helper()
-	s, err := New(Config{Specs: map[string]thermal.Spec{DefaultSpec: spec}})
+	s, err := New(Config{Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Warm(DefaultSpec); err != nil {
+	if err := s.Warm(); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s)
@@ -331,20 +332,24 @@ func TestChunking(t *testing.T) {
 	}
 }
 
-// TestShardClientSpecMismatch: a worker that does not know the requested
-// spec rejects the chunk; with a fallback the sweep still completes.
-func TestShardClientSpecMismatch(t *testing.T) {
+// TestShardClientErrorFallback: a worker's non-shed 4xx is permanent
+// remotely, but with a fallback configured the chunk is recomputed
+// locally and the sweep still completes with the in-process grid.
+func TestShardClientErrorFallback(t *testing.T) {
 	skipShort(t)
 	spec := previewSpec(t)
 	ex := localExplorer(t, spec)
-	w := startWorker(t, spec)
-	client, err := NewShardClient(w.URL, Scenario{Spec: "exotic"}, func() (*dse.Explorer, error) {
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, `{"error":"serve: bad request"}`, http.StatusBadRequest)
+	}))
+	t.Cleanup(hs.Close)
+	client, err := NewShardClient(hs.URL, Scenario{}, func() (*dse.Explorer, error) {
 		return ex, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	patientClient(client)
+	client.RetryBase = time.Millisecond
 	want, err := ex.SweepGradient(25, []float64{1e-3, 2e-3}, []float64{0})
 	if err != nil {
 		t.Fatal(err)
@@ -355,6 +360,27 @@ func TestShardClientSpecMismatch(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("fallback grid differs from in-process grid")
+	}
+}
+
+// TestShardPreflightOneSpec: a worker whose /v1/specs does not list
+// exactly one spec is not a compatible vcseld, and preflight refuses it
+// even when one of its entries matches.
+func TestShardPreflightOneSpec(t *testing.T) {
+	res := thermal.PreviewResolution()
+	info := SpecInfo{Name: specLabel, ONICell: res.ONICell, DieCell: res.DieCell, MaxZCell: res.MaxZCell, Solver: fvm.SolverName}
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, []SpecInfo{info, info})
+	}))
+	t.Cleanup(hs.Close)
+	client, err := NewShardClient(hs.URL, Scenario{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client.ExpectRes = &res
+	_, err = client.SweepGradient(25, []float64{1e-3}, []float64{0})
+	if err == nil || !strings.Contains(err.Error(), "lists 2 specs") {
+		t.Fatalf("two-spec worker not refused at preflight: %v", err)
 	}
 }
 

@@ -1,7 +1,7 @@
 package serve
 
 // Async transient jobs: POST /v1/transient returns a job id immediately,
-// the integration runs in the background against the spec's warm model,
+// the integration runs in the background against the server's warm model,
 // and GET /v1/jobs/{id} reports progress (with an NDJSON stream variant
 // for live monitoring). Jobs checkpoint periodically into the server's
 // JobDir through the thermal layer's checkpoint sink; a daemon restarted
@@ -239,9 +239,6 @@ func newJobID() string {
 
 // validate rejects malformed submissions before a job is created.
 func (jm *jobManager) validate(req TransientRequest) error {
-	if _, err := jm.srv.state(req.specName()); err != nil {
-		return notFound(err)
-	}
 	if _, err := req.activityScenario(); err != nil {
 		return badRequest(err)
 	}
@@ -294,7 +291,7 @@ func (jm *jobManager) submit(req TransientRequest, traceID string) (*transientJo
 		id:  id,
 		req: req,
 		status: JobStatus{
-			Spec: req.specName(), State: JobQueued,
+			State: JobQueued,
 			Steps: req.Steps, TimeStepS: req.TimeStepS,
 			TraceID: traceID,
 		},
@@ -382,7 +379,7 @@ func (jm *jobManager) fail(j *transientJob, err error) {
 	jm.persist(j, nil) //nolint:errcheck // the job state itself carries the error
 	snap := j.snapshot()
 	jm.srv.logger.Warn("job failed",
-		"job", j.id, "trace_id", snap.TraceID, "spec", snap.Spec, "err", err.Error())
+		"job", j.id, "trace_id", snap.TraceID, "err", err.Error())
 }
 
 // run integrates one job to completion (or interruption) in the
@@ -397,12 +394,7 @@ func (jm *jobManager) run(j *transientJob, cp *fvm.TransientCheckpoint) {
 	case <-jm.ctx.Done():
 		return
 	}
-	st, err := jm.srv.state(j.req.specName())
-	if err != nil {
-		jm.fail(j, err)
-		return
-	}
-	meth, err := st.methodology()
+	meth, err := jm.srv.st.methodology()
 	if err != nil {
 		jm.fail(j, err)
 		return
@@ -485,7 +477,7 @@ func (jm *jobManager) run(j *transientJob, cp *fvm.TransientCheckpoint) {
 	jm.persist(j, nil) //nolint:errcheck // completed in memory; persistence is best-effort at this point
 	snap := j.snapshot()
 	jm.srv.logger.Info("job done",
-		"job", j.id, "trace_id", snap.TraceID, "spec", snap.Spec,
+		"job", j.id, "trace_id", snap.TraceID,
 		"steps", snap.Steps, "time_s", snap.TimeS)
 }
 
@@ -587,7 +579,7 @@ func (jm *jobManager) loadPersisted() error {
 		}
 		j.req = jf.Request
 		j.status = JobStatus{
-			ID: id, Spec: jf.Request.specName(), State: jf.State,
+			ID: id, State: jf.State,
 			Steps: jf.Request.Steps, TimeStepS: jf.Request.TimeStepS,
 			Error: jf.Error, Result: jf.Result,
 			TraceID: jf.TraceID,
@@ -647,7 +639,7 @@ func (s *Server) handleTransientSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	snap := j.snapshot()
 	s.logger.Info("job accepted",
-		"job", j.id, "trace_id", traceID, "spec", snap.Spec,
+		"job", j.id, "trace_id", traceID,
 		"steps", snap.Steps, "resume_step", snap.Step)
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Location", "/v1/jobs/"+j.id)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -26,7 +27,7 @@ func jobServer(t *testing.T, dir string) *Server {
 	}
 	spec.Res = thermal.PreviewResolution()
 	s, err := New(Config{
-		Specs:              map[string]thermal.Spec{DefaultSpec: spec},
+		Spec:               spec,
 		JobDir:             dir,
 		JobCheckpointEvery: 2,
 	})
@@ -94,7 +95,7 @@ func TestTransientJobBadInputs(t *testing.T) {
 		{"negative cadence", `{"chip": 25, "time_step_s": 0.01, "steps": 5, "checkpoint_every": -1}`, http.StatusBadRequest},
 		{"negative power", `{"chip": -1, "time_step_s": 0.01, "steps": 5}`, http.StatusBadRequest},
 		{"unknown activity", `{"chip": 25, "activity": "volcano", "time_step_s": 0.01, "steps": 5}`, http.StatusBadRequest},
-		{"unknown spec", `{"chip": 25, "spec": "nope", "time_step_s": 0.01, "steps": 5}`, http.StatusNotFound},
+		{"spec field", `{"chip": 25, "spec": "default", "time_step_s": 0.01, "steps": 5}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -346,6 +347,43 @@ func TestTransientJobResumeAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestTransientJobFileWithSpecResumes: a job file written by an older
+// daemon, whose stored request carries "spec":"default", still loads and
+// resumes — job files are decoded without unknown-field checks — and the
+// resumed job's status no longer echoes a spec.
+func TestTransientJobFileWithSpecResumes(t *testing.T) {
+	skipShort(t)
+	dir := t.TempDir()
+	s1 := jobServer(t, dir)
+	id := submitSteps(t, s1, "40")
+	mid := waitForStep(t, s1, id, 5)
+	s1.Close() // interrupt: persists a checkpoint at the exact current step
+	if mid.State != JobRunning {
+		t.Fatalf("job not running at the interruption: %+v", mid)
+	}
+	path := filepath.Join(dir, id+".json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Replace(data, []byte(`"request":{`), []byte(`"request":{"spec":"default",`), 1)
+	if bytes.Equal(old, data) {
+		t.Fatalf("job file has no request object: %s", data)
+	}
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := jobServer(t, dir)
+	st := pollJob(t, s2, id)
+	if st.State != JobDone || !st.Resumed || st.Step != 40 {
+		t.Fatalf("job from an older job file ended as %+v", st)
+	}
+	if body := getJSON(t, s2, "/v1/jobs/"+id).Body.String(); strings.Contains(body, `"spec"`) {
+		t.Fatalf("job status still echoes a spec: %s", body)
+	}
+}
+
 // TestTransientJobCorruptCheckpoints: corrupt job files surface as
 // failed jobs, and a checkpoint whose fingerprint does not match the
 // server's mesh refuses to resume instead of silently continuing.
@@ -458,7 +496,7 @@ func TestJobTTLGC(t *testing.T) {
 	}
 	spec.Res = thermal.PreviewResolution()
 	s, err := New(Config{
-		Specs:              map[string]thermal.Spec{DefaultSpec: spec},
+		Spec:               spec,
 		JobDir:             dir,
 		JobCheckpointEvery: 2,
 		JobTTL:             50 * time.Millisecond,

@@ -10,7 +10,6 @@ import (
 	"bytes"
 	"fmt"
 	"net/http"
-	"sort"
 	"time"
 )
 
@@ -27,12 +26,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	gauge("vcseld_uptime_seconds", "Seconds since the server started.")
 	fmt.Fprintf(&b, "vcseld_uptime_seconds %g\n", time.Since(s.start).Seconds())
-
-	names := make([]string, 0, len(s.specs))
-	for name := range s.specs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 
 	type specMetric struct {
 		name, help string
@@ -52,19 +45,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"vcseld_warm_bases", "Superposition bases held in the model's bounded basis cache.", func(i SpecInfo) float64 { return float64(i.WarmBases) }, false},
 		{"vcseld_basis_evictions_total", "Least-recently-used basis evictions.", func(i SpecInfo) float64 { return float64(i.BasisEvictions) }, true},
 	}
-	infos := make(map[string]SpecInfo, len(names))
-	for _, info := range s.specInfos() {
-		infos[info.Name] = info
-	}
+	info := s.st.info()
 	for _, m := range specMetrics {
 		if m.counter {
 			counter(m.name, m.help)
 		} else {
 			gauge(m.name, m.help)
 		}
-		for _, name := range names {
-			fmt.Fprintf(&b, "%s{spec=%q} %g\n", m.name, name, m.value(infos[name]))
-		}
+		fmt.Fprintf(&b, "%s{spec=%q} %g\n", m.name, specLabel, m.value(info))
 	}
 
 	histogram := func(name, help string) {
@@ -72,13 +60,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	histogram("vcseld_query_duration_seconds",
 		"Server-side request latency by spec and endpoint class (query = cheap superposition queries, sweep = DSE grid windows).")
-	for _, name := range names {
-		st := s.specs[name]
-		st.latQuery.WritePrometheus(&b, "vcseld_query_duration_seconds",
-			fmt.Sprintf("spec=%q,class=%q", name, "query"))
-		st.latSweep.WritePrometheus(&b, "vcseld_query_duration_seconds",
-			fmt.Sprintf("spec=%q,class=%q", name, "sweep"))
-	}
+	s.st.latQuery.WritePrometheus(&b, "vcseld_query_duration_seconds",
+		fmt.Sprintf("spec=%q,class=%q", specLabel, "query"))
+	s.st.latSweep.WritePrometheus(&b, "vcseld_query_duration_seconds",
+		fmt.Sprintf("spec=%q,class=%q", specLabel, "sweep"))
 	gauge("vcseld_jobs", "Transient jobs by lifecycle state.")
 	states := s.jobs.stateCounts()
 	for _, state := range []string{JobQueued, JobRunning, JobDone, JobFailed} {

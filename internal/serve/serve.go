@@ -11,9 +11,9 @@
 // costs tens of microseconds (the basis is projected onto the report's
 // functionals when it is built), so each request evaluates inline on its
 // own goroutine; answers are memoised in a bounded LRU keyed on the
-// canonicalised scenario. Each spec's thermal.Model caches its bases
-// (bounded, single-flight), so a cold spec never builds twice however
-// many clients hit it at once.
+// canonicalised scenario. A server owns one system spec, and that spec's
+// thermal.Model caches its bases (bounded, single-flight), so a cold
+// basis never builds twice however many clients hit it at once.
 //
 // The same package holds the scatter/gather ShardClient that partitions
 // design-space sweep grids across a fleet of these servers (see
@@ -27,7 +27,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -43,11 +42,12 @@ import (
 	"vcselnoc/internal/thermal"
 )
 
-// DefaultSpec is the registry name a scenario with an empty Spec field
-// addresses.
-const DefaultSpec = "default"
+// specLabel is the name /healthz and /v1/specs give the server's one
+// spec and the value of its /metrics spec label, which clients of those
+// endpoints key on.
+const specLabel = "default"
 
-// DefaultCacheSize bounds the per-spec query LRU.
+// DefaultCacheSize bounds the query LRU.
 const DefaultCacheSize = 4096
 
 // maxBodyBytes bounds request bodies; sweep axes are the largest
@@ -70,24 +70,24 @@ const DefaultMaxJobSteps = 100000
 
 // Config configures a Server.
 type Config struct {
-	// Specs registers the system specifications the server owns warm
-	// state for, by name. Empty registers PaperSpec under DefaultSpec.
-	Specs map[string]thermal.Spec
+	// Spec is the system specification the server owns warm state for;
+	// a nil Floorplan selects PaperSpec.
+	Spec thermal.Spec
 	// SNR is the technology configuration for SNR queries; the zero
 	// value selects snr.DefaultConfig.
 	SNR snr.Config
-	// CacheSize bounds each spec's query LRU; 0 selects
+	// CacheSize bounds the query LRU; 0 selects
 	// DefaultCacheSize, negative disables caching (capacity 1).
 	CacheSize int
-	// AdmitRate rate-limits the cheap-query hot path per spec
-	// (queries/second); 0 disables spec-wide admission. Shed queries get
-	// HTTP 429 with a Retry-After.
+	// AdmitRate rate-limits the cheap-query hot path server-wide
+	// (queries/second); 0 disables server-wide admission. Shed queries
+	// get HTTP 429 with a Retry-After.
 	AdmitRate float64
-	// AdmitBurst is the spec bucket's burst tolerance; 0 selects
+	// AdmitBurst is the server-wide bucket's burst tolerance; 0 selects
 	// DefaultAdmitBurst.
 	AdmitBurst int
 	// ClientRate rate-limits each client (X-Client-ID header, falling
-	// back to remote host) per spec; 0 disables per-client admission.
+	// back to remote host); 0 disables per-client admission.
 	ClientRate float64
 	// ClientBurst is the per-client burst tolerance; 0 selects
 	// DefaultAdmitBurst.
@@ -120,10 +120,10 @@ type Config struct {
 // DefaultTraceBuffer is the /debug/requests ring capacity.
 const DefaultTraceBuffer = 256
 
-// Server owns the warm per-spec state and implements http.Handler.
+// Server owns the warm state of one spec and implements http.Handler.
 type Server struct {
 	mux   *http.ServeMux
-	specs map[string]*specState
+	st    *specState
 	start time.Time
 	// sweepSem bounds concurrent sweep evaluations server-wide: each
 	// sweep fans out across a full worker pool, so without a bound N
@@ -144,11 +144,10 @@ type Server struct {
 	logger   *slog.Logger
 }
 
-// specState is one registered spec's warm state. The Methodology (model
-// and its basis cache) builds lazily on first use so registering many
-// specs is free until they are queried.
+// specState is the served spec's warm state. The Methodology (model and
+// its basis cache) builds lazily on first use, so a server costs nothing
+// until it is queried or warmed.
 type specState struct {
-	name string
 	spec thermal.Spec
 
 	once  sync.Once
@@ -185,12 +184,15 @@ func (st *specState) methodology() (*core.Methodology, error) {
 // are not built yet: the first query (or an explicit Warm) pays that
 // cost.
 func New(cfg Config) (*Server, error) {
-	if len(cfg.Specs) == 0 {
+	if cfg.Spec.Floorplan == nil {
 		spec, err := thermal.PaperSpec()
 		if err != nil {
 			return nil, err
 		}
-		cfg.Specs = map[string]thermal.Spec{DefaultSpec: spec}
+		cfg.Spec = spec
+	}
+	if err := cfg.Spec.Validate(); err != nil {
+		return nil, fmt.Errorf("serve: spec: %w", err)
 	}
 	if cfg.SNR == (snr.Config{}) {
 		cfg.SNR = snr.DefaultConfig()
@@ -202,33 +204,22 @@ func New(cfg Config) (*Server, error) {
 		cfg.Logger = obs.Discard()
 	}
 	s := &Server{
-		mux:       http.NewServeMux(),
-		specs:     make(map[string]*specState, len(cfg.Specs)),
-		start:     time.Now(),
-		sweepSem:  make(chan struct{}, 2),
-		flushStop: make(chan struct{}),
-		tracing:   !cfg.DisableTracing,
-		recorder:  obs.NewRecorder(DefaultTraceBuffer),
-		logger:    cfg.Logger,
-	}
-	for name, spec := range cfg.Specs {
-		if name == "" {
-			return nil, fmt.Errorf("serve: empty spec name in registry")
-		}
-		if err := spec.Validate(); err != nil {
-			return nil, fmt.Errorf("serve: spec %q: %w", name, err)
-		}
-		st := &specState{
-			name:     name,
-			spec:     spec,
+		mux: http.NewServeMux(),
+		st: &specState{
+			spec:     cfg.Spec,
 			snrCfg:   cfg.SNR,
 			cache:    newLRUCache(cfg.CacheSize),
 			adm:      newAdmission(cfg),
 			latQuery: obs.NewHistogram(obs.LatencyBuckets),
 			latSweep: obs.NewHistogram(obs.LatencyBuckets),
 			logger:   cfg.Logger,
-		}
-		s.specs[name] = st
+		},
+		start:     time.Now(),
+		sweepSem:  make(chan struct{}, 2),
+		flushStop: make(chan struct{}),
+		tracing:   !cfg.DisableTracing,
+		recorder:  obs.NewRecorder(DefaultTraceBuffer),
+		logger:    cfg.Logger,
 	}
 	s.jobs = newJobManager(s, cfg)
 	s.routes()
@@ -275,7 +266,7 @@ func (s *Server) trace(r *http.Request, endpoint string) *obs.Trace {
 	if !s.tracing {
 		return nil
 	}
-	return obs.NewTrace(r.Header.Get(obs.TraceHeader), endpoint, "")
+	return obs.NewTrace(r.Header.Get(obs.TraceHeader), endpoint)
 }
 
 // publish seals the trace into the /debug/requests ring.
@@ -300,15 +291,10 @@ func (s *Server) Close() {
 	s.jobs.stop()
 }
 
-// Warm forces the named spec's model and uniform-activity basis to build
-// now (daemon startup with -warm), so the first client query is already
-// cheap.
-func (s *Server) Warm(name string) error {
-	st, err := s.state(name)
-	if err != nil {
-		return err
-	}
-	_, err = st.basisFor(nil)
+// Warm forces the model and uniform-activity basis to build now (daemon
+// startup with -warm), so the first client query is already cheap.
+func (s *Server) Warm() error {
+	_, err := s.st.basisFor(nil)
 	return err
 }
 
@@ -326,24 +312,12 @@ func (st *specState) basisFor(act activity.Scenario) (*thermal.Basis, error) {
 	if err == nil && model.BasisCacheStats().Builds > buildsBefore {
 		bs := b.BuildStats()
 		st.logger.Info("basis built",
-			"spec", st.name, "activity", activity.Key(act),
+			"activity", activity.Key(act),
 			"duration_ms", float64(bs.Wall.Microseconds())/1000,
 			"columns", bs.Columns,
 			"mg_iters", bs.Iterations)
 	}
 	return b, err
-}
-
-// state resolves a registry name.
-func (s *Server) state(name string) (*specState, error) {
-	if name == "" {
-		name = DefaultSpec
-	}
-	st, ok := s.specs[name]
-	if !ok {
-		return nil, fmt.Errorf("serve: unknown spec %q", name)
-	}
-	return st, nil
 }
 
 // statusError carries an HTTP status through the handler helpers;
@@ -417,23 +391,9 @@ func decodeLimit(r *http.Request, v any, limit int64) error {
 	return nil
 }
 
-// resolve maps a wire scenario onto the warm state it needs: spec state,
-// methodology and (building on first use, single-flight) the basis for
-// its activity shape.
-func (s *Server) resolve(sc Scenario) (*specState, *thermal.Basis, error) {
-	st, err := s.state(sc.specName())
-	if err != nil {
-		return nil, nil, notFound(err)
-	}
-	_, basis, err := st.resolveBasis(sc)
-	if err != nil {
-		return nil, nil, err
-	}
-	return st, basis, nil
-}
-
-// resolveBasis validates the scenario against an already-resolved spec
-// and returns its activity and basis.
+// resolveBasis validates the scenario and returns its activity and
+// (building on first use, single-flight) the basis for that activity
+// shape.
 func (st *specState) resolveBasis(sc Scenario) (activity.Scenario, *thermal.Basis, error) {
 	act, err := sc.activityScenario()
 	if err != nil {
@@ -454,10 +414,11 @@ func (s *Server) handleGradient(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	traceID := r.Header.Get(obs.TraceHeader)
 	tr := s.trace(r, r.URL.Path)
-	var st *specState
+	// A request counts in the latency histogram once its body decoded.
+	counted := false
 	fail := func(err error) {
-		if st != nil {
-			st.latQuery.Observe(time.Since(start).Seconds())
+		if counted {
+			s.st.latQuery.Observe(time.Since(start).Seconds())
 		}
 		code := writeErrTrace(w, traceID, err)
 		s.publish(tr, code)
@@ -469,18 +430,13 @@ func (s *Server) handleGradient(w http.ResponseWriter, r *http.Request) {
 		fail(err)
 		return
 	}
-	var err error
-	st, err = s.state(sc.specName())
-	if err != nil {
-		fail(notFound(err))
-		return
-	}
-	tr.SetSpec(st.name)
+	counted = true
+	st := s.st
 	sp := tr.StartSpan("admission")
 	ok, retry := st.adm.admit(clientID(r), time.Now().UnixNano())
 	sp.End()
 	if !ok {
-		fail(shedError(st.name, retry))
+		fail(shedError(retry))
 		return
 	}
 	sp = tr.StartSpan("basis")
@@ -511,7 +467,7 @@ func (s *Server) handleGradient(w http.ResponseWriter, r *http.Request) {
 		st.latQuery.Observe(time.Since(start).Seconds())
 		s.publish(tr, http.StatusOK)
 		s.logger.Debug("query",
-			"trace_id", traceID, "spec", st.name, "cached", true,
+			"trace_id", traceID, "cached", true,
 			"duration_ms", msSince(start))
 		return
 	}
@@ -532,7 +488,7 @@ func (s *Server) handleGradient(w http.ResponseWriter, r *http.Request) {
 	st.latQuery.Observe(time.Since(start).Seconds())
 	s.publish(tr, http.StatusOK)
 	s.logger.Debug("query",
-		"trace_id", traceID, "spec", st.name, "cached", false,
+		"trace_id", traceID, "cached", false,
 		"duration_ms", msSince(start))
 }
 
@@ -567,7 +523,7 @@ func (s *Server) handleHeater(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	_, basis, err := s.resolve(req.Scenario)
+	_, basis, err := s.st.resolveBasis(req.Scenario)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -602,11 +558,6 @@ func (s *Server) handleSNR(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	st, err := s.state(req.specName())
-	if err != nil {
-		writeErr(w, notFound(err))
-		return
-	}
 	cs, err := parseCase(req.Case)
 	if err != nil {
 		writeErr(w, badRequest(err))
@@ -622,14 +573,14 @@ func (s *Server) handleSNR(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, badRequest(err))
 		return
 	}
-	meth, err := st.methodology()
+	meth, err := s.st.methodology()
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
 	// Warm the basis so SNRAnalysis evaluates by superposition instead of
 	// falling back to a direct solve per request.
-	if _, err := st.basisFor(act); err != nil {
+	if _, err := s.st.basisFor(act); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -664,7 +615,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	st, basis, err := s.resolve(req.Scenario)
+	_, basis, err := s.st.resolveBasis(req.Scenario)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -673,7 +624,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	if layer == "" {
 		layer = stack.LayerOptical
 	}
-	res, err := st.evaluate(basis, req.powers())
+	res, err := s.st.evaluate(basis, req.powers())
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -709,10 +660,11 @@ func (s *Server) handleGradientSweep(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	traceID := r.Header.Get(obs.TraceHeader)
 	tr := s.trace(r, r.URL.Path)
-	var st *specState
+	// A sweep counts in the latency histogram once its basis resolved.
+	counted := false
 	fail := func(err error) {
-		if st != nil {
-			st.latSweep.Observe(time.Since(start).Seconds())
+		if counted {
+			s.st.latSweep.Observe(time.Since(start).Seconds())
 		}
 		code := writeErrTrace(w, traceID, err)
 		s.publish(tr, code)
@@ -727,13 +679,14 @@ func (s *Server) handleGradientSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sp := tr.StartSpan("basis")
-	st, basis, err := s.resolve(req.Scenario)
+	_, basis, err := s.st.resolveBasis(req.Scenario)
 	sp.End()
 	if err != nil {
 		fail(err)
 		return
 	}
-	tr.SetSpec(st.name)
+	counted = true
+	st := s.st
 	lo, hi, err := rowWindow(len(req.Lasers), req.RowStart, req.RowCount)
 	if err != nil {
 		fail(badRequest(err))
@@ -765,7 +718,7 @@ func (s *Server) handleGradientSweep(w http.ResponseWriter, r *http.Request) {
 	st.latSweep.Observe(time.Since(start).Seconds())
 	s.publish(tr, http.StatusOK)
 	s.logger.Info("sweep",
-		"trace_id", traceID, "spec", st.name, "kind", "gradient",
+		"trace_id", traceID, "kind", "gradient",
 		"rows", hi-lo, "cols", len(req.Heaters), "duration_ms", msSince(start))
 }
 
@@ -775,10 +728,11 @@ func (s *Server) handleAvgTempSweep(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	traceID := r.Header.Get(obs.TraceHeader)
 	tr := s.trace(r, r.URL.Path)
-	var st *specState
+	// A sweep counts in the latency histogram once its basis resolved.
+	counted := false
 	fail := func(err error) {
-		if st != nil {
-			st.latSweep.Observe(time.Since(start).Seconds())
+		if counted {
+			s.st.latSweep.Observe(time.Since(start).Seconds())
 		}
 		code := writeErrTrace(w, traceID, err)
 		s.publish(tr, code)
@@ -793,13 +747,14 @@ func (s *Server) handleAvgTempSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sp := tr.StartSpan("basis")
-	st, basis, err := s.resolve(req.Scenario)
+	_, basis, err := s.st.resolveBasis(req.Scenario)
 	sp.End()
 	if err != nil {
 		fail(err)
 		return
 	}
-	tr.SetSpec(st.name)
+	counted = true
+	st := s.st
 	lo, hi, err := rowWindow(len(req.Chips), req.RowStart, req.RowCount)
 	if err != nil {
 		fail(badRequest(err))
@@ -831,51 +786,50 @@ func (s *Server) handleAvgTempSweep(w http.ResponseWriter, r *http.Request) {
 	st.latSweep.Observe(time.Since(start).Seconds())
 	s.publish(tr, http.StatusOK)
 	s.logger.Info("sweep",
-		"trace_id", traceID, "spec", st.name, "kind", "avgtemp",
+		"trace_id", traceID, "kind", "avgtemp",
 		"rows", hi-lo, "cols", len(req.Lasers), "duration_ms", msSince(start))
 }
 
-// handleHealth reports liveness plus per-spec warm-state statistics.
+// handleHealth reports liveness, the spec's warm-state statistics and
+// the transient jobs per lifecycle state (the coordinator's placement
+// signal).
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, Health{
 		Status:  "ok",
 		UptimeS: time.Since(s.start).Seconds(),
-		Specs:   s.specInfos(),
+		Specs:   []SpecInfo{s.st.info()},
+		Jobs:    s.jobs.stateCounts(),
 	})
 }
 
-// handleSpecs lists the registry.
+// handleSpecs lists the served spec as a one-entry list.
 func (s *Server) handleSpecs(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.specInfos())
+	writeJSON(w, []SpecInfo{s.st.info()})
 }
 
-func (s *Server) specInfos() []SpecInfo {
-	infos := make([]SpecInfo, 0, len(s.specs))
-	for _, st := range s.specs {
-		info := SpecInfo{
-			Name:     st.name,
-			ONICell:  st.spec.Res.ONICell,
-			DieCell:  st.spec.Res.DieCell,
-			MaxZCell: st.spec.Res.MaxZCell,
-			Solver:   fvm.SolverName,
-		}
-		hits, misses := st.cache.Stats()
-		info.CacheHits, info.CacheMisses = hits, misses
-		info.CacheLen = st.cache.Len()
-		info.Evaluations = st.evals.Load()
-		info.Admitted, info.Shed, info.Clients = st.adm.stats()
-		info.QueryLatency = st.latQuery.Snapshot()
-		// Peek without forcing a build: only report the model when some
-		// query has already paid for it.
-		if st.ready.Load() && st.err == nil {
-			model := st.meth.Model()
-			bs := model.BasisCacheStats()
-			info.ModelReady = true
-			info.Cells = model.NumCells()
-			info.WarmBases, info.BasisBuilds, info.BasisEvictions = bs.Warm, bs.Builds, bs.Evictions
-		}
-		infos = append(infos, info)
+// info snapshots the spec's resolution, solver and warm-state counters.
+func (st *specState) info() SpecInfo {
+	info := SpecInfo{
+		Name:     specLabel,
+		ONICell:  st.spec.Res.ONICell,
+		DieCell:  st.spec.Res.DieCell,
+		MaxZCell: st.spec.Res.MaxZCell,
+		Solver:   fvm.SolverName,
 	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
-	return infos
+	hits, misses := st.cache.Stats()
+	info.CacheHits, info.CacheMisses = hits, misses
+	info.CacheLen = st.cache.Len()
+	info.Evaluations = st.evals.Load()
+	info.Admitted, info.Shed, info.Clients = st.adm.stats()
+	info.QueryLatency = st.latQuery.Snapshot()
+	// Peek without forcing a build: only report the model when some
+	// query has already paid for it.
+	if st.ready.Load() && st.err == nil {
+		model := st.meth.Model()
+		bs := model.BasisCacheStats()
+		info.ModelReady = true
+		info.Cells = model.NumCells()
+		info.WarmBases, info.BasisBuilds, info.BasisEvictions = bs.Warm, bs.Builds, bs.Evictions
+	}
+	return info
 }

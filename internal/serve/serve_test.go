@@ -25,7 +25,7 @@ func testServer(t *testing.T) *Server {
 	}
 	spec.Res = thermal.PreviewResolution()
 	s, err := New(Config{
-		Specs:     map[string]thermal.Spec{DefaultSpec: spec},
+		Spec:      spec,
 		CacheSize: 64,
 	})
 	if err != nil {
@@ -78,7 +78,7 @@ func TestBadInputs(t *testing.T) {
 		{"trailing data", "/v1/gradient", `{"chip": 25} {"chip": 26}`, http.StatusBadRequest},
 		{"negative power", "/v1/gradient", `{"chip": -1}`, http.StatusBadRequest},
 		{"NaN-free unknown activity", "/v1/gradient", `{"chip": 25, "activity": "volcano"}`, http.StatusBadRequest},
-		{"unknown spec", "/v1/gradient", `{"chip": 25, "spec": "nope"}`, http.StatusNotFound},
+		{"spec field", "/v1/gradient", `{"chip": 25, "spec": "default"}`, http.StatusBadRequest},
 		{"empty sweep axes", "/v1/sweep/gradient", `{"chip": 25, "lasers": [], "heaters": [1e-3]}`, http.StatusBadRequest},
 		{"row window out of range", "/v1/sweep/gradient", `{"chip": 25, "lasers": [1e-3], "heaters": [0], "row_start": 5}`, http.StatusBadRequest},
 		{"unknown case", "/v1/snr", `{"chip": 24, "pvcsel": 3.6e-3, "case": 9}`, http.StatusBadRequest},
@@ -125,13 +125,10 @@ func TestBasisEvictionLRU(t *testing.T) {
 		}
 		return decodeBody[QueryResponse](t, w)
 	}
-	st, err := s.state(DefaultSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := s.st
 	wantStats := func(when string, warm int, builds, evictions int64) {
 		t.Helper()
-		h := s.specInfos()[0]
+		h := st.info()
 		if h.WarmBases != warm || h.BasisBuilds != builds || h.BasisEvictions != evictions {
 			t.Fatalf("%s: warm_bases %d, basis_builds %d, basis_evictions %d; want %d, %d, %d",
 				when, h.WarmBases, h.BasisBuilds, h.BasisEvictions, warm, builds, evictions)
@@ -226,17 +223,13 @@ func TestGradientCacheHitMiss(t *testing.T) {
 		t.Fatal("different operating point served from cache")
 	}
 
-	st, err := s.state(DefaultSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hits, misses := st.cache.Stats()
+	hits, misses := s.st.cache.Stats()
 	if hits != 1 || misses != 2 {
 		t.Fatalf("cache stats hits=%d misses=%d, want 1/2", hits, misses)
 	}
 }
 
-// TestSingleFlightBasisBuild: N concurrent queries against a cold spec
+// TestSingleFlightBasisBuild: N concurrent queries against a cold server
 // must trigger exactly one model build and one basis build.
 func TestSingleFlightBasisBuild(t *testing.T) {
 	s := testServer(t)
@@ -264,7 +257,7 @@ func TestSingleFlightBasisBuild(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if builds := s.specInfos()[0].BasisBuilds; builds != 1 {
+	if builds := s.st.info().BasisBuilds; builds != 1 {
 		t.Fatalf("%d concurrent cold queries ran %d basis builds, want 1", n, builds)
 	}
 }
@@ -273,7 +266,7 @@ func TestSingleFlightBasisBuild(t *testing.T) {
 // across endpoint kinds — the -race test of the serving hot path.
 func TestConcurrentMixedQueries(t *testing.T) {
 	s := testServer(t)
-	if err := s.Warm(DefaultSpec); err != nil {
+	if err := s.Warm(); err != nil {
 		t.Fatal(err)
 	}
 	bodies := []struct{ path, body string }{

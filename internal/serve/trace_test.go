@@ -23,7 +23,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	}
 	spec.Res = thermal.PreviewResolution()
 	s, err := New(Config{
-		Specs:     map[string]thermal.Spec{DefaultSpec: spec},
+		Spec:      spec,
 		CacheSize: 64,
 	})
 	if err != nil {
@@ -160,7 +160,7 @@ func TestTracingDisabled(t *testing.T) {
 	}
 	spec.Res = thermal.PreviewResolution()
 	s, err := New(Config{
-		Specs:          map[string]thermal.Spec{DefaultSpec: spec},
+		Spec:           spec,
 		DisableTracing: true,
 	})
 	if err != nil {

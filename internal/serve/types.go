@@ -14,12 +14,10 @@ import (
 	"vcselnoc/internal/thermal"
 )
 
-// Scenario is the wire form of one operating point: which registered
-// spec, which chip-activity shape, and the four power knobs. It is the
-// request body (or embedded portion) of every query endpoint.
+// Scenario is the wire form of one operating point: the chip-activity
+// shape and the four power knobs. It is the request body (or embedded
+// portion) of every query endpoint.
 type Scenario struct {
-	// Spec names a registered system spec; empty selects DefaultSpec.
-	Spec string `json:"spec,omitempty"`
 	// Activity names the chip activity scenario (uniform, diagonal,
 	// random, hotspot, checkerboard); empty means uniform.
 	Activity string `json:"activity,omitempty"`
@@ -37,14 +35,6 @@ type Scenario struct {
 }
 
 // scenario resolution helpers -------------------------------------------
-
-// specName returns the registry key the scenario addresses.
-func (s Scenario) specName() string {
-	if s.Spec == "" {
-		return DefaultSpec
-	}
-	return s.Spec
-}
 
 // activityScenario resolves the named chip activity.
 func (s Scenario) activityScenario() (activity.Scenario, error) {
@@ -75,7 +65,7 @@ func (s Scenario) cacheKey(act activity.Scenario) string {
 	p := s.powers()
 	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 	return strings.Join([]string{
-		s.specName(), activity.Key(act),
+		activity.Key(act),
 		f(p.Chip), f(p.VCSEL), f(p.Driver), f(p.Heater),
 	}, "|")
 }
@@ -230,7 +220,7 @@ type TransientRequest struct {
 	// Resume, when set, restores the job from this checkpoint instead of
 	// starting at step 0 — the job-handoff half of checkpoint-driven
 	// migration. The checkpoint's system fingerprint is hard-checked
-	// against the spec's mesh/operator/powers before any step runs, so a
+	// against the server's mesh/operator/powers before any step runs, so a
 	// handoff to a worker with a different discretisation fails cleanly.
 	Resume *fvm.TransientCheckpoint `json:"resume,omitempty"`
 }
@@ -245,8 +235,7 @@ const (
 
 // JobStatus is the wire form of one transient job's progress.
 type JobStatus struct {
-	ID   string `json:"id"`
-	Spec string `json:"spec"`
+	ID string `json:"id"`
 	// State is one of queued, running, done, failed.
 	State string `json:"state"`
 	// Step/Steps report progress; TimeS the simulated seconds so far.
@@ -295,8 +284,9 @@ type TransientJobResult struct {
 	TimeS float64 `json:"time_s"`
 }
 
-// SpecInfo describes one registered spec's warm state.
+// SpecInfo describes the served spec and its warm state.
 type SpecInfo struct {
+	// Name is always "default".
 	Name string `json:"name"`
 	// Resolution echoes the lateral/vertical cell sizes (m).
 	ONICell  float64 `json:"oni_cell_m"`
@@ -308,14 +298,14 @@ type SpecInfo struct {
 	// the first query forces the build).
 	ModelReady bool `json:"model_ready"`
 	Cells      int  `json:"cells,omitempty"`
-	// BasisBuilds counts the basis builds this spec's model has run (an
+	// BasisBuilds counts the basis builds the spec's model has run (an
 	// activity basis on a cold model builds the uniform basis too).
 	BasisBuilds int64 `json:"basis_builds"`
 	// CacheHits/CacheMisses/CacheLen describe the query LRU.
 	CacheHits   int64 `json:"cache_hits"`
 	CacheMisses int64 `json:"cache_misses"`
 	CacheLen    int   `json:"cache_len"`
-	// Evaluations counts the basis evaluations the spec ran (gradient
+	// Evaluations counts the basis evaluations the server ran (gradient
 	// and feasibility cache misses, map slices): every admitted query is
 	// a cache hit or an evaluation.
 	Evaluations int64 `json:"evaluations"`
@@ -338,9 +328,12 @@ type SpecInfo struct {
 
 // Health is the /healthz body.
 type Health struct {
-	Status  string     `json:"status"`
-	UptimeS float64    `json:"uptime_s"`
-	Specs   []SpecInfo `json:"specs"`
+	Status  string  `json:"status"`
+	UptimeS float64 `json:"uptime_s"`
+	// Specs lists the served spec as its only entry.
+	Specs []SpecInfo `json:"specs"`
+	// Jobs counts the transient jobs per lifecycle state.
+	Jobs map[string]int `json:"jobs"`
 }
 
 // errorBody is the JSON error envelope every non-2xx answer uses. Shed

@@ -330,13 +330,13 @@ func ActivityByName(name string, seed int64) (ActivityScenario, error) {
 // Serving layer: the warm thermal-analysis service behind cmd/vcseld and
 // the scatter/gather client behind `dse -shards`.
 type (
-	// Server is the warm HTTP service: long-lived models and bases,
+	// Server is the warm HTTP service: a long-lived model and its bases,
 	// superposition queries evaluated inline against bases projected
 	// onto the report's functionals, an LRU over canonicalised
 	// scenarios, and single-flight basis builds. It implements
 	// http.Handler.
 	Server = serve.Server
-	// ServeConfig registers the specs a Server owns warm state for and
+	// ServeConfig sets the one spec a Server owns warm state for and
 	// tunes its caching, admission and job handling.
 	ServeConfig = serve.Config
 	// ServeScenario is the wire form of one operating point.
@@ -346,9 +346,6 @@ type (
 	// chunks locally.
 	ShardClient = serve.ShardClient
 )
-
-// DefaultServeSpec is the registry name an empty scenario spec selects.
-const DefaultServeSpec = serve.DefaultSpec
 
 // NewServer builds the warm thermal-analysis service.
 func NewServer(cfg ServeConfig) (*Server, error) { return serve.New(cfg) }
