@@ -475,10 +475,11 @@ func (s *System) hierarchy() (*mg.Hierarchy, error) {
 // it to reach the coarsest-level operator and ordering directly.
 func (s *System) Hierarchy() (*mg.Hierarchy, error) { return s.hierarchy() }
 
-// PhaseStats returns the cumulative V-cycle phase times of the system's
-// shared steady-state multigrid hierarchy, or the zero value when no
-// solve has built one yet. Observability callers snapshot it around a
-// solve to attach per-phase fractions to request traces.
+// PhaseStats returns the cumulative phase times of the system's shared
+// steady-state multigrid hierarchy — its V-cycles and its one coarse
+// factorisation — or the zero value when no solve has built one yet.
+// Observability callers snapshot it around a solve to attach per-phase
+// fractions and the factor time to request traces.
 func (s *System) PhaseStats() mg.PhaseStats {
 	h := s.mgHierPub.Load()
 	if h == nil {

@@ -255,7 +255,9 @@ func TestCoarseRebalance(t *testing.T) {
 // must rebalance (as the paper tier does), and for each V-cycle precision
 // two independently built hierarchies solved with 1, 2 and 4 workers must
 // give bit-identical solutions. Nothing in the cycle may depend on
-// timing, worker count or which solver built a shared factor first.
+// timing, worker count or which solver built a shared factor first: the
+// first solver of each build, which factors its coarsest level, runs
+// with a different worker count.
 func TestRebalancedDeterminism(t *testing.T) {
 	base, a, hint := testHierarchy(t)
 	lv := base.levels[len(base.levels)-1]
@@ -267,7 +269,7 @@ func TestRebalancedDeterminism(t *testing.T) {
 	b := randRHS(a.N(), 67)
 	for _, prec := range []string{PrecisionFloat64, PrecisionFloat32} {
 		var ref []float64
-		for build := 0; build < 2; build++ {
+		for build, workerOrder := range [][]int{{1, 2, 4}, {4, 2, 1}} {
 			h, err := BuildHierarchy(a, hint, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -275,7 +277,7 @@ func TestRebalancedDeterminism(t *testing.T) {
 			if h.Depth() <= base.Depth() {
 				t.Fatalf("budget %d did not force a rebalance", opts.budget)
 			}
-			for _, workers := range []int{1, 2, 4} {
+			for _, workers := range workerOrder {
 				s := New(Options{Precision: prec, Workers: workers})
 				s.SetHierarchy(h)
 				x := make([]float64, a.N())
@@ -294,6 +296,38 @@ func TestRebalancedDeterminism(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCoarseFactorChargedOnce: the Factor phase holds the coarsest
+// level's factorisation time, charged by the first solve that needs the
+// factor and never again, whichever solver asks later; the V-cycle Total
+// leaves it out.
+func TestCoarseFactorChargedOnce(t *testing.T) {
+	h, a, _ := testHierarchy(t)
+	if f := h.PhaseStats().Factor; f != 0 {
+		t.Fatalf("fresh hierarchy charged %v to Factor before any solve", f)
+	}
+	b := randRHS(a.N(), 73)
+	solve := func(workers int) {
+		s := New(Options{Workers: workers})
+		s.SetHierarchy(h)
+		if _, err := s.Solve(a, b, make([]float64, a.N())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	solve(1)
+	first := h.PhaseStats()
+	if first.Factor <= 0 {
+		t.Fatalf("Factor = %v after the first solve, want the factorisation time", first.Factor)
+	}
+	if first.Total() != first.Smooth+first.Restrict+first.Prolong+first.Coarse {
+		t.Fatal("Total includes the Factor phase")
+	}
+	solve(1)
+	solve(2)
+	if again := h.PhaseStats(); again.Factor != first.Factor {
+		t.Fatalf("Factor moved from %v to %v on later solves; the factor is built once", first.Factor, again.Factor)
 	}
 }
 

@@ -24,10 +24,13 @@
 // rounded copies of them, built once per hierarchy, and halves the memory
 // traffic of the bandwidth-bound stencil sweeps inside a float64 outer
 // CG. The coarsest level is always solved exactly by a sparse Cholesky
-// factor under a nested-dissection ordering, built once per hierarchy:
-// BuildHierarchy appends aggressively merged levels until that factor
-// fits defaultCoarseBudget, so the V-cycle stays a fixed SPD operator, as
-// the outer CG requires, at every mesh size.
+// factor under a nested-dissection ordering, built once per hierarchy
+// by the first solve that needs it (a supernodal factorisation whose
+// bits depend on the level alone, never on the worker count; its time
+// is PhaseStats.Factor): BuildHierarchy appends aggressively merged
+// levels until that factor fits defaultCoarseBudget, so the V-cycle
+// stays a fixed SPD operator, as the outer CG requires, at every mesh
+// size.
 //
 // A Hierarchy is built once per matrix from the mesh geometry behind it
 // and shared by every Solver of that matrix; fvm.System caches one for
@@ -644,9 +647,9 @@ type Hierarchy struct {
 	// first float32 preconditioner and shared by every later one.
 	f32Once sync.Once
 	f32     *cycleArrays[float32]
-	// phaseNanos accumulates per-phase V-cycle wall time for this
-	// hierarchy alone, so concurrently solving specs don't blend their
-	// phase fractions.
+	// phaseNanos accumulates per-phase wall time for this hierarchy
+	// alone, so concurrently solving specs don't blend their phase
+	// fractions.
 	phaseNanos [numPhases]atomic.Int64
 }
 
@@ -658,16 +661,18 @@ type Hierarchy struct {
 const defaultCoarseBudget = 8 << 20
 
 // coarseFactor builds (once) and returns the sparse Cholesky factor of
-// the coarsest level under its nested-dissection ordering. The factor
-// depends on the hierarchy alone, never on the solver that first asks.
-// Safe for concurrent use.
+// the coarsest level under its nested-dissection ordering, charging the
+// time to the Factor phase. The factor depends on the hierarchy alone,
+// never on the solver that first asks. Safe for concurrent use.
 func (h *Hierarchy) coarseFactor() (*sparse.SparseCholesky, error) {
 	h.factorOnce.Do(func() {
+		start := time.Now()
 		lv := h.levels[len(h.levels)-1]
 		h.factor, h.factorErr = sparse.NewSparseCholesky(lv.a, coarseNDOrder(lv), 0)
 		if h.factorErr != nil {
 			h.factorErr = fmt.Errorf("mg: coarsest level (%d cells): %w", lv.n(), h.factorErr)
 		}
+		h.phaseAdd(phaseFactor, start)
 	})
 	return h.factor, h.factorErr
 }
@@ -1213,12 +1218,14 @@ func (s *Solver) Solve(a *sparse.CSR, b, x []float64) (sparse.Result, error) {
 	return sparse.PCG(a, b, x, s.outer, precond, s.opts.Tolerance, s.opts.MaxIterations, s.opts.Workers)
 }
 
-// V-cycle phase indices for the per-hierarchy time accounting below.
+// Phase indices for the per-hierarchy time accounting below: the
+// V-cycle phases, then the one-off coarse factorisation.
 const (
 	phaseSmooth   = iota
 	phaseRestrict // includes the pre-restriction residual
 	phaseProlong
 	phaseCoarse
+	phaseFactor
 	numPhases
 )
 
@@ -1227,19 +1234,22 @@ func (h *Hierarchy) phaseAdd(phase int, start time.Time) {
 	h.phaseNanos[phase].Add(int64(time.Since(start)))
 }
 
-// PhaseStats is the cumulative wall time mg-cg V-cycles have spent per
-// phase on one hierarchy, summed over every solver and level. Callers
-// snapshot it before and after a timed region and use the Sub
-// difference.
+// PhaseStats is the cumulative wall time mg-cg has spent per phase on
+// one hierarchy, summed over every solver and level. Callers snapshot it
+// before and after a timed region and use the Sub difference.
 type PhaseStats struct {
 	// Smooth is the line relaxation time, Restrict the residual plus
 	// full-weighting restriction, Prolong the interpolation of coarse
 	// corrections, Coarse the exact coarsest-level solves.
 	Smooth, Restrict, Prolong, Coarse time.Duration
+	// Factor is the time spent factoring the coarsest level, charged
+	// once per hierarchy by whichever solve first needed the factor; it
+	// is set-up, not V-cycle time, and Total leaves it out.
+	Factor time.Duration
 }
 
-// PhaseStats returns the cumulative per-phase V-cycle wall time spent on
-// this hierarchy alone, isolating one spec's solves from everything else
+// PhaseStats returns the cumulative per-phase wall time spent on this
+// hierarchy alone, isolating one spec's solves from everything else
 // running in the process. Safe for concurrent use.
 func (h *Hierarchy) PhaseStats() PhaseStats {
 	return PhaseStats{
@@ -1247,6 +1257,7 @@ func (h *Hierarchy) PhaseStats() PhaseStats {
 		Restrict: time.Duration(h.phaseNanos[phaseRestrict].Load()),
 		Prolong:  time.Duration(h.phaseNanos[phaseProlong].Load()),
 		Coarse:   time.Duration(h.phaseNanos[phaseCoarse].Load()),
+		Factor:   time.Duration(h.phaseNanos[phaseFactor].Load()),
 	}
 }
 
@@ -1258,6 +1269,7 @@ func (p PhaseStats) Sub(q PhaseStats) PhaseStats {
 		Restrict: p.Restrict - q.Restrict,
 		Prolong:  p.Prolong - q.Prolong,
 		Coarse:   p.Coarse - q.Coarse,
+		Factor:   p.Factor - q.Factor,
 	}
 }
 
@@ -1269,10 +1281,11 @@ func (p PhaseStats) Add(q PhaseStats) PhaseStats {
 		Restrict: p.Restrict + q.Restrict,
 		Prolong:  p.Prolong + q.Prolong,
 		Coarse:   p.Coarse + q.Coarse,
+		Factor:   p.Factor + q.Factor,
 	}
 }
 
-// Total returns the summed phase time.
+// Total returns the summed V-cycle phase time (Factor excluded).
 func (p PhaseStats) Total() time.Duration {
 	return p.Smooth + p.Restrict + p.Prolong + p.Coarse
 }

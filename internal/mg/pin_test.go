@@ -42,8 +42,8 @@ func TestBitIdentityPin(t *testing.T) {
 			shifted    bool
 			want       string
 		}{
-			{"float64/steady", mg.PrecisionFloat64, false, "7:3ec15a7cbd3b54a4"},
-			{"float64/shifted", mg.PrecisionFloat64, true, "6:9349291f7a26dd75"},
+			{"float64/steady", mg.PrecisionFloat64, false, "7:d99122e8e65c8bd4"},
+			{"float64/shifted", mg.PrecisionFloat64, true, "6:97e1ca84465321a5"},
 			{"float32/steady", mg.PrecisionFloat32, false, "7:f4e6bd1d8b828731"},
 			{"float32/shifted", mg.PrecisionFloat32, true, "6:69779a627e10107b"},
 		} {

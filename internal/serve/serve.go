@@ -314,6 +314,7 @@ func (st *specState) basisFor(act activity.Scenario) (*thermal.Basis, error) {
 		st.logger.Info("basis built",
 			"activity", activity.Key(act),
 			"duration_ms", float64(bs.Wall.Microseconds())/1000,
+			"coarse_factor_ms", float64(bs.Phases.Factor.Microseconds())/1000,
 			"columns", bs.Columns,
 			"mg_iters", bs.Iterations)
 	}
@@ -448,10 +449,13 @@ func (s *Server) handleGradient(w http.ResponseWriter, r *http.Request) {
 	}
 	// The basis span carries the mg cost of the build that produced this
 	// basis (zero/near-zero duration when it was already warm): how many
-	// unit fields it solved and their iteration count.
+	// unit fields it solved, their iteration count and the coarse
+	// factorisation time it paid (zero unless it was the model's first
+	// solve).
 	bs := basis.BuildStats()
 	sp.SetAttr("columns", float64(bs.Columns))
 	sp.SetAttr("mg_iters", float64(bs.Iterations))
+	sp.SetAttr("coarse_factor_ms", float64(bs.Phases.Factor.Microseconds())/1000)
 	if total := bs.Phases.Total(); total > 0 {
 		sp.SetAttr("build_smoothfrac", float64(bs.Phases.Smooth)/float64(total))
 		sp.SetAttr("build_coarsefrac", float64(bs.Phases.Coarse)/float64(total))

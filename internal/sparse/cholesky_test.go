@@ -2,8 +2,11 @@ package sparse
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -220,6 +223,21 @@ func TestSparseCholeskyNotPositiveDefinite(t *testing.T) {
 	}
 }
 
+// TestSparseCholeskyNaNPivot: a NaN reaching a pivot is refused with the
+// pivot error, not left to spread through the factor.
+func TestSparseCholeskyNaNPivot(t *testing.T) {
+	a := buildLaplacian2D(4, 4)
+	cols, vals := a.Row(5)
+	for p, c := range cols {
+		if c == 5 {
+			vals[p] = math.NaN()
+		}
+	}
+	if _, err := NewSparseCholesky(a, nil, 0); err == nil || !strings.Contains(err.Error(), "pivot") {
+		t.Fatalf("err = %v, want the pivot error", err)
+	}
+}
+
 func TestSparseCholeskySingular(t *testing.T) {
 	// Singular: graph Laplacian with no diagonal shift (constant null
 	// space). The last pivot collapses to ~0 and must be refused.
@@ -278,5 +296,181 @@ func TestSparseCholesky32Mirror(t *testing.T) {
 	}
 	if rel := math.Sqrt(num / den); rel > 1e-5 {
 		t.Fatalf("float32 mirror deviates from float64 solve by %g, want ≤ 1e-5", rel)
+	}
+}
+
+// upLookingFactor is the reference numeric phase the supernodal
+// factorisation replaced: row k of L solves the triangular system
+// L(0:k,0:k)·l = a_k over the elimination-tree reach of row k's entries,
+// appended column-wise so every column keeps its diagonal first and its
+// rows ascending. It returns the factor's row indices and values in
+// NewSparseCholesky's CSC layout.
+func upLookingFactor(t testing.TB, a *CSR, perm []int32) (rowIdx []int32, values []float64) {
+	t.Helper()
+	n := a.N()
+	perm, iperm, err := ordering(n, perm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent, colPtr, err := cholSymbolic(a, perm, iperm, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowIdx = make([]int32, colPtr[n])
+	values = make([]float64, colPtr[n])
+	colNext := make([]int, n)
+	copy(colNext, colPtr)
+	x := make([]float64, n)     // dense accumulator, zero outside the reach
+	marked := make([]int32, n)  // ereach visit stamps (row k stamps with k+1)
+	stack := make([]int32, n)   // ereach output, pattern in s[top:]
+	pathBuf := make([]int32, n) // ereach path scratch
+	for k := 0; k < n; k++ {
+		d := 0.0
+		cols, vals := a.Row(int(perm[k]))
+		for p, col := range cols {
+			if j := iperm[col]; j < int32(k) {
+				x[j] = vals[p]
+			} else if j == int32(k) {
+				d = vals[p]
+			}
+		}
+		top := ereach(a, perm, iperm, parent, k, marked, stack, pathBuf)
+		for p := top; p < n; p++ {
+			j := stack[p]
+			lkj := x[j] / values[colPtr[j]]
+			x[j] = 0
+			for q := colPtr[j] + 1; q < colNext[j]; q++ {
+				x[rowIdx[q]] -= values[q] * lkj
+			}
+			d -= lkj * lkj
+			q := colNext[j]
+			colNext[j]++
+			rowIdx[q] = int32(k)
+			values[q] = lkj
+		}
+		if d <= 0 {
+			t.Fatalf("reference factor: pivot %g at permuted row %d", d, k)
+		}
+		q := colNext[k]
+		colNext[k]++
+		rowIdx[q] = int32(k)
+		values[q] = math.Sqrt(d)
+	}
+	return rowIdx, values
+}
+
+// assertMatchesUpLooking factors a under perm and requires the pattern
+// of the up-looking reference and every entry within 1e-12·max|L| of it.
+func assertMatchesUpLooking(t *testing.T, a *CSR, perm []int32) *SparseCholesky {
+	t.Helper()
+	c, err := NewSparseCholesky(a, perm, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowIdx, values := upLookingFactor(t, a, perm)
+	if !slices.Equal(c.rowIdx, rowIdx) {
+		t.Fatal("factor pattern differs from the up-looking reference")
+	}
+	scale, worst := 0.0, 0.0
+	for q, v := range values {
+		scale = max(scale, math.Abs(v))
+		worst = max(worst, math.Abs(c.values[q]-v))
+	}
+	if worst > 1e-12*scale {
+		t.Fatalf("factor entries differ from the up-looking reference by %g, want ≤ 1e-12·%g", worst, scale)
+	}
+	t.Logf("n=%d entries=%d: worst entry difference %.3g·max|L|", a.N(), c.Nnz(), worst/scale)
+	return c
+}
+
+// wideSupernodeMatrix is an SPD matrix whose factor has a supernode
+// wider than 64 columns: a 100-node clique, each node coupled to one of
+// the first ten nodes of a 20×10 grid Laplacian numbered after it, so
+// the clique's columns share one trapezoid and update the grid as wide
+// descendants.
+func wideSupernodeMatrix() *CSR {
+	const clique = 100
+	grid := buildLaplacian2D(20, 10)
+	a := NewCOO(clique + grid.N())
+	for i := 0; i < clique; i++ {
+		for j := 0; j < clique; j++ {
+			if i != j {
+				a.Add(i, j, -0.01*float64(1+(i*j)%7))
+			}
+		}
+		a.Add(i, i, 10)
+		a.Add(i, clique+i%10, -0.5)
+		a.Add(clique+i%10, i, -0.5)
+	}
+	for i := 0; i < grid.N(); i++ {
+		cols, vals := grid.Row(i)
+		for p, c := range cols {
+			a.Add(clique+i, clique+int(c), vals[p])
+		}
+		if i < 10 {
+			a.Add(clique+i, clique+i, 5) // dominance over the clique couplings
+		}
+	}
+	return a.ToCSR()
+}
+
+// TestSparseCholeskyMatchesUpLooking checks the supernodal factor
+// against the up-looking reference: the same CSC pattern, every entry
+// within 1e-12·max|L|, and bit-identical values when factored again.
+func TestSparseCholeskyMatchesUpLooking(t *testing.T) {
+	rng := rand.New(rand.NewSource(89))
+	shuffled := make([]int32, 20*20)
+	for i := range shuffled {
+		shuffled[i] = int32(i)
+	}
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	cases := []struct {
+		name string
+		a    *CSR
+		perm []int32
+	}{
+		{"empty", NewCOO(0).ToCSR(), nil},
+		{"laplacian2d", buildLaplacian2D(9, 7), nil},
+		{"laplacian2d-shuffled", buildLaplacian2D(20, 20), shuffled},
+		{"laplacian3d", buildLaplacian3D(11, 7, 5), nil},
+		{"wide-supernodes", wideSupernodeMatrix(), nil},
+	}
+	for trial := 0; trial < 3; trial++ {
+		cases = append(cases, struct {
+			name string
+			a    *CSR
+			perm []int32
+		}{fmt.Sprintf("random-spd-%d", trial), randomSPD(rng, 60), nil})
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := assertMatchesUpLooking(t, tc.a, tc.perm)
+			again, err := NewSparseCholesky(tc.a, tc.perm, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for q, v := range again.Values() {
+				if math.Float64bits(v) != math.Float64bits(c.values[q]) {
+					t.Fatalf("second factorisation differs at entry %d: %v vs %v", q, v, c.values[q])
+				}
+			}
+		})
+	}
+	// The wide case must really exercise panels wider than factorPanel's
+	// column block and a clique split at maxSupernode, whose pieces update
+	// one another as descendants.
+	a := wideSupernodeMatrix()
+	perm, iperm, err := ordering(a.N(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent, colPtr, err := cholSymbolic(a, perm, iperm, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn := supernodes(parent, colPtr)
+	if len(sn) < 3 || sn[1] != maxSupernode || sn[2] < 100 || maxSupernode <= panelBlock {
+		t.Fatalf("clique columns 0..99 start supernodes %v, want a full %d-column piece (> the %d-column block) and the rest in one more",
+			sn[:min(3, len(sn))], maxSupernode, panelBlock)
 	}
 }
