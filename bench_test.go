@@ -594,8 +594,8 @@ func BenchmarkThermalDirectSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkBasisEvaluate times one superposition evaluation (the fast
-// path all sweeps use).
+// BenchmarkBasisEvaluate times one full superposition evaluation: every
+// per-ONI report, as SNR analysis, maps and the facade read it.
 func BenchmarkBasisEvaluate(b *testing.B) {
 	m := benchMethodology(b)
 	basis, err := m.BasisFor(nil)
@@ -606,6 +606,25 @@ func BenchmarkBasisEvaluate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := basis.Evaluate(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBasisSummary times one design query's answer (the path every
+// dse sweep and search and vcseld's gradient query take): the same
+// operating point as BenchmarkBasisEvaluate, no allocation.
+func BenchmarkBasisSummary(b *testing.B) {
+	m := benchMethodology(b)
+	basis, err := m.BasisFor(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := thermal.Powers{Chip: 25, VCSEL: 3.6e-3, Driver: 3.6e-3, Heater: 1.08e-3}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := basis.Summary(p); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,9 +5,10 @@
 // gradient, and checking the 1 °C gradient constraint that makes run-time
 // MR calibration practical.
 //
-// All sweeps run on a thermal.Basis (superposition of unit-power solves),
-// so exploring hundreds of operating points costs microseconds each
-// instead of full finite-volume solves.
+// Every sweep, search and check reads thermal.Basis.Summary: a
+// superposition of unit-power solves projected onto the report's
+// functionals, which costs a few microseconds and no allocation per
+// operating point whatever the mesh, instead of a finite-volume solve.
 package dse
 
 import (
@@ -96,11 +97,11 @@ func (e *Explorer) SweepAvgTemp(chipPowers, laserPowers []float64) ([][]AvgTempP
 	err := e.forEach(len(chipPowers)*cols, func(k int) error {
 		i, j := k/cols, k%cols
 		chip, pv := chipPowers[i], laserPowers[j]
-		res, err := e.basis.Evaluate(thermal.Powers{Chip: chip, VCSEL: pv, Driver: pv})
+		s, err := e.basis.Summary(thermal.Powers{Chip: chip, VCSEL: pv, Driver: pv})
 		if err != nil {
 			return err
 		}
-		out[i][j] = AvgTempPoint{ChipPower: chip, PVCSEL: pv, MeanONITemp: res.MeanONITemp()}
+		out[i][j] = AvgTempPoint{ChipPower: chip, PVCSEL: pv, MeanONITemp: s.MeanONITemp}
 		return nil
 	})
 	if err != nil {
@@ -146,15 +147,15 @@ func (e *Explorer) SweepGradient(chip float64, laserPowers, heaterPowers []float
 }
 
 func (e *Explorer) gradientAt(chip, pv, ph float64) (GradientPoint, error) {
-	res, err := e.basis.Evaluate(thermal.Powers{Chip: chip, VCSEL: pv, Driver: pv, Heater: ph})
+	s, err := e.basis.Summary(thermal.Powers{Chip: chip, VCSEL: pv, Driver: pv, Heater: ph})
 	if err != nil {
 		return GradientPoint{}, err
 	}
 	return GradientPoint{
 		PVCSEL:       pv,
 		PHeater:      ph,
-		MeanGradient: res.MeanONIGradient(),
-		MaxGradient:  res.MaxONIGradient(),
+		MeanGradient: s.MeanGradient,
+		MaxGradient:  s.MaxGradient,
 	}, nil
 }
 
@@ -256,20 +257,20 @@ func (e *Explorer) HeaterComparison(chip float64, laserPowers []float64, ratio f
 	rows := make([]ComparisonRow, len(laserPowers))
 	err := e.forEach(len(laserPowers), func(i int) error {
 		pv := laserPowers[i]
-		off, err := e.basis.Evaluate(thermal.Powers{Chip: chip, VCSEL: pv, Driver: pv})
+		off, err := e.basis.Summary(thermal.Powers{Chip: chip, VCSEL: pv, Driver: pv})
 		if err != nil {
 			return err
 		}
-		on, err := e.basis.Evaluate(thermal.Powers{Chip: chip, VCSEL: pv, Driver: pv, Heater: ratio * pv})
+		on, err := e.basis.Summary(thermal.Powers{Chip: chip, VCSEL: pv, Driver: pv, Heater: ratio * pv})
 		if err != nil {
 			return err
 		}
 		rows[i] = ComparisonRow{
 			PVCSEL:          pv,
-			GradientWithout: meanGradient(off),
-			GradientWith:    meanGradient(on),
-			AvgTempWithout:  off.MeanONITemp(),
-			AvgTempWith:     on.MeanONITemp(),
+			GradientWithout: off.MeanGradient,
+			GradientWith:    on.MeanGradient,
+			AvgTempWithout:  off.MeanONITemp,
+			AvgTempWith:     on.MeanONITemp,
 		}
 		return nil
 	})
@@ -278,8 +279,6 @@ func (e *Explorer) HeaterComparison(chip float64, laserPowers []float64, ratio f
 	}
 	return rows, nil
 }
-
-func meanGradient(r *thermal.Result) float64 { return r.MeanONIGradient() }
 
 // Feasibility reports whether an operating point satisfies the 1 °C
 // intra-ONI gradient constraint and records the margins.
@@ -293,14 +292,14 @@ type Feasibility struct {
 
 // CheckFeasibility evaluates the gradient constraint at one point.
 func (e *Explorer) CheckFeasibility(p thermal.Powers) (Feasibility, error) {
-	res, err := e.basis.Evaluate(p)
+	s, err := e.basis.Summary(p)
 	if err != nil {
 		return Feasibility{}, err
 	}
 	f := Feasibility{
 		Powers:       p,
-		MeanGradient: meanGradient(res),
-		MaxGradient:  res.MaxONIGradient(),
+		MeanGradient: s.MeanGradient,
+		MaxGradient:  s.MaxGradient,
 	}
 	f.Feasible = f.MaxGradient <= GradientLimit
 	return f, nil
@@ -314,11 +313,11 @@ func (e *Explorer) MaxFeasibleLaserPower(chip, ratio, bound float64) (float64, e
 		return 0, fmt.Errorf("dse: bound %g must be > 0", bound)
 	}
 	feasible := func(pv float64) (bool, error) {
-		res, err := e.basis.Evaluate(thermal.Powers{Chip: chip, VCSEL: pv, Driver: pv, Heater: ratio * pv})
+		s, err := e.basis.Summary(thermal.Powers{Chip: chip, VCSEL: pv, Driver: pv, Heater: ratio * pv})
 		if err != nil {
 			return false, err
 		}
-		return res.MaxONIGradient() <= GradientLimit, nil
+		return s.MaxGradient <= GradientLimit, nil
 	}
 	ok, err := feasible(bound)
 	if err != nil {

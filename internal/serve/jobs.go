@@ -466,7 +466,7 @@ func (jm *jobManager) run(j *transientJob, cp *fvm.TransientCheckpoint) {
 		}
 	}
 	result := &TransientJobResult{
-		QueryResponse:    summarise(run.Result()),
+		QueryResponse:    summarise(run.Result().Summary()),
 		FieldFingerprint: run.FieldFingerprint(),
 		TimeS:            run.Time(),
 	}

@@ -184,7 +184,7 @@ func TestTransientJobLifecycle(t *testing.T) {
 	if got := run.FieldFingerprint(); got != st.Result.FieldFingerprint {
 		t.Errorf("job field fingerprint %s != in-process %s", st.Result.FieldFingerprint, got)
 	}
-	if want := summarise(run.Result()); !reflect.DeepEqual(st.Result.QueryResponse, want) {
+	if want := summarise(run.Result().Summary()); !reflect.DeepEqual(st.Result.QueryResponse, want) {
 		t.Errorf("job summary %+v != in-process %+v", st.Result.QueryResponse, want)
 	}
 

@@ -7,11 +7,14 @@
 //
 // The server answers JSON queries for intra-ONI gradients and
 // feasibility, heater optimisation, worst-case SNR scenarios,
-// thermal-map slices and paginated sweep grids. A superposition query
-// costs tens of microseconds (the basis is projected onto the report's
-// functionals when it is built), so each request evaluates inline on its
-// own goroutine; answers are memoised in a bounded LRU keyed on the
-// canonicalised scenario. A server owns one system spec, and that spec's
+// thermal-map slices and paginated sweep grids. A gradient or
+// feasibility query reads thermal.Basis.Summary: a few microseconds and
+// no allocation, whatever the mesh (the basis is projected onto the
+// report's functionals, and its BEOL peak cut to a few hundred candidate
+// cells, when it is built), so each request evaluates inline on its own
+// goroutine; answers are memoised in a bounded LRU keyed on the
+// canonicalised scenario. Powers that overflow the superposition get a
+// 400, and are never cached. A server owns one system spec, and that spec's
 // thermal.Model caches its bases (bounded, single-flight), so a cold
 // basis never builds twice however many clients hit it at once.
 //
@@ -335,10 +338,17 @@ func (e *statusError) Error() string { return e.err.Error() }
 func badRequest(err error) error { return &statusError{code: http.StatusBadRequest, err: err} }
 func notFound(err error) error   { return &statusError{code: http.StatusNotFound, err: err} }
 
-// writeJSON emits a 200 JSON body.
+// writeJSON emits a 200 JSON body. It encodes before writing anything, so
+// a value JSON cannot carry (a non-finite float) becomes a 500 envelope,
+// never an empty 200.
 func writeJSON(w http.ResponseWriter, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		writeErr(w, fmt.Errorf("serve: encode response: %w", err))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(body, '\n'))
 }
 
 // writeErr emits the JSON error envelope with the mapped status code.
@@ -352,18 +362,23 @@ func writeErr(w http.ResponseWriter, err error) {
 
 // writeErrTrace is writeErr with the request's trace ID stamped into the
 // envelope; it returns the status code written so callers can seal the
-// request's trace with it.
+// request's trace with it. Powers that overflow the superposition
+// (thermal.ErrNonFinite, from any evaluating endpoint) are the client's
+// input, so they map to 400.
 func writeErrTrace(w http.ResponseWriter, traceID string, err error) int {
 	code := http.StatusInternalServerError
 	body := errorBody{Error: err.Error(), TraceID: traceID}
 	var se *statusError
-	if errors.As(err, &se) {
+	switch {
+	case errors.As(err, &se):
 		code = se.code
 		if se.retryAfter > 0 {
 			body.RetryAfterMs = float64(se.retryAfter) / float64(time.Millisecond)
 			secs := int64((se.retryAfter + time.Second - 1) / time.Second)
 			w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 		}
+	case errors.Is(err, thermal.ErrNonFinite):
+		code = http.StatusBadRequest
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -410,7 +425,7 @@ func (st *specState) resolveBasis(sc Scenario) (activity.Scenario, *thermal.Basi
 // handleGradient answers the cheap superposition query — the serving hot
 // path, in admission order: one O(1) atomic admission check (429 +
 // Retry-After on shed, before any solver work), then the LRU, then an
-// inline basis evaluation.
+// inline, allocation-free Basis.Summary.
 func (s *Server) handleGradient(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	traceID := r.Header.Get(obs.TraceHeader)
@@ -475,17 +490,18 @@ func (s *Server) handleGradient(w http.ResponseWriter, r *http.Request) {
 			"duration_ms", msSince(start))
 		return
 	}
-	// The scenario was fully validated above, so an evaluation error
-	// here is the server's fault, not the client's.
+	// The scenario was validated above, so an evaluation error here is
+	// the server's fault, unless the powers overflow the superposition
+	// (thermal.ErrNonFinite: a 400, and nothing is cached).
 	sp = tr.StartSpan("solve")
-	res, err := st.evaluate(basis, sc.powers())
+	sum, err := st.summary(basis, sc.powers())
 	sp.SetAttr("mg_iters", float64(bs.Iterations))
 	sp.End()
 	if err != nil {
 		fail(err)
 		return
 	}
-	resp := summarise(res)
+	resp := summarise(sum)
 	st.cache.Add(key, resp)
 	resp.TraceID = traceID
 	writeJSON(w, resp)
@@ -496,10 +512,16 @@ func (s *Server) handleGradient(w http.ResponseWriter, r *http.Request) {
 		"duration_ms", msSince(start))
 }
 
-// evaluate runs one basis evaluation and counts it.
+// evaluate runs one full basis evaluation and counts it.
 func (st *specState) evaluate(basis *thermal.Basis, p thermal.Powers) (*thermal.Result, error) {
 	st.evals.Add(1)
 	return basis.Evaluate(p)
+}
+
+// summary runs one basis summary and counts it as an evaluation.
+func (st *specState) summary(basis *thermal.Basis, p thermal.Powers) (thermal.Summary, error) {
+	st.evals.Add(1)
+	return basis.Summary(p)
 }
 
 // msSince renders an elapsed time in fractional milliseconds for logs.
@@ -507,16 +529,15 @@ func msSince(start time.Time) float64 {
 	return float64(time.Since(start).Microseconds()) / 1000
 }
 
-// summarise reduces a full evaluation to the cacheable query answer.
-func summarise(res *thermal.Result) QueryResponse {
-	maxGrad := res.MaxONIGradient()
+// summarise turns a summary into the cacheable query answer.
+func summarise(s thermal.Summary) QueryResponse {
 	return QueryResponse{
-		MeanONITemp:  res.MeanONITemp(),
-		MeanGradient: res.MeanONIGradient(),
-		MaxGradient:  maxGrad,
-		Feasible:     maxGrad <= dse.GradientLimit,
-		ChipMax:      res.ChipMax,
-		ChipAvg:      res.ChipAvg,
+		MeanONITemp:  s.MeanONITemp,
+		MeanGradient: s.MeanGradient,
+		MaxGradient:  s.MaxGradient,
+		Feasible:     s.MaxGradient <= dse.GradientLimit,
+		ChipMax:      s.ChipMax,
+		ChipAvg:      s.ChipAvg,
 	}
 }
 

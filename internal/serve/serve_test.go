@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -65,7 +66,9 @@ func decodeBody[T any](t *testing.T, w *httptest.ResponseRecorder) T {
 
 // TestBadInputs pins the client-error surface: every malformed request
 // must come back 4xx with the JSON error envelope, never a 500 or an
-// empty body.
+// empty body. Each request goes twice, and nothing may reach the query
+// cache: finite powers that overflow the superposition are refused, not
+// answered with a body JSON cannot carry and then cached.
 func TestBadInputs(t *testing.T) {
 	skipShort(t)
 	s := testServer(t)
@@ -85,21 +88,48 @@ func TestBadInputs(t *testing.T) {
 		{"unknown pattern", "/v1/snr", `{"chip": 24, "pvcsel": 3.6e-3, "pattern": "mesh"}`, http.StatusBadRequest},
 		{"unknown layer", "/v1/map", `{"chip": 25, "layer": "mantle"}`, http.StatusBadRequest},
 		{"zero laser for heater search", "/v1/heater/optimal", `{"chip": 25, "pvcsel": 0}`, http.StatusBadRequest},
+		{"overflowing gradient", "/v1/gradient", `{"chip": 25, "pvcsel": 1e306, "pheater": 0}`, http.StatusBadRequest},
+		{"overflowing feasibility", "/v1/feasibility", `{"chip": 25, "pvcsel": 1e306, "pheater": 0}`, http.StatusBadRequest},
+		{"overflowing gradient sweep", "/v1/sweep/gradient", `{"chip": 25, "lasers": [1e306], "heaters": [0]}`, http.StatusBadRequest},
+		{"overflowing avgtemp sweep", "/v1/sweep/avgtemp", `{"chips": [1e308], "lasers": [1e-3]}`, http.StatusBadRequest},
+		{"overflowing heater search", "/v1/heater/optimal", `{"chip": 25, "pvcsel": 1e306}`, http.StatusBadRequest},
+		{"overflowing map", "/v1/map", `{"chip": 25, "pvcsel": 1e306}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			w := postJSON(t, s, tc.path, tc.body)
-			if w.Code != tc.wantStatus {
-				t.Fatalf("status = %d, want %d (body %q)", w.Code, tc.wantStatus, w.Body.String())
-			}
-			if ct := w.Header().Get("Content-Type"); ct != "application/json" {
-				t.Fatalf("Content-Type = %q, want application/json", ct)
-			}
-			eb := decodeBody[errorBody](t, w)
-			if eb.Error == "" {
-				t.Fatal("error envelope has empty message")
+			for try := 0; try < 2; try++ {
+				w := postJSON(t, s, tc.path, tc.body)
+				if w.Code != tc.wantStatus {
+					t.Fatalf("request %d: status = %d, want %d (body %q)", try+1, w.Code, tc.wantStatus, w.Body.String())
+				}
+				if ct := w.Header().Get("Content-Type"); ct != "application/json" {
+					t.Fatalf("request %d: Content-Type = %q, want application/json", try+1, ct)
+				}
+				eb := decodeBody[errorBody](t, w)
+				if eb.Error == "" {
+					t.Fatalf("request %d: error envelope has empty message", try+1)
+				}
 			}
 		})
+	}
+	if n := s.st.cache.Len(); n != 0 {
+		t.Errorf("bad inputs left %d answers in the query cache, want 0", n)
+	}
+}
+
+// TestWriteJSONEncodeFailure: a value JSON cannot carry becomes a 500
+// error envelope, never an empty 200.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	w := httptest.NewRecorder()
+	writeJSON(w, QueryResponse{MeanONITemp: math.Inf(1)})
+	if w.Code != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500 (body %q)", w.Code, w.Body.String())
+	}
+	if ct := w.Header().Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("Content-Type = %q, want application/json", ct)
+	}
+	if eb := decodeBody[errorBody](t, w); eb.Error == "" {
+		t.Fatal("error envelope has empty message")
 	}
 }
 

@@ -22,7 +22,9 @@ type LayerMap struct {
 }
 
 // LayerSlice extracts the lateral temperature map of the named stack
-// layer from a solved result.
+// layer from a solved result. A map with a non-finite temperature (a
+// basis result whose powers overflow some cell) is an error wrapping
+// ErrNonFinite.
 func (r *Result) LayerSlice(layerName string) (*LayerMap, error) {
 	if r.model == nil {
 		return nil, fmt.Errorf("thermal: result has no model attached")
@@ -65,6 +67,9 @@ func (r *Result) LayerSlice(layerName string) (*LayerMap, error) {
 				sum += t[g.Index(i, j, k)]
 			}
 			v := sum / float64(len(ks))
+			if !finite(v) {
+				return nil, nonFinite(r.Powers)
+			}
 			m.T[j][i] = v
 			if v < m.Min {
 				m.Min = v

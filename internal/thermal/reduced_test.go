@@ -1,8 +1,10 @@
 package thermal
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -171,16 +173,21 @@ func previewBases(t *testing.T) (*Model, map[string]*Basis) {
 }
 
 // TestReducedEvaluateMatchesFieldScan: Evaluate's projected functionals
-// reproduce the full-field box scan on every Result float, ChipMax bit for
-// bit, over three activity bases and heater-off, heater-on and all-zero
-// operating points; applying the functionals to the built field
-// (Model.report) agrees too.
+// reproduce the full-field box scan on every Result float, ChipMax (taken
+// over the front) bit for bit, over three activity bases and operating
+// points that each let one power group, or all of them at once, set the
+// peak; applying the functionals to the built field (Model.report) agrees
+// too, and Summary equals the evaluation's Summary exactly.
 func TestReducedEvaluateMatchesFieldScan(t *testing.T) {
 	m, bases := previewBases(t)
 	points := map[string]Powers{
-		"heater-off": {Chip: 25, VCSEL: 3e-3, Driver: 3e-3},
-		"heater-on":  {Chip: 18, VCSEL: 4e-3, Driver: 4e-3, Heater: 1.2e-3},
-		"all-zero":   {},
+		"heater-off":  {Chip: 25, VCSEL: 3e-3, Driver: 3e-3},
+		"heater-on":   {Chip: 18, VCSEL: 4e-3, Driver: 4e-3, Heater: 1.2e-3},
+		"all-zero":    {},
+		"chip-only":   {Chip: 25},
+		"lasers-only": {VCSEL: 4e-3, Driver: 4e-3},
+		"heater-only": {Heater: 1.2e-3},
+		"hot":         {Chip: 40, VCSEL: 8e-3, Driver: 8e-3, Heater: 4e-3},
 	}
 	worst := 0.0
 	for bname, b := range bases {
@@ -200,14 +207,156 @@ func TestReducedEvaluateMatchesFieldScan(t *testing.T) {
 			if !reflect.DeepEqual(got.Powers, want.Powers) {
 				t.Errorf("%s: powers %+v, want %+v", label, got.Powers, want.Powers)
 			}
+			sum, err := b.Summary(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum != got.Summary() {
+				t.Errorf("%s: Summary %+v, Evaluate's %+v", label, sum, got.Summary())
+			}
 		}
 	}
 	t.Logf("worst relative difference vs the field scan: %.2e", worst)
 }
 
+// TestBasisFront: each preview basis keeps under a tenth of its BEOL
+// cells in the front, the peak over the front equals the full BEOL scan
+// bit for bit at random non-negative powers, and Summary allocates
+// nothing.
+func TestBasisFront(t *testing.T) {
+	m, bases := previewBases(t)
+	beol := m.beolMean.cells
+	rng := rand.New(rand.NewSource(1))
+	for name, b := range bases {
+		if n := len(b.front); n == 0 || 10*n >= len(beol) {
+			t.Errorf("%s: front keeps %d of %d BEOL cells, want under 10 %%", name, n, len(beol))
+		} else {
+			t.Logf("%s: front keeps %d of %d BEOL cells", name, n, len(beol))
+		}
+		for i := 0; i < 200; i++ {
+			s := b.scales(Powers{Chip: 40 * rng.Float64(), VCSEL: 8e-3 * rng.Float64(),
+				Driver: 8e-3 * rng.Float64(), Heater: 4e-3 * rng.Float64()})
+			want := math.Inf(-1)
+			for _, c := range beol {
+				if v := s.at(b.unit[c]); v > want {
+					want = v
+				}
+			}
+			if got := b.chipMax(s); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: front peak %.17g, full BEOL scan %.17g", name, got, want)
+			}
+		}
+		p := Powers{Chip: 25, VCSEL: 3.6e-3, Driver: 3.6e-3, Heater: 1.08e-3}
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := b.Summary(p); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: Summary made %.0f allocations per call, want 0", name, allocs)
+		}
+	}
+}
+
+// dominates is the front's order: u matches or exceeds v in all four
+// components, both vectors being finite.
+func dominates(u, v [4]float64) bool { return finite4(u) && finite4(v) && covers(u, v) }
+
+// TestDominanceFront checks the front builder on synthetic vectors: no
+// kept vector dominates another, every dropped vector is dominated by a
+// kept one, and at 1 000 random non-negative scales (some of them zero)
+// the peak over the front equals the peak over every vector bit for bit.
+func TestDominanceFront(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	rng := rand.New(rand.NewSource(2))
+	random := make([][4]float64, 300)
+	for i := range random {
+		for g := range random[i] {
+			random[i][g] = float64(rng.Intn(5)) + 0.25*float64(rng.Intn(2))
+		}
+	}
+	cases := map[string][][4]float64{
+		"single":     {{1, 2, 3, 4}},
+		"duplicates": {{1, 2, 3, 4}, {1, 2, 3, 4}, {4, 3, 2, 1}, {1, 2, 3, 4}, {4, 3, 2, 1}},
+		"ties":       {{1, 2, 3, 4}, {1, 2, 3, 5}, {5, 0, 0, 0}, {5, 1, 0, 0}, {0, 9, 0, 0}, {0, 9, 0, 1}},
+		"one-above":  {{1, 2, 3, 4}, {4, 3, 2, 1}, {10, 10, 10, 10}, {0, 0, 0, 0}, {9, 9, 9, 10}},
+		"ascending":  {{0, 0, 0, 0}, {1, 0, 0, 0}, {1, 1, 0, 0}, {0, 2, 0, 0}, {1, 1, 1, 0}, {1, 2, 1, 1}},
+		"negative":   {{-1, -2, 3, 0}, {-1, -3, 3, 0}, {-5, 0, 0, 0}, {0, -5, 0, 0}, {-1, -1, -1, -1}},
+		"non-finite": {{nan, 0, 0, 0}, {1, nan, 1, 1}, {inf, 1, 1, 1}, {2, 1, 1, 1}, {1, 1, 1, -inf}, {0, 0, 0, 0}},
+		"random":     random,
+	}
+	same := func(u, v [4]float64) bool {
+		for g := range u {
+			if math.Float64bits(u[g]) != math.Float64bits(v[g]) {
+				return false
+			}
+		}
+		return true
+	}
+	for name, vecs := range cases {
+		cells := make([]int32, len(vecs))
+		for i := range cells {
+			cells[i] = int32(i)
+		}
+		front := dominanceFront(vecs, cells)
+		for i, u := range front {
+			for j, v := range front {
+				if i != j && dominates(u, v) {
+					t.Errorf("%s: kept %v dominates kept %v", name, u, v)
+				}
+			}
+		}
+		for _, v := range vecs {
+			kept, covered := false, false
+			for _, f := range front {
+				kept = kept || same(f, v)
+				covered = covered || dominates(f, v)
+			}
+			if !kept && !covered {
+				t.Errorf("%s: dropped %v, which no kept vector dominates", name, v)
+			}
+		}
+		b := &Basis{front: front}
+		for i := 0; i < 1000; i++ {
+			scale := func() float64 {
+				if rng.Intn(4) == 0 {
+					return 0
+				}
+				return 10 * rng.Float64()
+			}
+			s := scales{ambient: 25 * rng.Float64(), chip: scale(), vcsel: scale(), driver: scale(), heater: scale()}
+			want := math.Inf(-1)
+			for _, u := range vecs {
+				if v := s.at(u); v > want {
+					want = v
+				}
+			}
+			if got := b.chipMax(s); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: front peak %.17g at %+v, full peak %.17g", name, got, s, want)
+			}
+		}
+		t.Logf("%s: %d of %d vectors kept", name, len(front), len(vecs))
+	}
+}
+
+// TestNonFiniteAnswer: powers that pass Validate but overflow the
+// superposition get ErrNonFinite from Evaluate and Summary alike.
+func TestNonFiniteAnswer(t *testing.T) {
+	_, bases := previewBases(t)
+	b := bases[activity.Uniform{}.Name()]
+	for _, p := range []Powers{{Chip: 1e308}, {Chip: 25, VCSEL: 1e306}, {Heater: math.MaxFloat64}} {
+		if _, err := b.Evaluate(p); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("Evaluate(%+v): err %v, want ErrNonFinite", p, err)
+		}
+		if _, err := b.Summary(p); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("Summary(%+v): err %v, want ErrNonFinite", p, err)
+		}
+	}
+}
+
 // TestConcurrentEvaluateFieldLayerSlice drives one basis from many
-// goroutines through Evaluate, Field and LayerSlice, as the dse sweeps and
-// the serving layer do; every answer must equal the serial one. Run under
+// goroutines through Evaluate, Summary, Field and LayerSlice, as the dse
+// sweeps and the serving layer do; every answer must equal the serial
+// one. Run under
 // -race this is the data-race check for the reduced query path.
 func TestConcurrentEvaluateFieldLayerSlice(t *testing.T) {
 	_, b := testModel(t)
@@ -216,6 +365,7 @@ func TestConcurrentEvaluateFieldLayerSlice(t *testing.T) {
 	}
 	type answer struct {
 		res   *Result
+		sum   Summary
 		field []float64
 		slice *LayerMap
 	}
@@ -224,11 +374,18 @@ func TestConcurrentEvaluateFieldLayerSlice(t *testing.T) {
 		if err != nil {
 			return answer{}, err
 		}
+		sum, err := b.Summary(powers(i))
+		if err != nil {
+			return answer{}, err
+		}
+		if sum != res.Summary() {
+			return answer{}, fmt.Errorf("point %d: Summary %+v, Evaluate's %+v", i, sum, res.Summary())
+		}
 		lm, err := res.OpticalLayerSlice()
 		if err != nil {
 			return answer{}, err
 		}
-		return answer{res, res.Field(), lm}, nil
+		return answer{res, sum, res.Field(), lm}, nil
 	}
 	const distinct = 6
 	want := make([]answer, distinct)
@@ -253,7 +410,8 @@ func TestConcurrentEvaluateFieldLayerSlice(t *testing.T) {
 					return
 				}
 				if !reflect.DeepEqual(got.res.ONIs, want[i].res.ONIs) || got.res.ChipMax != want[i].res.ChipMax ||
-					got.res.ChipAvg != want[i].res.ChipAvg || !reflect.DeepEqual(got.field, want[i].field) ||
+					got.res.ChipAvg != want[i].res.ChipAvg || got.sum != want[i].sum ||
+					!reflect.DeepEqual(got.field, want[i].field) ||
 					!reflect.DeepEqual(got.slice, want[i].slice) {
 					t.Errorf("goroutine %d point %d: concurrent answer differs from the serial one", g, i)
 				}

@@ -18,15 +18,19 @@
 // functional of the temperature field — a volume-weighted mean over an
 // ONI site, a device or the BEOL layer. A Model builds those functionals
 // once; a Basis projects its four unit fields onto them when it is built,
-// so an evaluation combines one 4-vector per functional, scans only the
-// BEOL cells for the peak, and builds the full field only when a caller
-// asks for it (Result.Field).
+// and keeps, for the peak, only the BEOL cells no other BEOL cell
+// dominates (its front: a few hundred cells at any tier). An evaluation
+// therefore combines one 4-vector per functional and per front cell,
+// whatever the mesh, and builds the full field only when a caller asks
+// for it (Result.Field). Basis.Summary answers the design queries' five
+// numbers that way without allocating.
 package thermal
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -222,6 +226,21 @@ func (p Powers) Validate() error {
 	return nil
 }
 
+// ErrNonFinite reports an operating point whose powers pass
+// Powers.Validate but whose temperatures do not fit a float64: the
+// superposition overflows to ±Inf (or Inf − Inf). Evaluate, Summary and
+// LayerSlice return it wrapped, so callers can tell that bad input from a
+// server fault with errors.Is.
+var ErrNonFinite = errors.New("thermal: non-finite temperature (the powers overflow the superposition)")
+
+// finite reports whether x is neither NaN nor ±Inf.
+func finite(x float64) bool { return math.Abs(x) <= math.MaxFloat64 }
+
+// nonFinite wraps ErrNonFinite with the offending powers.
+func nonFinite(p Powers) error {
+	return fmt.Errorf("%w: chip %g W, vcsel %g W, driver %g W, heater %g W", ErrNonFinite, p.Chip, p.VCSEL, p.Driver, p.Heater)
+}
+
 // weightedCell couples a cell index with the fraction of a group's unit
 // power deposited in it.
 type weightedCell struct {
@@ -285,7 +304,8 @@ type Model struct {
 	// their values: per ONI its site mean over the optical layer, then
 	// its device probes; the BEOL (junction) mean last. probes keeps each
 	// ONI's probes (VCSELs first) for device names and the transient
-	// observer; beolMean's cells are also the ChipMax scan.
+	// observer; beolMean's cells are also the ChipMax scan of a solved
+	// field and the cells a basis's front is taken from.
 	stencils []stencil
 	probes   [][]deviceProbe
 	beolMean stencil
@@ -883,6 +903,37 @@ func (r *Result) MaxONIGradient() float64 {
 	return worst
 }
 
+// Summary is the part of a Result the design-space exploration and the
+// serving layer read: five numbers, from which Basis.Summary answers a
+// query without building any per-ONI report.
+type Summary struct {
+	// MeanONITemp averages the per-ONI average temperatures (°C).
+	MeanONITemp float64
+	// MeanGradient and MaxGradient are the mean and the worst intra-ONI
+	// gradient (°C).
+	MeanGradient, MaxGradient float64
+	// ChipMax and ChipAvg summarise the BEOL (junction) layer (°C).
+	ChipMax, ChipAvg float64
+}
+
+// Summary reads the result's Summary. For a basis result it equals
+// Basis.Summary at the same powers bit for bit.
+func (r *Result) Summary() Summary {
+	return Summary{
+		MeanONITemp:  r.MeanONITemp(),
+		MeanGradient: r.MeanONIGradient(),
+		MaxGradient:  r.MaxONIGradient(),
+		ChipMax:      r.ChipMax,
+		ChipAvg:      r.ChipAvg,
+	}
+}
+
+// finite reports whether every number of the summary is finite.
+func (s Summary) finite() bool {
+	return finite(s.MeanONITemp) && finite(s.MeanGradient) && finite(s.MaxGradient) &&
+		finite(s.ChipMax) && finite(s.ChipAvg)
+}
+
 // ONITempRange returns the min and max per-ONI average temperature, the
 // inter-ONI spread the SNR analysis depends on.
 func (r *Result) ONITempRange() (min, max float64) {
@@ -899,9 +950,10 @@ func (r *Result) ONITempRange() (min, max float64) {
 }
 
 // Basis is a set of unit-power solutions enabling O(1) evaluation of any
-// operating point with a fixed activity shape. Only its chip field is
-// the activity's own: the VCSEL, driver and heater fields are the
-// model's, bit-identical in every basis it builds.
+// operating point with a fixed activity shape: a query reads the
+// projections and the front, never the mesh. Only its chip field is the
+// activity's own: the VCSEL, driver and heater fields are the model's,
+// bit-identical in every basis it builds.
 type Basis struct {
 	model    *Model
 	activity activity.Scenario
@@ -909,7 +961,11 @@ type Basis struct {
 	// driver and heater power, in that order.
 	unit [][4]float64
 	// proj[k] is the unit rises seen through the model's k-th stencil.
-	proj  [][4]float64
+	proj [][4]float64
+	// front holds the unit vectors of the BEOL cells no other BEOL cell
+	// dominates (see dominanceFront): the only cells that can hold the
+	// ChipMax peak at powers Powers.Validate accepts.
+	front [][4]float64
 	stats BasisBuildStats
 }
 
@@ -932,7 +988,9 @@ func (b *Basis) scales(p Powers) scales {
 
 // at superposes four unit values. Field, the ChipMax scan and the
 // projected functionals all go through it, so a cell of the built field
-// and the peak Evaluate reports round identically.
+// and the peak Evaluate reports round identically. With every scale ≥ 0,
+// at never falls when one component of u rises: each product and each
+// rounded sum is monotone in it. The front relies on that.
 func (s scales) at(u [4]float64) float64 {
 	return s.ambient + s.chip*u[0] + s.vcsel*u[1] + s.driver*u[2] + s.heater*u[3]
 }
@@ -1152,8 +1210,8 @@ func (m *Model) solveBlock(act activity.Scenario) (*Basis, error) {
 	return m.newBasis(act, unit, stats), nil
 }
 
-// newBasis wraps unit fields and projects them onto the report's
-// functionals once.
+// newBasis wraps unit fields, projects them onto the report's
+// functionals and takes the BEOL cells' front, once.
 func (m *Model) newBasis(act activity.Scenario, unit [][4]float64, stats BasisBuildStats) *Basis {
 	b := &Basis{model: m, activity: act, unit: unit, stats: stats}
 	b.proj = make([][4]float64, len(m.stencils))
@@ -1164,16 +1222,74 @@ func (m *Model) newBasis(act activity.Scenario, unit [][4]float64, stats BasisBu
 			}
 		}
 	}
+	b.front = dominanceFront(unit, m.beolMean.cells)
 	return b
 }
 
-// Evaluate combines the basis for the given powers: one 4-vector per
-// report functional plus a scan of the BEOL cells for ChipMax; the field
-// itself is built only if the caller asks for Result.Field. The activity
-// shape must match the one the basis was built with; Evaluate enforces
-// the Chip/VCSEL/Driver/Heater scaling only. Evaluate only reads the
-// basis and model, so it is safe to call concurrently from many
-// goroutines — the property the parallel design-space sweeps rely on.
+// covers reports whether u matches or exceeds v in all four components.
+func covers(u, v [4]float64) bool {
+	return u[0] >= v[0] && u[1] >= v[1] && u[2] >= v[2] && u[3] >= v[3]
+}
+
+// finite4 reports whether all four components of u are finite.
+func finite4(u [4]float64) bool { return finite(u[0]) && finite(u[1]) && finite(u[2]) && finite(u[3]) }
+
+// dominanceFront returns the unit vectors of the cells that no other of
+// the cells dominates — covers, both being finite — keeping one copy of
+// exact duplicates. Since at is monotone for scales ≥ 0, a dominated cell
+// never exceeds the cell dominating it, so the maximum of at over the
+// front is the maximum over all the cells, bit for bit. A vector with a
+// NaN or infinite component is always kept and dominates nothing: at can
+// turn it into NaN (0 × Inf) where a vector it covers stays finite.
+//
+// The finite front is kept as an antichain while the cells stream in: a
+// cell some member covers is dropped, and any other cell replaces the
+// members it covers. Each cell is tested first against the member that
+// covered the cell before it, which neighbouring cells usually share.
+func dominanceFront(unit [][4]float64, cells []int32) [][4]float64 {
+	var front, odd [][4]float64
+	last := -1
+	for _, c := range cells {
+		u := unit[c]
+		if !finite4(u) {
+			odd = append(odd, u)
+			continue
+		}
+		if last >= 0 && covers(front[last], u) {
+			continue
+		}
+		if last = slices.IndexFunc(front, func(f [4]float64) bool { return covers(f, u) }); last >= 0 {
+			continue
+		}
+		front = slices.DeleteFunc(front, func(f [4]float64) bool { return covers(u, f) })
+		front = append(front, u)
+		last = len(front) - 1
+	}
+	return slices.Clip(append(front, odd...))
+}
+
+// chipMax is the BEOL peak at one operating point: the full scan's -Inf
+// start and > test over the front.
+func (b *Basis) chipMax(s scales) float64 {
+	peak := math.Inf(-1)
+	for _, u := range b.front {
+		if t := s.at(u); t > peak {
+			peak = t
+		}
+	}
+	return peak
+}
+
+// Evaluate combines the basis for the given powers into a full report:
+// one 4-vector per report functional, and the front for ChipMax; the
+// field itself is built only if the caller asks for Result.Field. The
+// activity shape must match the one the basis was built with; Evaluate
+// enforces the Chip/VCSEL/Driver/Heater scaling only. Powers whose
+// temperatures overflow get an error wrapping ErrNonFinite. Callers that
+// read only the five summary numbers use Summary, which allocates
+// nothing. Evaluate only reads the basis and model, so it is safe to call
+// concurrently from many goroutines — the property the parallel
+// design-space sweeps rely on.
 func (b *Basis) Evaluate(p Powers) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -1182,16 +1298,72 @@ func (b *Basis) Evaluate(p Powers) (*Result, error) {
 	vals := make([]float64, len(b.proj))
 	for k, u := range b.proj {
 		vals[k] = s.at(u)
-	}
-	chipMax := math.Inf(-1)
-	for _, c := range b.model.beolMean.cells {
-		if t := s.at(b.unit[c]); t > chipMax {
-			chipMax = t
+		if !finite(vals[k]) {
+			return nil, nonFinite(p)
 		}
 	}
 	pp := p
 	pp.Activity = b.activity
-	res := b.model.assemble(pp, vals, chipMax)
+	res := b.model.assemble(pp, vals, b.chipMax(s))
+	if !res.Summary().finite() {
+		return nil, nonFinite(p)
+	}
 	res.basis = b
 	return res, nil
+}
+
+// Summary answers the design queries' five numbers at the given powers
+// from the projections and the front, without allocating: the same
+// values, bit for bit, as Evaluate(p) followed by Result.Summary, and the
+// same ErrNonFinite whenever Evaluate returns it. It reads the
+// projections in assemble's order and repeats its arithmetic: sums start
+// at 0 and add the ONIs in order, each gradient is the max minus the min
+// of that ONI's probes under assemble's comparisons, and the worst
+// gradient starts at 0. Safe for concurrent use.
+func (b *Basis) Summary(p Powers) (Summary, error) {
+	if err := p.Validate(); err != nil {
+		return Summary{}, err
+	}
+	m := b.model
+	s := b.scales(p)
+	var sumT, sumG, worst float64
+	k := 0
+	for i := range m.onis {
+		avg := s.at(b.proj[k])
+		if !finite(avg) {
+			return Summary{}, nonFinite(p)
+		}
+		sumT += avg
+		n := len(m.probes[i])
+		minT, maxT := math.Inf(1), math.Inf(-1)
+		for _, u := range b.proj[k+1 : k+1+n] {
+			v := s.at(u)
+			if !finite(v) {
+				return Summary{}, nonFinite(p)
+			}
+			if v > maxT {
+				maxT = v
+			}
+			if v < minT {
+				minT = v
+			}
+		}
+		k += 1 + n
+		g := maxT - minT
+		sumG += g
+		if g > worst {
+			worst = g
+		}
+	}
+	chipAvg := s.at(b.proj[k])
+	if !finite(chipAvg) {
+		return Summary{}, nonFinite(p)
+	}
+	onis := float64(len(m.onis))
+	sum := Summary{MeanONITemp: sumT / onis, MeanGradient: sumG / onis, MaxGradient: worst,
+		ChipMax: b.chipMax(s), ChipAvg: chipAvg}
+	if !sum.finite() {
+		return Summary{}, nonFinite(p)
+	}
+	return sum, nil
 }

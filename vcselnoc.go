@@ -121,6 +121,10 @@ type (
 	ThermalModel = thermal.Model
 	// ThermalResult is a solved operating point with per-ONI reports.
 	ThermalResult = thermal.Result
+	// ThermalSummary is the five numbers a design query reads (mean ONI
+	// temperature, mean and max gradient, chip max and average), from
+	// ThermalBasis.Summary without allocating or ThermalResult.Summary.
+	ThermalSummary = thermal.Summary
 	// ThermalBasis is a superposition basis for fast power sweeps.
 	ThermalBasis = thermal.Basis
 	// Powers are the independent power knobs of an operating point.
