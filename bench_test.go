@@ -854,10 +854,10 @@ func BenchmarkDBConversions(b *testing.B) {
 
 // BenchmarkServeGradientQueries measures the warm thermal-analysis
 // service's query throughput: concurrent /v1/gradient requests against a
-// prebuilt basis, each evaluated inline on its request's goroutine. Every
-// request uses a fresh operating point so the LRU never short-circuits
-// the evaluation; ns/op is the per-query cost under concurrency — invert
-// for queries/sec.
+// prebuilt basis, each evaluated inline on its request's goroutine with
+// its spans recorded. Every request uses a fresh operating point on the
+// same warm basis; ns/op is the per-query cost under concurrency —
+// invert for queries/sec.
 func BenchmarkServeGradientQueries(b *testing.B) {
 	spec, err := thermal.PaperSpec()
 	if err != nil {
@@ -876,8 +876,7 @@ func BenchmarkServeGradientQueries(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			// A fresh laser power per query defeats the LRU while
-			// staying on the same warm basis.
+			// A fresh laser power per query on the same warm basis.
 			pv := 1e-3 + float64(seq.Add(1))*1e-9
 			body := fmt.Sprintf(`{"chip": 25, "pvcsel": %g, "pheater": 1e-3}`, pv)
 			req := httptest.NewRequest(http.MethodPost, "/v1/gradient", strings.NewReader(body))
@@ -888,53 +887,4 @@ func BenchmarkServeGradientQueries(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkServeTracing measures the request-tracing overhead on the hot
-// query path: identical /v1/gradient traffic with span recording on (the
-// default) and off (DisableTracing). The delta between the modes is the
-// per-request cost of trace-id minting, span timestamping and ring
-// publication — about 0.5 µs of a ~10 µs preview query on a 2-vCPU host,
-// inside run-to-run noise; benchguard gates both entries.
-func BenchmarkServeTracing(b *testing.B) {
-	spec, err := thermal.PaperSpec()
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec.Res = benchResolution()
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{
-		{"on", false},
-		{"off", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			srv, err := serve.New(serve.Config{
-				Spec:           spec,
-				DisableTracing: mode.disable,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(srv.Close)
-			if err := srv.Warm(); err != nil {
-				b.Fatal(err)
-			}
-			var seq atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					pv := 1e-3 + float64(seq.Add(1))*1e-9
-					body := fmt.Sprintf(`{"chip": 25, "pvcsel": %g, "pheater": 1e-3}`, pv)
-					req := httptest.NewRequest(http.MethodPost, "/v1/gradient", strings.NewReader(body))
-					w := httptest.NewRecorder()
-					srv.ServeHTTP(w, req)
-					if w.Code != http.StatusOK {
-						b.Fatalf("HTTP %d: %s", w.Code, w.Body.String())
-					}
-				}
-			})
-		})
-	}
 }

@@ -1,21 +1,22 @@
 // Command loadgen drives a running vcseld with synthetic gradient-query
 // traffic and emits a loadreport.Report JSON artifact: latency
 // percentiles and histogram, client-observed outcome counts (200 / 429 /
-// 5xx), server-side counter deltas (admitted, shed, evaluations, cache
-// hits) scraped from /healthz around the run, and the server's own
+// 5xx), server-side counter deltas (admitted, shed, evaluations)
+// scraped from /healthz around the run, and the server's own
 // latency-histogram delta with the client-vs-server percentile skew —
 // how much network and queueing the client pays on top of server time.
+// Every admitted query is one evaluation, so server_solves equals
+// server_admitted whenever admission is on.
 //
 // Two traffic shapes:
 //
-//	uniform  every request picks a distinct deterministic operating
-//	         point — exercises admission and the basis/query caches
+//	uniform  each request picks an operating point from a deterministic
+//	         pool of -points — exercises admission and the warm basis
 //	         without contention on any one key.
 //	hotkey   a -hot-fraction share of requests hit one shared operating
-//	         point that rotates every -hot-rotate, so each rotation
-//	         epoch opens with a cold concurrent burst on a never-seen
-//	         point and is then answered from the query LRU (the rest of
-//	         the traffic is uniform).
+//	         point that rotates every -hot-rotate, so many concurrent
+//	         requests ask the same question at once (the rest of the
+//	         traffic is uniform); each is evaluated afresh.
 //
 // The -expect flag turns the binary into its own CI assertion: a
 // comma-separated list of invariants checked after the run, exiting
@@ -29,7 +30,7 @@
 // Usage (mirrors the CI load job):
 //
 //	loadgen -url http://127.0.0.1:8080 -shape hotkey -duration 5s \
-//	    -concurrency 8 -rate 400 -clients 4 \
+//	    -concurrency 8 -rate 400 \
 //	    -expect no5xx,shed -out load_hotkey.json
 package main
 
@@ -60,9 +61,8 @@ func main() {
 	concurrency := flag.Int("concurrency", 8, "worker goroutines")
 	rate := flag.Float64("rate", 0, "offered queries/sec across all workers (0 = closed loop)")
 	hotFraction := flag.Float64("hot-fraction", 0.9, "hotkey shape: share of requests on the hot point")
-	hotRotate := flag.Duration("hot-rotate", 250*time.Millisecond, "hotkey shape: rotate the hot point this often (each rotation is a cold key)")
+	hotRotate := flag.Duration("hot-rotate", 250*time.Millisecond, "hotkey shape: rotate the hot point this often")
 	points := flag.Int("points", 64, "uniform operating-point pool size")
-	clients := flag.Int("clients", 4, "distinct X-Client-ID identities")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout")
 	expect := flag.String("expect", "", "comma-separated post-run assertions: no5xx, noshed, shed")
 	out := flag.String("out", "", "write the report JSON here (\"\" = stdout only)")
@@ -88,7 +88,6 @@ func main() {
 		points:      *points,
 		hotFraction: *hotFraction,
 		hotRotate:   *hotRotate,
-		clients:     *clients,
 		rate:        *rate,
 		start:       time.Now(),
 	}
@@ -132,7 +131,6 @@ type generator struct {
 	points      int
 	hotFraction float64
 	hotRotate   time.Duration
-	clients     int
 	rate        float64
 	start       time.Time
 
@@ -182,7 +180,6 @@ func (g *generator) one(worker, i int) {
 		return
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Client-ID", fmt.Sprintf("loadgen-%d", worker%g.clients))
 	t0 := time.Now()
 	resp, err := g.client.Do(req)
 	ms := float64(time.Since(t0)) / float64(time.Millisecond)
@@ -211,8 +208,7 @@ func (g *generator) one(worker, i int) {
 // a deterministic pool; hotkey traffic sends -hot-fraction of requests
 // to a shared point whose index rotates every -hot-rotate. The epoch is
 // derived from the wall clock (not run start), so rotation points stay
-// fresh across repeated runs against one daemon and each epoch's first
-// concurrent wave hits a never-seen (cold) point.
+// fresh across repeated runs against one daemon.
 func (g *generator) body(worker, i int) []byte {
 	idx := worker*31 + i
 	if g.shape == "hotkey" && float64(idx%100)/100 < g.hotFraction {
@@ -236,18 +232,17 @@ func (g *generator) body(worker, i int) []byte {
 // deltas.
 func (g *generator) report(before, after serve.SpecInfo) loadreport.Report {
 	rep := loadreport.Report{
-		Shape:           g.shape,
-		DurationS:       g.elapsed.Seconds(),
-		OfferedQPS:      g.rate,
-		Sent:            g.sent.Load(),
-		OK:              g.ok.Load(),
-		Shed:            g.shed.Load(),
-		Err5xx:          g.err5xx.Load(),
-		ErrOther:        g.errOther.Load(),
-		ServerAdmitted:  after.Admitted - before.Admitted,
-		ServerShed:      after.Shed - before.Shed,
-		ServerSolves:    after.Evaluations - before.Evaluations,
-		ServerCacheHits: after.CacheHits - before.CacheHits,
+		Shape:          g.shape,
+		DurationS:      g.elapsed.Seconds(),
+		OfferedQPS:     g.rate,
+		Sent:           g.sent.Load(),
+		OK:             g.ok.Load(),
+		Shed:           g.shed.Load(),
+		Err5xx:         g.err5xx.Load(),
+		ErrOther:       g.errOther.Load(),
+		ServerAdmitted: after.Admitted - before.Admitted,
+		ServerShed:     after.Shed - before.Shed,
+		ServerSolves:   after.Evaluations - before.Evaluations,
 	}
 	rep.Latency, rep.Hist = loadreport.Summarize(g.samples)
 	rep.Derive()

@@ -8,18 +8,17 @@
 //
 // Usage:
 //
-//	vcseld [-addr :8080] [-res fast] [-workers 0]
-//	       [-cache 4096] [-warm]
-//	       [-admit-rate 0] [-admit-burst 0] [-client-rate 0] [-client-burst 0]
+//	vcseld [-addr :8080] [-res fast] [-workers 0] [-warm]
+//	       [-admit-rate 0] [-admit-burst 0]
 //	       [-job-dir /var/lib/vcseld/jobs] [-job-checkpoint-every 25]
 //	       [-job-ttl 0] [-coordinator http://ctl:9090] [-advertise host:port]
-//	       [-log-level info] [-log-format text] [-no-trace]
+//	       [-log-level info] [-log-format text]
 //
 // A superposition query evaluates inline on its request's goroutine in
-// tens of microseconds and its answer is memoised in a -cache sized LRU.
-// With -admit-rate (server-wide) or -client-rate (per X-Client-ID /
-// remote host) set, cheap superposition queries pass an O(1) atomic
+// a few microseconds; every query is one evaluation. With -admit-rate
+// set, cheap superposition queries pass an O(1) atomic server-wide
 // admission check; shed queries get HTTP 429 with a Retry-After header.
+// Every request's spans are recorded into the /debug/requests ring.
 // The daemon serves one spec, the paper's system at -res, and its model
 // keeps at most thermal.MaxBases (8) bases warm: a new activity shape
 // beyond that evicts the least-recently-used one (never the uniform
@@ -90,11 +89,8 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	res := flag.String("res", "fast", "mesh resolution: preview, coarse, fast or paper")
 	workers := flag.Int("workers", 0, "parallel solver/sweep workers (0 = all CPUs)")
-	cacheSize := flag.Int("cache", serve.DefaultCacheSize, "query LRU capacity")
 	admitRate := flag.Float64("admit-rate", 0, "server-wide admission rate for cheap queries (queries/s; 0 = unlimited, shed gets HTTP 429 + Retry-After)")
 	admitBurst := flag.Int("admit-burst", 0, "server-wide admission burst tolerance (0 = default)")
-	clientRate := flag.Float64("client-rate", 0, "per-client admission rate (queries/s per X-Client-ID or remote host; 0 = unlimited)")
-	clientBurst := flag.Int("client-burst", 0, "per-client admission burst tolerance (0 = default)")
 	warm := flag.Bool("warm", false, "build the model and uniform basis before accepting traffic")
 	shutdownTimeout := flag.Duration("shutdown-timeout", serve.DefaultShutdownTimeout, "grace period for in-flight requests on shutdown")
 	jobDir := flag.String("job-dir", "", "directory for transient-job checkpoints; jobs resume across restarts (empty keeps jobs in memory)")
@@ -104,7 +100,6 @@ func main() {
 	advertise := flag.String("advertise", "", "URL the coordinator should reach this worker on (default derived from the bound address)")
 	logLevel := flag.String("log-level", "info", "structured log level: debug, info, warn or error (debug logs every query with its trace id)")
 	logFormat := flag.String("log-format", "text", "structured log format: text or json")
-	noTrace := flag.Bool("no-trace", false, "disable per-request span recording (/debug/requests stops filling; trace ids still propagate)")
 	flag.Parse()
 
 	log.SetFlags(0)
@@ -126,16 +121,12 @@ func main() {
 
 	srv, err := serve.New(serve.Config{
 		Spec:               spec,
-		CacheSize:          *cacheSize,
 		AdmitRate:          *admitRate,
 		AdmitBurst:         *admitBurst,
-		ClientRate:         *clientRate,
-		ClientBurst:        *clientBurst,
 		JobDir:             *jobDir,
 		JobCheckpointEvery: *jobEvery,
 		JobTTL:             *jobTTL,
 		Logger:             logger,
-		DisableTracing:     *noTrace,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -50,12 +50,10 @@ type Report struct {
 	Err5xx   int64 `json:"err_5xx"`
 	ErrOther int64 `json:"err_other"`
 	// Server-side deltas scraped from /healthz around the run.
-	// ServerSolves counts basis evaluations; every admitted query is a
-	// cache hit or one of them.
-	ServerAdmitted  int64 `json:"server_admitted"`
-	ServerShed      int64 `json:"server_shed"`
-	ServerSolves    int64 `json:"server_solves"`
-	ServerCacheHits int64 `json:"server_cache_hits"`
+	// ServerSolves counts basis evaluations: one per admitted query.
+	ServerAdmitted int64 `json:"server_admitted"`
+	ServerShed     int64 `json:"server_shed"`
+	ServerSolves   int64 `json:"server_solves"`
 	// ShedRate is the client-observed 429 fraction of sent.
 	ShedRate float64  `json:"shed_rate"`
 	Latency  Latency  `json:"latency"`

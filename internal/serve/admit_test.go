@@ -3,9 +3,7 @@ package serve
 import (
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strconv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -105,15 +103,6 @@ func admitServer(t *testing.T, cfg Config) *Server {
 	return s
 }
 
-// postAs posts a gradient query under a client identity.
-func postAs(s *Server, client, body string) *httptest.ResponseRecorder {
-	req := httptest.NewRequest(http.MethodPost, "/v1/gradient", strings.NewReader(body))
-	req.Header.Set("X-Client-ID", client)
-	w := httptest.NewRecorder()
-	s.ServeHTTP(w, req)
-	return w
-}
-
 // TestAdmissionShed pins the 429 surface: a spec-wide rate of 1/s with
 // burst 2 admits two instantaneous queries and sheds the third with the
 // JSON envelope, a positive Retry-After header and retry_after_ms.
@@ -121,11 +110,11 @@ func TestAdmissionShed(t *testing.T) {
 	s := admitServer(t, Config{AdmitRate: 1, AdmitBurst: 2})
 	const q = `{"chip": 25, "pvcsel": 2e-3, "pheater": 0.6e-3}`
 	for i := 0; i < 2; i++ {
-		if w := postAs(s, "c1", q); w.Code != http.StatusOK {
+		if w := postJSON(t, s, "/v1/gradient", q); w.Code != http.StatusOK {
 			t.Fatalf("burst query %d: %d (%s)", i, w.Code, w.Body.String())
 		}
 	}
-	w := postAs(s, "c1", q)
+	w := postJSON(t, s, "/v1/gradient", q)
 	if w.Code != http.StatusTooManyRequests {
 		t.Fatalf("over-burst query = %d, want 429 (%s)", w.Code, w.Body.String())
 	}
@@ -142,81 +131,22 @@ func TestAdmissionShed(t *testing.T) {
 		t.Fatalf("shed envelope = %+v, want error text and positive retry_after_ms", eb)
 	}
 	// The shed query is visible in the stats and never reached a solve.
-	admitted, shed, _ := s.st.adm.stats()
+	admitted, shed := s.adm.stats()
 	if admitted != 2 || shed != 1 {
 		t.Fatalf("admitted/shed = %d/%d, want 2/1", admitted, shed)
 	}
-}
-
-// TestAdmissionPerClient: one greedy client exhausting its own bucket
-// must not shed its neighbours.
-func TestAdmissionPerClient(t *testing.T) {
-	s := admitServer(t, Config{ClientRate: 0.5, ClientBurst: 1})
-	const q = `{"chip": 25, "pvcsel": 2e-3, "pheater": 0.6e-3}`
-	if w := postAs(s, "greedy", q); w.Code != http.StatusOK {
-		t.Fatalf("greedy first query: %d", w.Code)
-	}
-	if w := postAs(s, "greedy", q); w.Code != http.StatusTooManyRequests {
-		t.Fatalf("greedy second query = %d, want 429", w.Code)
-	}
-	if w := postAs(s, "patient", q); w.Code != http.StatusOK {
-		t.Fatalf("other client shed by greedy neighbour: %d", w.Code)
-	}
-	if _, _, clients := s.st.adm.stats(); clients != 2 {
-		t.Fatalf("tracked clients = %d, want 2", clients)
+	if evals := s.evals.Load(); evals != 2 {
+		t.Fatalf("evaluations = %d, want 2", evals)
 	}
 }
 
-// TestAdmissionIdleClientGC: the off-path flusher reclaims idle client
-// buckets (driven directly here — the ticker cadence is too slow for a
-// test).
-func TestAdmissionIdleClientGC(t *testing.T) {
-	a := newAdmission(Config{ClientRate: 100, ClientBurst: 4})
-	now := time.Now().UnixNano()
-	for i := 0; i < 10; i++ {
-		a.admit(fmt.Sprintf("c%d", i), now)
-	}
-	if _, _, clients := a.stats(); clients != 10 {
-		t.Fatalf("tracked clients = %d, want 10", clients)
-	}
-	// Touch one client later; GC at a cutoff between the two instants.
-	a.admit("c0", now+int64(2*time.Minute))
-	a.gcIdle(now + int64(time.Minute))
-	if _, _, clients := a.stats(); clients != 1 {
-		t.Fatalf("clients after GC = %d, want 1", clients)
-	}
-}
-
-// TestAdmissionClientOverflow: clients beyond the tracked-bucket bound
-// (DefaultMaxClients, lowered here) still get served (spec bucket
-// permitting) instead of erroring.
-func TestAdmissionClientOverflow(t *testing.T) {
-	a := newAdmission(Config{ClientRate: 1, ClientBurst: 1})
-	a.maxClients = 2
-	now := time.Now().UnixNano()
-	for i := 0; i < 4; i++ {
-		ok, _ := a.admit(fmt.Sprintf("c%d", i), now)
-		if !ok {
-			t.Fatalf("client %d shed", i)
-		}
-	}
-	if _, _, clients := a.stats(); clients != 2 {
-		t.Fatalf("tracked clients = %d, want cap 2", clients)
-	}
-	if got := a.overflow.Load(); got != 2 {
-		t.Fatalf("overflow = %d, want 2", got)
-	}
-}
-
-// TestAdmissionHammer mixes admitted, shed, evaluated and cached queries
-// on one hot spec from many goroutines — the -race test of the admission
-// hot path. Every response must be 200 or a well-formed 429, and the
-// admission ledger must balance exactly.
+// TestAdmissionHammer mixes admitted and shed queries, repeated and
+// distinct, on one hot spec from many goroutines — the -race test of the
+// admission hot path. Every response must be 200 or a well-formed 429,
+// the admission ledger must balance exactly, and every admitted query
+// must be exactly one evaluation.
 func TestAdmissionHammer(t *testing.T) {
-	s := admitServer(t, Config{
-		AdmitRate: 200, AdmitBurst: 16,
-		ClientRate: 100, ClientBurst: 8,
-	})
+	s := admitServer(t, Config{AdmitRate: 200, AdmitBurst: 16})
 	bodies := []string{
 		`{"chip": 25, "pvcsel": 2e-3, "pheater": 0.6e-3}`, // hot key
 		`{"chip": 25, "pvcsel": 2e-3, "pheater": 0.6e-3}`, // hot key again
@@ -230,9 +160,8 @@ func TestAdmissionHammer(t *testing.T) {
 		wg.Add(1)
 		go func(wkr int) {
 			defer wg.Done()
-			client := fmt.Sprintf("hammer-%d", wkr%4)
 			for i := 0; i < rounds; i++ {
-				w := postAs(s, client, bodies[(wkr+i)%len(bodies)])
+				w := postJSON(t, s, "/v1/gradient", bodies[(wkr+i)%len(bodies)])
 				switch w.Code {
 				case http.StatusOK:
 				case http.StatusTooManyRequests:
@@ -250,14 +179,11 @@ func TestAdmissionHammer(t *testing.T) {
 	for err := range errc {
 		t.Error(err)
 	}
-	st := s.st
-	admitted, shed, _ := st.adm.stats()
+	admitted, shed := s.adm.stats()
 	if admitted+shed != workers*rounds {
 		t.Fatalf("admission ledger %d admitted + %d shed != %d requests", admitted, shed, workers*rounds)
 	}
-	// Every admitted query was answered by a cache hit or an evaluation.
-	hits, _ := st.cache.Stats()
-	if evals := st.evals.Load(); hits+evals != admitted {
-		t.Fatalf("cache hits %d + evaluations %d != admitted %d", hits, evals, admitted)
+	if evals := s.evals.Load(); evals != admitted {
+		t.Fatalf("evaluations %d != admitted %d", evals, admitted)
 	}
 }

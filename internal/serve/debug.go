@@ -20,9 +20,6 @@ func errBadSlow(v string) error {
 // DebugRequests is the GET /debug/requests body: the most recent
 // finished request traces, newest first.
 type DebugRequests struct {
-	// Tracing reports whether span recording is enabled; when false the
-	// ring only ever holds traces recorded before it was disabled.
-	Tracing bool `json:"tracing"`
 	// Requests are the retained traces after the limit/slow filters.
 	Requests []obs.TraceRecord `json:"requests"`
 }
@@ -62,8 +59,5 @@ func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
 		}
 		slowUS = d.Microseconds()
 	}
-	writeJSON(w, DebugRequests{
-		Tracing:  s.tracing,
-		Requests: s.recorder.Recent(limit, slowUS),
-	})
+	writeJSON(w, DebugRequests{Requests: s.recorder.Recent(limit, slowUS)})
 }

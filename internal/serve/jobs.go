@@ -394,7 +394,7 @@ func (jm *jobManager) run(j *transientJob, cp *fvm.TransientCheckpoint) {
 	case <-jm.ctx.Done():
 		return
 	}
-	meth, err := jm.srv.st.methodology()
+	meth, err := jm.srv.methodology()
 	if err != nil {
 		jm.fail(j, err)
 		return

@@ -130,6 +130,43 @@ func TestTransientJobSubnormalTimeStep(t *testing.T) {
 	}
 }
 
+// TestTransientJobOverflowingPowers: finite powers whose sources
+// overflow (pvcsel 1e306) pass Powers.Validate, so the job is accepted;
+// its first step must then fail on the non-finite right-hand side within
+// seconds instead of iterating mg-cg to its cap, and Close must not block
+// behind it.
+func TestTransientJobOverflowingPowers(t *testing.T) {
+	skipShort(t)
+	// testServer registers no Cleanup(Close): the test closes the server
+	// itself, under a deadline, so a job that never ends fails the test
+	// instead of hanging it.
+	s := testServer(t)
+	w := postJSON(t, s, "/v1/transient", `{"chip": 25, "pvcsel": 1e306, "pheater": 0, "time_step_s": 0.02, "steps": 3}`)
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d (%s)", w.Code, w.Body.String())
+	}
+	id := decodeBody[JobStatus](t, w).ID
+	deadline := time.Now().Add(5 * time.Second)
+	st := decodeBody[JobStatus](t, getJSON(t, s, "/v1/jobs/"+id))
+	for st.State != JobDone && st.State != JobFailed && time.Now().Before(deadline) {
+		time.Sleep(2 * time.Millisecond)
+		st = decodeBody[JobStatus](t, getJSON(t, s, "/v1/jobs/"+id))
+	}
+	if st.State != JobFailed || !strings.Contains(st.Error, "not finite") {
+		t.Errorf("job status after 5 s: %+v, want failed with a non-finite right-hand side error", st)
+	}
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Server.Close still blocked after 5 s")
+	}
+}
+
 // TestTransientJobLifecycle: a submitted job runs to completion in the
 // background and its result matches an in-process Model.SolveTransient
 // of the same operating point — including a bit-identical field
@@ -622,7 +659,7 @@ func TestTransientJobBadResume(t *testing.T) {
 }
 
 // TestMetricsEndpoint: the Prometheus text endpoint must expose the
-// cache, basis, evaluation and job-state series.
+// basis, evaluation and job-state series.
 func TestMetricsEndpoint(t *testing.T) {
 	skipShort(t)
 	s := jobServer(t, "")
@@ -646,7 +683,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	body := mw.Body.String()
 	for _, want := range []string{
 		"vcseld_uptime_seconds",
-		`vcseld_cache_misses_total{spec="default"} 1`,
 		`vcseld_basis_builds_total{spec="default"} 1`,
 		`vcseld_evaluations_total{spec="default"} 1`,
 		`vcseld_jobs{state="done"} 1`,

@@ -2,9 +2,9 @@ package serve
 
 // Prometheus text-format metrics (exposition format 0.0.4), stdlib only:
 // the handler renders the same warm-state statistics /healthz reports —
-// query-cache hits/misses, basis builds, evaluations — plus the
-// transient-job state gauge and step counter, in a form scrapers ingest
-// directly.
+// basis builds, evaluations, admission counters — plus the latency
+// histograms and the transient-job state gauge and step counter, in a
+// form scrapers ingest directly.
 
 import (
 	"bytes"
@@ -33,19 +33,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		counter    bool
 	}
 	specMetrics := []specMetric{
-		{"vcseld_cache_hits_total", "Query LRU hits.", func(i SpecInfo) float64 { return float64(i.CacheHits) }, true},
-		{"vcseld_cache_misses_total", "Query LRU misses.", func(i SpecInfo) float64 { return float64(i.CacheMisses) }, true},
-		{"vcseld_cache_entries", "Query LRU occupancy.", func(i SpecInfo) float64 { return float64(i.CacheLen) }, false},
 		{"vcseld_basis_builds_total", "Superposition basis builds executed.", func(i SpecInfo) float64 { return float64(i.BasisBuilds) }, true},
-		{"vcseld_evaluations_total", "Superposition basis evaluations (query cache misses and map slices).", func(i SpecInfo) float64 { return float64(i.Evaluations) }, true},
+		{"vcseld_evaluations_total", "Superposition basis evaluations (gradient and feasibility queries, map slices).", func(i SpecInfo) float64 { return float64(i.Evaluations) }, true},
 		{"vcseld_model_cells", "Mesh cells of the warm model (0 until the first query builds it).", func(i SpecInfo) float64 { return float64(i.Cells) }, false},
 		{"vcseld_admitted_total", "Hot-path queries admitted by admission control.", func(i SpecInfo) float64 { return float64(i.Admitted) }, true},
 		{"vcseld_shed_total", "Hot-path queries shed with HTTP 429.", func(i SpecInfo) float64 { return float64(i.Shed) }, true},
-		{"vcseld_admission_clients", "Per-client admission buckets currently tracked.", func(i SpecInfo) float64 { return float64(i.Clients) }, false},
 		{"vcseld_warm_bases", "Superposition bases held in the model's bounded basis cache.", func(i SpecInfo) float64 { return float64(i.WarmBases) }, false},
 		{"vcseld_basis_evictions_total", "Least-recently-used basis evictions.", func(i SpecInfo) float64 { return float64(i.BasisEvictions) }, true},
 	}
-	info := s.st.info()
+	info := s.info()
 	for _, m := range specMetrics {
 		if m.counter {
 			counter(m.name, m.help)
@@ -60,9 +56,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	histogram("vcseld_query_duration_seconds",
 		"Server-side request latency by spec and endpoint class (query = cheap superposition queries, sweep = DSE grid windows).")
-	s.st.latQuery.WritePrometheus(&b, "vcseld_query_duration_seconds",
+	s.latQuery.WritePrometheus(&b, "vcseld_query_duration_seconds",
 		fmt.Sprintf("spec=%q,class=%q", specLabel, "query"))
-	s.st.latSweep.WritePrometheus(&b, "vcseld_query_duration_seconds",
+	s.latSweep.WritePrometheus(&b, "vcseld_query_duration_seconds",
 		fmt.Sprintf("spec=%q,class=%q", specLabel, "sweep"))
 	gauge("vcseld_jobs", "Transient jobs by lifecycle state.")
 	states := s.jobs.stateCounts()

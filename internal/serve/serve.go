@@ -12,11 +12,10 @@
 // no allocation, whatever the mesh (the basis is projected onto the
 // report's functionals, and its BEOL peak cut to a few hundred candidate
 // cells, when it is built), so each request evaluates inline on its own
-// goroutine; answers are memoised in a bounded LRU keyed on the
-// canonicalised scenario. Powers that overflow the superposition get a
-// 400, and are never cached. A server owns one system spec, and that spec's
-// thermal.Model caches its bases (bounded, single-flight), so a cold
-// basis never builds twice however many clients hit it at once.
+// goroutine: every admitted query is one evaluation. Powers that overflow
+// the superposition get a 400. A server owns one system spec, and that
+// spec's thermal.Model caches its bases (bounded, single-flight), so a
+// cold basis never builds twice however many clients hit it at once.
 //
 // The same package holds the scatter/gather ShardClient that partitions
 // design-space sweep grids across a fleet of these servers (see
@@ -50,9 +49,6 @@ import (
 // endpoints key on.
 const specLabel = "default"
 
-// DefaultCacheSize bounds the query LRU.
-const DefaultCacheSize = 4096
-
 // maxBodyBytes bounds request bodies; sweep axes are the largest
 // legitimate payload and fit comfortably.
 const maxBodyBytes = 1 << 20
@@ -79,9 +75,6 @@ type Config struct {
 	// SNR is the technology configuration for SNR queries; the zero
 	// value selects snr.DefaultConfig.
 	SNR snr.Config
-	// CacheSize bounds the query LRU; 0 selects
-	// DefaultCacheSize, negative disables caching (capacity 1).
-	CacheSize int
 	// AdmitRate rate-limits the cheap-query hot path server-wide
 	// (queries/second); 0 disables server-wide admission. Shed queries
 	// get HTTP 429 with a Retry-After.
@@ -89,12 +82,6 @@ type Config struct {
 	// AdmitBurst is the server-wide bucket's burst tolerance; 0 selects
 	// DefaultAdmitBurst.
 	AdmitBurst int
-	// ClientRate rate-limits each client (X-Client-ID header, falling
-	// back to remote host); 0 disables per-client admission.
-	ClientRate float64
-	// ClientBurst is the per-client burst tolerance; 0 selects
-	// DefaultAdmitBurst.
-	ClientBurst int
 	// JobDir persists transient-job checkpoints and results so jobs
 	// survive — and resume from their last checkpoint on — daemon
 	// restarts; empty keeps jobs in memory only.
@@ -109,11 +96,6 @@ type Config struct {
 	// pressure.
 	// Running jobs are never collected.
 	JobTTL time.Duration
-	// DisableTracing turns off per-request span recording and the
-	// /debug/requests ring buffer. Trace-ID propagation, response-header
-	// echo and the /metrics histograms stay on — they are atomic-cheap
-	// and the fleet depends on them.
-	DisableTracing bool
 	// Logger receives the server's structured logs (request completions
 	// at debug, basis builds / sweeps / job transitions at info); nil
 	// discards them.
@@ -124,10 +106,29 @@ type Config struct {
 const DefaultTraceBuffer = 256
 
 // Server owns the warm state of one spec and implements http.Handler.
+// The Methodology (model and its basis cache) builds lazily on first use,
+// so a server costs nothing until it is queried or warmed.
 type Server struct {
-	mux   *http.ServeMux
-	st    *specState
-	start time.Time
+	mux    *http.ServeMux
+	spec   thermal.Spec
+	snrCfg snr.Config
+	start  time.Time
+
+	once  sync.Once
+	ready atomic.Bool // publishes meth/err to stats-only readers
+	meth  *core.Methodology
+	err   error
+
+	// adm gates the cheap-query hot path (nil = admission disabled).
+	adm *admission
+	// evals counts basis evaluations (gradient and feasibility queries,
+	// map slices).
+	evals atomic.Int64
+	// latQuery/latSweep are the always-on server-side request latency
+	// histograms by endpoint class behind /metrics and /healthz.
+	latQuery *obs.Histogram
+	latSweep *obs.Histogram
+
 	// sweepSem bounds concurrent sweep evaluations server-wide: each
 	// sweep fans out across a full worker pool, so without a bound N
 	// concurrent sweep requests oversubscribe the CPU N-fold. Cheap
@@ -135,52 +136,21 @@ type Server struct {
 	sweepSem chan struct{}
 	// jobs owns the async transient jobs (see jobs.go).
 	jobs *jobManager
-	// flushStop/flushWG run the off-path admission accounting loop (see
-	// admit.go); closeOnce makes Close idempotent.
-	flushStop chan struct{}
-	flushWG   sync.WaitGroup
-	closeOnce sync.Once
-	// tracing gates span recording; recorder keeps recent finished
-	// traces for GET /debug/requests; logger receives structured logs.
-	tracing  bool
+	// recorder keeps recent finished traces for GET /debug/requests;
+	// logger receives structured logs.
 	recorder *obs.Recorder
-	logger   *slog.Logger
-}
-
-// specState is the served spec's warm state. The Methodology (model and
-// its basis cache) builds lazily on first use, so a server costs nothing
-// until it is queried or warmed.
-type specState struct {
-	spec thermal.Spec
-
-	once  sync.Once
-	ready atomic.Bool // publishes meth/err to stats-only readers
-	meth  *core.Methodology
-	err   error
-
-	snrCfg snr.Config
-	cache  *lruCache
-	// adm gates the cheap-query hot path (nil = admission disabled).
-	adm *admission
-	// evals counts basis evaluations (gradient misses and maps).
-	evals atomic.Int64
-
-	// latQuery/latSweep are the always-on server-side request latency
-	// histograms by endpoint class behind /metrics and /healthz.
-	latQuery *obs.Histogram
-	latSweep *obs.Histogram
 	logger   *slog.Logger
 }
 
 // methodology builds (once) and returns the spec's warm methodology.
 // The sync.Once is the model-level single-flight: concurrent cold
 // requests share one mesh assembly.
-func (st *specState) methodology() (*core.Methodology, error) {
-	st.once.Do(func() {
-		st.meth, st.err = core.NewWithSpec(st.spec, st.snrCfg)
-		st.ready.Store(true)
+func (s *Server) methodology() (*core.Methodology, error) {
+	s.once.Do(func() {
+		s.meth, s.err = core.NewWithSpec(s.spec, s.snrCfg)
+		s.ready.Store(true)
 	})
-	return st.meth, st.err
+	return s.meth, s.err
 }
 
 // New validates the configuration and builds a Server. Models and bases
@@ -200,29 +170,20 @@ func New(cfg Config) (*Server, error) {
 	if cfg.SNR == (snr.Config{}) {
 		cfg.SNR = snr.DefaultConfig()
 	}
-	if cfg.CacheSize == 0 {
-		cfg.CacheSize = DefaultCacheSize
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = obs.Discard()
 	}
 	s := &Server{
-		mux: http.NewServeMux(),
-		st: &specState{
-			spec:     cfg.Spec,
-			snrCfg:   cfg.SNR,
-			cache:    newLRUCache(cfg.CacheSize),
-			adm:      newAdmission(cfg),
-			latQuery: obs.NewHistogram(obs.LatencyBuckets),
-			latSweep: obs.NewHistogram(obs.LatencyBuckets),
-			logger:   cfg.Logger,
-		},
-		start:     time.Now(),
-		sweepSem:  make(chan struct{}, 2),
-		flushStop: make(chan struct{}),
-		tracing:   !cfg.DisableTracing,
-		recorder:  obs.NewRecorder(DefaultTraceBuffer),
-		logger:    cfg.Logger,
+		mux:      http.NewServeMux(),
+		spec:     cfg.Spec,
+		snrCfg:   cfg.SNR,
+		start:    time.Now(),
+		adm:      newAdmission(cfg.AdmitRate, cfg.AdmitBurst),
+		latQuery: obs.NewHistogram(obs.LatencyBuckets),
+		latSweep: obs.NewHistogram(obs.LatencyBuckets),
+		sweepSem: make(chan struct{}, 2),
+		recorder: obs.NewRecorder(DefaultTraceBuffer),
+		logger:   cfg.Logger,
 	}
 	s.jobs = newJobManager(s, cfg)
 	s.routes()
@@ -230,8 +191,6 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.jobs.startGC()
-	s.flushWG.Add(1)
-	go s.flusher()
 	return s, nil
 }
 
@@ -263,49 +222,32 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// trace starts a span timeline for the request, or returns nil (inert)
-// when tracing is disabled.
-func (s *Server) trace(r *http.Request, endpoint string) *obs.Trace {
-	if !s.tracing {
-		return nil
-	}
-	return obs.NewTrace(r.Header.Get(obs.TraceHeader), endpoint)
-}
-
 // publish seals the trace into the /debug/requests ring.
 func (s *Server) publish(tr *obs.Trace, status int) {
-	if tr == nil {
-		return
-	}
 	s.recorder.Publish(tr.Finish(status))
 }
 
 // Close stops the server's background work: every running transient job
 // checkpoints its exact current step (when a JobDir is configured, so
-// the next daemon resumes it bit-identically), the admission accounting
-// flusher exits, and Close blocks until all background goroutines are
-// gone. Idempotent. The HTTP side is unaffected — callers drain it
-// separately via Run's context.
+// the next daemon resumes it bit-identically), and Close blocks until all
+// background goroutines are gone. Idempotent. The HTTP side is unaffected
+// — callers drain it separately via Run's context.
 func (s *Server) Close() {
-	s.closeOnce.Do(func() {
-		close(s.flushStop)
-	})
-	s.flushWG.Wait()
 	s.jobs.stop()
 }
 
 // Warm forces the model and uniform-activity basis to build now (daemon
 // startup with -warm), so the first client query is already cheap.
 func (s *Server) Warm() error {
-	_, err := s.st.basisFor(nil)
+	_, err := s.basisFor(nil)
 	return err
 }
 
 // basisFor returns the model's basis for one activity shape, building it
 // on first use (thermal.Model.Basis: bounded, single-flight), and logs
 // the builds it ran.
-func (st *specState) basisFor(act activity.Scenario) (*thermal.Basis, error) {
-	meth, err := st.methodology()
+func (s *Server) basisFor(act activity.Scenario) (*thermal.Basis, error) {
+	meth, err := s.methodology()
 	if err != nil {
 		return nil, err
 	}
@@ -314,7 +256,7 @@ func (st *specState) basisFor(act activity.Scenario) (*thermal.Basis, error) {
 	b, err := model.Basis(act)
 	if err == nil && model.BasisCacheStats().Builds > buildsBefore {
 		bs := b.BuildStats()
-		st.logger.Info("basis built",
+		s.logger.Info("basis built",
 			"activity", activity.Key(act),
 			"duration_ms", float64(bs.Wall.Microseconds())/1000,
 			"coarse_factor_ms", float64(bs.Phases.Factor.Microseconds())/1000,
@@ -407,34 +349,32 @@ func decodeLimit(r *http.Request, v any, limit int64) error {
 	return nil
 }
 
-// resolveBasis validates the scenario and returns its activity and
-// (building on first use, single-flight) the basis for that activity
-// shape.
-func (st *specState) resolveBasis(sc Scenario) (activity.Scenario, *thermal.Basis, error) {
+// resolveBasis validates the scenario and returns the basis for its
+// activity shape, building it on first use (single-flight).
+func (s *Server) resolveBasis(sc Scenario) (*thermal.Basis, error) {
 	act, err := sc.activityScenario()
 	if err != nil {
-		return nil, nil, badRequest(err)
+		return nil, badRequest(err)
 	}
 	if err := sc.powers().Validate(); err != nil {
-		return nil, nil, badRequest(err)
+		return nil, badRequest(err)
 	}
-	basis, err := st.basisFor(act)
-	return act, basis, err
+	return s.basisFor(act)
 }
 
 // handleGradient answers the cheap superposition query — the serving hot
 // path, in admission order: one O(1) atomic admission check (429 +
-// Retry-After on shed, before any solver work), then the LRU, then an
-// inline, allocation-free Basis.Summary.
+// Retry-After on shed, before any solver work), then an inline,
+// allocation-free Basis.Summary.
 func (s *Server) handleGradient(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	traceID := r.Header.Get(obs.TraceHeader)
-	tr := s.trace(r, r.URL.Path)
+	tr := obs.NewTrace(traceID, r.URL.Path)
 	// A request counts in the latency histogram once its body decoded.
 	counted := false
 	fail := func(err error) {
 		if counted {
-			s.st.latQuery.Observe(time.Since(start).Seconds())
+			s.latQuery.Observe(time.Since(start).Seconds())
 		}
 		code := writeErrTrace(w, traceID, err)
 		s.publish(tr, code)
@@ -447,16 +387,15 @@ func (s *Server) handleGradient(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	counted = true
-	st := s.st
 	sp := tr.StartSpan("admission")
-	ok, retry := st.adm.admit(clientID(r), time.Now().UnixNano())
+	ok, retry := s.adm.admit(time.Now().UnixNano())
 	sp.End()
 	if !ok {
 		fail(shedError(retry))
 		return
 	}
 	sp = tr.StartSpan("basis")
-	act, basis, err := st.resolveBasis(sc)
+	basis, err := s.resolveBasis(sc)
 	sp.End()
 	if err != nil {
 		fail(err)
@@ -475,26 +414,11 @@ func (s *Server) handleGradient(w http.ResponseWriter, r *http.Request) {
 		sp.SetAttr("build_smoothfrac", float64(bs.Phases.Smooth)/float64(total))
 		sp.SetAttr("build_coarsefrac", float64(bs.Phases.Coarse)/float64(total))
 	}
-	sp = tr.StartSpan("cache")
-	key := sc.cacheKey(act)
-	cached, hit := st.cache.Get(key)
-	sp.End()
-	if hit {
-		cached.Cached = true
-		cached.TraceID = traceID
-		writeJSON(w, cached)
-		st.latQuery.Observe(time.Since(start).Seconds())
-		s.publish(tr, http.StatusOK)
-		s.logger.Debug("query",
-			"trace_id", traceID, "cached", true,
-			"duration_ms", msSince(start))
-		return
-	}
 	// The scenario was validated above, so an evaluation error here is
 	// the server's fault, unless the powers overflow the superposition
-	// (thermal.ErrNonFinite: a 400, and nothing is cached).
+	// (thermal.ErrNonFinite: a 400).
 	sp = tr.StartSpan("solve")
-	sum, err := st.summary(basis, sc.powers())
+	sum, err := s.summary(basis, sc.powers())
 	sp.SetAttr("mg_iters", float64(bs.Iterations))
 	sp.End()
 	if err != nil {
@@ -502,25 +426,22 @@ func (s *Server) handleGradient(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := summarise(sum)
-	st.cache.Add(key, resp)
 	resp.TraceID = traceID
 	writeJSON(w, resp)
-	st.latQuery.Observe(time.Since(start).Seconds())
+	s.latQuery.Observe(time.Since(start).Seconds())
 	s.publish(tr, http.StatusOK)
-	s.logger.Debug("query",
-		"trace_id", traceID, "cached", false,
-		"duration_ms", msSince(start))
+	s.logger.Debug("query", "trace_id", traceID, "duration_ms", msSince(start))
 }
 
 // evaluate runs one full basis evaluation and counts it.
-func (st *specState) evaluate(basis *thermal.Basis, p thermal.Powers) (*thermal.Result, error) {
-	st.evals.Add(1)
+func (s *Server) evaluate(basis *thermal.Basis, p thermal.Powers) (*thermal.Result, error) {
+	s.evals.Add(1)
 	return basis.Evaluate(p)
 }
 
 // summary runs one basis summary and counts it as an evaluation.
-func (st *specState) summary(basis *thermal.Basis, p thermal.Powers) (thermal.Summary, error) {
-	st.evals.Add(1)
+func (s *Server) summary(basis *thermal.Basis, p thermal.Powers) (thermal.Summary, error) {
+	s.evals.Add(1)
 	return basis.Summary(p)
 }
 
@@ -529,7 +450,7 @@ func msSince(start time.Time) float64 {
 	return float64(time.Since(start).Microseconds()) / 1000
 }
 
-// summarise turns a summary into the cacheable query answer.
+// summarise turns a summary into the query answer.
 func summarise(s thermal.Summary) QueryResponse {
 	return QueryResponse{
 		MeanONITemp:  s.MeanONITemp,
@@ -548,7 +469,7 @@ func (s *Server) handleHeater(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	_, basis, err := s.st.resolveBasis(req.Scenario)
+	basis, err := s.resolveBasis(req.Scenario)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -598,14 +519,14 @@ func (s *Server) handleSNR(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, badRequest(err))
 		return
 	}
-	meth, err := s.st.methodology()
+	meth, err := s.methodology()
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
 	// Warm the basis so SNRAnalysis evaluates by superposition instead of
 	// falling back to a direct solve per request.
-	if _, err := s.st.basisFor(act); err != nil {
+	if _, err := s.basisFor(act); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -640,7 +561,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	_, basis, err := s.st.resolveBasis(req.Scenario)
+	basis, err := s.resolveBasis(req.Scenario)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -649,7 +570,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	if layer == "" {
 		layer = stack.LayerOptical
 	}
-	res, err := s.st.evaluate(basis, req.powers())
+	res, err := s.evaluate(basis, req.powers())
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -684,12 +605,12 @@ func rowWindow(total, start, count int) (lo, hi int, err error) {
 func (s *Server) handleGradientSweep(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	traceID := r.Header.Get(obs.TraceHeader)
-	tr := s.trace(r, r.URL.Path)
+	tr := obs.NewTrace(traceID, r.URL.Path)
 	// A sweep counts in the latency histogram once its basis resolved.
 	counted := false
 	fail := func(err error) {
 		if counted {
-			s.st.latSweep.Observe(time.Since(start).Seconds())
+			s.latSweep.Observe(time.Since(start).Seconds())
 		}
 		code := writeErrTrace(w, traceID, err)
 		s.publish(tr, code)
@@ -704,14 +625,13 @@ func (s *Server) handleGradientSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sp := tr.StartSpan("basis")
-	_, basis, err := s.st.resolveBasis(req.Scenario)
+	basis, err := s.resolveBasis(req.Scenario)
 	sp.End()
 	if err != nil {
 		fail(err)
 		return
 	}
 	counted = true
-	st := s.st
 	lo, hi, err := rowWindow(len(req.Lasers), req.RowStart, req.RowCount)
 	if err != nil {
 		fail(badRequest(err))
@@ -722,7 +642,7 @@ func (s *Server) handleGradientSweep(w http.ResponseWriter, r *http.Request) {
 		fail(err)
 		return
 	}
-	ex.SetWorkers(st.spec.Workers)
+	ex.SetWorkers(s.spec.Workers)
 	sp = tr.StartSpan("sweep_wait")
 	s.sweepSem <- struct{}{}
 	sp.End()
@@ -736,11 +656,11 @@ func (s *Server) handleGradientSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, GradientSweepResponse{
 		RowStart: lo, TotalRows: len(req.Lasers), Rows: rows,
-		ONICell: st.spec.Res.ONICell, DieCell: st.spec.Res.DieCell, MaxZCell: st.spec.Res.MaxZCell,
+		ONICell: s.spec.Res.ONICell, DieCell: s.spec.Res.DieCell, MaxZCell: s.spec.Res.MaxZCell,
 		Solver:  fvm.SolverName,
 		TraceID: traceID,
 	})
-	st.latSweep.Observe(time.Since(start).Seconds())
+	s.latSweep.Observe(time.Since(start).Seconds())
 	s.publish(tr, http.StatusOK)
 	s.logger.Info("sweep",
 		"trace_id", traceID, "kind", "gradient",
@@ -752,12 +672,12 @@ func (s *Server) handleGradientSweep(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleAvgTempSweep(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	traceID := r.Header.Get(obs.TraceHeader)
-	tr := s.trace(r, r.URL.Path)
+	tr := obs.NewTrace(traceID, r.URL.Path)
 	// A sweep counts in the latency histogram once its basis resolved.
 	counted := false
 	fail := func(err error) {
 		if counted {
-			s.st.latSweep.Observe(time.Since(start).Seconds())
+			s.latSweep.Observe(time.Since(start).Seconds())
 		}
 		code := writeErrTrace(w, traceID, err)
 		s.publish(tr, code)
@@ -772,14 +692,13 @@ func (s *Server) handleAvgTempSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sp := tr.StartSpan("basis")
-	_, basis, err := s.st.resolveBasis(req.Scenario)
+	basis, err := s.resolveBasis(req.Scenario)
 	sp.End()
 	if err != nil {
 		fail(err)
 		return
 	}
 	counted = true
-	st := s.st
 	lo, hi, err := rowWindow(len(req.Chips), req.RowStart, req.RowCount)
 	if err != nil {
 		fail(badRequest(err))
@@ -790,7 +709,7 @@ func (s *Server) handleAvgTempSweep(w http.ResponseWriter, r *http.Request) {
 		fail(err)
 		return
 	}
-	ex.SetWorkers(st.spec.Workers)
+	ex.SetWorkers(s.spec.Workers)
 	sp = tr.StartSpan("sweep_wait")
 	s.sweepSem <- struct{}{}
 	sp.End()
@@ -804,11 +723,11 @@ func (s *Server) handleAvgTempSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, AvgTempSweepResponse{
 		RowStart: lo, TotalRows: len(req.Chips), Rows: rows,
-		ONICell: st.spec.Res.ONICell, DieCell: st.spec.Res.DieCell, MaxZCell: st.spec.Res.MaxZCell,
+		ONICell: s.spec.Res.ONICell, DieCell: s.spec.Res.DieCell, MaxZCell: s.spec.Res.MaxZCell,
 		Solver:  fvm.SolverName,
 		TraceID: traceID,
 	})
-	st.latSweep.Observe(time.Since(start).Seconds())
+	s.latSweep.Observe(time.Since(start).Seconds())
 	s.publish(tr, http.StatusOK)
 	s.logger.Info("sweep",
 		"trace_id", traceID, "kind", "avgtemp",
@@ -822,35 +741,32 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, Health{
 		Status:  "ok",
 		UptimeS: time.Since(s.start).Seconds(),
-		Specs:   []SpecInfo{s.st.info()},
+		Specs:   []SpecInfo{s.info()},
 		Jobs:    s.jobs.stateCounts(),
 	})
 }
 
 // handleSpecs lists the served spec as a one-entry list.
 func (s *Server) handleSpecs(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, []SpecInfo{s.st.info()})
+	writeJSON(w, []SpecInfo{s.info()})
 }
 
 // info snapshots the spec's resolution, solver and warm-state counters.
-func (st *specState) info() SpecInfo {
+func (s *Server) info() SpecInfo {
 	info := SpecInfo{
 		Name:     specLabel,
-		ONICell:  st.spec.Res.ONICell,
-		DieCell:  st.spec.Res.DieCell,
-		MaxZCell: st.spec.Res.MaxZCell,
+		ONICell:  s.spec.Res.ONICell,
+		DieCell:  s.spec.Res.DieCell,
+		MaxZCell: s.spec.Res.MaxZCell,
 		Solver:   fvm.SolverName,
 	}
-	hits, misses := st.cache.Stats()
-	info.CacheHits, info.CacheMisses = hits, misses
-	info.CacheLen = st.cache.Len()
-	info.Evaluations = st.evals.Load()
-	info.Admitted, info.Shed, info.Clients = st.adm.stats()
-	info.QueryLatency = st.latQuery.Snapshot()
+	info.Evaluations = s.evals.Load()
+	info.Admitted, info.Shed = s.adm.stats()
+	info.QueryLatency = s.latQuery.Snapshot()
 	// Peek without forcing a build: only report the model when some
 	// query has already paid for it.
-	if st.ready.Load() && st.err == nil {
-		model := st.meth.Model()
+	if s.ready.Load() && s.err == nil {
+		model := s.meth.Model()
 		bs := model.BasisCacheStats()
 		info.ModelReady = true
 		info.Cells = model.NumCells()

@@ -25,10 +25,7 @@ func testServer(t *testing.T) *Server {
 		t.Fatal(err)
 	}
 	spec.Res = thermal.PreviewResolution()
-	s, err := New(Config{
-		Spec:      spec,
-		CacheSize: 64,
-	})
+	s, err := New(Config{Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,9 +63,9 @@ func decodeBody[T any](t *testing.T, w *httptest.ResponseRecorder) T {
 
 // TestBadInputs pins the client-error surface: every malformed request
 // must come back 4xx with the JSON error envelope, never a 500 or an
-// empty body. Each request goes twice, and nothing may reach the query
-// cache: finite powers that overflow the superposition are refused, not
-// answered with a body JSON cannot carry and then cached.
+// empty body. Each request goes twice and is refused both times: finite
+// powers that overflow the superposition get a 400, not a body JSON
+// cannot carry.
 func TestBadInputs(t *testing.T) {
 	skipShort(t)
 	s := testServer(t)
@@ -112,9 +109,6 @@ func TestBadInputs(t *testing.T) {
 			}
 		})
 	}
-	if n := s.st.cache.Len(); n != 0 {
-		t.Errorf("bad inputs left %d answers in the query cache, want 0", n)
-	}
 }
 
 // TestWriteJSONEncodeFailure: a value JSON cannot carry becomes a 500
@@ -155,10 +149,9 @@ func TestBasisEvictionLRU(t *testing.T) {
 		}
 		return decodeBody[QueryResponse](t, w)
 	}
-	st := s.st
 	wantStats := func(when string, warm int, builds, evictions int64) {
 		t.Helper()
-		h := st.info()
+		h := s.info()
 		if h.WarmBases != warm || h.BasisBuilds != builds || h.BasisEvictions != evictions {
 			t.Fatalf("%s: warm_bases %d, basis_builds %d, basis_evictions %d; want %d, %d, %d",
 				when, h.WarmBases, h.BasisBuilds, h.BasisEvictions, warm, builds, evictions)
@@ -180,16 +173,14 @@ func TestBasisEvictionLRU(t *testing.T) {
 	// activity build has used the uniform basis since) and is served.
 	query(seed(thermal.MaxBases))
 	wantStats("beyond the bound", thermal.MaxBases, thermal.MaxBases+1, 1)
-	model := st.meth.Model()
+	model := s.meth.Model()
 	if model.CachedBasis(activity.Random{Seed: 1}) != nil {
 		t.Fatal("seed 1, the least recently used, is still cached")
 	}
 
 	// Asking for the evicted shape again rebuilds it (evicting seed 2)
 	// and — the determinism pin — answers identically to the first
-	// build. The cache is cleared first so the answer is truly recomputed
-	// through the rebuilt basis.
-	st.cache = newLRUCache(64)
+	// build.
 	rebuilt := query(seed(1))
 	rebuilt.TraceID = firstSeed1.TraceID // per-request id, not part of the determinism pin
 	if rebuilt != firstSeed1 {
@@ -199,7 +190,6 @@ func TestBasisEvictionLRU(t *testing.T) {
 
 	// The uniform basis is never evicted, so a uniform query — however
 	// old its last use — builds nothing.
-	st.cache = newLRUCache(64)
 	query(uniform)
 	wantStats("after a uniform query", thermal.MaxBases, thermal.MaxBases+2, 2)
 }
@@ -216,46 +206,37 @@ func TestMethodNotAllowed(t *testing.T) {
 	}
 }
 
-// TestGradientCacheHitMiss: the first query misses and computes, the
-// second identical query (even spelled differently) hits, and a
-// different operating point misses again.
-func TestGradientCacheHitMiss(t *testing.T) {
+// TestGradientRepeatQuery: every query is evaluated afresh. The same
+// point asked twice, once with `pdriver` spelled out as its default,
+// answers bit for bit alike; a different point answers differently;
+// and each of the three queries is one evaluation.
+func TestGradientRepeatQuery(t *testing.T) {
 	skipShort(t)
 	s := testServer(t)
-	const q = `{"chip": 25, "pvcsel": 2e-3, "pheater": 0.6e-3}`
-
-	w := postJSON(t, s, "/v1/gradient", q)
-	if w.Code != http.StatusOK {
-		t.Fatalf("first query: %d (%s)", w.Code, w.Body.String())
+	query := func(body string) QueryResponse {
+		t.Helper()
+		w := postJSON(t, s, "/v1/gradient", body)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: %d (%s)", body, w.Code, w.Body.String())
+		}
+		resp := decodeBody[QueryResponse](t, w)
+		resp.TraceID = "" // per request, not part of the answer
+		return resp
 	}
-	first := decodeBody[QueryResponse](t, w)
-	if first.Cached {
-		t.Fatal("first query claims cached")
-	}
+	first := query(`{"chip": 25, "pvcsel": 2e-3, "pheater": 0.6e-3}`)
 	if first.MeanONITemp <= 25 {
 		t.Fatalf("implausible mean ONI temp %g", first.MeanONITemp)
 	}
-
-	// Same point with the driver spelled explicitly: canonicalisation
-	// must collapse it onto the same key.
-	w = postJSON(t, s, "/v1/gradient", `{"chip": 25, "pvcsel": 2e-3, "pdriver": 2e-3, "pheater": 0.6e-3}`)
-	second := decodeBody[QueryResponse](t, w)
-	if !second.Cached {
-		t.Fatal("identical query missed the cache")
+	second := query(`{"chip": 25, "pvcsel": 2e-3, "pdriver": 2e-3, "pheater": 0.6e-3}`)
+	if second != first {
+		t.Fatalf("repeated query answered differently:\nfirst  %+v\nsecond %+v", first, second)
 	}
-	if second.MeanONITemp != first.MeanONITemp || second.MaxGradient != first.MaxGradient {
-		t.Fatal("cached answer differs from computed answer")
+	third := query(`{"chip": 26, "pvcsel": 2e-3, "pheater": 0.6e-3}`)
+	if third == first {
+		t.Fatal("a different operating point answered like the first")
 	}
-
-	w = postJSON(t, s, "/v1/gradient", `{"chip": 26, "pvcsel": 2e-3, "pheater": 0.6e-3}`)
-	third := decodeBody[QueryResponse](t, w)
-	if third.Cached {
-		t.Fatal("different operating point served from cache")
-	}
-
-	hits, misses := s.st.cache.Stats()
-	if hits != 1 || misses != 2 {
-		t.Fatalf("cache stats hits=%d misses=%d, want 1/2", hits, misses)
+	if evals := s.info().Evaluations; evals != 3 {
+		t.Fatalf("evaluations = %d, want 3", evals)
 	}
 }
 
@@ -270,8 +251,8 @@ func TestSingleFlightBasisBuild(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// Distinct operating points: no cache short-circuit, all
-			// must wait on the same cold basis.
+			// Distinct operating points, all waiting on the same cold
+			// basis.
 			body := fmt.Sprintf(`{"chip": 25, "pvcsel": %g, "pheater": 1e-3}`, 1e-3+float64(i)*1e-4)
 			req := httptest.NewRequest(http.MethodPost, "/v1/gradient", strings.NewReader(body))
 			w := httptest.NewRecorder()
@@ -287,7 +268,7 @@ func TestSingleFlightBasisBuild(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if builds := s.st.info().BasisBuilds; builds != 1 {
+	if builds := s.info().BasisBuilds; builds != 1 {
 		t.Fatalf("%d concurrent cold queries ran %d basis builds, want 1", n, builds)
 	}
 }

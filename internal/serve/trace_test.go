@@ -22,10 +22,7 @@ func TestTraceEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec.Res = thermal.PreviewResolution()
-	s, err := New(Config{
-		Spec:      spec,
-		CacheSize: 64,
-	})
+	s, err := New(Config{Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,9 +82,6 @@ func TestTraceEndToEnd(t *testing.T) {
 		t.Fatalf("/debug/requests status = %d (%s)", dw.Code, dw.Body.String())
 	}
 	dr := decodeBody[DebugRequests](t, dw)
-	if !dr.Tracing {
-		t.Fatal("tracing reported disabled on a default server")
-	}
 	var rec *obs.TraceRecord
 	for i := range dr.Requests {
 		if dr.Requests[i].TraceID == traceID && dr.Requests[i].Status == http.StatusOK {
@@ -105,14 +99,14 @@ func TestTraceEndToEnd(t *testing.T) {
 	for _, sp := range rec.Spans {
 		spans[sp.Name] = sp
 	}
-	for _, want := range []string{"admission", "basis", "cache", "solve"} {
+	for _, want := range []string{"admission", "basis", "solve"} {
 		if _, ok := spans[want]; !ok {
 			t.Errorf("trace is missing the %q span (have %v)", want, spanNames(rec.Spans))
 		}
 	}
-	for _, gone := range []string{"batch_wait", "coalesce_wait"} {
+	for _, gone := range []string{"cache", "batch_wait", "coalesce_wait"} {
 		if _, ok := spans[gone]; ok {
-			t.Errorf("trace has a %q span; queries evaluate inline", gone)
+			t.Errorf("trace has a %q span; every query evaluates inline", gone)
 		}
 	}
 	if sp := spans["solve"]; sp.DurationUS <= 0 {
@@ -155,40 +149,4 @@ func hasAttr(sp obs.SpanRec, key string) bool {
 		}
 	}
 	return false
-}
-
-// TestTracingDisabled pins the -no-trace path: ids still mint and echo,
-// but the span ring stays empty.
-func TestTracingDisabled(t *testing.T) {
-	skipShort(t)
-	spec, err := thermal.PaperSpec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.Res = thermal.PreviewResolution()
-	s, err := New(Config{
-		Spec:           spec,
-		DisableTracing: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.Close)
-	w := postJSON(t, s, "/v1/gradient", `{"chip": 25, "pvcsel": 2e-3}`)
-	if w.Code != http.StatusOK {
-		t.Fatalf("query status = %d (%s)", w.Code, w.Body.String())
-	}
-	if got := w.Header().Get(obs.TraceHeader); !obs.ValidID(got) {
-		t.Fatalf("trace id not echoed with tracing disabled: %q", got)
-	}
-	dreq := httptest.NewRequest(http.MethodGet, "/debug/requests", nil)
-	dw := httptest.NewRecorder()
-	s.ServeHTTP(dw, dreq)
-	dr := decodeBody[DebugRequests](t, dw)
-	if dr.Tracing {
-		t.Fatal("tracing reported enabled under DisableTracing")
-	}
-	if len(dr.Requests) != 0 {
-		t.Fatalf("span ring holds %d records under DisableTracing, want 0", len(dr.Requests))
-	}
 }

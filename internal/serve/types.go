@@ -2,8 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"vcselnoc/internal/activity"
 	"vcselnoc/internal/core"
@@ -54,22 +52,6 @@ func (s Scenario) powers() thermal.Powers {
 	return thermal.Powers{Chip: s.Chip, VCSEL: s.PVCSEL, Driver: driver, Heater: s.PHeater}
 }
 
-// cacheKey canonicalises the scenario, whose activity resolved to act,
-// for the query LRU: the driver default is applied first (so {pvcsel:
-// 2 mW} and {pvcsel: 2 mW, pdriver: 2 mW} share an entry), the activity
-// is keyed as the model keys its basis (activity.Key: an empty name is
-// uniform, and a seed only counts for activities that use it), and
-// floats are formatted shortest-round-trip so numerically identical JSON
-// spellings collide.
-func (s Scenario) cacheKey(act activity.Scenario) string {
-	p := s.powers()
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	return strings.Join([]string{
-		activity.Key(act),
-		f(p.Chip), f(p.VCSEL), f(p.Driver), f(p.Heater),
-	}, "|")
-}
-
 // QueryResponse is the answer to a gradient or feasibility query: the
 // superposition evaluation's ONI summary plus the paper's 1 °C verdict.
 type QueryResponse struct {
@@ -83,10 +65,7 @@ type QueryResponse struct {
 	// ChipMax and ChipAvg summarise the junction layer (°C).
 	ChipMax float64 `json:"chip_max"`
 	ChipAvg float64 `json:"chip_avg"`
-	// Cached marks answers served from the query LRU.
-	Cached bool `json:"cached"`
-	// TraceID echoes the request's X-Trace-ID (set per request, never
-	// cached).
+	// TraceID echoes the request's X-Trace-ID.
 	TraceID string `json:"trace_id,omitempty"`
 }
 
@@ -301,20 +280,14 @@ type SpecInfo struct {
 	// BasisBuilds counts the basis builds the spec's model has run (an
 	// activity basis on a cold model builds the uniform basis too).
 	BasisBuilds int64 `json:"basis_builds"`
-	// CacheHits/CacheMisses/CacheLen describe the query LRU.
-	CacheHits   int64 `json:"cache_hits"`
-	CacheMisses int64 `json:"cache_misses"`
-	CacheLen    int   `json:"cache_len"`
 	// Evaluations counts the basis evaluations the server ran (gradient
-	// and feasibility cache misses, map slices): every admitted query is
-	// a cache hit or an evaluation.
+	// and feasibility queries, map slices): every admitted query with
+	// valid powers is one evaluation.
 	Evaluations int64 `json:"evaluations"`
 	// Admitted and Shed count hot-path queries through admission control
-	// (both zero when admission is disabled); Clients is the tracked
-	// per-client bucket count.
+	// (both zero when admission is disabled).
 	Admitted int64 `json:"admitted"`
 	Shed     int64 `json:"shed"`
-	Clients  int   `json:"clients"`
 	// WarmBases and BasisEvictions describe the model's bounded basis
 	// cache (thermal.MaxBases).
 	WarmBases      int   `json:"warm_bases"`

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 )
@@ -234,6 +235,12 @@ func pcg(a *CSR, b, x []float64, w *Workspace, precond func(z, r []float64), tol
 		}
 		return Result{Converged: true}, nil
 	}
+	// A non-finite ‖b‖ (an Inf or NaN entry, or finite entries whose
+	// squares overflow) can never meet a relative tolerance: fail now
+	// rather than iterate to maxIter on Inf/NaN residuals.
+	if math.IsInf(bNorm, 0) || math.IsNaN(bNorm) {
+		return Result{}, fmt.Errorf("sparse: right-hand side norm %g is not finite", bNorm)
+	}
 
 	r, z, p, ap := w.r, w.z, w.p, w.ap
 	a.MulVecN(ap, x, workers)
@@ -254,7 +261,8 @@ func pcg(a *CSR, b, x []float64, w *Workspace, precond func(z, r []float64), tol
 		res.Iterations = k + 1
 		a.MulVecN(ap, p, workers)
 		pap := Dot(p, ap)
-		if pap <= 0 {
+		// Written so that a NaN p·Ap stops the loop too.
+		if !(pap > 0) {
 			return res, fmt.Errorf("sparse: p·Ap = %g not positive at iteration %d (matrix not SPD)", pap, k)
 		}
 		alpha := rz / pap

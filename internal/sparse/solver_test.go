@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -229,6 +230,43 @@ func TestSolverZeroRHS(t *testing.T) {
 		if v != 0 {
 			t.Fatal("zero rhs should give zero solution")
 		}
+	}
+}
+
+// TestSolverNonFiniteRHS: a right-hand side whose norm is not finite — an
+// Inf or NaN entry, or finite entries whose squares overflow — can never
+// meet a relative tolerance, so PCG (and CG on top of it) must refuse it
+// before the first iteration instead of running to the iteration cap.
+func TestSolverNonFiniteRHS(t *testing.T) {
+	m := buildLaplacian1D(10)
+	identity := func(z, r []float64) { copy(z, r) }
+	for _, tc := range []struct {
+		name string
+		b    func() []float64
+	}{
+		{"Inf entry", func() []float64 { b := rhsFor(10, 3); b[4] = math.Inf(1); return b }},
+		{"NaN entry", func() []float64 { b := rhsFor(10, 3); b[7] = math.NaN(); return b }},
+		{"overflowing norm", func() []float64 {
+			b := make([]float64, 10)
+			for i := range b {
+				b[i] = 1e200
+			}
+			return b
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := PCG(m, tc.b(), make([]float64, 10), nil, identity, 1e-9, 0, 1)
+			if err == nil || !strings.Contains(err.Error(), "not finite") {
+				t.Fatalf("PCG: err = %v, want a non-finite right-hand side error", err)
+			}
+			if res.Iterations != 0 || res.Converged {
+				t.Fatalf("PCG: %d iterations, converged %v; want 0, false", res.Iterations, res.Converged)
+			}
+			res, err = (&CG{}).Solve(m, tc.b(), make([]float64, 10))
+			if err == nil || res.Iterations != 0 {
+				t.Fatalf("CG: err = %v after %d iterations, want an error after 0", err, res.Iterations)
+			}
+		})
 	}
 }
 

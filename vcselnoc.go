@@ -336,12 +336,11 @@ func ActivityByName(name string, seed int64) (ActivityScenario, error) {
 type (
 	// Server is the warm HTTP service: a long-lived model and its bases,
 	// superposition queries evaluated inline against bases projected
-	// onto the report's functionals, an LRU over canonicalised
-	// scenarios, and single-flight basis builds. It implements
-	// http.Handler.
+	// onto the report's functionals, and single-flight basis builds. It
+	// implements http.Handler.
 	Server = serve.Server
 	// ServeConfig sets the one spec a Server owns warm state for and
-	// tunes its caching, admission and job handling.
+	// tunes its admission and job handling.
 	ServeConfig = serve.Config
 	// ServeScenario is the wire form of one operating point.
 	ServeScenario = serve.Scenario
