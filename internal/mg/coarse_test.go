@@ -35,21 +35,28 @@ func TestCoarseSolverAgreement(t *testing.T) {
 }
 
 // TestCoarseOrderingRoundTrip validates the nested-dissection ordering:
-// a genuine permutation whose factorisation solves back in original cell
-// order, and with no more fill than the natural ordering.
+// a genuine permutation of the line-major coarsest level that keeps each
+// z-line's cells consecutive and bottom to top, whose factorisation
+// solves back in original cell order.
 func TestCoarseOrderingRoundTrip(t *testing.T) {
 	h, _, _ := testHierarchy(t)
 	lv := h.levels[len(h.levels)-1]
+	if lv.layerMajor {
+		t.Fatal("the coarsest level of a multi-level hierarchy is numbered layer-major")
+	}
 	perm := h.CoarseOrdering()
 	seen := make([]bool, lv.n())
 	if len(perm) != lv.n() {
 		t.Fatalf("ordering has %d entries, want %d", len(perm), lv.n())
 	}
-	for _, o := range perm {
+	for q, o := range perm {
 		if o < 0 || int(o) >= lv.n() || seen[o] {
 			t.Fatalf("ordering is not a permutation (entry %d)", o)
 		}
 		seen[o] = true
+		if k := q % lv.nz; int(o)%lv.nz != k || int(o)-k != int(perm[q-k]) {
+			t.Fatalf("ordering splits a z-line: position %d holds cell %d, its line starts at cell %d", q, o, perm[q-k])
+		}
 	}
 	ident := make([]int32, lv.n())
 	for i := range ident {

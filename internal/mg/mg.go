@@ -19,6 +19,18 @@
 // µm-thin layers couple far more strongly in z than in the plane —
 // relaxed colour class by colour class on the worker pool.
 //
+// The V-cycle numbers every level z-line-major: cell (lateral line l,
+// layer k) sits at l·nz+k, so a line's iterate, right-hand side and
+// Thomas coefficients are contiguous for the smoother. Every level below
+// the finest stores its Galerkin operator in that numbering, each row
+// keeping the entry order the layer-major numbering (k·lines+l) would
+// give it, so residuals and transfers add in the same order, and round
+// the same, whichever numbering runs. The finest operator is the
+// caller's layer-major matrix: the preconditioner permutes at entry and
+// exit, and the finest residual walks the caller's rows while reading and
+// writing the line-major vectors, so no level is stored twice and no
+// vector is copied for it.
+//
 // The V-cycle is written once, generic over float32 and float64. The
 // float64 cycle reads the hierarchy's own arrays; the float32 cycle reads
 // rounded copies of them, built once per hierarchy, and halves the memory
@@ -263,39 +275,64 @@ func newAxisInterp(fineLines, coarseLines []float64) *axisInterp {
 }
 
 // level is one rung of the hierarchy: its operator plus the transfer maps
-// to the next coarser rung (nil on the coarsest).
+// to the next coarser rung (nil on the coarsest). z is never coarsened,
+// so the transfers are lateral only: coarse cell (cl, k) collects fine
+// cells (fl, k) of the same layer.
 type level struct {
 	a          *sparse.CSR
 	nx, ny, nz int
-	ix, iy, iz *axisInterp
+	ix, iy     *axisInterp
 	ls         *lineSmoother
+	// layerMajor marks an operator numbered layer-major, cell (l, k) at
+	// row k·nx·ny+l: the finest level's, which is the caller's matrix.
+	// Every coarser operator is numbered line-major, (l, k) at l·nz+k.
+	layerMajor bool
+}
+
+// cell returns the row of lv.a holding cell (lateral line l, layer k).
+func (lv *level) cell(l, k int) int {
+	if lv.layerMajor {
+		return k*lv.nx*lv.ny + l
+	}
+	return l*lv.nz + k
+}
+
+// lineOf returns the lateral line and layer of row c of lv.a.
+func (lv *level) lineOf(c int) (l, k int) {
+	if lv.layerMajor {
+		lines := lv.nx * lv.ny
+		return c % lines, c / lines
+	}
+	return c / lv.nz, c % lv.nz
 }
 
 // lineSmoother holds the precomputed Thomas factorisation of every
-// vertical cell column of one level, in a cache-conscious line-major
-// layout. Because z is never coarsened and the operator's z-coupling is
-// confined to the same lateral position, the entries at column offsets
-// ±stride form an exact tridiagonal system per (i, j) line on every
-// Galerkin level; solving it exactly per sweep removes the
-// strongly-coupled vertical error components a point smoother crawls
-// through. All remaining (off-line) row entries are repacked into a
-// private CSR-like store walked linearly by the sweep, so the hot loop
-// touches no branch-filtered a.Row() slices. The struct additionally
-// carries a colouring of the line-coupling graph: lines of one colour
-// share no matrix entry and may be relaxed concurrently with a result
-// bit-identical to relaxing them one by one. It is immutable after
-// construction and shared (read-only) by all solvers of a hierarchy.
+// vertical cell column of one level, in the line-major numbering every
+// V-cycle vector uses. Because z is never coarsened and the operator's
+// z-coupling is confined to the same lateral position, the entries
+// coupling layers k±1 of one line form an exact tridiagonal system per
+// (i, j) line on every Galerkin level; solving it exactly per sweep
+// removes the strongly-coupled vertical error components a point
+// smoother crawls through. All remaining (off-line) row entries are
+// repacked, in row order, into a private CSR-like store walked linearly
+// by the sweep, so the hot loop touches no branch-filtered a.Row()
+// slices. The struct additionally carries a colouring of the
+// line-coupling graph: lines of one colour share no matrix entry and may
+// be relaxed concurrently with a result bit-identical to relaxing them
+// one by one. It is immutable after construction and shared (read-only)
+// by all solvers of a hierarchy.
 type lineSmoother struct {
-	stride, nz int
+	lines, nz int
 	// Line-major Thomas coefficients: entry j = l·nz + k holds layer k of
 	// line l. subL is the coupling to the layer below (zero on the bottom
 	// layer); cpL and invL are the forward-elimination coefficients c′_k
 	// and 1/(d_k − sub_k·c′_{k−1}).
 	subL, cpL, invL []float64
-	// Packed off-line coefficients of cell (l, k): offCol/offVal entries
-	// offPtr[j] ≤ p < offPtr[j+1], with offCol holding global cell
-	// indices. These are the couplings the block Gauss–Seidel sweep moves
-	// to the right-hand side at their current values.
+	// Packed off-line coefficients of cell j = l·nz + k: offCol/offVal
+	// entries offPtr[j] ≤ p < offPtr[j+1], with offCol holding line-major
+	// cell indices of other lines. These are the couplings the block
+	// Gauss–Seidel sweep moves to the right-hand side at their current
+	// values.
 	offPtr []int32
 	offCol []int32
 	offVal []float64
@@ -307,46 +344,47 @@ type lineSmoother struct {
 }
 
 // newLineSmoother factorises the vertical tridiagonal of every lateral
-// line, packs the off-line couplings and colours the line-coupling graph.
-// A non-positive pivot means the operator is not SPD.
-func newLineSmoother(a *sparse.CSR, nx, ny, nz int) (*lineSmoother, error) {
-	stride := nx * ny
-	n := a.N()
+// line of lv, packs the off-line couplings and colours the line-coupling
+// graph. A non-positive pivot means the operator is not SPD. A coupling
+// between layers more than one apart is refused too: on one line it would
+// leave the line system non-tridiagonal, and fineResidual relies on every
+// coupling of the finest level reaching one layer at most (fvm's 7-point
+// operators and, z being kept, their Galerkin products never do).
+func newLineSmoother(lv *level) (*lineSmoother, error) {
+	lines, nz := lv.nx*lv.ny, lv.nz
+	n := lines * nz
 	ls := &lineSmoother{
-		stride: stride, nz: nz,
+		lines: lines, nz: nz,
 		subL: make([]float64, n), cpL: make([]float64, n), invL: make([]float64, n),
 		offPtr: make([]int32, n+1),
 	}
-	adj := make([][]int32, stride)
-	for l := 0; l < stride; l++ {
+	adj := make([][]int32, lines)
+	for l := 0; l < lines; l++ {
 		prevCp := 0.0
 		for k := 0; k < nz; k++ {
-			idx := k*stride + l
 			j := l*nz + k
 			var sub, diag, sup float64
-			cols, vals := a.Row(idx)
+			cols, vals := lv.a.Row(lv.cell(l, k))
 			for p, c := range cols {
-				switch int(c) {
-				case idx - stride:
-					sub = vals[p]
-				case idx:
-					diag = vals[p]
-				case idx + stride:
-					sup = vals[p]
-				default:
-					ls.offCol = append(ls.offCol, c)
+				cl, ck := lv.lineOf(int(c))
+				switch {
+				case ck < k-1 || ck > k+1:
+					return nil, fmt.Errorf("mg: cell %d couples layers %d and %d (more than one apart)", lv.cell(l, k), k, ck)
+				case cl != l:
+					ls.offCol = append(ls.offCol, int32(cl*nz+ck))
 					ls.offVal = append(ls.offVal, vals[p])
-					if nl := int32(int(c) % stride); nl != int32(l) {
-						adj[l] = appendUniqueInt32(adj[l], nl)
-					}
+					adj[l] = appendUniqueInt32(adj[l], int32(cl))
+				case ck == k-1:
+					sub = vals[p]
+				case ck == k:
+					diag = vals[p]
+				default:
+					sup = vals[p]
 				}
-			}
-			if k == 0 {
-				sub = 0
 			}
 			denom := diag - sub*prevCp
 			if denom <= 0 {
-				return nil, fmt.Errorf("mg: z-line pivot %g at cell %d (matrix not SPD?)", denom, idx)
+				return nil, fmt.Errorf("mg: z-line pivot %g at cell %d (matrix not SPD?)", denom, lv.cell(l, k))
 			}
 			ls.subL[j] = sub
 			ls.invL[j] = 1 / denom
@@ -355,7 +393,7 @@ func newLineSmoother(a *sparse.CSR, nx, ny, nz int) (*lineSmoother, error) {
 			ls.offPtr[j+1] = int32(len(ls.offCol))
 		}
 	}
-	ls.colors = colorLines(adj, stride)
+	ls.colors = colorLines(adj, lines)
 	return ls, nil
 }
 
@@ -373,10 +411,10 @@ func appendUniqueInt32(s []int32, v int32) []int32 {
 // colours; line degrees are ≤ 8 even on the widened coarse stencils, so
 // the uint64 used-colour mask never saturates. Lines within one returned
 // class are pairwise uncoupled.
-func colorLines(adj [][]int32, stride int) [][]int32 {
-	color := make([]int, stride)
+func colorLines(adj [][]int32, lines int) [][]int32 {
+	color := make([]int, lines)
 	maxColor := 1
-	for l := 0; l < stride; l++ {
+	for l := 0; l < lines; l++ {
 		var used uint64
 		for _, nl := range adj[l] {
 			if int(nl) < l {
@@ -393,7 +431,7 @@ func colorLines(adj [][]int32, stride int) [][]int32 {
 		}
 	}
 	classes := make([][]int32, maxColor)
-	for l := 0; l < stride; l++ {
+	for l := 0; l < lines; l++ {
 		classes[color[l]] = append(classes[color[l]], int32(l))
 	}
 	return classes
@@ -412,17 +450,22 @@ func colorLines(adj [][]int32, stride int) [][]int32 {
 // thickness adapts to the widest lateral reach of the level's stencil (1
 // for the 9-point Galerkin stencils), so a separator genuinely separates
 // and correctness never depends on it — a too-thin separator would only
-// cost extra fill.
+// cost extra fill. The lines are chosen on the lateral plane alone and
+// each is written out through lv.cell, so a line-major level's ordering
+// is its layer-major ordering relabelled: the permuted matrix, and with
+// it the factor, are the same bits in either numbering.
 func coarseNDOrder(lv *level) []int32 {
 	nx, ny, nz := lv.nx, lv.ny, lv.nz
 	stride := nx * ny
 	// Widest lateral reach of any stencil entry, from the operator itself.
 	reach := 1
 	for i := 0; i < lv.n(); i++ {
-		li, lj := i%stride%nx, i%stride/nx
+		l, _ := lv.lineOf(i)
+		li, lj := l%nx, l/nx
 		cols, _ := lv.a.Row(i)
 		for _, c := range cols {
-			ci, cj := int(c)%stride%nx, int(c)%stride/nx
+			cl, _ := lv.lineOf(int(c))
+			ci, cj := cl%nx, cl/nx
 			if d := li - ci; d > reach || -d > reach {
 				reach = max(d, -d)
 			}
@@ -470,7 +513,7 @@ func coarseNDOrder(lv *level) []int32 {
 	perm := make([]int32, 0, stride*nz)
 	for _, l := range lines {
 		for k := 0; k < nz; k++ {
-			perm = append(perm, int32(k*stride)+l)
+			perm = append(perm, int32(lv.cell(int(l), k)))
 		}
 	}
 	return perm
@@ -495,13 +538,15 @@ type cycleArrays[F sparse.Float] struct {
 	factorVals []F
 }
 
-// levelArrays are the values of one level in the precision of F.
+// levelArrays are the values of one level in the precision of F: the
+// operator's in its own entry order (layer-major rows on the finest
+// level, line-major below), the smoother's in the line-major numbering.
 type levelArrays[F sparse.Float] struct {
 	a                 []F // operator values, in the order of a.Values()
 	sub, cp, inv, off []F // lineSmoother subL, cpL, invL, offVal
-	// xlo/xhi, ylo/yhi and zlo/zhi are the axes' interpolation weights
+	// xlo/xhi and ylo/yhi are the lateral axes' interpolation weights
 	// (nil on the coarsest level).
-	xlo, xhi, ylo, yhi, zlo, zhi []F
+	xlo, xhi, ylo, yhi []F
 }
 
 // asF returns v in the precision of F: v itself when F is float64 — the
@@ -538,30 +583,35 @@ func newCycleArrays[F sparse.Float](h *Hierarchy, factor *sparse.SparseCholesky)
 func withTransfer[F sparse.Float](la *levelArrays[F], lv *level) *levelArrays[F] {
 	la.xlo, la.xhi = asF[F](lv.ix.wlo), asF[F](lv.ix.whi)
 	la.ylo, la.yhi = asF[F](lv.iy.wlo), asF[F](lv.iy.whi)
-	la.zlo, la.zhi = asF[F](lv.iz.wlo), asF[F](lv.iz.whi)
 	return la
 }
 
-// solveLine relaxes lateral line l exactly: forward elimination builds the
-// line right-hand side on the fly (off-line couplings at their current x
-// values) into scratch d (length nz), back substitution writes straight
-// into x.
-func solveLine[F sparse.Float](ls *lineSmoother, c *levelArrays[F], x, b, d []F, l int) {
-	stride, nz := ls.stride, ls.nz
+// solveLine relaxes lateral line l exactly. The line's cells are
+// contiguous: forward elimination builds the line right-hand side on the
+// fly (off-line couplings at their current x values) and stores the
+// eliminated values in the line's own x, which only back substitution
+// reads afterwards — the off-line sums read other lines' x alone.
+func solveLine[F sparse.Float](ls *lineSmoother, c *levelArrays[F], x, b []F, l int) {
+	nz := ls.nz
 	base := l * nz
+	xl := x[base : base+nz]
+	bl, sub, inv, cp := b[base:][:nz], c.sub[base:][:nz], c.inv[base:][:nz], c.cp[base:][:nz]
+	ptr := ls.offPtr[base:][:nz+1]
+	cols, vals := ls.offCol[ptr[0]:ptr[nz]], c.off[ptr[0]:ptr[nz]]
 	var prev F
-	for k := 0; k < nz; k++ {
-		j := base + k
-		s := b[k*stride+l]
-		for p := ls.offPtr[j]; p < ls.offPtr[j+1]; p++ {
-			s -= c.off[p] * x[ls.offCol[p]]
+	for k := range xl {
+		s := bl[k]
+		lo, hi := ptr[k]-ptr[0], ptr[k+1]-ptr[0]
+		cs, vs := cols[lo:hi], vals[lo:hi]
+		vs = vs[:len(cs)] // one length: only x[col] keeps a bounds check
+		for q, col := range cs {
+			s -= vs[q] * x[col]
 		}
-		prev = (s - c.sub[j]*prev) * c.inv[j]
-		d[k] = prev
+		prev = (s - sub[k]*prev) * inv[k]
+		xl[k] = prev
 	}
-	x[(nz-1)*stride+l] = d[nz-1]
 	for k := nz - 2; k >= 0; k-- {
-		x[k*stride+l] = d[k] - c.cp[base+k]*x[(k+1)*stride+l]
+		xl[k] -= cp[k] * xl[k+1]
 	}
 }
 
@@ -569,30 +619,29 @@ func solveLine[F sparse.Float](ls *lineSmoother, c *levelArrays[F], x, b, d []F,
 // ascending (or, reversed, descending) lexicographic order — the
 // reference ordering. A forward followed by a backward pass is symmetric
 // block Gauss–Seidel, keeping the V-cycle an SPD preconditioner.
-func sweepLex[F sparse.Float](ls *lineSmoother, c *levelArrays[F], x, b, d []F, reverse bool) {
-	for li := 0; li < ls.stride; li++ {
+func sweepLex[F sparse.Float](ls *lineSmoother, c *levelArrays[F], x, b []F, reverse bool) {
+	for li := 0; li < ls.lines; li++ {
 		l := li
 		if reverse {
-			l = ls.stride - 1 - li
+			l = ls.lines - 1 - li
 		}
-		solveLine(ls, c, x, b, d, l)
+		solveLine(ls, c, x, b, l)
 	}
 }
 
-// lineChunk is the number of lines one parallel.ForEach work item relaxes;
-// chunking keeps the atomic work-counter traffic negligible against the
-// O(nz) line solves.
+// lineChunk is the number of lines one parallel.ForEach work item relaxes
+// (or, on the finest level, takes the residual of); chunking keeps the
+// atomic work-counter traffic negligible against the O(nz) line work.
 const lineChunk = 32
 
 // sweepColored runs one block Gauss–Seidel pass colour class by colour
 // class, ascending (or, reversed, descending) — forward plus backward is
 // again symmetric. Lines within a class are independent, so each class is
-// relaxed on up to workers goroutines; bufs supplies one length-nz Thomas
-// scratch per worker. Because same-colour lines share no coupling and
-// each line writes only its own cells, the parallel result is
-// bit-identical to relaxing the class serially. One worker relaxes every
-// class in a plain loop, which allocates nothing.
-func sweepColored[F sparse.Float](ls *lineSmoother, c *levelArrays[F], x, b []F, bufs [][]F, workers int, reverse bool) {
+// relaxed on up to workers goroutines. Because same-colour lines share no
+// coupling and each line writes only its own cells, the parallel result
+// is bit-identical to relaxing the class serially. One worker relaxes
+// every class in a plain loop, which allocates nothing.
+func sweepColored[F sparse.Float](ls *lineSmoother, c *levelArrays[F], x, b []F, workers int, reverse bool) {
 	nc := len(ls.colors)
 	for ci := 0; ci < nc; ci++ {
 		col := ci
@@ -602,7 +651,7 @@ func sweepColored[F sparse.Float](ls *lineSmoother, c *levelArrays[F], x, b []F,
 		lines := ls.colors[col]
 		if workers <= 1 {
 			for _, l := range lines {
-				solveLine(ls, c, x, b, bufs[0], int(l))
+				solveLine(ls, c, x, b, int(l))
 			}
 			continue
 		}
@@ -611,15 +660,14 @@ func sweepColored[F sparse.Float](ls *lineSmoother, c *levelArrays[F], x, b []F,
 		if w > chunks {
 			w = chunks
 		}
-		parallel.ForEach(w, chunks, func(worker, chunk int) error { //nolint:errcheck // fn never fails
-			d := bufs[worker]
+		parallel.ForEach(w, chunks, func(_, chunk int) error { //nolint:errcheck // fn never fails
 			lo := chunk * lineChunk
 			hi := lo + lineChunk
 			if hi > len(lines) {
 				hi = len(lines)
 			}
 			for _, l := range lines[lo:hi] {
-				solveLine(ls, c, x, b, d, int(l))
+				solveLine(ls, c, x, b, int(l))
 			}
 			return nil
 		})
@@ -629,12 +677,15 @@ func sweepColored[F sparse.Float](ls *lineSmoother, c *levelArrays[F], x, b []F,
 func (lv *level) n() int { return lv.nx * lv.ny * lv.nz }
 
 // coarseN returns the cell count of the next coarser level.
-func (lv *level) coarseN() int { return lv.ix.nc * lv.iy.nc * lv.iz.nc }
+func (lv *level) coarseN() int { return lv.ix.nc * lv.iy.nc * lv.nz }
 
 // Hierarchy is an immutable semicoarsened multigrid hierarchy for one
 // matrix. Building one costs a few matrix passes (Galerkin products); it
 // is safe for concurrent use by many Solvers, so batched multi-RHS solves
-// share a single instance.
+// share a single instance. Its finest operator is the caller's matrix,
+// numbered layer-major; every coarser operator is built z-line-major
+// (cell (l, k) at l·nz+k) by its Galerkin product, so no level is stored
+// twice.
 type Hierarchy struct {
 	levels []*level
 	// factor is the lazily built sparse Cholesky factor of the coarsest
@@ -728,7 +779,7 @@ func BuildHierarchy(a *sparse.CSR, hint sparse.GridHint, opts Options) (*Hierarc
 			// deepen, so the current level becomes the coarsest.
 			break
 		}
-		cur, err = h.coarsenTo(lv, xl, yl, zl, cxl, cyl)
+		cur, err = h.coarsenTo(lv, xl, yl, cxl, cyl)
 		if err != nil {
 			return nil, err
 		}
@@ -747,13 +798,13 @@ func BuildHierarchy(a *sparse.CSR, hint sparse.GridHint, opts Options) (*Hierarc
 // newLevel assembles one hierarchy level for operator a on the given
 // axis line sets: diagonal validation plus the z-line factorisation.
 func newLevel(a *sparse.CSR, xl, yl, zl []float64, depth int) (*level, error) {
-	lv := &level{a: a, nx: len(xl) - 1, ny: len(yl) - 1, nz: len(zl) - 1}
+	lv := &level{a: a, nx: len(xl) - 1, ny: len(yl) - 1, nz: len(zl) - 1, layerMajor: depth == 0}
 	for i, d := range a.Diag() {
 		if d <= 0 {
 			return nil, fmt.Errorf("mg: non-positive diagonal %g at row %d of level %d (matrix not SPD?)", d, i, depth)
 		}
 	}
-	ls, err := newLineSmoother(a, lv.nx, lv.ny, lv.nz)
+	ls, err := newLineSmoother(lv)
 	if err != nil {
 		return nil, fmt.Errorf("mg: level %d: %w", depth, err)
 	}
@@ -761,12 +812,12 @@ func newLevel(a *sparse.CSR, xl, yl, zl []float64, depth int) (*level, error) {
 	return lv, nil
 }
 
-// coarsenTo wires the transfer operators from lv's axes to the coarser
-// line sets and assembles the Galerkin coarse operator.
-func (h *Hierarchy) coarsenTo(lv *level, xl, yl, zl, cxl, cyl []float64) (*sparse.CSR, error) {
+// coarsenTo wires the lateral transfer operators from lv's axes to the
+// coarser line sets (the z stack is kept at full resolution) and
+// assembles the Galerkin coarse operator.
+func (h *Hierarchy) coarsenTo(lv *level, xl, yl, cxl, cyl []float64) (*sparse.CSR, error) {
 	lv.ix = newAxisInterp(xl, cxl)
 	lv.iy = newAxisInterp(yl, cyl)
-	lv.iz = newAxisInterp(zl, zl) // z stack kept at full resolution
 	coarse, err := galerkin(lv)
 	if err != nil {
 		return nil, fmt.Errorf("mg: level %d Galerkin product: %w", len(h.levels)-1, err)
@@ -801,7 +852,7 @@ func (h *Hierarchy) rebalanceCoarse(budget, maxLevels int, xl, yl, zl []float64)
 		if len(cxl) == len(xl) && len(cyl) == len(yl) {
 			break // single lateral cell left on both axes
 		}
-		coarse, err := h.coarsenTo(lv, xl, yl, zl, cxl, cyl)
+		coarse, err := h.coarsenTo(lv, xl, yl, cxl, cyl)
 		if err != nil {
 			return err
 		}
@@ -866,7 +917,7 @@ func (h *Hierarchy) Shifted(fine *sparse.CSR, shift []float64) (*Hierarchy, erro
 		return nil, fmt.Errorf("mg: shifted fine matrix size %d does not match hierarchy size %d", fine.N(), n)
 	}
 	out := &Hierarchy{levels: make([]*level, len(h.levels))}
-	cur := shift
+	cur := shift // this level's shift, in its operator's numbering
 	for l, lv := range h.levels {
 		a := fine
 		if l > 0 || a == nil {
@@ -875,15 +926,21 @@ func (h *Hierarchy) Shifted(fine *sparse.CSR, shift []float64) (*Hierarchy, erro
 		nlv := &level{
 			a:  a,
 			nx: lv.nx, ny: lv.ny, nz: lv.nz,
-			ix: lv.ix, iy: lv.iy, iz: lv.iz,
+			ix: lv.ix, iy: lv.iy,
+			layerMajor: lv.layerMajor,
 		}
-		ls, err := newLineSmoother(a, nlv.nx, nlv.ny, nlv.nz)
+		ls, err := newLineSmoother(nlv)
 		if err != nil {
 			return nil, fmt.Errorf("mg: shifted level %d: %w", l, err)
 		}
 		nlv.ls = ls
 		out.levels[l] = nlv
 		if l < len(h.levels)-1 {
+			if lv.layerMajor {
+				lines := make([]float64, len(cur))
+				toLines(lines, cur, lv.nz)
+				cur = lines
+			}
 			next := make([]float64, lv.coarseN())
 			restrict(lv, withTransfer(&levelArrays[float64]{}, lv), next, cur)
 			cur = next
@@ -893,16 +950,24 @@ func (h *Hierarchy) Shifted(fine *sparse.CSR, shift []float64) (*Hierarchy, erro
 }
 
 // galerkin assembles the coarse operator A_c = Pᵀ·A·P of one level, where
-// P is the tensor-product interpolation lv.ix ⊗ lv.iy ⊗ lv.iz. Rows are
-// built coarse-row-major with a dense scatter buffer (Gustavson's
+// P is the lateral tensor-product interpolation lv.ix ⊗ lv.iy applied
+// layer by layer. Rows are built with a dense scatter buffer (Gustavson's
 // algorithm), so the cost is proportional to the number of triple-product
-// terms, not to any matrix dimension squared.
+// terms, not to any matrix dimension squared. The coarse operator comes
+// out line-major, coarse row (cl, k) at cl·nz+k, with its entries in
+// ascending layer-major column order (k′·lines+cl′): the order a
+// layer-major product stores them in, so every later sum over a row adds
+// its terms in the same order in either numbering. Each entry itself
+// sums the fine rows in the order the adjoint stencils list them and each
+// row's entries in its stored order.
 func galerkin(lv *level) (*sparse.CSR, error) {
-	ix, iy, iz := lv.ix, lv.iy, lv.iz
-	nxf, nyf := lv.nx, lv.ny
-	nxc, nyc, nzc := ix.nc, iy.nc, iz.nc
-	nc := nxc * nyc * nzc
+	ix, iy := lv.ix, lv.iy
+	nxf, nz := lv.nx, lv.nz
+	nxc, nyc := ix.nc, iy.nc
+	lines := nxc * nyc
+	nc := lines * nz
 
+	// scratch and marked are keyed by layer-major coarse index.
 	scratch := make([]float64, nc)
 	marked := make([]bool, nc)
 	var touched []int32
@@ -911,65 +976,53 @@ func galerkin(lv *level) (*sparse.CSR, error) {
 	var cols []int32
 	var vals []float64
 
-	// scatter adds w·a into the coarse column derived from fine column c.
+	// scatter adds w·a into the coarse columns derived from fine column c.
 	scatter := func(c int, w float64) {
-		fi := c % nxf
-		rem := c / nxf
-		fj := rem % nyf
-		fk := rem / nyf
+		fl, fk := lv.lineOf(c)
+		fi, fj := fl%nxf, fl/nxf
 		xw := [2]float64{ix.wlo[fi], ix.whi[fi]}
 		xj := [2]int32{ix.lo[fi], ix.hi[fi]}
 		yw := [2]float64{iy.wlo[fj], iy.whi[fj]}
 		yj := [2]int32{iy.lo[fj], iy.hi[fj]}
-		zw := [2]float64{iz.wlo[fk], iz.whi[fk]}
-		zj := [2]int32{iz.lo[fk], iz.hi[fk]}
-		for zi := 0; zi < 2; zi++ {
-			if zw[zi] == 0 {
+		for yi := 0; yi < 2; yi++ {
+			if yw[yi] == 0 {
 				continue
 			}
-			for yi := 0; yi < 2; yi++ {
-				if yw[yi] == 0 {
+			for xi := 0; xi < 2; xi++ {
+				if xw[xi] == 0 {
 					continue
 				}
-				for xi := 0; xi < 2; xi++ {
-					if xw[xi] == 0 {
-						continue
-					}
-					J := (int(zj[zi])*nyc+int(yj[yi]))*nxc + int(xj[xi])
-					if !marked[J] {
-						marked[J] = true
-						touched = append(touched, int32(J))
-					}
-					scratch[J] += w * zw[zi] * yw[yi] * xw[xi]
+				J := (fk*nyc+int(yj[yi]))*nxc + int(xj[xi])
+				if !marked[J] {
+					marked[J] = true
+					touched = append(touched, int32(J))
 				}
+				scratch[J] += w * yw[yi] * xw[xi]
 			}
 		}
 	}
 
-	for ck := 0; ck < nzc; ck++ {
-		for cj := 0; cj < nyc; cj++ {
-			for ci := 0; ci < nxc; ci++ {
+	for cj := 0; cj < nyc; cj++ {
+		for ci := 0; ci < nxc; ci++ {
+			for k := 0; k < nz; k++ {
 				touched = touched[:0]
 				// Fine rows contributing to this coarse row: the adjoint
-				// stencils of the three axes.
-				for zi, fk := range iz.rev[ck] {
-					wz := iz.revW[ck][zi]
-					for yi, fj := range iy.rev[cj] {
-						wy := iy.revW[cj][yi] * wz
-						for xi, fi := range ix.rev[ci] {
-							rw := ix.revW[ci][xi] * wy
-							r := (int(fk)*nyf+int(fj))*nxf + int(fi)
-							rc, rv := lv.a.Row(r)
-							for p := range rc {
-								scatter(int(rc[p]), rw*rv[p])
-							}
+				// stencils of the lateral axes, on the same layer.
+				for yi, fj := range iy.rev[cj] {
+					wy := iy.revW[cj][yi]
+					for xi, fi := range ix.rev[ci] {
+						rw := ix.revW[ci][xi] * wy
+						rc, rv := lv.a.Row(lv.cell(int(fj)*nxf+int(fi), k))
+						for p := range rc {
+							scatter(int(rc[p]), rw*rv[p])
 						}
 					}
 				}
-				// Gather the scattered row in sorted column order.
+				// Gather the scattered row in layer-major column order,
+				// numbering the columns line-major.
 				sortInt32(touched)
 				for _, J := range touched {
-					cols = append(cols, J)
+					cols = append(cols, int32(int(J)%lines*nz+int(J)/lines))
 					vals = append(vals, scratch[J])
 					scratch[J] = 0
 					marked[J] = false
@@ -978,7 +1031,7 @@ func galerkin(lv *level) (*sparse.CSR, error) {
 			}
 		}
 	}
-	return sparse.NewCSRFromParts(nc, rowPtr, cols, vals)
+	return sparse.NewCSRInRowOrder(nc, rowPtr, cols, vals)
 }
 
 // sortInt32 insertion-sorts a short slice (coarse stencils are ≤ a few
@@ -996,86 +1049,69 @@ func sortInt32(s []int32) {
 }
 
 // restrict computes bc = Pᵀ·r (full weighting) with the transfer weights
-// of w.
+// of w, on line-major vectors. Each fine line adds into the up to four
+// coarse lines it interpolates from, fine lines in ascending order, so
+// every coarse cell sums its fine cells in ascending order, as a
+// layer-major restriction does.
 func restrict[F sparse.Float](lv *level, w *levelArrays[F], bc, r []F) {
 	clear(bc)
-	ix, iy, iz := lv.ix, lv.iy, lv.iz
-	nxc, nyc := ix.nc, iy.nc
-	idx := 0
-	for fk := 0; fk < lv.nz; fk++ {
-		zl, zh := int(iz.lo[fk]), int(iz.hi[fk])
-		zwl, zwh := w.zlo[fk], w.zhi[fk]
-		for fj := 0; fj < lv.ny; fj++ {
-			yl, yh := int(iy.lo[fj]), int(iy.hi[fj])
-			ywl, ywh := w.ylo[fj], w.yhi[fj]
-			for fi := 0; fi < lv.nx; fi++ {
-				v := r[idx]
-				idx++
-				if v == 0 {
-					continue
+	ix, iy := lv.ix, lv.iy
+	nz, nxc := lv.nz, ix.nc
+	line := func(cj, ci int) []F { return bc[(cj*nxc+ci)*nz:][:nz] }
+	fl := 0
+	for fj := 0; fj < lv.ny; fj++ {
+		yl, yh := int(iy.lo[fj]), int(iy.hi[fj])
+		ywl, ywh := w.ylo[fj], w.yhi[fj]
+		for fi := 0; fi < lv.nx; fi++ {
+			xl, xh := int(ix.lo[fi]), int(ix.hi[fi])
+			xwl, xwh := w.xlo[fi], w.xhi[fi]
+			rl := r[fl*nz:][:nz]
+			fl++
+			addLine(line(yl, xl), rl, ywl, xwl)
+			if xwh != 0 {
+				addLine(line(yl, xh), rl, ywl, xwh)
+			}
+			if ywh != 0 {
+				addLine(line(yh, xl), rl, ywh, xwl)
+				if xwh != 0 {
+					addLine(line(yh, xh), rl, ywh, xwh)
 				}
-				xl, xh := int(ix.lo[fi]), int(ix.hi[fi])
-				xwl, xwh := w.xlo[fi], w.xhi[fi]
-				accumulate(bc, nxc, nyc, v,
-					zl, zh, zwl, zwh, yl, yh, ywl, ywh, xl, xh, xwl, xwh)
 			}
 		}
 	}
 }
 
-func accumulate[F sparse.Float](dst []F, nxc, nyc int, v F,
-	zl, zh int, zwl, zwh F, yl, yh int, ywl, ywh F, xl, xh int, xwl, xwh F) {
-	add := func(zk int, wz F) {
-		base := zk * nyc
-		addY := func(yj int, wy F) {
-			row := (base + yj) * nxc
-			dst[row+xl] += v * wz * wy * xwl
-			if xwh != 0 {
-				dst[row+xh] += v * wz * wy * xwh
-			}
+// addLine adds v·wy·wx into dst for every non-zero v of src.
+func addLine[F sparse.Float](dst, src []F, wy, wx F) {
+	for k, v := range src {
+		if v != 0 {
+			dst[k] += v * wy * wx
 		}
-		addY(yl, ywl)
-		if ywh != 0 {
-			addY(yh, ywh)
-		}
-	}
-	add(zl, zwl)
-	if zwh != 0 {
-		add(zh, zwh)
 	}
 }
 
 // prolongAdd computes x += P·xc (linear interpolation of the coarse
-// correction) with the transfer weights of w.
+// correction) with the transfer weights of w, on line-major vectors.
 func prolongAdd[F sparse.Float](lv *level, w *levelArrays[F], x, xc []F) {
-	ix, iy, iz := lv.ix, lv.iy, lv.iz
-	nxc, nyc := ix.nc, iy.nc
-	idx := 0
-	for fk := 0; fk < lv.nz; fk++ {
-		zl, zh := int(iz.lo[fk]), int(iz.hi[fk])
-		zwl, zwh := w.zlo[fk], w.zhi[fk]
-		for fj := 0; fj < lv.ny; fj++ {
-			yl, yh := int(iy.lo[fj]), int(iy.hi[fj])
-			ywl, ywh := w.ylo[fj], w.yhi[fj]
-			rowLL := (zl*nyc + yl) * nxc
-			for fi := 0; fi < lv.nx; fi++ {
-				xl, xh := int(ix.lo[fi]), int(ix.hi[fi])
-				xwl, xwh := w.xlo[fi], w.xhi[fi]
-				sum := zwl * ywl * lerp(xc[rowLL+xl], xc[rowLL+xh], xwl, xwh)
+	ix, iy := lv.ix, lv.iy
+	nz, nxc := lv.nz, ix.nc
+	line := func(cj, ci int) []F { return xc[(cj*nxc+ci)*nz:][:nz] }
+	fl := 0
+	for fj := 0; fj < lv.ny; fj++ {
+		yl, yh := int(iy.lo[fj]), int(iy.hi[fj])
+		ywl, ywh := w.ylo[fj], w.yhi[fj]
+		for fi := 0; fi < lv.nx; fi++ {
+			xl, xh := int(ix.lo[fi]), int(ix.hi[fi])
+			xwl, xwh := w.xlo[fi], w.xhi[fi]
+			dst := x[fl*nz:][:nz]
+			fl++
+			ll, lh, hl, hh := line(yl, xl), line(yl, xh), line(yh, xl), line(yh, xh)
+			for k := range dst {
+				sum := ywl * lerp(ll[k], lh[k], xwl, xwh)
 				if ywh != 0 {
-					row := (zl*nyc + yh) * nxc
-					sum += zwl * ywh * lerp(xc[row+xl], xc[row+xh], xwl, xwh)
+					sum += ywh * lerp(hl[k], hh[k], xwl, xwh)
 				}
-				if zwh != 0 {
-					row := (zh*nyc + yl) * nxc
-					sum += zwh * ywl * lerp(xc[row+xl], xc[row+xh], xwl, xwh)
-					if ywh != 0 {
-						row = (zh*nyc + yh) * nxc
-						sum += zwh * ywh * lerp(xc[row+xl], xc[row+xh], xwl, xwh)
-					}
-				}
-				x[idx] += sum
-				idx++
+				dst[k] += sum
 			}
 		}
 	}
@@ -1086,6 +1122,77 @@ func lerp[F sparse.Float](vlo, vhi, wlo, whi F) F {
 		return vlo * wlo
 	}
 	return vlo*wlo + vhi*whi
+}
+
+// toLines copies src, numbered layer-major over len(src)/nz lines, into
+// dst numbered line-major, in dst's precision.
+func toLines[D, S sparse.Float](dst []D, src []S, nz int) {
+	lines := len(src) / nz
+	for k := 0; k < nz; k++ {
+		for l, v := range src[k*lines : (k+1)*lines] {
+			dst[l*nz+k] = D(v)
+		}
+	}
+}
+
+// toLayers is the inverse of toLines: it copies line-major src into dst
+// numbered layer-major, in dst's precision.
+func toLayers[D, S sparse.Float](dst []D, src []S, nz int) {
+	lines := len(src) / nz
+	for k := 0; k < nz; k++ {
+		row := dst[k*lines : (k+1)*lines]
+		for l := range row {
+			row[l] = D(src[l*nz+k])
+		}
+	}
+}
+
+// fineResidual computes r = b − A·x on the finest level, whose operator
+// (values vals) is the caller's layer-major matrix, while x, b and r are
+// numbered line-major. Each row sums its entries in stored order from
+// zero, exactly as the layer-major product sums it; a column of a row in
+// layer k lies in layer k−1, k or k+1 (newLineSmoother checks), so its
+// line-major index follows from two comparisons. Blocks of lineChunk
+// lines are taken layer by layer, which keeps the reads and writes of x,
+// b and r near the block's lines, on up to workers goroutines by the
+// product's rule.
+func fineResidual[F sparse.Float](lv *level, vals, r, x, b []F, workers int) {
+	lines := lv.nx * lv.ny
+	chunks := (lines + lineChunk - 1) / lineChunk
+	if w := sparse.MulVecWorkers(lv.n(), workers); w > 1 {
+		parallel.ForEach(w, chunks, func(_, chunk int) error { //nolint:errcheck // fn never fails
+			residualLines(lv, vals, r, x, b, chunk*lineChunk)
+			return nil
+		})
+		return
+	}
+	for chunk := 0; chunk < chunks; chunk++ {
+		residualLines(lv, vals, r, x, b, chunk*lineChunk)
+	}
+}
+
+// residualLines is fineResidual on the lineChunk lines from line l0.
+func residualLines[F sparse.Float](lv *level, vals, r, x, b []F, l0 int) {
+	lines, nz := lv.nx*lv.ny, lv.nz
+	rowPtr, colIdx := lv.a.RowPtr(), lv.a.ColIdx()
+	l1 := min(l0+lineChunk, lines)
+	for k := 0; k < nz; k++ {
+		base := k * lines
+		for l := l0; l < l1; l++ {
+			var sum F
+			for p := rowPtr[base+l]; p < rowPtr[base+l+1]; p++ {
+				c, ck := int(colIdx[p])-base, k
+				if c < 0 {
+					c, ck = c+lines, k-1
+				} else if c >= lines {
+					c, ck = c-lines, k+1
+				}
+				sum += vals[p] * x[c*nz+ck]
+			}
+			i := l*nz + k
+			r[i] = b[i] - sum
+		}
+	}
 }
 
 // workspace holds the per-level scratch of one preconditioner in the
@@ -1100,7 +1207,6 @@ type workspace[F sparse.Float] struct {
 	lex          bool  // serial lexicographic sweeps (test hook)
 	r            [][]F // residual per level
 	xc, bc       [][]F // correction problem per coarser level
-	lineBuf      [][]F // Thomas scratch per worker (length nz, z never coarsens)
 	coarseY      []F   // permuted scratch of the coarse triangular solve
 }
 
@@ -1113,10 +1219,6 @@ func newWorkspace[F sparse.Float](h *Hierarchy, arr *cycleArrays[F], opts Option
 			ws.xc = append(ws.xc, make([]F, lv.coarseN()))
 			ws.bc = append(ws.bc, make([]F, lv.coarseN()))
 		}
-	}
-	nz := h.levels[0].nz
-	for w := 0; w < ws.workers; w++ {
-		ws.lineBuf = append(ws.lineBuf, make([]F, nz))
 	}
 	ws.coarseY = make([]F, h.levels[len(h.levels)-1].n())
 	return ws
@@ -1180,27 +1282,42 @@ func (s *Solver) Preconditioner(a *sparse.CSR) (func(z, r []float64), error) {
 		// the memory traffic of the bandwidth-bound stencil sweeps) while
 		// the outer CG sees a float64 operator as usual.
 		h.f32Once.Do(func() { h.f32 = newCycleArrays[float32](h, factor) })
-		ws := newWorkspace(h, h.f32, s.opts)
-		n := h.levels[0].n()
-		x, b := make([]float32, n), make([]float32, n)
-		s.precond = func(z, r []float64) {
-			for i, v := range r {
-				b[i] = float32(v)
-				x[i] = 0
-			}
-			vcycle(h, ws, 0, x, b)
-			for i, v := range x {
-				z[i] = float64(v)
-			}
-		}
+		s.precond = newPrecond(h, h.f32, s.opts)
 		return s.precond, nil
 	}
-	ws := newWorkspace(h, newCycleArrays[float64](h, factor), s.opts)
-	s.precond = func(z, r []float64) {
-		clear(z)
-		vcycle(h, ws, 0, z, r)
-	}
+	s.precond = newPrecond(h, newCycleArrays[float64](h, factor), s.opts)
 	return s.precond, nil
+}
+
+// newPrecond returns the V-cycle application z = M⁻¹·r in the precision
+// of F on its own workspace. r and z are the caller's layer-major
+// vectors; the cycle's own copies are line-major, so the permutation
+// rides on the one pass each way that converts precision. The float64
+// cycle copies too, and keeps its right-hand side in z, whose incoming
+// values nothing reads, until its result overwrites them. A one-level
+// hierarchy's cycle is the coarse solve alone, under the fine matrix's
+// own numbering, so it copies in order.
+func newPrecond[F sparse.Float](h *Hierarchy, arr *cycleArrays[F], opts Options) func(z, r []float64) {
+	ws := newWorkspace(h, arr, opts)
+	n, nz := h.levels[0].n(), h.levels[0].nz
+	if len(h.levels) == 1 {
+		nz = 1 // one line holding every cell: toLines and toLayers copy
+	}
+	x := make([]F, n)
+	var b32 []F
+	if _, f64 := any(x).([]float64); !f64 {
+		b32 = make([]F, n)
+	}
+	return func(z, r []float64) {
+		b := b32
+		if b == nil {
+			b = any(z).([]F)
+		}
+		toLines(b, r, nz)
+		clear(x)
+		vcycle(h, ws, 0, x, b)
+		toLayers(z, x, nz)
+	}
 }
 
 // Solve computes x ≈ a⁻¹·b by conjugate gradient with one V-cycle per
@@ -1291,15 +1408,16 @@ func (p PhaseStats) Total() time.Duration {
 }
 
 // CoarseOperator returns the coarsest-level matrix (read-only; shared
-// with the hierarchy's own solves). Benchmarks factor it directly to
-// split factor time from per-solve time.
+// with the hierarchy's own solves), numbered z-line-major unless the
+// hierarchy has a single level. Benchmarks factor it directly to split
+// factor time from per-solve time.
 func (h *Hierarchy) CoarseOperator() *sparse.CSR {
 	return h.levels[len(h.levels)-1].a
 }
 
 // CoarseOrdering returns the fill-reducing nested-dissection ordering
-// the coarsest level is factored under (perm[k] = cell index at
-// permuted position k).
+// the coarsest level is factored under (perm[k] = row of CoarseOperator
+// at permuted position k).
 func (h *Hierarchy) CoarseOrdering() []int32 {
 	return coarseNDOrder(h.levels[len(h.levels)-1])
 }
@@ -1325,19 +1443,23 @@ func vcycle[F sparse.Float](h *Hierarchy, ws *workspace[F], l int, x, b []F) {
 		start := time.Now()
 		defer h.phaseAdd(phaseSmooth, start)
 		if ws.lex {
-			sweepLex(lv.ls, arr, x, b, ws.lineBuf[0], false)
-			sweepLex(lv.ls, arr, x, b, ws.lineBuf[0], true)
+			sweepLex(lv.ls, arr, x, b, false)
+			sweepLex(lv.ls, arr, x, b, true)
 			return
 		}
-		sweepColored(lv.ls, arr, x, b, ws.lineBuf, ws.sweepWorkers[l], false)
-		sweepColored(lv.ls, arr, x, b, ws.lineBuf, ws.sweepWorkers[l], true)
+		sweepColored(lv.ls, arr, x, b, ws.sweepWorkers[l], false)
+		sweepColored(lv.ls, arr, x, b, ws.sweepWorkers[l], true)
 	}
 	smooth()
 	r, xc, bc := ws.r[l], ws.xc[l], ws.bc[l]
 	start := time.Now()
-	sparse.MulVecValues(lv.a, arr.a, r, x, ws.workers)
-	for i := range r {
-		r[i] = b[i] - r[i]
+	if lv.layerMajor {
+		fineResidual(lv, arr.a, r, x, b, ws.workers)
+	} else {
+		sparse.MulVecValues(lv.a, arr.a, r, x, ws.workers)
+		for i := range r {
+			r[i] = b[i] - r[i]
+		}
 	}
 	restrict(lv, arr, bc, r)
 	h.phaseAdd(phaseRestrict, start)

@@ -156,104 +156,151 @@ func TestHierarchyInvariants(t *testing.T) {
 	}
 }
 
+// numbering returns the row of cell (lateral line l, layer k) in level
+// depth's operator, as the hierarchy documents it: the finest (the
+// caller's matrix) layer-major, every coarser level z-line-major.
+func numbering(lv *level, depth int) func(l, k int) int {
+	if depth == 0 {
+		return func(l, k int) int { return k*lv.nx*lv.ny + l }
+	}
+	return func(l, k int) int { return l*lv.nz + k }
+}
+
+// denseP materialises the interpolation from level depth+1 to level depth
+// of h as a dense matrix, rows and columns in the two operators'
+// numberings, from the lateral axis maps (z is never coarsened).
+func denseP(h *Hierarchy, depth int) [][]float64 {
+	lv, coarse := h.levels[depth], h.levels[depth+1]
+	fine, crs := numbering(lv, depth), numbering(coarse, depth+1)
+	nxc := lv.ix.nc
+	p := make([][]float64, lv.n())
+	for fj := 0; fj < lv.ny; fj++ {
+		for fi := 0; fi < lv.nx; fi++ {
+			for k := 0; k < lv.nz; k++ {
+				row := make([]float64, coarse.n())
+				addX := func(cj int, wy float64) {
+					row[crs(cj*nxc+int(lv.ix.lo[fi]), k)] += wy * lv.ix.wlo[fi]
+					if lv.ix.whi[fi] != 0 {
+						row[crs(cj*nxc+int(lv.ix.hi[fi]), k)] += wy * lv.ix.whi[fi]
+					}
+				}
+				addX(int(lv.iy.lo[fj]), lv.iy.wlo[fj])
+				if lv.iy.whi[fj] != 0 {
+					addX(int(lv.iy.hi[fj]), lv.iy.whi[fj])
+				}
+				p[fine(fj*lv.nx+fi, k)] = row
+			}
+		}
+	}
+	return p
+}
+
 // TestGalerkinMatchesExplicitTripleProduct verifies A_c = Pᵀ·A·P entry by
-// entry on a small grid, with P materialised densely from the axis maps.
+// entry on a small grid, with P materialised densely from the axis maps,
+// for the layer-major finest level and a line-major one below it; and
+// that each line-major coarse row stores its entries in ascending
+// layer-major column order, the order a layer-major coarse operator sums
+// them in.
 func TestGalerkinMatchesExplicitTripleProduct(t *testing.T) {
-	a, hint := buildHeatSystem(t, uniformLines(6, 1), uniformLines(5, 1), uniformLines(3, 0.1))
-	h, err := BuildHierarchy(a, hint, Options{levels: 2})
+	a, hint := buildHeatSystem(t, uniformLines(12, 1), uniformLines(10, 1), uniformLines(3, 0.1))
+	h, err := BuildHierarchy(a, hint, Options{levels: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Depth() != 2 {
-		t.Fatalf("depth %d, want 2", h.Depth())
+	if h.Depth() != 3 {
+		t.Fatalf("depth %d, want 3", h.Depth())
 	}
-	lv := h.levels[0]
-	nf, nc := lv.n(), h.levels[1].n()
-	nxc, nyc := lv.ix.nc, lv.iy.nc
-	// Dense P from the tensor maps.
-	p := make([][]float64, nf)
-	for fk := 0; fk < lv.nz; fk++ {
-		for fj := 0; fj < lv.ny; fj++ {
-			for fi := 0; fi < lv.nx; fi++ {
-				f := (fk*lv.ny+fj)*lv.nx + fi
-				p[f] = make([]float64, nc)
-				addX := func(zj, yj int, wzy float64) {
-					p[f][(zj*nyc+yj)*nxc+int(lv.ix.lo[fi])] += wzy * lv.ix.wlo[fi]
-					if lv.ix.whi[fi] != 0 {
-						p[f][(zj*nyc+yj)*nxc+int(lv.ix.hi[fi])] += wzy * lv.ix.whi[fi]
-					}
-				}
-				addY := func(zj int, wz float64) {
-					addX(zj, int(lv.iy.lo[fj]), wz*lv.iy.wlo[fj])
-					if lv.iy.whi[fj] != 0 {
-						addX(zj, int(lv.iy.hi[fj]), wz*lv.iy.whi[fj])
-					}
-				}
-				addY(int(lv.iz.lo[fk]), lv.iz.wlo[fk])
-				if lv.iz.whi[fk] != 0 {
-					addY(int(lv.iz.hi[fk]), lv.iz.whi[fk])
-				}
-			}
+	for depth := 0; depth < 2; depth++ {
+		fineA, got := h.levels[depth].a, h.levels[depth+1].a
+		nf, nc := fineA.N(), got.N()
+		p := denseP(h, depth)
+		// Dense Pᵀ·A·P.
+		want := make([][]float64, nc)
+		for i := range want {
+			want[i] = make([]float64, nc)
 		}
-	}
-	// Dense Pᵀ·A·P.
-	want := make([][]float64, nc)
-	for i := range want {
-		want[i] = make([]float64, nc)
-	}
-	for r := 0; r < nf; r++ {
-		rc, rv := a.Row(r)
-		for p1, w1 := range p[r] {
-			if w1 == 0 {
-				continue
-			}
-			for e := range rc {
-				for p2, w2 := range p[int(rc[e])] {
-					if w2 != 0 {
-						want[p1][p2] += w1 * rv[e] * w2
+		for r := 0; r < nf; r++ {
+			rc, rv := fineA.Row(r)
+			for p1, w1 := range p[r] {
+				if w1 == 0 {
+					continue
+				}
+				for e := range rc {
+					for p2, w2 := range p[int(rc[e])] {
+						if w2 != 0 {
+							want[p1][p2] += w1 * rv[e] * w2
+						}
 					}
 				}
 			}
 		}
-	}
-	got := h.levels[1].a
-	var scale float64
-	for i := 0; i < nc; i++ {
-		if v := math.Abs(want[i][i]); v > scale {
-			scale = v
+		var scale float64
+		for i := 0; i < nc; i++ {
+			if v := math.Abs(want[i][i]); v > scale {
+				scale = v
+			}
 		}
-	}
-	for i := 0; i < nc; i++ {
-		for j := 0; j < nc; j++ {
-			if d := math.Abs(got.At(i, j) - want[i][j]); d > 1e-12*scale {
-				t.Fatalf("A_c(%d,%d) = %g, want %g", i, j, got.At(i, j), want[i][j])
+		for i := 0; i < nc; i++ {
+			for j := 0; j < nc; j++ {
+				if d := math.Abs(got.At(i, j) - want[i][j]); d > 1e-12*scale {
+					t.Fatalf("level %d: A_c(%d,%d) = %g, want %g", depth+1, i, j, got.At(i, j), want[i][j])
+				}
+			}
+		}
+		coarse := h.levels[depth+1]
+		lines := coarse.nx * coarse.ny
+		for i := 0; i < nc; i++ {
+			cols, _ := got.Row(i)
+			for q := 1; q < len(cols); q++ {
+				prev, cur := int(cols[q-1]), int(cols[q])
+				if prev%coarse.nz*lines+prev/coarse.nz >= cur%coarse.nz*lines+cur/coarse.nz {
+					t.Fatalf("level %d row %d: columns %d, %d not in ascending layer-major order", depth+1, i, prev, cur)
+				}
 			}
 		}
 	}
 }
 
-// TestTransferAdjoint: restriction must be the exact transpose of
-// prolongation — ⟨P·xc, r⟩ = ⟨xc, Pᵀ·r⟩ — or the V-cycle loses symmetry
-// and CG its convergence guarantee.
+// TestTransferAdjoint: prolongation must be the interpolation P the
+// Galerkin product uses, in the line-major numbering of the V-cycle's
+// vectors, and restriction its exact transpose — ⟨P·xc, r⟩ = ⟨xc, Pᵀ·r⟩
+// — or the V-cycle loses symmetry and CG its convergence guarantee.
 func TestTransferAdjoint(t *testing.T) {
 	a, hint := buildHeatSystem(t, uniformLines(11, 1), uniformLines(9, 1), uniformLines(4, 0.1))
-	h, err := BuildHierarchy(a, hint, Options{levels: 2})
+	h, err := BuildHierarchy(a, hint, Options{levels: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lv := h.levels[0]
-	w := withTransfer(&levelArrays[float64]{}, lv)
-	nf, nc := lv.n(), h.levels[1].n()
-	xc := randRHS(nc, 1)
-	r := randRHS(nf, 2)
-	px := make([]float64, nf)
-	prolongAdd(lv, w, px, xc)
-	ptr := make([]float64, nc)
-	restrict(lv, w, ptr, r)
-	lhs := sparse.Dot(px, r)
-	rhs := sparse.Dot(xc, ptr)
-	if math.Abs(lhs-rhs) > 1e-10*math.Max(math.Abs(lhs), 1) {
-		t.Fatalf("transfer operators are not adjoint: %g vs %g", lhs, rhs)
+	if h.Depth() != 3 {
+		t.Fatalf("depth %d, want 3", h.Depth())
+	}
+	for depth := 0; depth < 2; depth++ {
+		lv := h.levels[depth]
+		w := withTransfer(&levelArrays[float64]{}, lv)
+		nf, nc := lv.n(), h.levels[depth+1].n()
+		xc := randRHS(nc, 1)
+		r := randRHS(nf, 2)
+		px := make([]float64, nf)
+		prolongAdd(lv, w, px, xc)
+		// The dense P in the operators' numberings, renumbered to the
+		// vectors' line-major one (the finest level is layer-major).
+		p := denseP(h, depth)
+		fine := numbering(lv, depth)
+		for fl := 0; fl < lv.nx*lv.ny; fl++ {
+			for k := 0; k < lv.nz; k++ {
+				want := sparse.Dot(p[fine(fl, k)], xc)
+				if d := math.Abs(px[fl*lv.nz+k] - want); d > 1e-14*math.Max(math.Abs(want), 1) {
+					t.Fatalf("level %d: (P·xc) at line %d layer %d = %g, want %g", depth, fl, k, px[fl*lv.nz+k], want)
+				}
+			}
+		}
+		ptr := make([]float64, nc)
+		restrict(lv, w, ptr, r)
+		lhs := sparse.Dot(px, r)
+		rhs := sparse.Dot(xc, ptr)
+		if math.Abs(lhs-rhs) > 1e-10*math.Max(math.Abs(lhs), 1) {
+			t.Fatalf("level %d: transfer operators are not adjoint: %g vs %g", depth, lhs, rhs)
+		}
 	}
 }
 
@@ -385,6 +432,25 @@ func TestErrors(t *testing.T) {
 	bad := newSolver(t, a, hint, Options{Precision: "float16"})
 	if _, err := bad.Solve(a, randRHS(a.N(), 1), x); err == nil || !strings.Contains(err.Error(), "float16") {
 		t.Errorf("unknown precision: %v", err)
+	}
+	// The z-line smoother and the finest residual need every coupling to
+	// reach one layer at most: couple layer 0 of one line to layer 2 of
+	// the next (symmetric, diagonally dominant, so only the reach is
+	// wrong).
+	wide := sparse.NewCOO(a.N())
+	for i := 0; i < a.N(); i++ {
+		cols, vals := a.Row(i)
+		for p, c := range cols {
+			wide.Add(i, int(c), vals[p])
+		}
+	}
+	far := 2*64 + 1
+	wide.Add(0, far, -1)
+	wide.Add(far, 0, -1)
+	wide.Add(0, 0, 1)
+	wide.Add(far, far, 1)
+	if _, err := BuildHierarchy(wide.ToCSR(), hint, Options{}); err == nil || !strings.Contains(err.Error(), "more than one apart") {
+		t.Errorf("a coupling two layers apart: %v", err)
 	}
 }
 

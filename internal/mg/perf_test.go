@@ -50,7 +50,7 @@ func TestLineColoringValid(t *testing.T) {
 	h, _, _ := testHierarchy(t)
 	for li, lv := range h.levels {
 		ls := lv.ls
-		colorOf := make([]int, ls.stride)
+		colorOf := make([]int, ls.lines)
 		total := 0
 		for c, lines := range ls.colors {
 			for _, l := range lines {
@@ -58,15 +58,15 @@ func TestLineColoringValid(t *testing.T) {
 				total++
 			}
 		}
-		if total != ls.stride {
-			t.Fatalf("level %d: colour classes cover %d of %d lines", li, total, ls.stride)
+		if total != ls.lines {
+			t.Fatalf("level %d: colour classes cover %d of %d lines", li, total, ls.lines)
 		}
 		n := lv.n()
 		for idx := 0; idx < n; idx++ {
-			line := idx % ls.stride
+			line, _ := lv.lineOf(idx)
 			cols, _ := lv.a.Row(idx)
 			for _, c := range cols {
-				other := int(c) % ls.stride
+				other, _ := lv.lineOf(int(c))
 				if other != line && colorOf[other] == colorOf[line] {
 					t.Fatalf("level %d: coupled lines %d and %d share colour %d", li, line, other, colorOf[line])
 				}
@@ -75,55 +75,53 @@ func TestLineColoringValid(t *testing.T) {
 		if li == 0 && len(ls.colors) != 2 {
 			t.Errorf("finest level got %d colours, want 2 for the 5-point lateral stencil", len(ls.colors))
 		}
-		t.Logf("level %d: %d lines in %d colours", li, ls.stride, len(ls.colors))
+		t.Logf("level %d: %d lines in %d colours", li, ls.lines, len(ls.colors))
 	}
 }
 
-// TestColoredSweepMatchesSerial hammers the shared smoother with many
-// concurrent multi-worker sweeps (the -race target) and requires every
-// result to be bit-identical to the single-worker sweep: same-colour
-// lines share no coupling and each line writes only its own cells, so
-// parallel relaxation must be deterministic, not merely close.
+// TestColoredSweepMatchesSerial hammers the shared smoothers of every
+// level with many concurrent multi-worker sweeps (the -race target) and
+// requires every result to be bit-identical to the single-worker sweep:
+// same-colour lines share no coupling and each line writes only its own
+// contiguous cells — its Thomas scratch included — so parallel
+// relaxation must be deterministic, not merely close.
 func TestColoredSweepMatchesSerial(t *testing.T) {
-	h, a, _ := testHierarchy(t)
-	ls := h.levels[0].ls
-	n := a.N()
-	b := randRHS(n, 7)
+	h, _, _ := testHierarchy(t)
+	for li, lv := range h.levels {
+		ls := lv.ls
+		n := lv.n()
+		b := randRHS(n, 7)
 
-	arr := &levelArrays[float64]{sub: ls.subL, cp: ls.cpL, inv: ls.invL, off: ls.offVal}
-	sweep := func(x []float64, bufs [][]float64, workers int) {
-		sweepColored(ls, arr, x, b, bufs, workers, false)
-		sweepColored(ls, arr, x, b, bufs, workers, true)
-		sweepColored(ls, arr, x, b, bufs, workers, false)
-	}
-	ref := make([]float64, n)
-	sweep(ref, [][]float64{make([]float64, ls.nz)}, 1)
+		arr := &levelArrays[float64]{sub: ls.subL, cp: ls.cpL, inv: ls.invL, off: ls.offVal}
+		sweep := func(x []float64, workers int) {
+			sweepColored(ls, arr, x, b, workers, false)
+			sweepColored(ls, arr, x, b, workers, true)
+			sweepColored(ls, arr, x, b, workers, false)
+		}
+		ref := make([]float64, n)
+		sweep(ref, 1)
 
-	const hammers = 8
-	var wg sync.WaitGroup
-	errs := make([]int, hammers)
-	for g := 0; g < hammers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			const workers = 4
-			bufs := make([][]float64, workers)
-			for w := range bufs {
-				bufs[w] = make([]float64, ls.nz)
-			}
-			x := make([]float64, n)
-			sweep(x, bufs, workers)
-			for i := range x {
-				if x[i] != ref[i] {
-					errs[g]++
+		const hammers = 8
+		var wg sync.WaitGroup
+		errs := make([]int, hammers)
+		for g := 0; g < hammers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				x := make([]float64, n)
+				sweep(x, 4)
+				for i := range x {
+					if x[i] != ref[i] {
+						errs[g]++
+					}
 				}
+			}(g)
+		}
+		wg.Wait()
+		for g, e := range errs {
+			if e > 0 {
+				t.Fatalf("level %d, hammer %d: %d cells differ from the serial sweep", li, g, e)
 			}
-		}(g)
-	}
-	wg.Wait()
-	for g, e := range errs {
-		if e > 0 {
-			t.Fatalf("hammer %d: %d cells differ from the serial sweep", g, e)
 		}
 	}
 }
@@ -249,8 +247,8 @@ func TestPrecisionAuto(t *testing.T) {
 }
 
 // TestCoarseWorkersPlumbed pins the worker plumbing of the V-cycle
-// workspace: Options.Workers must reach the sweeps and size the per-worker
-// Thomas scratch.
+// workspace: Options.Workers must reach the residual products and, by
+// their rule, each level's sweeps.
 func TestCoarseWorkersPlumbed(t *testing.T) {
 	h, _, _ := testHierarchy(t)
 	factor, err := h.coarseFactor()
@@ -261,8 +259,10 @@ func TestCoarseWorkersPlumbed(t *testing.T) {
 	if ws.workers != 3 {
 		t.Fatalf("workspace workers = %d, want 3", ws.workers)
 	}
-	if len(ws.lineBuf) != 3 {
-		t.Fatalf("lineBuf has %d worker buffers, want 3", len(ws.lineBuf))
+	for l, lv := range h.levels {
+		if want := sparse.MulVecWorkers(lv.n(), 3); ws.sweepWorkers[l] != want {
+			t.Fatalf("level %d sweeps on %d workers, want %d", l, ws.sweepWorkers[l], want)
+		}
 	}
 }
 

@@ -2,16 +2,18 @@ package mg_test
 
 // Bit-identity pin for refactors of the V-cycle: the float64 bits of
 // mg-cg solutions on the graded synthetic mesh, for both V-cycle
-// precisions, steady and shifted, and of the four unit fields of a
-// preview thermal basis, are hashed and compared against constants
-// recorded before the refactor. A refactor that changes any rounding
-// anywhere in the cycle changes a hash.
+// precisions, steady and shifted, of the four unit fields of a preview
+// thermal basis and of the chip field of a preview diagonal-activity
+// basis, are hashed and compared against constants recorded before the
+// refactor. A refactor that changes any rounding anywhere in the cycle
+// changes a hash.
 
 import (
 	"fmt"
 	"runtime"
 	"testing"
 
+	"vcselnoc/internal/activity"
 	"vcselnoc/internal/fvm"
 	"vcselnoc/internal/mg"
 	"vcselnoc/internal/sparse"
@@ -101,6 +103,21 @@ func TestBitIdentityPin(t *testing.T) {
 			if got := fingerprint(iters, r.Field()); got != tc.want {
 				t.Errorf("%s unit field fingerprint %s, want %s", tc.name, got, tc.want)
 			}
+		}
+		// A non-uniform basis solves only its chip column: one SolveSteady
+		// on the model's cached hierarchy, the rebuild each activity
+		// scenario of the design flow pays.
+		diag, err := m.BuildBasis(activity.Diagonal{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := diag.Evaluate(thermal.Powers{Chip: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const want = "5:8f77031d9ac427c6"
+		if got := fingerprint(diag.BuildStats().Iterations, r.Field()); got != want {
+			t.Errorf("diagonal chip field fingerprint %s, want %s", got, want)
 		}
 	})
 }

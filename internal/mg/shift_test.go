@@ -2,6 +2,7 @@ package mg
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"vcselnoc/internal/sparse"
@@ -31,9 +32,11 @@ func shiftVector(xl, yl, zl []float64) []float64 {
 }
 
 // TestShiftedHierarchyInvariants: a shifted hierarchy must share the
-// steady hierarchy's transfer operators and geometry, keep every level
-// symmetric with positive diagonals, and carry the exact shifted fine
-// matrix at level 0 when one is supplied.
+// steady hierarchy's transfer operators and geometry, keep each level's
+// numbering (layer-major finest, line-major below) and sparsity, keep
+// every level symmetric with positive diagonals, carry the exact shifted
+// fine matrix at level 0 when one is supplied, and raise each coarser
+// diagonal by the restricted shift of its cell.
 func TestShiftedHierarchyInvariants(t *testing.T) {
 	xl, yl, zl := uniformLines(24, 1), uniformLines(20, 1), uniformLines(7, 0.1)
 	a, hint := buildHeatSystem(t, xl, yl, zl)
@@ -53,13 +56,57 @@ func TestShiftedHierarchyInvariants(t *testing.T) {
 	if sh.Fine() != fine {
 		t.Error("Shifted must adopt the supplied fine matrix")
 	}
+	// The shift carried down by restriction, in each level's line-major
+	// numbering, computed cell by cell from the axis maps.
+	lumped := make([]float64, len(shift))
+	for k := 0; k < len(zl)-1; k++ {
+		lines := (len(xl) - 1) * (len(yl) - 1)
+		for l := 0; l < lines; l++ {
+			lumped[l*(len(zl)-1)+k] = shift[k*lines+l]
+		}
+	}
 	for l, lv := range sh.levels {
 		st := steady.levels[l]
-		if lv.ix != st.ix || lv.iy != st.iy || lv.iz != st.iz {
+		if lv.ix != st.ix || lv.iy != st.iy {
 			t.Errorf("level %d: transfer operators not shared with the steady hierarchy", l)
 		}
 		if lv.nx != st.nx || lv.ny != st.ny || lv.nz != st.nz {
 			t.Errorf("level %d: geometry changed", l)
+		}
+		if lv.layerMajor != (l == 0) || st.layerMajor != (l == 0) {
+			t.Errorf("level %d: layer-major %v (steady %v), want only the finest", l, lv.layerMajor, st.layerMajor)
+		}
+		for i := 0; i < lv.a.N(); i++ {
+			got, _ := lv.a.Row(i)
+			want, _ := st.a.Row(i)
+			if !slices.Equal(got, want) {
+				t.Fatalf("level %d row %d: columns %v, steady %v", l, i, got, want)
+			}
+		}
+		if l > 0 {
+			prev := sh.levels[l-1]
+			next := make([]float64, lv.n())
+			for fj := 0; fj < prev.ny; fj++ {
+				for fi := 0; fi < prev.nx; fi++ {
+					for k := 0; k < prev.nz; k++ {
+						v := lumped[(fj*prev.nx+fi)*prev.nz+k]
+						for yi, wy := range []float64{prev.iy.wlo[fj], prev.iy.whi[fj]} {
+							cj := []int32{prev.iy.lo[fj], prev.iy.hi[fj]}[yi]
+							for xi, wx := range []float64{prev.ix.wlo[fi], prev.ix.whi[fi]} {
+								ci := []int32{prev.ix.lo[fi], prev.ix.hi[fi]}[xi]
+								next[(int(cj)*prev.ix.nc+int(ci))*prev.nz+k] += v * wy * wx
+							}
+						}
+					}
+				}
+			}
+			lumped = next
+			for i := 0; i < lv.a.N(); i++ {
+				want := st.a.At(i, i) + lumped[i]
+				if d := math.Abs(lv.a.At(i, i) - want); d > 1e-12*want {
+					t.Fatalf("level %d row %d: shifted diagonal %g, want steady plus lumped shift %g", l, i, lv.a.At(i, i), want)
+				}
+			}
 		}
 		if !lv.a.IsSymmetric(1e-9 * lv.a.At(0, 0)) {
 			t.Errorf("level %d: shifted operator not symmetric", l)

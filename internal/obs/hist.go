@@ -9,9 +9,11 @@ import (
 )
 
 // LatencyBuckets are the default request-latency bucket upper bounds in
-// seconds (log-spaced 100µs..10s), shared by every endpoint class so
-// series stay comparable across specs.
+// seconds (log-spaced 10µs..10s), shared by every endpoint class so
+// series stay comparable across specs. The bounds under 100µs resolve a
+// warm design query, which evaluates in 5–20µs.
 var LatencyBuckets = []float64{
+	0.00001, 0.000025, 0.00005,
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
 	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }

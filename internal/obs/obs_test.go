@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -174,6 +175,27 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 	}
 	if sum != 8000 {
 		t.Fatalf("bucket sum = %d, want 8000", sum)
+	}
+}
+
+// TestLatencyBucketsResolveWarmQueries: warm design queries take 5–20µs,
+// so the default buckets must place a 10µs median below 25µs instead of
+// interpolating it inside a 0–100µs bucket.
+func TestLatencyBucketsResolveWarmQueries(t *testing.T) {
+	if !sort.Float64sAreSorted(LatencyBuckets) {
+		t.Fatalf("LatencyBuckets not ascending: %v", LatencyBuckets)
+	}
+	h := NewHistogram(LatencyBuckets)
+	for i := 0; i < 1000; i++ {
+		h.Observe(10e-6)
+	}
+	if p50 := h.Snapshot().Quantile(0.5); p50 > 25e-6 {
+		t.Fatalf("p50 of 10µs observations = %gs, want ≤ 25µs", p50)
+	}
+	var buf bytes.Buffer
+	h.WritePrometheus(&buf, "q_seconds", "")
+	if want := `q_seconds_bucket{le="1e-05"} 1000`; !strings.Contains(buf.String(), want) {
+		t.Fatalf("missing %q in:\n%s", want, buf.String())
 	}
 }
 

@@ -101,27 +101,60 @@ type CSR struct {
 // fast path used by structured-grid assembly, where the stencil layout is
 // known in advance.
 func NewCSRFromParts(n int, rowPtr []int, colIdx []int32, values []float64) (*CSR, error) {
-	if len(rowPtr) != n+1 {
-		return nil, fmt.Errorf("sparse: rowPtr length %d != n+1 (%d)", len(rowPtr), n+1)
-	}
-	if rowPtr[0] != 0 || rowPtr[n] != len(values) || len(values) != len(colIdx) {
-		return nil, fmt.Errorf("sparse: inconsistent CSR arrays (rowPtr[0]=%d, rowPtr[n]=%d, nnz=%d/%d)",
-			rowPtr[0], rowPtr[n], len(colIdx), len(values))
+	if err := checkParts(n, rowPtr, colIdx, values); err != nil {
+		return nil, err
 	}
 	for i := 0; i < n; i++ {
-		if rowPtr[i+1] < rowPtr[i] {
-			return nil, fmt.Errorf("sparse: rowPtr decreases at row %d", i)
-		}
-		for p := rowPtr[i]; p < rowPtr[i+1]; p++ {
-			if colIdx[p] < 0 || int(colIdx[p]) >= n {
-				return nil, fmt.Errorf("sparse: column %d out of range in row %d", colIdx[p], i)
-			}
-			if p > rowPtr[i] && colIdx[p] <= colIdx[p-1] {
+		for p := rowPtr[i] + 1; p < rowPtr[i+1]; p++ {
+			if colIdx[p] <= colIdx[p-1] {
 				return nil, fmt.Errorf("sparse: row %d columns not strictly increasing", i)
 			}
 		}
 	}
 	return &CSR{n: n, rowPtr: rowPtr, colIdx: colIdx, values: values}, nil
+}
+
+// NewCSRInRowOrder is NewCSRFromParts for rows whose columns are distinct
+// but in any order: each row keeps its entries in the order given, the
+// order every row product sums them in. Multigrid renumbers its coarse
+// operators this way without changing what any row sum rounds to. Nothing
+// in this package needs ascending rows; Row returns them as stored.
+func NewCSRInRowOrder(n int, rowPtr []int, colIdx []int32, values []float64) (*CSR, error) {
+	if err := checkParts(n, rowPtr, colIdx, values); err != nil {
+		return nil, err
+	}
+	seen := make([]int32, n) // row i+1 marks the columns of row i
+	for i := 0; i < n; i++ {
+		for _, c := range colIdx[rowPtr[i]:rowPtr[i+1]] {
+			if seen[c] == int32(i+1) {
+				return nil, fmt.Errorf("sparse: row %d stores column %d twice", i, c)
+			}
+			seen[c] = int32(i + 1)
+		}
+	}
+	return &CSR{n: n, rowPtr: rowPtr, colIdx: colIdx, values: values}, nil
+}
+
+// checkParts validates the shape of raw CSR arrays and their column range.
+func checkParts(n int, rowPtr []int, colIdx []int32, values []float64) error {
+	if len(rowPtr) != n+1 {
+		return fmt.Errorf("sparse: rowPtr length %d != n+1 (%d)", len(rowPtr), n+1)
+	}
+	if rowPtr[0] != 0 || rowPtr[n] != len(values) || len(values) != len(colIdx) {
+		return fmt.Errorf("sparse: inconsistent CSR arrays (rowPtr[0]=%d, rowPtr[n]=%d, nnz=%d/%d)",
+			rowPtr[0], rowPtr[n], len(colIdx), len(values))
+	}
+	for i := 0; i < n; i++ {
+		if rowPtr[i+1] < rowPtr[i] {
+			return fmt.Errorf("sparse: rowPtr decreases at row %d", i)
+		}
+		for _, c := range colIdx[rowPtr[i]:rowPtr[i+1]] {
+			if c < 0 || int(c) >= n {
+				return fmt.Errorf("sparse: column %d out of range in row %d", c, i)
+			}
+		}
+	}
+	return nil
 }
 
 // N returns the matrix dimension.
@@ -130,9 +163,10 @@ func (m *CSR) N() int { return m.n }
 // NNZ returns the number of stored entries.
 func (m *CSR) NNZ() int { return len(m.values) }
 
-// Row returns read-only views of row i's column indices (sorted ascending)
-// and values. Callers must not modify the returned slices; they alias the
-// matrix storage. This is the raw access triple-product assembly (Galerkin
+// Row returns read-only views of row i's column indices, in stored order
+// (ascending, except in matrices built by NewCSRInRowOrder), and values.
+// Callers must not modify the returned slices; they alias the matrix
+// storage. This is the raw access triple-product assembly (Galerkin
 // coarse-grid operators) is built on.
 func (m *CSR) Row(i int) (cols []int32, vals []float64) {
 	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
@@ -231,6 +265,17 @@ func (m *CSR) IsSymmetric(tol float64) bool {
 // and MulVecValues index. The slice aliases the matrix storage and must
 // not be modified.
 func (m *CSR) Values() []float64 { return m.values }
+
+// RowPtr returns the row pointers of that layout: row i's entries sit at
+// RowPtr()[i] ≤ p < RowPtr()[i+1] in Values and ColIdx, so a product
+// kernel outside this package can read a copy of the values in another
+// precision. The slice aliases the matrix storage and must not be
+// modified.
+func (m *CSR) RowPtr() []int { return m.rowPtr }
+
+// ColIdx returns the column index of every stored entry, in Values
+// order. The slice aliases the matrix storage and must not be modified.
+func (m *CSR) ColIdx() []int32 { return m.colIdx }
 
 // MulVec computes dst = m · x. dst and x must have length N and must not
 // alias. For large systems the row loop is split across CPUs; use MulVecN
