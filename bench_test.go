@@ -27,6 +27,7 @@ import (
 	"vcselnoc/internal/core"
 	"vcselnoc/internal/dse"
 	"vcselnoc/internal/fvm"
+	"vcselnoc/internal/mg"
 	"vcselnoc/internal/mrr"
 	"vcselnoc/internal/oni"
 	"vcselnoc/internal/ornoc"
@@ -683,12 +684,12 @@ func BenchmarkSolverBackends(b *testing.B) {
 // BenchmarkCoarseSolve isolates the coarsest-level direct solve the
 // V-cycle leans on, splitting the one-off cost from the recurring one:
 // "factor" is the sparse-Cholesky setup (symbolic analysis plus numeric
-// factorisation under the fill-reducing nested-dissection ordering) paid
-// once per hierarchy, "solve" the permuted triangular solve every
-// V-cycle buys with it. Read them against the coarsefrac metric of
-// BenchmarkSolverBackends/mg-cg: factor amortises across the whole
-// basis build, solve is the term that replaced the coarse-grid PCG
-// iterations.
+// factorisation under the fill-reducing nested-dissection ordering, on
+// the VCSELNOC_WORKERS goroutine cap) paid once per hierarchy, "solve"
+// the permuted triangular solve every V-cycle buys with it. Read them
+// against the coarsefrac metric of BenchmarkSolverBackends/mg-cg: factor
+// amortises across the whole basis build, solve is the term that
+// replaced the coarse-grid PCG iterations.
 func BenchmarkCoarseSolve(b *testing.B) {
 	m := benchMethodology(b).Model()
 	h, err := m.System().Hierarchy()
@@ -697,23 +698,28 @@ func BenchmarkCoarseSolve(b *testing.B) {
 	}
 	a := h.CoarseOperator()
 	perm := h.CoarseOrdering()
+	workers := benchMGKnobs(fvm.SolveOptions{}).Workers
+	factor := func(b *testing.B) *sparse.SparseCholesky {
+		an, err := sparse.AnalyzeCholesky(a, perm, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		c, err := an.Factor(a, workers)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return c
+	}
 	b.Run("factor", func(b *testing.B) {
 		var nnz int
 		for i := 0; i < b.N; i++ {
-			c, err := sparse.NewSparseCholesky(a, perm, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			nnz = c.Nnz()
+			nnz = factor(b).Nnz()
 		}
 		b.ReportMetric(float64(a.N()), "cells")
 		b.ReportMetric(float64(nnz), "entries")
 	})
 	b.Run("solve", func(b *testing.B) {
-		c, err := sparse.NewSparseCholesky(a, perm, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
+		c := factor(b)
 		rhs := make([]float64, a.N())
 		for i := range rhs {
 			rhs[i] = 1 + float64(i%7)
@@ -841,6 +847,33 @@ func BenchmarkTransientSteps(b *testing.B) {
 		}
 		b.ReportMetric(float64(iters), "iters/step")
 	})
+}
+
+// BenchmarkHierarchyBuild times one cold multigrid hierarchy of the
+// bench model's operator: the Galerkin products, the line smoothers'
+// factorisations and the coarsest level's symbolic analysis, which every
+// new floorplan, package or mesh pays before its coarse factor and first
+// basis. It builds with the VCSELNOC_WORKERS goroutine cap (GOMAXPROCS
+// when unset, as fvm builds its hierarchy), so a perfab -workers sweep
+// shows how the cold path scales. The operator is assembled once, before
+// the timer starts; every iteration builds a fresh hierarchy of it. It
+// comes after the other solver benches so the hierarchies it drops do
+// not land in their timings.
+func BenchmarkHierarchyBuild(b *testing.B) {
+	m := benchMethodology(b).Model()
+	g := m.Grid()
+	hint := sparse.GridHint{X: g.X, Y: g.Y, Z: g.Z}
+	opts := mg.Options{Workers: benchMGKnobs(fvm.SolveOptions{}).Workers}
+	var h *mg.Hierarchy
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if h, err = mg.BuildHierarchy(m.System().Matrix(), hint, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(h.Depth()), "levels")
+	b.ReportMetric(float64(h.CoarseOperator().N()), "coarsecells")
 }
 
 // BenchmarkVCSELOperate times the laser self-heating fixed point.

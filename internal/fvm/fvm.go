@@ -20,6 +20,7 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"weak"
 
 	"vcselnoc/internal/geom"
 	"vcselnoc/internal/mesh"
@@ -142,7 +143,8 @@ func (p *Problem) hasFixingBoundary() bool {
 // sweeps all reuse one System instead of re-assembling per solve.
 //
 // A System is immutable after construction and safe for concurrent use;
-// the solve methods create per-call (or per-worker) solver state.
+// each solve takes solver state of its own, reusing an idle steady solver
+// while one is alive.
 type System struct {
 	grid   *mesh.Grid
 	matrix *sparse.CSR
@@ -171,6 +173,16 @@ type System struct {
 	// mgHierPub republishes mgHier for lock-free observability reads
 	// (PhaseStats) that must not trigger a hierarchy build.
 	mgHierPub atomic.Pointer[mg.Hierarchy]
+	// idle holds weak pointers to the steady solvers no solve is using
+	// (takeSolver, putSolver), so repeated steady solves, block columns
+	// included, reuse their V-cycle and outer CG workspaces instead of
+	// allocating them per call. Each serves one caller at a time and only
+	// callers asking for the options it was built with. Being weak, the
+	// list pins nothing: the next garbage collection frees an idle solver,
+	// where a sync.Pool's victim cache would keep it, and the whole
+	// hierarchy it references, alive through one more.
+	idleMu sync.Mutex
+	idle   []weak.Pointer[steadySolver]
 
 	// capOnce/capVol/capErr lazily cache the validated per-cell heat
 	// capacity C = ρc·V (J/K) transient operators scale by 1/dt.
@@ -434,7 +446,9 @@ type SolveOptions struct {
 	InitialGuess []float64
 	// Workers caps the goroutines used for matrix-vector products, the
 	// red-black line smoother and a block solve's concurrent V-cycles; 0
-	// means GOMAXPROCS.
+	// means GOMAXPROCS. The system's one-off multigrid set-up (hierarchy
+	// and coarse factor) does not read it: it runs on GOMAXPROCS
+	// workers, with bits independent of the count.
 	Workers int
 	// MGPrecision selects the V-cycle arithmetic ("float32", "float64");
 	// empty auto-selects per mg.Options.Precision.
@@ -459,7 +473,10 @@ func newSolver(h *mg.Hierarchy, tol float64, maxIter, workers int, precision str
 
 // hierarchy lazily builds the system's shared multigrid hierarchy. The
 // hierarchy, its coarsening and its coarse factor depend on the matrix
-// alone, so every steady solver shares it.
+// alone, so every steady solver shares it. It is built with
+// mg.Options{}, so its set-up and coarse factor run on GOMAXPROCS
+// workers whatever the solves' Workers, with bits independent of the
+// count.
 func (s *System) hierarchy() (*mg.Hierarchy, error) {
 	s.mgOnce.Do(func() {
 		s.mgHier, s.mgErr = mg.BuildHierarchy(s.matrix, s.hint, mg.Options{})
@@ -488,16 +505,61 @@ func (s *System) PhaseStats() mg.PhaseStats {
 	return h.PhaseStats()
 }
 
-// steadySolver builds an mg-cg solver of the steady operator on the
-// system's shared hierarchy, so solvers never redo the Galerkin set-up.
-// Transient steppers solve on the per-dt shifted hierarchy instead (see
-// transientOp).
-func (s *System) steadySolver(opts SolveOptions) (*mg.Solver, error) {
+// steadySolver is an mg-cg solver of the steady operator and the
+// options it was built with.
+type steadySolver struct {
+	*mg.Solver
+	opts solverOptions
+}
+
+// solverOptions are the SolveOptions an mg-cg solver is built with.
+type solverOptions struct {
+	tol              float64
+	maxIter, workers int
+	precision        string
+}
+
+// takeSolver returns an mg-cg solver of the steady operator on the
+// system's shared hierarchy, so solvers never redo the Galerkin set-up:
+// a live idle one built with the same options, else a new one. The
+// caller owns it until putSolver. Transient steppers solve on the per-dt
+// shifted hierarchy instead (see transientOp).
+func (s *System) takeSolver(opts SolveOptions) (*steadySolver, error) {
 	h, err := s.hierarchy()
 	if err != nil {
 		return nil, err
 	}
-	return newSolver(h, opts.Tolerance, opts.MaxIterations, opts.Workers, opts.MGPrecision), nil
+	want := solverOptions{opts.Tolerance, opts.MaxIterations, opts.Workers, opts.MGPrecision}
+	s.idleMu.Lock()
+	defer s.idleMu.Unlock()
+	live := s.idle[:0]
+	var found *steadySolver
+	for _, wp := range s.idle {
+		switch idle := wp.Value(); {
+		case idle == nil: // collected
+		case found == nil && idle.opts == want:
+			found = idle
+		default:
+			live = append(live, wp)
+		}
+	}
+	clear(s.idle[len(live):])
+	s.idle = live
+	if found != nil {
+		return found, nil
+	}
+	return &steadySolver{newSolver(h, want.tol, want.maxIter, want.workers, want.precision), want}, nil
+}
+
+// putSolver hands solvers taken with takeSolver back to the idle list.
+func (s *System) putSolver(solvers ...*steadySolver) {
+	s.idleMu.Lock()
+	defer s.idleMu.Unlock()
+	for _, solver := range solvers {
+		if solver != nil {
+			s.idle = append(s.idle, weak.Make(solver))
+		}
+	}
 }
 
 // Solution is a computed temperature field.
@@ -527,11 +589,12 @@ func SolveSteady(p *Problem, opts SolveOptions) (*Solution, error) {
 // SolveSteady solves the steady problem for one per-cell power vector
 // (watts per cell, length N) against the cached operator.
 func (s *System) SolveSteady(power []float64, opts SolveOptions) (*Solution, error) {
-	solver, err := s.steadySolver(opts)
+	solver, err := s.takeSolver(opts)
 	if err != nil {
 		return nil, err
 	}
-	return s.solveSteadyWith(power, opts, solver, nil)
+	defer s.putSolver(solver)
+	return s.solveSteadyWith(power, opts, solver.Solver, nil)
 }
 
 // solveSteadyWith runs one steady solve with a caller-supplied solver and
@@ -619,10 +682,11 @@ func (s *System) SolveSteadyBlock(powers [][]float64, opts SolveOptions) ([]*Sol
 	if opts.Workers == 1 {
 		numPreconds = 1
 	}
-	solvers := make([]*mg.Solver, numPreconds)
+	solvers := make([]*steadySolver, numPreconds)
+	defer s.putSolver(solvers...)
 	preconds := make([]func(z, r []float64), numPreconds)
 	for c := range preconds {
-		solver, err := s.steadySolver(opts)
+		solver, err := s.takeSolver(opts)
 		if err != nil {
 			return nil, err
 		}
@@ -641,7 +705,7 @@ func (s *System) SolveSteadyBlock(powers [][]float64, opts SolveOptions) ([]*Sol
 		if errors.Is(err, sparse.ErrBlockBreakdown) {
 			// Rank loss: the columns' Krylov spaces merged. Independent
 			// solves cannot break down this way.
-			return s.solveColumns(powers, opts, solvers[0])
+			return s.solveColumns(powers, opts, solvers[0].Solver)
 		}
 		return nil, fmt.Errorf("fvm: block steady solve failed: %w", err)
 	}

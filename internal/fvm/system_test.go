@@ -2,6 +2,8 @@ package fvm
 
 import (
 	"math"
+	"runtime"
+	"sync"
 	"testing"
 
 	"vcselnoc/internal/sparse"
@@ -281,4 +283,114 @@ func TestSystemErrors(t *testing.T) {
 	if _, err := badSys.SolveSteady(bad.Power, SolveOptions{}); err == nil {
 		t.Error("all-adiabatic steady solve should error")
 	}
+}
+
+// TestSteadySolverReuse: a warm System's steady solve takes the idle
+// solver the previous solve left instead of allocating a new V-cycle and
+// outer CG workspace, so it allocates its returned field and its
+// right-hand side and little else; and the reused solver's field is the
+// one a fresh solver computes, bit for bit. One worker keeps the worker
+// pool's per-sweep bookkeeping out of the count, and 6 144 cells make
+// each vector a whole number of the allocator's 8 KiB pages. The idle
+// list holds its solvers weakly, so the test keeps the idle solver
+// reachable itself, as a caller's recent solve does until the next
+// garbage collection.
+func TestSteadySolverReuse(t *testing.T) {
+	p := systemProblem(t, 32, 32, 6)
+	sys, err := NewSystem(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := SolveOptions{Tolerance: 1e-10, Workers: 1}
+	if _, err := sys.SolveSteady(p.Power, opts); err != nil { // builds the hierarchy, the factor and a solver
+		t.Fatal(err)
+	}
+	if len(sys.idle) != 1 || sys.idle[0].Value() == nil {
+		t.Fatalf("after one solve the idle list holds %d solvers, want the one it used", len(sys.idle))
+	}
+	idle := sys.idle[0].Value()
+	h, err := sys.hierarchy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := newSolver(h, opts.Tolerance, opts.MaxIterations, opts.Workers, opts.MGPrecision)
+	ref, err := sys.solveSteadyWith(p.Power, opts, fresh, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sol, err := sys.SolveSteady(p.Power, opts)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sys.idle) != 1 || sys.idle[0].Value() != idle {
+		t.Fatal("the warm solve did not hand back the idle solver it took")
+	}
+	// The race detector's instrumentation allocates on its own account.
+	vectors := uint64(2 * 8 * sys.N()) // the returned field and the right-hand side
+	if got := after.TotalAlloc - before.TotalAlloc; !raceEnabled && got > vectors+1024 {
+		t.Fatalf("warm SolveSteady allocated %d bytes, want at most the %d of its field and right-hand side (+1 KiB)", got, vectors)
+	}
+	for i := range ref.T {
+		if math.Float64bits(sol.T[i]) != math.Float64bits(ref.T[i]) {
+			t.Fatalf("cell %d: reused solver gives %v, a fresh one %v", i, sol.T[i], ref.T[i])
+		}
+	}
+	// A caller asking for other options gets a solver of its own, and a
+	// garbage collection frees every idle solver.
+	other, err := sys.takeSolver(SolveOptions{Tolerance: 1e-6, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other == idle || other.opts.tol != 1e-6 {
+		t.Fatalf("takeSolver with tolerance 1e-6 returned a solver built for %g", other.opts.tol)
+	}
+	sys.putSolver(other)
+	idle, other = nil, nil
+	runtime.GC()
+	for i, wp := range sys.idle {
+		if wp.Value() != nil {
+			t.Fatalf("idle solver %d survived a garbage collection", i)
+		}
+	}
+}
+
+// TestConcurrentSteadySolves: steady solves racing on one System, each
+// taking and handing back idle solvers, never share one: every field is
+// the bits of a solve run alone (run under -race in CI).
+func TestConcurrentSteadySolves(t *testing.T) {
+	p := systemProblem(t, 16, 14, 4)
+	sys, err := NewSystem(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := SolveOptions{Tolerance: 1e-10, Workers: 1}
+	ref, err := sys.SolveSteady(p.Power, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines, solves = 4, 3
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range solves {
+				sol, err := sys.SolveSteady(p.Power, opts)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := range ref.T {
+					if math.Float64bits(sol.T[i]) != math.Float64bits(ref.T[i]) {
+						t.Errorf("cell %d: %v under concurrency, %v alone", i, sol.T[i], ref.T[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -9,6 +9,26 @@ import (
 	"vcselnoc/internal/sparse"
 )
 
+// factorize analyses a under perm within maxEntries and factors it on
+// one goroutine.
+func factorize(a *sparse.CSR, perm []int32, maxEntries int) (*sparse.SparseCholesky, error) {
+	an, err := sparse.AnalyzeCholesky(a, perm, maxEntries)
+	if err != nil {
+		return nil, err
+	}
+	return an.Factor(a, 1)
+}
+
+// fillOf returns the entry count of a's Cholesky factor under perm, or
+// the analysis's ErrFactorTooLarge past maxEntries.
+func fillOf(a *sparse.CSR, perm []int32, maxEntries int) (int, error) {
+	an, err := sparse.AnalyzeCholesky(a, perm, maxEntries)
+	if err != nil {
+		return 0, err
+	}
+	return an.Nnz(), nil
+}
+
 // TestCoarseSolverAgreement checks the coarse solve on a graded
 // floorplan mesh: the sparse Cholesky factor and a tightly converged
 // iterative reference must agree on the coarsest-level solution.
@@ -17,7 +37,7 @@ func TestCoarseSolverAgreement(t *testing.T) {
 	lv := h.levels[len(h.levels)-1]
 	b := randRHS(lv.n(), 41)
 
-	sp, err := sparse.NewSparseCholesky(lv.a, coarseNDOrder(lv), defaultCoarseBudget)
+	sp, err := factorize(lv.a, coarseNDOrder(lv), defaultCoarseBudget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +82,11 @@ func TestCoarseOrderingRoundTrip(t *testing.T) {
 	for i := range ident {
 		ident[i] = int32(i)
 	}
-	nd, err := sparse.NewSparseCholesky(lv.a, perm, 0)
+	nd, err := factorize(lv.a, perm, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nat, err := sparse.NewSparseCholesky(lv.a, ident, 0)
+	nat, err := factorize(lv.a, ident, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +116,7 @@ func TestCoarseNDOrderingReducesFill(t *testing.T) {
 	}
 	lv := h.levels[len(h.levels)-1]
 	perm := coarseNDOrder(lv)
-	ndFill, err := sparse.SparseCholeskyCount(lv.a, perm, 0)
+	ndFill, err := fillOf(lv.a, perm, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +124,7 @@ func TestCoarseNDOrderingReducesFill(t *testing.T) {
 	for i := range ident {
 		ident[i] = int32(i)
 	}
-	natFill, err := sparse.SparseCholeskyCount(lv.a, ident, 0)
+	natFill, err := fillOf(lv.a, ident, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +234,7 @@ func TestCoarseBudgetKnob(t *testing.T) {
 func TestCoarseRebalance(t *testing.T) {
 	base, a, hint := testHierarchy(t)
 	lv := base.levels[len(base.levels)-1]
-	fill, err := sparse.SparseCholeskyCount(lv.a, coarseNDOrder(lv), 0)
+	fill, err := fillOf(lv.a, coarseNDOrder(lv), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +248,7 @@ func TestCoarseRebalance(t *testing.T) {
 		t.Fatalf("rebalance did not deepen the hierarchy (depth %d vs %d)", reb.Depth(), base.Depth())
 	}
 	rlv := reb.levels[len(reb.levels)-1]
-	if _, err := sparse.SparseCholeskyCount(rlv.a, coarseNDOrder(rlv), budget); err != nil {
+	if _, err := fillOf(rlv.a, coarseNDOrder(rlv), budget); err != nil {
 		t.Fatalf("rebalanced coarsest level still over budget: %v", err)
 	}
 	// The rebalanced hierarchy must still precondition well.
@@ -268,7 +288,7 @@ func TestCoarseRebalance(t *testing.T) {
 func TestRebalancedDeterminism(t *testing.T) {
 	base, a, hint := testHierarchy(t)
 	lv := base.levels[len(base.levels)-1]
-	fill, err := sparse.SparseCholeskyCount(lv.a, coarseNDOrder(lv), 0)
+	fill, err := fillOf(lv.a, coarseNDOrder(lv), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

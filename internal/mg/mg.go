@@ -37,16 +37,21 @@
 // traffic of the bandwidth-bound stencil sweeps inside a float64 outer
 // CG. The coarsest level is always solved exactly by a sparse Cholesky
 // factor under a nested-dissection ordering, built once per hierarchy
-// by the first solve that needs it (a supernodal factorisation whose
-// bits depend on the level alone, never on the worker count; its time
-// is PhaseStats.Factor): BuildHierarchy appends aggressively merged
-// levels until that factor fits defaultCoarseBudget, so the V-cycle
-// stays a fixed SPD operator, as the outer CG requires, at every mesh
-// size.
+// by the first solve that needs it (its time is PhaseStats.Factor):
+// BuildHierarchy appends aggressively merged levels until that factor
+// fits defaultCoarseBudget, keeping the symbolic analysis of the level
+// that fits, so the V-cycle stays a fixed SPD operator, as the outer CG
+// requires, at every mesh size.
 //
 // A Hierarchy is built once per matrix from the mesh geometry behind it
 // and shared by every Solver of that matrix; fvm.System caches one for
 // its steady operator and derives a shifted one per transient time step.
+// Its one-off set-up — the Galerkin products, the line smoothers'
+// factorisations and the coarse factor — runs on the workers the
+// hierarchy was built with (BuildHierarchy's Options.Workers; GOMAXPROCS
+// under fvm), never on those of the solver that first asks, and every
+// value it computes sums its terms in a fixed order, so its bits do not
+// depend on the worker count.
 package mg
 
 import (
@@ -72,7 +77,12 @@ type Options struct {
 	// Workers caps the goroutines used by matrix-vector products and by
 	// the red-black line smoother's per-colour relaxations; 0 means
 	// GOMAXPROCS. Levels under 4096 cells run both serially
-	// (sparse.MulVecWorkers).
+	// (sparse.MulVecWorkers). Passed to BuildHierarchy, it caps the
+	// hierarchy's one-off set-up instead: the Galerkin products, the line
+	// smoothers' factorisations and the coarse factor of the hierarchy and
+	// of every hierarchy Shifted derives from it, whose bits are the same
+	// for any count. A Solver's Workers never changes the hierarchy it is
+	// given.
 	Workers int
 	// Precision selects the V-cycle arithmetic. PrecisionFloat32 applies
 	// the whole preconditioner — level operators, transfers, Thomas line
@@ -349,8 +359,13 @@ type lineSmoother struct {
 // between layers more than one apart is refused too: on one line it would
 // leave the line system non-tridiagonal, and fineResidual relies on every
 // coupling of the finest level reaching one layer at most (fvm's 7-point
-// operators and, z being kept, their Galerkin products never do).
-func newLineSmoother(lv *level) (*lineSmoother, error) {
+// operators and, z being kept, their Galerkin products never do). A
+// counting pass sizes the packed store, then blocks of lineChunk lines
+// are factored and packed on up to workers goroutines, each line writing
+// only its own cells; the first error in line order is reported, and the
+// colouring runs serially on the same adjacency, so the result does not
+// depend on workers.
+func newLineSmoother(lv *level, workers int) (*lineSmoother, error) {
 	lines, nz := lv.nx*lv.ny, lv.nz
 	n := lines * nz
 	ls := &lineSmoother{
@@ -358,43 +373,90 @@ func newLineSmoother(lv *level) (*lineSmoother, error) {
 		subL: make([]float64, n), cpL: make([]float64, n), invL: make([]float64, n),
 		offPtr: make([]int32, n+1),
 	}
-	adj := make([][]int32, lines)
-	for l := 0; l < lines; l++ {
-		prevCp := 0.0
-		for k := 0; k < nz; k++ {
-			j := l*nz + k
-			var sub, diag, sup float64
-			cols, vals := lv.a.Row(lv.cell(l, k))
-			for p, c := range cols {
-				cl, ck := lv.lineOf(int(c))
-				switch {
-				case ck < k-1 || ck > k+1:
-					return nil, fmt.Errorf("mg: cell %d couples layers %d and %d (more than one apart)", lv.cell(l, k), k, ck)
-				case cl != l:
-					ls.offCol = append(ls.offCol, int32(cl*nz+ck))
-					ls.offVal = append(ls.offVal, vals[p])
-					adj[l] = appendUniqueInt32(adj[l], int32(cl))
-				case ck == k-1:
-					sub = vals[p]
-				case ck == k:
-					diag = vals[p]
-				default:
-					sup = vals[p]
+	w := sparse.MulVecWorkers(n, workers)
+	chunks := (lines + lineChunk - 1) / lineChunk
+	step := 1 // row distance between vertically adjacent cells of a line
+	if lv.layerMajor {
+		step = lines
+	}
+	// Count each cell's off-line couplings: every entry of its row but
+	// the ones on its own line, layers k−1 to k+1.
+	parallel.ForEach(w, chunks, func(_, chunk int) error { //nolint:errcheck // fn never fails
+		for l := chunk * lineChunk; l < min((chunk+1)*lineChunk, lines); l++ {
+			for k := 0; k < nz; k++ {
+				i := lv.cell(l, k)
+				cols, _ := lv.a.Row(i)
+				off := len(cols)
+				for _, c := range cols {
+					if int(c) == i || (k > 0 && int(c) == i-step) || (k < nz-1 && int(c) == i+step) {
+						off--
+					}
 				}
+				ls.offPtr[l*nz+k+1] = int32(off)
 			}
-			denom := diag - sub*prevCp
-			if denom <= 0 {
-				return nil, fmt.Errorf("mg: z-line pivot %g at cell %d (matrix not SPD?)", denom, lv.cell(l, k))
-			}
-			ls.subL[j] = sub
-			ls.invL[j] = 1 / denom
-			prevCp = sup / denom
-			ls.cpL[j] = prevCp
-			ls.offPtr[j+1] = int32(len(ls.offCol))
 		}
+		return nil
+	})
+	for j := range n {
+		ls.offPtr[j+1] += ls.offPtr[j]
+	}
+	ls.offCol = make([]int32, ls.offPtr[n])
+	ls.offVal = make([]float64, ls.offPtr[n])
+	adj := make([][]int32, lines)
+	err := parallel.ForEach(w, chunks, func(_, chunk int) error {
+		for l := chunk * lineChunk; l < min((chunk+1)*lineChunk, lines); l++ {
+			if err := ls.factorLine(lv, l, adj); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	ls.colors = colorLines(adj, lines)
 	return ls, nil
+}
+
+// factorLine computes line l's Thomas coefficients, packs its off-line
+// couplings into their counted slots and lists the lines it couples to
+// in adj[l].
+func (ls *lineSmoother) factorLine(lv *level, l int, adj [][]int32) error {
+	nz := ls.nz
+	prevCp := 0.0
+	for k := 0; k < nz; k++ {
+		j := l*nz + k
+		q := ls.offPtr[j]
+		var sub, diag, sup float64
+		cols, vals := lv.a.Row(lv.cell(l, k))
+		for p, c := range cols {
+			cl, ck := lv.lineOf(int(c))
+			switch {
+			case ck < k-1 || ck > k+1:
+				return fmt.Errorf("mg: cell %d couples layers %d and %d (more than one apart)", lv.cell(l, k), k, ck)
+			case cl != l:
+				ls.offCol[q] = int32(cl*nz + ck)
+				ls.offVal[q] = vals[p]
+				q++
+				adj[l] = appendUniqueInt32(adj[l], int32(cl))
+			case ck == k-1:
+				sub = vals[p]
+			case ck == k:
+				diag = vals[p]
+			default:
+				sup = vals[p]
+			}
+		}
+		denom := diag - sub*prevCp
+		if denom <= 0 {
+			return fmt.Errorf("mg: z-line pivot %g at cell %d (matrix not SPD?)", denom, lv.cell(l, k))
+		}
+		ls.subL[j] = sub
+		ls.invL[j] = 1 / denom
+		prevCp = sup / denom
+		ls.cpL[j] = prevCp
+	}
+	return nil
 }
 
 func appendUniqueInt32(s []int32, v int32) []int32 {
@@ -688,6 +750,15 @@ func (lv *level) coarseN() int { return lv.ix.nc * lv.iy.nc * lv.nz }
 // twice.
 type Hierarchy struct {
 	levels []*level
+	// workers caps the goroutines of the one-off set-up (Galerkin
+	// products, line smoothers, coarse factor): BuildHierarchy's resolved
+	// Options.Workers, inherited by Shifted.
+	workers int
+	// coarse is the symbolic analysis of the coarsest level under its
+	// nested-dissection ordering, the one rebalanceCoarse accepted; a
+	// Shifted hierarchy, whose coarsest level has the same pattern, shares
+	// it.
+	coarse *sparse.CholeskyAnalysis
 	// factor is the lazily built sparse Cholesky factor of the coarsest
 	// level (factorErr the failure that refused it), shared race-free by
 	// every solver of this hierarchy.
@@ -712,14 +783,15 @@ type Hierarchy struct {
 const defaultCoarseBudget = 8 << 20
 
 // coarseFactor builds (once) and returns the sparse Cholesky factor of
-// the coarsest level under its nested-dissection ordering, charging the
-// time to the Factor phase. The factor depends on the hierarchy alone,
-// never on the solver that first asks. Safe for concurrent use.
+// the coarsest level from the hierarchy's analysis of it, on the
+// hierarchy's workers, charging the time to the Factor phase. The factor
+// depends on the hierarchy alone, never on the solver that first asks.
+// Safe for concurrent use.
 func (h *Hierarchy) coarseFactor() (*sparse.SparseCholesky, error) {
 	h.factorOnce.Do(func() {
 		start := time.Now()
 		lv := h.levels[len(h.levels)-1]
-		h.factor, h.factorErr = sparse.NewSparseCholesky(lv.a, coarseNDOrder(lv), 0)
+		h.factor, h.factorErr = h.coarse.Factor(lv.a, h.workers)
 		if h.factorErr != nil {
 			h.factorErr = fmt.Errorf("mg: coarsest level (%d cells): %w", lv.n(), h.factorErr)
 		}
@@ -735,9 +807,11 @@ func (h *Hierarchy) Fine() *sparse.CSR { return h.levels[0].a }
 func (h *Hierarchy) Depth() int { return len(h.levels) }
 
 // BuildHierarchy semicoarsens the grid behind a and assembles the Galerkin
-// coarse operators. The hint must describe the structured grid a was
-// assembled on (cell counts multiplying to a.N()).
+// coarse operators on up to opts.Workers goroutines, charging its wall
+// time to the Hierarchy phase. The hint must describe the structured grid
+// a was assembled on (cell counts multiplying to a.N()).
 func BuildHierarchy(a *sparse.CSR, hint sparse.GridHint, opts Options) (*Hierarchy, error) {
+	start := time.Now()
 	if hint.Empty() {
 		return nil, fmt.Errorf("mg: no grid geometry for the matrix")
 	}
@@ -749,11 +823,11 @@ func BuildHierarchy(a *sparse.CSR, hint sparse.GridHint, opts Options) (*Hierarc
 	if maxLevels <= 0 {
 		maxLevels = 64 // effectively unlimited; coarsening stops geometrically
 	}
-	h := &Hierarchy{}
+	h := &Hierarchy{workers: opts.effectiveWorkers()}
 	xl, yl, zl := hint.X, hint.Y, hint.Z
 	cur := a
 	for {
-		lv, err := newLevel(cur, xl, yl, zl, len(h.levels))
+		lv, err := h.newLevel(cur, xl, yl, zl)
 		if err != nil {
 			return nil, err
 		}
@@ -792,19 +866,21 @@ func BuildHierarchy(a *sparse.CSR, hint sparse.GridHint, opts Options) (*Hierarc
 	if err := h.rebalanceCoarse(budget, maxLevels, xl, yl, zl); err != nil {
 		return nil, err
 	}
+	h.phaseAdd(phaseHierarchy, start)
 	return h, nil
 }
 
-// newLevel assembles one hierarchy level for operator a on the given
+// newLevel assembles the next hierarchy level for operator a on the given
 // axis line sets: diagonal validation plus the z-line factorisation.
-func newLevel(a *sparse.CSR, xl, yl, zl []float64, depth int) (*level, error) {
+func (h *Hierarchy) newLevel(a *sparse.CSR, xl, yl, zl []float64) (*level, error) {
+	depth := len(h.levels)
 	lv := &level{a: a, nx: len(xl) - 1, ny: len(yl) - 1, nz: len(zl) - 1, layerMajor: depth == 0}
 	for i, d := range a.Diag() {
 		if d <= 0 {
 			return nil, fmt.Errorf("mg: non-positive diagonal %g at row %d of level %d (matrix not SPD?)", d, i, depth)
 		}
 	}
-	ls, err := newLineSmoother(lv)
+	ls, err := newLineSmoother(lv, h.workers)
 	if err != nil {
 		return nil, fmt.Errorf("mg: level %d: %w", depth, err)
 	}
@@ -818,7 +894,7 @@ func newLevel(a *sparse.CSR, xl, yl, zl []float64, depth int) (*level, error) {
 func (h *Hierarchy) coarsenTo(lv *level, xl, yl, cxl, cyl []float64) (*sparse.CSR, error) {
 	lv.ix = newAxisInterp(xl, cxl)
 	lv.iy = newAxisInterp(yl, cyl)
-	coarse, err := galerkin(lv)
+	coarse, err := galerkin(lv, h.workers)
 	if err != nil {
 		return nil, fmt.Errorf("mg: level %d Galerkin product: %w", len(h.levels)-1, err)
 	}
@@ -833,14 +909,18 @@ func (h *Hierarchy) coarsenTo(lv *level, xl, yl, cxl, cyl []float64) (*sparse.CS
 // stalled level the extra rung only has to make the exact coarse solve
 // affordable, not carry smoothing; the levels above keep their
 // size-adaptive grids. The symbolic analysis alone decides fit, so each
-// probe costs one structure pass, never a factorisation. Only the paper
-// tier's coarsest level overruns the budget; the smaller tiers pass the
-// first probe unchanged.
+// probe costs one structure pass, never a factorisation, and the
+// accepted probe's analysis is the one the coarse factor runs from (a
+// coarsest level no probe accepted is analysed without a cap). Only the
+// paper tier's coarsest level overruns the budget; the smaller tiers pass
+// the first probe unchanged.
 func (h *Hierarchy) rebalanceCoarse(budget, maxLevels int, xl, yl, zl []float64) error {
 	for len(h.levels) < maxLevels {
 		lv := h.levels[len(h.levels)-1]
-		if _, err := sparse.SparseCholeskyCount(lv.a, coarseNDOrder(lv), budget); err == nil {
-			break // the factorisation fits — stop shrinking
+		an, err := sparse.AnalyzeCholesky(lv.a, coarseNDOrder(lv), budget)
+		if err == nil {
+			h.coarse = an // the factorisation fits — stop shrinking
+			return nil
 		}
 		cxl, cyl := xl, yl
 		if lv.nx > 1 {
@@ -856,13 +936,19 @@ func (h *Hierarchy) rebalanceCoarse(budget, maxLevels int, xl, yl, zl []float64)
 		if err != nil {
 			return err
 		}
-		nlv, err := newLevel(coarse, cxl, cyl, zl, len(h.levels))
+		nlv, err := h.newLevel(coarse, cxl, cyl, zl)
 		if err != nil {
 			return err
 		}
 		h.levels = append(h.levels, nlv)
 		xl, yl = cxl, cyl
 	}
+	lv := h.levels[len(h.levels)-1]
+	an, err := sparse.AnalyzeCholesky(lv.a, coarseNDOrder(lv), 0)
+	if err != nil {
+		return fmt.Errorf("mg: coarsest level (%d cells): %w", lv.n(), err)
+	}
+	h.coarse = an
 	return nil
 }
 
@@ -893,7 +979,10 @@ func aggressiveCoarsenLines(lines []float64) []float64 {
 // becomes its steady Galerkin operator plus its lumped shift, and the
 // per-level z-line Thomas factorisations are recomputed — one cheap
 // matrix pass per level instead of the RAP products that dominate
-// BuildHierarchy. A positive shift only adds diagonal dominance, so the
+// BuildHierarchy, on this hierarchy's workers; the coarsest level keeps
+// its pattern, so the symbolic analysis of its factor is shared too, and
+// the derivation's wall time is the new hierarchy's Hierarchy phase. A
+// positive shift only adds diagonal dominance, so the
 // resulting V-cycle stays an SPD preconditioner and typically converges
 // at least as fast as the steady one. The shift must be finite: an
 // infinite entry (C/dt of a subnormal dt) would leave no finite operator
@@ -904,6 +993,7 @@ func aggressiveCoarsenLines(lines []float64) []float64 {
 // shifted matrix pass it so Hierarchy.Fine() pointer-matches the matrix
 // they solve); nil builds it internally.
 func (h *Hierarchy) Shifted(fine *sparse.CSR, shift []float64) (*Hierarchy, error) {
+	start := time.Now()
 	n := h.levels[0].n()
 	if len(shift) != n {
 		return nil, fmt.Errorf("mg: shift has %d entries, want %d", len(shift), n)
@@ -916,7 +1006,7 @@ func (h *Hierarchy) Shifted(fine *sparse.CSR, shift []float64) (*Hierarchy, erro
 	if fine != nil && fine.N() != n {
 		return nil, fmt.Errorf("mg: shifted fine matrix size %d does not match hierarchy size %d", fine.N(), n)
 	}
-	out := &Hierarchy{levels: make([]*level, len(h.levels))}
+	out := &Hierarchy{levels: make([]*level, len(h.levels)), workers: h.workers, coarse: h.coarse}
 	cur := shift // this level's shift, in its operator's numbering
 	for l, lv := range h.levels {
 		a := fine
@@ -929,7 +1019,7 @@ func (h *Hierarchy) Shifted(fine *sparse.CSR, shift []float64) (*Hierarchy, erro
 			ix: lv.ix, iy: lv.iy,
 			layerMajor: lv.layerMajor,
 		}
-		ls, err := newLineSmoother(nlv)
+		ls, err := newLineSmoother(nlv, h.workers)
 		if err != nil {
 			return nil, fmt.Errorf("mg: shifted level %d: %w", l, err)
 		}
@@ -946,6 +1036,7 @@ func (h *Hierarchy) Shifted(fine *sparse.CSR, shift []float64) (*Hierarchy, erro
 			cur = next
 		}
 	}
+	out.phaseAdd(phaseHierarchy, start)
 	return out, nil
 }
 
@@ -959,22 +1050,62 @@ func (h *Hierarchy) Shifted(fine *sparse.CSR, shift []float64) (*Hierarchy, erro
 // layer-major product stores them in, so every later sum over a row adds
 // its terms in the same order in either numbering. Each entry itself
 // sums the fine rows in the order the adjoint stencils list them and each
-// row's entries in its stored order.
-func galerkin(lv *level) (*sparse.CSR, error) {
+// row's entries in its stored order. Contiguous blocks of coarse lines
+// are built on up to workers goroutines, each with its own scatter
+// buffers, and stitched into the operator's arrays, which are allocated
+// once at their final size; the bits do not depend on workers.
+func galerkin(lv *level, workers int) (*sparse.CSR, error) {
+	lines := lv.ix.nc * lv.iy.nc
+	nc := lines * lv.nz
+	rowPtr := make([]int, nc+1)
+	blocks := make([]galerkinBlock, sparse.MulVecWorkers(nc, workers))
+	parallel.ForEach(len(blocks), len(blocks), func(_, b int) error { //nolint:errcheck // fn never fails
+		blocks[b].build(lv, b*lines/len(blocks), (b+1)*lines/len(blocks), rowPtr)
+		return nil
+	})
+	for i := range nc {
+		rowPtr[i+1] += rowPtr[i]
+	}
+	cols := make([]int32, rowPtr[nc])
+	vals := make([]float64, rowPtr[nc])
+	parallel.ForEach(len(blocks), len(blocks), func(_, b int) error { //nolint:errcheck // fn never fails
+		at := rowPtr[b*lines/len(blocks)*lv.nz]
+		blk := &blocks[b]
+		for c := range blk.cols {
+			copy(cols[at:], blk.cols[c])
+			at += copy(vals[at:], blk.vals[c])
+		}
+		*blk = galerkinBlock{}
+		return nil
+	})
+	return sparse.NewCSRInRowOrder(nc, rowPtr, cols, vals)
+}
+
+// galerkinChunk is the entry capacity of one chunk of a galerkinBlock.
+const galerkinChunk = 1 << 16
+
+// galerkinBlock holds the rows of one run of coarse lines while the
+// product is built: their entries, in row order, in chunks of up to
+// galerkinChunk entries that no row straddles, so the block never copies
+// what it has built.
+type galerkinBlock struct {
+	cols [][]int32
+	vals [][]float64
+}
+
+// build computes the rows of coarse lines [l0, l1), writing each row's
+// entry count to rowPtr[row+1].
+func (blk *galerkinBlock) build(lv *level, l0, l1 int, rowPtr []int) {
 	ix, iy := lv.ix, lv.iy
 	nxf, nz := lv.nx, lv.nz
-	nxc, nyc := ix.nc, iy.nc
-	lines := nxc * nyc
+	nxc := ix.nc
+	lines := nxc * iy.nc
 	nc := lines * nz
 
 	// scratch and marked are keyed by layer-major coarse index.
 	scratch := make([]float64, nc)
 	marked := make([]bool, nc)
 	var touched []int32
-
-	rowPtr := make([]int, 1, nc+1)
-	var cols []int32
-	var vals []float64
 
 	// scatter adds w·a into the coarse columns derived from fine column c.
 	scatter := func(c int, w float64) {
@@ -992,7 +1123,7 @@ func galerkin(lv *level) (*sparse.CSR, error) {
 				if xw[xi] == 0 {
 					continue
 				}
-				J := (fk*nyc+int(yj[yi]))*nxc + int(xj[xi])
+				J := (fk*iy.nc+int(yj[yi]))*nxc + int(xj[xi])
 				if !marked[J] {
 					marked[J] = true
 					touched = append(touched, int32(J))
@@ -1002,36 +1133,43 @@ func galerkin(lv *level) (*sparse.CSR, error) {
 		}
 	}
 
-	for cj := 0; cj < nyc; cj++ {
-		for ci := 0; ci < nxc; ci++ {
-			for k := 0; k < nz; k++ {
-				touched = touched[:0]
-				// Fine rows contributing to this coarse row: the adjoint
-				// stencils of the lateral axes, on the same layer.
-				for yi, fj := range iy.rev[cj] {
-					wy := iy.revW[cj][yi]
-					for xi, fi := range ix.rev[ci] {
-						rw := ix.revW[ci][xi] * wy
-						rc, rv := lv.a.Row(lv.cell(int(fj)*nxf+int(fi), k))
-						for p := range rc {
-							scatter(int(rc[p]), rw*rv[p])
-						}
+	for cl := l0; cl < l1; cl++ {
+		ci, cj := cl%nxc, cl/nxc
+		for k := 0; k < nz; k++ {
+			touched = touched[:0]
+			// Fine rows contributing to this coarse row: the adjoint
+			// stencils of the lateral axes, on the same layer.
+			for yi, fj := range iy.rev[cj] {
+				wy := iy.revW[cj][yi]
+				for xi, fi := range ix.rev[ci] {
+					rw := ix.revW[ci][xi] * wy
+					rc, rv := lv.a.Row(lv.cell(int(fj)*nxf+int(fi), k))
+					for p := range rc {
+						scatter(int(rc[p]), rw*rv[p])
 					}
 				}
-				// Gather the scattered row in layer-major column order,
-				// numbering the columns line-major.
-				sortInt32(touched)
-				for _, J := range touched {
-					cols = append(cols, int32(int(J)%lines*nz+int(J)/lines))
-					vals = append(vals, scratch[J])
-					scratch[J] = 0
-					marked[J] = false
-				}
-				rowPtr = append(rowPtr, len(vals))
 			}
+			// Gather the scattered row in layer-major column order,
+			// numbering the columns line-major.
+			sortInt32(touched)
+			last := len(blk.cols) - 1
+			if last < 0 || cap(blk.cols[last])-len(blk.cols[last]) < len(touched) {
+				size := max(galerkinChunk, len(touched))
+				blk.cols = append(blk.cols, make([]int32, 0, size))
+				blk.vals = append(blk.vals, make([]float64, 0, size))
+				last++
+			}
+			cols, vals := blk.cols[last], blk.vals[last]
+			for _, J := range touched {
+				cols = append(cols, int32(int(J)%lines*nz+int(J)/lines))
+				vals = append(vals, scratch[J])
+				scratch[J] = 0
+				marked[J] = false
+			}
+			blk.cols[last], blk.vals[last] = cols, vals
+			rowPtr[cl*nz+k+1] = len(touched)
 		}
 	}
-	return sparse.NewCSRInRowOrder(nc, rowPtr, cols, vals)
 }
 
 // sortInt32 insertion-sorts a short slice (coarse stencils are ≤ a few
@@ -1336,12 +1474,14 @@ func (s *Solver) Solve(a *sparse.CSR, b, x []float64) (sparse.Result, error) {
 }
 
 // Phase indices for the per-hierarchy time accounting below: the
-// V-cycle phases, then the one-off coarse factorisation.
+// V-cycle phases, then the one-off set-up: the hierarchy's build and its
+// coarse factorisation.
 const (
 	phaseSmooth   = iota
 	phaseRestrict // includes the pre-restriction residual
 	phaseProlong
 	phaseCoarse
+	phaseHierarchy
 	phaseFactor
 	numPhases
 )
@@ -1359,10 +1499,14 @@ type PhaseStats struct {
 	// full-weighting restriction, Prolong the interpolation of coarse
 	// corrections, Coarse the exact coarsest-level solves.
 	Smooth, Restrict, Prolong, Coarse time.Duration
-	// Factor is the time spent factoring the coarsest level, charged
-	// once per hierarchy by whichever solve first needed the factor; it
-	// is set-up, not V-cycle time, and Total leaves it out.
-	Factor time.Duration
+	// Hierarchy is the time spent building the hierarchy — BuildHierarchy
+	// (Galerkin products, line smoothers, the coarsest level's symbolic
+	// analysis), or Shifted for a derived one —, charged once when it is
+	// built. Factor is the time spent factoring the coarsest level,
+	// charged once per hierarchy by whichever solve first needed the
+	// factor. Both are set-up, not V-cycle time, and Total leaves them
+	// out.
+	Hierarchy, Factor time.Duration
 }
 
 // PhaseStats returns the cumulative per-phase wall time spent on this
@@ -1370,11 +1514,12 @@ type PhaseStats struct {
 // running in the process. Safe for concurrent use.
 func (h *Hierarchy) PhaseStats() PhaseStats {
 	return PhaseStats{
-		Smooth:   time.Duration(h.phaseNanos[phaseSmooth].Load()),
-		Restrict: time.Duration(h.phaseNanos[phaseRestrict].Load()),
-		Prolong:  time.Duration(h.phaseNanos[phaseProlong].Load()),
-		Coarse:   time.Duration(h.phaseNanos[phaseCoarse].Load()),
-		Factor:   time.Duration(h.phaseNanos[phaseFactor].Load()),
+		Smooth:    time.Duration(h.phaseNanos[phaseSmooth].Load()),
+		Restrict:  time.Duration(h.phaseNanos[phaseRestrict].Load()),
+		Prolong:   time.Duration(h.phaseNanos[phaseProlong].Load()),
+		Coarse:    time.Duration(h.phaseNanos[phaseCoarse].Load()),
+		Hierarchy: time.Duration(h.phaseNanos[phaseHierarchy].Load()),
+		Factor:    time.Duration(h.phaseNanos[phaseFactor].Load()),
 	}
 }
 
@@ -1382,11 +1527,12 @@ func (h *Hierarchy) PhaseStats() PhaseStats {
 // region.
 func (p PhaseStats) Sub(q PhaseStats) PhaseStats {
 	return PhaseStats{
-		Smooth:   p.Smooth - q.Smooth,
-		Restrict: p.Restrict - q.Restrict,
-		Prolong:  p.Prolong - q.Prolong,
-		Coarse:   p.Coarse - q.Coarse,
-		Factor:   p.Factor - q.Factor,
+		Smooth:    p.Smooth - q.Smooth,
+		Restrict:  p.Restrict - q.Restrict,
+		Prolong:   p.Prolong - q.Prolong,
+		Coarse:    p.Coarse - q.Coarse,
+		Hierarchy: p.Hierarchy - q.Hierarchy,
+		Factor:    p.Factor - q.Factor,
 	}
 }
 
@@ -1394,15 +1540,17 @@ func (p PhaseStats) Sub(q PhaseStats) PhaseStats {
 // regions.
 func (p PhaseStats) Add(q PhaseStats) PhaseStats {
 	return PhaseStats{
-		Smooth:   p.Smooth + q.Smooth,
-		Restrict: p.Restrict + q.Restrict,
-		Prolong:  p.Prolong + q.Prolong,
-		Coarse:   p.Coarse + q.Coarse,
-		Factor:   p.Factor + q.Factor,
+		Smooth:    p.Smooth + q.Smooth,
+		Restrict:  p.Restrict + q.Restrict,
+		Prolong:   p.Prolong + q.Prolong,
+		Coarse:    p.Coarse + q.Coarse,
+		Hierarchy: p.Hierarchy + q.Hierarchy,
+		Factor:    p.Factor + q.Factor,
 	}
 }
 
-// Total returns the summed V-cycle phase time (Factor excluded).
+// Total returns the summed V-cycle phase time (Hierarchy and Factor
+// excluded).
 func (p PhaseStats) Total() time.Duration {
 	return p.Smooth + p.Restrict + p.Prolong + p.Coarse
 }

@@ -4,6 +4,7 @@ package mg
 // concurrent sweeps, mixed precision and the exact coarse solve.
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -285,5 +286,107 @@ func TestCoarseCholeskyMatchesIterative(t *testing.T) {
 	}
 	if rd := relDiff(x, ref); rd > 1e-8 {
 		t.Fatalf("direct and iterative coarse solutions differ: rel diff %g", rd)
+	}
+}
+
+// TestSetupWorkersBitIdentical builds one graded hierarchy and its coarse
+// factor on 1, 2, 3 and 4 workers and requires the same bits from each:
+// every level's operator arrays, line-smoother arrays and colour
+// classes, those of the shifted hierarchy derived from it, and the
+// factor's values. The mesh is sized so that every parallel path really
+// splits: the finest smoother and the first Galerkin product run on all
+// the workers, and the factor's elimination tree falls into at least as
+// many subtrees.
+func TestSetupWorkersBitIdentical(t *testing.T) {
+	// A cluster of 0.5-wide cells among 10-wide ones: the lateral
+	// coarsening stalls once the cluster has merged into one 2-wide cell,
+	// leaving a large coarsest level, as on the thermal meshes.
+	graded := func(wide int) []float64 {
+		lines := []float64{0, 0.5, 1, 1.5, 2}
+		for i := 1; i <= wide; i++ {
+			lines = append(lines, 2+10*float64(i))
+		}
+		return lines
+	}
+	a, hint := buildHeatSystem(t, graded(32), graded(28), uniformLines(9, 3))
+	shift := shiftVector(hint.X, hint.Y, hint.Z)
+	type build struct {
+		h, sh  *Hierarchy
+		factor *sparse.SparseCholesky
+	}
+	builds := make([]build, 4)
+	for w := range builds {
+		workers := w + 1
+		h, err := BuildHierarchy(a, hint, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh, err := h.Shifted(nil, shift)
+		if err != nil {
+			t.Fatal(err)
+		}
+		factor, err := h.coarseFactor()
+		if err != nil {
+			t.Fatal(err)
+		}
+		builds[w] = build{h, sh, factor}
+		smooth, product := sparse.MulVecWorkers(h.levels[0].n(), workers), sparse.MulVecWorkers(h.levels[1].n(), workers)
+		if smooth != workers || product != workers || factor.Subtrees() < workers {
+			t.Fatalf("%d workers: finest smoother on %d, first Galerkin product on %d, factor in %d subtrees",
+				workers, smooth, product, factor.Subtrees())
+		}
+		if h.PhaseStats().Hierarchy <= 0 || sh.PhaseStats().Hierarchy <= 0 {
+			t.Fatalf("%d workers: Hierarchy phase %v, shifted %v; want the build times", workers, h.PhaseStats().Hierarchy, sh.PhaseStats().Hierarchy)
+		}
+	}
+	ref := builds[0]
+	t.Logf("%d levels, coarsest %d cells, factor %d entries in %d subtrees on 4 workers",
+		ref.h.Depth(), ref.h.CoarseOperator().N(), ref.factor.Nnz(), builds[3].factor.Subtrees())
+	for w, b := range builds[1:] {
+		workers := w + 2
+		for _, pair := range [][2]*Hierarchy{{ref.h, b.h}, {ref.sh, b.sh}} {
+			if len(pair[0].levels) != len(pair[1].levels) {
+				t.Fatalf("%d workers: %d levels, want %d", workers, len(pair[1].levels), len(pair[0].levels))
+			}
+			for l, want := range pair[0].levels {
+				got := pair[1].levels[l]
+				where := fmt.Sprintf("%d workers, level %d", workers, l)
+				sameBits(t, where+" rowPtr", want.a.RowPtr(), got.a.RowPtr())
+				sameBits(t, where+" colIdx", want.a.ColIdx(), got.a.ColIdx())
+				sameBits(t, where+" values", want.a.Values(), got.a.Values())
+				sameBits(t, where+" subL", want.ls.subL, got.ls.subL)
+				sameBits(t, where+" cpL", want.ls.cpL, got.ls.cpL)
+				sameBits(t, where+" invL", want.ls.invL, got.ls.invL)
+				sameBits(t, where+" offPtr", want.ls.offPtr, got.ls.offPtr)
+				sameBits(t, where+" offCol", want.ls.offCol, got.ls.offCol)
+				sameBits(t, where+" offVal", want.ls.offVal, got.ls.offVal)
+				if len(want.ls.colors) != len(got.ls.colors) {
+					t.Fatalf("%s: %d colours, want %d", where, len(got.ls.colors), len(want.ls.colors))
+				}
+				for c := range want.ls.colors {
+					sameBits(t, fmt.Sprintf("%s colour %d", where, c), want.ls.colors[c], got.ls.colors[c])
+				}
+			}
+		}
+		sameBits(t, fmt.Sprintf("%d workers: factor values", workers), ref.factor.Values(), b.factor.Values())
+	}
+}
+
+// sameBits fails t unless got holds exactly the bits of want.
+func sameBits[T int | int32 | float64](t *testing.T, what string, want, got []T) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: %d entries, want %d", what, len(got), len(want))
+	}
+	bits := func(v T) uint64 {
+		if f, ok := any(v).(float64); ok {
+			return math.Float64bits(f)
+		}
+		return uint64(v)
+	}
+	for i := range want {
+		if bits(want[i]) != bits(got[i]) {
+			t.Fatalf("%s: entry %d is %v, want %v", what, i, got[i], want[i])
+		}
 	}
 }

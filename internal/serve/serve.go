@@ -259,6 +259,7 @@ func (s *Server) basisFor(act activity.Scenario) (*thermal.Basis, error) {
 		s.logger.Info("basis built",
 			"activity", activity.Key(act),
 			"duration_ms", float64(bs.Wall.Microseconds())/1000,
+			"hierarchy_ms", float64(bs.Phases.Hierarchy.Microseconds())/1000,
 			"coarse_factor_ms", float64(bs.Phases.Factor.Microseconds())/1000,
 			"columns", bs.Columns,
 			"mg_iters", bs.Iterations)
@@ -403,12 +404,13 @@ func (s *Server) handleGradient(w http.ResponseWriter, r *http.Request) {
 	}
 	// The basis span carries the mg cost of the build that produced this
 	// basis (zero/near-zero duration when it was already warm): how many
-	// unit fields it solved, their iteration count and the coarse
-	// factorisation time it paid (zero unless it was the model's first
-	// solve).
+	// unit fields it solved, their iteration count and the hierarchy
+	// build and coarse factorisation times it paid (zero unless it was
+	// the model's first solve).
 	bs := basis.BuildStats()
 	sp.SetAttr("columns", float64(bs.Columns))
 	sp.SetAttr("mg_iters", float64(bs.Iterations))
+	sp.SetAttr("hierarchy_ms", float64(bs.Phases.Hierarchy.Microseconds())/1000)
 	sp.SetAttr("coarse_factor_ms", float64(bs.Phases.Factor.Microseconds())/1000)
 	if total := bs.Phases.Total(); total > 0 {
 		sp.SetAttr("build_smoothfrac", float64(bs.Phases.Smooth)/float64(total))

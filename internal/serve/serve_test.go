@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -419,4 +420,58 @@ func mustJSON(t *testing.T, v any) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// TestWarmChargesHierarchyOnce: the cold build Server.Warm runs pays the
+// model's multigrid hierarchy and coarse factor, and its "basis built"
+// line reports both; a later activity rebuild reuses them and reports
+// zero for each.
+func TestWarmChargesHierarchyOnce(t *testing.T) {
+	skipShort(t)
+	spec, err := thermal.PaperSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Res = thermal.PreviewResolution()
+	var logs bytes.Buffer
+	s, err := New(Config{Spec: spec, Logger: slog.New(slog.NewJSONHandler(&logs, nil))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	if err := s.Warm(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.basisFor(activity.Diagonal{}); err != nil {
+		t.Fatal(err)
+	}
+	var built []map[string]any
+	for _, line := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		if rec["msg"] == "basis built" {
+			built = append(built, rec)
+		}
+	}
+	if len(built) != 2 {
+		t.Fatalf("%d basis built lines, want the uniform and the diagonal build:\n%s", len(built), logs.String())
+	}
+	for _, key := range []string{"hierarchy_ms", "coarse_factor_ms"} {
+		cold, ok := built[0][key].(float64)
+		if !ok || cold <= 0 {
+			t.Errorf("cold build: %s = %v, want > 0", key, built[0][key])
+		}
+		if rebuild, ok := built[1][key].(float64); !ok || rebuild != 0 {
+			t.Errorf("activity rebuild: %s = %v, want 0", key, built[1][key])
+		}
+	}
+	model := s.meth.Model()
+	if h := model.CachedBasis(nil).BuildStats().Phases.Hierarchy; h <= 0 {
+		t.Errorf("uniform basis BuildStats Hierarchy = %v, want the build time", h)
+	}
+	if h := model.CachedBasis(activity.Diagonal{}).BuildStats().Phases.Hierarchy; h != 0 {
+		t.Errorf("diagonal basis BuildStats Hierarchy = %v, want 0", h)
+	}
 }

@@ -112,16 +112,16 @@ func TestTraceEndToEnd(t *testing.T) {
 	if sp := spans["solve"]; sp.DurationUS <= 0 {
 		t.Errorf("solve span duration = %d µs, want > 0", sp.DurationUS)
 	}
-	for _, attr := range []string{"columns", "mg_iters", "coarse_factor_ms"} {
+	for _, attr := range []string{"columns", "mg_iters", "hierarchy_ms", "coarse_factor_ms"} {
 		if sp := spans["basis"]; !hasAttr(sp, attr) {
 			t.Errorf("basis span has no %s attribute (attrs %v)", attr, sp.Attrs)
 		}
 	}
-	// This query built the server's first basis, so it paid the coarse
-	// factorisation.
+	// This query built the server's first basis, so it paid the
+	// hierarchy and the coarse factorisation.
 	for _, a := range spans["basis"].Attrs {
-		if a.Key == "coarse_factor_ms" && a.Value <= 0 {
-			t.Errorf("basis span coarse_factor_ms = %g on the first build, want > 0", a.Value)
+		if (a.Key == "hierarchy_ms" || a.Key == "coarse_factor_ms") && a.Value <= 0 {
+			t.Errorf("basis span %s = %g on the first build, want > 0", a.Key, a.Value)
 		}
 	}
 

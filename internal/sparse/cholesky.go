@@ -1,10 +1,14 @@
 package sparse
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
+
+	"vcselnoc/internal/parallel"
 )
 
 // SparseCholesky is a general sparse Cholesky factorisation
@@ -27,9 +31,13 @@ type SparseCholesky struct {
 	iperm []int32 // inverse: iperm[orig] = permuted position
 	// CSC arrays of L on the permuted matrix: column j occupies
 	// colPtr[j] ≤ p < colPtr[j+1] with rowIdx[colPtr[j]] == j (diagonal).
+	// The pattern arrays are the analysis's, shared by every factor of it.
 	colPtr []int
 	rowIdx []int32
 	values []float64
+	// subtrees counts the independent elimination subtrees the numeric
+	// phase factored concurrently.
+	subtrees int
 	// scratch pools the permuted solve vector so concurrent solves stay
 	// allocation-free after warm-up.
 	scratch sync.Pool
@@ -40,17 +48,35 @@ type SparseCholesky struct {
 // solvable iteratively or under a better ordering.
 var ErrFactorTooLarge = fmt.Errorf("sparse: sparse Cholesky fill cap exceeded")
 
-// NewSparseCholesky factors a, which must be structurally symmetric and
-// SPD, under the fill-reducing ordering perm (perm[k] = original index
-// at permuted position k); a nil perm is the natural order. maxEntries caps the stored entries of L
-// (float64 values, diagonal included); the symbolic analysis aborts
-// with ErrFactorTooLarge as soon as the predicted fill exceeds it, so
-// over-budget matrices cost one cheap structure pass, not a
-// factorisation. maxEntries ≤ 0 means no cap. A non-positive or NaN
-// pivot (matrix not SPD, numerically singular or carrying a NaN) fails
-// the numeric phase.
-// The factor's bits depend on a and perm alone.
-func NewSparseCholesky(a *CSR, perm []int32, maxEntries int) (*SparseCholesky, error) {
+// CholeskyAnalysis is the symbolic analysis of a sparse Cholesky
+// factorisation: the ordering and its inverse, the elimination tree, the
+// pattern of L and its relaxed supernodes. It depends on the matrix's
+// pattern alone, so one analysis serves every matrix of that pattern (a
+// diagonally shifted copy, say). It is immutable, and any number of
+// factorisations may run from it at once.
+type CholeskyAnalysis struct {
+	n           int
+	nnzA        int // stored entries of the analysed matrix
+	perm, iperm []int32
+	parent      []int32 // elimination tree: parent column, -1 at a root
+	// CSC pattern of L, laid out as SparseCholesky stores it.
+	colPtr []int
+	rowIdx []int32
+	// sn holds the first column of every supernode followed by n,
+	// colSuper the supernode of each column and sparent the supernode
+	// holding each supernode's elimination-tree parent (-1 at a root).
+	sn, colSuper, sparent []int32
+}
+
+// AnalyzeCholesky runs the symbolic analysis of a, which must be
+// structurally symmetric, under the fill-reducing ordering perm
+// (perm[k] = original index at permuted position k; nil is the natural
+// order). maxEntries caps the stored entries of L (float64 values,
+// diagonal included): the analysis aborts with ErrFactorTooLarge as soon
+// as the predicted fill exceeds it, so an over-budget matrix costs one
+// cheap structure pass, never a pattern or a factorisation. maxEntries ≤
+// 0 means no cap.
+func AnalyzeCholesky(a *CSR, perm []int32, maxEntries int) (*CholeskyAnalysis, error) {
 	n := a.N()
 	perm, iperm, err := ordering(n, perm)
 	if err != nil {
@@ -60,35 +86,58 @@ func NewSparseCholesky(a *CSR, perm []int32, maxEntries int) (*SparseCholesky, e
 	if err != nil {
 		return nil, err
 	}
-	c := &SparseCholesky{
-		n: n, perm: perm, iperm: iperm,
+	an := &CholeskyAnalysis{
+		n: n, nnzA: len(a.colIdx),
+		perm: perm, iperm: iperm, parent: parent,
 		colPtr: colPtr,
 		rowIdx: make([]int32, colPtr[n]),
-		values: make([]float64, colPtr[n]),
+	}
+	an.fillPattern(a)
+	an.sn = supernodes(parent, colPtr)
+	ns := len(an.sn) - 1
+	an.colSuper, an.sparent = make([]int32, n), make([]int32, ns)
+	for s := range ns {
+		for j := an.sn[s]; j < an.sn[s+1]; j++ {
+			an.colSuper[j] = int32(s)
+		}
+	}
+	for s := range ns {
+		an.sparent[s] = -1
+		if p := parent[an.sn[s+1]-1]; p >= 0 {
+			an.sparent[s] = an.colSuper[p]
+		}
+	}
+	return an, nil
+}
+
+// Nnz returns the stored entry count of L, diagonal included.
+func (an *CholeskyAnalysis) Nnz() int { return an.colPtr[an.n] }
+
+// Factor computes the numeric factorisation of a, which must have the
+// pattern the analysis ran on, on up to workers goroutines (≤ 0 means
+// GOMAXPROCS). A non-positive or NaN pivot (matrix not SPD, numerically
+// singular or carrying a NaN) fails it. Every entry sums its terms in an
+// order the pattern alone fixes, so the factor's bits depend on a and
+// the ordering, never on workers.
+func (an *CholeskyAnalysis) Factor(a *CSR, workers int) (*SparseCholesky, error) {
+	if a.N() != an.n || len(a.colIdx) != an.nnzA {
+		return nil, fmt.Errorf("sparse: %d-row matrix with %d entries does not have the analysed pattern (%d rows, %d entries)",
+			a.N(), len(a.colIdx), an.n, an.nnzA)
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	n := an.n
+	c := &SparseCholesky{
+		n: n, perm: an.perm, iperm: an.iperm,
+		colPtr: an.colPtr, rowIdx: an.rowIdx,
+		values: make([]float64, an.colPtr[n]),
 	}
 	c.scratch.New = func() any { s := make([]float64, n); return &s }
-	c.fillPattern(a, parent)
-	if err := c.factorSupernodal(a, parent); err != nil {
+	if err := c.factorSupernodal(a, an, workers); err != nil {
 		return nil, err
 	}
 	return c, nil
-}
-
-// SparseCholeskyCount runs only the symbolic analysis and returns the
-// entry count of L under the given ordering (nil = natural), or
-// ErrFactorTooLarge once the count passes maxEntries. Callers use it to
-// decide whether a factorisation fits a budget without paying for one.
-func SparseCholeskyCount(a *CSR, perm []int32, maxEntries int) (int, error) {
-	n := a.N()
-	perm, iperm, err := ordering(n, perm)
-	if err != nil {
-		return 0, err
-	}
-	_, colPtr, err := cholSymbolic(a, perm, iperm, maxEntries)
-	if err != nil {
-		return 0, err
-	}
-	return colPtr[n], nil
 }
 
 // ordering resolves perm (nil is the natural order), validates that it
@@ -207,34 +256,34 @@ func ereach(a *CSR, perm, iperm, parent []int32, k int, marked, stack, pathBuf [
 // the rows of each elimination-tree child's column beneath j (a child's
 // first row below its diagonal is j itself), so columns are filled in
 // order by merging sorted lists.
-func (c *SparseCholesky) fillPattern(a *CSR, parent []int32) {
-	n := c.n
+func (an *CholeskyAnalysis) fillPattern(a *CSR) {
+	n := an.n
 	child, sibling := make([]int32, n), make([]int32, n)
 	for j := range child {
 		child[j] = -1
 	}
 	for j := n - 1; j >= 0; j-- {
-		if p := parent[j]; p >= 0 {
+		if p := an.parent[j]; p >= 0 {
 			sibling[j] = child[p]
 			child[p] = int32(j)
 		}
 	}
 	longest := 0
 	for j := range n {
-		longest = max(longest, c.colPtr[j+1]-c.colPtr[j])
+		longest = max(longest, an.colPtr[j+1]-an.colPtr[j])
 	}
 	cur, spare := make([]int32, 0, longest), make([]int32, 0, longest)
 	for j := 0; j < n; j++ {
 		cur = cur[:0]
-		cols, _ := a.Row(int(c.perm[j]))
+		cols, _ := a.Row(int(an.perm[j]))
 		for _, col := range cols {
-			if i := c.iperm[col]; i > int32(j) {
+			if i := an.iperm[col]; i > int32(j) {
 				cur = append(cur, i)
 			}
 		}
 		slices.Sort(cur)
 		for ch := child[j]; ch != -1; ch = sibling[ch] {
-			rows := c.rowIdx[c.colPtr[ch]+2 : c.colPtr[ch+1]]
+			rows := an.rowIdx[an.colPtr[ch]+2 : an.colPtr[ch+1]]
 			merged := spare[:0]
 			x, y := 0, 0
 			for x < len(cur) && y < len(rows) {
@@ -255,8 +304,8 @@ func (c *SparseCholesky) fillPattern(a *CSR, parent []int32) {
 			merged = append(merged, rows[y:]...)
 			cur, spare = merged, cur
 		}
-		c.rowIdx[c.colPtr[j]] = int32(j)
-		copy(c.rowIdx[c.colPtr[j]+1:c.colPtr[j+1]], cur)
+		an.rowIdx[an.colPtr[j]] = int32(j)
+		copy(an.rowIdx[an.colPtr[j]+1:an.colPtr[j+1]], cur)
 	}
 }
 
@@ -302,143 +351,284 @@ func supernodes(parent []int32, colPtr []int) []int32 {
 const relaxZeros = 0.1
 
 // maxSupernode caps a supernode's width. That bounds its panel at
-// maxSupernode × its rows, which the values of the columns not yet
-// factored can hold for all but the supernodes near the root (a spare
-// buffer of 0.2 MB serves those on every tier, where the widest uncapped
-// panels took 3.9 MB at fast and 9.3 MB at the paper tier), and
-// descendant blocks are gathered in chunks of as many rows. The factor
-// then allocates within 0.15 MB of what the up-looking factorisation
-// did on the preview, fast and paper tiers. The pieces of a split
-// supernode update one another as descendants, which took no measurable
-// time at 64 or 128 columns.
+// maxSupernode × its rows, and descendant blocks are gathered in chunks
+// of as many rows. The pieces of a split supernode update one another as
+// descendants, which took no measurable time at 64 or 128 columns.
 const maxSupernode = 64
 
+// splitSubtrees partitions the supernodes into independent elimination
+// subtrees and the top supernodes above them. A supernode is updated by
+// its own descendants only, so a subtree factors without any other
+// subtree's data. Starting from the roots, the costliest subtree (by the
+// summed squared column counts of L, the factor's flop estimate) is cut
+// below its root, which joins the top, until there are workers subtrees
+// or the costliest is a single supernode. It returns each subtree's
+// supernodes ascending, costliest subtree first so the dynamic schedule
+// starts the long ones first, and the top supernodes ascending.
+func (an *CholeskyAnalysis) splitSubtrees(workers int) (subtrees [][]int32, top []int32) {
+	ns := len(an.sn) - 1
+	cost := make([]int64, ns)
+	child, sibling := make([]int32, ns), make([]int32, ns)
+	for s := range ns {
+		child[s] = -1
+		for j := an.sn[s]; j < an.sn[s+1]; j++ {
+			m := int64(an.colPtr[j+1] - an.colPtr[j])
+			cost[s] += m * m
+		}
+	}
+	var roots []int32
+	for s := range ns { // children come first, so cost[s] is complete here
+		if p := an.sparent[s]; p >= 0 {
+			cost[p] += cost[s]
+			sibling[s], child[p] = child[p], int32(s)
+		} else {
+			roots = append(roots, int32(s))
+		}
+	}
+	const unassigned, inTop = -2, -1
+	owner := make([]int32, ns)
+	for s := range owner {
+		owner[s] = unassigned
+	}
+	for len(roots) > 0 && len(roots) < workers {
+		big := 0
+		for i, r := range roots {
+			if cost[r] > cost[roots[big]] {
+				big = i
+			}
+		}
+		r := roots[big]
+		if child[r] == -1 {
+			break
+		}
+		owner[r] = inTop
+		roots[big] = roots[len(roots)-1]
+		roots = roots[:len(roots)-1]
+		for ch := child[r]; ch != -1; ch = sibling[ch] {
+			roots = append(roots, ch)
+		}
+	}
+	slices.SortFunc(roots, func(x, y int32) int {
+		if c := cmp.Compare(cost[y], cost[x]); c != 0 {
+			return c
+		}
+		return cmp.Compare(x, y)
+	})
+	for i, r := range roots {
+		owner[r] = int32(i)
+	}
+	for s := ns - 1; s >= 0; s-- { // parents first
+		if owner[s] == unassigned {
+			owner[s] = owner[an.sparent[s]]
+		}
+	}
+	subtrees = make([][]int32, len(roots))
+	for s := range ns {
+		if o := owner[s]; o == inTop {
+			top = append(top, int32(s))
+		} else {
+			subtrees[o] = append(subtrees[o], int32(s))
+		}
+	}
+	return subtrees, top
+}
+
+// supernodal is one numeric factorisation in progress. A factored
+// supernode k waits in a pending list keyed by the supernode holding
+// below(k)[cursor[k]], the first of its rows it has not yet updated;
+// link chains the lists, whose heads belong to the worker that enqueued
+// k (cholWorker.head). Only the worker factoring k's subtree writes k's
+// columns, link and cursor, and the top supernodes run after every
+// subtree is done.
+type supernodal struct {
+	c            *SparseCholesky
+	a            *CSR
+	an           *CholeskyAnalysis
+	link, cursor []int32
+	// blockLen sizes a descendant block: up to 2·maxSupernode rows (a
+	// target's columns plus one chunk of the rows below them) × the
+	// widest supernode.
+	blockLen int
+}
+
+// cholWorker is one goroutine's scratch: the panel and descendant block,
+// the panel offsets, the row → panel-row map of the current supernode
+// and the heads of the pending lists it fills.
+type cholWorker struct {
+	panel, block   []float64
+	rowOff, colOff []int32
+	relMap, head   []int32
+	desc           []int32
+}
+
 // factorSupernodal is the numeric phase, left-looking over the relaxed
-// supernodes of L. Supernode s gathers its columns of the permuted A into
-// a dense row-major panel — its rows (its own columns, then the rows of
-// its last column below them) × its columns —, subtracts the update of
-// every descendant supernode in ascending order, factors the panel
-// (factorPanel) and copies it into the CSC values. Every entry sums its
-// terms in an order the pattern alone fixes, so the factor's bits depend
-// on a and the ordering only. Structural zeros of a relaxed panel stay
-// exact zeros: each of their terms has a zero factor.
-func (c *SparseCholesky) factorSupernodal(a *CSR, parent []int32) error {
-	n := c.n
-	sn := supernodes(parent, c.colPtr)
-	ns := int32(len(sn) - 1)
-	below := func(s int32) []int32 { // rows of supernode s beneath its columns
-		l := int(sn[s+1])
-		return c.rowIdx[c.colPtr[l-1]+1 : c.colPtr[l]]
-	}
-	colSuper := make([]int32, n)
+// supernodes of L. The subtrees below the top supernodes are factored
+// concurrently on up to workers goroutines, each with its own scratch
+// and pending lists, then the top supernodes in ascending order, each
+// gathering its descendants from every worker's lists. Every supernode
+// thus sees the updates of all its descendants in ascending order, as an
+// ascending serial pass applies them.
+func (c *SparseCholesky) factorSupernodal(a *CSR, an *CholeskyAnalysis, workers int) error {
+	subtrees, top := an.splitSubtrees(workers)
+	c.subtrees = len(subtrees)
+	ns := len(an.sn) - 1
+	f := &supernodal{c: c, a: a, an: an, link: make([]int32, ns), cursor: make([]int32, ns)}
 	maxWidth, maxRows := 0, 0
-	for s := range ns {
-		w, m := int(sn[s+1]-sn[s]), len(below(s))
-		for j := sn[s]; j < sn[s+1]; j++ {
-			colSuper[j] = s
-		}
+	for s := range int32(ns) {
+		w := int(an.sn[s+1] - an.sn[s])
 		maxWidth = max(maxWidth, w)
-		maxRows = max(maxRows, w+m)
+		maxRows = max(maxRows, w+len(f.below(s)))
 	}
-	// Supernode s works in a panel (its rows × its columns) and a
-	// descendant block of up to 2·maxSupernode rows (a target's columns
-	// plus one chunk of the rows below them) × the widest supernode. Both
-	// live in the values of the columns after s, not factored yet, where
-	// those have room; spare, sized once from the partition, holds them
-	// for the supernodes near the root, where they have not.
-	blockLen := 2 * maxSupernode * maxWidth
-	spareLen := 0
-	for s := range ns {
-		w := int(sn[s+1] - sn[s])
-		if need := (w+len(below(s)))*w + blockLen; c.colPtr[n]-c.colPtr[sn[s+1]] < need {
-			spareLen = max(spareLen, need)
+	f.blockLen = 2 * maxSupernode * maxWidth
+	ws := make([]*cholWorker, max(1, min(workers, len(subtrees))))
+	worker := func(w int, list []int32) *cholWorker {
+		wk := ws[w]
+		if wk == nil {
+			wk = &cholWorker{
+				block:  make([]float64, f.blockLen),
+				rowOff: make([]int32, maxRows), colOff: make([]int32, maxRows),
+				relMap: make([]int32, c.n), head: make([]int32, ns),
+			}
+			for i := range wk.head {
+				wk.head[i] = -1
+			}
+			ws[w] = wk
 		}
+		need := 0
+		for _, s := range list {
+			w := int(an.sn[s+1] - an.sn[s])
+			need = max(need, (w+len(f.below(s)))*w)
+		}
+		if len(wk.panel) < need {
+			wk.panel = make([]float64, need)
+		}
+		return wk
 	}
-	spare := make([]float64, spareLen)
-	rowOff, colOff := make([]int32, maxRows), make([]int32, maxRows)
-	relMap := make([]int32, n) // row → panel row, for the current supernode's rows
-	// A factored supernode k waits in the list of the supernode holding
-	// below(k)[cursor[k]], the first of its rows it has not yet updated:
-	// head[t] starts t's list and link chains it.
-	head, link, cursor := make([]int32, ns), make([]int32, ns), make([]int32, ns)
-	for i := range head {
-		head[i] = -1
-	}
-	enqueue := func(k int32) {
-		if kb := below(k); int(cursor[k]) < len(kb) {
-			t := colSuper[kb[cursor[k]]]
-			link[k], head[t] = head[t], k
-		}
-	}
-	desc := make([]int32, 0, ns)
-	for s := range ns {
-		f, l := int(sn[s]), int(sn[s+1])
-		w := l - f
-		rows := below(s)
-		nr := w + len(rows)
-		work := c.values[c.colPtr[l]:]
-		if len(work) < nr*w+blockLen {
-			work = spare
-		}
-		p, block := work[:nr*w], work[nr*w:nr*w+blockLen]
-		clear(p)
-		for i := f; i < l; i++ {
-			relMap[i] = int32(i - f)
-		}
-		for i, r := range rows {
-			relMap[r] = int32(w + i)
-		}
-		for j := f; j < l; j++ {
-			cols, vals := a.Row(int(c.perm[j]))
-			for q, col := range cols {
-				if i := c.iperm[col]; i >= int32(j) {
-					p[int(relMap[i])*w+j-f] = vals[q]
-				}
+	errs, failedAt := make([]error, len(subtrees)), make([]int32, len(subtrees))
+	parallel.ForEach(len(ws), len(subtrees), func(w, i int) error { //nolint:errcheck // failures land in errs
+		wk := worker(w, subtrees[i])
+		for _, s := range subtrees[i] {
+			if err := f.factor(wk, s, ws[w:w+1]); err != nil {
+				errs[i], failedAt[i] = err, s
+				return nil
 			}
 		}
-		desc = desc[:0]
-		for k := head[s]; k != -1; k = link[k] {
-			desc = append(desc, k)
+		return nil
+	})
+	// Report the lowest failing supernode's pivot, whichever worker saw it.
+	first := -1
+	for i, err := range errs {
+		if err != nil && (first < 0 || failedAt[i] < failedAt[first]) {
+			first = i
 		}
-		slices.Sort(desc)
-		for _, k := range desc {
-			// Rows kb[p1:] of k update the panel; kb[p1:p2] are the
-			// panel's own columns. Those come first, then the rows below
-			// them in chunks of maxSupernode, against the same columns.
-			kb := below(k)
-			p1 := int(cursor[k])
-			p2 := p1
-			for p2 < len(kb) && int(kb[p2]) < l {
-				p2++
-			}
-			nc, v := p2-p1, int(sn[k+1]-sn[k])
-			cols := c.gatherRows(block, sn[k], sn[k+1], kb, p1, p2)
-			for j, r := range kb[p1:p2] {
-				rowOff[j] = relMap[r]
-				colOff[j] = r - int32(f)
-			}
-			subLowerProducts(p, w, rowOff[:nc], colOff[:nc], cols, cols, v, v, 0)
-			for r0 := p2; r0 < len(kb); r0 += maxSupernode {
-				r1 := min(r0+maxSupernode, len(kb))
-				chunk := c.gatherRows(block[nc*v:], sn[k], sn[k+1], kb, r0, r1)
-				for i, r := range kb[r0:r1] {
-					rowOff[i] = relMap[r]
-				}
-				subLowerProducts(p, w, rowOff[:r1-r0], colOff[:nc], chunk, cols, v, v, r0-p1)
-			}
-			cursor[k] = int32(p2)
-			enqueue(k)
-		}
-		if err := factorPanel(p, nr, w, f, rowOff, colOff); err != nil {
+	}
+	if first >= 0 {
+		return errs[first]
+	}
+	wk := worker(0, top)
+	for _, s := range top {
+		if err := f.factor(wk, s, ws); err != nil {
 			return err
 		}
-		for j := f; j < l; j++ {
-			for q := c.colPtr[j]; q < c.colPtr[j+1]; q++ {
-				c.values[q] = p[int(relMap[c.rowIdx[q]])*w+j-f]
+	}
+	return nil
+}
+
+// below returns the rows of supernode s beneath its columns.
+func (f *supernodal) below(s int32) []int32 {
+	l := int(f.an.sn[s+1])
+	return f.c.rowIdx[f.c.colPtr[l-1]+1 : f.c.colPtr[l]]
+}
+
+// enqueue puts factored supernode k on wk's pending list of the
+// supernode holding its first row not yet updated, if any is left.
+func (f *supernodal) enqueue(wk *cholWorker, k int32) {
+	if kb := f.below(k); int(f.cursor[k]) < len(kb) {
+		t := f.an.colSuper[kb[f.cursor[k]]]
+		f.link[k], wk.head[t] = wk.head[t], k
+	}
+}
+
+// factor factors supernode s with wk's scratch. It gathers s's columns
+// of the permuted A into a dense row-major panel — its rows (its own
+// columns, then the rows of its last column below them) × its columns —,
+// subtracts the update of every descendant waiting on s in the pending
+// lists of lists, in ascending order, factors the panel (factorPanel)
+// and copies it into the CSC values; each of those descendants, and s
+// itself, then waits on its next target in wk's lists. Every entry sums
+// its terms in an order the pattern alone fixes, and structural zeros of
+// a relaxed panel stay exact zeros: each of their terms has a zero
+// factor.
+func (f *supernodal) factor(wk *cholWorker, s int32, lists []*cholWorker) error {
+	c, sn := f.c, f.an.sn
+	fc, l := int(sn[s]), int(sn[s+1])
+	w := l - fc
+	rows := f.below(s)
+	nr := w + len(rows)
+	p, relMap := wk.panel[:nr*w], wk.relMap
+	clear(p)
+	for i := fc; i < l; i++ {
+		relMap[i] = int32(i - fc)
+	}
+	for i, r := range rows {
+		relMap[r] = int32(w + i)
+	}
+	for j := fc; j < l; j++ {
+		cols, vals := f.a.Row(int(c.perm[j]))
+		for q, col := range cols {
+			if i := c.iperm[col]; i >= int32(j) {
+				p[int(relMap[i])*w+j-fc] = vals[q]
 			}
 		}
-		enqueue(s)
 	}
+	desc := wk.desc[:0]
+	for _, o := range lists {
+		if o != nil {
+			for k := o.head[s]; k != -1; k = f.link[k] {
+				desc = append(desc, k)
+			}
+		}
+	}
+	slices.Sort(desc)
+	wk.desc = desc
+	rowOff, colOff := wk.rowOff, wk.colOff
+	for _, k := range desc {
+		// Rows kb[p1:] of k update the panel; kb[p1:p2] are the panel's
+		// own columns. Those come first, then the rows below them in
+		// chunks of maxSupernode, against the same columns.
+		kb := f.below(k)
+		p1 := int(f.cursor[k])
+		p2 := p1
+		for p2 < len(kb) && int(kb[p2]) < l {
+			p2++
+		}
+		nc, v := p2-p1, int(sn[k+1]-sn[k])
+		cols := c.gatherRows(wk.block, sn[k], sn[k+1], kb, p1, p2)
+		for j, r := range kb[p1:p2] {
+			rowOff[j] = relMap[r]
+			colOff[j] = r - int32(fc)
+		}
+		subLowerProducts(p, w, rowOff[:nc], colOff[:nc], cols, cols, v, v, 0)
+		for r0 := p2; r0 < len(kb); r0 += maxSupernode {
+			r1 := min(r0+maxSupernode, len(kb))
+			chunk := c.gatherRows(wk.block[nc*v:], sn[k], sn[k+1], kb, r0, r1)
+			for i, r := range kb[r0:r1] {
+				rowOff[i] = relMap[r]
+			}
+			subLowerProducts(p, w, rowOff[:r1-r0], colOff[:nc], chunk, cols, v, v, r0-p1)
+		}
+		f.cursor[k] = int32(p2)
+		f.enqueue(wk, k)
+	}
+	if err := factorPanel(p, nr, w, fc, rowOff, colOff); err != nil {
+		return err
+	}
+	for j := fc; j < l; j++ {
+		for q := c.colPtr[j]; q < c.colPtr[j+1]; q++ {
+			c.values[q] = p[int(relMap[c.rowIdx[q]])*w+j-fc]
+		}
+	}
+	f.enqueue(wk, s)
 	return nil
 }
 
@@ -648,6 +838,11 @@ func (c *SparseCholesky) Perm() []int32 {
 	copy(out, c.perm)
 	return out
 }
+
+// Subtrees returns the number of independent elimination subtrees the
+// numeric phase factored concurrently (1 for a serial factorisation of a
+// connected matrix).
+func (c *SparseCholesky) Subtrees() int { return c.subtrees }
 
 // Values returns the factor's stored values in the order CholeskySolve
 // reads them. The slice aliases the factor and must not be modified.

@@ -36,6 +36,16 @@ func buildLaplacian2D(nx, ny int) *CSR {
 	return a.ToCSR()
 }
 
+// factorize analyses a under perm within maxEntries and factors it on
+// one goroutine, returning the first error of either step.
+func factorize(a *CSR, perm []int32, maxEntries int) (*SparseCholesky, error) {
+	an, err := AnalyzeCholesky(a, perm, maxEntries)
+	if err != nil {
+		return nil, err
+	}
+	return an.Factor(a, 1)
+}
+
 // relResidual returns ‖A·x − b‖/‖b‖.
 func relResidual(a *CSR, x, b []float64) float64 {
 	ax := make([]float64, a.N())
@@ -51,7 +61,7 @@ func relResidual(a *CSR, x, b []float64) float64 {
 func TestSparseCholeskySolve(t *testing.T) {
 	a := buildLaplacian2D(9, 7)
 	n := a.N()
-	chol, err := NewSparseCholesky(a, nil, 1<<20)
+	chol, err := factorize(a, nil, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +91,7 @@ func TestSparseCholeskySolve(t *testing.T) {
 func TestSparseCholeskyMatchesBand(t *testing.T) {
 	a := buildLaplacian3D(11, 7, 5)
 	n := a.N()
-	sp, err := NewSparseCholesky(a, nil, 1<<22)
+	sp, err := factorize(a, nil, 1<<22)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +125,7 @@ func TestSparseCholeskyRandomSPD(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for trial := 0; trial < 5; trial++ {
 		a := randomSPD(rng, 40)
-		chol, err := NewSparseCholesky(a, nil, 1<<20)
+		chol, err := factorize(a, nil, 1<<20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +154,7 @@ func TestSparseCholeskyPermRoundTrip(t *testing.T) {
 		b[i] = rng.NormFloat64()
 	}
 	ref := append([]float64(nil), b...)
-	chol, err := NewSparseCholesky(a, nil, 1<<20)
+	chol, err := factorize(a, nil, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +165,7 @@ func TestSparseCholeskyPermRoundTrip(t *testing.T) {
 			perm[i] = int32(i)
 		}
 		rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-		pc, err := NewSparseCholesky(a, perm, 1<<20)
+		pc, err := factorize(a, perm, 1<<20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,38 +187,52 @@ func TestSparseCholeskyPermRoundTrip(t *testing.T) {
 
 func TestSparseCholeskyBadOrdering(t *testing.T) {
 	a := buildLaplacian1D(5)
-	if _, err := NewSparseCholesky(a, []int32{0, 1, 2}, 0); err == nil {
+	if _, err := factorize(a, []int32{0, 1, 2}, 0); err == nil {
 		t.Fatal("short ordering should be rejected")
 	}
-	if _, err := NewSparseCholesky(a, []int32{0, 1, 2, 2, 4}, 0); err == nil {
+	if _, err := factorize(a, []int32{0, 1, 2, 2, 4}, 0); err == nil {
 		t.Fatal("duplicate ordering entry should be rejected")
 	}
-	if _, err := NewSparseCholesky(a, []int32{0, 1, 2, 9, 4}, 0); err == nil {
+	if _, err := factorize(a, []int32{0, 1, 2, 9, 4}, 0); err == nil {
 		t.Fatal("out-of-range ordering entry should be rejected")
+	}
+	// An analysis factors only matrices of its own pattern.
+	an, err := AnalyzeCholesky(a, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diag := NewCOO(5)
+	for i := range 5 {
+		diag.Add(i, i, 1)
+	}
+	for _, other := range []*CSR{buildLaplacian1D(6), buildLaplacian2D(2, 2), diag.ToCSR()} {
+		if _, err := an.Factor(other, 1); err == nil {
+			t.Fatalf("%d-row matrix with %d entries factored from a 5-row analysis of %d entries", other.N(), len(other.colIdx), len(a.colIdx))
+		}
 	}
 }
 
 func TestSparseCholeskyEntryCap(t *testing.T) {
 	a := buildLaplacian2D(20, 20)
-	full, err := NewSparseCholesky(a, nil, 0)
+	full, err := factorize(a, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewSparseCholesky(a, full.Perm(), full.Nnz()-1); !errors.Is(err, ErrFactorTooLarge) {
+	if _, err := factorize(a, full.Perm(), full.Nnz()-1); !errors.Is(err, ErrFactorTooLarge) {
 		t.Fatalf("err = %v, want ErrFactorTooLarge", err)
 	}
-	if _, err := NewSparseCholesky(a, full.Perm(), full.Nnz()); err != nil {
+	if _, err := factorize(a, full.Perm(), full.Nnz()); err != nil {
 		t.Fatalf("cap exactly at size should factor, got %v", err)
 	}
-	count, err := SparseCholeskyCount(a, full.Perm(), 0)
+	an, err := AnalyzeCholesky(a, full.Perm(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if count != full.Nnz() {
-		t.Fatalf("symbolic count %d != factor entries %d", count, full.Nnz())
+	if an.Nnz() != full.Nnz() {
+		t.Fatalf("symbolic count %d != factor entries %d", an.Nnz(), full.Nnz())
 	}
-	if _, err := SparseCholeskyCount(a, full.Perm(), full.Nnz()-1); !errors.Is(err, ErrFactorTooLarge) {
-		t.Fatalf("count err = %v, want ErrFactorTooLarge", err)
+	if _, err := AnalyzeCholesky(a, full.Perm(), full.Nnz()-1); !errors.Is(err, ErrFactorTooLarge) {
+		t.Fatalf("analysis err = %v, want ErrFactorTooLarge", err)
 	}
 }
 
@@ -218,7 +242,7 @@ func TestSparseCholeskyNotPositiveDefinite(t *testing.T) {
 	a.Add(0, 1, 2)
 	a.Add(1, 0, 2)
 	a.Add(1, 1, 1) // eigenvalues 3 and -1: symmetric but indefinite
-	if _, err := NewSparseCholesky(a.ToCSR(), nil, 1<<20); err == nil {
+	if _, err := factorize(a.ToCSR(), nil, 1<<20); err == nil {
 		t.Fatal("factoring an indefinite matrix should fail")
 	}
 }
@@ -233,7 +257,7 @@ func TestSparseCholeskyNaNPivot(t *testing.T) {
 			vals[p] = math.NaN()
 		}
 	}
-	if _, err := NewSparseCholesky(a, nil, 0); err == nil || !strings.Contains(err.Error(), "pivot") {
+	if _, err := factorize(a, nil, 0); err == nil || !strings.Contains(err.Error(), "pivot") {
 		t.Fatalf("err = %v, want the pivot error", err)
 	}
 }
@@ -253,7 +277,7 @@ func TestSparseCholeskySingular(t *testing.T) {
 			a.Add(i, i, 1)
 		}
 	}
-	if _, err := NewSparseCholesky(a.ToCSR(), nil, 1<<20); err == nil {
+	if _, err := factorize(a.ToCSR(), nil, 1<<20); err == nil {
 		t.Fatal("factoring a singular matrix should fail")
 	}
 }
@@ -266,7 +290,7 @@ func TestSparseCholeskySingular(t *testing.T) {
 func TestSparseCholesky32Mirror(t *testing.T) {
 	a := buildLaplacian2D(12, 9)
 	n := a.N()
-	chol, err := NewSparseCholesky(a, nil, 1<<20)
+	chol, err := factorize(a, nil, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +328,7 @@ func TestSparseCholesky32Mirror(t *testing.T) {
 // L(0:k,0:k)·l = a_k over the elimination-tree reach of row k's entries,
 // appended column-wise so every column keeps its diagonal first and its
 // rows ascending. It returns the factor's row indices and values in
-// NewSparseCholesky's CSC layout.
+// the factor's CSC layout.
 func upLookingFactor(t testing.TB, a *CSR, perm []int32) (rowIdx []int32, values []float64) {
 	t.Helper()
 	n := a.N()
@@ -363,7 +387,7 @@ func upLookingFactor(t testing.TB, a *CSR, perm []int32) (rowIdx []int32, values
 // of the up-looking reference and every entry within 1e-12·max|L| of it.
 func assertMatchesUpLooking(t *testing.T, a *CSR, perm []int32) *SparseCholesky {
 	t.Helper()
-	c, err := NewSparseCholesky(a, perm, 0)
+	c, err := factorize(a, perm, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +440,8 @@ func wideSupernodeMatrix() *CSR {
 
 // TestSparseCholeskyMatchesUpLooking checks the supernodal factor
 // against the up-looking reference: the same CSC pattern, every entry
-// within 1e-12·max|L|, and bit-identical values when factored again.
+// within 1e-12·max|L|, and bit-identical values when factored again from
+// one analysis on 1 to 4 goroutines.
 func TestSparseCholeskyMatchesUpLooking(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
 	shuffled := make([]int32, 20*20)
@@ -445,13 +470,19 @@ func TestSparseCholeskyMatchesUpLooking(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c := assertMatchesUpLooking(t, tc.a, tc.perm)
-			again, err := NewSparseCholesky(tc.a, tc.perm, 0)
+			an, err := AnalyzeCholesky(tc.a, tc.perm, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for q, v := range again.Values() {
-				if math.Float64bits(v) != math.Float64bits(c.values[q]) {
-					t.Fatalf("second factorisation differs at entry %d: %v vs %v", q, v, c.values[q])
+			for workers := 1; workers <= 4; workers++ {
+				again, err := an.Factor(tc.a, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for q, v := range again.Values() {
+					if math.Float64bits(v) != math.Float64bits(c.values[q]) {
+						t.Fatalf("%d workers: factorisation differs at entry %d: %v vs %v", workers, q, v, c.values[q])
+					}
 				}
 			}
 		})

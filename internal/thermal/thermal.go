@@ -1019,7 +1019,8 @@ type BasisBuildStats struct {
 	// set-up they triggered.
 	Wall time.Duration
 	// Phases is the V-cycle phase time the solves spent on this model's
-	// hierarchy.
+	// hierarchy, plus the set-up they triggered: the hierarchy's build and
+	// its coarse factorisation, which only the model's first solve pays.
 	Phases mg.PhaseStats
 }
 
