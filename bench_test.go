@@ -736,8 +736,8 @@ func BenchmarkCoarseSolve(b *testing.B) {
 // BenchmarkBuildBasis contrasts the seed's basis-construction path (a
 // fresh operator assembly, and so a fresh hierarchy, inside every one of
 // the four unit solves) against the cached one (one assembly and
-// hierarchy, the four RHS advancing as one block), and times a
-// non-uniform rebuild, which solves only its chip field.
+// hierarchy, the four unit solves running concurrently on it), and times
+// a non-uniform rebuild, which solves only its chip field.
 func BenchmarkBuildBasis(b *testing.B) {
 	m := benchMethodology(b).Model()
 	units := []thermal.Powers{
@@ -792,9 +792,9 @@ func BenchmarkBuildBasis(b *testing.B) {
 		}
 		batch[i] = power
 	}
-	// The headline path: the four unit right-hand sides advance as ONE
-	// block-Krylov solve whose per-column multigrid V-cycles share the
-	// system's cached hierarchy and run concurrently.
+	// The headline path: the four unit right-hand sides solve
+	// concurrently, one mg-cg solve each, all on the system's cached
+	// hierarchy. iters/solve is the largest column's count.
 	b.Run("cached-block-mg", func(b *testing.B) {
 		opts := fvm.SolveOptions{Tolerance: 1e-8}
 		var iters int
@@ -803,7 +803,10 @@ func BenchmarkBuildBasis(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			iters = sols[0].Stats.Iterations
+			iters = 0
+			for _, sol := range sols {
+				iters = max(iters, sol.Stats.Iterations)
+			}
 		}
 		b.ReportMetric(float64(iters), "iters/solve")
 	})

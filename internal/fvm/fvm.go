@@ -15,7 +15,6 @@
 package fvm
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -25,6 +24,7 @@ import (
 	"vcselnoc/internal/geom"
 	"vcselnoc/internal/mesh"
 	"vcselnoc/internal/mg"
+	"vcselnoc/internal/parallel"
 	"vcselnoc/internal/sparse"
 )
 
@@ -166,7 +166,7 @@ type System struct {
 	hint sparse.GridHint
 	// mgOnce/mgHier/mgErr lazily cache one multigrid hierarchy for the
 	// steady operator, shared by every steady solve of this system —
-	// blocked and repeated solves pay the Galerkin setup once.
+	// concurrent and repeated solves pay the Galerkin setup once.
 	mgOnce sync.Once
 	mgHier *mg.Hierarchy
 	mgErr  error
@@ -444,11 +444,12 @@ type SolveOptions struct {
 	MaxIterations int
 	// InitialGuess optionally warm-starts the solver (length = cells).
 	InitialGuess []float64
-	// Workers caps the goroutines used for matrix-vector products, the
-	// red-black line smoother and a block solve's concurrent V-cycles; 0
-	// means GOMAXPROCS. The system's one-off multigrid set-up (hierarchy
-	// and coarse factor) does not read it: it runs on GOMAXPROCS
-	// workers, with bits independent of the count.
+	// Workers caps the goroutines used for matrix-vector products and the
+	// red-black line smoother of each solve; 0 means GOMAXPROCS. A block
+	// solve runs its columns concurrently unless Workers is 1. The
+	// system's one-off multigrid set-up (hierarchy and coarse factor)
+	// does not read it: it runs on GOMAXPROCS workers, with bits
+	// independent of the count.
 	Workers int
 	// MGPrecision selects the V-cycle arithmetic ("float32", "float64");
 	// empty auto-selects per mg.Options.Precision.
@@ -551,15 +552,11 @@ func (s *System) takeSolver(opts SolveOptions) (*steadySolver, error) {
 	return &steadySolver{newSolver(h, want.tol, want.maxIter, want.workers, want.precision), want}, nil
 }
 
-// putSolver hands solvers taken with takeSolver back to the idle list.
-func (s *System) putSolver(solvers ...*steadySolver) {
+// putSolver hands a solver taken with takeSolver back to the idle list.
+func (s *System) putSolver(solver *steadySolver) {
 	s.idleMu.Lock()
 	defer s.idleMu.Unlock()
-	for _, solver := range solvers {
-		if solver != nil {
-			s.idle = append(s.idle, weak.Make(solver))
-		}
-	}
+	s.idle = append(s.idle, weak.Make(solver))
 }
 
 // Solution is a computed temperature field.
@@ -594,12 +591,11 @@ func (s *System) SolveSteady(power []float64, opts SolveOptions) (*Solution, err
 		return nil, err
 	}
 	defer s.putSolver(solver)
-	return s.solveSteadyWith(power, opts, solver.Solver, nil)
+	return s.solveSteadyWith(power, opts, solver.Solver)
 }
 
-// solveSteadyWith runs one steady solve with a caller-supplied solver and
-// optional reusable RHS buffer.
-func (s *System) solveSteadyWith(power []float64, opts SolveOptions, solver *mg.Solver, rhs []float64) (*Solution, error) {
+// solveSteadyWith runs one steady solve with a caller-supplied solver.
+func (s *System) solveSteadyWith(power []float64, opts SolveOptions, solver *mg.Solver) (*Solution, error) {
 	if !s.hasFix {
 		return nil, fmt.Errorf("fvm: steady problem needs at least one convection or Dirichlet boundary (all faces adiabatic)")
 	}
@@ -607,9 +603,7 @@ func (s *System) solveSteadyWith(power []float64, opts SolveOptions, solver *mg.
 	if len(power) != n {
 		return nil, fmt.Errorf("fvm: power vector has %d entries, want %d", len(power), n)
 	}
-	if rhs == nil {
-		rhs = make([]float64, n)
-	}
+	rhs := make([]float64, n)
 	var total float64
 	for i, q := range power {
 		rhs[i] = s.rhsBoundary[i] + q
@@ -632,104 +626,31 @@ func (s *System) solveSteadyWith(power []float64, opts SolveOptions, solver *mg.
 	}, nil
 }
 
-// SolveSteadyBlock solves many power vectors against the cached operator
-// as ONE block-Krylov solve: all right-hand sides advance through a shared
-// block conjugate gradient, so every matrix pass feeds every column
-// (sparse.MulVecBlockN) and the columns exchange search directions — the
-// basis build converges in fewer, cheaper iterations than len(powers)
-// independent solves. Every column gets its own multigrid V-cycle
-// preconditioner — all sharing the system's cached hierarchy — and the
-// applications run concurrently inside each block iteration. A block
-// whose search directions lose rank mid-solve (numerically dependent
-// right-hand sides) is solved again column by column on the same
-// hierarchy. Either way the result is one Solution per power vector, in
-// input order.
+// SolveSteadyBlock solves many power vectors against the cached operator,
+// each with its own SolveSteady on the system's shared hierarchy, and
+// returns one Solution per power vector, in input order. The columns
+// solve concurrently, each on a solver of its own; Workers == 1 solves
+// them one after another, honouring the knob's CPU-bounding contract.
+// Either way every column is bit-identical to its own SolveSteady.
 func (s *System) SolveSteadyBlock(powers [][]float64, opts SolveOptions) ([]*Solution, error) {
 	if len(powers) == 0 {
 		return nil, fmt.Errorf("fvm: empty power block")
 	}
-	if !s.hasFix {
-		return nil, fmt.Errorf("fvm: steady problem needs at least one convection or Dirichlet boundary (all faces adiabatic)")
-	}
-	n := s.matrix.N()
-	if opts.InitialGuess != nil && len(opts.InitialGuess) != n {
-		return nil, fmt.Errorf("fvm: initial guess has %d entries, want %d", len(opts.InitialGuess), n)
-	}
-	bs := make([][]float64, len(powers))
-	xs := make([][]float64, len(powers))
-	totals := make([]float64, len(powers))
-	for c, power := range powers {
-		if len(power) != n {
-			return nil, fmt.Errorf("fvm: block power %d has %d entries, want %d", c, len(power), n)
-		}
-		rhs := make([]float64, n)
-		var total float64
-		for i, q := range power {
-			rhs[i] = s.rhsBoundary[i] + q
-			total += q
-		}
-		bs[c], totals[c] = rhs, total
-		xs[c] = make([]float64, n)
-		if opts.InitialGuess != nil {
-			copy(xs[c], opts.InitialGuess)
-		}
-	}
-	// One preconditioner per column lets BlockCG apply the V-cycles
-	// concurrently; Workers == 1 keeps the solve single-threaded by
-	// sharing one instance (applied serially), honouring the knob's
-	// CPU-bounding contract.
-	numPreconds := len(powers)
+	workers := len(powers)
 	if opts.Workers == 1 {
-		numPreconds = 1
-	}
-	solvers := make([]*steadySolver, numPreconds)
-	defer s.putSolver(solvers...)
-	preconds := make([]func(z, r []float64), numPreconds)
-	for c := range preconds {
-		solver, err := s.takeSolver(opts)
-		if err != nil {
-			return nil, err
-		}
-		solvers[c] = solver
-		preconds[c], err = solver.Preconditioner(s.matrix)
-		if err != nil {
-			return nil, fmt.Errorf("fvm: block steady solve: %w", err)
-		}
-	}
-	tol := opts.Tolerance
-	if tol <= 0 {
-		tol = 1e-8
-	}
-	stats, err := sparse.BlockCG(s.matrix, bs, xs, preconds, tol, opts.MaxIterations, opts.Workers)
-	if err != nil {
-		if errors.Is(err, sparse.ErrBlockBreakdown) {
-			// Rank loss: the columns' Krylov spaces merged. Independent
-			// solves cannot break down this way.
-			return s.solveColumns(powers, opts, solvers[0].Solver)
-		}
-		return nil, fmt.Errorf("fvm: block steady solve failed: %w", err)
+		workers = 1
 	}
 	sols := make([]*Solution, len(powers))
-	for c := range sols {
-		sols[c] = &Solution{
-			Grid: s.grid, T: xs[c], Stats: stats[c],
-			boundaryG: s.boundaryG, boundaryGT: s.boundaryGT, totalPower: totals[c],
-		}
-	}
-	return sols, nil
-}
-
-// solveColumns solves the power vectors one after another with one
-// solver and one RHS buffer.
-func (s *System) solveColumns(powers [][]float64, opts SolveOptions, solver *mg.Solver) ([]*Solution, error) {
-	rhs := make([]float64, s.matrix.N())
-	sols := make([]*Solution, len(powers))
-	for c, power := range powers {
-		sol, err := s.solveSteadyWith(power, opts, solver, rhs)
+	err := parallel.ForEach(workers, len(powers), func(_, c int) error {
+		sol, err := s.SolveSteady(powers[c], opts)
 		if err != nil {
-			return nil, fmt.Errorf("fvm: column %d: %w", c, err)
+			return fmt.Errorf("fvm: column %d: %w", c, err)
 		}
 		sols[c] = sol
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return sols, nil
 }

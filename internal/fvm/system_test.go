@@ -64,10 +64,12 @@ func TestBackendsAgreeOnFVMSystem(t *testing.T) {
 	}
 }
 
-// TestSolveSteadyBlockMatchesIndividual: the block-Krylov multi-RHS path
-// must land on the per-vector solutions. Run under -race this doubles as
-// the data-race smoke of the concurrent per-column preconditioner
-// application.
+// TestSolveSteadyBlockMatchesIndividual: every column of a block solve
+// is its own SolveSteady, bit for bit and with the same Stats, whether
+// the columns run concurrently (Workers 0 and 3) or one after another
+// (Workers 1) — for independent columns and for a dependent block
+// (a, 2a, a). Run under -race this doubles as the data-race smoke of the
+// concurrent column solves.
 func TestSolveSteadyBlockMatchesIndividual(t *testing.T) {
 	p := systemProblem(t, 16, 14, 6)
 	sys, err := NewSystem(p)
@@ -75,45 +77,46 @@ func TestSolveSteadyBlockMatchesIndividual(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := sys.N()
-	powers := make([][]float64, 4)
-	for i := range powers {
+	independent := make([][]float64, 4)
+	for i := range independent {
 		pw := make([]float64, n)
 		pw[(i*131)%n] = 0.4 + 0.05*float64(i)
 		pw[(i*577+23)%n] = 0.1
-		powers[i] = pw
+		independent[i] = pw
 	}
-	opts := SolveOptions{Tolerance: 1e-10}
-	want := make([]*Solution, len(powers))
-	for i, pw := range powers {
-		want[i], err = sys.SolveSteady(pw, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+	double := make([]float64, n)
+	for i, q := range p.Power {
+		double[i] = 2 * q
 	}
-	got, err := sys.SolveSteadyBlock(powers, opts)
-	if err != nil {
-		t.Fatalf("block: %v", err)
-	}
-	var maxT float64
-	for _, sol := range want {
-		for _, v := range sol.T {
-			if a := math.Abs(v); a > maxT {
-				maxT = a
+	for _, block := range []struct {
+		name   string
+		powers [][]float64
+	}{{"independent", independent}, {"dependent", [][]float64{p.Power, double, p.Power}}} {
+		name, powers := block.name, block.powers
+		for _, workers := range []int{0, 1, 3} {
+			opts := SolveOptions{Tolerance: 1e-10, Workers: workers}
+			got, err := sys.SolveSteadyBlock(powers, opts)
+			if err != nil {
+				t.Fatalf("%s, workers=%d: %v", name, workers, err)
 			}
-		}
-	}
-	for i := range got {
-		if !got[i].Stats.Converged {
-			t.Fatalf("block column %d did not converge", i)
-		}
-		for c := range got[i].T {
-			if math.Abs(got[i].T[c]-want[i].T[c])/maxT > 1e-8 {
-				t.Fatalf("solution %d cell %d: block %g vs individual %g",
-					i, c, got[i].T[c], want[i].T[c])
+			for i, pw := range powers {
+				want, err := sys.SolveSteady(pw, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !got[i].Stats.Converged || got[i].Stats != want.Stats {
+					t.Errorf("%s, workers=%d column %d: stats %+v, individual %+v", name, workers, i, got[i].Stats, want.Stats)
+				}
+				for c := range want.T {
+					if math.Float64bits(got[i].T[c]) != math.Float64bits(want.T[c]) {
+						t.Fatalf("%s, workers=%d column %d cell %d: block %g vs individual %g",
+							name, workers, i, c, got[i].T[c], want.T[c])
+					}
+				}
+				if e := got[i].EnergyBalanceError(); e > 1e-6 {
+					t.Errorf("%s, workers=%d column %d: energy balance error %g", name, workers, i, e)
+				}
 			}
-		}
-		if math.Abs(got[i].EnergyBalanceError()) > 1e-6 {
-			t.Errorf("solution %d: energy balance error %g", i, got[i].EnergyBalanceError())
 		}
 	}
 	// Error surface: bad lengths still rejected through the block path.
@@ -148,47 +151,6 @@ func TestSystemMatchesSolveSteady(t *testing.T) {
 	}
 	if math.Abs(direct.BoundaryHeatFlow()-cached.BoundaryHeatFlow()) > 1e-12 {
 		t.Error("boundary heat flow differs between paths")
-	}
-}
-
-// TestSolveSteadyBlockBreakdownMatchesIndividual: a block of dependent
-// columns (a, 2a, a) loses rank in block CG, and SolveSteadyBlock then
-// solves it column by column on the shared hierarchy. Each column must
-// be bit-identical to its own SolveSteady — which a block solve that
-// had not broken down would not be — whether the block shares one
-// V-cycle (Workers 1) or runs one per column.
-func TestSolveSteadyBlockBreakdownMatchesIndividual(t *testing.T) {
-	p := systemProblem(t, 14, 12, 5)
-	sys, err := NewSystem(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	double := make([]float64, len(p.Power))
-	for i, q := range p.Power {
-		double[i] = 2 * q
-	}
-	powers := [][]float64{p.Power, double, p.Power}
-	for _, workers := range []int{0, 1} {
-		opts := SolveOptions{Tolerance: 1e-10, Workers: workers}
-		got, err := sys.SolveSteadyBlock(powers, opts)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i, pw := range powers {
-			want, err := sys.SolveSteady(pw, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got[i].Stats != want.Stats {
-				t.Errorf("workers=%d column %d: stats %+v, individual %+v", workers, i, got[i].Stats, want.Stats)
-			}
-			for c := range want.T {
-				if got[i].T[c] != want.T[c] {
-					t.Fatalf("workers=%d column %d cell %d: block %g vs individual %g",
-						workers, i, c, got[i].T[c], want.T[c])
-				}
-			}
-		}
 	}
 }
 
@@ -314,7 +276,7 @@ func TestSteadySolverReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := newSolver(h, opts.Tolerance, opts.MaxIterations, opts.Workers, opts.MGPrecision)
-	ref, err := sys.solveSteadyWith(p.Power, opts, fresh, nil)
+	ref, err := sys.solveSteadyWith(p.Power, opts, fresh)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -360,7 +360,7 @@ func TestCoarseFactorChargedOnce(t *testing.T) {
 
 // TestCoarseFactorErrorReachesCaller: with one coarse tier there is no
 // fallback, so a coarsest operator that cannot be factored must fail
-// Preconditioner and Solve with the factorisation's error instead of
+// preconditioner and Solve with the factorisation's error instead of
 // producing a silently broken V-cycle.
 func TestCoarseFactorErrorReachesCaller(t *testing.T) {
 	a, hint := buildHeatSystem(t, uniformLines(8, 1), uniformLines(8, 1), uniformLines(4, 0.1))
@@ -379,8 +379,8 @@ func TestCoarseFactorErrorReachesCaller(t *testing.T) {
 	}
 	s := New(Options{})
 	s.SetHierarchy(h)
-	if _, err := s.Preconditioner(a); err == nil || !strings.Contains(err.Error(), "pivot") {
-		t.Fatalf("Preconditioner error = %v, want the factorisation's pivot error", err)
+	if _, err := s.preconditioner(a); err == nil || !strings.Contains(err.Error(), "pivot") {
+		t.Fatalf("preconditioner error = %v, want the factorisation's pivot error", err)
 	}
 	x := make([]float64, a.N())
 	if _, err := s.Solve(a, randRHS(a.N(), 71), x); err == nil {

@@ -1393,11 +1393,10 @@ func (s *Solver) hierarchyFor(a *sparse.CSR) (*Hierarchy, error) {
 	return s.hier, nil
 }
 
-// Preconditioner prepares the V-cycle for a and returns its application
-// z = M⁻¹·r; block solves apply it inside sparse.BlockCG. A coarsest
-// level that cannot be factored (not SPD) is an error here, before any
-// iteration runs.
-func (s *Solver) Preconditioner(a *sparse.CSR) (func(z, r []float64), error) {
+// preconditioner prepares the V-cycle for a and returns its application
+// z = M⁻¹·r. A coarsest level that cannot be factored (not SPD) is an
+// error here, before any iteration runs.
+func (s *Solver) preconditioner(a *sparse.CSR) (func(z, r []float64), error) {
 	h, err := s.hierarchyFor(a)
 	if err != nil {
 		return nil, err
@@ -1463,7 +1462,7 @@ func newPrecond[F sparse.Float](h *Hierarchy, arr *cycleArrays[F], opts Options)
 // (warm start); on non-convergence the best iterate is left in x
 // alongside a non-nil error and the populated Result.
 func (s *Solver) Solve(a *sparse.CSR, b, x []float64) (sparse.Result, error) {
-	precond, err := s.Preconditioner(a)
+	precond, err := s.preconditioner(a)
 	if err != nil {
 		return sparse.Result{}, err
 	}

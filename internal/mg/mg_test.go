@@ -309,8 +309,8 @@ func TestTransferAdjoint(t *testing.T) {
 func TestMGCGMatchesJacobiCG(t *testing.T) {
 	a, hint := buildHeatSystem(t, uniformLines(20, 1), uniformLines(18, 1), uniformLines(6, 0.1))
 	b := randRHS(a.N(), 42)
-	ref, _, err := sparse.SolveCG(a, b, sparse.CGOptions{Tolerance: 1e-11})
-	if err != nil {
+	ref := make([]float64, a.N())
+	if _, err := (&sparse.CG{Tolerance: 1e-11}).Solve(a, b, ref); err != nil {
 		t.Fatal(err)
 	}
 	s := newSolver(t, a, hint, Options{Tolerance: 1e-10})
@@ -387,8 +387,8 @@ func TestSharedHierarchy(t *testing.T) {
 func TestConfigKnobs(t *testing.T) {
 	a, hint := buildHeatSystem(t, uniformLines(16, 1), uniformLines(16, 1), uniformLines(5, 0.1))
 	b := randRHS(a.N(), 11)
-	ref, _, err := sparse.SolveCG(a, b, sparse.CGOptions{Tolerance: 1e-11})
-	if err != nil {
+	ref := make([]float64, a.N())
+	if _, err := (&sparse.CG{Tolerance: 1e-11}).Solve(a, b, ref); err != nil {
 		t.Fatal(err)
 	}
 	for _, cfg := range []Options{

@@ -131,7 +131,7 @@ func TestColoredSweepMatchesSerial(t *testing.T) {
 func applyPrecond(t *testing.T, a *sparse.CSR, hint sparse.GridHint, opts Options, r []float64) []float64 {
 	t.Helper()
 	s := newSolver(t, a, hint, opts)
-	precond, err := s.Preconditioner(a)
+	precond, err := s.preconditioner(a)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,10 +91,10 @@ func TestBitIdentityPin(t *testing.T) {
 			p    thermal.Powers
 			want string
 		}{
-			{"chip", thermal.Powers{Chip: 1}, "6:ee3bce5e5da47601"},
-			{"vcsel", thermal.Powers{VCSEL: 1}, "6:34720446d0a2b93e"},
-			{"driver", thermal.Powers{Driver: 1}, "6:caf52222c4543d75"},
-			{"heater", thermal.Powers{Heater: 1}, "6:9585c02099fa0bd7"},
+			{"chip", thermal.Powers{Chip: 1}, "6:ea83533a613365f9"},
+			{"vcsel", thermal.Powers{VCSEL: 1}, "6:388e6244d1a872b1"},
+			{"driver", thermal.Powers{Driver: 1}, "6:01d7bfccd980560a"},
+			{"heater", thermal.Powers{Heater: 1}, "6:0ba08c4f425f6c8a"},
 		} {
 			r, err := basis.Evaluate(tc.p)
 			if err != nil {

@@ -131,8 +131,8 @@ func TestShiftedHierarchySolves(t *testing.T) {
 	shift := shiftVector(xl, yl, zl)
 	fine := sparse.AddDiagonal(a, shift)
 	b := randRHS(a.N(), 17)
-	ref, _, err := sparse.SolveCG(fine, b, sparse.CGOptions{Tolerance: 1e-11})
-	if err != nil {
+	ref := make([]float64, a.N())
+	if _, err := (&sparse.CG{Tolerance: 1e-11}).Solve(fine, b, ref); err != nil {
 		t.Fatal(err)
 	}
 

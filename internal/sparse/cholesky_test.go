@@ -100,8 +100,8 @@ func TestSparseCholeskyMatchesBand(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	ref, _, err := SolveCG(a, b, CGOptions{Tolerance: 1e-13})
-	if err != nil {
+	ref := make([]float64, n)
+	if _, err := (&CG{Tolerance: 1e-13}).Solve(a, b, ref); err != nil {
 		t.Fatal(err)
 	}
 	xs := append([]float64(nil), b...)

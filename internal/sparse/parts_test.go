@@ -94,16 +94,16 @@ func TestAddDiagonalSolvable(t *testing.T) {
 	for i := range b {
 		b[i] = 1
 	}
-	x1, _, err := SolveCG(m, b, CGOptions{Tolerance: 1e-12})
-	if err != nil {
+	x1 := make([]float64, n)
+	if _, err := (&CG{Tolerance: 1e-12}).Solve(m, b, x1); err != nil {
 		t.Fatal(err)
 	}
 	bump := make([]float64, n)
 	for i := range bump {
 		bump[i] = 0.5
 	}
-	x2, _, err := SolveCG(AddDiagonal(m, bump), b, CGOptions{Tolerance: 1e-12})
-	if err != nil {
+	x2 := make([]float64, n)
+	if _, err := (&CG{Tolerance: 1e-12}).Solve(AddDiagonal(m, bump), b, x2); err != nil {
 		t.Fatal(err)
 	}
 	for i := range x1 {

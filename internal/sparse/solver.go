@@ -151,9 +151,9 @@ type CG struct {
 	Workspace *Workspace
 }
 
-// Preconditioner prepares the inverse diagonal of a and returns its
+// preconditioner prepares the inverse diagonal of a and returns its
 // application z = D⁻¹·r.
-func (s *CG) Preconditioner(a *CSR) (func(z, r []float64), error) {
+func (s *CG) preconditioner(a *CSR) (func(z, r []float64), error) {
 	if s.Workspace == nil {
 		s.Workspace = &Workspace{}
 	}
@@ -181,7 +181,7 @@ func (s *CG) Preconditioner(a *CSR) (func(z, r []float64), error) {
 // and on non-convergence the best iterate is left in x alongside a
 // non-nil error and the populated Result.
 func (s *CG) Solve(a *CSR, b, x []float64) (Result, error) {
-	precond, err := s.Preconditioner(a)
+	precond, err := s.preconditioner(a)
 	if err != nil {
 		return Result{}, err
 	}
@@ -221,6 +221,12 @@ func pcg(a *CSR, b, x []float64, w *Workspace, precond func(z, r []float64), tol
 	}
 	if len(x) != n {
 		return Result{}, fmt.Errorf("sparse: solution length %d != n %d", len(x), n)
+	}
+	// A NaN tolerance is never met and an infinite one is met by any
+	// iterate: refuse both rather than iterate to maxIter or return the
+	// initial guess as converged.
+	if math.IsNaN(tol) || math.IsInf(tol, 1) {
+		return Result{}, fmt.Errorf("sparse: tolerance %g is not finite", tol)
 	}
 	if maxIter <= 0 {
 		maxIter = 10 * n

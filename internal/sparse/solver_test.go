@@ -139,6 +139,35 @@ func TestSharedWorkspaceAcrossBackends(t *testing.T) {
 	}
 }
 
+// TestPCGExportedMatchesSolve: the exported PCG engine with a Jacobi
+// preconditioner must reproduce CG.Solve bit-for-bit.
+func TestPCGExportedMatchesSolve(t *testing.T) {
+	m := buildLaplacian3D(10, 9, 5)
+	b := rhsFor(m.N(), 17)
+	want := make([]float64, m.N())
+	if _, err := (&CG{}).Solve(m, b, want); err != nil {
+		t.Fatal(err)
+	}
+	solver := &CG{}
+	precond, err := solver.preconditioner(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]float64, m.N())
+	res, err := PCG(m, b, got, solver.Workspace, precond, 0, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged {
+		t.Fatal("PCG did not converge")
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("entry %d: PCG %g vs Solve %g", i, got[i], want[i])
+		}
+	}
+}
+
 // TestSolverWarmStart: seeding x with the solution must converge
 // (nearly) immediately.
 func TestSolverWarmStart(t *testing.T) {
@@ -185,17 +214,6 @@ func TestSolveBestIterateOnNonConvergence(t *testing.T) {
 	}
 	if res.Residual <= 0 || res.Residual >= 1 {
 		t.Errorf("residual %.2e should lie in (0, 1) after 3 iterations", res.Residual)
-	}
-	// The SolveCG wrapper must expose the same behaviour.
-	x, res, err = SolveCG(m, b, CGOptions{MaxIterations: 3, Tolerance: 1e-14})
-	if err == nil {
-		t.Fatal("SolveCG: expected non-convergence error")
-	}
-	if x == nil {
-		t.Fatal("SolveCG: best iterate is nil on non-convergence")
-	}
-	if res.Iterations != 3 {
-		t.Errorf("SolveCG iterations = %d, want 3", res.Iterations)
 	}
 }
 
@@ -267,6 +285,35 @@ func TestSolverNonFiniteRHS(t *testing.T) {
 				t.Fatalf("CG: err = %v after %d iterations, want an error after 0", err, res.Iterations)
 			}
 		})
+	}
+}
+
+// TestSolverNonFiniteTolerance: a NaN tolerance is never met and an
+// infinite one is met by any iterate, so PCG (and CG on top of it) must
+// refuse both before the first iteration, leaving the initial guess
+// untouched, instead of running to the iteration cap or reporting the
+// initial guess as converged.
+func TestSolverNonFiniteTolerance(t *testing.T) {
+	m := buildLaplacian1D(10)
+	identity := func(z, r []float64) { copy(z, r) }
+	for _, tol := range []float64{math.NaN(), math.Inf(1)} {
+		x := make([]float64, 10)
+		res, err := PCG(m, rhsFor(10, 3), x, nil, identity, tol, 0, 1)
+		if err == nil || !strings.Contains(err.Error(), "tolerance") {
+			t.Fatalf("PCG tol=%g: err = %v, want a tolerance error", tol, err)
+		}
+		if res != (Result{}) {
+			t.Fatalf("PCG tol=%g: result %+v, want the zero Result", tol, res)
+		}
+		res, err = (&CG{Tolerance: tol}).Solve(m, rhsFor(10, 3), x)
+		if err == nil || res != (Result{}) {
+			t.Fatalf("CG tol=%g: err = %v, result %+v; want an error and the zero Result", tol, err, res)
+		}
+		for i, v := range x {
+			if v != 0 {
+				t.Fatalf("tol=%g: refused solve wrote %g to x[%d]", tol, v, i)
+			}
+		}
 	}
 }
 

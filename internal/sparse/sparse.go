@@ -1,9 +1,9 @@
 // Package sparse implements the sparse linear algebra under the
 // finite-volume thermal solver: compressed sparse row (CSR) matrices and
-// their (block) products, the preconditioned conjugate gradient loops
-// (PCG, BlockCG) that mg-cg (internal/mg) runs its V-cycle inside, the
-// sparse Cholesky factor of its coarsest level, and a Jacobi-preconditioned
-// CG kept as the plain reference tests compare against.
+// their products, the preconditioned conjugate gradient loop (PCG) that
+// mg-cg (internal/mg) runs its V-cycle inside, the sparse Cholesky factor
+// of its coarsest level, and a Jacobi-preconditioned CG kept as the plain
+// reference tests compare against.
 package sparse
 
 import (
@@ -311,35 +311,3 @@ func Dot(a, b []float64) float64 {
 
 // Norm2 returns the Euclidean norm of v.
 func Norm2(v []float64) float64 { return math.Sqrt(Dot(v, v)) }
-
-// CGOptions controls the conjugate gradient solver.
-type CGOptions struct {
-	// MaxIterations bounds the iteration count; 0 means 10·n.
-	MaxIterations int
-	// Tolerance is the relative residual target ‖r‖/‖b‖; 0 means 1e-9.
-	Tolerance float64
-	// InitialGuess, if non-nil, seeds the iteration (it is not modified).
-	InitialGuess []float64
-}
-
-// SolveCG solves A·x = b for symmetric positive definite A using the
-// conjugate gradient method with Jacobi (diagonal) preconditioning. It is
-// a convenience wrapper over CG that allocates a fresh solution vector
-// per call; repeated solves should hold a CG and reuse its workspace.
-//
-// On non-convergence the best iterate reached is returned alongside the
-// populated Result and a non-nil error, so callers can inspect partial
-// solutions (for example to relax the tolerance or warm-start a retry).
-func SolveCG(a *CSR, b []float64, opts CGOptions) ([]float64, Result, error) {
-	n := a.N()
-	x := make([]float64, n)
-	if opts.InitialGuess != nil {
-		if len(opts.InitialGuess) != n {
-			return nil, Result{}, fmt.Errorf("sparse: initial guess length %d != n %d", len(opts.InitialGuess), n)
-		}
-		copy(x, opts.InitialGuess)
-	}
-	s := CG{Tolerance: opts.Tolerance, MaxIterations: opts.MaxIterations}
-	res, err := s.Solve(a, b, x)
-	return x, res, err
-}

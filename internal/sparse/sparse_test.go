@@ -110,7 +110,8 @@ func TestSolveCGLaplacian(t *testing.T) {
 	for i := range b {
 		b[i] = 1
 	}
-	x, res, err := SolveCG(m, b, CGOptions{Tolerance: 1e-10})
+	x := make([]float64, n)
+	res, err := (&CG{Tolerance: 1e-10}).Solve(m, b, x)
 	if err != nil {
 		t.Fatalf("CG: %v", err)
 	}
@@ -135,7 +136,8 @@ func TestSolveCGLaplacian(t *testing.T) {
 
 func TestSolveCGZeroRHS(t *testing.T) {
 	m := buildLaplacian1D(10)
-	x, res, err := SolveCG(m, make([]float64, 10), CGOptions{})
+	x := make([]float64, 10)
+	res, err := (&CG{}).Solve(m, make([]float64, 10), x)
 	if err != nil || !res.Converged {
 		t.Fatalf("zero rhs: %v", err)
 	}
@@ -153,12 +155,13 @@ func TestSolveCGInitialGuess(t *testing.T) {
 	for i := range b {
 		b[i] = math.Sin(float64(i))
 	}
-	x1, res1, err := SolveCG(m, b, CGOptions{Tolerance: 1e-10})
+	x := make([]float64, n)
+	res1, err := (&CG{Tolerance: 1e-10}).Solve(m, b, x)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Re-solving seeded with the solution should converge immediately.
-	_, res2, err := SolveCG(m, b, CGOptions{Tolerance: 1e-10, InitialGuess: x1})
+	res2, err := (&CG{Tolerance: 1e-10}).Solve(m, b, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,17 +172,17 @@ func TestSolveCGInitialGuess(t *testing.T) {
 
 func TestSolveCGErrors(t *testing.T) {
 	m := buildLaplacian1D(4)
-	if _, _, err := SolveCG(m, make([]float64, 3), CGOptions{}); err == nil {
+	if _, err := (&CG{}).Solve(m, make([]float64, 3), make([]float64, 4)); err == nil {
 		t.Error("wrong rhs length should error")
 	}
-	if _, _, err := SolveCG(m, make([]float64, 4), CGOptions{InitialGuess: make([]float64, 2)}); err == nil {
+	if _, err := (&CG{}).Solve(m, make([]float64, 4), make([]float64, 2)); err == nil {
 		t.Error("wrong guess length should error")
 	}
 	// Indefinite matrix: negative diagonal.
 	bad := NewCOO(2)
 	bad.Add(0, 0, -1)
 	bad.Add(1, 1, 1)
-	if _, _, err := SolveCG(bad.ToCSR(), []float64{1, 1}, CGOptions{}); err == nil {
+	if _, err := (&CG{}).Solve(bad.ToCSR(), []float64{1, 1}, make([]float64, 2)); err == nil {
 		t.Error("negative diagonal should error")
 	}
 }
@@ -191,7 +194,7 @@ func TestSolveCGMaxIterations(t *testing.T) {
 	for i := range b {
 		b[i] = 1
 	}
-	_, res, err := SolveCG(m, b, CGOptions{MaxIterations: 2, Tolerance: 1e-14})
+	res, err := (&CG{MaxIterations: 2, Tolerance: 1e-14}).Solve(m, b, make([]float64, n))
 	if err == nil {
 		t.Error("expected non-convergence error with 2 iterations")
 	}
@@ -252,7 +255,8 @@ func TestQuickCGRandomSPD(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		x, res, err := SolveCG(m, b, CGOptions{Tolerance: 1e-10})
+		x := make([]float64, n)
+		res, err := (&CG{Tolerance: 1e-10}).Solve(m, b, x)
 		if err != nil || !res.Converged {
 			return false
 		}
@@ -341,9 +345,11 @@ func BenchmarkCG10k(b *testing.B) {
 	for i := range rhs {
 		rhs[i] = 1
 	}
+	x := make([]float64, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := SolveCG(m, rhs, CGOptions{Tolerance: 1e-8}); err != nil {
+		clear(x)
+		if _, err := (&CG{Tolerance: 1e-8}).Solve(m, rhs, x); err != nil {
 			b.Fatal(err)
 		}
 	}

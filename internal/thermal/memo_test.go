@@ -60,7 +60,7 @@ func maxAbsDiff(a, b []float64) float64 {
 // diagonal basis asked for first on a fresh model, then a random one)
 // with bases asked for on a second fresh model — whose first build fails
 // — from concurrent goroutines, with a diagonal basis built there after
-// the uniform block, and with four-column block solves.
+// the uniform basis, and with solves of all four fields.
 func TestDeviceFieldMemo(t *testing.T) {
 	acts := []activity.Scenario{nil, activity.Diagonal{}, activity.Random{Seed: 7}}
 	_, shared := previewBases(t)
@@ -157,11 +157,11 @@ func testOrderIndependent(t *testing.T, serial []*Basis, diagAfter *Basis) {
 	}
 }
 
-// testMatchesBlockSolve: an activity basis — the uniform block's device
-// fields plus its own one-column chip solve — agrees with a four-column
-// block solve of that activity on every Result float to 1e-7 °C, with
-// the heater off and on. Each reference is a block solve, so -short
-// checks the first activity only.
+// testMatchesBlockSolve: an activity basis — the uniform basis's device
+// fields plus its own one-column chip solve — is bit-identical to solving
+// all four of that activity's fields, in every unit field and every
+// Result float, with the heater off and on. Each reference solves four
+// fields, so -short checks the first activity only.
 func testMatchesBlockSolve(t *testing.T, m *Model, acts []activity.Scenario, bases []*Basis) {
 	if testing.Short() {
 		acts = acts[:1]
@@ -171,11 +171,13 @@ func testMatchesBlockSolve(t *testing.T, m *Model, acts []activity.Scenario, bas
 		{Chip: 18, VCSEL: 4e-3, Driver: 4e-3, Heater: 1.2e-3},
 		{Chip: 31, VCSEL: 2e-3, Driver: 2e-3, Heater: 0.6e-3},
 	}
-	worstReport, worstField := 0.0, 0.0
 	for a, act := range acts {
 		want, err := m.solveBlock(act)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if got, ref := columnHashes(bases[a]), columnHashes(want); got != ref {
+			t.Errorf("%s: field hashes %x, four-field solve %x", act.Name(), got, ref)
 		}
 		for i, p := range points {
 			g, err := bases[a].Evaluate(p)
@@ -190,13 +192,9 @@ func testMatchesBlockSolve(t *testing.T, m *Model, acts []activity.Scenario, bas
 			if len(gf) != len(wf) {
 				t.Fatalf("%s point %d: %d report floats, reference %d", act.Name(), i, len(gf), len(wf))
 			}
-			d := maxAbsDiff(gf, wf)
-			if !(d <= 1e-7) {
-				t.Errorf("%s point %d: report differs from the block solve's by %.3g °C (bound 1e-7)", act.Name(), i, d)
+			if !reflect.DeepEqual(gf, wf) {
+				t.Errorf("%s point %d: report differs from the four-field solve's by up to %.3g °C", act.Name(), i, maxAbsDiff(gf, wf))
 			}
-			worstReport = math.Max(worstReport, d)
-			worstField = math.Max(worstField, maxAbsDiff(g.Field(), w.Field()))
 		}
 	}
-	t.Logf("worst drift vs a four-column block solve: %.2g °C on the report, %.2g °C over all cells", worstReport, worstField)
 }

@@ -22,37 +22,35 @@ func previewSpec(t *testing.T) Spec {
 	return spec
 }
 
-// TestBuildBasisParallelMatchesSerial: fanning the four unit solves
-// across a worker pool must reproduce the serial basis. Run under -race
-// this is the data-race check for the parallel BuildBasis path.
+// TestBuildBasisParallelMatchesSerial: the four unit solves, run one
+// after another (Workers 1) or concurrently (Workers 2 and 4), give the
+// same basis bit for bit. Run under -race this is the data-race check
+// for the concurrent BuildBasis path.
 func TestBuildBasisParallelMatchesSerial(t *testing.T) {
-	serialSpec := previewSpec(t)
-	serialSpec.Workers = 1
-	ms, err := NewModel(serialSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := ms.BuildBasis(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallelSpec := previewSpec(t)
-	parallelSpec.Workers = 4
-	mp, err := NewModel(parallelSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := mp.BuildBasis(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial.unit) != len(parallel.unit) {
-		t.Fatalf("length %d vs %d", len(serial.unit), len(parallel.unit))
-	}
-	for g, name := range []string{"chip", "vcsel", "driver", "heater"} {
-		for i := range serial.unit {
-			if s, p := serial.unit[i][g], parallel.unit[i][g]; math.Abs(s-p) > 1e-9 {
-				t.Fatalf("%s basis differs at cell %d: serial %g vs parallel %g", name, i, s, p)
+	var serial *Basis
+	for _, workers := range []int{1, 2, 4} {
+		spec := previewSpec(t)
+		spec.Workers = workers
+		m, err := NewModel(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := m.BuildBasis(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if serial == nil {
+			serial = b
+			continue
+		}
+		if got, want := b.BuildStats().Iterations, serial.BuildStats().Iterations; got != want {
+			t.Errorf("workers=%d: %d iterations, serial %d", workers, got, want)
+		}
+		for g, name := range groupNames {
+			for i := range serial.unit {
+				if s, p := serial.unit[i][g], b.unit[i][g]; math.Float64bits(s) != math.Float64bits(p) {
+					t.Fatalf("workers=%d: %s basis differs at cell %d: serial %g vs %g", workers, name, i, s, p)
+				}
 			}
 		}
 	}

@@ -10,8 +10,8 @@
 // heaters) from which any (P_chip, P_VCSEL, P_driver, P_heater) operating
 // point is evaluated by linear combination, making the paper's parameter
 // sweeps (Figs. 9 and 10) cheap. Only the chip field depends on the chip
-// activity: a Model solves the VCSEL, driver and heater fields once, in
-// its uniform basis's four-column block, and every other activity's basis
+// activity: a Model solves the VCSEL, driver and heater fields once, with
+// its uniform basis's four unit solves, and every other activity's basis
 // reuses them and solves its chip field alone.
 //
 // Every number a report carries except the junction peak is a linear
@@ -132,7 +132,8 @@ type Spec struct {
 	HeaterFootprintScale float64
 	// Res selects the mesh density.
 	Res Resolution
-	// SolverTol is the mg-cg solver's relative tolerance (default 1e-8).
+	// SolverTol is the mg-cg solver's relative tolerance (default 1e-8);
+	// Validate refuses NaN and ±Inf.
 	SolverTol float64
 	// Workers caps the goroutines used by parallel solves (basis building,
 	// matrix-vector products); 0 means GOMAXPROCS.
@@ -190,6 +191,9 @@ func (s Spec) Validate() error {
 	}
 	if math.IsNaN(s.Ambient) || math.IsInf(s.Ambient, 0) {
 		return fmt.Errorf("thermal: invalid ambient %g", s.Ambient)
+	}
+	if math.IsNaN(s.SolverTol) || math.IsInf(s.SolverTol, 0) {
+		return fmt.Errorf("thermal: invalid solver tolerance %g", s.SolverTol)
 	}
 	if s.Workers < 0 {
 		return fmt.Errorf("thermal: negative worker count %d", s.Workers)
@@ -1009,11 +1013,10 @@ func (b *Basis) field(p Powers) []float64 {
 // attachment to request traces and structured logs.
 type BasisBuildStats struct {
 	// Columns is the number of unit fields the basis's own build solved:
-	// 4 for the uniform block, 1 for any other activity (its chip field).
+	// 4 for the uniform basis, 1 for any other activity (its chip field).
 	Columns int
 	// Iterations is the largest outer iteration count across those
-	// solves (the block's columns advance together, so for the block
-	// this is the shared count).
+	// solves.
 	Iterations int
 	// Wall is the time spent in those solves, including any hierarchy
 	// set-up they triggered.
@@ -1133,16 +1136,16 @@ func (m *Model) BasisCacheStats() BasisCacheStats {
 // means uniform) without caching it.
 //
 // The uniform basis runs the model's four unit solves — chip, VCSELs,
-// drivers, heaters — as one block: one block-Krylov solve whose matrix
-// passes feed every column and whose per-column V-cycles share the
-// cached hierarchy.
+// drivers, heaters — as one System.SolveSteadyBlock: one steady solve
+// per field, concurrent unless Workers is 1, all on the cached
+// hierarchy.
 //
 // The VCSEL, driver and heater fields do not depend on chip activity, so
 // any other activity's basis copies them from the cached uniform basis
 // (Basis(nil), built first on a fresh model) and solves only its chip
-// field, with one steady solve on the same hierarchy, solver, tolerance
-// and workers. Every activity basis therefore has the same device-field
-// bits, whatever was built before it.
+// field, with the same steady solve. Copying saves three solves: every
+// unit field is its own SolveSteady, so an activity basis has the bits
+// of solving all four of its fields, whatever was built before it.
 func (m *Model) BuildBasis(act activity.Scenario) (*Basis, error) {
 	if act == nil {
 		act = activity.Uniform{}
@@ -1173,7 +1176,8 @@ func (m *Model) BuildBasis(act activity.Scenario) (*Basis, error) {
 	return m.newBasis(act, unit, stats), nil
 }
 
-// solveBlock solves an activity's four unit fields as one block.
+// solveBlock solves an activity's four unit fields, one steady solve
+// each.
 func (m *Model) solveBlock(act activity.Scenario) (*Basis, error) {
 	groups := []struct {
 		name   string

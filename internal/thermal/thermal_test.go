@@ -108,6 +108,13 @@ func TestSpecValidation(t *testing.T) {
 	if err := s.Validate(); err == nil {
 		t.Error("absurd heater scale should fail")
 	}
+	for _, tol := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		s = spec
+		s.SolverTol = tol
+		if err := s.Validate(); err == nil {
+			t.Errorf("solver tolerance %g should fail", tol)
+		}
+	}
 }
 
 func TestPowersValidation(t *testing.T) {

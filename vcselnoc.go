@@ -431,7 +431,7 @@ const (
 )
 
 // NewFVMSystem assembles a problem's conduction operator once for reuse
-// across many solves (steady, block multi-RHS, transient).
+// across many solves (steady, several power vectors at once, transient).
 func NewFVMSystem(p *FVMProblem) (*FVMSystem, error) { return fvm.NewSystem(p) }
 
 // SolveSteady solves a raw steady-state conduction problem.

@@ -188,6 +188,41 @@ func TestPublicMeshAndFVM(t *testing.T) {
 	}
 }
 
+// TestNonFiniteSolverTolerance: an infinite tolerance would accept the
+// zero initial guess as every solve's answer, and a NaN one is never met,
+// so the methodology refuses an infinite SolverTol up front and the raw
+// solves refuse either before iterating.
+func TestNonFiniteSolverTolerance(t *testing.T) {
+	if _, err := NewWithOptions(Options{Res: CoarseResolution(), SolverTol: math.Inf(1)}); err == nil {
+		t.Error("NewWithOptions accepted an infinite solver tolerance")
+	}
+	grid, err := NewMeshGrid([]float64{0, 0.5e-3, 1e-3}, []float64{0, 0.5e-3, 1e-3}, []float64{0, 1e-4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := grid.NumCells()
+	cond, power, heatCap := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range cond {
+		cond[i], heatCap[i] = 100, 1.6e6
+	}
+	power[0] = 0.1
+	p := &FVMProblem{
+		Grid:         grid,
+		Conductivity: cond,
+		Power:        power,
+		HeatCapacity: heatCap,
+		ZMax:         FVMBoundary{Type: Convection, H: 1e4, Value: 25},
+	}
+	for _, tol := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := SolveSteady(p, FVMSolveOptions{Tolerance: tol}); err == nil {
+			t.Errorf("SolveSteady accepted tolerance %g", tol)
+		}
+		if _, err := SolveTransient(p, FVMTransientOptions{TimeStep: 1e-3, Steps: 1, InitialUniform: 25, Tolerance: tol}); err == nil {
+			t.Errorf("SolveTransient accepted tolerance %g", tol)
+		}
+	}
+}
+
 func TestPublicMethodologyFlow(t *testing.T) {
 	m := apiMethodology(t)
 	res, err := m.ThermalAnalysis(Powers{Chip: 25, VCSEL: 3.6e-3, Driver: 3.6e-3, Heater: 1.08e-3})
