@@ -64,12 +64,11 @@ func TestBackendsAgreeOnFVMSystem(t *testing.T) {
 	}
 }
 
-// TestSolveSteadyBlockMatchesIndividual: every column of a block solve
-// is its own SolveSteady, bit for bit and with the same Stats, whether
-// the columns run concurrently (Workers 0 and 3) or one after another
-// (Workers 1) — for independent columns and for a dependent block
-// (a, 2a, a). Run under -race this doubles as the data-race smoke of the
-// concurrent column solves.
+// TestSolveSteadyBlockMatchesIndividual: every column of a block of
+// independent power vectors is its own SolveSteady, bit for bit and with
+// the same Stats, whether the columns run concurrently (Workers 0 and 3)
+// or one after another (Workers 1). Run under -race this doubles as the
+// data-race smoke of the concurrent column solves.
 func TestSolveSteadyBlockMatchesIndividual(t *testing.T) {
 	p := systemProblem(t, 16, 14, 6)
 	sys, err := NewSystem(p)
@@ -77,54 +76,69 @@ func TestSolveSteadyBlockMatchesIndividual(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := sys.N()
-	independent := make([][]float64, 4)
-	for i := range independent {
+	powers := make([][]float64, 4)
+	for i := range powers {
 		pw := make([]float64, n)
 		pw[(i*131)%n] = 0.4 + 0.05*float64(i)
 		pw[(i*577+23)%n] = 0.1
-		independent[i] = pw
+		powers[i] = pw
 	}
-	double := make([]float64, n)
-	for i, q := range p.Power {
-		double[i] = 2 * q
-	}
-	for _, block := range []struct {
-		name   string
-		powers [][]float64
-	}{{"independent", independent}, {"dependent", [][]float64{p.Power, double, p.Power}}} {
-		name, powers := block.name, block.powers
-		for _, workers := range []int{0, 1, 3} {
-			opts := SolveOptions{Tolerance: 1e-10, Workers: workers}
-			got, err := sys.SolveSteadyBlock(powers, opts)
-			if err != nil {
-				t.Fatalf("%s, workers=%d: %v", name, workers, err)
-			}
-			for i, pw := range powers {
-				want, err := sys.SolveSteady(pw, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !got[i].Stats.Converged || got[i].Stats != want.Stats {
-					t.Errorf("%s, workers=%d column %d: stats %+v, individual %+v", name, workers, i, got[i].Stats, want.Stats)
-				}
-				for c := range want.T {
-					if math.Float64bits(got[i].T[c]) != math.Float64bits(want.T[c]) {
-						t.Fatalf("%s, workers=%d column %d cell %d: block %g vs individual %g",
-							name, workers, i, c, got[i].T[c], want.T[c])
-					}
-				}
-				if e := got[i].EnergyBalanceError(); e > 1e-6 {
-					t.Errorf("%s, workers=%d column %d: energy balance error %g", name, workers, i, e)
-				}
-			}
-		}
-	}
+	checkBlockMatchesIndividual(t, sys, powers)
 	// Error surface: bad lengths still rejected through the block path.
 	if _, err := sys.SolveSteadyBlock(nil, SolveOptions{}); err == nil {
 		t.Error("empty block should error")
 	}
 	if _, err := sys.SolveSteadyBlock([][]float64{make([]float64, 2)}, SolveOptions{}); err == nil {
 		t.Error("bad block entry should error")
+	}
+}
+
+// TestSolveSteadyBlockBreakdownMatchesIndividual: a block of dependent
+// columns (a, 2a, a) is rank-deficient, which breaks any solver that
+// shares search directions across the block. Each column must still be
+// bit-identical to its own SolveSteady at every worker count.
+func TestSolveSteadyBlockBreakdownMatchesIndividual(t *testing.T) {
+	p := systemProblem(t, 14, 12, 5)
+	sys, err := NewSystem(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	double := make([]float64, len(p.Power))
+	for i, q := range p.Power {
+		double[i] = 2 * q
+	}
+	checkBlockMatchesIndividual(t, sys, [][]float64{p.Power, double, p.Power})
+}
+
+// checkBlockMatchesIndividual solves powers as one block at Workers 0, 1
+// and 3 and compares each column, bit for bit and Stats for Stats, with
+// its own SolveSteady at the same options.
+func checkBlockMatchesIndividual(t *testing.T, sys *System, powers [][]float64) {
+	t.Helper()
+	for _, workers := range []int{0, 1, 3} {
+		opts := SolveOptions{Tolerance: 1e-10, Workers: workers}
+		got, err := sys.SolveSteadyBlock(powers, opts)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i, pw := range powers {
+			want, err := sys.SolveSteady(pw, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got[i].Stats.Converged || got[i].Stats != want.Stats {
+				t.Errorf("workers=%d column %d: stats %+v, individual %+v", workers, i, got[i].Stats, want.Stats)
+			}
+			for c := range want.T {
+				if math.Float64bits(got[i].T[c]) != math.Float64bits(want.T[c]) {
+					t.Fatalf("workers=%d column %d cell %d: block %g vs individual %g",
+						workers, i, c, got[i].T[c], want.T[c])
+				}
+			}
+			if e := got[i].EnergyBalanceError(); e > 1e-6 {
+				t.Errorf("workers=%d column %d: energy balance error %g", workers, i, e)
+			}
+		}
 	}
 }
 
