@@ -686,10 +686,11 @@ func BenchmarkSolverBackends(b *testing.B) {
 // "factor" is the sparse-Cholesky setup (symbolic analysis plus numeric
 // factorisation under the fill-reducing nested-dissection ordering, on
 // the VCSELNOC_WORKERS goroutine cap) paid once per hierarchy, "solve"
-// the permuted triangular solve every V-cycle buys with it. Read them
-// against the coarsefrac metric of BenchmarkSolverBackends/mg-cg: factor
-// amortises across the whole basis build, solve is the term that
-// replaced the coarse-grid PCG iterations.
+// the permuted triangular solve every V-cycle buys with it, on as many
+// goroutines as the V-cycle gives it. Read them against the coarsefrac
+// metric of BenchmarkSolverBackends/mg-cg: factor amortises across the
+// whole basis build, solve is the term that replaced the coarse-grid PCG
+// iterations.
 func BenchmarkCoarseSolve(b *testing.B) {
 	m := benchMethodology(b).Model()
 	h, err := m.System().Hierarchy()
@@ -720,6 +721,7 @@ func BenchmarkCoarseSolve(b *testing.B) {
 	})
 	b.Run("solve", func(b *testing.B) {
 		c := factor(b)
+		scratch := sparse.NewCholeskyScratch[float64](c, sparse.MulVecWorkers(a.N(), workers))
 		rhs := make([]float64, a.N())
 		for i := range rhs {
 			rhs[i] = 1 + float64(i%7)
@@ -728,7 +730,7 @@ func BenchmarkCoarseSolve(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			copy(x, rhs)
-			c.SolveInPlace(x)
+			sparse.CholeskySolve(c, c.Values(), x, scratch)
 		}
 	})
 }

@@ -41,7 +41,14 @@
 // BuildHierarchy appends aggressively merged levels until that factor
 // fits defaultCoarseBudget, keeping the symbolic analysis of the level
 // that fits, so the V-cycle stays a fixed SPD operator, as the outer CG
-// requires, at every mesh size.
+// requires, at every mesh size. Each V-cycle's coarse solve runs the
+// factor's triangular sweeps supernode by supernode on the solver's
+// workers (the coarsest level's count by the rule of the level
+// products), its independent elimination subtrees concurrently;
+// restriction gathers each coarse line from its fine lines and
+// prolongation writes each fine line, in blocks of lines on the level's
+// workers. Every one of them sums each value's terms in one fixed order,
+// so a solve's bits do not depend on its worker count.
 //
 // A Hierarchy is built once per matrix from the mesh geometry behind it
 // and shared by every Solver of that matrix; fvm.System caches one for
@@ -74,10 +81,13 @@ type Options struct {
 	Tolerance float64
 	// MaxIterations bounds the outer CG iterations; 0 means 10·n.
 	MaxIterations int
-	// Workers caps the goroutines used by matrix-vector products and by
-	// the red-black line smoother's per-colour relaxations; 0 means
-	// GOMAXPROCS. Levels under 4096 cells run both serially
-	// (sparse.MulVecWorkers). Passed to BuildHierarchy, it caps the
+	// Workers caps the goroutines of every V-cycle kernel — matrix-vector
+	// products, the red-black line smoother's per-colour relaxations,
+	// restriction, prolongation and the coarse triangular solve, which
+	// runs the factor's elimination subtrees concurrently —; 0 means
+	// GOMAXPROCS. Levels under 4096 cells run them serially, allocating
+	// nothing (sparse.MulVecWorkers), and no kernel's bits depend on the
+	// count. Passed to BuildHierarchy, it caps the
 	// hierarchy's one-off set-up instead: the Galerkin products, the line
 	// smoothers' factorisations and the coarse factor of the hierarchy and
 	// of every hierarchy Shifted derives from it, whose bits are the same
@@ -1032,7 +1042,7 @@ func (h *Hierarchy) Shifted(fine *sparse.CSR, shift []float64) (*Hierarchy, erro
 				cur = lines
 			}
 			next := make([]float64, lv.coarseN())
-			restrict(lv, withTransfer(&levelArrays[float64]{}, lv), next, cur)
+			restrict(lv, withTransfer(&levelArrays[float64]{}, lv), next, cur, sparse.MulVecWorkers(lv.n(), h.workers))
 			cur = next
 		}
 	}
@@ -1187,33 +1197,45 @@ func sortInt32(s []int32) {
 }
 
 // restrict computes bc = Pᵀ·r (full weighting) with the transfer weights
-// of w, on line-major vectors. Each fine line adds into the up to four
-// coarse lines it interpolates from, fine lines in ascending order, so
-// every coarse cell sums its fine cells in ascending order, as a
-// layer-major restriction does.
-func restrict[F sparse.Float](lv *level, w *levelArrays[F], bc, r []F) {
-	clear(bc)
+// of w, on line-major vectors, on up to workers goroutines. Each coarse
+// line gathers its fine lines through the adjoint stencils (iy.rev,
+// ix.rev), fine lines in ascending order, adding v·wy·wx for every
+// non-zero v, so every coarse cell sums the same terms in the same order
+// as a layer-major restriction does; blocks of lineChunk coarse lines
+// write only their own cells.
+func restrict[F sparse.Float](lv *level, w *levelArrays[F], bc, r []F, workers int) {
+	chunks := (lv.ix.nc*lv.iy.nc + lineChunk - 1) / lineChunk
+	if workers > 1 {
+		parallel.ForEach(workers, chunks, func(_, chunk int) error { //nolint:errcheck // fn never fails
+			restrictLines(lv, w, bc, r, chunk*lineChunk)
+			return nil
+		})
+		return
+	}
+	for chunk := 0; chunk < chunks; chunk++ {
+		restrictLines(lv, w, bc, r, chunk*lineChunk)
+	}
+}
+
+// restrictLines is restrict on the lineChunk coarse lines from line l0.
+func restrictLines[F sparse.Float](lv *level, w *levelArrays[F], bc, r []F, l0 int) {
 	ix, iy := lv.ix, lv.iy
 	nz, nxc := lv.nz, ix.nc
-	line := func(cj, ci int) []F { return bc[(cj*nxc+ci)*nz:][:nz] }
-	fl := 0
-	for fj := 0; fj < lv.ny; fj++ {
-		yl, yh := int(iy.lo[fj]), int(iy.hi[fj])
-		ywl, ywh := w.ylo[fj], w.yhi[fj]
-		for fi := 0; fi < lv.nx; fi++ {
-			xl, xh := int(ix.lo[fi]), int(ix.hi[fi])
-			xwl, xwh := w.xlo[fi], w.xhi[fi]
-			rl := r[fl*nz:][:nz]
-			fl++
-			addLine(line(yl, xl), rl, ywl, xwl)
-			if xwh != 0 {
-				addLine(line(yl, xh), rl, ywl, xwh)
+	for cl := l0; cl < min(l0+lineChunk, nxc*iy.nc); cl++ {
+		cj, ci := cl/nxc, cl%nxc
+		dst := bc[cl*nz:][:nz]
+		clear(dst)
+		for _, fj := range iy.rev[cj] {
+			wy := w.ylo[fj]
+			if int(iy.lo[fj]) != cj {
+				wy = w.yhi[fj]
 			}
-			if ywh != 0 {
-				addLine(line(yh, xl), rl, ywh, xwl)
-				if xwh != 0 {
-					addLine(line(yh, xh), rl, ywh, xwh)
+			for _, fi := range ix.rev[ci] {
+				wx := w.xlo[fi]
+				if int(ix.lo[fi]) != ci {
+					wx = w.xhi[fi]
 				}
+				addLine(dst, r[(int(fj)*lv.nx+int(fi))*nz:][:nz], wy, wx)
 			}
 		}
 	}
@@ -1229,28 +1251,42 @@ func addLine[F sparse.Float](dst, src []F, wy, wx F) {
 }
 
 // prolongAdd computes x += P·xc (linear interpolation of the coarse
-// correction) with the transfer weights of w, on line-major vectors.
-func prolongAdd[F sparse.Float](lv *level, w *levelArrays[F], x, xc []F) {
+// correction) with the transfer weights of w, on line-major vectors, on
+// up to workers goroutines; each fine line writes only its own cells, so
+// blocks of lineChunk lines run independently.
+func prolongAdd[F sparse.Float](lv *level, w *levelArrays[F], x, xc []F, workers int) {
+	chunks := (lv.nx*lv.ny + lineChunk - 1) / lineChunk
+	if workers > 1 {
+		parallel.ForEach(workers, chunks, func(_, chunk int) error { //nolint:errcheck // fn never fails
+			prolongLines(lv, w, x, xc, chunk*lineChunk)
+			return nil
+		})
+		return
+	}
+	for chunk := 0; chunk < chunks; chunk++ {
+		prolongLines(lv, w, x, xc, chunk*lineChunk)
+	}
+}
+
+// prolongLines is prolongAdd on the lineChunk fine lines from line l0.
+func prolongLines[F sparse.Float](lv *level, w *levelArrays[F], x, xc []F, l0 int) {
 	ix, iy := lv.ix, lv.iy
 	nz, nxc := lv.nz, ix.nc
 	line := func(cj, ci int) []F { return xc[(cj*nxc+ci)*nz:][:nz] }
-	fl := 0
-	for fj := 0; fj < lv.ny; fj++ {
+	for fl := l0; fl < min(l0+lineChunk, lv.nx*lv.ny); fl++ {
+		fj, fi := fl/lv.nx, fl%lv.nx
 		yl, yh := int(iy.lo[fj]), int(iy.hi[fj])
 		ywl, ywh := w.ylo[fj], w.yhi[fj]
-		for fi := 0; fi < lv.nx; fi++ {
-			xl, xh := int(ix.lo[fi]), int(ix.hi[fi])
-			xwl, xwh := w.xlo[fi], w.xhi[fi]
-			dst := x[fl*nz:][:nz]
-			fl++
-			ll, lh, hl, hh := line(yl, xl), line(yl, xh), line(yh, xl), line(yh, xh)
-			for k := range dst {
-				sum := ywl * lerp(ll[k], lh[k], xwl, xwh)
-				if ywh != 0 {
-					sum += ywh * lerp(hl[k], hh[k], xwl, xwh)
-				}
-				dst[k] += sum
+		xl, xh := int(ix.lo[fi]), int(ix.hi[fi])
+		xwl, xwh := w.xlo[fi], w.xhi[fi]
+		dst := x[fl*nz:][:nz]
+		ll, lh, hl, hh := line(yl, xl), line(yl, xh), line(yh, xl), line(yh, xh)
+		for k := range dst {
+			sum := ywl * lerp(ll[k], lh[k], xwl, xwh)
+			if ywh != 0 {
+				sum += ywh * lerp(hl[k], hh[k], xwl, xwh)
 			}
+			dst[k] += sum
 		}
 	}
 }
@@ -1345,7 +1381,9 @@ type workspace[F sparse.Float] struct {
 	lex          bool  // serial lexicographic sweeps (test hook)
 	r            [][]F // residual per level
 	xc, bc       [][]F // correction problem per coarser level
-	coarseY      []F   // permuted scratch of the coarse triangular solve
+	// coarse is the coarse triangular solve's scratch, for the coarsest
+	// level's goroutine count by the same rule.
+	coarse *sparse.CholeskyScratch[F]
 }
 
 func newWorkspace[F sparse.Float](h *Hierarchy, arr *cycleArrays[F], opts Options) *workspace[F] {
@@ -1358,7 +1396,7 @@ func newWorkspace[F sparse.Float](h *Hierarchy, arr *cycleArrays[F], opts Option
 			ws.bc = append(ws.bc, make([]F, lv.coarseN()))
 		}
 	}
-	ws.coarseY = make([]F, h.levels[len(h.levels)-1].n())
+	ws.coarse = sparse.NewCholeskyScratch[F](arr.factor, ws.sweepWorkers[len(h.levels)-1])
 	return ws
 }
 
@@ -1581,7 +1619,7 @@ func vcycle[F sparse.Float](h *Hierarchy, ws *workspace[F], l int, x, b []F) {
 	if l == len(h.levels)-1 {
 		start := time.Now()
 		copy(x, b)
-		sparse.CholeskySolve(ws.arr.factor, ws.arr.factorVals, x, ws.coarseY)
+		sparse.CholeskySolve(ws.arr.factor, ws.arr.factorVals, x, ws.coarse)
 		h.phaseAdd(phaseCoarse, start)
 		return
 	}
@@ -1608,12 +1646,12 @@ func vcycle[F sparse.Float](h *Hierarchy, ws *workspace[F], l int, x, b []F) {
 			r[i] = b[i] - r[i]
 		}
 	}
-	restrict(lv, arr, bc, r)
+	restrict(lv, arr, bc, r, ws.sweepWorkers[l])
 	h.phaseAdd(phaseRestrict, start)
 	clear(xc)
 	vcycle(h, ws, l+1, xc, bc)
 	start = time.Now()
-	prolongAdd(lv, arr, x, xc)
+	prolongAdd(lv, arr, x, xc, ws.sweepWorkers[l])
 	h.phaseAdd(phaseProlong, start)
 	smooth()
 }

@@ -281,7 +281,7 @@ func TestTransferAdjoint(t *testing.T) {
 		xc := randRHS(nc, 1)
 		r := randRHS(nf, 2)
 		px := make([]float64, nf)
-		prolongAdd(lv, w, px, xc)
+		prolongAdd(lv, w, px, xc, 1)
 		// The dense P in the operators' numberings, renumbered to the
 		// vectors' line-major one (the finest level is layer-major).
 		p := denseP(h, depth)
@@ -295,11 +295,95 @@ func TestTransferAdjoint(t *testing.T) {
 			}
 		}
 		ptr := make([]float64, nc)
-		restrict(lv, w, ptr, r)
+		restrict(lv, w, ptr, r, 1)
 		lhs := sparse.Dot(px, r)
 		rhs := sparse.Dot(xc, ptr)
 		if math.Abs(lhs-rhs) > 1e-10*math.Max(math.Abs(lhs), 1) {
 			t.Fatalf("level %d: transfer operators are not adjoint: %g vs %g", depth, lhs, rhs)
+		}
+	}
+}
+
+// scatterRestrict is the restriction the per-coarse-line gather
+// replaced, kept as its reference: each fine line, in ascending order,
+// adds v·wy·wx for its non-zero v into the up to four coarse lines it
+// interpolates from.
+func scatterRestrict[F sparse.Float](lv *level, w *levelArrays[F], bc, r []F) {
+	clear(bc)
+	ix, iy := lv.ix, lv.iy
+	nz, nxc := lv.nz, ix.nc
+	line := func(cj, ci int) []F { return bc[(cj*nxc+ci)*nz:][:nz] }
+	fl := 0
+	for fj := 0; fj < lv.ny; fj++ {
+		yl, yh := int(iy.lo[fj]), int(iy.hi[fj])
+		ywl, ywh := w.ylo[fj], w.yhi[fj]
+		for fi := 0; fi < lv.nx; fi++ {
+			xl, xh := int(ix.lo[fi]), int(ix.hi[fi])
+			xwl, xwh := w.xlo[fi], w.xhi[fi]
+			rl := r[fl*nz:][:nz]
+			fl++
+			addLine(line(yl, xl), rl, ywl, xwl)
+			if xwh != 0 {
+				addLine(line(yl, xh), rl, ywl, xwh)
+			}
+			if ywh != 0 {
+				addLine(line(yh, xl), rl, ywh, xwl)
+				if xwh != 0 {
+					addLine(line(yh, xh), rl, ywh, xwh)
+				}
+			}
+		}
+	}
+}
+
+// TestTransfersBitIdentical: on graded axes, restriction on 1 and 3
+// workers must reproduce the fine-line scatter bit for bit, zero
+// residuals included, and prolongation on 3 workers its serial result,
+// in both V-cycle precisions.
+func TestTransfersBitIdentical(t *testing.T) {
+	a, hint := buildHeatSystem(t, gradedLines(20, 1, 9), gradedLines(15, 1, 7), uniformLines(4, 0.1))
+	h, err := BuildHierarchy(a, hint, Options{levels: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkTransfers(t, h, withTransfer(&levelArrays[float64]{}, h.levels[0]))
+	checkTransfers(t, h, withTransfer(&levelArrays[float32]{}, h.levels[0]))
+}
+
+func checkTransfers[F sparse.Float](t *testing.T, h *Hierarchy, w *levelArrays[F]) {
+	t.Helper()
+	lv := h.levels[0]
+	nf, nc := lv.n(), lv.coarseN()
+	if lines := lv.ix.nc * lv.iy.nc; lines <= 2*lineChunk {
+		t.Fatalf("%d coarse lines fill under three blocks of %d", lines, lineChunk)
+	}
+	r, xc := make([]F, nf), make([]F, nc)
+	for i, v := range randRHS(nf, 5) {
+		if i%7 != 0 { // every seventh residual is zero and skipped
+			r[i] = F(v)
+		}
+	}
+	for i, v := range randRHS(nc, 6) {
+		xc[i] = F(v)
+	}
+	want := make([]F, nc)
+	scatterRestrict(lv, w, want, r)
+	x1 := make([]F, nf)
+	prolongAdd(lv, w, x1, xc, 1)
+	for _, workers := range []int{1, 3} {
+		got := make([]F, nc)
+		restrict(lv, w, got, r, workers)
+		x := make([]F, nf)
+		prolongAdd(lv, w, x, xc, workers)
+		for i := range want {
+			if got[i] != want[i] || math.Signbit(float64(got[i])) != math.Signbit(float64(want[i])) {
+				t.Fatalf("%d workers: restricted cell %d is %v, the scatter gives %v", workers, i, got[i], want[i])
+			}
+		}
+		for i := range x1 {
+			if x[i] != x1[i] {
+				t.Fatalf("%d workers: prolonged cell %d is %v, serially %v", workers, i, x[i], x1[i])
+			}
 		}
 	}
 }

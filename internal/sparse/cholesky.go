@@ -21,24 +21,25 @@ import (
 // triangular sweeps. The numeric phase is supernodal: runs of columns
 // that share their rows below are factored as dense panels with blocked
 // products, which turns most of its multiply-adds into register-tiled
-// inner products instead of indirect scatters. The factor is stored
-// column-compressed (diagonal entry first in each column, rows
-// ascending), is immutable after construction and is safe for concurrent
-// SolveInPlace calls with distinct vectors.
+// inner products instead of indirect scatters.
+//
+// L is stored supernode by supernode, each relaxed supernode's values as
+// one column-major dense trapezoid: column j holds its rows from j to the
+// supernode's last column, diagonal first, then the supernode's rows
+// below its columns, R_s, ascending. A slot the relaxed pattern lacks
+// holds an explicit zero, so the only row index is one R_s per
+// supernode. The factor is immutable after construction and is safe for
+// concurrent solves with distinct vectors and scratch.
 type SparseCholesky struct {
-	n     int
-	perm  []int32 // perm[k] = original index at permuted position k
-	iperm []int32 // inverse: iperm[orig] = permuted position
-	// CSC arrays of L on the permuted matrix: column j occupies
-	// colPtr[j] ≤ p < colPtr[j+1] with rowIdx[colPtr[j]] == j (diagonal).
-	// The pattern arrays are the analysis's, shared by every factor of it.
-	colPtr []int
-	rowIdx []int32
+	n  int
+	an *CholeskyAnalysis // ordering, supernodes, R_s and column offsets
+	// values holds the trapezoids, column j at an.valPtr[j]:an.valPtr[j+1].
 	values []float64
-	// subtrees counts the independent elimination subtrees the numeric
-	// phase factored concurrently.
-	subtrees int
-	// scratch pools the permuted solve vector so concurrent solves stay
+	// sched splits the supernodes into the independent elimination
+	// subtrees the numeric phase factored concurrently and the rest, for
+	// concurrent solves.
+	sched solveSchedule
+	// scratch pools SolveInPlace's scratch so concurrent solves stay
 	// allocation-free after warm-up.
 	scratch sync.Pool
 }
@@ -49,33 +50,42 @@ type SparseCholesky struct {
 var ErrFactorTooLarge = fmt.Errorf("sparse: sparse Cholesky fill cap exceeded")
 
 // CholeskyAnalysis is the symbolic analysis of a sparse Cholesky
-// factorisation: the ordering and its inverse, the elimination tree, the
-// pattern of L and its relaxed supernodes. It depends on the matrix's
-// pattern alone, so one analysis serves every matrix of that pattern (a
-// diagonally shifted copy, say). It is immutable, and any number of
-// factorisations may run from it at once.
+// factorisation: the ordering and its inverse, the column counts of L,
+// its relaxed supernodes and each supernode's rows below its columns. It
+// depends on the matrix's pattern alone, so one analysis serves every
+// matrix of that pattern (a diagonally shifted copy, say). It is
+// immutable, and any number of factorisations may run from it at once.
 type CholeskyAnalysis struct {
 	n           int
 	nnzA        int // stored entries of the analysed matrix
 	perm, iperm []int32
-	parent      []int32 // elimination tree: parent column, -1 at a root
-	// CSC pattern of L, laid out as SparseCholesky stores it.
+	// colPtr[j+1]−colPtr[j] is the structural entry count of column j of
+	// L, diagonal included.
 	colPtr []int
-	rowIdx []int32
 	// sn holds the first column of every supernode followed by n,
 	// colSuper the supernode of each column and sparent the supernode
 	// holding each supernode's elimination-tree parent (-1 at a root).
 	sn, colSuper, sparent []int32
+	// below holds R_s, the rows of supernode s beneath its columns,
+	// ascending, at below[belowPtr[s]:belowPtr[s+1]]; maxBelow is the
+	// longest.
+	below    []int32
+	belowPtr []int
+	maxBelow int
+	// valPtr[j] is where column j's trapezoid column starts in a factor's
+	// values: l−j rows of its supernode's columns (l being the first
+	// column past it), then |R_s|. valPtr[n] counts the stored values.
+	valPtr []int
 }
 
 // AnalyzeCholesky runs the symbolic analysis of a, which must be
 // structurally symmetric, under the fill-reducing ordering perm
 // (perm[k] = original index at permuted position k; nil is the natural
-// order). maxEntries caps the stored entries of L (float64 values,
-// diagonal included): the analysis aborts with ErrFactorTooLarge as soon
-// as the predicted fill exceeds it, so an over-budget matrix costs one
-// cheap structure pass, never a pattern or a factorisation. maxEntries ≤
-// 0 means no cap.
+// order). maxEntries caps the structural entries of L (diagonal
+// included): the analysis aborts with ErrFactorTooLarge as soon as the
+// predicted fill exceeds it, so an over-budget matrix costs one cheap
+// structure pass, never a pattern or a factorisation. maxEntries ≤ 0
+// means no cap.
 func AnalyzeCholesky(a *CSR, perm []int32, maxEntries int) (*CholeskyAnalysis, error) {
 	n := a.N()
 	perm, iperm, err := ordering(n, perm)
@@ -86,13 +96,7 @@ func AnalyzeCholesky(a *CSR, perm []int32, maxEntries int) (*CholeskyAnalysis, e
 	if err != nil {
 		return nil, err
 	}
-	an := &CholeskyAnalysis{
-		n: n, nnzA: len(a.colIdx),
-		perm: perm, iperm: iperm, parent: parent,
-		colPtr: colPtr,
-		rowIdx: make([]int32, colPtr[n]),
-	}
-	an.fillPattern(a)
+	an := &CholeskyAnalysis{n: n, nnzA: len(a.colIdx), perm: perm, iperm: iperm, colPtr: colPtr}
 	an.sn = supernodes(parent, colPtr)
 	ns := len(an.sn) - 1
 	an.colSuper, an.sparent = make([]int32, n), make([]int32, ns)
@@ -107,11 +111,26 @@ func AnalyzeCholesky(a *CSR, perm []int32, maxEntries int) (*CholeskyAnalysis, e
 			an.sparent[s] = an.colSuper[p]
 		}
 	}
+	an.fillBelow(a)
+	an.valPtr = make([]int, n+1)
+	for s := range int32(ns) {
+		l, m := an.sn[s+1], len(an.belowRows(s))
+		for j := an.sn[s]; j < l; j++ {
+			an.valPtr[j+1] = an.valPtr[j] + int(l-j) + m
+		}
+	}
 	return an, nil
 }
 
-// Nnz returns the stored entry count of L, diagonal included.
+// Nnz returns the structural entry count of L, diagonal included: the
+// unit of the analysis's cap. A factor stores at most a relaxZeros share
+// more, its trapezoids' explicit zeros.
 func (an *CholeskyAnalysis) Nnz() int { return an.colPtr[an.n] }
+
+// belowRows returns R_s, the rows of supernode s beneath its columns.
+func (an *CholeskyAnalysis) belowRows(s int32) []int32 {
+	return an.below[an.belowPtr[s]:an.belowPtr[s+1]]
+}
 
 // Factor computes the numeric factorisation of a, which must have the
 // pattern the analysis ran on, on up to workers goroutines (≤ 0 means
@@ -127,14 +146,11 @@ func (an *CholeskyAnalysis) Factor(a *CSR, workers int) (*SparseCholesky, error)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	n := an.n
-	c := &SparseCholesky{
-		n: n, perm: an.perm, iperm: an.iperm,
-		colPtr: an.colPtr, rowIdx: an.rowIdx,
-		values: make([]float64, an.colPtr[n]),
-	}
-	c.scratch.New = func() any { s := make([]float64, n); return &s }
-	if err := c.factorSupernodal(a, an, workers); err != nil {
+	c := &SparseCholesky{n: an.n, an: an, values: make([]float64, an.valPtr[an.n])}
+	c.scratch.New = func() any { return NewCholeskyScratch[float64](c, 1) }
+	subtrees, top := an.splitSubtrees(workers)
+	c.sched = an.schedule(subtrees, top)
+	if err := c.factorSupernodal(a, subtrees, top, workers); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -250,40 +266,49 @@ func ereach(a *CSR, perm, iperm, parent []int32, k int, marked, stack, pathBuf [
 	return top
 }
 
-// fillPattern writes the row pattern of every column of L into rowIdx,
-// diagonal first and rows ascending. Column j's rows below its diagonal
-// are the union of column j of the permuted A beneath the diagonal and
-// the rows of each elimination-tree child's column beneath j (a child's
-// first row below its diagonal is j itself), so columns are filled in
-// order by merging sorted lists.
-func (an *CholeskyAnalysis) fillPattern(a *CSR) {
-	n := an.n
-	child, sibling := make([]int32, n), make([]int32, n)
-	for j := range child {
-		child[j] = -1
+// fillBelow computes R_s, the rows of every supernode s beneath its
+// columns, ascending. The pattern of a column of L below its diagonal is
+// the union of the permuted A's columns in its elimination subtree below
+// it, so R_s — that of s's last column — merges the rows past s of s's
+// own columns of A with those of every child supernode's R_s. Children
+// precede their parents, so supernodes are filled in order.
+func (an *CholeskyAnalysis) fillBelow(a *CSR) {
+	ns := len(an.sn) - 1
+	an.belowPtr = make([]int, ns+1)
+	for s := range ns {
+		l := an.sn[s+1]
+		m := an.colPtr[l] - an.colPtr[l-1] - 1
+		an.belowPtr[s+1] = an.belowPtr[s] + m
+		an.maxBelow = max(an.maxBelow, m)
 	}
-	for j := n - 1; j >= 0; j-- {
-		if p := an.parent[j]; p >= 0 {
-			sibling[j] = child[p]
-			child[p] = int32(j)
+	an.below = make([]int32, an.belowPtr[ns])
+	child, sibling := make([]int32, ns), make([]int32, ns)
+	for s := range child {
+		child[s] = -1
+	}
+	for s := ns - 1; s >= 0; s-- {
+		if p := an.sparent[s]; p >= 0 {
+			sibling[s], child[p] = child[p], int32(s)
 		}
 	}
-	longest := 0
-	for j := range n {
-		longest = max(longest, an.colPtr[j+1]-an.colPtr[j])
-	}
-	cur, spare := make([]int32, 0, longest), make([]int32, 0, longest)
-	for j := 0; j < n; j++ {
+	var cur, spare []int32
+	for s := range int32(ns) {
+		l := an.sn[s+1]
 		cur = cur[:0]
-		cols, _ := a.Row(int(an.perm[j]))
-		for _, col := range cols {
-			if i := an.iperm[col]; i > int32(j) {
-				cur = append(cur, i)
+		for j := an.sn[s]; j < l; j++ {
+			cols, _ := a.Row(int(an.perm[j]))
+			for _, col := range cols {
+				if i := an.iperm[col]; i >= l {
+					cur = append(cur, i)
+				}
 			}
 		}
 		slices.Sort(cur)
-		for ch := child[j]; ch != -1; ch = sibling[ch] {
-			rows := an.rowIdx[an.colPtr[ch]+2 : an.colPtr[ch+1]]
+		cur = slices.Compact(cur)
+		for ch := child[s]; ch != -1; ch = sibling[ch] {
+			rows := an.belowRows(ch)
+			from, _ := slices.BinarySearch(rows, l)
+			rows = rows[from:]
 			merged := spare[:0]
 			x, y := 0, 0
 			for x < len(cur) && y < len(rows) {
@@ -304,8 +329,10 @@ func (an *CholeskyAnalysis) fillPattern(a *CSR) {
 			merged = append(merged, rows[y:]...)
 			cur, spare = merged, cur
 		}
-		an.rowIdx[an.colPtr[j]] = int32(j)
-		copy(an.rowIdx[an.colPtr[j]+1:an.colPtr[j+1]], cur)
+		if len(cur) != an.belowPtr[s+1]-an.belowPtr[s] {
+			panic(fmt.Sprintf("sparse: supernode %d has %d rows below it, its last column counts %d", s, len(cur), an.belowPtr[s+1]-an.belowPtr[s]))
+		}
+		copy(an.below[an.belowPtr[s]:], cur)
 	}
 }
 
@@ -433,12 +460,59 @@ func (an *CholeskyAnalysis) splitSubtrees(workers int) (subtrees [][]int32, top 
 	return subtrees, top
 }
 
+// solveSchedule orders a factor's supernodes for a concurrent solve.
+// The rows of an elimination subtree take updates from its own columns
+// alone, so the forward sweep first runs every subtree at once, each
+// supernode s updating only R_s[:inner[s]], its rows in its own subtree
+// (R_s ascends along s's ancestors, so those come first). One ascending
+// pass over tail follows: a top supernode (inner −1) in full, a subtree
+// supernode only its updates of the top rows R_s[inner[s]:]. The backward
+// sweep runs the top supernodes, descending, then every subtree at once.
+// Each entry thus takes its terms in the serial sweep's order.
+type solveSchedule struct {
+	subtrees [][]int32 // each subtree's supernodes, ascending
+	tail     []int32   // the top supernodes and the subtree supernodes with top rows, ascending
+	inner    []int32   // per supernode, its rows of R_s in its own subtree; −1 in the top
+}
+
+// schedule builds the solve schedule of the split splitSubtrees made.
+func (an *CholeskyAnalysis) schedule(subtrees [][]int32, top []int32) solveSchedule {
+	ns := len(an.sn) - 1
+	owner := make([]int32, ns)
+	for _, s := range top {
+		owner[s] = -1
+	}
+	for i, sub := range subtrees {
+		for _, s := range sub {
+			owner[s] = int32(i)
+		}
+	}
+	sc := solveSchedule{subtrees: subtrees, inner: make([]int32, ns)}
+	for s := range int32(ns) {
+		if owner[s] < 0 {
+			sc.inner[s] = -1
+			sc.tail = append(sc.tail, s)
+			continue
+		}
+		rows := an.belowRows(s)
+		in := 0
+		for in < len(rows) && owner[an.colSuper[rows[in]]] == owner[s] {
+			in++
+		}
+		sc.inner[s] = int32(in)
+		if in < len(rows) {
+			sc.tail = append(sc.tail, s)
+		}
+	}
+	return sc
+}
+
 // supernodal is one numeric factorisation in progress. A factored
 // supernode k waits in a pending list keyed by the supernode holding
-// below(k)[cursor[k]], the first of its rows it has not yet updated;
+// R_k[cursor[k]], the first of its rows below it it has not yet updated;
 // link chains the lists, whose heads belong to the worker that enqueued
 // k (cholWorker.head). Only the worker factoring k's subtree writes k's
-// columns, link and cursor, and the top supernodes run after every
+// trapezoid, link and cursor, and the top supernodes run after every
 // subtree is done.
 type supernodal struct {
 	c            *SparseCholesky
@@ -468,16 +542,15 @@ type cholWorker struct {
 // gathering its descendants from every worker's lists. Every supernode
 // thus sees the updates of all its descendants in ascending order, as an
 // ascending serial pass applies them.
-func (c *SparseCholesky) factorSupernodal(a *CSR, an *CholeskyAnalysis, workers int) error {
-	subtrees, top := an.splitSubtrees(workers)
-	c.subtrees = len(subtrees)
+func (c *SparseCholesky) factorSupernodal(a *CSR, subtrees [][]int32, top []int32, workers int) error {
+	an := c.an
 	ns := len(an.sn) - 1
 	f := &supernodal{c: c, a: a, an: an, link: make([]int32, ns), cursor: make([]int32, ns)}
 	maxWidth, maxRows := 0, 0
 	for s := range int32(ns) {
 		w := int(an.sn[s+1] - an.sn[s])
 		maxWidth = max(maxWidth, w)
-		maxRows = max(maxRows, w+len(f.below(s)))
+		maxRows = max(maxRows, w+len(an.belowRows(s)))
 	}
 	f.blockLen = 2 * maxSupernode * maxWidth
 	ws := make([]*cholWorker, max(1, min(workers, len(subtrees))))
@@ -497,7 +570,7 @@ func (c *SparseCholesky) factorSupernodal(a *CSR, an *CholeskyAnalysis, workers 
 		need := 0
 		for _, s := range list {
 			w := int(an.sn[s+1] - an.sn[s])
-			need = max(need, (w+len(f.below(s)))*w)
+			need = max(need, (w+len(an.belowRows(s)))*w)
 		}
 		if len(wk.panel) < need {
 			wk.panel = make([]float64, need)
@@ -534,16 +607,10 @@ func (c *SparseCholesky) factorSupernodal(a *CSR, an *CholeskyAnalysis, workers 
 	return nil
 }
 
-// below returns the rows of supernode s beneath its columns.
-func (f *supernodal) below(s int32) []int32 {
-	l := int(f.an.sn[s+1])
-	return f.c.rowIdx[f.c.colPtr[l-1]+1 : f.c.colPtr[l]]
-}
-
 // enqueue puts factored supernode k on wk's pending list of the
 // supernode holding its first row not yet updated, if any is left.
 func (f *supernodal) enqueue(wk *cholWorker, k int32) {
-	if kb := f.below(k); int(f.cursor[k]) < len(kb) {
+	if kb := f.an.belowRows(k); int(f.cursor[k]) < len(kb) {
 		t := f.an.colSuper[kb[f.cursor[k]]]
 		f.link[k], wk.head[t] = wk.head[t], k
 	}
@@ -551,19 +618,19 @@ func (f *supernodal) enqueue(wk *cholWorker, k int32) {
 
 // factor factors supernode s with wk's scratch. It gathers s's columns
 // of the permuted A into a dense row-major panel — its rows (its own
-// columns, then the rows of its last column below them) × its columns —,
-// subtracts the update of every descendant waiting on s in the pending
-// lists of lists, in ascending order, factors the panel (factorPanel)
-// and copies it into the CSC values; each of those descendants, and s
-// itself, then waits on its next target in wk's lists. Every entry sums
-// its terms in an order the pattern alone fixes, and structural zeros of
-// a relaxed panel stay exact zeros: each of their terms has a zero
-// factor.
+// columns, then R_s) × its columns —, subtracts the update of every
+// descendant waiting on s in the pending lists of lists, in ascending
+// order, factors the panel (factorPanel) and writes it into s's
+// trapezoid, whose columns hold the panel's rows in the same order; each
+// of those descendants, and s itself, then waits on its next target in
+// wk's lists. Every entry sums its terms in an order the pattern alone
+// fixes, and structural zeros of a relaxed panel stay exact zeros: each
+// of their terms has a zero factor.
 func (f *supernodal) factor(wk *cholWorker, s int32, lists []*cholWorker) error {
-	c, sn := f.c, f.an.sn
+	c, an, sn := f.c, f.an, f.an.sn
 	fc, l := int(sn[s]), int(sn[s+1])
 	w := l - fc
-	rows := f.below(s)
+	rows := an.belowRows(s)
 	nr := w + len(rows)
 	p, relMap := wk.panel[:nr*w], wk.relMap
 	clear(p)
@@ -574,9 +641,9 @@ func (f *supernodal) factor(wk *cholWorker, s int32, lists []*cholWorker) error 
 		relMap[r] = int32(w + i)
 	}
 	for j := fc; j < l; j++ {
-		cols, vals := f.a.Row(int(c.perm[j]))
+		cols, vals := f.a.Row(int(an.perm[j]))
 		for q, col := range cols {
-			if i := c.iperm[col]; i >= int32(j) {
+			if i := an.iperm[col]; i >= int32(j) {
 				p[int(relMap[i])*w+j-fc] = vals[q]
 			}
 		}
@@ -596,14 +663,14 @@ func (f *supernodal) factor(wk *cholWorker, s int32, lists []*cholWorker) error 
 		// Rows kb[p1:] of k update the panel; kb[p1:p2] are the panel's
 		// own columns. Those come first, then the rows below them in
 		// chunks of maxSupernode, against the same columns.
-		kb := f.below(k)
+		kb := an.belowRows(k)
 		p1 := int(f.cursor[k])
 		p2 := p1
 		for p2 < len(kb) && int(kb[p2]) < l {
 			p2++
 		}
 		nc, v := p2-p1, int(sn[k+1]-sn[k])
-		cols := c.gatherRows(wk.block, sn[k], sn[k+1], kb, p1, p2)
+		cols := c.gatherRows(wk.block, k, p1, p2)
 		for j, r := range kb[p1:p2] {
 			rowOff[j] = relMap[r]
 			colOff[j] = r - int32(fc)
@@ -611,7 +678,7 @@ func (f *supernodal) factor(wk *cholWorker, s int32, lists []*cholWorker) error 
 		subLowerProducts(p, w, rowOff[:nc], colOff[:nc], cols, cols, v, v, 0)
 		for r0 := p2; r0 < len(kb); r0 += maxSupernode {
 			r1 := min(r0+maxSupernode, len(kb))
-			chunk := c.gatherRows(wk.block[nc*v:], sn[k], sn[k+1], kb, r0, r1)
+			chunk := c.gatherRows(wk.block[nc*v:], k, r0, r1)
 			for i, r := range kb[r0:r1] {
 				rowOff[i] = relMap[r]
 			}
@@ -623,35 +690,29 @@ func (f *supernodal) factor(wk *cholWorker, s int32, lists []*cholWorker) error 
 	if err := factorPanel(p, nr, w, fc, rowOff, colOff); err != nil {
 		return err
 	}
-	for j := fc; j < l; j++ {
-		for q := c.colPtr[j]; q < c.colPtr[j+1]; q++ {
-			c.values[q] = p[int(relMap[c.rowIdx[q]])*w+j-fc]
+	for t := range w {
+		col := c.values[an.valPtr[fc+t]:an.valPtr[fc+t+1]]
+		for i := range col {
+			col[i] = p[(t+i)*w+t]
 		}
 	}
 	f.enqueue(wk, s)
 	return nil
 }
 
-// gatherRows copies the factored entries of columns g..l-1 (one
-// supernode) in rows kb[from:to] — kb being the supernode's rows below
-// its columns — into buf as a row-major block, one row per row of
-// kb[from:to] and one entry per column, zero where a column lacks the
-// row; it returns that block.
-func (c *SparseCholesky) gatherRows(buf []float64, g, l int32, kb []int32, from, to int) []float64 {
-	v := int(l - g)
+// gatherRows copies the rows R_k[from:to] of supernode k's columns into
+// buf as a row-major block, one row per row and one entry per column,
+// and returns that block. Each column holds R_k contiguously after its
+// rows inside the supernode, so the block is a transposing copy by
+// position, explicit zeros included.
+func (c *SparseCholesky) gatherRows(buf []float64, k int32, from, to int) []float64 {
+	an := c.an
+	g, v := int(an.sn[k]), int(an.sn[k+1]-an.sn[k])
 	b := buf[:(to-from)*v]
-	clear(b)
-	last := kb[to-1]
 	for t := range v {
-		lo, hi := c.colPtr[int(g)+t], c.colPtr[int(g)+t+1]
-		q, _ := slices.BinarySearch(c.rowIdx[lo:hi], kb[from])
-		i := from
-		for q += lo; q < hi && c.rowIdx[q] <= last; q++ {
-			for kb[i] != c.rowIdx[q] {
-				i++
-			}
-			b[(i-from)*v+t] = c.values[q]
-			i++
+		at := an.valPtr[g+t] + v - t // R_k[0] in column g+t
+		for i, x := range c.values[at+from : at+to] {
+			b[i*v+t] = x
 		}
 	}
 	return b
@@ -828,65 +889,178 @@ func dot4x2(x0, x1, x2, x3, y0, y1 []float64) (s00, s01, s10, s11, s20, s21, s30
 // N returns the matrix dimension.
 func (c *SparseCholesky) N() int { return c.n }
 
-// Nnz returns the stored entry count of the factor L.
-func (c *SparseCholesky) Nnz() int { return len(c.values) }
+// Nnz returns the structural entry count of the factor L, diagonal
+// included; Values holds that many plus its trapezoids' explicit zeros.
+func (c *SparseCholesky) Nnz() int { return c.an.Nnz() }
 
 // Perm returns a copy of the fill-reducing ordering the factorisation
 // ran under (perm[k] = original index at permuted position k).
 func (c *SparseCholesky) Perm() []int32 {
-	out := make([]int32, len(c.perm))
-	copy(out, c.perm)
-	return out
+	return slices.Clone(c.an.perm)
 }
 
 // Subtrees returns the number of independent elimination subtrees the
 // numeric phase factored concurrently (1 for a serial factorisation of a
-// connected matrix).
-func (c *SparseCholesky) Subtrees() int { return c.subtrees }
+// connected matrix); a solve runs at most that many goroutines.
+func (c *SparseCholesky) Subtrees() int { return len(c.sched.subtrees) }
 
 // Values returns the factor's stored values in the order CholeskySolve
-// reads them. The slice aliases the factor and must not be modified.
+// reads them: supernode by supernode, each trapezoid column by column,
+// each column from its diagonal down. The slice aliases the factor and
+// must not be modified.
 func (c *SparseCholesky) Values() []float64 { return c.values }
 
-// SolveInPlace overwrites b with A⁻¹·b: permute, forward and backward
-// triangular sweeps on the column-compressed factor, permute back.
+// SolveInPlace overwrites b with A⁻¹·b on one goroutine: permute,
+// forward and backward triangular sweeps, permute back.
 func (c *SparseCholesky) SolveInPlace(b []float64) {
-	yp := c.scratch.Get().(*[]float64)
-	CholeskySolve(c, c.values, b, *yp)
-	c.scratch.Put(yp)
+	s := c.scratch.Get().(*CholeskyScratch[float64])
+	CholeskySolve(c, c.values, b, s)
+	c.scratch.Put(s)
 }
 
-// CholeskySolve is SolveInPlace in the precision of F: it overwrites b
-// with A⁻¹·b using vals as the factor values — Values() itself for
-// float64, a rounded copy of them for float32 — and y (length N) as the
-// permuted scratch. Safe for concurrent calls with distinct b and y.
-func CholeskySolve[F Float](c *SparseCholesky, vals, b, y []F) {
+// CholeskyScratch is the scratch of one caller's CholeskySolve calls in
+// the precision of F: the permuted vector and one buffer per worker for
+// a supernode's rows below it. Not safe for concurrent use.
+type CholeskyScratch[F Float] struct {
+	y      []F
+	gather [][]F
+}
+
+// NewCholeskyScratch returns scratch for solves with c on up to workers
+// goroutines (≤ 0 means GOMAXPROCS), capped at c's subtree count.
+func NewCholeskyScratch[F Float](c *SparseCholesky, workers int) *CholeskyScratch[F] {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	s := &CholeskyScratch[F]{y: make([]F, c.n), gather: make([][]F, max(1, min(workers, c.Subtrees())))}
+	for w := range s.gather {
+		s.gather[w] = make([]F, c.an.maxBelow)
+	}
+	return s
+}
+
+// CholeskySolve overwrites b with A⁻¹·b in the precision of F, using
+// vals as the factor values — Values() itself for float64, a rounded
+// copy of them for float32 — and s's scratch. Supernode by supernode, the
+// forward sweep gathers y[R_s] once and subtracts each column from the
+// supernode's rows below it as contiguous AXPYs; the backward sweep
+// takes each column's one-accumulator dot product with them. On one
+// worker it runs on the calling goroutine and allocates nothing; on more
+// it runs the factor's elimination subtrees concurrently
+// (solveSchedule). Either way every structural entry of L takes part in
+// the same operation, in the same order, as in a column-by-column sweep
+// of the structural entries, so the bits of the result do not depend on
+// the worker count; the trapezoids' explicit zeros add terms ±0, which
+// change no value of an input free of −0, Inf and NaN. Safe for
+// concurrent calls with distinct b and s.
+func CholeskySolve[F Float](c *SparseCholesky, vals, b []F, s *CholeskyScratch[F]) {
+	y := s.y
 	if len(b) != c.n || len(y) != c.n || len(vals) != len(c.values) {
 		panic("sparse: SparseCholesky solve dimension mismatch")
 	}
-	for k, o := range c.perm {
+	an, sc := c.an, &c.sched
+	for k, o := range an.perm {
 		y[k] = b[o]
 	}
-	// Forward: L·y = P·b, columns left to right.
-	for j := 0; j < c.n; j++ {
-		lo, hi := c.colPtr[j], c.colPtr[j+1]
-		yj := y[j] / vals[lo]
-		y[j] = yj
-		for q := lo + 1; q < hi; q++ {
-			y[c.rowIdx[q]] -= vals[q] * yj
+	ns := int32(len(an.sn) - 1)
+	if len(s.gather) == 1 {
+		g := s.gather[0]
+		for k := range ns {
+			forwardSuper(an, vals, y, g, k, 0, len(an.belowRows(k)), true)
 		}
-	}
-	// Backward: Lᵀ·x = y, columns right to left (column j of L is row j
-	// of Lᵀ).
-	for j := c.n - 1; j >= 0; j-- {
-		lo, hi := c.colPtr[j], c.colPtr[j+1]
-		s := y[j]
-		for q := lo + 1; q < hi; q++ {
-			s -= vals[q] * y[c.rowIdx[q]]
+		for k := ns - 1; k >= 0; k-- {
+			backwardSuper(an, vals, y, g, k)
 		}
-		y[j] = s / vals[lo]
+	} else {
+		parallel.ForEach(len(s.gather), len(sc.subtrees), func(w, i int) error { //nolint:errcheck // fn never fails
+			for _, k := range sc.subtrees[i] {
+				forwardSuper(an, vals, y, s.gather[w], k, 0, int(sc.inner[k]), true)
+			}
+			return nil
+		})
+		g := s.gather[0]
+		for _, k := range sc.tail {
+			if in := int(sc.inner[k]); in < 0 {
+				forwardSuper(an, vals, y, g, k, 0, len(an.belowRows(k)), true)
+			} else {
+				forwardSuper(an, vals, y, g, k, in, len(an.belowRows(k)), false)
+			}
+		}
+		for i := len(sc.tail) - 1; i >= 0; i-- {
+			if k := sc.tail[i]; sc.inner[k] < 0 {
+				backwardSuper(an, vals, y, g, k)
+			}
+		}
+		parallel.ForEach(len(s.gather), len(sc.subtrees), func(w, i int) error { //nolint:errcheck // fn never fails
+			sub := sc.subtrees[i]
+			for t := len(sub) - 1; t >= 0; t-- {
+				backwardSuper(an, vals, y, s.gather[w], sub[t])
+			}
+			return nil
+		})
 	}
-	for k, o := range c.perm {
+	for k, o := range an.perm {
 		b[o] = y[k]
 	}
+}
+
+// forwardSuper runs supernode k's part of the forward sweep L·y = P·b
+// over its rows R_k[from:to], gathered into g: with own set it first
+// solves each column's pivot and updates the supernode's rows below it
+// inside the supernode; without, its columns are already solved.
+func forwardSuper[F Float](an *CholeskyAnalysis, vals, y, g []F, k int32, from, to int, own bool) {
+	fc, l := int(an.sn[k]), int(an.sn[k+1])
+	rows := an.belowRows(k)[from:to]
+	g = g[:len(rows)]
+	for i, r := range rows {
+		g[i] = y[r]
+	}
+	for j := fc; j < l; j++ {
+		col := vals[an.valPtr[j]:an.valPtr[j+1]]
+		yj := y[j]
+		if own {
+			yj /= col[0]
+			y[j] = yj
+			subScaled(y[j+1:l], col[1:l-j], yj)
+		}
+		subScaled(g, col[l-j+from:l-j+to], yj)
+	}
+	for i, r := range rows {
+		y[r] = g[i]
+	}
+}
+
+// backwardSuper runs supernode k's part of the backward sweep Lᵀ·x = y,
+// its columns right to left, with R_k's solved values gathered into g.
+func backwardSuper[F Float](an *CholeskyAnalysis, vals, y, g []F, k int32) {
+	fc, l := int(an.sn[k]), int(an.sn[k+1])
+	rows := an.belowRows(k)
+	g = g[:len(rows)]
+	for i, r := range rows {
+		g[i] = y[r]
+	}
+	for j := l - 1; j >= fc; j-- {
+		col := vals[an.valPtr[j]:an.valPtr[j+1]]
+		s := subProducts(y[j], col[1:l-j], y[j+1:l])
+		s = subProducts(s, col[l-j:], g)
+		y[j] = s / col[0]
+	}
+}
+
+// subScaled subtracts x[i]·a from dst[i] for every i (len(dst) ≥ len(x)).
+func subScaled[F Float](dst, x []F, a F) {
+	dst = dst[:len(x)]
+	for i, v := range x {
+		dst[i] -= v * a
+	}
+}
+
+// subProducts returns s minus every x[i]·y[i], subtracted one at a time
+// in index order (len(y) ≥ len(x)).
+func subProducts[F Float](s F, x, y []F) F {
+	y = y[:len(x)]
+	for i, v := range x {
+		s -= v * y[i]
+	}
+	return s
 }

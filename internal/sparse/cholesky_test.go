@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -306,9 +307,9 @@ func TestSparseCholesky32Mirror(t *testing.T) {
 		b32[i] = float32(b[i])
 	}
 	b64 := append([]float64(nil), b...)
-	CholeskySolve(chol, chol.Values(), b64, make([]float64, n))
+	CholeskySolve(chol, chol.Values(), b64, NewCholeskyScratch[float64](chol, 1))
 	chol.SolveInPlace(b)
-	CholeskySolve(chol, vals32, b32, make([]float32, n))
+	CholeskySolve(chol, vals32, b32, NewCholeskyScratch[float32](chol, 1))
 	num, den := 0.0, 0.0
 	for i := range b {
 		if b64[i] != b[i] {
@@ -327,9 +328,9 @@ func TestSparseCholesky32Mirror(t *testing.T) {
 // factorisation replaced: row k of L solves the triangular system
 // L(0:k,0:k)·l = a_k over the elimination-tree reach of row k's entries,
 // appended column-wise so every column keeps its diagonal first and its
-// rows ascending. It returns the factor's row indices and values in
-// the factor's CSC layout.
-func upLookingFactor(t testing.TB, a *CSR, perm []int32) (rowIdx []int32, values []float64) {
+// rows ascending. It returns the structural entries of L in CSC layout:
+// column j's rows and values at colPtr[j]:colPtr[j+1].
+func upLookingFactor(t testing.TB, a *CSR, perm []int32) (colPtr []int, rowIdx []int32, values []float64) {
 	t.Helper()
 	n := a.N()
 	perm, iperm, err := ordering(n, perm)
@@ -380,31 +381,313 @@ func upLookingFactor(t testing.TB, a *CSR, perm []int32) (rowIdx []int32, values
 		rowIdx[q] = int32(k)
 		values[q] = math.Sqrt(d)
 	}
-	return rowIdx, values
+	return colPtr, rowIdx, values
 }
 
-// assertMatchesUpLooking factors a under perm and requires the pattern
-// of the up-looking reference and every entry within 1e-12·max|L| of it.
+// cscPattern returns the structural pattern of L in CSC layout, diagonal
+// first and rows ascending: row k's entries are the elimination-tree
+// reach of its entries of the permuted A, appended as k ascends.
+func cscPattern(t testing.TB, a *CSR, perm []int32) (colPtr []int, rowIdx []int32) {
+	t.Helper()
+	n := a.N()
+	perm, iperm, err := ordering(n, perm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent, colPtr, err := cholSymbolic(a, perm, iperm, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowIdx = make([]int32, colPtr[n])
+	next := slices.Clone(colPtr[:n])
+	marked, stack, pathBuf := make([]int32, n), make([]int32, n), make([]int32, n)
+	for k := 0; k < n; k++ {
+		rowIdx[next[k]] = int32(k)
+		next[k]++
+		top := ereach(a, perm, iperm, parent, k, marked, stack, pathBuf)
+		for _, j := range stack[top:n] {
+			rowIdx[next[j]] = int32(k)
+			next[j]++
+		}
+	}
+	return colPtr, rowIdx
+}
+
+// trapezoidSlot returns where entry (r, j), r ≥ j, of L sits in c's
+// values, or −1 when column j's trapezoid has no slot for row r.
+func trapezoidSlot(c *SparseCholesky, r, j int32) int {
+	an := c.an
+	s := an.colSuper[j]
+	l := an.sn[s+1]
+	if r < l {
+		return an.valPtr[j] + int(r-j)
+	}
+	q, ok := slices.BinarySearch(an.belowRows(s), r)
+	if !ok {
+		return -1
+	}
+	return an.valPtr[j] + int(l-j) + q
+}
+
+// structuralValues reads c's trapezoids by (row, column) at the CSC
+// pattern colPtr/rowIdx and returns those values in CSC layout. It fails
+// t if the pattern has an entry no trapezoid holds, or if a slot the
+// pattern lacks holds anything but an exact zero.
+func structuralValues(t testing.TB, c *SparseCholesky, colPtr []int, rowIdx []int32) []float64 {
+	t.Helper()
+	if c.Nnz() != len(rowIdx) {
+		t.Fatalf("factor counts %d structural entries, the pattern has %d", c.Nnz(), len(rowIdx))
+	}
+	values := make([]float64, len(rowIdx))
+	structural := make([]bool, len(c.values))
+	for j := range c.n {
+		for q := colPtr[j]; q < colPtr[j+1]; q++ {
+			at := trapezoidSlot(c, rowIdx[q], int32(j))
+			if at < 0 {
+				t.Fatalf("entry (%d, %d) of L has no slot in its trapezoid", rowIdx[q], j)
+			}
+			structural[at] = true
+			values[q] = c.values[at]
+		}
+	}
+	for q, v := range c.values {
+		if !structural[q] && math.Float64bits(v) != 0 {
+			t.Fatalf("trapezoid slot %d lies outside the pattern but holds %v, want an exact 0", q, v)
+		}
+	}
+	return values
+}
+
+// assertMatchesUpLooking factors a under perm and requires every
+// structural entry within 1e-12·max|L| of the up-looking reference, read
+// from the trapezoids by (row, column), and every other trapezoid slot
+// an exact zero.
 func assertMatchesUpLooking(t *testing.T, a *CSR, perm []int32) *SparseCholesky {
 	t.Helper()
 	c, err := factorize(a, perm, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rowIdx, values := upLookingFactor(t, a, perm)
-	if !slices.Equal(c.rowIdx, rowIdx) {
-		t.Fatal("factor pattern differs from the up-looking reference")
-	}
+	colPtr, rowIdx, values := upLookingFactor(t, a, perm)
+	got := structuralValues(t, c, colPtr, rowIdx)
 	scale, worst := 0.0, 0.0
 	for q, v := range values {
 		scale = max(scale, math.Abs(v))
-		worst = max(worst, math.Abs(c.values[q]-v))
+		worst = max(worst, math.Abs(got[q]-v))
 	}
 	if worst > 1e-12*scale {
 		t.Fatalf("factor entries differ from the up-looking reference by %g, want ≤ 1e-12·%g", worst, scale)
 	}
-	t.Logf("n=%d entries=%d: worst entry difference %.3g·max|L|", a.N(), c.Nnz(), worst/scale)
+	t.Logf("n=%d entries=%d stored=%d: worst entry difference %.3g·max|L|", a.N(), c.Nnz(), len(c.values), worst/scale)
 	return c
+}
+
+// columnSweep is the triangular solve the supernodal sweep replaced:
+// with L's structural entries in CSC layout (colPtr, rowIdx, vals), it
+// overwrites b with A⁻¹·b by a forward sweep over the columns left to
+// right and a backward sweep right to left on b permuted by perm.
+func columnSweep[F Float](perm []int32, colPtr []int, rowIdx []int32, vals, b []F) {
+	n := len(perm)
+	y := make([]F, n)
+	for k, o := range perm {
+		y[k] = b[o]
+	}
+	for j := 0; j < n; j++ {
+		lo, hi := colPtr[j], colPtr[j+1]
+		yj := y[j] / vals[lo]
+		y[j] = yj
+		for q := lo + 1; q < hi; q++ {
+			y[rowIdx[q]] -= vals[q] * yj
+		}
+	}
+	for j := n - 1; j >= 0; j-- {
+		lo, hi := colPtr[j], colPtr[j+1]
+		s := y[j]
+		for q := lo + 1; q < hi; q++ {
+			s -= vals[q] * y[rowIdx[q]]
+		}
+		y[j] = s / vals[lo]
+	}
+	for k, o := range perm {
+		b[o] = y[k]
+	}
+}
+
+// solveWorkers are the worker counts the supernodal solve is checked at.
+var solveWorkers = []int{1, 2, 3, 4, 7}
+
+// assertSolveMatchesColumnSweep factors a under perm on each of
+// solveWorkers and requires CholeskySolve, serially and on that many
+// workers, to reproduce the column sweep over the same factor bit for
+// bit, in float64 and in float32 over the rounded values.
+func assertSolveMatchesColumnSweep(t *testing.T, a *CSR, perm []int32) {
+	t.Helper()
+	n := a.N()
+	an, err := AnalyzeCholesky(a, perm, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	colPtr, rowIdx := cscPattern(t, a, perm)
+	rng := rand.New(rand.NewSource(int64(n)))
+	b := make([]float64, n)
+	b32 := make([]float32, n)
+	for i := range b {
+		b[i] = rng.NormFloat64()
+		b32[i] = float32(b[i])
+	}
+	for _, workers := range solveWorkers {
+		c, err := an.Factor(a, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		csc := structuralValues(t, c, colPtr, rowIdx)
+		csc32 := make([]float32, len(csc))
+		for q, v := range csc {
+			csc32[q] = float32(v)
+		}
+		vals32 := make([]float32, len(c.Values()))
+		for q, v := range c.Values() {
+			vals32[q] = float32(v)
+		}
+		want, want32 := slices.Clone(b), slices.Clone(b32)
+		columnSweep(an.perm, colPtr, rowIdx, csc, want)
+		columnSweep(an.perm, colPtr, rowIdx, csc32, want32)
+		for _, sw := range []int{1, workers} {
+			s, s32 := NewCholeskyScratch[float64](c, sw), NewCholeskyScratch[float32](c, sw)
+			got, got32 := slices.Clone(b), slices.Clone(b32)
+			CholeskySolve(c, c.Values(), got, s)
+			CholeskySolve(c, vals32, got32, s32)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) || math.Float32bits(got32[i]) != math.Float32bits(want32[i]) {
+					t.Fatalf("factored on %d workers, solved on %d: entry %d is %v / %v (float32), the column sweep gives %v / %v",
+						workers, len(s.gather), i, got[i], got32[i], want[i], want32[i])
+				}
+			}
+		}
+		if workers == solveWorkers[len(solveWorkers)-1] {
+			t.Logf("n=%d: %d supernodes; on %d workers %d subtrees, %d supernodes in the serial pass",
+				n, len(an.sn)-1, workers, c.Subtrees(), len(c.sched.tail))
+		}
+	}
+}
+
+// forestMatrix is an SPD matrix whose elimination tree is a forest:
+// three grid Laplacians of different shapes with no coupling between
+// them, numbered interleaved, so every component's columns mix with the
+// others'.
+func forestMatrix() *CSR {
+	parts := []*CSR{buildLaplacian2D(9, 7), buildLaplacian2D(12, 5), buildLaplacian3D(4, 4, 3)}
+	total := 0
+	for _, p := range parts {
+		total += p.N()
+	}
+	// index[c][i] is the global row of row i of part c: rows are dealt
+	// round-robin over the parts that still have rows left.
+	index := make([][]int, len(parts))
+	for g, i := 0, 0; g < total; i++ {
+		for c, p := range parts {
+			if i < p.N() {
+				index[c] = append(index[c], g)
+				g++
+			}
+		}
+	}
+	a := NewCOO(total)
+	for c, p := range parts {
+		for i := range p.N() {
+			cols, vals := p.Row(i)
+			for q, col := range cols {
+				a.Add(index[c][i], index[c][col], vals[q])
+			}
+		}
+	}
+	return a.ToCSR()
+}
+
+// TestCholeskySolveMatchesColumnSweep checks the supernodal solve
+// against the column sweep bit for bit on a random SPD matrix, a 3D grid
+// Laplacian, a forest and a matrix with supernodes wider than
+// maxSupernode.
+func TestCholeskySolveMatchesColumnSweep(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	for _, tc := range []struct {
+		name string
+		a    *CSR
+	}{
+		{"random-spd", randomSPD(rng, 400)},
+		{"laplacian3d", buildLaplacian3D(11, 7, 5)},
+		{"forest", forestMatrix()},
+		{"wide-supernodes", wideSupernodeMatrix()},
+	} {
+		t.Run(tc.name, func(t *testing.T) { assertSolveMatchesColumnSweep(t, tc.a, nil) })
+	}
+	// The forest's components are the subtrees: no supernode has a
+	// top to update, whatever the worker count.
+	an, err := AnalyzeCholesky(forestMatrix(), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if subtrees, top := an.splitSubtrees(1); len(subtrees) != 3 || len(top) != 0 {
+		t.Fatalf("forest splits into %d subtrees under %d top supernodes, want its 3 components", len(subtrees), len(top))
+	}
+}
+
+// TestCholeskySolveConcurrent solves with one factor from several
+// goroutines at once, each on its own scratch of two workers or through
+// SolveInPlace, and requires every result to equal the serial solve bit
+// for bit (run it under -race).
+func TestCholeskySolveConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	a := randomSPD(rng, 400)
+	an, err := AnalyzeCholesky(a, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := an.Factor(a, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Subtrees() < 2 {
+		t.Fatalf("factor has %d subtrees, want a concurrent solve", c.Subtrees())
+	}
+	const solvers = 4
+	rhs := make([][]float64, solvers)
+	want := make([][]float64, solvers)
+	for i := range rhs {
+		rhs[i] = make([]float64, a.N())
+		for k := range rhs[i] {
+			rhs[i][k] = rng.NormFloat64()
+		}
+		want[i] = slices.Clone(rhs[i])
+		c.SolveInPlace(want[i])
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, solvers)
+	for i := range solvers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := NewCholeskyScratch[float64](c, 2)
+			for range 5 {
+				x := slices.Clone(rhs[i])
+				if i%2 == 0 {
+					CholeskySolve(c, c.Values(), x, s)
+				} else {
+					c.SolveInPlace(x)
+				}
+				if !slices.Equal(x, want[i]) {
+					errs[i] = fmt.Errorf("solver %d: concurrent solve differs from the serial one", i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // wideSupernodeMatrix is an SPD matrix whose factor has a supernode

@@ -6,13 +6,15 @@ import (
 	"vcselnoc/internal/fvm"
 	"vcselnoc/internal/mesh"
 	"vcselnoc/internal/sparse"
+	"vcselnoc/internal/thermal"
 )
 
 // TestSparseCholeskyGradedCoarseLevel factors the operator the factor
 // exists for — the coarsest level mg-cg builds for an fvm conduction
 // system on a laterally graded mesh with a high-conductivity slab, a
 // Galerkin operator under the hierarchy's nested-dissection ordering —
-// and checks it against the up-looking reference.
+// and checks it against the up-looking reference, and its solve against
+// the column sweep.
 func TestSparseCholeskyGradedCoarseLevel(t *testing.T) {
 	// A cluster of 0.5-wide cells in a plane of 10-wide ones: the
 	// cluster merges up to one 2-wide cell, which no 10-wide neighbour
@@ -54,4 +56,26 @@ func TestSparseCholeskyGradedCoarseLevel(t *testing.T) {
 	a := h.CoarseOperator()
 	t.Logf("fine %d cells, %d levels, coarsest %d cells", n, h.Depth(), a.N())
 	sparse.AssertMatchesUpLooking(t, a, h.CoarseOrdering())
+	sparse.AssertSolveMatchesColumnSweep(t, a, h.CoarseOrdering())
+}
+
+// TestCholeskySolvePreviewCoarseLevel checks the supernodal solve
+// against the column sweep, bit for bit at every worker count, on the
+// coarsest level of the preview thermal model, the factor every preview
+// V-cycle solves with.
+func TestCholeskySolvePreviewCoarseLevel(t *testing.T) {
+	spec, err := thermal.PaperSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Res = thermal.PreviewResolution()
+	m, err := thermal.NewModel(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := m.System().Hierarchy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sparse.AssertSolveMatchesColumnSweep(t, h.CoarseOperator(), h.CoarseOrdering())
 }

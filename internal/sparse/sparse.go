@@ -3,7 +3,12 @@
 // their products, the preconditioned conjugate gradient loop (PCG) that
 // mg-cg (internal/mg) runs its V-cycle inside, the sparse Cholesky factor
 // of its coarsest level, and a Jacobi-preconditioned CG kept as the plain
-// reference tests compare against.
+// reference tests compare against. The factor stores L as one dense
+// column-major trapezoid per relaxed supernode, with one row index per
+// row below a supernode rather than one per entry, and its triangular
+// solve runs supernode by supernode — its independent elimination
+// subtrees concurrently when given workers — with the bits of a
+// column-by-column sweep at any worker count.
 package sparse
 
 import (
