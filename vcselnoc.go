@@ -91,7 +91,9 @@ type Options struct {
 	// Workers caps the goroutines used by parallel solves and design-space
 	// sweeps; 0 means GOMAXPROCS.
 	Workers int
-	// SolverTol overrides the 1e-8 relative solver tolerance when > 0.
+	// SolverTol overrides the 1e-8 relative solver tolerance; zero and
+	// negative values keep the default, and a NaN or infinite one fails
+	// the spec's validation.
 	SolverTol float64
 }
 
@@ -106,7 +108,7 @@ func NewWithOptions(o Options) (*Methodology, error) {
 		spec.Res = o.Res
 	}
 	spec.Workers = o.Workers
-	if o.SolverTol > 0 {
+	if !(o.SolverTol <= 0) { // NaN included: Validate refuses it
 		spec.SolverTol = o.SolverTol
 	}
 	return core.NewWithSpec(spec, snr.DefaultConfig())

@@ -190,11 +190,13 @@ func TestPublicMeshAndFVM(t *testing.T) {
 
 // TestNonFiniteSolverTolerance: an infinite tolerance would accept the
 // zero initial guess as every solve's answer, and a NaN one is never met,
-// so the methodology refuses an infinite SolverTol up front and the raw
+// so the methodology refuses either SolverTol up front and the raw
 // solves refuse either before iterating.
 func TestNonFiniteSolverTolerance(t *testing.T) {
-	if _, err := NewWithOptions(Options{Res: CoarseResolution(), SolverTol: math.Inf(1)}); err == nil {
-		t.Error("NewWithOptions accepted an infinite solver tolerance")
+	for _, tol := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := NewWithOptions(Options{Res: CoarseResolution(), SolverTol: tol}); err == nil {
+			t.Errorf("NewWithOptions accepted solver tolerance %g", tol)
+		}
 	}
 	grid, err := NewMeshGrid([]float64{0, 0.5e-3, 1e-3}, []float64{0, 0.5e-3, 1e-3}, []float64{0, 1e-4})
 	if err != nil {
