@@ -56,6 +56,43 @@ func TestBuildBasisParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestAmbientStart: a steady solve of the model starts from the ambient
+// field, the exact zero-power solution. On PaperSpec's 25 °C ambient the
+// chip field it gives must agree with a zero-started solve within
+// 1e-7 °C, in no more iterations.
+func TestAmbientStart(t *testing.T) {
+	m, _ := previewBases(t)
+	if m.spec.Ambient != 25 {
+		t.Fatalf("ambient %g °C, want PaperSpec's 25", m.spec.Ambient)
+	}
+	chip, err := m.powerVector(Powers{Chip: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeroOpts := m.solveOptions()
+	zeroOpts.InitialGuess = nil
+	zero, err := m.sys.SolveSteady(chip, zeroOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	amb, err := m.sys.SolveSteady(chip, m.solveOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	worst := 0.0
+	for i, v := range zero.T {
+		worst = max(worst, math.Abs(amb.T[i]-v))
+	}
+	t.Logf("chip field: %d iterations from ambient, %d from zero; worst difference %.3g °C",
+		amb.Stats.Iterations, zero.Stats.Iterations, worst)
+	if worst > 1e-7 {
+		t.Errorf("ambient- and zero-started chip fields differ by %g °C, want ≤ 1e-7", worst)
+	}
+	if amb.Stats.Iterations > zero.Stats.Iterations {
+		t.Errorf("ambient start took %d iterations, the zero start %d", amb.Stats.Iterations, zero.Stats.Iterations)
+	}
+}
+
 // TestSolverBackendsAgreeOnModel: a full system solve with mg-cg must
 // agree with the Jacobi-preconditioned CG reference to 1e-6 relative on
 // the temperature rise. Both boundaries convect to the one ambient, so

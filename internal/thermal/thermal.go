@@ -289,6 +289,11 @@ type Model struct {
 
 	// sys is the assembled steady operator, shared by every solve.
 	sys *fvm.System
+	// ambient is the field T ≡ Ambient every steady solve starts from
+	// (read-only): both convective faces run to Ambient and the sides
+	// are adiabatic, so it is the exact zero-power solution, and CG's
+	// first residual is the power alone.
+	ambient []float64
 
 	onis []*oni.Layout
 
@@ -415,6 +420,10 @@ func NewModel(spec Spec) (*Model, error) {
 	})
 	if err != nil {
 		return nil, err
+	}
+	m.ambient = make([]float64, m.grid.NumCells())
+	for i := range m.ambient {
+		m.ambient[i] = spec.Ambient
 	}
 	return m, nil
 }
@@ -723,9 +732,10 @@ func (m *Model) powerVector(p Powers) ([]float64, error) {
 	return power, nil
 }
 
-// solveOptions maps the spec's solver knobs onto fvm options.
+// solveOptions maps the spec's solver knobs onto fvm options; every
+// steady solve starts from the ambient field.
 func (m *Model) solveOptions() fvm.SolveOptions {
-	return fvm.SolveOptions{Tolerance: m.spec.SolverTol, Workers: m.spec.Workers}
+	return fvm.SolveOptions{Tolerance: m.spec.SolverTol, Workers: m.spec.Workers, InitialGuess: m.ambient}
 }
 
 // System exposes the cached finite-volume operator (diagnostics and
