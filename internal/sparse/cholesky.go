@@ -1007,23 +1007,33 @@ func CholeskySolve[F Float](c *SparseCholesky, vals, b []F, s *CholeskyScratch[F
 // forwardSuper runs supernode k's part of the forward sweep L·y = P·b
 // over its rows R_k[from:to], gathered into g: with own set it first
 // solves each column's pivot and updates the supernode's rows below it
-// inside the supernode; without, its columns are already solved.
+// inside the supernode; without, its columns are already solved. The
+// rows of R_k then take the columns' updates four columns at a time,
+// each entry still subtracting them one by one, left to right.
 func forwardSuper[F Float](an *CholeskyAnalysis, vals, y, g []F, k int32, from, to int, own bool) {
 	fc, l := int(an.sn[k]), int(an.sn[k+1])
+	if own {
+		for j := fc; j < l; j++ {
+			col := vals[an.valPtr[j]:an.valPtr[j+1]]
+			yj := y[j] / col[0]
+			y[j] = yj
+			subScaled(y[j+1:l], col[1:l-j], yj)
+		}
+	}
 	rows := an.belowRows(k)[from:to]
 	g = g[:len(rows)]
 	for i, r := range rows {
 		g[i] = y[r]
 	}
-	for j := fc; j < l; j++ {
-		col := vals[an.valPtr[j]:an.valPtr[j+1]]
-		yj := y[j]
-		if own {
-			yj /= col[0]
-			y[j] = yj
-			subScaled(y[j+1:l], col[1:l-j], yj)
-		}
-		subScaled(g, col[l-j+from:l-j+to], yj)
+	below := func(j int) []F { // column j's entries in rows R_k[from:to]
+		return vals[an.valPtr[j]+l-j+from:][:len(g)]
+	}
+	j := fc
+	for ; j+4 <= l; j += 4 {
+		subScaled4(g, below(j), below(j+1), below(j+2), below(j+3), y[j], y[j+1], y[j+2], y[j+3])
+	}
+	for ; j < l; j++ {
+		subScaled(g, below(j), y[j])
 	}
 	for i, r := range rows {
 		y[r] = g[i]
@@ -1052,6 +1062,15 @@ func subScaled[F Float](dst, x []F, a F) {
 	dst = dst[:len(x)]
 	for i, v := range x {
 		dst[i] -= v * a
+	}
+}
+
+// subScaled4 subtracts x0[i]·a0, x1[i]·a1, x2[i]·a2 and x3[i]·a3 from
+// dst[i], in that order, for every i (all of dst's length).
+func subScaled4[F Float](dst, x0, x1, x2, x3 []F, a0, a1, a2, a3 F) {
+	x0, x1, x2, x3 = x0[:len(dst)], x1[:len(dst)], x2[:len(dst)], x3[:len(dst)]
+	for i, v := range dst {
+		dst[i] = v - x0[i]*a0 - x1[i]*a1 - x2[i]*a2 - x3[i]*a3
 	}
 }
 
