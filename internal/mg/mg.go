@@ -45,10 +45,10 @@
 // factor's triangular sweeps supernode by supernode on the solver's
 // workers (the coarsest level's count by the rule of the level
 // products), its independent elimination subtrees concurrently;
-// restriction gathers each coarse line from its fine lines and
-// prolongation writes each fine line, in blocks of lines on the level's
-// workers. Every one of them sums each value's terms in one fixed order,
-// so a solve's bits do not depend on its worker count.
+// restriction builds each coarse row from its fine rows and
+// prolongation writes each fine line, on the level's workers. Every one
+// of them sums each value's terms in one fixed order, so a solve's bits
+// do not depend on its worker count.
 //
 // A Hierarchy is built once per matrix from the mesh geometry behind it
 // and shared by every Solver of that matrix; fvm.System caches one for
@@ -1198,44 +1198,42 @@ func sortInt32(s []int32) {
 
 // restrict computes bc = Pᵀ·r (full weighting) with the transfer weights
 // of w, on line-major vectors, on up to workers goroutines. Each coarse
-// line gathers its fine lines through the adjoint stencils (iy.rev,
-// ix.rev), fine lines in ascending order, adding v·wy·wx for every
-// non-zero v, so every coarse cell sums the same terms in the same order
-// as a layer-major restriction does; blocks of lineChunk coarse lines
-// write only their own cells.
+// row — the coarse lines of one y index — gathers its fine rows through
+// the adjoint y stencil (iy.rev), in ascending order, and each fine line
+// of a fine row, in ascending order, adds v·wy·wx for its non-zero v
+// into the up to two coarse lines of the row it interpolates from. So
+// every coarse cell sums its terms in ascending fine order, as a
+// layer-major restriction does, and the coarse rows, each writing only
+// its own cells, run independently.
 func restrict[F sparse.Float](lv *level, w *levelArrays[F], bc, r []F, workers int) {
-	chunks := (lv.ix.nc*lv.iy.nc + lineChunk - 1) / lineChunk
 	if workers > 1 {
-		parallel.ForEach(workers, chunks, func(_, chunk int) error { //nolint:errcheck // fn never fails
-			restrictLines(lv, w, bc, r, chunk*lineChunk)
+		parallel.ForEach(workers, lv.iy.nc, func(_, cj int) error { //nolint:errcheck // fn never fails
+			restrictRow(lv, w, bc, r, cj)
 			return nil
 		})
 		return
 	}
-	for chunk := 0; chunk < chunks; chunk++ {
-		restrictLines(lv, w, bc, r, chunk*lineChunk)
+	for cj := 0; cj < lv.iy.nc; cj++ {
+		restrictRow(lv, w, bc, r, cj)
 	}
 }
 
-// restrictLines is restrict on the lineChunk coarse lines from line l0.
-func restrictLines[F sparse.Float](lv *level, w *levelArrays[F], bc, r []F, l0 int) {
+// restrictRow is restrict on coarse row cj.
+func restrictRow[F sparse.Float](lv *level, w *levelArrays[F], bc, r []F, cj int) {
 	ix, iy := lv.ix, lv.iy
 	nz, nxc := lv.nz, ix.nc
-	for cl := l0; cl < min(l0+lineChunk, nxc*iy.nc); cl++ {
-		cj, ci := cl/nxc, cl%nxc
-		dst := bc[cl*nz:][:nz]
-		clear(dst)
-		for _, fj := range iy.rev[cj] {
-			wy := w.ylo[fj]
-			if int(iy.lo[fj]) != cj {
-				wy = w.yhi[fj]
-			}
-			for _, fi := range ix.rev[ci] {
-				wx := w.xlo[fi]
-				if int(ix.lo[fi]) != ci {
-					wx = w.xhi[fi]
-				}
-				addLine(dst, r[(int(fj)*lv.nx+int(fi))*nz:][:nz], wy, wx)
+	row := bc[cj*nxc*nz:][:nxc*nz]
+	clear(row)
+	for _, fj := range iy.rev[cj] {
+		wy := w.ylo[fj]
+		if int(iy.lo[fj]) != cj {
+			wy = w.yhi[fj]
+		}
+		for fi := range lv.nx {
+			rl := r[(int(fj)*lv.nx+fi)*nz:][:nz]
+			addLine(row[int(ix.lo[fi])*nz:][:nz], rl, wy, w.xlo[fi])
+			if xwh := w.xhi[fi]; xwh != 0 {
+				addLine(row[int(ix.hi[fi])*nz:][:nz], rl, wy, xwh)
 			}
 		}
 	}
@@ -1243,6 +1241,7 @@ func restrictLines[F sparse.Float](lv *level, w *levelArrays[F], bc, r []F, l0 i
 
 // addLine adds v·wy·wx into dst for every non-zero v of src.
 func addLine[F sparse.Float](dst, src []F, wy, wx F) {
+	dst = dst[:len(src)]
 	for k, v := range src {
 		if v != 0 {
 			dst[k] += v * wy * wx
@@ -1281,21 +1280,27 @@ func prolongLines[F sparse.Float](lv *level, w *levelArrays[F], x, xc []F, l0 in
 		xwl, xwh := w.xlo[fi], w.xhi[fi]
 		dst := x[fl*nz:][:nz]
 		ll, lh, hl, hh := line(yl, xl), line(yl, xh), line(yh, xl), line(yh, xh)
-		for k := range dst {
-			sum := ywl * lerp(ll[k], lh[k], xwl, xwh)
-			if ywh != 0 {
-				sum += ywh * lerp(hl[k], hh[k], xwl, xwh)
+		// A zero weight drops its source line, so the four cases form
+		// each cell's sum with no per-cell branch.
+		switch {
+		case ywh == 0 && xwh == 0:
+			for k, v := range ll {
+				dst[k] += ywl * (v * xwl)
 			}
-			dst[k] += sum
+		case ywh == 0:
+			for k, v := range ll {
+				dst[k] += ywl * (v*xwl + lh[k]*xwh)
+			}
+		case xwh == 0:
+			for k, v := range ll {
+				dst[k] += ywl*(v*xwl) + ywh*(hl[k]*xwl)
+			}
+		default:
+			for k, v := range ll {
+				dst[k] += ywl*(v*xwl+lh[k]*xwh) + ywh*(hl[k]*xwl+hh[k]*xwh)
+			}
 		}
 	}
-}
-
-func lerp[F sparse.Float](vlo, vhi, wlo, whi F) F {
-	if whi == 0 {
-		return vlo * wlo
-	}
-	return vlo*wlo + vhi*whi
 }
 
 // toLines copies src, numbered layer-major over len(src)/nz lines, into

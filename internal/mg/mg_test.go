@@ -304,7 +304,7 @@ func TestTransferAdjoint(t *testing.T) {
 	}
 }
 
-// scatterRestrict is the restriction the per-coarse-line gather
+// scatterRestrict is the restriction the per-coarse-row gather
 // replaced, kept as its reference: each fine line, in ascending order,
 // adds v·wy·wx for its non-zero v into the up to four coarse lines it
 // interpolates from.
@@ -354,8 +354,8 @@ func checkTransfers[F sparse.Float](t *testing.T, h *Hierarchy, w *levelArrays[F
 	t.Helper()
 	lv := h.levels[0]
 	nf, nc := lv.n(), lv.coarseN()
-	if lines := lv.ix.nc * lv.iy.nc; lines <= 2*lineChunk {
-		t.Fatalf("%d coarse lines fill under three blocks of %d", lines, lineChunk)
+	if lines := lv.nx * lv.ny; lines <= 2*lineChunk || lv.iy.nc < 3 {
+		t.Fatalf("%d fine lines in %d-line blocks and %d coarse rows: want work for three workers", lines, lineChunk, lv.iy.nc)
 	}
 	r, xc := make([]F, nf), make([]F, nc)
 	for i, v := range randRHS(nf, 5) {
