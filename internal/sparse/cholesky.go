@@ -509,7 +509,7 @@ func (an *CholeskyAnalysis) schedule(subtrees [][]int32, top []int32) solveSched
 
 // supernodal is one numeric factorisation in progress. A factored
 // supernode k waits in a pending list keyed by the supernode holding
-// R_k[cursor[k]], the first of its rows below it it has not yet updated;
+// R_k[cursor[k]], the first of its rows below it not yet updated;
 // link chains the lists, whose heads belong to the worker that enqueued
 // k (cholWorker.head). Only the worker factoring k's subtree writes k's
 // trapezoid, link and cursor, and the top supernodes run after every
