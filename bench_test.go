@@ -54,18 +54,15 @@ func benchResolution() thermal.Resolution {
 	}
 }
 
-// benchMGKnobs reads the cmd/perfab sweep axes from the environment:
-// VCSELNOC_MG_PRECISION selects the mg-cg V-cycle precision and
-// VCSELNOC_WORKERS caps solver goroutines. Empty variables leave the
-// defaults (auto precision, GOMAXPROCS workers).
-func benchMGKnobs(opts fvm.SolveOptions) fvm.SolveOptions {
-	opts.MGPrecision = os.Getenv("VCSELNOC_MG_PRECISION")
-	if w := os.Getenv("VCSELNOC_WORKERS"); w != "" {
-		if n, err := strconv.Atoi(w); err == nil && n > 0 {
-			opts.Workers = n
-		}
+// benchWorkers reads the cmd/perfab sweep axis from the environment:
+// VCSELNOC_WORKERS caps solver goroutines. Unset (or not a positive
+// count) returns 0, GOMAXPROCS.
+func benchWorkers() int {
+	n, err := strconv.Atoi(os.Getenv("VCSELNOC_WORKERS"))
+	if err != nil || n < 0 {
+		return 0
 	}
-	return opts
+	return n
 }
 
 var (
@@ -646,7 +643,7 @@ func BenchmarkSolverBackends(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := benchMGKnobs(fvm.SolveOptions{Tolerance: 1e-8})
+	opts := fvm.SolveOptions{Tolerance: 1e-8, Workers: benchWorkers()}
 	solves := func(b *testing.B) {
 		var iters int
 		before := m.System().PhaseStats()
@@ -699,7 +696,7 @@ func BenchmarkCoarseSolve(b *testing.B) {
 	}
 	a := h.CoarseOperator()
 	perm := h.CoarseOrdering()
-	workers := benchMGKnobs(fvm.SolveOptions{}).Workers
+	workers := benchWorkers()
 	factor := func(b *testing.B) *sparse.SparseCholesky {
 		an, err := sparse.AnalyzeCholesky(a, perm, 0)
 		if err != nil {
@@ -868,7 +865,7 @@ func BenchmarkHierarchyBuild(b *testing.B) {
 	m := benchMethodology(b).Model()
 	g := m.Grid()
 	hint := sparse.GridHint{X: g.X, Y: g.Y, Z: g.Z}
-	opts := mg.Options{Workers: benchMGKnobs(fvm.SolveOptions{}).Workers}
+	opts := mg.Options{Workers: benchWorkers()}
 	var h *mg.Hierarchy
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,30 +1,30 @@
 // Command perfab is the A/B performance harness for the mg-cg hot loop:
-// it runs named benchmarks across a configuration sweep (V-cycle
-// precision × worker count), optionally captures CPU and heap profiles
-// per configuration, and emits one benchmark artifact per configuration
-// plus a markdown delta report. The artifacts are the same JSON format
-// cmd/benchguard consumes, so any pair can be diffed later with
-// `benchguard -compare old.json new.json`; the first configuration of
-// the sweep (by default float64 × 1 worker) is the in-report baseline
-// every other configuration is compared against. Configurations are
-// named <precision>-w<workers>.
+// it runs named benchmarks across a sweep of worker counts, optionally
+// captures CPU and heap profiles per configuration, and emits one
+// benchmark artifact per configuration plus a markdown delta report. The
+// artifacts are the same JSON format cmd/benchguard consumes, so any pair
+// can be diffed later with `benchguard -compare old.json new.json`; the
+// first configuration of the sweep (by default 1 worker) is the in-report
+// baseline every other configuration is compared against.
+// Configurations are named w<workers>. The V-cycle's precision is not an
+// axis: the benchmarks' tolerance and mesh fix it.
 //
 // Usage:
 //
 //	go run ./cmd/perfab -res preview -bench 'BenchmarkSolverBackends/mg-cg' \
-//	    -precisions float64,float32 -workers 1,4 -profiles -out perfab_out
+//	    -workers 1,4 -profiles -out perfab_out
 //
 // Each configuration runs `go test -run '^$' -bench ...` in a child
-// process with the sweep axes passed through the VCSELNOC_MG_PRECISION
-// and VCSELNOC_WORKERS environment variables the root-package benchmarks
-// honour, and VCSELNOC_BENCH_RES selecting the mesh tier. When the sweep
-// includes BenchmarkCoarseSolve the report additionally splits the
-// one-off factorisation cost from the recurring per-cycle coarse solve.
-// With -profiles the child also writes <config>.cpu.pprof and
+// process with the worker count passed through the VCSELNOC_WORKERS
+// environment variable the root-package benchmarks honour, and
+// VCSELNOC_BENCH_RES selecting the mesh tier. When the sweep includes
+// BenchmarkCoarseSolve the report additionally splits the one-off
+// factorisation cost from the recurring per-cycle coarse solve. With
+// -profiles the child also writes <config>.cpu.pprof and
 // <config>.mem.pprof next to the artifacts, along with the test binary
 // (<config>.test) needed to symbolise them:
 //
-//	go tool pprof perfab_out/float32-w4.test perfab_out/float32-w4.cpu.pprof
+//	go tool pprof perfab_out/w4.test perfab_out/w4.cpu.pprof
 package main
 
 import (
@@ -41,13 +41,10 @@ import (
 	"vcselnoc/internal/benchfmt"
 )
 
-// config is one point of the sweep.
-type config struct {
-	precision string
-	workers   string
-}
+// config is one point of the sweep: a worker count.
+type config string
 
-func (c config) name() string { return fmt.Sprintf("%s-w%s", c.precision, c.workers) }
+func (c config) name() string { return "w" + string(c) }
 
 func main() {
 	pkg := flag.String("pkg", ".", "package holding the benchmarks")
@@ -55,7 +52,6 @@ func main() {
 	res := flag.String("res", "preview", "mesh resolution tier (VCSELNOC_BENCH_RES)")
 	benchtime := flag.String("benchtime", "1x", "go test -benchtime per configuration")
 	count := flag.Int("count", 1, "go test -count per configuration")
-	precisions := flag.String("precisions", "float64,float32", "comma-separated V-cycle precisions to sweep")
 	workers := flag.String("workers", "1,4", "comma-separated worker counts to sweep")
 	outDir := flag.String("out", "perfab_out", "directory for artifacts, profiles and the report")
 	profiles := flag.Bool("profiles", false, "capture CPU and heap profiles per configuration")
@@ -64,13 +60,11 @@ func main() {
 	log.SetPrefix("perfab: ")
 
 	var configs []config
-	for _, p := range splitList(*precisions) {
-		for _, w := range splitList(*workers) {
-			configs = append(configs, config{precision: p, workers: w})
-		}
+	for _, w := range splitList(*workers) {
+		configs = append(configs, config(w))
 	}
 	if len(configs) == 0 {
-		log.Fatal("empty sweep: need at least one precision and worker count")
+		log.Fatal("empty sweep: need at least one worker count")
 	}
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		log.Fatal(err)
@@ -133,8 +127,7 @@ func runConfig(c config, pkg, bench, res, benchtime string, count int, absOut st
 	cmd := exec.Command("go", args...)
 	cmd.Env = append(os.Environ(),
 		"VCSELNOC_BENCH_RES="+res,
-		"VCSELNOC_MG_PRECISION="+c.precision,
-		"VCSELNOC_WORKERS="+c.workers,
+		"VCSELNOC_WORKERS="+string(c),
 	)
 	out, err := cmd.CombinedOutput()
 	if err != nil {

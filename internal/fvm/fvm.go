@@ -177,7 +177,8 @@ type System struct {
 	// (takeSolver, putSolver), so repeated steady solves, block columns
 	// included, reuse their V-cycle and outer CG workspaces instead of
 	// allocating them per call. Each serves one caller at a time and only
-	// callers asking for the options it was built with. Being weak, the
+	// callers asking for the tolerance and workers it was built with,
+	// which are all an mg-cg solver is configured by. Being weak, the
 	// list pins nothing: the next garbage collection frees an idle solver,
 	// where a sync.Pool's victim cache would keep it, and the whole
 	// hierarchy it references, alive through one more.
@@ -438,10 +439,10 @@ func (p *Problem) assemble() (*System, error) {
 
 // SolveOptions configures a steady-state solve.
 type SolveOptions struct {
-	// Tolerance is the relative residual target (default 1e-8).
+	// Tolerance is the relative residual target (default 1e-8). With the
+	// system's size it fixes the V-cycle's precision (mg.Options), and the
+	// solve gives up after 10·n iterations.
 	Tolerance float64
-	// MaxIterations caps solver iterations (default 10·n).
-	MaxIterations int
 	// InitialGuess optionally warm-starts the solver (length = cells).
 	InitialGuess []float64
 	// Workers caps the goroutines used for matrix-vector products and the
@@ -451,9 +452,6 @@ type SolveOptions struct {
 	// does not read it: it runs on GOMAXPROCS workers, with bits
 	// independent of the count.
 	Workers int
-	// MGPrecision selects the V-cycle arithmetic ("float32", "float64");
-	// empty auto-selects per mg.Options.Precision.
-	MGPrecision string
 }
 
 // SolverName names the one linear solver every solve runs: mg-cg, CG
@@ -462,14 +460,13 @@ type SolveOptions struct {
 // produced by another solver is refused.
 const SolverName = "mg-cg"
 
-// newSolver builds an mg-cg solver on hierarchy h; tol ≤ 0 means 1e-8.
-func newSolver(h *mg.Hierarchy, tol float64, maxIter, workers int, precision string) *mg.Solver {
+// solverOptions are the mg-cg options of a solve at tolerance tol
+// (≤ 0 means 1e-8) on up to workers goroutines.
+func solverOptions(tol float64, workers int) mg.Options {
 	if tol <= 0 {
 		tol = 1e-8
 	}
-	s := mg.New(mg.Options{Tolerance: tol, MaxIterations: maxIter, Workers: workers, Precision: precision})
-	s.SetHierarchy(h)
-	return s
+	return mg.Options{Tolerance: tol, Workers: workers}
 }
 
 // hierarchy lazily builds the system's shared multigrid hierarchy. The
@@ -507,30 +504,23 @@ func (s *System) PhaseStats() mg.PhaseStats {
 }
 
 // steadySolver is an mg-cg solver of the steady operator and the
-// options it was built with.
+// options it was built with: its tolerance and workers.
 type steadySolver struct {
 	*mg.Solver
-	opts solverOptions
-}
-
-// solverOptions are the SolveOptions an mg-cg solver is built with.
-type solverOptions struct {
-	tol              float64
-	maxIter, workers int
-	precision        string
+	opts mg.Options
 }
 
 // takeSolver returns an mg-cg solver of the steady operator on the
 // system's shared hierarchy, so solvers never redo the Galerkin set-up:
-// a live idle one built with the same options, else a new one. The
-// caller owns it until putSolver. Transient steppers solve on the per-dt
-// shifted hierarchy instead (see transientOp).
+// a live idle one built with the same tolerance and workers, else a new
+// one. The caller owns it until putSolver. Transient steppers solve on
+// the per-dt shifted hierarchy instead (see transientOp).
 func (s *System) takeSolver(opts SolveOptions) (*steadySolver, error) {
 	h, err := s.hierarchy()
 	if err != nil {
 		return nil, err
 	}
-	want := solverOptions{opts.Tolerance, opts.MaxIterations, opts.Workers, opts.MGPrecision}
+	want := solverOptions(opts.Tolerance, opts.Workers)
 	s.idleMu.Lock()
 	defer s.idleMu.Unlock()
 	live := s.idle[:0]
@@ -549,7 +539,7 @@ func (s *System) takeSolver(opts SolveOptions) (*steadySolver, error) {
 	if found != nil {
 		return found, nil
 	}
-	return &steadySolver{newSolver(h, want.tol, want.maxIter, want.workers, want.precision), want}, nil
+	return &steadySolver{mg.New(h, want), want}, nil
 }
 
 // putSolver hands a solver taken with takeSolver back to the idle list.
@@ -758,14 +748,12 @@ type TransientOptions struct {
 	// InitialUniform is the uniform start temperature used when Initial is
 	// nil (°C).
 	InitialUniform float64
-	// Tolerance is the per-step solver tolerance (default 1e-8).
+	// Tolerance is the per-step solver tolerance (default 1e-8); it fixes
+	// the V-cycle's precision exactly as SolveOptions.Tolerance does.
 	Tolerance float64
 	// Workers caps the goroutines used for matrix-vector products and the
 	// line smoother; 0 means GOMAXPROCS.
 	Workers int
-	// MGPrecision selects the V-cycle arithmetic exactly as the field of
-	// the same name on SolveOptions.
-	MGPrecision string
 	// Snapshot, if non-nil, is called after every step with the step index
 	// (1-based), the simulated time and a fresh copy of the current field,
 	// which the callback may retain.

@@ -25,13 +25,12 @@ import (
 )
 
 // transientOp is the cached operator of one time step size: the capacity
-// term C/dt, the diagonal-bumped matrix A + diag(C/dt) (structure shared
-// with the steady matrix), and — built lazily by the first stepper — the
-// shifted multigrid hierarchy derived from the system's steady one.
+// term C/dt and — built lazily by the first stepper — the shifted
+// multigrid hierarchy derived from the system's steady one, whose Fine()
+// is the diagonal-bumped matrix A + diag(C/dt) the steps solve.
 type transientOp struct {
-	dt     float64
-	cap    []float64 // C/dt per cell (W/K)
-	matrix *sparse.CSR
+	dt  float64
+	cap []float64 // C/dt per cell (W/K)
 	// use orders cache entries for eviction (guarded by transientMu).
 	use int64
 
@@ -101,7 +100,7 @@ func (s *System) transientOperator(dt float64) (*transientOp, error) {
 			return nil, fmt.Errorf("fvm: time step %g too small: C/dt overflows at cell %d", dt, i)
 		}
 	}
-	op := &transientOp{dt: dt, cap: cp, matrix: sparse.AddDiagonal(s.matrix, cp), use: s.transientUse}
+	op := &transientOp{dt: dt, cap: cp, use: s.transientUse}
 	if s.transientOps == nil {
 		s.transientOps = make(map[float64]*transientOp)
 	}
@@ -121,7 +120,8 @@ func (s *System) transientOperator(dt float64) (*transientOp, error) {
 
 // shiftedHierarchy lazily derives the transient multigrid hierarchy from
 // the system's cached steady one: transfer operators and off-diagonal
-// Galerkin stencils are shared, only the diagonals carry the C/dt bump.
+// Galerkin stencils are shared, only the diagonals carry the C/dt bump,
+// and its Fine() is the operator's one copy of A + diag(C/dt).
 func (op *transientOp) shiftedHierarchy(s *System) (*mg.Hierarchy, error) {
 	op.hierOnce.Do(func() {
 		steady, err := s.hierarchy()
@@ -129,7 +129,7 @@ func (op *transientOp) shiftedHierarchy(s *System) (*mg.Hierarchy, error) {
 			op.hierErr = err
 			return
 		}
-		op.hier, op.hierErr = steady.Shifted(op.matrix, op.cap)
+		op.hier, op.hierErr = steady.Shifted(op.cap)
 		if op.hierErr == nil {
 			s.transientHierBuilds.Add(1)
 		}
@@ -270,6 +270,7 @@ func DecodeTransientCheckpoint(r io.Reader) (*TransientCheckpoint, error) {
 type TransientStepper struct {
 	sys    *System
 	op     *transientOp
+	matrix *sparse.CSR // A + diag(C/dt): the shifted hierarchy's Fine()
 	solver *mg.Solver
 	tol    float64
 
@@ -295,10 +296,7 @@ func (s *System) NewTransientStepper(power []float64, opts TransientOptions) (*T
 	if err != nil {
 		return nil, err
 	}
-	tol := opts.Tolerance
-	if tol <= 0 {
-		tol = 1e-8
-	}
+	mo := solverOptions(opts.Tolerance, opts.Workers)
 	h, err := op.shiftedHierarchy(s)
 	if err != nil {
 		return nil, err
@@ -317,7 +315,7 @@ func (s *System) NewTransientStepper(power []float64, opts TransientOptions) (*T
 	pw := make([]float64, n)
 	copy(pw, power)
 	return &TransientStepper{
-		sys: s, op: op, solver: newSolver(h, tol, 0, opts.Workers, opts.MGPrecision), tol: tol,
+		sys: s, op: op, matrix: h.Fine(), solver: mg.New(h, mo), tol: mo.Tolerance,
 		power: pw, powerFP: HashFloat64s(pw),
 		rhs: make([]float64, n), t: t,
 	}, nil
@@ -331,7 +329,7 @@ func (st *TransientStepper) Step() (sparse.Result, error) {
 		rhs[i] = st.sys.rhsBoundary[i] + st.power[i] + cap[i]*t[i]
 	}
 	// t is both the warm start and the output of the in-place solve.
-	stats, err := st.solver.Solve(st.op.matrix, rhs, t)
+	stats, err := st.solver.Solve(st.matrix, rhs, t)
 	if err != nil {
 		return stats, fmt.Errorf("fvm: transient step %d failed: %w", st.step+1, err)
 	}
@@ -396,9 +394,12 @@ func (st *TransientStepper) Checkpoint() *TransientCheckpoint {
 // on an identical system (mesh, operator, boundaries, heat capacity),
 // power vector, time step, solver backend and tolerance — anything else
 // refuses, because the resumed trajectory would silently diverge from
-// the original run. Stepping after a successful Restore is bit-identical
-// to the uninterrupted run: every solve is fully re-initialised from the
-// field and RHS, so no solver workspace state survives the handoff.
+// the original run. The tolerance and the system also fix the V-cycle's
+// precision (mg.Options), and the worker count changes no bits, so a
+// checkpoint that passes resumes on the V-cycle that stepped it.
+// Stepping after a successful Restore is bit-identical to the
+// uninterrupted run: every solve is fully re-initialised from the field
+// and RHS, so no solver workspace state survives the handoff.
 func (st *TransientStepper) Restore(cp *TransientCheckpoint) error {
 	if err := cp.Validate(); err != nil {
 		return err

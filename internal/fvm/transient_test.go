@@ -44,10 +44,11 @@ func TestTransientStepperMatchesSolveTransient(t *testing.T) {
 	}
 }
 
-// TestTransientOperatorCachedPerDt: the diagonal-bumped operator must be
-// built once per distinct dt and shared across runs, and a warm Step must
-// be effectively allocation-free — the perf fix over the seed path, which
-// rebuilt the bumped CSR on every SolveTransient call.
+// TestTransientOperatorCachedPerDt: the diagonal-bumped operator, the
+// finest level of its shifted hierarchy, must be built once per distinct
+// dt and shared across runs, and a warm Step must be effectively
+// allocation-free — the perf fix over the seed path, which rebuilt the
+// bumped CSR on every SolveTransient call.
 func TestTransientOperatorCachedPerDt(t *testing.T) {
 	p := systemProblem(t, 10, 10, 4) // 400 cells: matvecs stay serial
 	sys, err := NewSystem(p)
@@ -62,14 +63,26 @@ func TestTransientOperatorCachedPerDt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if op1 != op2 || op1.matrix != op2.matrix {
+	h1, err := op1.shiftedHierarchy(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h2, err := op2.shiftedHierarchy(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if op1 != op2 || h1 != h2 {
 		t.Error("same dt must reuse the cached transient operator")
 	}
 	op3, err := sys.transientOperator(0.02)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if op3 == op1 || op3.matrix == op1.matrix {
+	h3, err := op3.shiftedHierarchy(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if op3 == op1 || h3.Fine() == h1.Fine() {
 		t.Error("different dt must build a distinct operator")
 	}
 	// The cache is bounded: dt arrives from the network in the serving
@@ -114,11 +127,14 @@ func TestTransientOperatorCachedPerDt(t *testing.T) {
 }
 
 // TestTransientCheckpointRoundTripResume: a run interrupted at step k,
-// serialised, decoded and resumed — even on a freshly rebuilt System —
-// must be bit-identical to the uninterrupted run.
+// serialised, decoded and resumed — even on a freshly rebuilt System,
+// and on two workers where the run stepped on one — must be
+// bit-identical to the uninterrupted run. The tolerance and the system,
+// which the checkpoint pins, fix the V-cycle; the worker count changes
+// no bits, and at 8 640 cells the V-cycle's finest kernels really split.
 func TestTransientCheckpointRoundTripResume(t *testing.T) {
-	p := systemProblem(t, 14, 12, 5)
-	opts := TransientOptions{TimeStep: 0.05, Steps: 9, InitialUniform: 25, Tolerance: 1e-9}
+	p := systemProblem(t, 40, 36, 6)
+	opts := TransientOptions{TimeStep: 0.05, Steps: 9, InitialUniform: 25, Tolerance: 1e-9, Workers: 1}
 	sys, err := NewSystem(p)
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +174,9 @@ func TestTransientCheckpointRoundTripResume(t *testing.T) {
 	if sys2.Fingerprint() != sys.Fingerprint() {
 		t.Fatal("rebuilt system changed fingerprint — assembly not deterministic")
 	}
-	st2, err := sys2.NewTransientStepper(p.Power, opts)
+	resumed := opts
+	resumed.Workers = 2
+	st2, err := sys2.NewTransientStepper(p.Power, resumed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,6 +29,12 @@ func fillOf(a *sparse.CSR, perm []int32, maxEntries int) (int, error) {
 	return an.Nnz(), nil
 }
 
+// cholSolve overwrites b with A⁻¹·b through sparse.CholeskySolve on one
+// goroutine, with fresh scratch.
+func cholSolve(c *sparse.SparseCholesky, b []float64) {
+	sparse.CholeskySolve(c, c.Values(), b, sparse.NewCholeskyScratch[float64](c, 1))
+}
+
 // TestCoarseSolverAgreement checks the coarse solve on a graded
 // floorplan mesh: the sparse Cholesky factor and a tightly converged
 // iterative reference must agree on the coarsest-level solution.
@@ -42,7 +48,7 @@ func TestCoarseSolverAgreement(t *testing.T) {
 		t.Fatal(err)
 	}
 	xs := append([]float64(nil), b...)
-	sp.SolveInPlace(xs)
+	cholSolve(sp, xs)
 
 	ref := make([]float64, lv.n())
 	cg := &sparse.CG{Tolerance: 1e-13, MaxIterations: 100 * lv.n()}
@@ -93,8 +99,8 @@ func TestCoarseOrderingRoundTrip(t *testing.T) {
 	b := randRHS(lv.n(), 43)
 	xnd := append([]float64(nil), b...)
 	xnat := append([]float64(nil), b...)
-	nd.SolveInPlace(xnd)
-	nat.SolveInPlace(xnat)
+	cholSolve(nd, xnd)
+	cholSolve(nat, xnat)
 	if rd := relDiff(xnd, xnat); rd > 1e-9 {
 		t.Fatalf("ND-ordered and naturally ordered solutions differ: rel diff %g", rd)
 	}
@@ -175,8 +181,7 @@ func TestCoarseSolversShareFactorisation(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			s := New(Options{Workers: 2})
-			s.SetHierarchy(h)
+			s := New(h, Options{Workers: 2})
 			x := make([]float64, a.N())
 			_, errs[g] = s.Solve(a, b, x)
 			sols[g] = x
@@ -218,8 +223,7 @@ func TestCoarseBudgetKnob(t *testing.T) {
 		t.Fatalf("10-entry budget: depth %d (default %d), coarsest lateral plane %d×%d, want one cell",
 			tiny.Depth(), h.Depth(), lv.nx, lv.ny)
 	}
-	s := New(Options{})
-	s.SetHierarchy(tiny)
+	s := New(tiny, Options{})
 	x := make([]float64, a.N())
 	res, err := s.Solve(a, randRHS(a.N(), 57), x)
 	if err != nil || !res.Converged {
@@ -253,8 +257,7 @@ func TestCoarseRebalance(t *testing.T) {
 	}
 	// The rebalanced hierarchy must still precondition well.
 	b := randRHS(a.N(), 59)
-	s := New(opts)
-	s.SetHierarchy(reb)
+	s := New(reb, opts)
 	x := make([]float64, a.N())
 	res, err := s.Solve(a, b, x)
 	if err != nil {
@@ -294,7 +297,7 @@ func TestRebalancedDeterminism(t *testing.T) {
 	}
 	opts := Options{budget: fill / 2}
 	b := randRHS(a.N(), 67)
-	for _, prec := range []string{PrecisionFloat64, PrecisionFloat32} {
+	for _, prec := range []string{precisionFloat64, precisionFloat32} {
 		var ref []float64
 		for build, workerOrder := range [][]int{{1, 2, 4}, {4, 2, 1}} {
 			h, err := BuildHierarchy(a, hint, opts)
@@ -305,8 +308,7 @@ func TestRebalancedDeterminism(t *testing.T) {
 				t.Fatalf("budget %d did not force a rebalance", opts.budget)
 			}
 			for _, workers := range workerOrder {
-				s := New(Options{Precision: prec, Workers: workers})
-				s.SetHierarchy(h)
+				s := New(h, Options{precision: prec, Workers: workers})
 				x := make([]float64, a.N())
 				if _, err := s.Solve(a, b, x); err != nil {
 					t.Fatal(err)
@@ -337,8 +339,7 @@ func TestCoarseFactorChargedOnce(t *testing.T) {
 	}
 	b := randRHS(a.N(), 73)
 	solve := func(workers int) {
-		s := New(Options{Workers: workers})
-		s.SetHierarchy(h)
+		s := New(h, Options{Workers: workers})
 		if _, err := s.Solve(a, b, make([]float64, a.N())); err != nil {
 			t.Fatal(err)
 		}
@@ -377,8 +378,7 @@ func TestCoarseFactorErrorReachesCaller(t *testing.T) {
 			vals[p] = -vals[p]
 		}
 	}
-	s := New(Options{})
-	s.SetHierarchy(h)
+	s := New(h, Options{})
 	if _, err := s.preconditioner(a); err == nil || !strings.Contains(err.Error(), "pivot") {
 		t.Fatalf("preconditioner error = %v, want the factorisation's pivot error", err)
 	}

@@ -8,3 +8,16 @@ var (
 	ShiftVector         = shiftVector
 	RandRHS             = randRHS
 )
+
+// The V-cycle precisions the precision test hook accepts.
+const (
+	PrecisionFloat64 = precisionFloat64
+	PrecisionFloat32 = precisionFloat32
+)
+
+// WithPrecision returns opts with the V-cycle's precision forced to
+// PrecisionFloat32 or PrecisionFloat64 through the test hook.
+func WithPrecision(opts Options, precision string) Options {
+	opts.precision = precision
+	return opts
+}

@@ -35,8 +35,12 @@
 // float64 cycle reads the hierarchy's own arrays; the float32 cycle reads
 // rounded copies of them, built once per hierarchy, and halves the memory
 // traffic of the bandwidth-bound stencil sweeps inside a float64 outer
-// CG. The coarsest level is always solved exactly by a sparse Cholesky
-// factor under a nested-dissection ordering, built once per hierarchy
+// CG. The outer tolerance and the system size pick the precision
+// (float32 at 1e-9 or looser on at most 2¹⁹ cells), so a Solver is
+// configured by its hierarchy, its tolerance and its worker cap alone,
+// and equal tolerances on equal systems give equal bits. The coarsest
+// level is always solved exactly by a sparse Cholesky factor under a
+// nested-dissection ordering, built once per hierarchy
 // by the first solve that needs it (its time is PhaseStats.Factor):
 // BuildHierarchy appends aggressively merged levels until that factor
 // fits defaultCoarseBudget, keeping the symbolic analysis of the level
@@ -78,9 +82,9 @@ import (
 // default for FVM conduction systems.
 type Options struct {
 	// Tolerance is the outer CG relative residual target; 0 means 1e-9.
+	// With the system's size it picks the V-cycle's precision
+	// (effectivePrecision). The outer CG gives up after 10·n iterations.
 	Tolerance float64
-	// MaxIterations bounds the outer CG iterations; 0 means 10·n.
-	MaxIterations int
 	// Workers caps the goroutines of every V-cycle kernel — matrix-vector
 	// products, the red-black line smoother's per-colour relaxations,
 	// restriction, prolongation and the coarse triangular solve, which
@@ -94,64 +98,59 @@ type Options struct {
 	// for any count. A Solver's Workers never changes the hierarchy it is
 	// given.
 	Workers int
-	// Precision selects the V-cycle arithmetic. PrecisionFloat32 applies
-	// the whole preconditioner — level operators, transfers, Thomas line
-	// solves and the coarse triangular solve — in single precision,
-	// halving memory traffic on the bandwidth-bound stencil ops while the
-	// outer CG stays float64; PrecisionFloat64 forces double precision.
-	// Empty auto-selects float32 when the outer tolerance is 1e-9 or
-	// looser (a float32 preconditioner perturbs search directions at the
-	// ~1e-7 level, irrelevant at practical tolerances but worth avoiding
-	// when callers push the outer CG towards float64 roundoff) and the
-	// fine level is at most autoFloat32MaxCells unknowns — past that,
-	// accumulated single-precision rounding weakens the preconditioner
-	// enough to cost an extra outer iteration, which is dearest exactly on
-	// the largest systems.
-	Precision string
 
 	// Test hooks. levels caps the hierarchy depth including the finest
 	// level (0 = coarsen until the lateral grid is a few cells wide), lex
 	// relaxes lines in serial lexicographic order instead of colour by
-	// colour (the reference ordering), and budget replaces
-	// defaultCoarseBudget (0 = default).
-	levels int
-	lex    bool
-	budget int
+	// colour (the reference ordering), budget replaces defaultCoarseBudget
+	// (0 = default), and precision forces the V-cycle's arithmetic
+	// (precisionFloat32 or precisionFloat64; "" = effectivePrecision's
+	// rule).
+	levels    int
+	lex       bool
+	budget    int
+	precision string
 }
 
-// Precision names accepted by Options.Precision.
+// V-cycle precisions. precisionFloat32 applies the whole preconditioner
+// — level operators, transfers, Thomas line solves and the coarse
+// triangular solve — in single precision, halving memory traffic on the
+// bandwidth-bound stencil ops while the outer CG stays float64.
 const (
-	PrecisionFloat64 = "float64"
-	PrecisionFloat32 = "float32"
+	precisionFloat64 = "float64"
+	precisionFloat32 = "float32"
 )
 
-// autoFloat32Tol is the loosest outer tolerance at which an empty
-// Options.Precision still auto-selects the float32 V-cycle, and
-// autoFloat32MaxCells the largest fine-level system: single-precision
+// autoFloat32Tol is the loosest outer tolerance at which the float32
+// V-cycle still runs, and autoFloat32MaxCells the largest fine-level
+// system: a float32 preconditioner perturbs search directions at the
+// ~1e-7 level, irrelevant at practical tolerances but worth avoiding when
+// callers push the outer CG towards float64 roundoff, and single-precision
 // rounding inside the cycle accumulates with system size (restriction
-// sums and long dot products), and at ~1M cells the weakened
-// preconditioner starts costing an extra outer CG iteration — expensive
-// exactly where iterations are dearest.
+// sums and long dot products): at ~1M cells the weakened preconditioner
+// starts costing an extra outer CG iteration — expensive exactly where
+// iterations are dearest.
 const (
 	autoFloat32Tol      = 1e-9
 	autoFloat32MaxCells = 1 << 19
 )
 
-// effectivePrecision resolves the Precision knob for a fine-level system
-// of n unknowns: an explicit value wins; empty auto-selects float32 at
-// practical tolerances on small-to-mid systems.
+// effectivePrecision returns the V-cycle precision for a fine-level
+// system of n unknowns: float32 at practical tolerances on small-to-mid
+// systems, float64 otherwise. The tolerance and n alone decide it, unless
+// the precision test hook forces one.
 func (o Options) effectivePrecision(n int) string {
-	if o.Precision != "" {
-		return o.Precision
+	if o.precision != "" {
+		return o.precision
 	}
 	tol := o.Tolerance
 	if tol <= 0 {
 		tol = 1e-9
 	}
 	if tol >= autoFloat32Tol && n <= autoFloat32MaxCells {
-		return PrecisionFloat32
+		return precisionFloat32
 	}
-	return PrecisionFloat64
+	return precisionFloat64
 }
 
 // effectiveWorkers resolves the Workers knob to a concrete goroutine cap.
@@ -996,13 +995,9 @@ func aggressiveCoarsenLines(lines []float64) []float64 {
 // resulting V-cycle stays an SPD preconditioner and typically converges
 // at least as fast as the steady one. The shift must be finite: an
 // infinite entry (C/dt of a subnormal dt) would leave no finite operator
-// to solve.
-//
-// fine, when non-nil, becomes the new hierarchy's finest operator and
-// must equal Fine() plus diag(shift) (callers that already hold the
-// shifted matrix pass it so Hierarchy.Fine() pointer-matches the matrix
-// they solve); nil builds it internally.
-func (h *Hierarchy) Shifted(fine *sparse.CSR, shift []float64) (*Hierarchy, error) {
+// to solve. The new hierarchy's Fine() is the shifted matrix
+// Fine() + diag(shift), the one its solvers solve.
+func (h *Hierarchy) Shifted(shift []float64) (*Hierarchy, error) {
 	start := time.Now()
 	n := h.levels[0].n()
 	if len(shift) != n {
@@ -1013,18 +1008,11 @@ func (h *Hierarchy) Shifted(fine *sparse.CSR, shift []float64) (*Hierarchy, erro
 			return nil, fmt.Errorf("mg: invalid shift %g at cell %d (want finite ≥ 0)", v, i)
 		}
 	}
-	if fine != nil && fine.N() != n {
-		return nil, fmt.Errorf("mg: shifted fine matrix size %d does not match hierarchy size %d", fine.N(), n)
-	}
 	out := &Hierarchy{levels: make([]*level, len(h.levels)), workers: h.workers, coarse: h.coarse}
 	cur := shift // this level's shift, in its operator's numbering
 	for l, lv := range h.levels {
-		a := fine
-		if l > 0 || a == nil {
-			a = sparse.AddDiagonal(lv.a, cur)
-		}
 		nlv := &level{
-			a:  a,
+			a:  sparse.AddDiagonal(lv.a, cur),
 			nx: lv.nx, ny: lv.ny, nz: lv.nz,
 			ix: lv.ix, iy: lv.iy,
 			layerMajor: lv.layerMajor,
@@ -1412,60 +1400,41 @@ func newWorkspace[F sparse.Float](h *Hierarchy, arr *cycleArrays[F], opts Option
 type Solver struct {
 	opts Options
 	hier *Hierarchy
-	// precond is the V-cycle application prepared for precondFor, with
-	// its own workspace.
-	precond    func(z, r []float64)
-	precondFor *Hierarchy
-	outer      *sparse.Workspace
+	// precond is the V-cycle application, with its own workspace, that
+	// the first solve prepares.
+	precond func(z, r []float64)
+	outer   *sparse.Workspace
 }
 
-// New builds an mg-cg solver; it solves once SetHierarchy has given it
-// the hierarchy of the matrix.
-func New(opts Options) *Solver { return &Solver{opts: opts} }
+// New builds an mg-cg solver on the prebuilt hierarchy h, sharing its
+// (immutable) operators and coarse factor with every other solver of h.
+func New(h *Hierarchy, opts Options) *Solver { return &Solver{opts: opts, hier: h} }
 
-// SetHierarchy sets the prebuilt hierarchy the solver runs on, sharing
-// its (immutable) coarse operators with other solver instances.
-func (s *Solver) SetHierarchy(h *Hierarchy) { s.hier = h }
-
-// hierarchyFor returns the solver's hierarchy, which must have been
-// built for a.
-func (s *Solver) hierarchyFor(a *sparse.CSR) (*Hierarchy, error) {
-	if s.hier == nil || s.hier.Fine() != a {
-		return nil, fmt.Errorf("mg: no hierarchy built for this %d-row matrix (SetHierarchy)", a.N())
-	}
-	return s.hier, nil
-}
-
-// preconditioner prepares the V-cycle for a and returns its application
+// preconditioner prepares the V-cycle for a, which must be the matrix the
+// solver's hierarchy was built for, and returns its application
 // z = M⁻¹·r. A coarsest level that cannot be factored (not SPD) is an
 // error here, before any iteration runs.
 func (s *Solver) preconditioner(a *sparse.CSR) (func(z, r []float64), error) {
-	h, err := s.hierarchyFor(a)
-	if err != nil {
-		return nil, err
+	h := s.hier
+	if h.Fine() != a {
+		return nil, fmt.Errorf("mg: the solver's hierarchy was not built for this %d-row matrix", a.N())
 	}
-	switch s.opts.Precision {
-	case "", PrecisionFloat32, PrecisionFloat64:
-	default:
-		return nil, fmt.Errorf("mg: unknown V-cycle precision %q (have float32, float64)", s.opts.Precision)
+	if s.precond != nil {
+		return s.precond, nil
 	}
 	factor, err := h.coarseFactor()
 	if err != nil {
 		return nil, err
 	}
-	if s.precondFor == h {
-		return s.precond, nil
-	}
-	s.precondFor = h
-	if s.opts.effectivePrecision(h.levels[0].n()) == PrecisionFloat32 {
+	if s.opts.effectivePrecision(h.levels[0].n()) == precisionFloat32 {
 		// Mixed precision: the V-cycle runs entirely in float32 (halving
 		// the memory traffic of the bandwidth-bound stencil sweeps) while
 		// the outer CG sees a float64 operator as usual.
 		h.f32Once.Do(func() { h.f32 = newCycleArrays[float32](h, factor) })
 		s.precond = newPrecond(h, h.f32, s.opts)
-		return s.precond, nil
+	} else {
+		s.precond = newPrecond(h, newCycleArrays[float64](h, factor), s.opts)
 	}
-	s.precond = newPrecond(h, newCycleArrays[float64](h, factor), s.opts)
 	return s.precond, nil
 }
 
@@ -1500,10 +1469,12 @@ func newPrecond[F sparse.Float](h *Hierarchy, arr *cycleArrays[F], opts Options)
 	}
 }
 
-// Solve computes x ≈ a⁻¹·b by conjugate gradient with one V-cycle per
-// iteration as the preconditioner. The incoming x seeds the iteration
-// (warm start); on non-convergence the best iterate is left in x
-// alongside a non-nil error and the populated Result.
+// Solve computes x ≈ a⁻¹·b, a being the matrix the solver's hierarchy
+// was built for (its Fine()), by conjugate gradient with one V-cycle per
+// iteration as the preconditioner, for at most 10·n iterations. The
+// incoming x seeds the iteration (warm start); on non-convergence the
+// best iterate is left in x alongside a non-nil error and the populated
+// Result.
 func (s *Solver) Solve(a *sparse.CSR, b, x []float64) (sparse.Result, error) {
 	precond, err := s.preconditioner(a)
 	if err != nil {
@@ -1512,7 +1483,7 @@ func (s *Solver) Solve(a *sparse.CSR, b, x []float64) (sparse.Result, error) {
 	if s.outer == nil {
 		s.outer = sparse.NewWorkspace(a.N())
 	}
-	return sparse.PCG(a, b, x, s.outer, precond, s.opts.Tolerance, s.opts.MaxIterations, s.opts.Workers)
+	return sparse.PCG(a, b, x, s.outer, precond, s.opts.Tolerance, 0, s.opts.Workers)
 }
 
 // Phase indices for the per-hierarchy time accounting below: the

@@ -90,9 +90,7 @@ func newSolver(t testing.TB, a *sparse.CSR, hint sparse.GridHint, opts Options) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(opts)
-	s.SetHierarchy(h)
-	return s
+	return New(h, opts)
 }
 
 func randRHS(n int, seed int64) []float64 {
@@ -452,8 +450,7 @@ func TestSharedHierarchy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for inst := 0; inst < 2; inst++ {
-		s := New(Options{})
-		s.SetHierarchy(h)
+		s := New(h, Options{})
 		got := make([]float64, a.N())
 		if _, err := s.Solve(a, b, got); err != nil {
 			t.Fatalf("instance %d: %v", inst, err)
@@ -466,8 +463,9 @@ func TestSharedHierarchy(t *testing.T) {
 	}
 }
 
-// TestConfigKnobs: every setting of the mg-cg knobs (precision,
-// workers) must still converge to the right answer.
+// TestConfigKnobs: the default solver and both V-cycle precisions (the
+// test hook), one of them on several workers, must converge to the right
+// answer.
 func TestConfigKnobs(t *testing.T) {
 	a, hint := buildHeatSystem(t, uniformLines(16, 1), uniformLines(16, 1), uniformLines(5, 0.1))
 	b := randRHS(a.N(), 11)
@@ -477,8 +475,8 @@ func TestConfigKnobs(t *testing.T) {
 	}
 	for _, cfg := range []Options{
 		{},
-		{Precision: PrecisionFloat64},
-		{Precision: PrecisionFloat32, Workers: 3},
+		{precision: precisionFloat64},
+		{precision: precisionFloat32, Workers: 3},
 	} {
 		solver := newSolver(t, a, hint, cfg)
 		x := make([]float64, a.N())
@@ -491,19 +489,14 @@ func TestConfigKnobs(t *testing.T) {
 	}
 }
 
-// TestErrors: solving without a hierarchy, on another matrix's
-// hierarchy, or building one from geometry that does not match the
-// matrix, must fail with a descriptive error, as must an unknown
-// precision.
+// TestErrors: solving on another matrix's hierarchy, or building one
+// from geometry that does not match the matrix, must fail with a
+// descriptive error.
 func TestErrors(t *testing.T) {
 	a, hint := buildHeatSystem(t, uniformLines(8, 1), uniformLines(8, 1), uniformLines(4, 0.1))
-	s := New(Options{})
-	x := make([]float64, a.N())
-	if _, err := s.Solve(a, randRHS(a.N(), 1), x); err == nil {
-		t.Error("solve without a hierarchy should error")
-	}
 	other, otherHint := buildHeatSystem(t, uniformLines(8, 1), uniformLines(8, 1), uniformLines(4, 0.1))
-	s.SetHierarchy(newSolver(t, other, otherHint, Options{}).hier)
+	s := newSolver(t, other, otherHint, Options{})
+	x := make([]float64, a.N())
 	if _, err := s.Solve(a, randRHS(a.N(), 1), x); err == nil {
 		t.Error("solve on another matrix's hierarchy should error")
 	}
@@ -512,10 +505,6 @@ func TestErrors(t *testing.T) {
 	}
 	if _, err := BuildHierarchy(a, sparse.GridHint{}, Options{}); err == nil {
 		t.Error("empty hint should error")
-	}
-	bad := newSolver(t, a, hint, Options{Precision: "float16"})
-	if _, err := bad.Solve(a, randRHS(a.N(), 1), x); err == nil || !strings.Contains(err.Error(), "float16") {
-		t.Errorf("unknown precision: %v", err)
 	}
 	// The z-line smoother and the finest residual need every coupling to
 	// reach one layer at most: couple layer 0 of one line to layer 2 of

@@ -16,7 +16,6 @@ import (
 	"vcselnoc/internal/activity"
 	"vcselnoc/internal/fvm"
 	"vcselnoc/internal/mg"
-	"vcselnoc/internal/sparse"
 	"vcselnoc/internal/thermal"
 )
 
@@ -33,9 +32,7 @@ func TestBitIdentityPin(t *testing.T) {
 	t.Run("graded", func(t *testing.T) {
 		h, a, hint := mg.GradedTestHierarchy(t)
 		b := mg.RandRHS(a.N(), 61)
-		shift := mg.ShiftVector(hint.X, hint.Y, hint.Z)
-		fine := sparse.AddDiagonal(a, shift)
-		sh, err := h.Shifted(fine, shift)
+		sh, err := h.Shifted(mg.ShiftVector(hint.X, hint.Y, hint.Z))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,14 +47,13 @@ func TestBitIdentityPin(t *testing.T) {
 			{"float32/shifted", mg.PrecisionFloat32, true, "6:69779a627e10107b"},
 		} {
 			t.Run(tc.name, func(t *testing.T) {
-				mat, hier := a, h
+				hier := h
 				if tc.shifted {
-					mat, hier = fine, sh
+					hier = sh
 				}
-				s := mg.New(mg.Options{Precision: tc.prec, Tolerance: 1e-9, Workers: 2})
-				s.SetHierarchy(hier)
+				s := mg.New(hier, mg.WithPrecision(mg.Options{Tolerance: 1e-9, Workers: 2}, tc.prec))
 				x := make([]float64, a.N())
-				res, err := s.Solve(mat, b, x)
+				res, err := s.Solve(hier.Fine(), b, x)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -6,7 +6,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sync"
 
 	"vcselnoc/internal/parallel"
 )
@@ -28,8 +27,9 @@ import (
 // supernode's last column, diagonal first, then the supernode's rows
 // below its columns, R_s, ascending. A slot the relaxed pattern lacks
 // holds an explicit zero, so the only row index is one R_s per
-// supernode. The factor is immutable after construction and is safe for
-// concurrent solves with distinct vectors and scratch.
+// supernode. The factor is immutable after construction; CholeskySolve,
+// its one solve, is safe for concurrent calls with distinct vectors and
+// caller-owned scratch.
 type SparseCholesky struct {
 	n  int
 	an *CholeskyAnalysis // ordering, supernodes, R_s and column offsets
@@ -39,9 +39,6 @@ type SparseCholesky struct {
 	// subtrees the numeric phase factored concurrently and the rest, for
 	// concurrent solves.
 	sched solveSchedule
-	// scratch pools SolveInPlace's scratch so concurrent solves stay
-	// allocation-free after warm-up.
-	scratch sync.Pool
 }
 
 // ErrFactorTooLarge reports that the predicted Cholesky fill exceeds the
@@ -147,7 +144,6 @@ func (an *CholeskyAnalysis) Factor(a *CSR, workers int) (*SparseCholesky, error)
 		workers = runtime.GOMAXPROCS(0)
 	}
 	c := &SparseCholesky{n: an.n, an: an, values: make([]float64, an.valPtr[an.n])}
-	c.scratch.New = func() any { return NewCholeskyScratch[float64](c, 1) }
 	subtrees, top := an.splitSubtrees(workers)
 	c.sched = an.schedule(subtrees, top)
 	if err := c.factorSupernodal(a, subtrees, top, workers); err != nil {
@@ -909,14 +905,6 @@ func (c *SparseCholesky) Subtrees() int { return len(c.sched.subtrees) }
 // each column from its diagonal down. The slice aliases the factor and
 // must not be modified.
 func (c *SparseCholesky) Values() []float64 { return c.values }
-
-// SolveInPlace overwrites b with A⁻¹·b on one goroutine: permute,
-// forward and backward triangular sweeps, permute back.
-func (c *SparseCholesky) SolveInPlace(b []float64) {
-	s := c.scratch.Get().(*CholeskyScratch[float64])
-	CholeskySolve(c, c.values, b, s)
-	c.scratch.Put(s)
-}
 
 // CholeskyScratch is the scratch of one caller's CholeskySolve calls in
 // the precision of F: the permuted vector and one buffer per worker for

@@ -59,6 +59,12 @@ func relResidual(a *CSR, x, b []float64) float64 {
 	return math.Sqrt(num / den)
 }
 
+// cholSolve overwrites b with A⁻¹·b through CholeskySolve on one
+// goroutine, with fresh scratch.
+func cholSolve(c *SparseCholesky, b []float64) {
+	CholeskySolve(c, c.Values(), b, NewCholeskyScratch[float64](c, 1))
+}
+
 func TestSparseCholeskySolve(t *testing.T) {
 	a := buildLaplacian2D(9, 7)
 	n := a.N()
@@ -76,7 +82,7 @@ func TestSparseCholeskySolve(t *testing.T) {
 	}
 	b := make([]float64, n)
 	a.MulVec(b, xTrue)
-	chol.SolveInPlace(b)
+	cholSolve(chol, b)
 	for i := range b {
 		if e := math.Abs(b[i] - xTrue[i]); e > 1e-10 {
 			t.Fatalf("direct solve error %g at %d, want ≤ 1e-10", e, i)
@@ -106,7 +112,7 @@ func TestSparseCholeskyMatchesBand(t *testing.T) {
 		t.Fatal(err)
 	}
 	xs := append([]float64(nil), b...)
-	sp.SolveInPlace(xs)
+	cholSolve(sp, xs)
 	for i := range xs {
 		if e := math.Abs(xs[i] - ref[i]); e > 1e-9 {
 			t.Fatalf("sparse and CG solutions differ by %g at %d", e, i)
@@ -135,7 +141,7 @@ func TestSparseCholeskyRandomSPD(t *testing.T) {
 			b[i] = rng.NormFloat64()
 		}
 		x := append([]float64(nil), b...)
-		chol.SolveInPlace(x)
+		cholSolve(chol, x)
 		if rel := relResidual(a, x, b); rel > 1e-10 {
 			t.Fatalf("trial %d: relative residual %g", trial, rel)
 		}
@@ -159,7 +165,7 @@ func TestSparseCholeskyPermRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chol.SolveInPlace(ref)
+	cholSolve(chol, ref)
 	for trial := 0; trial < 4; trial++ {
 		perm := make([]int32, n)
 		for i := range perm {
@@ -177,7 +183,7 @@ func TestSparseCholeskyPermRoundTrip(t *testing.T) {
 			}
 		}
 		x := append([]float64(nil), b...)
-		pc.SolveInPlace(x)
+		cholSolve(pc, x)
 		for i := range x {
 			if e := math.Abs(x[i] - ref[i]); e > 1e-9 {
 				t.Fatalf("trial %d: permuted solve differs by %g at %d", trial, e, i)
@@ -286,8 +292,7 @@ func TestSparseCholeskySingular(t *testing.T) {
 // TestSparseCholesky32Mirror solves with a float32 mirror of the factor
 // values through the generic CholeskySolve — the multigrid float32
 // V-cycle's coarse solve — and requires it to stay within single-precision
-// rounding of the float64 solve, while the float64 instantiation over the
-// factor's own values reproduces SolveInPlace bit for bit.
+// rounding of the float64 instantiation over the factor's own values.
 func TestSparseCholesky32Mirror(t *testing.T) {
 	a := buildLaplacian2D(12, 9)
 	n := a.N()
@@ -306,15 +311,10 @@ func TestSparseCholesky32Mirror(t *testing.T) {
 		b[i] = rng.NormFloat64()
 		b32[i] = float32(b[i])
 	}
-	b64 := append([]float64(nil), b...)
-	CholeskySolve(chol, chol.Values(), b64, NewCholeskyScratch[float64](chol, 1))
-	chol.SolveInPlace(b)
+	cholSolve(chol, b)
 	CholeskySolve(chol, vals32, b32, NewCholeskyScratch[float32](chol, 1))
 	num, den := 0.0, 0.0
 	for i := range b {
-		if b64[i] != b[i] {
-			t.Fatalf("float64 CholeskySolve differs from SolveInPlace at %d", i)
-		}
 		d := float64(b32[i]) - b[i]
 		num += d * d
 		den += b[i] * b[i]
@@ -633,9 +633,9 @@ func TestCholeskySolveMatchesColumnSweep(t *testing.T) {
 }
 
 // TestCholeskySolveConcurrent solves with one factor from several
-// goroutines at once, each on its own scratch of two workers or through
-// SolveInPlace, and requires every result to equal the serial solve bit
-// for bit (run it under -race).
+// goroutines at once, each on its own scratch of two workers or of one,
+// and requires every result to equal the serial solve bit for bit (run
+// it under -race).
 func TestCholeskySolveConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := randomSPD(rng, 400)
@@ -659,7 +659,7 @@ func TestCholeskySolveConcurrent(t *testing.T) {
 			rhs[i][k] = rng.NormFloat64()
 		}
 		want[i] = slices.Clone(rhs[i])
-		c.SolveInPlace(want[i])
+		cholSolve(c, want[i])
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, solvers)
@@ -667,14 +667,10 @@ func TestCholeskySolveConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := NewCholeskyScratch[float64](c, 2)
+			s := NewCholeskyScratch[float64](c, 2-i%2)
 			for range 5 {
 				x := slices.Clone(rhs[i])
-				if i%2 == 0 {
-					CholeskySolve(c, c.Values(), x, s)
-				} else {
-					c.SolveInPlace(x)
-				}
+				CholeskySolve(c, c.Values(), x, s)
 				if !slices.Equal(x, want[i]) {
 					errs[i] = fmt.Errorf("solver %d: concurrent solve differs from the serial one", i)
 					return

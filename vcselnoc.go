@@ -379,8 +379,9 @@ type (
 	FVMSolution = fvm.Solution
 	// FVMBoundary describes one domain face's condition.
 	FVMBoundary = fvm.Boundary
-	// FVMSolveOptions configures a steady solve (tolerance, workers,
-	// V-cycle precision).
+	// FVMSolveOptions configures a steady solve: tolerance, initial
+	// guess, workers (the tolerance and the system fix the V-cycle's
+	// precision).
 	FVMSolveOptions = fvm.SolveOptions
 	// FVMTransientOptions configures a raw transient run.
 	FVMTransientOptions = fvm.TransientOptions
