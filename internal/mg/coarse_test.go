@@ -2,6 +2,8 @@ package mg
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -233,8 +235,8 @@ func TestCoarseBudgetKnob(t *testing.T) {
 
 // TestCoarseRebalance pins the automatic rebalance: with a budget too
 // small for the regular coarsest level, BuildHierarchy must append
-// aggressively merged levels until the factorisation fits, and the solve
-// must still converge quickly to the right answer.
+// levels of finest-pair merges until the factorisation fits, and the
+// solve must still converge quickly to the right answer.
 func TestCoarseRebalance(t *testing.T) {
 	base, a, hint := testHierarchy(t)
 	lv := base.levels[len(base.levels)-1]
@@ -385,5 +387,66 @@ func TestCoarseFactorErrorReachesCaller(t *testing.T) {
 	x := make([]float64, a.N())
 	if _, err := s.Solve(a, randRHS(a.N(), 71), x); err == nil {
 		t.Fatal("Solve on an unfactorable coarsest level should error")
+	}
+}
+
+// TestMergeReference pins the two references of the size-adaptive merge.
+// One leftover 1-unit cell beside 5-unit cells stalls the finest-cell
+// reference: every pair holds a cell over pairRatioCap × 1, so the axis
+// comes back unchanged. The finest pair, max(1, 5) = 5, fuses the
+// leftover with its neighbour and the 5-unit run pairwise, while the
+// 100-unit gap cells, over pairRatioCap × 5, wait.
+func TestMergeReference(t *testing.T) {
+	for _, tc := range []struct {
+		lines, want []float64
+	}{
+		{[]float64{0, 1, 6, 11, 16, 21}, []float64{0, 6, 16, 21}},
+		{[]float64{0, 1, 6, 11, 111, 211}, []float64{0, 6, 11, 111, 211}},
+	} {
+		if got := coarsenLines(tc.lines, finestCell(tc.lines)); !slices.Equal(got, tc.lines) {
+			t.Errorf("finest-cell reference merged the stalled axis %v into %v", tc.lines, got)
+		}
+		if ref := finestPair(tc.lines); ref != 5 {
+			t.Errorf("finest pair of %v = %g, want 5", tc.lines, ref)
+		}
+		if got := coarsenLines(tc.lines, finestPair(tc.lines)); !slices.Equal(got, tc.want) {
+			t.Errorf("finest-pair reference merged %v into %v, want %v", tc.lines, got, tc.want)
+		}
+	}
+}
+
+// TestMergeProperties checks the merge on random graded axes (runs of
+// fine cells between cells up to 1000× wider): under either reference
+// the coarse lines are a subset of the fine lines that keeps both ends
+// and fuses at most two cells into one, and the finest-pair reference
+// fuses at least one pair on every axis of two or more cells.
+func TestMergeProperties(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for trial := 0; trial < 2000; trial++ {
+		lines := []float64{0}
+		for c := 1 + rng.Intn(40); c > 0; c-- {
+			lines = append(lines, lines[len(lines)-1]+math.Pow(1000, rng.Float64()*rng.Float64()))
+		}
+		for _, ref := range []struct {
+			name     string
+			width    float64
+			mustFuse bool
+		}{{"finest cell", finestCell(lines), false}, {"finest pair", finestPair(lines), true}} {
+			got := coarsenLines(lines, ref.width)
+			if got[0] != lines[0] || got[len(got)-1] != lines[len(lines)-1] {
+				t.Fatalf("%s: %v coarsened to %v drops an end", ref.name, lines, got)
+			}
+			at := 0 // index in lines of the previous coarse line
+			for _, c := range got[1:] {
+				next, ok := slices.BinarySearch(lines, c)
+				if !ok || next-at > 2 || next <= at {
+					t.Fatalf("%s: %v coarsened to %v: line %g is not the fine line one or two cells on", ref.name, lines, got, c)
+				}
+				at = next
+			}
+			if ref.mustFuse && len(lines) > 2 && len(got) >= len(lines) {
+				t.Fatalf("%s %g fused no pair of %v", ref.name, ref.width, lines)
+			}
+		}
 	}
 }

@@ -40,14 +40,14 @@
 // configured by its hierarchy, its tolerance and its worker cap alone,
 // and equal tolerances on equal systems give equal bits. The coarsest
 // level is always solved exactly by a sparse Cholesky factor under a
-// nested-dissection ordering, built once per hierarchy
-// by the first solve that needs it (its time is PhaseStats.Factor):
-// BuildHierarchy appends aggressively merged levels until that factor
-// fits defaultCoarseBudget, keeping the symbolic analysis of the level
-// that fits, so the V-cycle stays a fixed SPD operator, as the outer CG
-// requires, at every mesh size. Each V-cycle's coarse solve runs the
-// factor's triangular sweeps supernode by supernode on the solver's
-// workers (the coarsest level's count by the rule of the level
+// nested-dissection ordering, built once per hierarchy by the first
+// solve that needs it (its time is PhaseStats.Factor): BuildHierarchy
+// appends levels merged against each axis's finest pair until that
+// factor fits defaultCoarseBudget, keeping the symbolic analysis of the
+// level that fits, so the V-cycle stays a fixed SPD operator, as the
+// outer CG requires, at every mesh size. Each V-cycle's coarse solve
+// runs the factor's triangular sweeps supernode by supernode on the
+// solver's workers (the coarsest level's count by the rule of the level
 // products), its independent elimination subtrees concurrently;
 // restriction builds each coarse row from its fine rows and
 // prolongation writes each fine line, on the level's workers. Every one
@@ -195,41 +195,29 @@ func centersOf(lines []float64) []float64 {
 	return c
 }
 
-// coarsenLines merges adjacent cells pairwise, keeping coarse lines a
-// subset of fine ones. The merge is size-adaptive: a pair only fuses while
-// both cells are within pairRatioCap of the axis' current finest cell, so
-// on the strongly graded floorplan meshes this code exists for (runs of
-// ~10 µm device cells separated by ~900 µm gap cells) the fine runs halve
-// level by level while the already-coarse gap cells stay untouched until
-// the fine cells have grown comparable. Merging the gap cells early was
-// measured to destroy convergence on the thermal model (5 → ~120 CG
-// iterations): their fused centres drift further from the device regions
-// whose error the coarse grid must represent, and plain every-other-line
-// coarsening fails the same way for the same reason. On a uniform axis
-// the rule degenerates to the classic 2:1 coarsening.
-func coarsenLines(lines []float64) []float64 {
+// coarsenLines merges adjacent cells pairwise, left to right, keeping
+// coarse lines a subset of fine ones. The merge is size-adaptive: a pair
+// only fuses while both cells are within pairRatioCap of the reference
+// width ref, so on the strongly graded floorplan meshes this code exists
+// for (runs of ~10 µm device cells separated by ~900 µm gap cells) the
+// fine runs halve level by level while the already-coarse gap cells stay
+// untouched until the fine cells have grown comparable. Merging the gap
+// cells early was measured to destroy convergence on the thermal model
+// (5 → ~120 CG iterations): their fused centres drift further from the
+// device regions whose error the coarse grid must represent, and plain
+// every-other-line coarsening fails the same way for the same reason. On
+// a uniform axis the rule degenerates to the classic 2:1 coarsening.
+// The regular levels pass the axis's finest cell (finestCell) as ref,
+// rebalanceCoarse passes its finest pair (finestPair).
+func coarsenLines(lines []float64, ref float64) []float64 {
 	n := len(lines) - 1
 	out := make([]float64, 0, n/2+2)
 	out = append(out, lines[0])
-	minW := lines[1] - lines[0]
-	for i := 1; i < n; i++ {
-		if w := lines[i+1] - lines[i]; w < minW {
-			minW = w
-		}
-	}
 	for i := 0; i < n; {
-		if i+1 < n {
-			w0 := lines[i+1] - lines[i]
-			w1 := lines[i+2] - lines[i+1]
-			hi := w0
-			if w1 > hi {
-				hi = w1
-			}
-			if hi <= pairRatioCap*minW {
-				out = append(out, lines[i+2])
-				i += 2
-				continue
-			}
+		if i+1 < n && max(lines[i+1]-lines[i], lines[i+2]-lines[i+1]) <= pairRatioCap*ref {
+			out = append(out, lines[i+2])
+			i += 2
+			continue
 		}
 		out = append(out, lines[i+1])
 		i++
@@ -237,7 +225,26 @@ func coarsenLines(lines []float64) []float64 {
 	return out
 }
 
-// pairRatioCap is the largest multiple of the axis' finest cell a cell may
+// finestCell returns the width of the axis's finest cell.
+func finestCell(lines []float64) float64 {
+	w := math.Inf(1)
+	for i := 1; i < len(lines); i++ {
+		w = min(w, lines[i]-lines[i-1])
+	}
+	return w
+}
+
+// finestPair returns the axis's finest pair: the smallest
+// max(wᵢ, wᵢ₊₁) over adjacent cells (+Inf on a single cell).
+func finestPair(lines []float64) float64 {
+	w := math.Inf(1)
+	for i := 2; i < len(lines); i++ {
+		w = min(w, max(lines[i-1]-lines[i-2], lines[i]-lines[i-1]))
+	}
+	return w
+}
+
+// pairRatioCap is the largest multiple of the reference width a cell may
 // reach and still merge. 4 tolerates the 2:1 remainders greedy pairing
 // leaves (an odd-length fine run keeps one half-width cell) and smoothly
 // graded meshes, while deferring the merge of hard size jumps until the
@@ -785,11 +792,14 @@ type Hierarchy struct {
 }
 
 // defaultCoarseBudget caps the stored entries (float64 values) of the
-// coarsest level's Cholesky factor: 8·2²⁰ entries (64 MiB). Graded meshes
-// stall the lateral semicoarsening with large coarsest levels; within
-// this budget the fill-reducing factorisation reduces the coarse solve to
-// two triangular sweeps, and past it BuildHierarchy coarsens further.
-const defaultCoarseBudget = 8 << 20
+// coarsest level's Cholesky factor: 2²⁰ entries (8 MiB). Graded meshes
+// stall the size-adaptive lateral semicoarsening with large coarsest
+// levels; within this budget the fill-reducing factorisation reduces the
+// coarse solve to two triangular sweeps, and past it rebalanceCoarse
+// coarsens further. Preview's coarsest level (910 032 entries) fits as
+// built; 8·2²⁰ would leave the fast tier a 7.8 M-entry factor, 0.5–0.9 s
+// per cold start, at no fewer outer iterations than this budget.
+const defaultCoarseBudget = 1 << 20
 
 // coarseFactor builds (once) and returns the sparse Cholesky factor of
 // the coarsest level from the hierarchy's analysis of it, on the
@@ -851,10 +861,10 @@ func BuildHierarchy(a *sparse.CSR, hint sparse.GridHint, opts Options) (*Hierarc
 		}
 		cxl, cyl := xl, yl
 		if coarsenX {
-			cxl = coarsenLines(xl)
+			cxl = coarsenLines(xl, finestCell(xl))
 		}
 		if coarsenY {
-			cyl = coarsenLines(yl)
+			cyl = coarsenLines(yl, finestCell(yl))
 		}
 		if len(cxl) == len(xl) && len(cyl) == len(yl) {
 			// The size-adaptive merge found no fusible pair on either
@@ -912,17 +922,19 @@ func (h *Hierarchy) coarsenTo(lv *level, xl, yl, cxl, cyl []float64) (*sparse.CS
 
 // rebalanceCoarse appends coarsening levels while the coarsest level's
 // predicted sparse-Cholesky fill exceeds the factorisation budget, each
-// built with plain pairwise lateral merges — ignoring the size-adaptive
-// pair cap that (rightly) stalls the regular coarsening on graded meshes.
-// The aggressive merge degrades coarse-grid quality, but below an already
-// stalled level the extra rung only has to make the exact coarse solve
-// affordable, not carry smoothing; the levels above keep their
-// size-adaptive grids. The symbolic analysis alone decides fit, so each
-// probe costs one structure pass, never a factorisation, and the
-// accepted probe's analysis is the one the coarse factor runs from (a
-// coarsest level no probe accepted is analysed without a cap). Only the
-// paper tier's coarsest level overruns the budget; the smaller tiers pass
-// the first probe unchanged.
+// merged by coarsenLines against every axis's finest pair instead of its
+// finest cell: a leftover fine cell beside cells more than pairRatioCap
+// times wider stalls the regular coarsening, but the finest pair always
+// fuses, while the gap cells still wait for the device runs to catch up.
+// So every appended level shrinks and keeps the size-adaptive shape that
+// holds the iteration count (blind pairwise merges cost the paper tier
+// 19–25 outer iterations instead of 5–7). The symbolic analysis alone
+// decides fit, so each probe costs one structure pass, never a
+// factorisation, and the accepted probe's analysis is the one the coarse
+// factor runs from (a coarsest level no probe accepted is analysed
+// without a cap). Preview's and the graded test mesh's coarsest levels
+// pass the first probe unchanged; coarse, fast and the paper tier
+// rebalance.
 func (h *Hierarchy) rebalanceCoarse(budget, maxLevels int, xl, yl, zl []float64) error {
 	for len(h.levels) < maxLevels {
 		lv := h.levels[len(h.levels)-1]
@@ -933,10 +945,10 @@ func (h *Hierarchy) rebalanceCoarse(budget, maxLevels int, xl, yl, zl []float64)
 		}
 		cxl, cyl := xl, yl
 		if lv.nx > 1 {
-			cxl = aggressiveCoarsenLines(xl)
+			cxl = coarsenLines(xl, finestPair(xl))
 		}
 		if lv.ny > 1 {
-			cyl = aggressiveCoarsenLines(yl)
+			cyl = coarsenLines(yl, finestPair(yl))
 		}
 		if len(cxl) == len(xl) && len(cyl) == len(yl) {
 			break // single lateral cell left on both axes
@@ -959,22 +971,6 @@ func (h *Hierarchy) rebalanceCoarse(budget, maxLevels int, xl, yl, zl []float64)
 	}
 	h.coarse = an
 	return nil
-}
-
-// aggressiveCoarsenLines merges adjacent cells pairwise unconditionally
-// — the rebalance-only variant of coarsenLines without the size-ratio
-// cap. Coarse lines stay a subset of fine ones.
-func aggressiveCoarsenLines(lines []float64) []float64 {
-	n := len(lines) - 1
-	out := make([]float64, 0, n/2+2)
-	out = append(out, lines[0])
-	for i := 2; i <= n; i += 2 {
-		out = append(out, lines[i])
-	}
-	if n%2 == 1 {
-		out = append(out, lines[n])
-	}
-	return out
 }
 
 // Shifted derives the hierarchy for the diagonally shifted operator
@@ -1483,7 +1479,7 @@ func (s *Solver) Solve(a *sparse.CSR, b, x []float64) (sparse.Result, error) {
 	if s.outer == nil {
 		s.outer = sparse.NewWorkspace(a.N())
 	}
-	return sparse.PCG(a, b, x, s.outer, precond, s.opts.Tolerance, 0, s.opts.Workers)
+	return sparse.PCG(a, b, x, s.outer, precond, s.opts.Tolerance, s.opts.Workers)
 }
 
 // Phase indices for the per-hierarchy time accounting below: the

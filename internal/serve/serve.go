@@ -261,6 +261,8 @@ func (s *Server) basisFor(act activity.Scenario) (*thermal.Basis, error) {
 			"duration_ms", float64(bs.Wall.Microseconds())/1000,
 			"hierarchy_ms", float64(bs.Phases.Hierarchy.Microseconds())/1000,
 			"coarse_factor_ms", float64(bs.Phases.Factor.Microseconds())/1000,
+			"levels", bs.Levels,
+			"coarse_cells", bs.CoarseCells,
 			"columns", bs.Columns,
 			"mg_iters", bs.Iterations)
 	}
@@ -404,14 +406,16 @@ func (s *Server) handleGradient(w http.ResponseWriter, r *http.Request) {
 	}
 	// The basis span carries the mg cost of the build that produced this
 	// basis (zero/near-zero duration when it was already warm): how many
-	// unit fields it solved, their iteration count and the hierarchy
-	// build and coarse factorisation times it paid (zero unless it was
-	// the model's first solve).
+	// unit fields it solved, their iteration count, the hierarchy build
+	// and coarse factorisation times it paid (zero unless it was the
+	// model's first solve) and the hierarchy's depth and coarsest level.
 	bs := basis.BuildStats()
 	sp.SetAttr("columns", float64(bs.Columns))
 	sp.SetAttr("mg_iters", float64(bs.Iterations))
 	sp.SetAttr("hierarchy_ms", float64(bs.Phases.Hierarchy.Microseconds())/1000)
 	sp.SetAttr("coarse_factor_ms", float64(bs.Phases.Factor.Microseconds())/1000)
+	sp.SetAttr("levels", float64(bs.Levels))
+	sp.SetAttr("coarse_cells", float64(bs.CoarseCells))
 	if total := bs.Phases.Total(); total > 0 {
 		sp.SetAttr("build_smoothfrac", float64(bs.Phases.Smooth)/float64(total))
 		sp.SetAttr("build_coarsefrac", float64(bs.Phases.Coarse)/float64(total))

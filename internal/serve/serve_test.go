@@ -425,7 +425,8 @@ func mustJSON(t *testing.T, v any) []byte {
 // TestWarmChargesHierarchyOnce: the cold build Server.Warm runs pays the
 // model's multigrid hierarchy and coarse factor, and its "basis built"
 // line reports both; a later activity rebuild reuses them and reports
-// zero for each.
+// zero for each. Both lines report the shape of the hierarchy they ran
+// on: its depth and its coarsest level's cell count.
 func TestWarmChargesHierarchyOnce(t *testing.T) {
 	skipShort(t)
 	spec, err := thermal.PaperSpec()
@@ -468,6 +469,18 @@ func TestWarmChargesHierarchyOnce(t *testing.T) {
 		}
 	}
 	model := s.meth.Model()
+	hier, err := model.System().Hierarchy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range built {
+		if got, want := rec["levels"], float64(hier.Depth()); got != want {
+			t.Errorf("build %d: levels = %v, want the hierarchy's %v", i, got, want)
+		}
+		if got, want := rec["coarse_cells"], float64(hier.CoarseOperator().N()); got != want {
+			t.Errorf("build %d: coarse_cells = %v, want the coarsest level's %v", i, got, want)
+		}
+	}
 	if h := model.CachedBasis(nil).BuildStats().Phases.Hierarchy; h <= 0 {
 		t.Errorf("uniform basis BuildStats Hierarchy = %v, want the build time", h)
 	}

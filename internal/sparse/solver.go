@@ -200,15 +200,16 @@ func (m *CSR) diagAt(i int) float64 {
 
 // PCG runs the shared preconditioned conjugate gradient engine with a
 // caller-supplied preconditioner application z = M⁻¹·r; mg-cg runs its
-// V-cycle inside it, so CG and mg-cg share one Krylov loop. x is
-// warm-start input and solution output; the best iterate is always left
-// in x, converged or not. A nil workspace allocates a fresh one.
-func PCG(a *CSR, b, x []float64, w *Workspace, precond func(z, r []float64), tol float64, maxIter, workers int) (Result, error) {
+// V-cycle inside it, so CG and mg-cg share one Krylov loop. It gives up
+// after 10·n iterations. x is warm-start input and solution output; the
+// best iterate is always left in x, converged or not. A nil workspace
+// allocates a fresh one.
+func PCG(a *CSR, b, x []float64, w *Workspace, precond func(z, r []float64), tol float64, workers int) (Result, error) {
 	if w == nil {
 		w = &Workspace{}
 	}
 	w.ensure(a.n)
-	return pcg(a, b, x, w, precond, tol, maxIter, workers)
+	return pcg(a, b, x, w, precond, tol, 0, workers)
 }
 
 // pcg is the shared preconditioned conjugate gradient engine. precond must

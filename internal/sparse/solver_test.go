@@ -117,7 +117,7 @@ func TestSharedWorkspaceAcrossBackends(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantPlain := make([]float64, m.N())
-	if _, err := PCG(m, b, wantPlain, nil, identity, 0, 0, 1); err != nil {
+	if _, err := PCG(m, b, wantPlain, nil, identity, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	ws := NewWorkspace(m.N())
@@ -128,7 +128,7 @@ func TestSharedWorkspaceAcrossBackends(t *testing.T) {
 			t.Fatal(err)
 		}
 		x2 := make([]float64, m.N())
-		if _, err := PCG(m, b, x2, ws, identity, 0, 0, 1); err != nil {
+		if _, err := PCG(m, b, x2, ws, identity, 0, 1); err != nil {
 			t.Fatal(err)
 		}
 		for i := range x {
@@ -154,7 +154,7 @@ func TestPCGExportedMatchesSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make([]float64, m.N())
-	res, err := PCG(m, b, got, solver.Workspace, precond, 0, 0, 1)
+	res, err := PCG(m, b, got, solver.Workspace, precond, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestSolverNonFiniteRHS(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := PCG(m, tc.b(), make([]float64, 10), nil, identity, 1e-9, 0, 1)
+			res, err := PCG(m, tc.b(), make([]float64, 10), nil, identity, 1e-9, 1)
 			if err == nil || !strings.Contains(err.Error(), "not finite") {
 				t.Fatalf("PCG: err = %v, want a non-finite right-hand side error", err)
 			}
@@ -298,7 +298,7 @@ func TestSolverNonFiniteTolerance(t *testing.T) {
 	identity := func(z, r []float64) { copy(z, r) }
 	for _, tol := range []float64{math.NaN(), math.Inf(1)} {
 		x := make([]float64, 10)
-		res, err := PCG(m, rhsFor(10, 3), x, nil, identity, tol, 0, 1)
+		res, err := PCG(m, rhsFor(10, 3), x, nil, identity, tol, 1)
 		if err == nil || !strings.Contains(err.Error(), "tolerance") {
 			t.Fatalf("PCG tol=%g: err = %v, want a tolerance error", tol, err)
 		}

@@ -1035,6 +1035,21 @@ type BasisBuildStats struct {
 	// hierarchy, plus the set-up they triggered: the hierarchy's build and
 	// its coarse factorisation, which only the model's first solve pays.
 	Phases mg.PhaseStats
+	// Levels and CoarseCells describe the multigrid hierarchy the solves
+	// ran on: its depth including the finest level, and the cell count of
+	// its coarsest level, the one the coarse factor solves exactly.
+	Levels, CoarseCells int
+}
+
+// buildStats returns the cost of a build whose columns unit solves ran
+// since start, with the hierarchy's phase times at start in before, and
+// the shape of the hierarchy they ran on.
+func (m *Model) buildStats(columns int, start time.Time, before mg.PhaseStats) BasisBuildStats {
+	bs := BasisBuildStats{Columns: columns, Wall: time.Since(start), Phases: m.sys.PhaseStats().Sub(before)}
+	if h, err := m.sys.Hierarchy(); err == nil {
+		bs.Levels, bs.CoarseCells = h.Depth(), h.CoarseOperator().N()
+	}
+	return bs
 }
 
 // BuildStats returns how much the basis cost to build.
@@ -1176,8 +1191,8 @@ func (m *Model) BuildBasis(act activity.Scenario) (*Basis, error) {
 	if err != nil {
 		return nil, fmt.Errorf("thermal: chip basis solve: %w", err)
 	}
-	stats := BasisBuildStats{Columns: 1, Iterations: sol.Stats.Iterations,
-		Wall: time.Since(start), Phases: m.sys.PhaseStats().Sub(before)}
+	stats := m.buildStats(1, start, before)
+	stats.Iterations = sol.Stats.Iterations
 	unit := make([][4]float64, len(sol.T))
 	for c, t := range sol.T {
 		u := uniform.unit[c]
@@ -1211,7 +1226,7 @@ func (m *Model) solveBlock(act activity.Scenario) (*Basis, error) {
 	if err != nil {
 		return nil, fmt.Errorf("thermal: basis solves: %w", err)
 	}
-	stats := BasisBuildStats{Columns: len(sols), Wall: time.Since(start), Phases: m.sys.PhaseStats().Sub(before)}
+	stats := m.buildStats(len(sols), start, before)
 	for _, sol := range sols {
 		stats.Iterations = max(stats.Iterations, sol.Stats.Iterations)
 	}
