@@ -490,6 +490,13 @@ func (s *System) hierarchy() (*mg.Hierarchy, error) {
 // it to reach the coarsest-level operator and ordering directly.
 func (s *System) Hierarchy() (*mg.Hierarchy, error) { return s.hierarchy() }
 
+// Precision returns the V-cycle precision, "float32" or "float64", a
+// steady solve with opts runs: the tolerance and the system's size pick
+// it (mg.Options.Precision).
+func (s *System) Precision(opts SolveOptions) string {
+	return solverOptions(opts.Tolerance, opts.Workers).Precision(s.N())
+}
+
 // PhaseStats returns the cumulative phase times of the system's shared
 // steady-state multigrid hierarchy — its V-cycles and its one coarse
 // factorisation — or the zero value when no solve has built one yet.

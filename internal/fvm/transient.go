@@ -341,6 +341,10 @@ func (st *TransientStepper) Step() (sparse.Result, error) {
 // StepIndex returns the number of completed steps.
 func (st *TransientStepper) StepIndex() int { return st.step }
 
+// Hierarchy returns the shifted multigrid hierarchy the steps solve on,
+// shared by every stepper of the time step (diagnostics).
+func (st *TransientStepper) Hierarchy() *mg.Hierarchy { return st.op.hier }
+
 // Time returns the simulated time (s).
 func (st *TransientStepper) Time() float64 { return float64(st.step) * st.op.dt }
 

@@ -31,17 +31,24 @@
 // writing the line-major vectors, so no level is stored twice and no
 // vector is copied for it.
 //
-// The V-cycle is written once, generic over float32 and float64. The
-// float64 cycle reads the hierarchy's own arrays; the float32 cycle reads
-// rounded copies of them, built once per hierarchy, and halves the memory
-// traffic of the bandwidth-bound stencil sweeps inside a float64 outer
-// CG. The outer tolerance and the system size pick the precision
-// (float32 at 1e-9 or looser on at most 2¹⁹ cells), so a Solver is
-// configured by its hierarchy, its tolerance and its worker cap alone,
-// and equal tolerances on equal systems give equal bits. The coarsest
-// level is always solved exactly by a sparse Cholesky factor under a
-// nested-dissection ordering, built once per hierarchy by the first
-// solve that needs it (its time is PhaseStats.Factor): BuildHierarchy
+// The V-cycle is written once, generic over float32 and float64. Each
+// precision reads its own cycle arrays, built once per hierarchy by the
+// first solve of that precision: the float64 cycle reads the hierarchy's
+// operator values and Thomas coefficients in place, the float32 cycle
+// rounded copies of them, which halve the memory traffic of the
+// bandwidth-bound stencil sweeps inside a float64 outer CG. Both read the
+// off-line couplings the line smoothers move to the right-hand side
+// packed in their own precision, gathered straight from the operators'
+// rows once per hierarchy and precision and shared with every hierarchy
+// Shifted derives, whose off-line entries are the same; no float64 copy
+// of them is kept for the float32 cycle. The outer tolerance and the
+// system size pick the precision (float32 at 1e-9 or looser on at most
+// 2¹⁹ cells), so a Solver is configured by its hierarchy, its tolerance
+// and its worker cap alone, and equal tolerances on equal systems give
+// equal bits. The coarsest level is always solved exactly by a sparse
+// Cholesky factor under a nested-dissection ordering, built once per
+// hierarchy by the first solve that needs it (its time is
+// PhaseStats.Factor): BuildHierarchy
 // appends levels merged against each axis's finest pair until that
 // factor fits defaultCoarseBudget, keeping the symbolic analysis of the
 // level that fits, so the V-cycle stays a fixed SPD operator, as the
@@ -58,21 +65,24 @@
 // and shared by every Solver of that matrix; fvm.System caches one for
 // its steady operator and derives a shifted one per transient time step.
 // Its one-off set-up — the Galerkin products, the line smoothers'
-// factorisations and the coarse factor — runs on the workers the
-// hierarchy was built with (BuildHierarchy's Options.Workers; GOMAXPROCS
-// under fvm), never on those of the solver that first asks, and every
-// value it computes sums its terms in a fixed order, so its bits do not
-// depend on the worker count.
+// factorisations, the coarse factor and the cycle arrays — runs on the
+// workers the hierarchy was built with (BuildHierarchy's Options.Workers;
+// GOMAXPROCS under fvm), never on those of the solver that first asks,
+// and every value it computes sums its terms in a fixed order, so its
+// bits do not depend on the worker count. FootprintOf reports the bytes
+// its arrays hold.
 package mg
 
 import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"vcselnoc/internal/parallel"
 	"vcselnoc/internal/sparse"
@@ -83,7 +93,7 @@ import (
 type Options struct {
 	// Tolerance is the outer CG relative residual target; 0 means 1e-9.
 	// With the system's size it picks the V-cycle's precision
-	// (effectivePrecision). The outer CG gives up after 10·n iterations.
+	// (Precision). The outer CG gives up after 10·n iterations.
 	Tolerance float64
 	// Workers caps the goroutines of every V-cycle kernel — matrix-vector
 	// products, the red-black line smoother's per-colour relaxations,
@@ -104,8 +114,7 @@ type Options struct {
 	// relaxes lines in serial lexicographic order instead of colour by
 	// colour (the reference ordering), budget replaces defaultCoarseBudget
 	// (0 = default), and precision forces the V-cycle's arithmetic
-	// (precisionFloat32 or precisionFloat64; "" = effectivePrecision's
-	// rule).
+	// (precisionFloat32 or precisionFloat64; "" = Precision's rule).
 	levels    int
 	lex       bool
 	budget    int
@@ -135,11 +144,12 @@ const (
 	autoFloat32MaxCells = 1 << 19
 )
 
-// effectivePrecision returns the V-cycle precision for a fine-level
-// system of n unknowns: float32 at practical tolerances on small-to-mid
-// systems, float64 otherwise. The tolerance and n alone decide it, unless
-// the precision test hook forces one.
-func (o Options) effectivePrecision(n int) string {
+// Precision returns the V-cycle precision, "float32" or "float64", of a
+// solver with these options on a fine-level system of n unknowns:
+// float32 at practical tolerances on small-to-mid systems, float64
+// otherwise. The tolerance and n alone decide it, unless the precision
+// test hook forces one.
+func (o Options) Precision(n int) string {
 	if o.precision != "" {
 		return o.precision
 	}
@@ -332,21 +342,25 @@ func (lv *level) lineOf(c int) (l, k int) {
 	return c / lv.nz, c % lv.nz
 }
 
-// lineSmoother holds the precomputed Thomas factorisation of every
-// vertical cell column of one level, in the line-major numbering every
-// V-cycle vector uses. Because z is never coarsened and the operator's
-// z-coupling is confined to the same lateral position, the entries
-// coupling layers k±1 of one line form an exact tridiagonal system per
-// (i, j) line on every Galerkin level; solving it exactly per sweep
-// removes the strongly-coupled vertical error components a point
-// smoother crawls through. All remaining (off-line) row entries are
-// repacked, in row order, into a private CSR-like store walked linearly
-// by the sweep, so the hot loop touches no branch-filtered a.Row()
-// slices. The struct additionally carries a colouring of the
-// line-coupling graph: lines of one colour share no matrix entry and may
-// be relaxed concurrently with a result bit-identical to relaxing them
-// one by one. It is immutable after construction and shared (read-only)
-// by all solvers of a hierarchy.
+// lineSmoother holds what the z-line relaxation of one level reads
+// besides values, in the line-major numbering every V-cycle vector uses.
+// Because z is never coarsened and the operator's z-coupling is confined
+// to the same lateral position, the entries coupling layers k±1 of one
+// line form an exact tridiagonal system per (i, j) line on every Galerkin
+// level; solving it exactly per sweep removes the strongly-coupled
+// vertical error components a point smoother crawls through. The
+// smoother keeps the float64 Thomas coefficients of those systems, which
+// its pivot check computes, and the structure of every remaining
+// (off-line) row entry: the cells they couple to, in row order, in a
+// CSR-like store the sweep walks linearly, so the hot loop touches no
+// branch-filtered a.Row() slices. Their values are packed per V-cycle
+// precision (packOffLine) into the cycle arrays. The struct also carries
+// a colouring of the line-coupling graph: lines of one colour share no
+// matrix entry and may be relaxed concurrently with a result
+// bit-identical to relaxing them one by one. It is immutable after
+// construction and shared (read-only) by all solvers of a hierarchy; the
+// smoothers of a shifted hierarchy share its steady one's offPtr, offCol
+// and colours and hold Thomas coefficients of their own.
 type lineSmoother struct {
 	lines, nz int
 	// Line-major Thomas coefficients: entry j = l·nz + k holds layer k of
@@ -354,62 +368,49 @@ type lineSmoother struct {
 	// layer); cpL and invL are the forward-elimination coefficients c′_k
 	// and 1/(d_k − sub_k·c′_{k−1}).
 	subL, cpL, invL []float64
-	// Packed off-line coefficients of cell j = l·nz + k: offCol/offVal
-	// entries offPtr[j] ≤ p < offPtr[j+1], with offCol holding line-major
-	// cell indices of other lines. These are the couplings the block
-	// Gauss–Seidel sweep moves to the right-hand side at their current
-	// values.
+	// The off-line couplings of cell j = l·nz + k are entries
+	// offPtr[j] ≤ p < offPtr[j+1] of every packed store, offCol holding
+	// their line-major cell indices, all on other lines. These are the
+	// couplings the block Gauss–Seidel sweep moves to the right-hand side
+	// at their current values.
 	offPtr []int32
 	offCol []int32
-	offVal []float64
 	// colors partitions the lines into structurally independent classes:
-	// no two lines of one class share an off-line coupling. The fine
-	// 5-point lateral stencil yields the classic 2 colours; the widened
-	// 9-point Galerkin stencils of coarse levels get up to 4.
+	// no two lines of one class share an off-line coupling. The finest
+	// level's 5-point lateral stencil yields the classic 2 colours; the
+	// Galerkin levels' stencils reach 5×5 lines, so a cell couples to up
+	// to 72 cells off its line (12–50 per cell on average, level by
+	// level, at the fast tier), and get 9–12.
 	colors [][]int32
 }
 
-// newLineSmoother factorises the vertical tridiagonal of every lateral
-// line of lv, packs the off-line couplings and colours the line-coupling
-// graph. A non-positive pivot means the operator is not SPD. A coupling
-// between layers more than one apart is refused too: on one line it would
-// leave the line system non-tridiagonal, and fineResidual relies on every
-// coupling of the finest level reaching one layer at most (fvm's 7-point
-// operators and, z being kept, their Galerkin products never do). A
-// counting pass sizes the packed store, then blocks of lineChunk lines
-// are factored and packed on up to workers goroutines, each line writing
-// only its own cells; the first error in line order is reported, and the
-// colouring runs serially on the same adjacency, so the result does not
-// depend on workers.
+// newLineSmoother lays out the off-line couplings of every lateral line
+// of lv, factorises the vertical tridiagonal of every line and colours
+// the line-coupling graph. A non-positive pivot means the operator is
+// not SPD. A coupling between layers more than one apart is refused: on
+// one line it would leave the line system non-tridiagonal, and
+// fineResidual relies on every coupling of the finest level reaching one
+// layer at most (fvm's 7-point operators and, z being kept, their
+// Galerkin products never do). A counting pass sizes the store, then
+// blocks of lineChunk lines are laid out and factored on up to workers
+// goroutines, each line writing only its own cells; the first error in
+// line order is reported, and the colouring runs serially on the same
+// adjacency, so the result does not depend on workers.
 func newLineSmoother(lv *level, workers int) (*lineSmoother, error) {
 	lines, nz := lv.nx*lv.ny, lv.nz
 	n := lines * nz
-	ls := &lineSmoother{
-		lines: lines, nz: nz,
-		subL: make([]float64, n), cpL: make([]float64, n), invL: make([]float64, n),
-		offPtr: make([]int32, n+1),
-	}
-	w := sparse.MulVecWorkers(n, workers)
-	chunks := (lines + lineChunk - 1) / lineChunk
-	step := 1 // row distance between vertically adjacent cells of a line
-	if lv.layerMajor {
-		step = lines
-	}
-	// Count each cell's off-line couplings: every entry of its row but
-	// the ones on its own line, layers k−1 to k+1.
-	parallel.ForEach(w, chunks, func(_, chunk int) error { //nolint:errcheck // fn never fails
-		for l := chunk * lineChunk; l < min((chunk+1)*lineChunk, lines); l++ {
-			for k := 0; k < nz; k++ {
-				i := lv.cell(l, k)
-				cols, _ := lv.a.Row(i)
-				off := len(cols)
-				for _, c := range cols {
-					if int(c) == i || (k > 0 && int(c) == i-step) || (k < nz-1 && int(c) == i+step) {
-						off--
-					}
+	ls := &lineSmoother{lines: lines, nz: nz, offPtr: make([]int32, n+1)}
+	lv.eachLine(workers, func(l int) error { //nolint:errcheck // fn never fails
+		for k := 0; k < nz; k++ {
+			i := lv.cell(l, k)
+			cols, _ := lv.a.Row(i)
+			off := 0
+			for _, c := range cols {
+				if !lv.onLine(i, k, int(c)) {
+					off++
 				}
-				ls.offPtr[l*nz+k+1] = int32(off)
 			}
+			ls.offPtr[l*nz+k+1] = int32(off)
 		}
 		return nil
 	})
@@ -417,62 +418,122 @@ func newLineSmoother(lv *level, workers int) (*lineSmoother, error) {
 		ls.offPtr[j+1] += ls.offPtr[j]
 	}
 	ls.offCol = make([]int32, ls.offPtr[n])
-	ls.offVal = make([]float64, ls.offPtr[n])
+	ls.subL, ls.cpL, ls.invL = make([]float64, n), make([]float64, n), make([]float64, n)
 	adj := make([][]int32, lines)
-	err := parallel.ForEach(w, chunks, func(_, chunk int) error {
-		for l := chunk * lineChunk; l < min((chunk+1)*lineChunk, lines); l++ {
-			if err := ls.factorLine(lv, l, adj); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	if err := lv.eachLine(workers, func(l int) error { return ls.factorLine(lv, l, adj) }); err != nil {
 		return nil, err
 	}
 	ls.colors = colorLines(adj, lines)
 	return ls, nil
 }
 
-// factorLine computes line l's Thomas coefficients, packs its off-line
-// couplings into their counted slots and lists the lines it couples to
-// in adj[l].
+// eachLine runs fn on every lateral line of lv, in blocks of lineChunk
+// lines on up to workers goroutines by the rule of the level's products,
+// and returns the first error in line order.
+func (lv *level) eachLine(workers int, fn func(l int) error) error {
+	lines := lv.nx * lv.ny
+	chunks := (lines + lineChunk - 1) / lineChunk
+	return parallel.ForEach(sparse.MulVecWorkers(lv.n(), workers), chunks, func(_, chunk int) error {
+		for l := chunk * lineChunk; l < min((chunk+1)*lineChunk, lines); l++ {
+			if err := fn(l); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// onLine reports whether column c of row i, cell (l, k) of lv, lies on
+// the cell's own line: the cell itself or its neighbour one layer below
+// or above.
+func (lv *level) onLine(i, k, c int) bool {
+	step := 1 // row distance between vertically adjacent cells of a line
+	if lv.layerMajor {
+		step = lv.nx * lv.ny
+	}
+	return c == i || (k > 0 && c == i-step) || (k < lv.nz-1 && c == i+step)
+}
+
+// factorLine computes line l's Thomas coefficients from lv's operator.
+// Given adj, it also writes the cells the line's off-line couplings reach
+// into their counted slots and lists the lines they belong to in adj[l];
+// a shifted smoother, which shares that layout, passes nil.
 func (ls *lineSmoother) factorLine(lv *level, l int, adj [][]int32) error {
 	nz := ls.nz
 	prevCp := 0.0
 	for k := 0; k < nz; k++ {
-		j := l*nz + k
-		q := ls.offPtr[j]
+		i, q := lv.cell(l, k), ls.offPtr[l*nz+k]
 		var sub, diag, sup float64
-		cols, vals := lv.a.Row(lv.cell(l, k))
+		cols, vals := lv.a.Row(i)
 		for p, c := range cols {
-			cl, ck := lv.lineOf(int(c))
-			switch {
-			case ck < k-1 || ck > k+1:
-				return fmt.Errorf("mg: cell %d couples layers %d and %d (more than one apart)", lv.cell(l, k), k, ck)
-			case cl != l:
+			switch c := int(c); {
+			case c == i:
+				diag = vals[p]
+			case !lv.onLine(i, k, c):
+				if adj == nil {
+					continue
+				}
+				cl, ck := lv.lineOf(c)
+				if ck < k-1 || ck > k+1 {
+					return fmt.Errorf("mg: cell %d couples layers %d and %d (more than one apart)", i, k, ck)
+				}
 				ls.offCol[q] = int32(cl*nz + ck)
-				ls.offVal[q] = vals[p]
 				q++
 				adj[l] = appendUniqueInt32(adj[l], int32(cl))
-			case ck == k-1:
+			case c < i:
 				sub = vals[p]
-			case ck == k:
-				diag = vals[p]
 			default:
 				sup = vals[p]
 			}
 		}
 		denom := diag - sub*prevCp
 		if denom <= 0 {
-			return fmt.Errorf("mg: z-line pivot %g at cell %d (matrix not SPD?)", denom, lv.cell(l, k))
+			return fmt.Errorf("mg: z-line pivot %g at cell %d (matrix not SPD?)", denom, i)
 		}
+		j := l*nz + k
 		ls.subL[j] = sub
 		ls.invL[j] = 1 / denom
 		prevCp = sup / denom
 		ls.cpL[j] = prevCp
 	}
 	return nil
+}
+
+// shifted returns the smoother of lv, a diagonally shifted copy of the
+// level ls was built for: ls's off-line structure and colours, shared,
+// and Thomas coefficients of lv's own, factored on up to workers
+// goroutines (the first non-positive pivot in line order is reported).
+func (ls *lineSmoother) shifted(lv *level, workers int) (*lineSmoother, error) {
+	out := *ls
+	n := ls.lines * ls.nz
+	out.subL, out.cpL, out.invL = make([]float64, n), make([]float64, n), make([]float64, n)
+	if err := lv.eachLine(workers, func(l int) error { return out.factorLine(lv, l, nil) }); err != nil {
+		return nil, err
+	}
+	return &out, nil
+}
+
+// packOffLine returns the values of lv's off-line couplings in the
+// precision of F, in the order of its smoother's offCol: each cell's row
+// entries off its own line, in row order, straight from the operator.
+// Blocks of lineChunk lines are packed on up to workers goroutines.
+func packOffLine[F sparse.Float](lv *level, workers int) []F {
+	ls := lv.ls
+	off := make([]F, len(ls.offCol))
+	lv.eachLine(workers, func(l int) error { //nolint:errcheck // fn never fails
+		for k := 0; k < ls.nz; k++ {
+			i, q := lv.cell(l, k), ls.offPtr[l*ls.nz+k]
+			cols, vals := lv.a.Row(i)
+			for p, c := range cols {
+				if !lv.onLine(i, k, int(c)) {
+					off[q] = F(vals[p])
+					q++
+				}
+			}
+		}
+		return nil
+	})
+	return off
 }
 
 func appendUniqueInt32(s []int32, v int32) []int32 {
@@ -486,9 +547,9 @@ func appendUniqueInt32(s []int32, v int32) []int32 {
 
 // colorLines greedy-colours the line-coupling graph in ascending line
 // order (smallest unused colour wins). Greedy needs at most maxdegree+1
-// colours; line degrees are ≤ 8 even on the widened coarse stencils, so
-// the uint64 used-colour mask never saturates. Lines within one returned
-// class are pairwise uncoupled.
+// colours; a line of a Galerkin level couples to at most the 24 others
+// of its 5×5 lateral stencil, so the uint64 used-colour mask never
+// saturates. Lines within one returned class are pairwise uncoupled.
 func colorLines(adj [][]int32, lines int) [][]int32 {
 	color := make([]int, lines)
 	maxColor := 1
@@ -603,13 +664,20 @@ func coarseNDOrder(lv *level) []int32 {
 const ndLeafLines = 8
 
 // cycleArrays holds every value array one V-cycle precision reads: per
-// level the operator values, the line smoother's coefficients and the
-// transfer weights, plus the coarse factor's values. Sparsity, line
-// colouring and interpolation stencils stay on the levels and the factor,
-// shared by both precisions. The float64 instance aliases the hierarchy's
-// own arrays; the float32 instance holds rounded copies (rounded from the
+// level the operator values, the line smoother's coefficients, the
+// packed off-line couplings and the transfer weights, plus the coarse
+// factor's values. Sparsity, line colouring and interpolation stencils
+// stay on the levels and the factor, shared by both precisions. Each
+// hierarchy builds one instance per precision it runs, shared by every
+// solver of that precision. The float64 instance reads the hierarchy's
+// operator values, Thomas coefficients, transfer weights and factor in
+// place; the float32 instance holds rounded copies (rounded from the
 // float64 factorisations, not refactorised, so the float32 cycle applies
-// the same operator to within rounding).
+// the same operator to within rounding). The packed couplings and the
+// transfer weights, which a diagonal shift leaves unchanged, come from
+// the packedArrays of the precision in the hierarchy's family, shared
+// with every hierarchy Shifted derives from it or from which it was
+// derived.
 type cycleArrays[F sparse.Float] struct {
 	levels     []levelArrays[F]
 	factor     *sparse.SparseCholesky
@@ -620,11 +688,35 @@ type cycleArrays[F sparse.Float] struct {
 // operator's in its own entry order (layer-major rows on the finest
 // level, line-major below), the smoother's in the line-major numbering.
 type levelArrays[F sparse.Float] struct {
-	a                 []F // operator values, in the order of a.Values()
-	sub, cp, inv, off []F // lineSmoother subL, cpL, invL, offVal
+	a            []F // operator values, in the order of a.Values()
+	sub, cp, inv []F // lineSmoother subL, cpL, invL
+	off          []F // off-line couplings, in the order of lineSmoother.offCol
 	// xlo/xhi and ylo/yhi are the lateral axes' interpolation weights
 	// (nil on the coarsest level).
 	xlo, xhi, ylo, yhi []F
+}
+
+// packedArrays holds the levelArrays of one precision a diagonal shift
+// leaves unchanged, off and the transfer weights, for a hierarchy and
+// every hierarchy Shifted derives from it: built once, by the first
+// cycle of that precision on any of them, from that hierarchy's
+// operators, whose off-line entries are the same bits in all of them.
+// bytes counts the arrays it built (none for float64's transfer weights,
+// which are the axes' own).
+type packedArrays[F sparse.Float] struct {
+	once   sync.Once
+	levels []levelArrays[F]
+	bytes  atomic.Int64
+}
+
+// family holds what a hierarchy shares with every hierarchy Shifted
+// derives from it: the bytes of their shared structure
+// (Footprint.Structure, fixed when BuildHierarchy returns) and one
+// packedArrays per V-cycle precision.
+type family struct {
+	structure int64
+	f64       packedArrays[float64]
+	f32       packedArrays[float32]
 }
 
 // asF returns v in the precision of F: v itself when F is float64 — the
@@ -640,20 +732,54 @@ func asF[F sparse.Float](v []float64) []F {
 	return out
 }
 
-func newCycleArrays[F sparse.Float](h *Hierarchy, factor *sparse.SparseCholesky) *cycleArrays[F] {
+// roundedBytes returns the bytes asF's copies of vs take in the
+// precision of F: none for float64, which asF does not copy.
+func roundedBytes[F sparse.Float](vs ...[]float64) int64 {
+	var f F
+	if _, f64 := any(f).(float64); f64 {
+		return 0
+	}
+	n := 0
+	for _, v := range vs {
+		n += len(v)
+	}
+	return int64(n) * int64(unsafe.Sizeof(f))
+}
+
+// newCycleArrays builds h's cycle arrays in the precision of F, taking
+// the packed couplings and transfer weights from p (packing them first,
+// on h's workers, if no hierarchy sharing p has) and charging the time
+// to the CycleArrays phase.
+func newCycleArrays[F sparse.Float](h *Hierarchy, factor *sparse.SparseCholesky, p *packedArrays[F]) *cycleArrays[F] {
+	start := time.Now()
+	defer h.phaseAdd(phaseCycleArrays, start)
+	p.once.Do(func() {
+		p.levels = make([]levelArrays[F], len(h.levels))
+		var bytes int64
+		for l, lv := range h.levels {
+			la := &p.levels[l]
+			la.off = packOffLine[F](lv, h.workers)
+			bytes += sizeOf(la.off)
+			if lv.ix != nil {
+				withTransfer(la, lv)
+				bytes += roundedBytes[F](lv.ix.wlo, lv.ix.whi, lv.iy.wlo, lv.iy.whi)
+			}
+		}
+		p.bytes.Store(bytes)
+	})
 	ca := &cycleArrays[F]{
-		levels:     make([]levelArrays[F], len(h.levels)),
+		levels:     slices.Clone(p.levels),
 		factor:     factor,
 		factorVals: asF[F](factor.Values()),
 	}
+	rounded := roundedBytes[F](factor.Values())
 	for l, lv := range h.levels {
 		la := &ca.levels[l]
 		la.a = asF[F](lv.a.Values())
-		la.sub, la.cp, la.inv, la.off = asF[F](lv.ls.subL), asF[F](lv.ls.cpL), asF[F](lv.ls.invL), asF[F](lv.ls.offVal)
-		if lv.ix != nil {
-			withTransfer(la, lv)
-		}
+		la.sub, la.cp, la.inv = asF[F](lv.ls.subL), asF[F](lv.ls.cpL), asF[F](lv.ls.invL)
+		rounded += roundedBytes[F](lv.a.Values(), lv.ls.subL, lv.ls.cpL, lv.ls.invL)
 	}
+	h.copies.Add(rounded)
 	return ca
 }
 
@@ -781,14 +907,24 @@ type Hierarchy struct {
 	factorOnce sync.Once
 	factor     *sparse.SparseCholesky
 	factorErr  error
-	// f32 holds the float32 copies of the cycle's arrays, built on the
-	// first float32 preconditioner and shared by every later one.
+	// family is shared with every hierarchy Shifted derives from this one
+	// (and with the one this was derived from): each precision's packed
+	// off-line couplings and transfer weights, and the shared structure's
+	// size.
+	family *family
+	// f64 and f32 hold each precision's cycle arrays, built on the first
+	// preconditioner of that precision and shared by every later one.
+	f64Once sync.Once
+	f64     *cycleArrays[float64]
 	f32Once sync.Once
 	f32     *cycleArrays[float32]
 	// phaseNanos accumulates per-phase wall time for this hierarchy
 	// alone, so concurrently solving specs don't blend their phase
 	// fractions.
 	phaseNanos [numPhases]atomic.Int64
+	// values and copies count the bytes of Footprint.Values and
+	// Footprint.Float32 as the arrays are built.
+	values, copies atomic.Int64
 }
 
 // defaultCoarseBudget caps the stored entries (float64 values) of the
@@ -813,6 +949,8 @@ func (h *Hierarchy) coarseFactor() (*sparse.SparseCholesky, error) {
 		h.factor, h.factorErr = h.coarse.Factor(lv.a, h.workers)
 		if h.factorErr != nil {
 			h.factorErr = fmt.Errorf("mg: coarsest level (%d cells): %w", lv.n(), h.factorErr)
+		} else {
+			h.values.Add(sizeOf(h.factor.Values()))
 		}
 		h.phaseAdd(phaseFactor, start)
 	})
@@ -842,7 +980,7 @@ func BuildHierarchy(a *sparse.CSR, hint sparse.GridHint, opts Options) (*Hierarc
 	if maxLevels <= 0 {
 		maxLevels = 64 // effectively unlimited; coarsening stops geometrically
 	}
-	h := &Hierarchy{workers: opts.effectiveWorkers()}
+	h := &Hierarchy{workers: opts.effectiveWorkers(), family: &family{}}
 	xl, yl, zl := hint.X, hint.Y, hint.Z
 	cur := a
 	for {
@@ -885,6 +1023,8 @@ func BuildHierarchy(a *sparse.CSR, hint sparse.GridHint, opts Options) (*Hierarc
 	if err := h.rebalanceCoarse(budget, maxLevels, xl, yl, zl); err != nil {
 		return nil, err
 	}
+	h.family.structure = h.structureBytes()
+	h.values.Store(h.valueBytes(1))
 	h.phaseAdd(phaseHierarchy, start)
 	return h, nil
 }
@@ -976,18 +1116,19 @@ func (h *Hierarchy) rebalanceCoarse(budget, maxLevels int, xl, yl, zl []float64)
 // Shifted derives the hierarchy for the diagonally shifted operator
 // A + diag(shift) — the implicit-Euler transient matrix A + diag(C/dt) —
 // from this (steady) hierarchy without redoing any Galerkin triple
-// product. The transfer operators, level geometry and off-diagonal
-// Galerkin stencils are shared as-is; only the diagonals change: the
-// shift vector is carried down the hierarchy by full-weighting
-// restriction (mass lumping of Pᵀ·diag(shift)·P, exact on constants
-// because interpolation weights sum to one), each level's operator
-// becomes its steady Galerkin operator plus its lumped shift, and the
-// per-level z-line Thomas factorisations are recomputed — one cheap
-// matrix pass per level instead of the RAP products that dominate
-// BuildHierarchy, on this hierarchy's workers; the coarsest level keeps
-// its pattern, so the symbolic analysis of its factor is shared too, and
-// the derivation's wall time is the new hierarchy's Hierarchy phase. A
-// positive shift only adds diagonal dominance, so the
+// product. The transfer operators, level geometry, operator sparsity,
+// the line smoothers' off-line structure and colours and the packed
+// off-line couplings of every precision are shared as-is; only the
+// diagonals change: the shift vector is carried down the hierarchy by
+// full-weighting restriction (mass lumping of Pᵀ·diag(shift)·P, exact on
+// constants because interpolation weights sum to one), each level's
+// operator values become its steady Galerkin operator's plus its lumped
+// shift, and the per-level z-line Thomas factorisations are recomputed —
+// one cheap matrix pass per level instead of the RAP products that
+// dominate BuildHierarchy, on this hierarchy's workers; the coarsest
+// level keeps its pattern, so the symbolic analysis of its factor is
+// shared too, and the derivation's wall time is the new hierarchy's
+// Hierarchy phase. A positive shift only adds diagonal dominance, so the
 // resulting V-cycle stays an SPD preconditioner and typically converges
 // at least as fast as the steady one. The shift must be finite: an
 // infinite entry (C/dt of a subnormal dt) would leave no finite operator
@@ -1004,7 +1145,7 @@ func (h *Hierarchy) Shifted(shift []float64) (*Hierarchy, error) {
 			return nil, fmt.Errorf("mg: invalid shift %g at cell %d (want finite ≥ 0)", v, i)
 		}
 	}
-	out := &Hierarchy{levels: make([]*level, len(h.levels)), workers: h.workers, coarse: h.coarse}
+	out := &Hierarchy{levels: make([]*level, len(h.levels)), workers: h.workers, coarse: h.coarse, family: h.family}
 	cur := shift // this level's shift, in its operator's numbering
 	for l, lv := range h.levels {
 		nlv := &level{
@@ -1013,7 +1154,7 @@ func (h *Hierarchy) Shifted(shift []float64) (*Hierarchy, error) {
 			ix: lv.ix, iy: lv.iy,
 			layerMajor: lv.layerMajor,
 		}
-		ls, err := newLineSmoother(nlv, h.workers)
+		ls, err := lv.ls.shifted(nlv, h.workers)
 		if err != nil {
 			return nil, fmt.Errorf("mg: shifted level %d: %w", l, err)
 		}
@@ -1030,6 +1171,7 @@ func (h *Hierarchy) Shifted(shift []float64) (*Hierarchy, error) {
 			cur = next
 		}
 	}
+	out.values.Store(out.valueBytes(0))
 	out.phaseAdd(phaseHierarchy, start)
 	return out, nil
 }
@@ -1422,14 +1564,15 @@ func (s *Solver) preconditioner(a *sparse.CSR) (func(z, r []float64), error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.opts.effectivePrecision(h.levels[0].n()) == precisionFloat32 {
+	if s.opts.Precision(h.levels[0].n()) == precisionFloat32 {
 		// Mixed precision: the V-cycle runs entirely in float32 (halving
 		// the memory traffic of the bandwidth-bound stencil sweeps) while
 		// the outer CG sees a float64 operator as usual.
-		h.f32Once.Do(func() { h.f32 = newCycleArrays[float32](h, factor) })
+		h.f32Once.Do(func() { h.f32 = newCycleArrays(h, factor, &h.family.f32) })
 		s.precond = newPrecond(h, h.f32, s.opts)
 	} else {
-		s.precond = newPrecond(h, newCycleArrays[float64](h, factor), s.opts)
+		h.f64Once.Do(func() { h.f64 = newCycleArrays(h, factor, &h.family.f64) })
+		s.precond = newPrecond(h, h.f64, s.opts)
 	}
 	return s.precond, nil
 }
@@ -1483,8 +1626,8 @@ func (s *Solver) Solve(a *sparse.CSR, b, x []float64) (sparse.Result, error) {
 }
 
 // Phase indices for the per-hierarchy time accounting below: the
-// V-cycle phases, then the one-off set-up: the hierarchy's build and its
-// coarse factorisation.
+// V-cycle phases, then the one-off set-up: the hierarchy's build, its
+// coarse factorisation and its cycle arrays.
 const (
 	phaseSmooth   = iota
 	phaseRestrict // includes the pre-restriction residual
@@ -1492,6 +1635,7 @@ const (
 	phaseCoarse
 	phaseHierarchy
 	phaseFactor
+	phaseCycleArrays
 	numPhases
 )
 
@@ -1513,9 +1657,13 @@ type PhaseStats struct {
 	// analysis), or Shifted for a derived one —, charged once when it is
 	// built. Factor is the time spent factoring the coarsest level,
 	// charged once per hierarchy by whichever solve first needed the
-	// factor. Both are set-up, not V-cycle time, and Total leaves them
-	// out.
-	Hierarchy, Factor time.Duration
+	// factor. CycleArrays is the time spent building the cycle arrays of
+	// each precision solved in — packing the off-line couplings from the
+	// operators (once for a hierarchy and the ones Shifted derives from
+	// it) and rounding the float32 cycle's copies —, charged once per
+	// hierarchy and precision by the first solve of that precision. All
+	// three are set-up, not V-cycle time, and Total leaves them out.
+	Hierarchy, Factor, CycleArrays time.Duration
 }
 
 // PhaseStats returns the cumulative per-phase wall time spent on this
@@ -1523,12 +1671,13 @@ type PhaseStats struct {
 // running in the process. Safe for concurrent use.
 func (h *Hierarchy) PhaseStats() PhaseStats {
 	return PhaseStats{
-		Smooth:    time.Duration(h.phaseNanos[phaseSmooth].Load()),
-		Restrict:  time.Duration(h.phaseNanos[phaseRestrict].Load()),
-		Prolong:   time.Duration(h.phaseNanos[phaseProlong].Load()),
-		Coarse:    time.Duration(h.phaseNanos[phaseCoarse].Load()),
-		Hierarchy: time.Duration(h.phaseNanos[phaseHierarchy].Load()),
-		Factor:    time.Duration(h.phaseNanos[phaseFactor].Load()),
+		Smooth:      time.Duration(h.phaseNanos[phaseSmooth].Load()),
+		Restrict:    time.Duration(h.phaseNanos[phaseRestrict].Load()),
+		Prolong:     time.Duration(h.phaseNanos[phaseProlong].Load()),
+		Coarse:      time.Duration(h.phaseNanos[phaseCoarse].Load()),
+		Hierarchy:   time.Duration(h.phaseNanos[phaseHierarchy].Load()),
+		Factor:      time.Duration(h.phaseNanos[phaseFactor].Load()),
+		CycleArrays: time.Duration(h.phaseNanos[phaseCycleArrays].Load()),
 	}
 }
 
@@ -1536,12 +1685,13 @@ func (h *Hierarchy) PhaseStats() PhaseStats {
 // region.
 func (p PhaseStats) Sub(q PhaseStats) PhaseStats {
 	return PhaseStats{
-		Smooth:    p.Smooth - q.Smooth,
-		Restrict:  p.Restrict - q.Restrict,
-		Prolong:   p.Prolong - q.Prolong,
-		Coarse:    p.Coarse - q.Coarse,
-		Hierarchy: p.Hierarchy - q.Hierarchy,
-		Factor:    p.Factor - q.Factor,
+		Smooth:      p.Smooth - q.Smooth,
+		Restrict:    p.Restrict - q.Restrict,
+		Prolong:     p.Prolong - q.Prolong,
+		Coarse:      p.Coarse - q.Coarse,
+		Hierarchy:   p.Hierarchy - q.Hierarchy,
+		Factor:      p.Factor - q.Factor,
+		CycleArrays: p.CycleArrays - q.CycleArrays,
 	}
 }
 
@@ -1549,19 +1699,118 @@ func (p PhaseStats) Sub(q PhaseStats) PhaseStats {
 // regions.
 func (p PhaseStats) Add(q PhaseStats) PhaseStats {
 	return PhaseStats{
-		Smooth:    p.Smooth + q.Smooth,
-		Restrict:  p.Restrict + q.Restrict,
-		Prolong:   p.Prolong + q.Prolong,
-		Coarse:    p.Coarse + q.Coarse,
-		Hierarchy: p.Hierarchy + q.Hierarchy,
-		Factor:    p.Factor + q.Factor,
+		Smooth:      p.Smooth + q.Smooth,
+		Restrict:    p.Restrict + q.Restrict,
+		Prolong:     p.Prolong + q.Prolong,
+		Coarse:      p.Coarse + q.Coarse,
+		Hierarchy:   p.Hierarchy + q.Hierarchy,
+		Factor:      p.Factor + q.Factor,
+		CycleArrays: p.CycleArrays + q.CycleArrays,
 	}
 }
 
-// Total returns the summed V-cycle phase time (Hierarchy and Factor
-// excluded).
+// Total returns the summed V-cycle phase time (the set-up phases
+// Hierarchy, Factor and CycleArrays excluded).
 func (p PhaseStats) Total() time.Duration {
 	return p.Smooth + p.Restrict + p.Prolong + p.Coarse
+}
+
+// Footprint is the memory hierarchies' arrays hold, in bytes, computed
+// from their lengths (slice headers and per-level structs are not
+// counted), so one mesh gives the same count on any machine. The finest
+// operator of a hierarchy BuildHierarchy built is the caller's matrix
+// and is not counted; a Shifted hierarchy's finest values are its own,
+// its finest sparsity is the caller's.
+type Footprint struct {
+	// Structure is what a hierarchy shares with every hierarchy Shifted
+	// derives from it: the sparsity of the operators below the finest,
+	// the transfer operators, the line smoothers' off-line columns and
+	// colours, and the coarsest level's symbolic analysis.
+	Structure int64
+	// Packed64 and Packed32 are the float64 and float32 cycles' packed
+	// off-line couplings (and the float32 cycle's transfer weights),
+	// shared like Structure: each is zero until the first cycle of its
+	// precision on any hierarchy sharing them.
+	Packed64, Packed32 int64
+	// Values is the hierarchy's own float64 values: its operators' values,
+	// the line smoothers' Thomas coefficients and, once the first solve
+	// has built it, the coarse factor.
+	Values int64
+	// Float32 is the float32 cycle's rounded copies of every level's
+	// operator values (the finest level's included), the Thomas
+	// coefficients and the coarse factor, zero until the hierarchy's
+	// first float32 cycle.
+	Float32 int64
+}
+
+// Total returns the bytes of every field.
+func (f Footprint) Total() int64 {
+	return f.Structure + f.Packed64 + f.Packed32 + f.Values + f.Float32
+}
+
+// FootprintOf returns the bytes the arrays of hs hold at the time of the
+// call, counting what several of them share once: a steady hierarchy and
+// the ones Shifted derives from it share Structure, Packed64 and
+// Packed32, and each adds its own Values and Float32. Safe for
+// concurrent use.
+func FootprintOf(hs ...*Hierarchy) Footprint {
+	var f Footprint
+	seen := make(map[*family]bool)
+	for _, h := range hs {
+		if fam := h.family; !seen[fam] {
+			seen[fam] = true
+			f.Structure += fam.structure
+			f.Packed64 += fam.f64.bytes.Load()
+			f.Packed32 += fam.f32.bytes.Load()
+		}
+		f.Values += h.values.Load()
+		f.Float32 += h.copies.Load()
+	}
+	return f
+}
+
+// sizeOf returns the bytes of s's elements.
+func sizeOf[T any](s []T) int64 {
+	var v T
+	return int64(len(s)) * int64(unsafe.Sizeof(v))
+}
+
+// structureBytes returns Footprint.Structure of a built hierarchy.
+func (h *Hierarchy) structureBytes() int64 {
+	b := h.coarse.Bytes()
+	for l, lv := range h.levels {
+		if l > 0 {
+			b += sizeOf(lv.a.RowPtr()) + sizeOf(lv.a.ColIdx())
+		}
+		b += sizeOf(lv.ls.offPtr) + sizeOf(lv.ls.offCol)
+		for _, c := range lv.ls.colors {
+			b += sizeOf(c)
+		}
+		for _, ax := range []*axisInterp{lv.ix, lv.iy} {
+			if ax == nil {
+				continue
+			}
+			b += sizeOf(ax.lo) + sizeOf(ax.hi) + sizeOf(ax.wlo) + sizeOf(ax.whi)
+			for c := range ax.rev {
+				b += sizeOf(ax.rev[c]) + sizeOf(ax.revW[c])
+			}
+		}
+	}
+	return b
+}
+
+// valueBytes returns Footprint.Values of a built hierarchy before its
+// coarse factor: the operator values of the levels from level from on,
+// and every level's Thomas coefficients.
+func (h *Hierarchy) valueBytes(from int) int64 {
+	var b int64
+	for l, lv := range h.levels {
+		if l >= from {
+			b += sizeOf(lv.a.Values())
+		}
+		b += sizeOf(lv.ls.subL) + sizeOf(lv.ls.cpL) + sizeOf(lv.ls.invL)
+	}
+	return b
 }
 
 // CoarseOperator returns the coarsest-level matrix (read-only; shared

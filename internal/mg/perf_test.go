@@ -85,15 +85,21 @@ func TestLineColoringValid(t *testing.T) {
 // requires every result to be bit-identical to the single-worker sweep:
 // same-colour lines share no coupling and each line writes only its own
 // contiguous cells — its Thomas scratch included — so parallel
-// relaxation must be deterministic, not merely close.
+// relaxation must be deterministic, not merely close. The sweeps read the
+// hierarchy's float64 cycle arrays, as a float64 V-cycle does.
 func TestColoredSweepMatchesSerial(t *testing.T) {
 	h, _, _ := testHierarchy(t)
+	factor, err := h.coarseFactor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ca := newCycleArrays(h, factor, &h.family.f64)
 	for li, lv := range h.levels {
 		ls := lv.ls
 		n := lv.n()
 		b := randRHS(n, 7)
 
-		arr := &levelArrays[float64]{sub: ls.subL, cp: ls.cpL, inv: ls.invL, off: ls.offVal}
+		arr := &ca.levels[li]
 		sweep := func(x []float64, workers int) {
 			sweepColored(ls, arr, x, b, workers, false)
 			sweepColored(ls, arr, x, b, workers, true)
@@ -254,8 +260,8 @@ func TestPrecisionAuto(t *testing.T) {
 		{Options{Tolerance: 1e-8}, autoFloat32MaxCells + 1, precisionFloat64}, // past the cap
 		{Options{Tolerance: 1e-8, precision: precisionFloat32}, autoFloat32MaxCells + 1, precisionFloat32},
 	} {
-		if got := tc.opts.effectivePrecision(tc.n); got != tc.want {
-			t.Errorf("effectivePrecision(%+v, n=%d) = %s, want %s", tc.opts, tc.n, got, tc.want)
+		if got := tc.opts.Precision(tc.n); got != tc.want {
+			t.Errorf("Precision(%+v, n=%d) = %s, want %s", tc.opts, tc.n, got, tc.want)
 		}
 	}
 }
@@ -269,7 +275,7 @@ func TestCoarseWorkersPlumbed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := newWorkspace(h, newCycleArrays[float64](h, factor), Options{Workers: 3})
+	ws := newWorkspace(h, newCycleArrays(h, factor, &h.family.f64), Options{Workers: 3})
 	if ws.workers != 3 {
 		t.Fatalf("workspace workers = %d, want 3", ws.workers)
 	}
@@ -304,12 +310,12 @@ func TestCoarseCholeskyMatchesIterative(t *testing.T) {
 
 // TestSetupWorkersBitIdentical builds one graded hierarchy and its coarse
 // factor on 1, 2, 3 and 4 workers and requires the same bits from each:
-// every level's operator arrays, line-smoother arrays and colour
-// classes, those of the shifted hierarchy derived from it, and the
-// factor's values. The mesh is sized so that every parallel path really
-// splits: the finest smoother and the first Galerkin product run on all
-// the workers, and the factor's elimination tree falls into at least as
-// many subtrees.
+// every level's operator arrays, line-smoother arrays, colour classes and
+// packed off-line couplings in both precisions, those of the shifted
+// hierarchy derived from it, and the factor's values. The mesh is sized
+// so that every parallel path really splits: the finest smoother and the
+// first Galerkin product run on all the workers, and the factor's
+// elimination tree falls into at least as many subtrees.
 func TestSetupWorkersBitIdentical(t *testing.T) {
 	// A cluster of 0.5-wide cells among 10-wide ones: the lateral
 	// coarsening stalls once the cluster has merged into one 2-wide cell,
@@ -342,6 +348,13 @@ func TestSetupWorkersBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		for _, hh := range []*Hierarchy{h, sh} {
+			for _, prec := range []string{precisionFloat64, precisionFloat32} {
+				if _, err := New(hh, Options{precision: prec}).preconditioner(hh.Fine()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 		builds[w] = build{h, sh, factor}
 		smooth, product := sparse.MulVecWorkers(h.levels[0].n(), workers), sparse.MulVecWorkers(h.levels[1].n(), workers)
 		if smooth != workers || product != workers || factor.Subtrees() < workers {
@@ -372,7 +385,8 @@ func TestSetupWorkersBitIdentical(t *testing.T) {
 				sameBits(t, where+" invL", want.ls.invL, got.ls.invL)
 				sameBits(t, where+" offPtr", want.ls.offPtr, got.ls.offPtr)
 				sameBits(t, where+" offCol", want.ls.offCol, got.ls.offCol)
-				sameBits(t, where+" offVal", want.ls.offVal, got.ls.offVal)
+				sameBits(t, where+" float64 off", pair[0].f64.levels[l].off, pair[1].f64.levels[l].off)
+				sameBits(t, where+" float32 off", pair[0].f32.levels[l].off, pair[1].f32.levels[l].off)
 				if len(want.ls.colors) != len(got.ls.colors) {
 					t.Fatalf("%s: %d colours, want %d", where, len(got.ls.colors), len(want.ls.colors))
 				}
@@ -386,14 +400,17 @@ func TestSetupWorkersBitIdentical(t *testing.T) {
 }
 
 // sameBits fails t unless got holds exactly the bits of want.
-func sameBits[T int | int32 | float64](t *testing.T, what string, want, got []T) {
+func sameBits[T int | int32 | float32 | float64](t *testing.T, what string, want, got []T) {
 	t.Helper()
 	if len(want) != len(got) {
 		t.Fatalf("%s: %d entries, want %d", what, len(got), len(want))
 	}
 	bits := func(v T) uint64 {
-		if f, ok := any(v).(float64); ok {
+		switch f := any(v).(type) {
+		case float64:
 			return math.Float64bits(f)
+		case float32:
+			return uint64(math.Float32bits(f))
 		}
 		return uint64(v)
 	}
@@ -402,4 +419,91 @@ func sameBits[T int | int32 | float64](t *testing.T, what string, want, got []T)
 			t.Fatalf("%s: entry %d is %v, want %v", what, i, got[i], want[i])
 		}
 	}
+}
+
+// TestPackedCouplingsMatchOperator: every precision's packed store holds,
+// at each slot of a level's smoother, the operator entry that couples
+// the slot's cell to the cell offCol names there, rounded to the
+// precision, and the float64 cycle reads the operator values and Thomas
+// coefficients in place.
+func TestPackedCouplingsMatchOperator(t *testing.T) {
+	h, a, _ := testHierarchy(t)
+	b := randRHS(a.N(), 31)
+	for _, prec := range []string{precisionFloat64, precisionFloat32} {
+		if _, err := New(h, Options{precision: prec}).Solve(a, b, make([]float64, a.N())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for l, lv := range h.levels {
+		ls := lv.ls
+		off64, off32 := h.f64.levels[l].off, h.f32.levels[l].off
+		if len(off64) != len(ls.offCol) || len(off32) != len(ls.offCol) {
+			t.Fatalf("level %d: %d float64 and %d float32 packed values for %d couplings", l, len(off64), len(off32), len(ls.offCol))
+		}
+		for j := 0; j < lv.n(); j++ {
+			row := lv.cell(j/ls.nz, j%ls.nz)
+			for q := ls.offPtr[j]; q < ls.offPtr[j+1]; q++ {
+				col := lv.cell(int(ls.offCol[q])/ls.nz, int(ls.offCol[q])%ls.nz)
+				want := lv.a.At(row, col)
+				if want == 0 || off64[q] != want || off32[q] != float32(want) {
+					t.Fatalf("level %d cell %d slot %d: packed %g / %g, operator entry (%d, %d) %g",
+						l, j, q, off64[q], off32[q], row, col, want)
+				}
+			}
+		}
+		f64 := h.f64.levels[l]
+		if !sameArray(f64.a, lv.a.Values()) || !sameArray(f64.sub, ls.subL) || !sameArray(f64.cp, ls.cpL) || !sameArray(f64.inv, ls.invL) {
+			t.Errorf("level %d: the float64 cycle copies the hierarchy's values", l)
+		}
+	}
+}
+
+// TestCycleArraysBuiltOnce: each precision's cycle arrays, the packed
+// couplings included, are built once per hierarchy by its first solve of
+// that precision and shared by every later solver of it, and a
+// hierarchy that solved in float32 alone holds no float64 packed
+// couplings.
+func TestCycleArraysBuiltOnce(t *testing.T) {
+	h, a, _ := testHierarchy(t)
+	b := randRHS(a.N(), 37)
+	solve := func(prec string) {
+		t.Helper()
+		if _, err := New(h, Options{precision: prec, Workers: 2}).Solve(a, b, make([]float64, a.N())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fp := FootprintOf(h); fp.Packed64 != 0 || fp.Packed32 != 0 || fp.Float32 != 0 || h.PhaseStats().CycleArrays != 0 {
+		t.Fatalf("fresh hierarchy: footprint %+v, CycleArrays %v; want no cycle arrays", fp, h.PhaseStats().CycleArrays)
+	}
+	solve(precisionFloat32)
+	solve(precisionFloat32)
+	fp32 := FootprintOf(h)
+	if h.family.f64.levels != nil || h.f64 != nil || fp32.Packed64 != 0 {
+		t.Fatalf("float32 solves left float64 packed couplings (%d bytes)", fp32.Packed64)
+	}
+	if fp32.Packed32 <= 0 || fp32.Float32 <= 0 || h.PhaseStats().CycleArrays <= 0 {
+		t.Fatalf("after float32 solves: footprint %+v, CycleArrays %v", fp32, h.PhaseStats().CycleArrays)
+	}
+	solve(precisionFloat64)
+	arr, packed, fp := h.f64, h.family.f64.levels, FootprintOf(h)
+	charged := h.PhaseStats().CycleArrays
+	var offBytes int64
+	for _, lv := range h.levels {
+		offBytes += 8 * int64(len(lv.ls.offCol))
+	}
+	if fp.Packed64 != offBytes || fp.Float32 != fp32.Float32 || fp.Values != fp32.Values {
+		t.Fatalf("after a float64 solve: footprint %+v, want %d packed float64 bytes and nothing else new (was %+v)", fp, offBytes, fp32)
+	}
+	solve(precisionFloat64)
+	if h.f64 != arr || &h.family.f64.levels[0] != &packed[0] || FootprintOf(h) != fp || h.PhaseStats().CycleArrays != charged {
+		t.Fatal("a second float64 solver rebuilt the cycle arrays")
+	}
+	if s := h.PhaseStats(); s.Total() != s.Smooth+s.Restrict+s.Prolong+s.Coarse {
+		t.Fatal("Total includes the CycleArrays phase")
+	}
+}
+
+// sameArray reports whether a and b are one backing array.
+func sameArray[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }

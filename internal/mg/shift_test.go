@@ -3,6 +3,7 @@ package mg
 import (
 	"math"
 	"slices"
+	"sync"
 	"testing"
 
 	"vcselnoc/internal/sparse"
@@ -191,5 +192,128 @@ func TestShiftedErrors(t *testing.T) {
 	bad[5] = math.Inf(1) // C/dt of a subnormal dt
 	if _, err := h.Shifted(bad); err == nil {
 		t.Error("infinite shift should error")
+	}
+}
+
+// TestShiftedSharesOffLine: a shifted hierarchy shares its steady
+// hierarchy's off-line structure, colours and packed couplings and
+// float32 transfer weights of both precisions — the same backing arrays,
+// whichever of the two solves first — and holds operator values and
+// Thomas coefficients of its own; its footprint adds exactly those, and
+// its solves give the same bits in either order.
+func TestShiftedSharesOffLine(t *testing.T) {
+	precs := []string{precisionFloat64, precisionFloat32}
+	var bits [2][]uint64
+	for order, shiftedFirst := range []bool{false, true} {
+		h, a, hint := testHierarchy(t)
+		sh, err := h.Shifted(shiftVector(hint.X, hint.Y, hint.Z))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := randRHS(a.N(), 41)
+		hs := []*Hierarchy{h, sh}
+		if shiftedFirst {
+			hs = []*Hierarchy{sh, h}
+		}
+		for _, hh := range hs {
+			for _, prec := range precs {
+				x := make([]float64, a.N())
+				if _, err := New(hh, Options{precision: prec}).Solve(hh.Fine(), b, x); err != nil {
+					t.Fatal(err)
+				}
+				if hh == sh {
+					for _, v := range x {
+						bits[order] = append(bits[order], math.Float64bits(v))
+					}
+				}
+			}
+		}
+		for l, lv := range h.levels {
+			slv := sh.levels[l]
+			shared := sameArray(lv.ls.offPtr, slv.ls.offPtr) && sameArray(lv.ls.offCol, slv.ls.offCol) &&
+				len(lv.ls.colors) == len(slv.ls.colors) &&
+				sameArray(h.f64.levels[l].off, sh.f64.levels[l].off) && sameArray(h.f32.levels[l].off, sh.f32.levels[l].off) &&
+				sameArray(h.f32.levels[l].xlo, sh.f32.levels[l].xlo) && sameArray(h.f32.levels[l].yhi, sh.f32.levels[l].yhi)
+			for c := range lv.ls.colors {
+				shared = shared && sameArray(lv.ls.colors[c], slv.ls.colors[c])
+			}
+			if !shared {
+				t.Errorf("shifted first %v, level %d: off-line structure, colours or packed arrays not shared", shiftedFirst, l)
+			}
+			if sameArray(lv.a.Values(), slv.a.Values()) || sameArray(lv.ls.subL, slv.ls.subL) ||
+				sameArray(lv.ls.cpL, slv.ls.cpL) || sameArray(lv.ls.invL, slv.ls.invL) ||
+				sameArray(h.f32.levels[l].a, sh.f32.levels[l].a) || sameArray(h.f32.levels[l].inv, sh.f32.levels[l].inv) {
+				t.Errorf("shifted first %v, level %d: operator values or Thomas coefficients shared with the steady hierarchy", shiftedFirst, l)
+			}
+		}
+		fp, sfp, both := FootprintOf(h), FootprintOf(sh), FootprintOf(h, sh)
+		if sfp.Structure != fp.Structure || sfp.Packed64 != fp.Packed64 || sfp.Packed32 != fp.Packed32 ||
+			sfp.Values != fp.Values+8*int64(a.NNZ()) || sfp.Float32 != fp.Float32 ||
+			both != (Footprint{fp.Structure, fp.Packed64, fp.Packed32, fp.Values + sfp.Values, fp.Float32 + sfp.Float32}) {
+			t.Errorf("shifted first %v: shifted footprint %+v, steady %+v, both %+v; want the steady's shared arrays counted once and the shifted one's own values and Thomas arrays (finest values included)",
+				shiftedFirst, sfp, fp, both)
+		}
+	}
+	if !slices.Equal(bits[0], bits[1]) {
+		t.Error("the shifted solves' bits depend on which hierarchy packed the couplings")
+	}
+}
+
+// TestConcurrentFirstCycles: the first solves of a steady hierarchy and
+// of its shifted one, in both precisions and several at once, build the
+// shared packed couplings once and give the bits of solving one by one
+// (the -race target for the shared store).
+func TestConcurrentFirstCycles(t *testing.T) {
+	precs := []string{precisionFloat64, precisionFloat32}
+	build := func() (*Hierarchy, *Hierarchy, []float64) {
+		h, a, hint := testHierarchy(t)
+		sh, err := h.Shifted(shiftVector(hint.X, hint.Y, hint.Z))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h, sh, randRHS(a.N(), 43)
+	}
+	solve := func(hh *Hierarchy, prec string, b []float64) ([]float64, error) {
+		x := make([]float64, len(b))
+		_, err := New(hh, Options{precision: prec, Workers: 2}).Solve(hh.Fine(), b, x)
+		return x, err
+	}
+	h, sh, b := build()
+	var want [][]float64
+	for _, hh := range []*Hierarchy{h, sh} {
+		for _, prec := range precs {
+			x, err := solve(hh, prec, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, x)
+		}
+	}
+	h, sh, b = build()
+	const copies = 3
+	got := make([][]float64, copies*len(want))
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			c := i % len(want)
+			got[i], errs[i] = solve([]*Hierarchy{h, sh}[c/len(precs)], precs[c%len(precs)], b)
+		}(i)
+	}
+	wg.Wait()
+	for i, x := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !slices.Equal(x, want[i%len(want)]) {
+			t.Fatalf("concurrent first solve %d differs from its serial solve", i)
+		}
+	}
+	for l := range h.levels {
+		if !sameArray(h.f64.levels[l].off, sh.f64.levels[l].off) || !sameArray(h.f32.levels[l].off, sh.f32.levels[l].off) {
+			t.Fatalf("level %d: the concurrent first cycles packed the couplings twice", l)
+		}
 	}
 }

@@ -261,13 +261,26 @@ func (s *Server) basisFor(act activity.Scenario) (*thermal.Basis, error) {
 			"duration_ms", float64(bs.Wall.Microseconds())/1000,
 			"hierarchy_ms", float64(bs.Phases.Hierarchy.Microseconds())/1000,
 			"coarse_factor_ms", float64(bs.Phases.Factor.Microseconds())/1000,
+			"cycle_arrays_ms", float64(bs.Phases.CycleArrays.Microseconds())/1000,
 			"levels", bs.Levels,
 			"coarse_cells", bs.CoarseCells,
+			"precision", bs.Precision,
+			"hierarchy_mb", hierarchyMB(bs),
 			"columns", bs.Columns,
 			"mg_iters", bs.Iterations)
 	}
 	return b, err
 }
+
+// hierarchyMB is a build's hierarchy footprint in MiB, the unit of the
+// benchmark's peak_rss_mb.
+func hierarchyMB(bs thermal.BasisBuildStats) float64 {
+	return float64(bs.HierarchyBytes) / (1 << 20)
+}
+
+// precisionBits maps a V-cycle precision to the bit width the basis span
+// reports.
+var precisionBits = map[string]float64{"float32": 32, "float64": 64}
 
 // statusError carries an HTTP status through the handler helpers;
 // retryAfter (when positive) additionally sets the Retry-After header
@@ -406,16 +419,23 @@ func (s *Server) handleGradient(w http.ResponseWriter, r *http.Request) {
 	}
 	// The basis span carries the mg cost of the build that produced this
 	// basis (zero/near-zero duration when it was already warm): how many
-	// unit fields it solved, their iteration count, the hierarchy build
-	// and coarse factorisation times it paid (zero unless it was the
-	// model's first solve) and the hierarchy's depth and coarsest level.
+	// unit fields it solved, their iteration count, the hierarchy build,
+	// coarse factorisation and cycle-array times it paid (zero unless it
+	// was the model's first solve), the hierarchy's depth, coarsest level
+	// and footprint, and the V-cycle precision as its bit width (span
+	// attributes are numbers).
 	bs := basis.BuildStats()
 	sp.SetAttr("columns", float64(bs.Columns))
 	sp.SetAttr("mg_iters", float64(bs.Iterations))
 	sp.SetAttr("hierarchy_ms", float64(bs.Phases.Hierarchy.Microseconds())/1000)
 	sp.SetAttr("coarse_factor_ms", float64(bs.Phases.Factor.Microseconds())/1000)
+	sp.SetAttr("cycle_arrays_ms", float64(bs.Phases.CycleArrays.Microseconds())/1000)
 	sp.SetAttr("levels", float64(bs.Levels))
 	sp.SetAttr("coarse_cells", float64(bs.CoarseCells))
+	sp.SetAttr("hierarchy_mb", hierarchyMB(bs))
+	if bits, ok := precisionBits[bs.Precision]; ok {
+		sp.SetAttr("precision", bits)
+	}
 	if total := bs.Phases.Total(); total > 0 {
 		sp.SetAttr("build_smoothfrac", float64(bs.Phases.Smooth)/float64(total))
 		sp.SetAttr("build_coarsefrac", float64(bs.Phases.Coarse)/float64(total))

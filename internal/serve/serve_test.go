@@ -14,6 +14,7 @@ import (
 
 	"vcselnoc/internal/activity"
 	"vcselnoc/internal/fvm"
+	"vcselnoc/internal/mg"
 	"vcselnoc/internal/thermal"
 )
 
@@ -423,10 +424,11 @@ func mustJSON(t *testing.T, v any) []byte {
 }
 
 // TestWarmChargesHierarchyOnce: the cold build Server.Warm runs pays the
-// model's multigrid hierarchy and coarse factor, and its "basis built"
-// line reports both; a later activity rebuild reuses them and reports
-// zero for each. Both lines report the shape of the hierarchy they ran
-// on: its depth and its coarsest level's cell count.
+// model's multigrid hierarchy, coarse factor and cycle arrays, and its
+// "basis built" line reports each; a later activity rebuild reuses them
+// and reports zero for each. Both lines report the hierarchy they ran
+// on: its depth, its coarsest level's cell count, the V-cycle precision
+// and its footprint.
 func TestWarmChargesHierarchyOnce(t *testing.T) {
 	skipShort(t)
 	spec, err := thermal.PaperSpec()
@@ -459,7 +461,7 @@ func TestWarmChargesHierarchyOnce(t *testing.T) {
 	if len(built) != 2 {
 		t.Fatalf("%d basis built lines, want the uniform and the diagonal build:\n%s", len(built), logs.String())
 	}
-	for _, key := range []string{"hierarchy_ms", "coarse_factor_ms"} {
+	for _, key := range []string{"hierarchy_ms", "coarse_factor_ms", "cycle_arrays_ms"} {
 		cold, ok := built[0][key].(float64)
 		if !ok || cold <= 0 {
 			t.Errorf("cold build: %s = %v, want > 0", key, built[0][key])
@@ -480,6 +482,18 @@ func TestWarmChargesHierarchyOnce(t *testing.T) {
 		if got, want := rec["coarse_cells"], float64(hier.CoarseOperator().N()); got != want {
 			t.Errorf("build %d: coarse_cells = %v, want the coarsest level's %v", i, got, want)
 		}
+		// Preview solves at the default tolerance run the float32 cycle,
+		// so the hierarchy holds no float64 packed couplings.
+		if got := rec["precision"]; got != "float32" {
+			t.Errorf("build %d: precision = %v, want float32", i, got)
+		}
+		fp := mg.FootprintOf(hier)
+		if got, want := rec["hierarchy_mb"], float64(fp.Total())/(1<<20); got != want || fp.Packed32 == 0 || fp.Packed64 != 0 {
+			t.Errorf("build %d: hierarchy_mb = %v, want the hierarchy's %v (footprint %+v)", i, got, want, fp)
+		}
+	}
+	if bs := model.CachedBasis(nil).BuildStats(); bs.Precision != "float32" || bs.HierarchyBytes != mg.FootprintOf(hier).Total() {
+		t.Errorf("uniform basis BuildStats precision %q, %d hierarchy bytes; want float32 and %d", bs.Precision, bs.HierarchyBytes, mg.FootprintOf(hier).Total())
 	}
 	if h := model.CachedBasis(nil).BuildStats().Phases.Hierarchy; h <= 0 {
 		t.Errorf("uniform basis BuildStats Hierarchy = %v, want the build time", h)

@@ -112,20 +112,30 @@ func TestTraceEndToEnd(t *testing.T) {
 	if sp := spans["solve"]; sp.DurationUS <= 0 {
 		t.Errorf("solve span duration = %d µs, want > 0", sp.DurationUS)
 	}
-	for _, attr := range []string{"columns", "mg_iters", "hierarchy_ms", "coarse_factor_ms", "levels", "coarse_cells"} {
+	for _, attr := range []string{"columns", "mg_iters", "hierarchy_ms", "coarse_factor_ms", "cycle_arrays_ms", "levels", "coarse_cells", "precision", "hierarchy_mb"} {
 		if sp := spans["basis"]; !hasAttr(sp, attr) {
 			t.Errorf("basis span has no %s attribute (attrs %v)", attr, sp.Attrs)
 		}
 	}
 	// This query built the server's first basis, so it paid the
-	// hierarchy and the coarse factorisation, on a hierarchy of at least
-	// two levels whose coarsest level has cells.
+	// hierarchy, the coarse factorisation and the cycle arrays, on a
+	// hierarchy of at least two levels whose coarsest level has cells and
+	// whose arrays hold memory, in the float32 V-cycle preview's default
+	// tolerance picks.
 	for _, a := range spans["basis"].Attrs {
-		if (a.Key == "hierarchy_ms" || a.Key == "coarse_factor_ms" || a.Key == "coarse_cells") && a.Value <= 0 {
-			t.Errorf("basis span %s = %g on the first build, want > 0", a.Key, a.Value)
-		}
-		if a.Key == "levels" && a.Value < 2 {
-			t.Errorf("basis span levels = %g, want a multigrid hierarchy (≥ 2)", a.Value)
+		switch a.Key {
+		case "hierarchy_ms", "coarse_factor_ms", "cycle_arrays_ms", "coarse_cells", "hierarchy_mb":
+			if a.Value <= 0 {
+				t.Errorf("basis span %s = %g on the first build, want > 0", a.Key, a.Value)
+			}
+		case "levels":
+			if a.Value < 2 {
+				t.Errorf("basis span levels = %g, want a multigrid hierarchy (≥ 2)", a.Value)
+			}
+		case "precision":
+			if a.Value != 32 {
+				t.Errorf("basis span precision = %g, want 32 (float32)", a.Value)
+			}
 		}
 	}
 

@@ -124,6 +124,14 @@ func AnalyzeCholesky(a *CSR, perm []int32, maxEntries int) (*CholeskyAnalysis, e
 // more, its trapezoids' explicit zeros.
 func (an *CholeskyAnalysis) Nnz() int { return an.colPtr[an.n] }
 
+// Bytes returns the bytes the analysis's arrays hold, computed from
+// their lengths.
+func (an *CholeskyAnalysis) Bytes() int64 {
+	int32s := len(an.perm) + len(an.iperm) + len(an.sn) + len(an.colSuper) + len(an.sparent) + len(an.below)
+	ints := len(an.colPtr) + len(an.belowPtr) + len(an.valPtr)
+	return 4*int64(int32s) + 8*int64(ints)
+}
+
 // belowRows returns R_s, the rows of supernode s beneath its columns.
 func (an *CholeskyAnalysis) belowRows(s int32) []int32 {
 	return an.below[an.belowPtr[s]:an.belowPtr[s+1]]

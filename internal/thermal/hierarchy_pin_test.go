@@ -46,11 +46,17 @@ func TestHierarchyIterationPin(t *testing.T) {
 	}
 }
 
-// hierarchyPin checks one tier: a PaperSpec model's hierarchy, its
-// coarsest factor's fit, and the outer iterations of its uniform basis
-// and of a diagonal rebuild against maxIters.
-func hierarchyPin(t *testing.T, tier string, maxIters int) {
+// tierModels holds one PaperSpec model per resolution tier, shared by
+// the pin tests of this package so they pay each model's set-up once.
+var tierModels = map[string]*thermal.Model{}
+
+// tierModel returns the shared PaperSpec model of a resolution tier,
+// building it on first use.
+func tierModel(t *testing.T, tier string) *thermal.Model {
 	t.Helper()
+	if m, ok := tierModels[tier]; ok {
+		return m
+	}
 	res, err := thermal.ResolutionByName(tier)
 	if err != nil {
 		t.Fatal(err)
@@ -64,6 +70,16 @@ func hierarchyPin(t *testing.T, tier string, maxIters int) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tierModels[tier] = m
+	return m
+}
+
+// hierarchyPin checks one tier: a PaperSpec model's hierarchy, its
+// coarsest factor's fit, and the outer iterations of its uniform basis
+// and of a diagonal rebuild against maxIters.
+func hierarchyPin(t *testing.T, tier string, maxIters int) {
+	t.Helper()
+	m := tierModel(t, tier)
 	h, err := m.System().Hierarchy()
 	if err != nil {
 		t.Fatal(err)

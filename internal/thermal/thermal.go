@@ -1032,22 +1032,30 @@ type BasisBuildStats struct {
 	// set-up they triggered.
 	Wall time.Duration
 	// Phases is the V-cycle phase time the solves spent on this model's
-	// hierarchy, plus the set-up they triggered: the hierarchy's build and
-	// its coarse factorisation, which only the model's first solve pays.
+	// hierarchy, plus the set-up they triggered: the hierarchy's build
+	// and its coarse factorisation, which only the model's first solve
+	// pays, and its cycle arrays, which the first solve of each V-cycle
+	// precision pays.
 	Phases mg.PhaseStats
 	// Levels and CoarseCells describe the multigrid hierarchy the solves
 	// ran on: its depth including the finest level, and the cell count of
 	// its coarsest level, the one the coarse factor solves exactly.
 	Levels, CoarseCells int
+	// Precision is the V-cycle precision the solves ran, "float32" or
+	// "float64", and HierarchyBytes the bytes the hierarchy's arrays held
+	// after them (mg.FootprintOf).
+	Precision      string
+	HierarchyBytes int64
 }
 
 // buildStats returns the cost of a build whose columns unit solves ran
 // since start, with the hierarchy's phase times at start in before, and
-// the shape of the hierarchy they ran on.
+// the hierarchy they ran on: its shape, precision and footprint.
 func (m *Model) buildStats(columns int, start time.Time, before mg.PhaseStats) BasisBuildStats {
 	bs := BasisBuildStats{Columns: columns, Wall: time.Since(start), Phases: m.sys.PhaseStats().Sub(before)}
 	if h, err := m.sys.Hierarchy(); err == nil {
 		bs.Levels, bs.CoarseCells = h.Depth(), h.CoarseOperator().N()
+		bs.Precision, bs.HierarchyBytes = m.sys.Precision(m.solveOptions()), mg.FootprintOf(h).Total()
 	}
 	return bs
 }
