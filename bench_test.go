@@ -658,13 +658,15 @@ func BenchmarkSolverBackends(b *testing.B) {
 		b.ReportMetric(float64(iters), "iters/solve")
 		// Break the solve down into V-cycle phase time fractions
 		// (fraction of total benchmark wall-clock spent smoothing,
-		// restricting, prolongating and coarse-solving) —
-		// machine-dependent, so benchguard reports them without gating.
+		// restricting — residualfrac its residuals' share —,
+		// prolongating and coarse-solving) — machine-dependent, so
+		// benchguard reports them without gating.
 		if b.Elapsed() > 0 {
 			ph := m.System().PhaseStats().Sub(before)
 			total := b.Elapsed().Seconds()
 			b.ReportMetric(ph.Smooth.Seconds()/total, "smoothfrac")
 			b.ReportMetric(ph.Restrict.Seconds()/total, "restrictfrac")
+			b.ReportMetric(ph.Residual.Seconds()/total, "residualfrac")
 			b.ReportMetric(ph.Prolong.Seconds()/total, "prolongfrac")
 			b.ReportMetric(ph.Coarse.Seconds()/total, "coarsefrac")
 		}
@@ -852,12 +854,13 @@ func BenchmarkTransientSteps(b *testing.B) {
 }
 
 // BenchmarkHierarchyBuild times one cold multigrid hierarchy of the
-// bench model's operator: the Galerkin products, the line smoothers'
-// factorisations and the coarsest level's symbolic analysis, which every
-// new floorplan, package or mesh pays before its coarse factor and first
-// basis. It builds with the VCSELNOC_WORKERS goroutine cap (GOMAXPROCS
-// when unset, as fvm builds its hierarchy), so a perfab -workers sweep
-// shows how the cold path scales. The operator is assembled once, before
+// bench model's operator: the Galerkin products (galerkinfrac, their
+// share of the last build), the line smoothers' factorisations and the
+// coarsest level's symbolic analysis, which every new floorplan, package
+// or mesh pays before its coarse factor and first basis. It builds with
+// the VCSELNOC_WORKERS goroutine cap (GOMAXPROCS when unset, as fvm
+// builds its hierarchy), so a perfab -workers sweep shows how the cold
+// path scales. The operator is assembled once, before
 // the timer starts; every iteration builds a fresh hierarchy of it. It
 // comes after the other solver benches so the hierarchies it drops do
 // not land in their timings.
@@ -876,6 +879,8 @@ func BenchmarkHierarchyBuild(b *testing.B) {
 	}
 	b.ReportMetric(float64(h.Depth()), "levels")
 	b.ReportMetric(float64(h.CoarseOperator().N()), "coarsecells")
+	ph := h.PhaseStats()
+	b.ReportMetric(ph.Galerkin.Seconds()/ph.Hierarchy.Seconds(), "galerkinfrac")
 }
 
 // BenchmarkVCSELOperate times the laser self-heating fixed point.

@@ -5,8 +5,11 @@ package mg
 // package) and therefore cannot live in package mg.
 var (
 	GradedTestHierarchy = testHierarchy
+	WorkersTestSystem   = workersTestSystem
+	HeatSystem          = buildHeatSystem
 	ShiftVector         = shiftVector
 	RandRHS             = randRHS
+	CheckGalerkin       = checkGalerkin
 )
 
 // The V-cycle precisions the precision test hook accepts.

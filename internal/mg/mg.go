@@ -13,11 +13,17 @@
 // material discontinuities are carried down the hierarchy without any
 // re-discretisation; transfer operators are tensor-product linear
 // interpolation between cell centres (prolongation) and its transpose
-// (full-weighting restriction). Levels are smoothed with symmetric z-line
-// relaxation — exact tridiagonal (Thomas) solves along each vertical cell
-// column, the robust partner of lateral semicoarsening on stacks whose
-// µm-thin layers couple far more strongly in z than in the plane —
-// relaxed colour class by colour class on the worker pool.
+// (full-weighting restriction). Every row of one lateral line of a level
+// stores the same stencil of (line, layer offset) slots — fvm's 7-point
+// shape, which the products keep because z is never coarsened — so
+// BuildHierarchy checks it once on the finest operator, and each product
+// builds a coarse line's rows, and each smoother lays out a line's
+// couplings, for all its layers at once. Levels are smoothed with
+// symmetric z-line relaxation — exact tridiagonal (Thomas) solves along
+// each vertical cell column, the robust partner of lateral
+// semicoarsening on stacks whose µm-thin layers couple far more strongly
+// in z than in the plane — relaxed colour class by colour class on the
+// worker pool.
 //
 // The V-cycle numbers every level z-line-major: cell (lateral line l,
 // layer k) sits at l·nz+k, so a line's iterate, right-hand side and
@@ -319,10 +325,133 @@ type level struct {
 	nx, ny, nz int
 	ix, iy     *axisInterp
 	ls         *lineSmoother
+	// st is the operator's per-line stencil while BuildHierarchy runs:
+	// the Galerkin product below the level reads it and drops it.
+	st *stencil
 	// layerMajor marks an operator numbered layer-major, cell (l, k) at
 	// row k·nx·ny+l: the finest level's, which is the caller's matrix.
 	// Every coarser operator is numbered line-major, (l, k) at l·nz+k.
 	layerMajor bool
+}
+
+// stencil is the per-line sparsity of one level's operator. Every row of
+// lateral line l stores the same slots — a column's lateral line and its
+// layer offset −1, 0 or +1 — in the same order, ascending (offset,
+// line), which is the layer-major column order; the bottom row of the
+// line drops the slots of offset −1 and the top row those of offset +1,
+// which fall outside the stack. fvm's 7-point operators have this shape
+// and, z never being coarsened, so does every Galerkin product of them:
+// BuildHierarchy derives and checks the finest operator's stencil once
+// (finestStencil), each product emits its coarse level's (galerkin), and
+// each level's line smoother is laid out from its level's.
+type stencil struct {
+	ptr  []int32 // the slots of line l are ptr[l] ≤ s < ptr[l+1]
+	line []int32 // each slot's lateral line
+	dz   []int8  // each slot's layer offset
+}
+
+// slots returns the lateral lines and layer offsets of line l's slots.
+func (st *stencil) slots(l int) (lines []int32, dz []int8) {
+	lo, hi := st.ptr[l], st.ptr[l+1]
+	return st.line[lo:hi], st.dz[lo:hi]
+}
+
+// layerSlots returns the range [lo, hi) of the slots, of layer offsets
+// dz, that one line's row at layer k of an nz-layer stack stores: all but
+// the leading offset −1 slots on the bottom layer and the trailing
+// offset +1 slots on the top layer.
+func layerSlots(dz []int8, k, nz int) (lo, hi int) {
+	hi = len(dz)
+	if k == 0 {
+		for lo < hi && dz[lo] < 0 {
+			lo++
+		}
+	}
+	if k == nz-1 {
+		for hi > lo && dz[hi-1] > 0 {
+			hi--
+		}
+	}
+	return lo, hi
+}
+
+// finestStencil derives the stencil of the finest level lv from the two
+// end rows of each line — the offset −1 slots of its top row, then the
+// slots of its bottom row — and checks that every row of the line stores
+// exactly the slots that stay inside the stack, in that order. A row
+// that couples layers more than one apart, stores its columns out of
+// ascending order or does not share its line's stencil is refused by
+// name: the z-line smoother, the per-line Galerkin product and
+// fineResidual all rely on the shape. The end rows are read serially;
+// the check runs in blocks of lineChunk lines on up to workers
+// goroutines and reports the first failing row in line order.
+func finestStencil(lv *level, workers int) (*stencil, error) {
+	lines, nz := lv.nx*lv.ny, lv.nz
+	st := &stencil{ptr: make([]int32, lines+1)}
+	ends := []int{nz - 1, 0}
+	if nz == 1 {
+		ends = ends[1:]
+	}
+	for l := range lines {
+		last := -1 // the layer-major key, (d+1)·lines + line, of the last slot
+		for _, k := range ends {
+			i := lv.cell(l, k)
+			cols, _ := lv.a.Row(i)
+			for _, c := range cols {
+				cl, ck := lv.lineOf(int(c))
+				d := ck - k
+				if d < -1 || d > 1 {
+					return nil, lv.rowError(i, k)
+				}
+				if (d < 0) != (k > 0) { // the top row gives the offset −1 slots alone
+					continue
+				}
+				if key := (d+1)*lines + cl; key > last {
+					last = key
+				} else {
+					return nil, fmt.Errorf("mg: row %d stores its columns out of ascending order", i)
+				}
+				st.line = append(st.line, int32(cl))
+				st.dz = append(st.dz, int8(d))
+			}
+		}
+		st.ptr[l+1] = int32(len(st.line))
+	}
+	err := lv.eachLine(workers, func(l int) error {
+		sl, sd := st.slots(l)
+		for k := range nz {
+			i := lv.cell(l, k)
+			cols, _ := lv.a.Row(i)
+			lo, hi := layerSlots(sd, k, nz)
+			if len(cols) != hi-lo {
+				return lv.rowError(i, k)
+			}
+			for q, c := range cols {
+				if s := lo + q; int(c) != lv.cell(int(sl[s]), k+int(sd[s])) {
+					return lv.rowError(i, k)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// rowError describes why row i, at layer k of lv, breaks the stencil
+// shape: a coupling more than one layer apart, or else a row that does
+// not share its line's stencil.
+func (lv *level) rowError(i, k int) error {
+	cols, _ := lv.a.Row(i)
+	for _, c := range cols {
+		if _, ck := lv.lineOf(int(c)); ck < k-1 || ck > k+1 {
+			return fmt.Errorf("mg: cell %d couples layers %d and %d (more than one apart)", i, k, ck)
+		}
+	}
+	l, _ := lv.lineOf(i)
+	return fmt.Errorf("mg: row %d (line %d, layer %d) does not store its line's stencil", i, l, k)
 }
 
 // cell returns the row of lv.a holding cell (lateral line l, layer k).
@@ -385,45 +514,61 @@ type lineSmoother struct {
 }
 
 // newLineSmoother lays out the off-line couplings of every lateral line
-// of lv, factorises the vertical tridiagonal of every line and colours
-// the line-coupling graph. A non-positive pivot means the operator is
-// not SPD. A coupling between layers more than one apart is refused: on
-// one line it would leave the line system non-tridiagonal, and
-// fineResidual relies on every coupling of the finest level reaching one
-// layer at most (fvm's 7-point operators and, z being kept, their
-// Galerkin products never do). A counting pass sizes the store, then
-// blocks of lineChunk lines are laid out and factored on up to workers
-// goroutines, each line writing only its own cells; the first error in
-// line order is reported, and the colouring runs serially on the same
-// adjacency, so the result does not depend on workers.
+// of lv from the level's stencil, factorises the vertical tridiagonal of
+// every line and colours the line-coupling graph. A non-positive pivot
+// means the operator is not SPD. Each cell's off-line couplings are the
+// slots of its line's stencil on other lines that stay inside the stack
+// at its layer, in slot order, which is its row's order: offPtr follows
+// from each line's slot counts per offset, then blocks of lineChunk lines
+// are laid out and factored on up to workers goroutines, each line
+// writing only its own cells; the first error in line order is reported,
+// and the colouring runs serially on the stencil, so the result does not
+// depend on workers.
 func newLineSmoother(lv *level, workers int) (*lineSmoother, error) {
+	st := lv.st
 	lines, nz := lv.nx*lv.ny, lv.nz
 	n := lines * nz
 	ls := &lineSmoother{lines: lines, nz: nz, offPtr: make([]int32, n+1)}
-	lv.eachLine(workers, func(l int) error { //nolint:errcheck // fn never fails
-		for k := 0; k < nz; k++ {
-			i := lv.cell(l, k)
-			cols, _ := lv.a.Row(i)
-			off := 0
-			for _, c := range cols {
-				if !lv.onLine(i, k, int(c)) {
-					off++
+	at := int32(0)
+	for l := range lines {
+		var off [3]int32 // off-line slots per offset −1, 0, +1
+		sl, sd := st.slots(l)
+		for s, d := range sd {
+			if int(sl[s]) != l {
+				off[d+1]++
+			}
+		}
+		for k := range nz {
+			at += off[1]
+			if k > 0 {
+				at += off[0]
+			}
+			if k < nz-1 {
+				at += off[2]
+			}
+			ls.offPtr[l*nz+k+1] = at
+		}
+	}
+	ls.offCol = make([]int32, at)
+	ls.subL, ls.cpL, ls.invL = make([]float64, n), make([]float64, n), make([]float64, n)
+	err := lv.eachLine(workers, func(l int) error {
+		sl, sd := st.slots(l)
+		q := ls.offPtr[l*nz]
+		for k := range nz {
+			lo, hi := layerSlots(sd, k, nz)
+			for s := lo; s < hi; s++ {
+				if int(sl[s]) != l {
+					ls.offCol[q] = sl[s]*int32(nz) + int32(k) + int32(sd[s])
+					q++
 				}
 			}
-			ls.offPtr[l*nz+k+1] = int32(off)
 		}
-		return nil
+		return ls.factorLine(lv, l)
 	})
-	for j := range n {
-		ls.offPtr[j+1] += ls.offPtr[j]
-	}
-	ls.offCol = make([]int32, ls.offPtr[n])
-	ls.subL, ls.cpL, ls.invL = make([]float64, n), make([]float64, n), make([]float64, n)
-	adj := make([][]int32, lines)
-	if err := lv.eachLine(workers, func(l int) error { return ls.factorLine(lv, l, adj) }); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	ls.colors = colorLines(adj, lines)
+	ls.colors = colorLines(st)
 	return ls, nil
 }
 
@@ -454,32 +599,21 @@ func (lv *level) onLine(i, k, c int) bool {
 	return c == i || (k > 0 && c == i-step) || (k < lv.nz-1 && c == i+step)
 }
 
-// factorLine computes line l's Thomas coefficients from lv's operator.
-// Given adj, it also writes the cells the line's off-line couplings reach
-// into their counted slots and lists the lines they belong to in adj[l];
-// a shifted smoother, which shares that layout, passes nil.
-func (ls *lineSmoother) factorLine(lv *level, l int, adj [][]int32) error {
+// factorLine computes line l's Thomas coefficients from lv's operator,
+// finding each row's couplings to its own cell and to its line's
+// neighbours below and above by their columns.
+func (ls *lineSmoother) factorLine(lv *level, l int) error {
 	nz := ls.nz
 	prevCp := 0.0
 	for k := 0; k < nz; k++ {
-		i, q := lv.cell(l, k), ls.offPtr[l*nz+k]
+		i := lv.cell(l, k)
 		var sub, diag, sup float64
 		cols, vals := lv.a.Row(i)
 		for p, c := range cols {
 			switch c := int(c); {
 			case c == i:
 				diag = vals[p]
-			case !lv.onLine(i, k, c):
-				if adj == nil {
-					continue
-				}
-				cl, ck := lv.lineOf(c)
-				if ck < k-1 || ck > k+1 {
-					return fmt.Errorf("mg: cell %d couples layers %d and %d (more than one apart)", i, k, ck)
-				}
-				ls.offCol[q] = int32(cl*nz + ck)
-				q++
-				adj[l] = appendUniqueInt32(adj[l], int32(cl))
+			case !lv.onLine(i, k, c): // an off-line coupling, packed apart
 			case c < i:
 				sub = vals[p]
 			default:
@@ -507,7 +641,7 @@ func (ls *lineSmoother) shifted(lv *level, workers int) (*lineSmoother, error) {
 	out := *ls
 	n := ls.lines * ls.nz
 	out.subL, out.cpL, out.invL = make([]float64, n), make([]float64, n), make([]float64, n)
-	if err := lv.eachLine(workers, func(l int) error { return out.factorLine(lv, l, nil) }); err != nil {
+	if err := lv.eachLine(workers, func(l int) error { return out.factorLine(lv, l) }); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -536,26 +670,21 @@ func packOffLine[F sparse.Float](lv *level, workers int) []F {
 	return off
 }
 
-func appendUniqueInt32(s []int32, v int32) []int32 {
-	for _, e := range s {
-		if e == v {
-			return s
-		}
-	}
-	return append(s, v)
-}
-
-// colorLines greedy-colours the line-coupling graph in ascending line
-// order (smallest unused colour wins). Greedy needs at most maxdegree+1
-// colours; a line of a Galerkin level couples to at most the 24 others
-// of its 5×5 lateral stencil, so the uint64 used-colour mask never
-// saturates. Lines within one returned class are pairwise uncoupled.
-func colorLines(adj [][]int32, lines int) [][]int32 {
+// colorLines greedy-colours the line-coupling graph of stencil st in
+// ascending line order (smallest unused colour wins): each line's
+// neighbours are the other lines its slots reach, at any offset. Greedy
+// needs at most maxdegree+1 colours; a line of a Galerkin level couples
+// to at most the 24 others of its 5×5 lateral stencil, so the uint64
+// used-colour mask never saturates. Lines within one returned class are
+// pairwise uncoupled.
+func colorLines(st *stencil) [][]int32 {
+	lines := len(st.ptr) - 1
 	color := make([]int, lines)
 	maxColor := 1
 	for l := 0; l < lines; l++ {
 		var used uint64
-		for _, nl := range adj[l] {
+		sl, _ := st.slots(l)
+		for _, nl := range sl {
 			if int(nl) < l {
 				used |= 1 << uint(color[nl])
 			}
@@ -982,9 +1111,9 @@ func BuildHierarchy(a *sparse.CSR, hint sparse.GridHint, opts Options) (*Hierarc
 	}
 	h := &Hierarchy{workers: opts.effectiveWorkers(), family: &family{}}
 	xl, yl, zl := hint.X, hint.Y, hint.Z
-	cur := a
+	cur, st := a, (*stencil)(nil) // the finest level derives its stencil
 	for {
-		lv, err := h.newLevel(cur, xl, yl, zl)
+		lv, err := h.newLevel(cur, st, xl, yl, zl)
 		if err != nil {
 			return nil, err
 		}
@@ -1010,7 +1139,7 @@ func BuildHierarchy(a *sparse.CSR, hint sparse.GridHint, opts Options) (*Hierarc
 			// deepen, so the current level becomes the coarsest.
 			break
 		}
-		cur, err = h.coarsenTo(lv, xl, yl, cxl, cyl)
+		cur, st, err = h.coarsenTo(lv, xl, yl, cxl, cyl)
 		if err != nil {
 			return nil, err
 		}
@@ -1023,20 +1152,29 @@ func BuildHierarchy(a *sparse.CSR, hint sparse.GridHint, opts Options) (*Hierarc
 	if err := h.rebalanceCoarse(budget, maxLevels, xl, yl, zl); err != nil {
 		return nil, err
 	}
+	h.levels[len(h.levels)-1].st = nil
 	h.family.structure = h.structureBytes()
 	h.values.Store(h.valueBytes(1))
 	h.phaseAdd(phaseHierarchy, start)
 	return h, nil
 }
 
-// newLevel assembles the next hierarchy level for operator a on the given
-// axis line sets: diagonal validation plus the z-line factorisation.
-func (h *Hierarchy) newLevel(a *sparse.CSR, xl, yl, zl []float64) (*level, error) {
+// newLevel assembles the next hierarchy level for operator a, of stencil
+// st, on the given axis line sets: diagonal validation plus the z-line
+// factorisation. The finest operator comes with no stencil: newLevel
+// derives and checks it (finestStencil).
+func (h *Hierarchy) newLevel(a *sparse.CSR, st *stencil, xl, yl, zl []float64) (*level, error) {
 	depth := len(h.levels)
-	lv := &level{a: a, nx: len(xl) - 1, ny: len(yl) - 1, nz: len(zl) - 1, layerMajor: depth == 0}
+	lv := &level{a: a, nx: len(xl) - 1, ny: len(yl) - 1, nz: len(zl) - 1, st: st, layerMajor: depth == 0}
 	for i, d := range a.Diag() {
 		if d <= 0 {
 			return nil, fmt.Errorf("mg: non-positive diagonal %g at row %d of level %d (matrix not SPD?)", d, i, depth)
+		}
+	}
+	if st == nil {
+		var err error
+		if lv.st, err = finestStencil(lv, h.workers); err != nil {
+			return nil, fmt.Errorf("mg: level %d: %w", depth, err)
 		}
 	}
 	ls, err := newLineSmoother(lv, h.workers)
@@ -1049,15 +1187,20 @@ func (h *Hierarchy) newLevel(a *sparse.CSR, xl, yl, zl []float64) (*level, error
 
 // coarsenTo wires the lateral transfer operators from lv's axes to the
 // coarser line sets (the z stack is kept at full resolution) and
-// assembles the Galerkin coarse operator.
-func (h *Hierarchy) coarsenTo(lv *level, xl, yl, cxl, cyl []float64) (*sparse.CSR, error) {
+// assembles the Galerkin coarse operator and its stencil, charging the
+// product to the Galerkin phase; lv's stencil, which only the product
+// reads, is dropped.
+func (h *Hierarchy) coarsenTo(lv *level, xl, yl, cxl, cyl []float64) (*sparse.CSR, *stencil, error) {
 	lv.ix = newAxisInterp(xl, cxl)
 	lv.iy = newAxisInterp(yl, cyl)
-	coarse, err := galerkin(lv, h.workers)
+	start := time.Now()
+	coarse, st, err := galerkin(lv, h.workers)
+	h.phaseAdd(phaseGalerkin, start)
+	lv.st = nil
 	if err != nil {
-		return nil, fmt.Errorf("mg: level %d Galerkin product: %w", len(h.levels)-1, err)
+		return nil, nil, fmt.Errorf("mg: level %d Galerkin product: %w", len(h.levels)-1, err)
 	}
-	return coarse, nil
+	return coarse, st, nil
 }
 
 // rebalanceCoarse appends coarsening levels while the coarsest level's
@@ -1093,11 +1236,11 @@ func (h *Hierarchy) rebalanceCoarse(budget, maxLevels int, xl, yl, zl []float64)
 		if len(cxl) == len(xl) && len(cyl) == len(yl) {
 			break // single lateral cell left on both axes
 		}
-		coarse, err := h.coarsenTo(lv, xl, yl, cxl, cyl)
+		coarse, st, err := h.coarsenTo(lv, xl, yl, cxl, cyl)
 		if err != nil {
 			return err
 		}
-		nlv, err := h.newLevel(coarse, cxl, cyl, zl)
+		nlv, err := h.newLevel(coarse, st, cxl, cyl, zl)
 		if err != nil {
 			return err
 		}
@@ -1178,147 +1321,218 @@ func (h *Hierarchy) Shifted(shift []float64) (*Hierarchy, error) {
 
 // galerkin assembles the coarse operator A_c = Pᵀ·A·P of one level, where
 // P is the lateral tensor-product interpolation lv.ix ⊗ lv.iy applied
-// layer by layer. Rows are built with a dense scatter buffer (Gustavson's
-// algorithm), so the cost is proportional to the number of triple-product
-// terms, not to any matrix dimension squared. The coarse operator comes
-// out line-major, coarse row (cl, k) at cl·nz+k, with its entries in
-// ascending layer-major column order (k′·lines+cl′): the order a
+// layer by layer, and returns it with its stencil. z being kept, every
+// row of one coarse line gathers the same fine slots into the same coarse
+// slots, so each coarse line's rows are built for all nz layers at once
+// from lv's stencil: a term — one interpolation target of one slot of a
+// fine line the adjoint stencils of the lateral axes list — is resolved
+// once and added on every layer its slot reaches. The coarse operator
+// comes out line-major, coarse row (cl, k) at cl·nz+k, with its entries
+// in ascending layer-major column order (k′·lines+cl′): the order a
 // layer-major product stores them in, so every later sum over a row adds
-// its terms in the same order in either numbering. Each entry itself
-// sums the fine rows in the order the adjoint stencils list them and each
-// row's entries in its stored order. Contiguous blocks of coarse lines
-// are built on up to workers goroutines, each with its own scatter
-// buffers, and stitched into the operator's arrays, which are allocated
-// once at their final size; the bits do not depend on workers.
-func galerkin(lv *level, workers int) (*sparse.CSR, error) {
-	lines := lv.ix.nc * lv.iy.nc
-	nc := lines * lv.nz
+// its terms in the same order in either numbering. Each entry sums
+// ((rw·a)·yw)·xw — rw the fine row's restriction weight, a its entry, yw
+// and xw the interpolation weights of the entry's column — over the fine
+// rows in the order the adjoint stencils list them, each row's entries
+// in stored order and the targets y-major, from zero: the terms and the
+// order of a per-row scatter (Gustavson's algorithm). Contiguous blocks
+// of coarse lines are built on up to workers goroutines, each with its
+// own scratch, and stitched into the operator's and the stencil's
+// arrays, which are allocated once at their final size; the bits do not
+// depend on workers.
+func galerkin(lv *level, workers int) (*sparse.CSR, *stencil, error) {
+	lines, nz := lv.ix.nc*lv.iy.nc, lv.nz
+	nc := lines * nz
 	rowPtr := make([]int, nc+1)
+	st := &stencil{ptr: make([]int32, lines+1)}
 	blocks := make([]galerkinBlock, sparse.MulVecWorkers(nc, workers))
+	// first returns the first coarse line of block b.
+	first := func(b int) int { return b * lines / len(blocks) }
 	parallel.ForEach(len(blocks), len(blocks), func(_, b int) error { //nolint:errcheck // fn never fails
-		blocks[b].build(lv, b*lines/len(blocks), (b+1)*lines/len(blocks), rowPtr)
+		blocks[b].build(lv, first(b), first(b+1), rowPtr, st.ptr)
 		return nil
 	})
 	for i := range nc {
 		rowPtr[i+1] += rowPtr[i]
 	}
+	for l := range lines {
+		st.ptr[l+1] += st.ptr[l]
+	}
 	cols := make([]int32, rowPtr[nc])
 	vals := make([]float64, rowPtr[nc])
+	st.line, st.dz = make([]int32, st.ptr[lines]), make([]int8, st.ptr[lines])
 	parallel.ForEach(len(blocks), len(blocks), func(_, b int) error { //nolint:errcheck // fn never fails
-		at := rowPtr[b*lines/len(blocks)*lv.nz]
 		blk := &blocks[b]
+		at := rowPtr[first(b)*nz]
 		for c := range blk.cols {
 			copy(cols[at:], blk.cols[c])
 			at += copy(vals[at:], blk.vals[c])
 		}
+		copy(st.line[st.ptr[first(b)]:], blk.line)
+		copy(st.dz[st.ptr[first(b)]:], blk.dz)
 		*blk = galerkinBlock{}
 		return nil
 	})
-	return sparse.NewCSRInRowOrder(nc, rowPtr, cols, vals)
+	a, err := sparse.NewCSRInRowOrder(nc, rowPtr, cols, vals)
+	if err != nil {
+		return nil, nil, err
+	}
+	return a, st, nil
 }
 
 // galerkinChunk is the entry capacity of one chunk of a galerkinBlock.
 const galerkinChunk = 1 << 16
 
-// galerkinBlock holds the rows of one run of coarse lines while the
-// product is built: their entries, in row order, in chunks of up to
-// galerkinChunk entries that no row straddles, so the block never copies
-// what it has built.
+// galerkinBlock holds one run of coarse lines while the product is
+// built: their rows' entries, in row order, in chunks of up to
+// galerkinChunk entries that no line straddles, so the block never
+// copies what it has built, and their stencils' slots, line by line.
 type galerkinBlock struct {
 	cols [][]int32
 	vals [][]float64
+	line []int32
+	dz   []int8
 }
 
-// build computes the rows of coarse lines [l0, l1), writing each row's
-// entry count to rowPtr[row+1].
-func (blk *galerkinBlock) build(lv *level, l0, l1 int, rowPtr []int) {
-	ix, iy := lv.ix, lv.iy
+// galerkinTerm is one interpolation target of one fine slot of a coarse
+// line: the coarse slot t it adds into (its layer-major key until the
+// line's slots are numbered) and the target's weights.
+type galerkinTerm struct {
+	t      int32
+	yw, xw float64
+}
+
+// build computes the rows and stencils of coarse lines [l0, l1), writing
+// each row's entry count to rowPtr[row+1] and each line's slot count to
+// slotPtr[line+1].
+func (blk *galerkinBlock) build(lv *level, l0, l1 int, rowPtr []int, slotPtr []int32) {
+	ix, iy, st := lv.ix, lv.iy, lv.st
 	nxf, nz := lv.nx, lv.nz
 	nxc := ix.nc
 	lines := nxc * iy.nc
-	nc := lines * nz
-
-	// scratch and marked are keyed by layer-major coarse index.
-	scratch := make([]float64, nc)
-	marked := make([]bool, nc)
-	var touched []int32
-
-	// scatter adds w·a into the coarse columns derived from fine column c.
-	scatter := func(c int, w float64) {
-		fl, fk := lv.lineOf(c)
-		fi, fj := fl%nxf, fl/nxf
-		xw := [2]float64{ix.wlo[fi], ix.whi[fi]}
-		xj := [2]int32{ix.lo[fi], ix.hi[fi]}
-		yw := [2]float64{iy.wlo[fj], iy.whi[fj]}
-		yj := [2]int32{iy.lo[fj], iy.hi[fj]}
-		for yi := 0; yi < 2; yi++ {
-			if yw[yi] == 0 {
-				continue
-			}
-			for xi := 0; xi < 2; xi++ {
-				if xw[xi] == 0 {
-					continue
-				}
-				J := (fk*iy.nc+int(yj[yi]))*nxc + int(xj[xi])
-				if !marked[J] {
-					marked[J] = true
-					touched = append(touched, int32(J))
-				}
-				scratch[J] += w * yw[yi] * xw[xi]
-			}
-		}
-	}
-
+	fineRows, fineVals := lv.a.RowPtr(), lv.a.Values()
+	// slot[key] numbers the coarse slot of layer-major key (d+1)·lines+cl′
+	// on coarse line cl once seen[key] holds cl+1.
+	seen := make([]int32, 3*lines)
+	slot := make([]int32, 3*lines)
+	var (
+		keys  []int32
+		terms []galerkinTerm
+		nterm []uint8   // the terms of each fine slot, in order
+		w     []float64 // w[s·nz+k]: rw·a of the fine line's slot s at layer k
+		acc   []float64 // acc[t·nz+k]: coarse slot t at layer k
+	)
 	for cl := l0; cl < l1; cl++ {
 		ci, cj := cl%nxc, cl/nxc
-		for k := 0; k < nz; k++ {
-			touched = touched[:0]
-			// Fine rows contributing to this coarse row: the adjoint
-			// stencils of the lateral axes, on the same layer.
-			for yi, fj := range iy.rev[cj] {
-				wy := iy.revW[cj][yi]
-				for xi, fi := range ix.rev[ci] {
-					rw := ix.revW[ci][xi] * wy
-					rc, rv := lv.a.Row(lv.cell(int(fj)*nxf+int(fi), k))
-					for p := range rc {
-						scatter(int(rc[p]), rw*rv[p])
+		stamp := int32(cl + 1)
+		keys, terms, nterm = keys[:0], terms[:0], nterm[:0]
+		// Resolve the terms of every slot of the line's fine lines once:
+		// the target lines, the 2×2 zero-weight branches and the keys.
+		for _, fj := range iy.rev[cj] {
+			for _, fi := range ix.rev[ci] {
+				sl, sd := st.slots(int(fj)*nxf + int(fi))
+				for s, tl := range sl {
+					ti, tj := int(tl)%nxf, int(tl)/nxf
+					xw := [2]float64{ix.wlo[ti], ix.whi[ti]}
+					xj := [2]int32{ix.lo[ti], ix.hi[ti]}
+					yw := [2]float64{iy.wlo[tj], iy.whi[tj]}
+					yj := [2]int32{iy.lo[tj], iy.hi[tj]}
+					base := (int(sd[s]) + 1) * lines
+					n := uint8(0)
+					for yi := range 2 {
+						if yw[yi] == 0 {
+							continue
+						}
+						for xi := range 2 {
+							if xw[xi] == 0 {
+								continue
+							}
+							key := int32(base + int(yj[yi])*nxc + int(xj[xi]))
+							if seen[key] != stamp {
+								seen[key] = stamp
+								keys = append(keys, key)
+							}
+							terms = append(terms, galerkinTerm{key, yw[yi], xw[xi]})
+							n++
+						}
 					}
+					nterm = append(nterm, n)
 				}
 			}
-			// Gather the scattered row in layer-major column order,
-			// numbering the columns line-major.
-			sortInt32(touched)
-			last := len(blk.cols) - 1
-			if last < 0 || cap(blk.cols[last])-len(blk.cols[last]) < len(touched) {
-				size := max(galerkinChunk, len(touched))
-				blk.cols = append(blk.cols, make([]int32, 0, size))
-				blk.vals = append(blk.vals, make([]float64, 0, size))
-				last++
-			}
-			cols, vals := blk.cols[last], blk.vals[last]
-			for _, J := range touched {
-				cols = append(cols, int32(int(J)%lines*nz+int(J)/lines))
-				vals = append(vals, scratch[J])
-				scratch[J] = 0
-				marked[J] = false
-			}
-			blk.cols[last], blk.vals[last] = cols, vals
-			rowPtr[cl*nz+k+1] = len(touched)
 		}
-	}
-}
-
-// sortInt32 insertion-sorts a short slice (coarse stencils are ≤ a few
-// dozen entries, below the crossover where library sorts pay off).
-func sortInt32(s []int32) {
-	for i := 1; i < len(s); i++ {
-		v := s[i]
-		j := i - 1
-		for j >= 0 && s[j] > v {
-			s[j+1] = s[j]
-			j--
+		// Number the coarse slots in ascending layer-major order.
+		slices.Sort(keys)
+		nt := len(keys)
+		for t, key := range keys {
+			slot[key] = int32(t)
+			d := int8(-1)
+			for ; key >= int32(lines); key -= int32(lines) {
+				d++
+			}
+			blk.line = append(blk.line, key)
+			blk.dz = append(blk.dz, d)
 		}
-		s[j+1] = v
+		slotPtr[cl+1] = int32(nt)
+		for i := range terms {
+			terms[i].t = slot[terms[i].t]
+		}
+		if cap(acc) < nt*nz {
+			acc = make([]float64, nt*nz)
+		}
+		acc = acc[:nt*nz]
+		// Add every term on the layers its slot reaches, fine line by fine
+		// line: first rw·a of each of its slots, row by row, then the terms.
+		q, fs := 0, 0 // term and fine slot cursors
+		for yi, fj := range iy.rev[cj] {
+			wy := iy.revW[cj][yi]
+			for xi, fi := range ix.rev[ci] {
+				rw := ix.revW[ci][xi] * wy
+				fl := int(fj)*nxf + int(fi)
+				_, sd := st.slots(fl)
+				if cap(w) < len(sd)*nz {
+					w = make([]float64, len(sd)*nz)
+				}
+				for k := range nz {
+					lo, hi := layerSlots(sd, k, nz)
+					row := fineRows[lv.cell(fl, k)]
+					for s, v := range fineVals[row : row+hi-lo] {
+						w[(lo+s)*nz+k] = rw * v
+					}
+				}
+				for s, d := range sd {
+					k0, k1 := max(0, -int(d)), min(nz, nz-int(d))
+					ws := w[s*nz+k0 : s*nz+k1]
+					for _, tm := range terms[q : q+int(nterm[fs])] {
+						a := acc[int(tm.t)*nz+k0:][:len(ws)]
+						for k, v := range ws {
+							a[k] += v * tm.yw * tm.xw
+						}
+					}
+					q += int(nterm[fs])
+					fs++
+				}
+			}
+		}
+		// Gather the rows layer by layer, numbering the columns line-major.
+		last := len(blk.cols) - 1
+		if last < 0 || cap(blk.cols[last])-len(blk.cols[last]) < nt*nz {
+			size := max(galerkinChunk, nt*nz)
+			blk.cols = append(blk.cols, make([]int32, 0, size))
+			blk.vals = append(blk.vals, make([]float64, 0, size))
+			last++
+		}
+		cols, vals := blk.cols[last], blk.vals[last]
+		cline, cdz := blk.line[len(blk.line)-nt:], blk.dz[len(blk.dz)-nt:]
+		for k := range nz {
+			lo, hi := layerSlots(cdz, k, nz)
+			for t := lo; t < hi; t++ {
+				cols = append(cols, cline[t]*int32(nz)+int32(k)+int32(cdz[t]))
+				vals = append(vals, acc[t*nz+k])
+			}
+			rowPtr[cl*nz+k+1] = hi - lo
+		}
+		blk.cols[last], blk.vals[last] = cols, vals
+		clear(acc)
 	}
 }
 
@@ -1456,7 +1670,7 @@ func toLayers[D, S sparse.Float](dst []D, src []S, nz int) {
 // (values vals) is the caller's layer-major matrix, while x, b and r are
 // numbered line-major. Each row sums its entries in stored order from
 // zero, exactly as the layer-major product sums it; a column of a row in
-// layer k lies in layer k−1, k or k+1 (newLineSmoother checks), so its
+// layer k lies in layer k−1, k or k+1 (finestStencil checks), so its
 // line-major index follows from two comparisons. Blocks of lineChunk
 // lines are taken layer by layer, which keeps the reads and writes of x,
 // b and r near the block's lines, on up to workers goroutines by the
@@ -1627,13 +1841,16 @@ func (s *Solver) Solve(a *sparse.CSR, b, x []float64) (sparse.Result, error) {
 
 // Phase indices for the per-hierarchy time accounting below: the
 // V-cycle phases, then the one-off set-up: the hierarchy's build, its
-// coarse factorisation and its cycle arrays.
+// coarse factorisation and its cycle arrays. phaseResidual and
+// phaseGalerkin are shares of the phase before them, charged to both.
 const (
 	phaseSmooth   = iota
 	phaseRestrict // includes the pre-restriction residual
+	phaseResidual
 	phaseProlong
 	phaseCoarse
-	phaseHierarchy
+	phaseHierarchy // includes the Galerkin products
+	phaseGalerkin
 	phaseFactor
 	phaseCycleArrays
 	numPhases
@@ -1652,18 +1869,23 @@ type PhaseStats struct {
 	// full-weighting restriction, Prolong the interpolation of coarse
 	// corrections, Coarse the exact coarsest-level solves.
 	Smooth, Restrict, Prolong, Coarse time.Duration
+	// Residual is the share of Restrict spent computing each level's
+	// residual before it is restricted.
+	Residual time.Duration
 	// Hierarchy is the time spent building the hierarchy — BuildHierarchy
 	// (Galerkin products, line smoothers, the coarsest level's symbolic
 	// analysis), or Shifted for a derived one —, charged once when it is
-	// built. Factor is the time spent factoring the coarsest level,
-	// charged once per hierarchy by whichever solve first needed the
-	// factor. CycleArrays is the time spent building the cycle arrays of
-	// each precision solved in — packing the off-line couplings from the
-	// operators (once for a hierarchy and the ones Shifted derives from
-	// it) and rounding the float32 cycle's copies —, charged once per
-	// hierarchy and precision by the first solve of that precision. All
-	// three are set-up, not V-cycle time, and Total leaves them out.
-	Hierarchy, Factor, CycleArrays time.Duration
+	// built; Galerkin is its share spent in Galerkin products, zero for a
+	// Shifted hierarchy, which builds none. Factor is the time spent
+	// factoring the coarsest level, charged once per hierarchy by
+	// whichever solve first needed the factor. CycleArrays is the time
+	// spent building the cycle arrays of each precision solved in —
+	// packing the off-line couplings from the operators (once for a
+	// hierarchy and the ones Shifted derives from it) and rounding the
+	// float32 cycle's copies —, charged once per hierarchy and precision
+	// by the first solve of that precision. All four are set-up, not
+	// V-cycle time, and Total leaves them out.
+	Hierarchy, Galerkin, Factor, CycleArrays time.Duration
 }
 
 // PhaseStats returns the cumulative per-phase wall time spent on this
@@ -1673,9 +1895,11 @@ func (h *Hierarchy) PhaseStats() PhaseStats {
 	return PhaseStats{
 		Smooth:      time.Duration(h.phaseNanos[phaseSmooth].Load()),
 		Restrict:    time.Duration(h.phaseNanos[phaseRestrict].Load()),
+		Residual:    time.Duration(h.phaseNanos[phaseResidual].Load()),
 		Prolong:     time.Duration(h.phaseNanos[phaseProlong].Load()),
 		Coarse:      time.Duration(h.phaseNanos[phaseCoarse].Load()),
 		Hierarchy:   time.Duration(h.phaseNanos[phaseHierarchy].Load()),
+		Galerkin:    time.Duration(h.phaseNanos[phaseGalerkin].Load()),
 		Factor:      time.Duration(h.phaseNanos[phaseFactor].Load()),
 		CycleArrays: time.Duration(h.phaseNanos[phaseCycleArrays].Load()),
 	}
@@ -1687,9 +1911,11 @@ func (p PhaseStats) Sub(q PhaseStats) PhaseStats {
 	return PhaseStats{
 		Smooth:      p.Smooth - q.Smooth,
 		Restrict:    p.Restrict - q.Restrict,
+		Residual:    p.Residual - q.Residual,
 		Prolong:     p.Prolong - q.Prolong,
 		Coarse:      p.Coarse - q.Coarse,
 		Hierarchy:   p.Hierarchy - q.Hierarchy,
+		Galerkin:    p.Galerkin - q.Galerkin,
 		Factor:      p.Factor - q.Factor,
 		CycleArrays: p.CycleArrays - q.CycleArrays,
 	}
@@ -1701,16 +1927,19 @@ func (p PhaseStats) Add(q PhaseStats) PhaseStats {
 	return PhaseStats{
 		Smooth:      p.Smooth + q.Smooth,
 		Restrict:    p.Restrict + q.Restrict,
+		Residual:    p.Residual + q.Residual,
 		Prolong:     p.Prolong + q.Prolong,
 		Coarse:      p.Coarse + q.Coarse,
 		Hierarchy:   p.Hierarchy + q.Hierarchy,
+		Galerkin:    p.Galerkin + q.Galerkin,
 		Factor:      p.Factor + q.Factor,
 		CycleArrays: p.CycleArrays + q.CycleArrays,
 	}
 }
 
-// Total returns the summed V-cycle phase time (the set-up phases
-// Hierarchy, Factor and CycleArrays excluded).
+// Total returns the summed V-cycle phase time (Residual, a share of
+// Restrict, counted once, and the set-up phases Hierarchy, Galerkin,
+// Factor and CycleArrays excluded).
 func (p PhaseStats) Total() time.Duration {
 	return p.Smooth + p.Restrict + p.Prolong + p.Coarse
 }
@@ -1867,6 +2096,7 @@ func vcycle[F sparse.Float](h *Hierarchy, ws *workspace[F], l int, x, b []F) {
 			r[i] = b[i] - r[i]
 		}
 	}
+	h.phaseAdd(phaseResidual, start)
 	restrict(lv, arr, bc, r, ws.sweepWorkers[l])
 	h.phaseAdd(phaseRestrict, start)
 	clear(xc)

@@ -490,7 +490,8 @@ func TestConfigKnobs(t *testing.T) {
 }
 
 // TestErrors: solving on another matrix's hierarchy, or building one
-// from geometry that does not match the matrix, must fail with a
+// from geometry that does not match the matrix or from an operator
+// whose rows do not share their line's stencil, must fail with a
 // descriptive error.
 func TestErrors(t *testing.T) {
 	a, hint := buildHeatSystem(t, uniformLines(8, 1), uniformLines(8, 1), uniformLines(4, 0.1))
@@ -506,24 +507,33 @@ func TestErrors(t *testing.T) {
 	if _, err := BuildHierarchy(a, sparse.GridHint{}, Options{}); err == nil {
 		t.Error("empty hint should error")
 	}
+	// withCoupling returns a plus a symmetric coupling of cells i and j,
+	// diagonally dominant, so only the shape of the stencil is wrong.
+	withCoupling := func(i, j int) *sparse.CSR {
+		m := sparse.NewCOO(a.N())
+		for r := 0; r < a.N(); r++ {
+			cols, vals := a.Row(r)
+			for p, c := range cols {
+				m.Add(r, int(c), vals[p])
+			}
+		}
+		m.Add(i, j, -1)
+		m.Add(j, i, -1)
+		m.Add(i, i, 1)
+		m.Add(j, j, 1)
+		return m.ToCSR()
+	}
 	// The z-line smoother and the finest residual need every coupling to
 	// reach one layer at most: couple layer 0 of one line to layer 2 of
-	// the next (symmetric, diagonally dominant, so only the reach is
-	// wrong).
-	wide := sparse.NewCOO(a.N())
-	for i := 0; i < a.N(); i++ {
-		cols, vals := a.Row(i)
-		for p, c := range cols {
-			wide.Add(i, int(c), vals[p])
-		}
-	}
-	far := 2*64 + 1
-	wide.Add(0, far, -1)
-	wide.Add(far, 0, -1)
-	wide.Add(0, 0, 1)
-	wide.Add(far, far, 1)
-	if _, err := BuildHierarchy(wide.ToCSR(), hint, Options{}); err == nil || !strings.Contains(err.Error(), "more than one apart") {
+	// the next.
+	if _, err := BuildHierarchy(withCoupling(0, 2*64+1), hint, Options{}); err == nil || !strings.Contains(err.Error(), "more than one apart") {
 		t.Errorf("a coupling two layers apart: %v", err)
+	}
+	// Every row of a line must share its stencil: couple interior row 73
+	// (line 9, layer 1) to row 91 (line 27, the same layer), which no
+	// other row of line 9 reaches.
+	if _, err := BuildHierarchy(withCoupling(73, 91), hint, Options{}); err == nil || !strings.Contains(err.Error(), "row 73 ") {
+		t.Errorf("an extra coupling of one interior row: %v, want an error naming row 73", err)
 	}
 }
 

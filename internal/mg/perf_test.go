@@ -308,6 +308,23 @@ func TestCoarseCholeskyMatchesIterative(t *testing.T) {
 	}
 }
 
+// workersTestSystem is the graded heat system the set-up's worker tests
+// build on: a cluster of 0.5-wide cells among 10-wide ones, on which the
+// lateral coarsening stalls once the cluster has merged into one 2-wide
+// cell, leaving a large coarsest level, as on the thermal meshes. It is
+// sized so that 4 workers split the finest smoother, the first Galerkin
+// product and the coarse factor.
+func workersTestSystem(t testing.TB) (*sparse.CSR, sparse.GridHint) {
+	graded := func(wide int) []float64 {
+		lines := []float64{0, 0.5, 1, 1.5, 2}
+		for i := 1; i <= wide; i++ {
+			lines = append(lines, 2+10*float64(i))
+		}
+		return lines
+	}
+	return buildHeatSystem(t, graded(32), graded(28), uniformLines(9, 3))
+}
+
 // TestSetupWorkersBitIdentical builds one graded hierarchy and its coarse
 // factor on 1, 2, 3 and 4 workers and requires the same bits from each:
 // every level's operator arrays, line-smoother arrays, colour classes and
@@ -317,17 +334,7 @@ func TestCoarseCholeskyMatchesIterative(t *testing.T) {
 // first Galerkin product run on all the workers, and the factor's
 // elimination tree falls into at least as many subtrees.
 func TestSetupWorkersBitIdentical(t *testing.T) {
-	// A cluster of 0.5-wide cells among 10-wide ones: the lateral
-	// coarsening stalls once the cluster has merged into one 2-wide cell,
-	// leaving a large coarsest level, as on the thermal meshes.
-	graded := func(wide int) []float64 {
-		lines := []float64{0, 0.5, 1, 1.5, 2}
-		for i := 1; i <= wide; i++ {
-			lines = append(lines, 2+10*float64(i))
-		}
-		return lines
-	}
-	a, hint := buildHeatSystem(t, graded(32), graded(28), uniformLines(9, 3))
+	a, hint := workersTestSystem(t)
 	shift := shiftVector(hint.X, hint.Y, hint.Z)
 	type build struct {
 		h, sh  *Hierarchy

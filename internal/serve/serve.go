@@ -260,6 +260,7 @@ func (s *Server) basisFor(act activity.Scenario) (*thermal.Basis, error) {
 			"activity", activity.Key(act),
 			"duration_ms", float64(bs.Wall.Microseconds())/1000,
 			"hierarchy_ms", float64(bs.Phases.Hierarchy.Microseconds())/1000,
+			"galerkin_ms", float64(bs.Phases.Galerkin.Microseconds())/1000,
 			"coarse_factor_ms", float64(bs.Phases.Factor.Microseconds())/1000,
 			"cycle_arrays_ms", float64(bs.Phases.CycleArrays.Microseconds())/1000,
 			"levels", bs.Levels,
@@ -419,15 +420,16 @@ func (s *Server) handleGradient(w http.ResponseWriter, r *http.Request) {
 	}
 	// The basis span carries the mg cost of the build that produced this
 	// basis (zero/near-zero duration when it was already warm): how many
-	// unit fields it solved, their iteration count, the hierarchy build,
-	// coarse factorisation and cycle-array times it paid (zero unless it
-	// was the model's first solve), the hierarchy's depth, coarsest level
-	// and footprint, and the V-cycle precision as its bit width (span
-	// attributes are numbers).
+	// unit fields it solved, their iteration count, the hierarchy build
+	// (and its Galerkin products' share), coarse factorisation and
+	// cycle-array times it paid (zero unless it was the model's first
+	// solve), the hierarchy's depth, coarsest level and footprint, and the
+	// V-cycle precision as its bit width (span attributes are numbers).
 	bs := basis.BuildStats()
 	sp.SetAttr("columns", float64(bs.Columns))
 	sp.SetAttr("mg_iters", float64(bs.Iterations))
 	sp.SetAttr("hierarchy_ms", float64(bs.Phases.Hierarchy.Microseconds())/1000)
+	sp.SetAttr("galerkin_ms", float64(bs.Phases.Galerkin.Microseconds())/1000)
 	sp.SetAttr("coarse_factor_ms", float64(bs.Phases.Factor.Microseconds())/1000)
 	sp.SetAttr("cycle_arrays_ms", float64(bs.Phases.CycleArrays.Microseconds())/1000)
 	sp.SetAttr("levels", float64(bs.Levels))

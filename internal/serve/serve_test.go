@@ -424,9 +424,9 @@ func mustJSON(t *testing.T, v any) []byte {
 }
 
 // TestWarmChargesHierarchyOnce: the cold build Server.Warm runs pays the
-// model's multigrid hierarchy, coarse factor and cycle arrays, and its
-// "basis built" line reports each; a later activity rebuild reuses them
-// and reports zero for each. Both lines report the hierarchy they ran
+// model's multigrid hierarchy (its Galerkin products a share of it),
+// coarse factor and cycle arrays, and its "basis built" line reports
+// each; a later activity rebuild reuses them and reports zero for each. Both lines report the hierarchy they ran
 // on: its depth, its coarsest level's cell count, the V-cycle precision
 // and its footprint.
 func TestWarmChargesHierarchyOnce(t *testing.T) {
@@ -461,7 +461,7 @@ func TestWarmChargesHierarchyOnce(t *testing.T) {
 	if len(built) != 2 {
 		t.Fatalf("%d basis built lines, want the uniform and the diagonal build:\n%s", len(built), logs.String())
 	}
-	for _, key := range []string{"hierarchy_ms", "coarse_factor_ms", "cycle_arrays_ms"} {
+	for _, key := range []string{"hierarchy_ms", "galerkin_ms", "coarse_factor_ms", "cycle_arrays_ms"} {
 		cold, ok := built[0][key].(float64)
 		if !ok || cold <= 0 {
 			t.Errorf("cold build: %s = %v, want > 0", key, built[0][key])
@@ -469,6 +469,10 @@ func TestWarmChargesHierarchyOnce(t *testing.T) {
 		if rebuild, ok := built[1][key].(float64); !ok || rebuild != 0 {
 			t.Errorf("activity rebuild: %s = %v, want 0", key, built[1][key])
 		}
+	}
+	// The Galerkin products are a share of the hierarchy build.
+	if galerkin, hierarchy := built[0]["galerkin_ms"].(float64), built[0]["hierarchy_ms"].(float64); galerkin > hierarchy {
+		t.Errorf("cold build: galerkin_ms %v exceeds hierarchy_ms %v", galerkin, hierarchy)
 	}
 	model := s.meth.Model()
 	hier, err := model.System().Hierarchy()

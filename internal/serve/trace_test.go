@@ -112,19 +112,20 @@ func TestTraceEndToEnd(t *testing.T) {
 	if sp := spans["solve"]; sp.DurationUS <= 0 {
 		t.Errorf("solve span duration = %d µs, want > 0", sp.DurationUS)
 	}
-	for _, attr := range []string{"columns", "mg_iters", "hierarchy_ms", "coarse_factor_ms", "cycle_arrays_ms", "levels", "coarse_cells", "precision", "hierarchy_mb"} {
+	for _, attr := range []string{"columns", "mg_iters", "hierarchy_ms", "galerkin_ms", "coarse_factor_ms", "cycle_arrays_ms", "levels", "coarse_cells", "precision", "hierarchy_mb"} {
 		if sp := spans["basis"]; !hasAttr(sp, attr) {
 			t.Errorf("basis span has no %s attribute (attrs %v)", attr, sp.Attrs)
 		}
 	}
 	// This query built the server's first basis, so it paid the
-	// hierarchy, the coarse factorisation and the cycle arrays, on a
+	// hierarchy with its Galerkin products, the coarse factorisation and
+	// the cycle arrays, on a
 	// hierarchy of at least two levels whose coarsest level has cells and
 	// whose arrays hold memory, in the float32 V-cycle preview's default
 	// tolerance picks.
 	for _, a := range spans["basis"].Attrs {
 		switch a.Key {
-		case "hierarchy_ms", "coarse_factor_ms", "cycle_arrays_ms", "coarse_cells", "hierarchy_mb":
+		case "hierarchy_ms", "galerkin_ms", "coarse_factor_ms", "cycle_arrays_ms", "coarse_cells", "hierarchy_mb":
 			if a.Value <= 0 {
 				t.Errorf("basis span %s = %g on the first build, want > 0", a.Key, a.Value)
 			}
