@@ -683,13 +683,12 @@ func BenchmarkSolverBackends(b *testing.B) {
 // BenchmarkCoarseSolve isolates the coarsest-level direct solve the
 // V-cycle leans on, splitting the one-off cost from the recurring one:
 // "factor" is the sparse-Cholesky setup (symbolic analysis plus numeric
-// factorisation under the fill-reducing nested-dissection ordering, on
-// the VCSELNOC_WORKERS goroutine cap) paid once per hierarchy, "solve"
-// the permuted triangular solve every V-cycle buys with it, on as many
-// goroutines as the V-cycle gives it. Read them against the coarsefrac
-// metric of BenchmarkSolverBackends/mg-cg: factor amortises across the
-// whole basis build, solve is the term that replaced the coarse-grid PCG
-// iterations.
+// factorisation under the fill-reducing nested-dissection ordering)
+// paid once per hierarchy, "solve" the permuted triangular solve every
+// V-cycle buys with it. Both run on one goroutine. Read them against the
+// coarsefrac metric of BenchmarkSolverBackends/mg-cg: factor amortises
+// across the whole basis build, solve is the term that replaced the
+// coarse-grid PCG iterations.
 func BenchmarkCoarseSolve(b *testing.B) {
 	m := benchMethodology(b).Model()
 	h, err := m.System().Hierarchy()
@@ -698,13 +697,12 @@ func BenchmarkCoarseSolve(b *testing.B) {
 	}
 	a := h.CoarseOperator()
 	perm := h.CoarseOrdering()
-	workers := benchWorkers()
 	factor := func(b *testing.B) *sparse.SparseCholesky {
 		an, err := sparse.AnalyzeCholesky(a, perm, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		c, err := an.Factor(a, workers)
+		c, err := an.Factor(a)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -720,7 +718,7 @@ func BenchmarkCoarseSolve(b *testing.B) {
 	})
 	b.Run("solve", func(b *testing.B) {
 		c := factor(b)
-		scratch := sparse.NewCholeskyScratch[float64](c, sparse.MulVecWorkers(a.N(), workers))
+		scratch := sparse.NewCholeskyScratch[float64](c)
 		rhs := make([]float64, a.N())
 		for i := range rhs {
 			rhs[i] = 1 + float64(i%7)

@@ -476,11 +476,8 @@ func window(total, start, count int) (int, int, error) {
 	if count < 0 {
 		return 0, 0, &httpError{code: 400, msg: fmt.Sprintf("fleet: negative row_count %d", count)}
 	}
-	hi := total
-	if count > 0 && start+count < total {
-		hi = start + count
-	}
-	return start, hi, nil
+	lo, hi := serve.Window(total, start, count)
+	return lo, hi, nil
 }
 
 // handleGradientSweep serves the worker-shaped gradient sweep API by
@@ -619,14 +616,7 @@ func (c *Coordinator) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	all := c.jobs.list()
-	lo := offset
-	if lo > len(all) {
-		lo = len(all)
-	}
-	hi := len(all)
-	if limit > 0 && lo+limit < hi {
-		hi = lo + limit
-	}
+	lo, hi := serve.Window(len(all), offset, limit)
 	writeJSON(w, JobRecordList{Jobs: all[lo:hi], Total: len(all), Offset: offset, More: hi < len(all)})
 }
 

@@ -13,9 +13,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -383,6 +385,56 @@ func TestCoordinatorEmptyFleet(t *testing.T) {
 	} {
 		if w := ctlDo(t, c, "POST", path, body); w.Code != http.StatusBadRequest {
 			t.Fatalf("%s with trailing data: HTTP %d (%s)", path, w.Code, w.Body.String())
+		}
+	}
+}
+
+// TestOverflowingWindows: the coordinator's sweep row window and job
+// pages read a count that would wrap start+count past math.MaxInt as
+// "to the end", where they once sliced with a negative bound.
+func TestOverflowingWindows(t *testing.T) {
+	for _, tc := range []struct {
+		total, start, count, lo, hi int
+		bad                         bool
+	}{
+		{3, 0, 0, 0, 3, false},
+		{3, 1, 1, 1, 2, false},
+		{3, 1, math.MaxInt, 1, 3, false},
+		{3, 2, math.MaxInt - 1, 2, 3, false},
+		{3, 3, 1, 0, 0, true},
+		{3, -1, 1, 0, 0, true},
+		{3, 0, -1, 0, 0, true},
+	} {
+		lo, hi, err := window(tc.total, tc.start, tc.count)
+		if (err != nil) != tc.bad || lo != tc.lo || hi != tc.hi {
+			t.Errorf("window(%d, %d, %d) = %d, %d, %v; want %d, %d, error %t",
+				tc.total, tc.start, tc.count, lo, hi, err, tc.lo, tc.hi, tc.bad)
+		}
+	}
+	c := newCoordinator(t, Config{})
+	for _, id := range []string{"a", "b"} {
+		c.jobs.insert(&trackedJob{id: id, status: serve.JobStatus{ID: id, State: serve.JobDone}})
+	}
+	for _, tc := range []struct {
+		query string
+		ids   []string
+		more  bool
+	}{
+		{"?offset=1&limit=9223372036854775807", []string{"b"}, false},
+		{"?offset=0&limit=1", []string{"a"}, true},
+		{"?offset=5&limit=9223372036854775807", nil, false},
+	} {
+		w := ctlDo(t, c, "GET", "/v1/jobs"+tc.query, "")
+		if w.Code != http.StatusOK {
+			t.Fatalf("/v1/jobs%s: HTTP %d (%s)", tc.query, w.Code, w.Body.String())
+		}
+		page := decodeBody[JobRecordList](t, w)
+		var ids []string
+		for _, j := range page.Jobs {
+			ids = append(ids, j.ID)
+		}
+		if !slices.Equal(ids, tc.ids) || page.Total != 2 || page.More != tc.more {
+			t.Errorf("/v1/jobs%s: jobs %v of %d, more %t; want %v of 2, more %t", tc.query, ids, page.Total, page.More, tc.ids, tc.more)
 		}
 	}
 }

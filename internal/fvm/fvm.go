@@ -448,9 +448,9 @@ type SolveOptions struct {
 	// Workers caps the goroutines used for matrix-vector products and the
 	// red-black line smoother of each solve; 0 means GOMAXPROCS. A block
 	// solve runs its columns concurrently unless Workers is 1. The
-	// system's one-off multigrid set-up (hierarchy and coarse factor)
-	// does not read it: it runs on GOMAXPROCS workers, with bits
-	// independent of the count.
+	// system's one-off multigrid hierarchy does not read it: it is built
+	// on GOMAXPROCS workers, with bits independent of the count, and its
+	// coarse factor on the goroutine of the first solve.
 	Workers int
 }
 
@@ -472,9 +472,9 @@ func solverOptions(tol float64, workers int) mg.Options {
 // hierarchy lazily builds the system's shared multigrid hierarchy. The
 // hierarchy, its coarsening and its coarse factor depend on the matrix
 // alone, so every steady solver shares it. It is built with
-// mg.Options{}, so its set-up and coarse factor run on GOMAXPROCS
-// workers whatever the solves' Workers, with bits independent of the
-// count.
+// mg.Options{}, so its set-up runs on GOMAXPROCS workers whatever the
+// solves' Workers, with bits independent of the count; the coarse factor
+// runs on one goroutine.
 func (s *System) hierarchy() (*mg.Hierarchy, error) {
 	s.mgOnce.Do(func() {
 		s.mgHier, s.mgErr = mg.BuildHierarchy(s.matrix, s.hint, mg.Options{})

@@ -11,14 +11,13 @@ import (
 	"vcselnoc/internal/sparse"
 )
 
-// factorize analyses a under perm within maxEntries and factors it on
-// one goroutine.
+// factorize analyses a under perm within maxEntries and factors it.
 func factorize(a *sparse.CSR, perm []int32, maxEntries int) (*sparse.SparseCholesky, error) {
 	an, err := sparse.AnalyzeCholesky(a, perm, maxEntries)
 	if err != nil {
 		return nil, err
 	}
-	return an.Factor(a, 1)
+	return an.Factor(a)
 }
 
 // fillOf returns the entry count of a's Cholesky factor under perm, or
@@ -31,10 +30,10 @@ func fillOf(a *sparse.CSR, perm []int32, maxEntries int) (int, error) {
 	return an.Nnz(), nil
 }
 
-// cholSolve overwrites b with A⁻¹·b through sparse.CholeskySolve on one
-// goroutine, with fresh scratch.
+// cholSolve overwrites b with A⁻¹·b through sparse.CholeskySolve, with
+// fresh scratch.
 func cholSolve(c *sparse.SparseCholesky, b []float64) {
-	sparse.CholeskySolve(c, c.Values(), b, sparse.NewCholeskyScratch[float64](c, 1))
+	sparse.CholeskySolve(c, c.Values(), b, sparse.NewCholeskyScratch[float64](c))
 }
 
 // TestCoarseSolverAgreement checks the coarse solve on a graded

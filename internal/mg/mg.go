@@ -60,23 +60,21 @@
 // level that fits, so the V-cycle stays a fixed SPD operator, as the
 // outer CG requires, at every mesh size. Each V-cycle's coarse solve
 // runs the factor's triangular sweeps supernode by supernode on the
-// solver's workers (the coarsest level's count by the rule of the level
-// products), its independent elimination subtrees concurrently;
-// restriction builds each coarse row from its fine rows and
-// prolongation writes each fine line, on the level's workers. Every one
-// of them sums each value's terms in one fixed order, so a solve's bits
-// do not depend on its worker count.
+// cycle's own goroutine; restriction builds each coarse row from its
+// fine rows and prolongation writes each fine line, on the level's
+// workers. Every one of them sums each value's terms in one fixed order,
+// so a solve's bits do not depend on its worker count.
 //
 // A Hierarchy is built once per matrix from the mesh geometry behind it
 // and shared by every Solver of that matrix; fvm.System caches one for
 // its steady operator and derives a shifted one per transient time step.
 // Its one-off set-up — the Galerkin products, the line smoothers'
-// factorisations, the coarse factor and the cycle arrays — runs on the
-// workers the hierarchy was built with (BuildHierarchy's Options.Workers;
-// GOMAXPROCS under fvm), never on those of the solver that first asks,
-// and every value it computes sums its terms in a fixed order, so its
-// bits do not depend on the worker count. FootprintOf reports the bytes
-// its arrays hold.
+// factorisations and the cycle arrays — runs on the workers the
+// hierarchy was built with (BuildHierarchy's Options.Workers; GOMAXPROCS
+// under fvm), never on those of the solver that first asks, and the
+// coarse factor on one goroutine; every value the set-up computes sums
+// its terms in a fixed order, so its bits do not depend on the worker
+// count. FootprintOf reports the bytes its arrays hold.
 package mg
 
 import (
@@ -103,16 +101,15 @@ type Options struct {
 	Tolerance float64
 	// Workers caps the goroutines of every V-cycle kernel — matrix-vector
 	// products, the red-black line smoother's per-colour relaxations,
-	// restriction, prolongation and the coarse triangular solve, which
-	// runs the factor's elimination subtrees concurrently —; 0 means
-	// GOMAXPROCS. Levels under 4096 cells run them serially, allocating
-	// nothing (sparse.MulVecWorkers), and no kernel's bits depend on the
-	// count. Passed to BuildHierarchy, it caps the
-	// hierarchy's one-off set-up instead: the Galerkin products, the line
-	// smoothers' factorisations and the coarse factor of the hierarchy and
-	// of every hierarchy Shifted derives from it, whose bits are the same
-	// for any count. A Solver's Workers never changes the hierarchy it is
-	// given.
+	// restriction and prolongation; the coarse triangular solve runs on
+	// the cycle's goroutine —; 0 means GOMAXPROCS. Levels under 4096
+	// cells run them serially, allocating nothing
+	// (sparse.MulVecWorkers), and no kernel's bits depend on the count.
+	// Passed to BuildHierarchy, it caps the hierarchy's one-off set-up
+	// instead: the Galerkin products and the line smoothers'
+	// factorisations of the hierarchy and of every hierarchy Shifted
+	// derives from it, whose bits are the same for any count. A Solver's
+	// Workers never changes the hierarchy it is given.
 	Workers int
 
 	// Test hooks. levels caps the hierarchy depth including the finest
@@ -1022,7 +1019,7 @@ func (lv *level) coarseN() int { return lv.ix.nc * lv.iy.nc * lv.nz }
 type Hierarchy struct {
 	levels []*level
 	// workers caps the goroutines of the one-off set-up (Galerkin
-	// products, line smoothers, coarse factor): BuildHierarchy's resolved
+	// products, line smoothers): BuildHierarchy's resolved
 	// Options.Workers, inherited by Shifted.
 	workers int
 	// coarse is the symbolic analysis of the coarsest level under its
@@ -1067,15 +1064,15 @@ type Hierarchy struct {
 const defaultCoarseBudget = 1 << 20
 
 // coarseFactor builds (once) and returns the sparse Cholesky factor of
-// the coarsest level from the hierarchy's analysis of it, on the
-// hierarchy's workers, charging the time to the Factor phase. The factor
-// depends on the hierarchy alone, never on the solver that first asks.
-// Safe for concurrent use.
+// the coarsest level from the hierarchy's analysis of it, on the calling
+// goroutine, charging the time to the Factor phase. The factor depends
+// on the hierarchy alone, never on the solver that first asks. Safe for
+// concurrent use.
 func (h *Hierarchy) coarseFactor() (*sparse.SparseCholesky, error) {
 	h.factorOnce.Do(func() {
 		start := time.Now()
 		lv := h.levels[len(h.levels)-1]
-		h.factor, h.factorErr = h.coarse.Factor(lv.a, h.workers)
+		h.factor, h.factorErr = h.coarse.Factor(lv.a)
 		if h.factorErr != nil {
 			h.factorErr = fmt.Errorf("mg: coarsest level (%d cells): %w", lv.n(), h.factorErr)
 		} else {
@@ -1726,8 +1723,7 @@ type workspace[F sparse.Float] struct {
 	lex          bool  // serial lexicographic sweeps (test hook)
 	r            [][]F // residual per level
 	xc, bc       [][]F // correction problem per coarser level
-	// coarse is the coarse triangular solve's scratch, for the coarsest
-	// level's goroutine count by the same rule.
+	// coarse is the coarse triangular solve's scratch.
 	coarse *sparse.CholeskyScratch[F]
 }
 
@@ -1741,7 +1737,7 @@ func newWorkspace[F sparse.Float](h *Hierarchy, arr *cycleArrays[F], opts Option
 			ws.bc = append(ws.bc, make([]F, lv.coarseN()))
 		}
 	}
-	ws.coarse = sparse.NewCholeskyScratch[F](arr.factor, ws.sweepWorkers[len(h.levels)-1])
+	ws.coarse = sparse.NewCholeskyScratch[F](arr.factor)
 	return ws
 }
 

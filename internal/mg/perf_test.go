@@ -312,8 +312,8 @@ func TestCoarseCholeskyMatchesIterative(t *testing.T) {
 // build on: a cluster of 0.5-wide cells among 10-wide ones, on which the
 // lateral coarsening stalls once the cluster has merged into one 2-wide
 // cell, leaving a large coarsest level, as on the thermal meshes. It is
-// sized so that 4 workers split the finest smoother, the first Galerkin
-// product and the coarse factor.
+// sized so that 4 workers split the finest smoother and the first
+// Galerkin product.
 func workersTestSystem(t testing.TB) (*sparse.CSR, sparse.GridHint) {
 	graded := func(wide int) []float64 {
 		lines := []float64{0, 0.5, 1, 1.5, 2}
@@ -331,8 +331,7 @@ func workersTestSystem(t testing.TB) (*sparse.CSR, sparse.GridHint) {
 // packed off-line couplings in both precisions, those of the shifted
 // hierarchy derived from it, and the factor's values. The mesh is sized
 // so that every parallel path really splits: the finest smoother and the
-// first Galerkin product run on all the workers, and the factor's
-// elimination tree falls into at least as many subtrees.
+// first Galerkin product run on all the workers.
 func TestSetupWorkersBitIdentical(t *testing.T) {
 	a, hint := workersTestSystem(t)
 	shift := shiftVector(hint.X, hint.Y, hint.Z)
@@ -364,17 +363,15 @@ func TestSetupWorkersBitIdentical(t *testing.T) {
 		}
 		builds[w] = build{h, sh, factor}
 		smooth, product := sparse.MulVecWorkers(h.levels[0].n(), workers), sparse.MulVecWorkers(h.levels[1].n(), workers)
-		if smooth != workers || product != workers || factor.Subtrees() < workers {
-			t.Fatalf("%d workers: finest smoother on %d, first Galerkin product on %d, factor in %d subtrees",
-				workers, smooth, product, factor.Subtrees())
+		if smooth != workers || product != workers {
+			t.Fatalf("%d workers: finest smoother on %d, first Galerkin product on %d", workers, smooth, product)
 		}
 		if h.PhaseStats().Hierarchy <= 0 || sh.PhaseStats().Hierarchy <= 0 {
 			t.Fatalf("%d workers: Hierarchy phase %v, shifted %v; want the build times", workers, h.PhaseStats().Hierarchy, sh.PhaseStats().Hierarchy)
 		}
 	}
 	ref := builds[0]
-	t.Logf("%d levels, coarsest %d cells, factor %d entries in %d subtrees on 4 workers",
-		ref.h.Depth(), ref.h.CoarseOperator().N(), ref.factor.Nnz(), builds[3].factor.Subtrees())
+	t.Logf("%d levels, coarsest %d cells, factor %d entries", ref.h.Depth(), ref.h.CoarseOperator().N(), ref.factor.Nnz())
 	for w, b := range builds[1:] {
 		workers := w + 2
 		for _, pair := range [][2]*Hierarchy{{ref.h, b.h}, {ref.sh, b.sh}} {

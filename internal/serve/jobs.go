@@ -676,14 +676,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	all := s.jobs.list()
-	lo := offset
-	if lo > len(all) {
-		lo = len(all)
-	}
-	hi := len(all)
-	if limit > 0 && lo+limit < hi {
-		hi = lo + limit
-	}
+	lo, hi := Window(len(all), offset, limit)
 	writeJSON(w, JobList{
 		Jobs:   all[lo:hi],
 		Total:  len(all),

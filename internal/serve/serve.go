@@ -611,6 +611,20 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, MapResponse{Layer: lm.Layer, X: lm.X, Y: lm.Y, T: lm.T, Min: lm.Min, Max: lm.Max})
 }
 
+// Window returns the bounds [lo, hi) of the page of at most count items
+// (0 means no cap) from item start on in a list of total items, start
+// clamped to total; start and count must not be negative. It never forms
+// start+count, so a count near math.MaxInt reads "to the end" instead of
+// wrapping negative. The sweep row windows and job listings of vcseld
+// and of the fleet coordinator all page with it.
+func Window(total, start, count int) (lo, hi int) {
+	lo = min(start, total)
+	if count > 0 && count < total-lo {
+		return lo, lo + count
+	}
+	return lo, total
+}
+
 // rowWindow validates and clamps a sweep pagination window.
 func rowWindow(total, start, count int) (lo, hi int, err error) {
 	if start < 0 || start >= total {
@@ -619,11 +633,8 @@ func rowWindow(total, start, count int) (lo, hi int, err error) {
 	if count < 0 {
 		return 0, 0, fmt.Errorf("serve: negative row_count %d", count)
 	}
-	hi = total
-	if count > 0 && start+count < total {
-		hi = start + count
-	}
-	return start, hi, nil
+	lo, hi = Window(total, start, count)
+	return lo, hi, nil
 }
 
 // handleGradientSweep evaluates a laser × heater gradient grid row
@@ -665,6 +676,7 @@ func (s *Server) handleGradientSweep(w http.ResponseWriter, r *http.Request) {
 		fail(badRequest(err))
 		return
 	}
+	lasers := req.Lasers[lo:hi]
 	ex, err := dse.NewExplorer(basis)
 	if err != nil {
 		fail(err)
@@ -675,7 +687,7 @@ func (s *Server) handleGradientSweep(w http.ResponseWriter, r *http.Request) {
 	s.sweepSem <- struct{}{}
 	sp.End()
 	sp = tr.StartSpan("solve")
-	rows, err := ex.SweepGradient(req.Chip, req.Lasers[lo:hi], req.Heaters)
+	rows, err := ex.SweepGradient(req.Chip, lasers, req.Heaters)
 	sp.End()
 	<-s.sweepSem
 	if err != nil {
@@ -732,6 +744,7 @@ func (s *Server) handleAvgTempSweep(w http.ResponseWriter, r *http.Request) {
 		fail(badRequest(err))
 		return
 	}
+	chips := req.Chips[lo:hi]
 	ex, err := dse.NewExplorer(basis)
 	if err != nil {
 		fail(err)
@@ -742,7 +755,7 @@ func (s *Server) handleAvgTempSweep(w http.ResponseWriter, r *http.Request) {
 	s.sweepSem <- struct{}{}
 	sp.End()
 	sp = tr.StartSpan("solve")
-	rows, err := ex.SweepAvgTemp(req.Chips[lo:hi], req.Lasers)
+	rows, err := ex.SweepAvgTemp(chips, req.Lasers)
 	sp.End()
 	<-s.sweepSem
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"vcselnoc/internal/activity"
 	"vcselnoc/internal/fvm"
@@ -411,6 +412,88 @@ func TestSweepPagination(t *testing.T) {
 	}
 	if !bytes.Equal(mustJSON(t, winResp.Rows[0]), mustJSON(t, fullResp.Rows[1])) {
 		t.Fatal("windowed row differs from the same row of the full sweep")
+	}
+}
+
+// serveRecovered runs one request through the handler and turns a
+// handler panic into an error, as net/http's connection goroutine does:
+// a panicking request fails its test, not the test binary, and keeps
+// whatever it held.
+func serveRecovered(s *Server, req *http.Request) (w *httptest.ResponseRecorder, err error) {
+	w = httptest.NewRecorder()
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("handler panicked: %v", p)
+		}
+	}()
+	s.ServeHTTP(w, req)
+	return w, nil
+}
+
+// TestOverflowingWindows: a job page or sweep row window whose count
+// would wrap start+count past math.MaxInt reads "to the end", and every
+// sweep gives its slot back. An overflowing sweep once panicked holding
+// one of the server's two sweep slots, so after two of them every later
+// sweep waited forever.
+func TestOverflowingWindows(t *testing.T) {
+	skipShort(t)
+	s := jobServer(t, "")
+	pollJob(t, s, submitSteps(t, s, "1"))
+	const huge = "9223372036854775807" // math.MaxInt64
+	for _, tc := range []struct {
+		query string
+		jobs  int
+	}{{"?offset=0&limit=" + huge, 1}, {"?offset=1&limit=" + huge, 0}} {
+		w, err := serveRecovered(s, httptest.NewRequest(http.MethodGet, "/v1/jobs"+tc.query, nil))
+		if err != nil {
+			t.Errorf("/v1/jobs%s: %v", tc.query, err)
+			continue
+		}
+		if w.Code != http.StatusOK {
+			t.Errorf("/v1/jobs%s: HTTP %d (%s)", tc.query, w.Code, w.Body.String())
+			continue
+		}
+		if page := decodeBody[JobList](t, w); page.Total != 1 || len(page.Jobs) != tc.jobs || page.More {
+			t.Errorf("/v1/jobs%s: %+v, want %d of 1 jobs", tc.query, page, tc.jobs)
+		}
+	}
+	window := `"row_start": 1, "row_count": ` + huge
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/sweep/gradient", `{"chip": 25, "lasers": [1e-3, 2e-3, 3e-3], "heaters": [0, 1e-3], ` + window + `}`},
+		{"/v1/sweep/avgtemp", `{"chips": [20, 25, 30], "lasers": [1e-3, 2e-3], ` + window + `}`},
+	} {
+		w, err := serveRecovered(s, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)))
+		if err != nil {
+			t.Errorf("%s: %v", tc.path, err)
+			continue
+		}
+		if w.Code != http.StatusOK {
+			t.Errorf("%s: HTTP %d (%s)", tc.path, w.Code, w.Body.String())
+			continue
+		}
+		resp := decodeBody[struct {
+			RowStart  int               `json:"row_start"`
+			TotalRows int               `json:"total_rows"`
+			Rows      []json.RawMessage `json:"rows"`
+		}](t, w)
+		if resp.RowStart != 1 || resp.TotalRows != 3 || len(resp.Rows) != 2 {
+			t.Errorf("%s: rows %d.. of %d, %d returned; want rows 1..2 of 3", tc.path, resp.RowStart, resp.TotalRows, len(resp.Rows))
+		}
+	}
+	done := make(chan int, 1)
+	go func() {
+		req := httptest.NewRequest(http.MethodPost, "/v1/sweep/gradient", strings.NewReader(`{"chip": 25, "lasers": [1e-3], "heaters": [0]}`))
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, req)
+		done <- w.Code
+	}()
+	select {
+	case code := <-done:
+		if code != http.StatusOK {
+			t.Fatalf("valid sweep after the overflowing ones: HTTP %d", code)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("a valid sweep still waits for a sweep slot after 30 s")
 	}
 }
 

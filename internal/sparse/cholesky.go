@@ -1,13 +1,9 @@
 package sparse
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
-
-	"vcselnoc/internal/parallel"
 )
 
 // SparseCholesky is a general sparse Cholesky factorisation
@@ -35,10 +31,6 @@ type SparseCholesky struct {
 	an *CholeskyAnalysis // ordering, supernodes, R_s and column offsets
 	// values holds the trapezoids, column j at an.valPtr[j]:an.valPtr[j+1].
 	values []float64
-	// sched splits the supernodes into the independent elimination
-	// subtrees the numeric phase factored concurrently and the rest, for
-	// concurrent solves.
-	sched solveSchedule
 }
 
 // ErrFactorTooLarge reports that the predicted Cholesky fill exceeds the
@@ -138,23 +130,17 @@ func (an *CholeskyAnalysis) belowRows(s int32) []int32 {
 }
 
 // Factor computes the numeric factorisation of a, which must have the
-// pattern the analysis ran on, on up to workers goroutines (≤ 0 means
-// GOMAXPROCS). A non-positive or NaN pivot (matrix not SPD, numerically
-// singular or carrying a NaN) fails it. Every entry sums its terms in an
-// order the pattern alone fixes, so the factor's bits depend on a and
-// the ordering, never on workers.
-func (an *CholeskyAnalysis) Factor(a *CSR, workers int) (*SparseCholesky, error) {
+// pattern the analysis ran on, on the calling goroutine. A non-positive
+// or NaN pivot (matrix not SPD, numerically singular or carrying a NaN)
+// fails it. Every entry sums its terms in an order the pattern alone
+// fixes, so the factor's bits depend on a and the ordering alone.
+func (an *CholeskyAnalysis) Factor(a *CSR) (*SparseCholesky, error) {
 	if a.N() != an.n || len(a.colIdx) != an.nnzA {
 		return nil, fmt.Errorf("sparse: %d-row matrix with %d entries does not have the analysed pattern (%d rows, %d entries)",
 			a.N(), len(a.colIdx), an.n, an.nnzA)
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	c := &SparseCholesky{n: an.n, an: an, values: make([]float64, an.valPtr[an.n])}
-	subtrees, top := an.splitSubtrees(workers)
-	c.sched = an.schedule(subtrees, top)
-	if err := c.factorSupernodal(a, subtrees, top, workers); err != nil {
+	if err := c.factorSupernodal(a); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -372,13 +358,15 @@ func supernodes(parent []int32, colPtr []int) []int32 {
 }
 
 // relaxZeros is the share of structural zeros a supernode's trapezoid
-// may carry. On the fast tier's 19 890-cell coarsest level, strict
-// (fundamental) supernodes leave 9 694 columns on their own — banded
-// stretches whose patterns slide by one row per column — and those
-// single columns generate 22 % of the multiply-adds as rank-1 updates;
-// at 10 % zeros (before maxSupernode splits the widest) 1 027
-// supernodes are left, 234 of them single columns with under 0.1 % of
-// the work, for 5 % more multiply-adds in all.
+// may carry. On the preview tier's 4 416-cell coarsest level, zero-free
+// supernodes (of at most maxSupernode columns) number 1 625, 1 538 of
+// them single columns — banded stretches whose patterns slide by one row
+// per column — which generate 21 % of the multiply-adds as rank-1
+// updates; at 10 % zeros 300 supernodes are left, 71 of them single
+// columns with 0.02 % of the work, for 6 % more multiply-adds and 3 %
+// more stored values. The fast tier's 1 080-cell level reads alike: 291
+// supernodes, 260 single with 20 % of the work, against 51, 12 single
+// with 0.04 %.
 const relaxZeros = 0.1
 
 // maxSupernode caps a supernode's width. That bounds its panel at
@@ -387,256 +375,85 @@ const relaxZeros = 0.1
 // descendants, which took no measurable time at 64 or 128 columns.
 const maxSupernode = 64
 
-// splitSubtrees partitions the supernodes into independent elimination
-// subtrees and the top supernodes above them. A supernode is updated by
-// its own descendants only, so a subtree factors without any other
-// subtree's data. Starting from the roots, the costliest subtree (by the
-// summed squared column counts of L, the factor's flop estimate) is cut
-// below its root, which joins the top, until there are workers subtrees
-// or the costliest is a single supernode. It returns each subtree's
-// supernodes ascending, costliest subtree first so the dynamic schedule
-// starts the long ones first, and the top supernodes ascending.
-func (an *CholeskyAnalysis) splitSubtrees(workers int) (subtrees [][]int32, top []int32) {
-	ns := len(an.sn) - 1
-	cost := make([]int64, ns)
-	child, sibling := make([]int32, ns), make([]int32, ns)
-	for s := range ns {
-		child[s] = -1
-		for j := an.sn[s]; j < an.sn[s+1]; j++ {
-			m := int64(an.colPtr[j+1] - an.colPtr[j])
-			cost[s] += m * m
-		}
-	}
-	var roots []int32
-	for s := range ns { // children come first, so cost[s] is complete here
-		if p := an.sparent[s]; p >= 0 {
-			cost[p] += cost[s]
-			sibling[s], child[p] = child[p], int32(s)
-		} else {
-			roots = append(roots, int32(s))
-		}
-	}
-	const unassigned, inTop = -2, -1
-	owner := make([]int32, ns)
-	for s := range owner {
-		owner[s] = unassigned
-	}
-	for len(roots) > 0 && len(roots) < workers {
-		big := 0
-		for i, r := range roots {
-			if cost[r] > cost[roots[big]] {
-				big = i
-			}
-		}
-		r := roots[big]
-		if child[r] == -1 {
-			break
-		}
-		owner[r] = inTop
-		roots[big] = roots[len(roots)-1]
-		roots = roots[:len(roots)-1]
-		for ch := child[r]; ch != -1; ch = sibling[ch] {
-			roots = append(roots, ch)
-		}
-	}
-	slices.SortFunc(roots, func(x, y int32) int {
-		if c := cmp.Compare(cost[y], cost[x]); c != 0 {
-			return c
-		}
-		return cmp.Compare(x, y)
-	})
-	for i, r := range roots {
-		owner[r] = int32(i)
-	}
-	for s := ns - 1; s >= 0; s-- { // parents first
-		if owner[s] == unassigned {
-			owner[s] = owner[an.sparent[s]]
-		}
-	}
-	subtrees = make([][]int32, len(roots))
-	for s := range ns {
-		if o := owner[s]; o == inTop {
-			top = append(top, int32(s))
-		} else {
-			subtrees[o] = append(subtrees[o], int32(s))
-		}
-	}
-	return subtrees, top
-}
-
-// solveSchedule orders a factor's supernodes for a concurrent solve.
-// The rows of an elimination subtree take updates from its own columns
-// alone, so the forward sweep first runs every subtree at once, each
-// supernode s updating only R_s[:inner[s]], its rows in its own subtree
-// (R_s ascends along s's ancestors, so those come first). One ascending
-// pass over tail follows: a top supernode (inner −1) in full, a subtree
-// supernode only its updates of the top rows R_s[inner[s]:]. The backward
-// sweep runs the top supernodes, descending, then every subtree at once.
-// Each entry thus takes its terms in the serial sweep's order.
-type solveSchedule struct {
-	subtrees [][]int32 // each subtree's supernodes, ascending
-	tail     []int32   // the top supernodes and the subtree supernodes with top rows, ascending
-	inner    []int32   // per supernode, its rows of R_s in its own subtree; −1 in the top
-}
-
-// schedule builds the solve schedule of the split splitSubtrees made.
-func (an *CholeskyAnalysis) schedule(subtrees [][]int32, top []int32) solveSchedule {
-	ns := len(an.sn) - 1
-	owner := make([]int32, ns)
-	for _, s := range top {
-		owner[s] = -1
-	}
-	for i, sub := range subtrees {
-		for _, s := range sub {
-			owner[s] = int32(i)
-		}
-	}
-	sc := solveSchedule{subtrees: subtrees, inner: make([]int32, ns)}
-	for s := range int32(ns) {
-		if owner[s] < 0 {
-			sc.inner[s] = -1
-			sc.tail = append(sc.tail, s)
-			continue
-		}
-		rows := an.belowRows(s)
-		in := 0
-		for in < len(rows) && owner[an.colSuper[rows[in]]] == owner[s] {
-			in++
-		}
-		sc.inner[s] = int32(in)
-		if in < len(rows) {
-			sc.tail = append(sc.tail, s)
-		}
-	}
-	return sc
-}
-
-// supernodal is one numeric factorisation in progress. A factored
-// supernode k waits in a pending list keyed by the supernode holding
-// R_k[cursor[k]], the first of its rows below it not yet updated;
-// link chains the lists, whose heads belong to the worker that enqueued
-// k (cholWorker.head). Only the worker factoring k's subtree writes k's
-// trapezoid, link and cursor, and the top supernodes run after every
-// subtree is done.
+// supernodal is one numeric factorisation in progress, with its
+// scratch: the panel and descendant block, the panel offsets, the row →
+// panel-row map of the current supernode and the list of the
+// descendants updating it. A factored supernode k waits in the pending
+// list of the supernode holding R_k[cursor[k]], the first of its rows
+// below it not yet updated; head starts each supernode's list and link
+// chains it.
 type supernodal struct {
-	c            *SparseCholesky
-	a            *CSR
-	an           *CholeskyAnalysis
-	link, cursor []int32
-	// blockLen sizes a descendant block: up to 2·maxSupernode rows (a
-	// target's columns plus one chunk of the rows below them) × the
-	// widest supernode.
-	blockLen int
-}
-
-// cholWorker is one goroutine's scratch: the panel and descendant block,
-// the panel offsets, the row → panel-row map of the current supernode
-// and the heads of the pending lists it fills.
-type cholWorker struct {
-	panel, block   []float64
-	rowOff, colOff []int32
-	relMap, head   []int32
-	desc           []int32
+	c                  *SparseCholesky
+	a                  *CSR
+	an                 *CholeskyAnalysis
+	link, cursor, head []int32
+	panel, block       []float64
+	rowOff, colOff     []int32
+	relMap, desc       []int32
 }
 
 // factorSupernodal is the numeric phase, left-looking over the relaxed
-// supernodes of L. The subtrees below the top supernodes are factored
-// concurrently on up to workers goroutines, each with its own scratch
-// and pending lists, then the top supernodes in ascending order, each
-// gathering its descendants from every worker's lists. Every supernode
-// thus sees the updates of all its descendants in ascending order, as an
-// ascending serial pass applies them.
-func (c *SparseCholesky) factorSupernodal(a *CSR, subtrees [][]int32, top []int32, workers int) error {
+// supernodes of L in ascending order. A supernode's descendants precede
+// it, so each supernode sees the updates of all of them, in ascending
+// order.
+func (c *SparseCholesky) factorSupernodal(a *CSR) error {
 	an := c.an
 	ns := len(an.sn) - 1
-	f := &supernodal{c: c, a: a, an: an, link: make([]int32, ns), cursor: make([]int32, ns)}
-	maxWidth, maxRows := 0, 0
+	maxWidth, maxRows, maxPanel := 0, 0, 0
 	for s := range int32(ns) {
 		w := int(an.sn[s+1] - an.sn[s])
+		rows := w + len(an.belowRows(s))
 		maxWidth = max(maxWidth, w)
-		maxRows = max(maxRows, w+len(an.belowRows(s)))
+		maxRows = max(maxRows, rows)
+		maxPanel = max(maxPanel, rows*w)
 	}
-	f.blockLen = 2 * maxSupernode * maxWidth
-	ws := make([]*cholWorker, max(1, min(workers, len(subtrees))))
-	worker := func(w int, list []int32) *cholWorker {
-		wk := ws[w]
-		if wk == nil {
-			wk = &cholWorker{
-				block:  make([]float64, f.blockLen),
-				rowOff: make([]int32, maxRows), colOff: make([]int32, maxRows),
-				relMap: make([]int32, c.n), head: make([]int32, ns),
-			}
-			for i := range wk.head {
-				wk.head[i] = -1
-			}
-			ws[w] = wk
-		}
-		need := 0
-		for _, s := range list {
-			w := int(an.sn[s+1] - an.sn[s])
-			need = max(need, (w+len(an.belowRows(s)))*w)
-		}
-		if len(wk.panel) < need {
-			wk.panel = make([]float64, need)
-		}
-		return wk
+	f := &supernodal{
+		c: c, a: a, an: an,
+		link: make([]int32, ns), cursor: make([]int32, ns), head: make([]int32, ns),
+		panel: make([]float64, maxPanel),
+		// A descendant block holds up to 2·maxSupernode rows (a target's
+		// columns plus one chunk of the rows below them) × the widest
+		// supernode.
+		block:  make([]float64, 2*maxSupernode*maxWidth),
+		rowOff: make([]int32, maxRows), colOff: make([]int32, maxRows),
+		relMap: make([]int32, c.n),
 	}
-	errs, failedAt := make([]error, len(subtrees)), make([]int32, len(subtrees))
-	parallel.ForEach(len(ws), len(subtrees), func(w, i int) error { //nolint:errcheck // failures land in errs
-		wk := worker(w, subtrees[i])
-		for _, s := range subtrees[i] {
-			if err := f.factor(wk, s, ws[w:w+1]); err != nil {
-				errs[i], failedAt[i] = err, s
-				return nil
-			}
-		}
-		return nil
-	})
-	// Report the lowest failing supernode's pivot, whichever worker saw it.
-	first := -1
-	for i, err := range errs {
-		if err != nil && (first < 0 || failedAt[i] < failedAt[first]) {
-			first = i
-		}
+	for i := range f.head {
+		f.head[i] = -1
 	}
-	if first >= 0 {
-		return errs[first]
-	}
-	wk := worker(0, top)
-	for _, s := range top {
-		if err := f.factor(wk, s, ws); err != nil {
+	for s := range int32(ns) {
+		if err := f.factor(s); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// enqueue puts factored supernode k on wk's pending list of the
-// supernode holding its first row not yet updated, if any is left.
-func (f *supernodal) enqueue(wk *cholWorker, k int32) {
+// enqueue puts factored supernode k on the pending list of the supernode
+// holding its first row not yet updated, if any is left.
+func (f *supernodal) enqueue(k int32) {
 	if kb := f.an.belowRows(k); int(f.cursor[k]) < len(kb) {
 		t := f.an.colSuper[kb[f.cursor[k]]]
-		f.link[k], wk.head[t] = wk.head[t], k
+		f.link[k], f.head[t] = f.head[t], k
 	}
 }
 
-// factor factors supernode s with wk's scratch. It gathers s's columns
-// of the permuted A into a dense row-major panel — its rows (its own
-// columns, then R_s) × its columns —, subtracts the update of every
-// descendant waiting on s in the pending lists of lists, in ascending
-// order, factors the panel (factorPanel) and writes it into s's
-// trapezoid, whose columns hold the panel's rows in the same order; each
-// of those descendants, and s itself, then waits on its next target in
-// wk's lists. Every entry sums its terms in an order the pattern alone
+// factor factors supernode s. It gathers s's columns of the permuted A
+// into a dense row-major panel — its rows (its own columns, then R_s) ×
+// its columns —, subtracts the update of every descendant waiting on s,
+// in ascending order, factors the panel (factorPanel) and writes it into
+// s's trapezoid, whose columns hold the panel's rows in the same order;
+// each of those descendants, and s itself, then waits on its next
+// target. Every entry sums its terms in an order the pattern alone
 // fixes, and structural zeros of a relaxed panel stay exact zeros: each
 // of their terms has a zero factor.
-func (f *supernodal) factor(wk *cholWorker, s int32, lists []*cholWorker) error {
+func (f *supernodal) factor(s int32) error {
 	c, an, sn := f.c, f.an, f.an.sn
 	fc, l := int(sn[s]), int(sn[s+1])
 	w := l - fc
 	rows := an.belowRows(s)
 	nr := w + len(rows)
-	p, relMap := wk.panel[:nr*w], wk.relMap
+	p, relMap := f.panel[:nr*w], f.relMap
 	clear(p)
 	for i := fc; i < l; i++ {
 		relMap[i] = int32(i - fc)
@@ -652,17 +469,13 @@ func (f *supernodal) factor(wk *cholWorker, s int32, lists []*cholWorker) error 
 			}
 		}
 	}
-	desc := wk.desc[:0]
-	for _, o := range lists {
-		if o != nil {
-			for k := o.head[s]; k != -1; k = f.link[k] {
-				desc = append(desc, k)
-			}
-		}
+	desc := f.desc[:0]
+	for k := f.head[s]; k != -1; k = f.link[k] {
+		desc = append(desc, k)
 	}
 	slices.Sort(desc)
-	wk.desc = desc
-	rowOff, colOff := wk.rowOff, wk.colOff
+	f.desc = desc
+	rowOff, colOff := f.rowOff, f.colOff
 	for _, k := range desc {
 		// Rows kb[p1:] of k update the panel; kb[p1:p2] are the panel's
 		// own columns. Those come first, then the rows below them in
@@ -674,7 +487,7 @@ func (f *supernodal) factor(wk *cholWorker, s int32, lists []*cholWorker) error 
 			p2++
 		}
 		nc, v := p2-p1, int(sn[k+1]-sn[k])
-		cols := c.gatherRows(wk.block, k, p1, p2)
+		cols := c.gatherRows(f.block, k, p1, p2)
 		for j, r := range kb[p1:p2] {
 			rowOff[j] = relMap[r]
 			colOff[j] = r - int32(fc)
@@ -682,14 +495,14 @@ func (f *supernodal) factor(wk *cholWorker, s int32, lists []*cholWorker) error 
 		subLowerProducts(p, w, rowOff[:nc], colOff[:nc], cols, cols, v, v, 0)
 		for r0 := p2; r0 < len(kb); r0 += maxSupernode {
 			r1 := min(r0+maxSupernode, len(kb))
-			chunk := c.gatherRows(wk.block[nc*v:], k, r0, r1)
+			chunk := c.gatherRows(f.block[nc*v:], k, r0, r1)
 			for i, r := range kb[r0:r1] {
 				rowOff[i] = relMap[r]
 			}
 			subLowerProducts(p, w, rowOff[:r1-r0], colOff[:nc], chunk, cols, v, v, r0-p1)
 		}
 		f.cursor[k] = int32(p2)
-		f.enqueue(wk, k)
+		f.enqueue(k)
 	}
 	if err := factorPanel(p, nr, w, fc, rowOff, colOff); err != nil {
 		return err
@@ -700,7 +513,7 @@ func (f *supernodal) factor(wk *cholWorker, s int32, lists []*cholWorker) error 
 			col[i] = p[(t+i)*w+t]
 		}
 	}
-	f.enqueue(wk, s)
+	f.enqueue(s)
 	return nil
 }
 
@@ -903,11 +716,6 @@ func (c *SparseCholesky) Perm() []int32 {
 	return slices.Clone(c.an.perm)
 }
 
-// Subtrees returns the number of independent elimination subtrees the
-// numeric phase factored concurrently (1 for a serial factorisation of a
-// connected matrix); a solve runs at most that many goroutines.
-func (c *SparseCholesky) Subtrees() int { return len(c.sched.subtrees) }
-
 // Values returns the factor's stored values in the order CholeskySolve
 // reads them: supernode by supernode, each trapezoid column by column,
 // each column from its diagonal down. The slice aliases the factor and
@@ -915,114 +723,69 @@ func (c *SparseCholesky) Subtrees() int { return len(c.sched.subtrees) }
 func (c *SparseCholesky) Values() []float64 { return c.values }
 
 // CholeskyScratch is the scratch of one caller's CholeskySolve calls in
-// the precision of F: the permuted vector and one buffer per worker for
-// a supernode's rows below it. Not safe for concurrent use.
+// the precision of F: the permuted vector and a buffer for a supernode's
+// rows below it. Not safe for concurrent use.
 type CholeskyScratch[F Float] struct {
-	y      []F
-	gather [][]F
+	y, gather []F
 }
 
-// NewCholeskyScratch returns scratch for solves with c on up to workers
-// goroutines (≤ 0 means GOMAXPROCS), capped at c's subtree count.
-func NewCholeskyScratch[F Float](c *SparseCholesky, workers int) *CholeskyScratch[F] {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	s := &CholeskyScratch[F]{y: make([]F, c.n), gather: make([][]F, max(1, min(workers, c.Subtrees())))}
-	for w := range s.gather {
-		s.gather[w] = make([]F, c.an.maxBelow)
-	}
-	return s
+// NewCholeskyScratch returns scratch for solves with c.
+func NewCholeskyScratch[F Float](c *SparseCholesky) *CholeskyScratch[F] {
+	return &CholeskyScratch[F]{y: make([]F, c.n), gather: make([]F, c.an.maxBelow)}
 }
 
 // CholeskySolve overwrites b with A⁻¹·b in the precision of F, using
 // vals as the factor values — Values() itself for float64, a rounded
-// copy of them for float32 — and s's scratch. Supernode by supernode, the
-// forward sweep gathers y[R_s] once and subtracts each column from the
-// supernode's rows below it as contiguous AXPYs; the backward sweep
-// takes each column's one-accumulator dot product with them. On one
-// worker it runs on the calling goroutine and allocates nothing; on more
-// it runs the factor's elimination subtrees concurrently
-// (solveSchedule). Either way every structural entry of L takes part in
-// the same operation, in the same order, as in a column-by-column sweep
-// of the structural entries, so the bits of the result do not depend on
-// the worker count; the trapezoids' explicit zeros add terms ±0, which
-// change no value of an input free of −0, Inf and NaN. Safe for
-// concurrent calls with distinct b and s.
+// copy of them for float32 — and s's scratch, on the calling goroutine
+// and allocating nothing. Supernode by supernode, the forward sweep
+// gathers y[R_s] once and subtracts each column from the supernode's rows
+// below it as contiguous AXPYs; the backward sweep takes each column's
+// one-accumulator dot product with them. Every structural entry of L
+// takes part in the same operation, in the same order, as in a
+// column-by-column sweep of the structural entries; the trapezoids'
+// explicit zeros add terms ±0, which change no value of an input free of
+// −0, Inf and NaN. Safe for concurrent calls with distinct b and s.
 func CholeskySolve[F Float](c *SparseCholesky, vals, b []F, s *CholeskyScratch[F]) {
-	y := s.y
+	y, g := s.y, s.gather
 	if len(b) != c.n || len(y) != c.n || len(vals) != len(c.values) {
 		panic("sparse: SparseCholesky solve dimension mismatch")
 	}
-	an, sc := c.an, &c.sched
+	an := c.an
 	for k, o := range an.perm {
 		y[k] = b[o]
 	}
 	ns := int32(len(an.sn) - 1)
-	if len(s.gather) == 1 {
-		g := s.gather[0]
-		for k := range ns {
-			forwardSuper(an, vals, y, g, k, 0, len(an.belowRows(k)), true)
-		}
-		for k := ns - 1; k >= 0; k-- {
-			backwardSuper(an, vals, y, g, k)
-		}
-	} else {
-		parallel.ForEach(len(s.gather), len(sc.subtrees), func(w, i int) error { //nolint:errcheck // fn never fails
-			for _, k := range sc.subtrees[i] {
-				forwardSuper(an, vals, y, s.gather[w], k, 0, int(sc.inner[k]), true)
-			}
-			return nil
-		})
-		g := s.gather[0]
-		for _, k := range sc.tail {
-			if in := int(sc.inner[k]); in < 0 {
-				forwardSuper(an, vals, y, g, k, 0, len(an.belowRows(k)), true)
-			} else {
-				forwardSuper(an, vals, y, g, k, in, len(an.belowRows(k)), false)
-			}
-		}
-		for i := len(sc.tail) - 1; i >= 0; i-- {
-			if k := sc.tail[i]; sc.inner[k] < 0 {
-				backwardSuper(an, vals, y, g, k)
-			}
-		}
-		parallel.ForEach(len(s.gather), len(sc.subtrees), func(w, i int) error { //nolint:errcheck // fn never fails
-			sub := sc.subtrees[i]
-			for t := len(sub) - 1; t >= 0; t-- {
-				backwardSuper(an, vals, y, s.gather[w], sub[t])
-			}
-			return nil
-		})
+	for k := range ns {
+		forwardSuper(an, vals, y, g, k)
+	}
+	for k := ns - 1; k >= 0; k-- {
+		backwardSuper(an, vals, y, g, k)
 	}
 	for k, o := range an.perm {
 		b[o] = y[k]
 	}
 }
 
-// forwardSuper runs supernode k's part of the forward sweep L·y = P·b
-// over its rows R_k[from:to], gathered into g: with own set it first
-// solves each column's pivot and updates the supernode's rows below it
-// inside the supernode; without, its columns are already solved. The
-// rows of R_k then take the columns' updates four columns at a time,
-// each entry still subtracting them one by one, left to right.
-func forwardSuper[F Float](an *CholeskyAnalysis, vals, y, g []F, k int32, from, to int, own bool) {
+// forwardSuper runs supernode k's part of the forward sweep L·y = P·b:
+// it solves each column's pivot and updates the supernode's rows below
+// it inside the supernode, then gathers R_k into g, whose rows take the
+// columns' updates four columns at a time, each entry still subtracting
+// them one by one, left to right.
+func forwardSuper[F Float](an *CholeskyAnalysis, vals, y, g []F, k int32) {
 	fc, l := int(an.sn[k]), int(an.sn[k+1])
-	if own {
-		for j := fc; j < l; j++ {
-			col := vals[an.valPtr[j]:an.valPtr[j+1]]
-			yj := y[j] / col[0]
-			y[j] = yj
-			subScaled(y[j+1:l], col[1:l-j], yj)
-		}
+	for j := fc; j < l; j++ {
+		col := vals[an.valPtr[j]:an.valPtr[j+1]]
+		yj := y[j] / col[0]
+		y[j] = yj
+		subScaled(y[j+1:l], col[1:l-j], yj)
 	}
-	rows := an.belowRows(k)[from:to]
+	rows := an.belowRows(k)
 	g = g[:len(rows)]
 	for i, r := range rows {
 		g[i] = y[r]
 	}
-	below := func(j int) []F { // column j's entries in rows R_k[from:to]
-		return vals[an.valPtr[j]+l-j+from:][:len(g)]
+	below := func(j int) []F { // column j's entries in rows R_k
+		return vals[an.valPtr[j]+l-j : an.valPtr[j+1]]
 	}
 	j := fc
 	for ; j+4 <= l; j += 4 {

@@ -37,14 +37,14 @@ func buildLaplacian2D(nx, ny int) *CSR {
 	return a.ToCSR()
 }
 
-// factorize analyses a under perm within maxEntries and factors it on
-// one goroutine, returning the first error of either step.
+// factorize analyses a under perm within maxEntries and factors it,
+// returning the first error of either step.
 func factorize(a *CSR, perm []int32, maxEntries int) (*SparseCholesky, error) {
 	an, err := AnalyzeCholesky(a, perm, maxEntries)
 	if err != nil {
 		return nil, err
 	}
-	return an.Factor(a, 1)
+	return an.Factor(a)
 }
 
 // relResidual returns ‖A·x − b‖/‖b‖.
@@ -59,10 +59,10 @@ func relResidual(a *CSR, x, b []float64) float64 {
 	return math.Sqrt(num / den)
 }
 
-// cholSolve overwrites b with A⁻¹·b through CholeskySolve on one
-// goroutine, with fresh scratch.
+// cholSolve overwrites b with A⁻¹·b through CholeskySolve, with fresh
+// scratch.
 func cholSolve(c *SparseCholesky, b []float64) {
-	CholeskySolve(c, c.Values(), b, NewCholeskyScratch[float64](c, 1))
+	CholeskySolve(c, c.Values(), b, NewCholeskyScratch[float64](c))
 }
 
 func TestSparseCholeskySolve(t *testing.T) {
@@ -213,7 +213,7 @@ func TestSparseCholeskyBadOrdering(t *testing.T) {
 		diag.Add(i, i, 1)
 	}
 	for _, other := range []*CSR{buildLaplacian1D(6), buildLaplacian2D(2, 2), diag.ToCSR()} {
-		if _, err := an.Factor(other, 1); err == nil {
+		if _, err := an.Factor(other); err == nil {
 			t.Fatalf("%d-row matrix with %d entries factored from a 5-row analysis of %d entries", other.N(), len(other.colIdx), len(a.colIdx))
 		}
 	}
@@ -312,7 +312,7 @@ func TestSparseCholesky32Mirror(t *testing.T) {
 		b32[i] = float32(b[i])
 	}
 	cholSolve(chol, b)
-	CholeskySolve(chol, vals32, b32, NewCholeskyScratch[float32](chol, 1))
+	CholeskySolve(chol, vals32, b32, NewCholeskyScratch[float32](chol))
 	num, den := 0.0, 0.0
 	for i := range b {
 		d := float64(b32[i]) - b[i]
@@ -513,21 +513,26 @@ func columnSweep[F Float](perm []int32, colPtr []int, rowIdx []int32, vals, b []
 	}
 }
 
-// solveWorkers are the worker counts the supernodal solve is checked at.
-var solveWorkers = []int{1, 2, 3, 4, 7}
-
-// assertSolveMatchesColumnSweep factors a under perm on each of
-// solveWorkers and requires CholeskySolve, serially and on that many
-// workers, to reproduce the column sweep over the same factor bit for
-// bit, in float64 and in float32 over the rounded values.
+// assertSolveMatchesColumnSweep factors a under perm and requires
+// CholeskySolve to reproduce the column sweep over the same factor bit
+// for bit, in float64 and in float32 over the rounded values.
 func assertSolveMatchesColumnSweep(t *testing.T, a *CSR, perm []int32) {
 	t.Helper()
 	n := a.N()
-	an, err := AnalyzeCholesky(a, perm, 0)
+	c, err := factorize(a, perm, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	colPtr, rowIdx := cscPattern(t, a, perm)
+	csc := structuralValues(t, c, colPtr, rowIdx)
+	csc32 := make([]float32, len(csc))
+	for q, v := range csc {
+		csc32[q] = float32(v)
+	}
+	vals32 := make([]float32, len(c.Values()))
+	for q, v := range c.Values() {
+		vals32[q] = float32(v)
+	}
 	rng := rand.New(rand.NewSource(int64(n)))
 	b := make([]float64, n)
 	b32 := make([]float32, n)
@@ -535,40 +540,18 @@ func assertSolveMatchesColumnSweep(t *testing.T, a *CSR, perm []int32) {
 		b[i] = rng.NormFloat64()
 		b32[i] = float32(b[i])
 	}
-	for _, workers := range solveWorkers {
-		c, err := an.Factor(a, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		csc := structuralValues(t, c, colPtr, rowIdx)
-		csc32 := make([]float32, len(csc))
-		for q, v := range csc {
-			csc32[q] = float32(v)
-		}
-		vals32 := make([]float32, len(c.Values()))
-		for q, v := range c.Values() {
-			vals32[q] = float32(v)
-		}
-		want, want32 := slices.Clone(b), slices.Clone(b32)
-		columnSweep(an.perm, colPtr, rowIdx, csc, want)
-		columnSweep(an.perm, colPtr, rowIdx, csc32, want32)
-		for _, sw := range []int{1, workers} {
-			s, s32 := NewCholeskyScratch[float64](c, sw), NewCholeskyScratch[float32](c, sw)
-			got, got32 := slices.Clone(b), slices.Clone(b32)
-			CholeskySolve(c, c.Values(), got, s)
-			CholeskySolve(c, vals32, got32, s32)
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) || math.Float32bits(got32[i]) != math.Float32bits(want32[i]) {
-					t.Fatalf("factored on %d workers, solved on %d: entry %d is %v / %v (float32), the column sweep gives %v / %v",
-						workers, len(s.gather), i, got[i], got32[i], want[i], want32[i])
-				}
-			}
-		}
-		if workers == solveWorkers[len(solveWorkers)-1] {
-			t.Logf("n=%d: %d supernodes; on %d workers %d subtrees, %d supernodes in the serial pass",
-				n, len(an.sn)-1, workers, c.Subtrees(), len(c.sched.tail))
+	want, want32 := slices.Clone(b), slices.Clone(b32)
+	columnSweep(c.an.perm, colPtr, rowIdx, csc, want)
+	columnSweep(c.an.perm, colPtr, rowIdx, csc32, want32)
+	got, got32 := slices.Clone(b), slices.Clone(b32)
+	CholeskySolve(c, c.Values(), got, NewCholeskyScratch[float64](c))
+	CholeskySolve(c, vals32, got32, NewCholeskyScratch[float32](c))
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) || math.Float32bits(got32[i]) != math.Float32bits(want32[i]) {
+			t.Fatalf("entry %d is %v / %v (float32), the column sweep gives %v / %v", i, got[i], got32[i], want[i], want32[i])
 		}
 	}
+	t.Logf("n=%d: %d supernodes", n, len(c.an.sn)-1)
 }
 
 // forestMatrix is an SPD matrix whose elimination tree is a forest:
@@ -621,34 +604,17 @@ func TestCholeskySolveMatchesColumnSweep(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) { assertSolveMatchesColumnSweep(t, tc.a, nil) })
 	}
-	// The forest's components are the subtrees: no supernode has a
-	// top to update, whatever the worker count.
-	an, err := AnalyzeCholesky(forestMatrix(), nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if subtrees, top := an.splitSubtrees(1); len(subtrees) != 3 || len(top) != 0 {
-		t.Fatalf("forest splits into %d subtrees under %d top supernodes, want its 3 components", len(subtrees), len(top))
-	}
 }
 
 // TestCholeskySolveConcurrent solves with one factor from several
-// goroutines at once, each on its own scratch of two workers or of one,
-// and requires every result to equal the serial solve bit for bit (run
-// it under -race).
+// goroutines at once, each on its own scratch, and requires every result
+// to equal the lone solve bit for bit (run it under -race).
 func TestCholeskySolveConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := randomSPD(rng, 400)
-	an, err := AnalyzeCholesky(a, nil, 0)
+	c, err := factorize(a, nil, 0)
 	if err != nil {
 		t.Fatal(err)
-	}
-	c, err := an.Factor(a, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Subtrees() < 2 {
-		t.Fatalf("factor has %d subtrees, want a concurrent solve", c.Subtrees())
 	}
 	const solvers = 4
 	rhs := make([][]float64, solvers)
@@ -667,7 +633,7 @@ func TestCholeskySolveConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := NewCholeskyScratch[float64](c, 2-i%2)
+			s := NewCholeskyScratch[float64](c)
 			for range 5 {
 				x := slices.Clone(rhs[i])
 				CholeskySolve(c, c.Values(), x, s)
@@ -683,6 +649,35 @@ func TestCholeskySolveConcurrent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestCholeskySolveAllocs pins that a warm solve allocates nothing, in
+// float64 and in float32: the V-cycle runs one per coarse correction.
+func TestCholeskySolveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates on its own account")
+	}
+	a := buildLaplacian3D(11, 7, 5)
+	c, err := factorize(a, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals32 := make([]float32, len(c.Values()))
+	for q, v := range c.Values() {
+		vals32[q] = float32(v)
+	}
+	b, b32 := make([]float64, a.N()), make([]float32, a.N())
+	for i := range b {
+		b[i] = float64(1 + i%7)
+		b32[i] = float32(b[i])
+	}
+	s, s32 := NewCholeskyScratch[float64](c), NewCholeskyScratch[float32](c)
+	if allocs := testing.AllocsPerRun(20, func() { CholeskySolve(c, c.Values(), b, s) }); allocs != 0 {
+		t.Errorf("warm float64 solve allocates %.0f objects, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { CholeskySolve(c, vals32, b32, s32) }); allocs != 0 {
+		t.Errorf("warm float32 solve allocates %.0f objects, want 0", allocs)
 	}
 }
 
@@ -720,7 +715,7 @@ func wideSupernodeMatrix() *CSR {
 // TestSparseCholeskyMatchesUpLooking checks the supernodal factor
 // against the up-looking reference: the same CSC pattern, every entry
 // within 1e-12·max|L|, and bit-identical values when factored again from
-// one analysis on 1 to 4 goroutines.
+// one analysis.
 func TestSparseCholeskyMatchesUpLooking(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
 	shuffled := make([]int32, 20*20)
@@ -753,15 +748,13 @@ func TestSparseCholeskyMatchesUpLooking(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for workers := 1; workers <= 4; workers++ {
-				again, err := an.Factor(tc.a, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for q, v := range again.Values() {
-					if math.Float64bits(v) != math.Float64bits(c.values[q]) {
-						t.Fatalf("%d workers: factorisation differs at entry %d: %v vs %v", workers, q, v, c.values[q])
-					}
+			again, err := an.Factor(tc.a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for q, v := range again.Values() {
+				if math.Float64bits(v) != math.Float64bits(c.values[q]) {
+					t.Fatalf("factorisation differs at entry %d: %v vs %v", q, v, c.values[q])
 				}
 			}
 		})

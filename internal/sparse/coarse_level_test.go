@@ -60,9 +60,8 @@ func TestSparseCholeskyGradedCoarseLevel(t *testing.T) {
 }
 
 // TestCholeskySolvePreviewCoarseLevel checks the supernodal solve
-// against the column sweep, bit for bit at every worker count, on the
-// coarsest level of the preview thermal model, the factor every preview
-// V-cycle solves with.
+// against the column sweep, bit for bit, on the coarsest level of the
+// preview thermal model, the factor every preview V-cycle solves with.
 func TestCholeskySolvePreviewCoarseLevel(t *testing.T) {
 	spec, err := thermal.PaperSpec()
 	if err != nil {

@@ -5,10 +5,9 @@
 // of its coarsest level, and a Jacobi-preconditioned CG kept as the plain
 // reference tests compare against. The factor stores L as one dense
 // column-major trapezoid per relaxed supernode, with one row index per
-// row below a supernode rather than one per entry, and its triangular
-// solve runs supernode by supernode — its independent elimination
-// subtrees concurrently when given workers — with the bits of a
-// column-by-column sweep at any worker count.
+// row below a supernode rather than one per entry. The factor and its
+// triangular solve run on the calling goroutine, the solve supernode by
+// supernode with the bits of a column-by-column sweep.
 package sparse
 
 import (
